@@ -21,7 +21,8 @@ from .projections import (project_columns_ball, project_frobenius_ball,
                           project_rank1)
 from .signal_model import DataGrid
 from .unconstrained import (AdmmConfig, AdmmState, SolverReport, SspConfig,
-                            compute_residuals, mask_bounds, ssp_precode)
+                            compute_residuals, mask_bounds, ssp_dual_sweeps,
+                            ssp_primal)
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,9 @@ def _per_point_bounds(masks, m_pts, n_tx):
     return gamma
 
 
-def _trace_entry(u_rows, x, xbar):
+def _trace_entry(a_rows, x, xbar):
     evm = float(np.linalg.norm(xbar - x) / np.linalg.norm(x))
-    powers = np.abs(np.einsum("mk,jk->mj", u_rows.conj(), xbar)) ** 2
+    powers = np.abs(np.einsum("mk,jk->mj", a_rows, xbar)) ** 2
     return evm, powers.max(axis=1)
 
 
@@ -172,7 +173,7 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
         executed += 1
 
         primal, dual = compute_residuals(AdmmState(d_bar=x_bar, d_bar_prev=x_prev, y=y, rho=cfg.rho))
-        e, p = _trace_entry(u_rows, vals, x_bar)
+        e, p = _trace_entry(kernel.active_rows, vals, x_bar)
         evm_t.append(e)
         oob_t.append(p)
         pri_t.append(primal)
@@ -192,22 +193,24 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
 def essp_precode(x, kernel, masks, evm, cfg=None):
     """Douglas-Rachford between the mask intersection and the EVM ball.
 
-    The mask prox is approximated by the sweep precoder on 2*Xbar - Zbar
-    (inner_sweeps per antenna row).  With early_stop, iteration halts as
-    soon as the total sampled out-of-band power of the new iterate exceeds
-    the previous one's, and the previous iterate is returned; the report's
-    returned_iteration names it (0 is the input grid).
+    The mask prox is approximated by inner_sweeps of the sweep precoder's
+    dual core on 2*Xbar - Zbar, batched over antenna rows.  With
+    early_stop, iteration halts as soon as the total sampled out-of-band
+    power of the new iterate exceeds the previous one's, and the previous
+    iterate is returned; the report's returned_iteration names it (0 is the
+    input grid).
     """
     cfg = cfg or EsspConfig()
     vals = x.symbols
-    u_rows = kernel.active_rows.conj()
-    m_pts = u_rows.shape[0]
-    gamma = mask_bounds(getattr(masks, "gamma", masks), m_pts)
+    a_rows = kernel.active_rows
+    u_rows = a_rows.conj()
+    gram = kernel.gram
+    gamma = mask_bounds(getattr(masks, "gamma", masks), a_rows.shape[0])
     proj_e = evm.projector(x)
     ssp_cfg = SspConfig(sweeps=cfg.inner_sweeps)
 
     def total_oob(grid_vals):
-        return float(np.sum(np.abs(np.einsum("mk,jk->mj", u_rows.conj(), grid_vals)) ** 2))
+        return float(np.sum(np.abs(np.einsum("mk,jk->mj", a_rows, grid_vals)) ** 2))
 
     x_bar = vals.copy()
     z_bar = np.zeros_like(vals)
@@ -219,13 +222,15 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     executed = 0
     stopped = False
     for _ in range(cfg.outer_iters):
-        y_bar, _ = ssp_precode(2.0 * x_bar - z_bar, kernel, gamma, ssp_cfg)
+        v = 2.0 * x_bar - z_bar
+        c0 = np.einsum("mk,jk->jm", a_rows, v)
+        y_bar = ssp_primal(v, u_rows, gram, c0, ssp_dual_sweeps(c0, gram, gamma, ssp_cfg)[-1])
         z_bar = z_bar + cfg.relaxation * (y_bar - x_bar)
         x_prev = x_bar
         x_bar = proj_e(z_bar)
         executed += 1
 
-        e, p = _trace_entry(u_rows, vals, x_bar)
+        e, p = _trace_entry(a_rows, vals, x_bar)
         evm_t.append(e)
         oob_t.append(p)
         pri_t.append(float(np.linalg.norm(y_bar - x_prev)))

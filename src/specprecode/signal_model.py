@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import diric
@@ -189,12 +190,23 @@ class SpectralKernel:
         """Squared 2-norm of each full row."""
         return np.einsum("mk,mk->m", self.matrix, self.matrix.conj()).real
 
-    @property
+    @cached_property
     def active_rows(self):
+        """Read-only M x N rows with guard-bin columns zeroed, built once."""
         rows = np.zeros_like(self.matrix)
         bins = self.numerology.active_bins
         rows[:, bins] = self.matrix[:, bins]
+        rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def gram(self):
+        """Read-only M x M Gram matrix K = U^H U of u_m = a(nu_m)* on the
+        active band, K[i, k] = sum_n a_i[n] conj(a_k[n]); built on first use."""
+        rows = self.active_rows
+        gram = np.einsum("ik,jk->ij", rows, rows.conj())
+        gram.flags.writeable = False
+        return gram
 
     @property
     def active_row_norms_sq(self):
@@ -219,8 +231,8 @@ def kernel_row(numerology, point):
 class DataGrid:
     """Per-antenna frequency-domain symbols, shape (n_tx, fft_size).
 
-    Guard bins are exactly zero; that invariant is checked on construction
-    and every precoder in this package preserves it.
+    Every value is finite and guard bins are exactly zero; both are checked
+    on construction, and every precoder in this package preserves them.
     """
 
     symbols: np.ndarray
@@ -232,6 +244,8 @@ class DataGrid:
             sym = sym[None, :]
         if sym.ndim != 2 or sym.shape[1] != self.numerology.fft_size:
             raise ConfigError("data grid must be (n_tx, fft_size)", field="grid")
+        if not np.all(np.isfinite(sym)):
+            raise ConfigError("data grid contains non-finite values", field="grid")
         guard = ~self.numerology.active_mask()
         if sym[:, guard].any():
             raise ConfigError("guard bins of a data grid must be exactly zero", field="grid")

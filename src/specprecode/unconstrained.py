@@ -5,8 +5,10 @@ Both solvers perturb a frequency-domain vector d so that every leakage
 constraint |a(nu_m)^T dbar|^2 <= gamma_m holds, keeping dbar as close to d as
 the iteration allows.  ADMM splits the intersection into M rank-1 sets with a
 consensus variable; SSP performs cyclic coordinate ascent on the dual
-multipliers mu_m, with every matrix inverse expressed through rank-1 update
-factors so no linear system is ever solved.
+multipliers mu_m.  Every SSP quantity lives in the span of the M leakage
+rows, so the sweeps run on the M x M Gram matrix through the Woodbury
+identity: each coordinate solves one M x M system per antenna row, and
+N-space work is a few O(MN) products per sweep, none per coordinate.
 """
 
 from __future__ import annotations
@@ -224,115 +226,129 @@ class FactoredInverse:
 def inverse_sum_rank1(mu, kernel):
     """Explicit (I + sum_m mu_m u_m u_m^H)^(-1) with u_m = a(nu_m)*.
 
-    Built by folding the M rank-1 terms into the identity one at a time;
-    raises NumericalError when an update denominator vanishes (possible only
-    with negative multipliers).
+    Folds the M rank-1 terms into a FactoredInverse and expands it; raises
+    NumericalError when an update denominator vanishes (possible only with
+    negative multipliers).
     """
     mu = np.asarray(mu, dtype=float)
     u_all = kernel.matrix.conj()
     if mu.shape != (u_all.shape[0],):
         raise ConfigError("one multiplier per kernel row is required", field="mu")
-    n = u_all.shape[1]
-    out = np.eye(n, dtype=complex)
-    for m in range(u_all.shape[0]):
-        if mu[m] == 0.0:
-            continue
-        u = u_all[m]
-        w = out @ u
-        denom = 1.0 + mu[m] * np.vdot(u, w).real
-        if abs(denom) < 1e-14:
+    inverse = FactoredInverse(u_all.shape[1])
+    for u, mu_m in zip(u_all, mu):
+        inverse.push(u, mu_m)
+    return inverse.dense()
+
+
+def _check_pivots(a):
+    """Raise NumericalError when an unpivoted LU pivot of a stacked matrix
+    I + K D vanishes.
+
+    Those pivots are the denominators 1 + mu_k u_k^H G_{<k}^(-1) u_k that
+    FactoredInverse.push checks when it folds the same terms in index
+    order.  With mu >= 0 every pivot is at least 1, so only negative
+    multipliers (clamp_nonneg off) call for the check.
+    """
+    a = a.copy()
+    for k in range(a.shape[-1]):
+        pivot = a[:, k, k]
+        if np.any(np.abs(pivot) < 1e-14):
             raise NumericalError("singular accumulation in rank-1 inverse update")
-        out -= (mu[m] / denom) * np.outer(w, w.conj())
-    return out
+        a[:, k + 1:, k:] -= (a[:, k + 1:, k] / pivot[:, None])[..., None] * a[:, None, k, k:]
 
 
-def _ssp_row(d_row, u_rows, gamma, lam1, cfg, trace_hooks=None):
-    """SSP sweeps for a single antenna row; returns (dbar, mu, per-sweep rows)."""
-    m_pts = u_rows.shape[0]
-    n = d_row.size
-    c0 = np.einsum("mk,k->m", u_rows.conj(), d_row)   # a(nu_m)^T d
+def _dual_solve(gram, mu, rhs):
+    """(I + K diag(mu_j))^(-1) rhs_j for every row j, as one stacked solve."""
+    a = np.eye(gram.shape[0]) + gram * mu[:, None, :]
+    if mu.min() < 0.0:
+        _check_pivots(a)
+    return np.linalg.solve(a, rhs)
+
+
+def ssp_dual_sweeps(c0, gram, gamma, cfg):
+    """Cyclic coordinate ascent on the M mask multipliers of every row.
+
+    c0 = U^H d is (n_tx, M) and gram K = U^H U, with u_m = a(nu_m)* the
+    columns of U.  Woodbury gives U^H (I + U D U^H)^(-1) = (I + K D)^(-1) U^H,
+    so coordinate m reads alpha_1 = u_m^H G_{\\m}^(-1) d and
+    alpha_2 = u_m^H G_{\\m}^(-1) u_m off one M x M solve
+    (I + K D_{\\m}) [y, Y] = [c0, K[:, m]] per row: alpha_1 = y_m,
+    alpha_2 = Re Y_m.  Returns the multipliers after every sweep,
+    shape (sweeps, n_tx, M).
+    """
+    m_pts = gram.shape[0]
+    lam1 = gram.diagonal().real
+    if np.any(lam1 <= 0):
+        raise ConfigError("a kernel row vanishes on the active band", field="kernel")
+    root = np.sqrt(gamma)
 
     # Exact single-constraint multipliers as the starting point: for M = 1
     # this is already the optimum, and a feasible d starts (and stays) at 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = (np.abs(c0) / np.sqrt(gamma) - 1.0) / lam1
+    mu = (np.abs(c0) / root - 1.0) / lam1
     if cfg.clamp_nonneg:
         mu = np.maximum(mu, 0.0)
 
-    sweep_rows = []
-    for _ in range(cfg.sweeps):
+    rhs = np.empty(c0.shape + (2,), dtype=complex)
+    rhs[..., 0] = c0
+    out = np.empty((cfg.sweeps,) + mu.shape)
+    for s in range(cfg.sweeps):
         for m in range(m_pts):
-            others = FactoredInverse(n)
-            for k in range(m_pts):
-                if k != m:
-                    others.push(u_rows[k], mu[k])
-            g_d = others.apply(d_row)
-            g_u = others.apply(u_rows[m])
-            alpha1 = np.vdot(u_rows[m], g_d)          # a^T G_{\m}^(-1) d
-            alpha2 = np.vdot(u_rows[m], g_u).real     # a^T G_{\m}^(-1) a*, real > 0
+            others = mu.copy()
+            others[:, m] = 0.0
+            rhs[..., 1] = gram[:, m]
+            sol = _dual_solve(gram, others, rhs)
+            alpha1 = sol[:, m, 0]
+            alpha2 = sol[:, m, 1].real
             phi = np.angle(alpha1) if cfg.phase == "track" else cfg.phase
-            root = np.sqrt(gamma[m])
-            mu_new = ((alpha1 * np.exp(-1j * phi)).real - root) / (root * alpha2)
-            mu[m] = max(mu_new, 0.0) if cfg.clamp_nonneg else mu_new
+            mu_new = ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2)
+            mu[:, m] = np.maximum(mu_new, 0.0) if cfg.clamp_nonneg else mu_new
+        out[s] = mu
+    return out
 
-        full = FactoredInverse(n)
-        for k in range(m_pts):
-            full.push(u_rows[k], mu[k])
-        dbar = full.apply(d_row)
-        sweep_rows.append((dbar, mu.copy()))
 
-    return sweep_rows[-1][0], mu, sweep_rows
+def ssp_primal(rows, u_rows, gram, c0, mu):
+    """x = d - U diag(mu) c with c = (I + K diag(mu))^(-1) c0, row by row:
+    the Woodbury form of (I + sum_m mu_m u_m u_m^H)^(-1) d, with the u_m
+    stacked as the rows of ``u_rows``."""
+    c = _dual_solve(gram, mu, c0[..., None])[..., 0]
+    return rows - np.einsum("jm,mk->jk", mu * c, u_rows)
 
 
 def ssp_precode(d, kernel, mask, cfg=None):
     """Cyclic coordinate ascent on the dual of the mask projection.
 
-    Each coordinate m rebuilds the inverse of I + sum_{k != m} mu_k u_k u_k^H
-    from its rank-1 factors, evaluates alpha_1 = a^T G inv d and
-    alpha_2 = a^T G inv a*, and sets the multiplier in closed form.  Returns
-    (dbar, SolverReport) with one trace entry per sweep; the report's
-    residual slots hold the stationarity norm ||(I + sum mu A) dbar - d||
-    and the worst relative complementarity defect.
+    The sweeps run on the M-dimensional dual core (ssp_dual_sweeps): each
+    coordinate solves one M x M system per antenna row and sets its
+    multiplier in closed form.  N-space work is O(MN) products, none per
+    coordinate: one for the primal point and two for its report per sweep.
+    Returns (dbar, SolverReport) with one trace entry per sweep; the
+    report's residual slots hold the stationarity norm
+    ||(I + sum mu A) dbar - d||, evaluated in primal space, and the worst
+    relative complementarity defect.
     """
     cfg = cfg or SspConfig()
     rows, was_vector = _as_rows(d)
-    u_rows = kernel.active_rows.conj()
-    m_pts = u_rows.shape[0]
-    gamma = mask_bounds(mask, m_pts)
-    lam1 = np.einsum("mk,mk->m", u_rows, u_rows.conj()).real
-    if np.any(lam1 <= 0):
-        raise ConfigError("a kernel row vanishes on the active band", field="kernel")
-
-    n_tx = rows.shape[0]
-    out = np.empty_like(rows)
-    mus = np.empty((n_tx, m_pts))
-    per_sweep = [[] for _ in range(cfg.sweeps)]
-    for j in range(n_tx):
-        dbar, mu, sweeps = _ssp_row(rows[j], u_rows, gamma, lam1, cfg)
-        out[j] = dbar
-        mus[j] = mu
-        for s, pair in enumerate(sweeps):
-            per_sweep[s].append(pair)
+    a_rows = kernel.active_rows
+    u_rows = a_rows.conj()
+    gram = kernel.gram
+    gamma = mask_bounds(mask, a_rows.shape[0])
+    c0 = np.einsum("mk,jk->jm", a_rows, rows)
+    mus = ssp_dual_sweeps(c0, gram, gamma, cfg)
 
     evm_t, oob_t, pri_t, dua_t = [], [], [], []
-    for s in range(cfg.sweeps):
-        grid_s = np.stack([v for v, _ in per_sweep[s]])
-        evm_t.append(_evm_wideband(grid_s, rows))
-        oob_t.append(_oob_powers(u_rows, grid_s))
-        stat = 0.0
-        comp = 0.0
-        for j, (v, mu_s) in enumerate(per_sweep[s]):
-            c = np.einsum("mk,k->m", u_rows.conj(), v)
-            recon = v + (mu_s * c) @ u_rows
-            stat = max(stat, float(np.linalg.norm(recon - rows[j])))
-            comp = max(comp, float(np.max(np.abs(mu_s * (np.abs(c) ** 2 - gamma)) / gamma)))
-        pri_t.append(stat)
-        dua_t.append(comp)
+    for mu in mus:
+        out = ssp_primal(rows, u_rows, gram, c0, mu)
+        c = np.einsum("mk,jk->mj", a_rows, out)
+        recon = out + np.einsum("jm,mk->jk", mu * c.T, u_rows)
+        evm_t.append(_evm_wideband(out, rows))
+        oob_t.append((np.abs(c) ** 2).max(axis=1))
+        pri_t.append(float(np.linalg.norm(recon - rows, axis=1).max()))
+        dua_t.append(float(np.max(np.abs(mu * (np.abs(c.T) ** 2 - gamma)) / gamma)))
 
     report = SolverReport(iterations=cfg.sweeps,
                           evm_trace=np.array(evm_t),
                           oob_trace=np.array(oob_t),
                           primal_trace=np.array(pri_t),
                           dual_trace=np.array(dua_t),
-                          multipliers=mus[0] if was_vector else mus)
+                          multipliers=mus[-1, 0] if was_vector else mus[-1])
     return (out[0] if was_vector else out), report

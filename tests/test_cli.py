@@ -4,9 +4,10 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from specprecode import read_waveform
+from specprecode import read_waveform, runner
 from specprecode.cli import EXIT_CONFIG, EXIT_OK, compare_main, main
 
 SMALL_SCENARIO = {
@@ -144,6 +145,23 @@ class TestMain:
         path = write_scenario(tmp_path)
         assert main(["--config", str(path), "--symbols", "0"]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+
+class TestNonFiniteGrid:
+    def test_config_exit_code(self, tmp_path, monkeypatch, capsys):
+        real = runner.generate_qam_grid
+
+        def poisoned(*args, **kwargs):
+            grid = real(*args, **kwargs)
+            sym = grid.symbols.copy()
+            sym[0, grid.numerology.active_bins[0]] = np.inf
+            return grid.with_symbols(sym)
+
+        monkeypatch.setattr(runner, "generate_qam_grid", poisoned)
+        cfg_path = write_scenario(tmp_path, precoder="eadmm")
+        code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -86,6 +86,20 @@ class TestEvmConstraint:
         assert con.violation(grid, x) == pytest.approx(2.0, rel=1e-9)
 
 
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("precoder", [eadmm_precode, essp_precode])
+    def test_rejected_at_the_grid(self, pair_setup, precoder):
+        # the grid boundary rejects a NaN on an active bin before either
+        # precoder sees it, so both report it as non-finite (EADMM would
+        # otherwise spread it into the guard bins and blame those)
+        num, kern, grid, gamma = pair_setup
+        bad = grid.symbols.copy()
+        bad[0, num.active_bins[0]] = np.nan
+        evm = EvmConstraint(mode="wideband", eps_avg=0.1)
+        with pytest.raises(ConfigError, match="non-finite"):
+            precoder(grid.with_symbols(bad), kern, gamma, evm)
+
+
 class TestEadmm:
     def test_feasible_input_is_fixed_point(self, pair_setup):
         _, kern, grid, gamma = pair_setup

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specprecode import (DegenerateConstraintError, Rank1Constraint,
                          bisection_rank1_oracle, project_columns_ball,
@@ -166,3 +168,47 @@ class TestBallProjections:
                 random_complex(rng, 2, 5))
             lhs = np.real(np.vdot(x - p, z - p))
             assert lhs <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(z - p)
+
+
+@st.composite
+def ball_cases(draw):
+    """A center, a point and per-column radii over wide magnitude ranges;
+    radii run from zero to past each column's distance, so draws mix
+    inside and outside columns."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    center_scale = 10.0 ** draw(st.floats(-6, 6))
+    diff_scale = 10.0 ** draw(st.floats(-6, 6))
+    rng = np.random.default_rng(seed)
+    center = center_scale * random_complex(rng, rows, cols)
+    x = center + diff_scale * random_complex(rng, rows, cols)
+    fractions = rng.uniform(0.0, 1.3, cols)
+    fractions[rng.uniform(size=cols) < 0.2] = 0.0
+    return x, center, fractions
+
+
+class TestBallProjectionsLandInside:
+    """The recomputed distance of a projected point never exceeds its
+    radius in floating point, and points already inside come back bitwise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ball_cases())
+    def test_frobenius(self, case):
+        x, center, fractions = case
+        radius = float(np.linalg.norm(x - center)) * fractions[0]
+        out = project_frobenius_ball(x, center, radius)
+        assert np.linalg.norm(out - center) <= radius
+        if np.linalg.norm(x - center) <= radius:
+            assert np.array_equal(out, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ball_cases())
+    def test_columns(self, case):
+        x, center, fractions = case
+        dist = np.linalg.norm(x - center, axis=0)
+        radii = dist * fractions
+        out = project_columns_ball(x, center, radii)
+        assert np.all(np.linalg.norm(out - center, axis=0) <= radii)
+        inside = dist <= radii
+        assert np.array_equal(out[:, inside], x[:, inside])
