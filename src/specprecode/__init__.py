@@ -31,13 +31,13 @@ from .signal_model import (DataGrid, FrequencyGrid, OfdmNumerology, SpectralKern
                            build_kernel, generate_qam_grid, kernel_row,
                            qam_constellation, read_waveform, synthesize_time_signal,
                            write_waveform)
-from .unconstrained import (AdmmConfig, AdmmState, FactoredInverse, SolverReport,
+from .unconstrained import (AdmmConfig, FactoredInverse, SolverReport,
                             SspConfig, admm_precode, compute_residuals,
                             inverse_sum_rank1, mask_bounds, ssp_precode)
 
 __all__ = [
     "__version__",
-    "AclrReport", "AdmmConfig", "AdmmState", "ConfigError", "DataGrid",
+    "AclrReport", "AdmmConfig", "ConfigError", "DataGrid",
     "DEFAULT_SCENARIO", "DegenerateConstraintError", "EsspConfig", "EvmConstraint",
     "EvmReport", "FactoredInverse", "FeasibilityReport", "FrequencyGrid",
     "LogBarrierProblem", "LogBarrierResult", "MASK2_DB", "MaskSpec",

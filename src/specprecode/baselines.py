@@ -19,11 +19,6 @@ from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .projections import Rank1Constraint
 
 
-def _constraint_rows(kernel):
-    """Leakage rows restricted to the active band (guard columns zeroed)."""
-    return kernel.active_rows
-
-
 def _notch_component(rows, d):
     """P d with P = A^H (A A^H)^(-1) A, computed through solves.
 
@@ -57,7 +52,7 @@ class NotchProjector:
     def build(cls, kernel, alpha=1.0):
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError("alpha must lie in [0, 1]", field="alpha")
-        rows = _constraint_rows(kernel)
+        rows = kernel.active_rows
         n = rows.shape[1]
         p_t = _notch_component(rows, np.eye(n, dtype=complex))
         return cls(matrix=np.eye(n, dtype=complex) - alpha * p_t.T, alpha=float(alpha))
@@ -73,7 +68,7 @@ def nsp_precode(d, kernel):
     |a(nu_m)^T result| <= 1e-10 * ||d|| for every point m.
     """
     d = np.asarray(d, dtype=complex)
-    return d - _notch_component(_constraint_rows(kernel), d)
+    return d - _notch_component(kernel.active_rows, d)
 
 
 def ensp_precode(d, kernel, evm_target):
@@ -88,7 +83,7 @@ def ensp_precode(d, kernel, evm_target):
     if evm_target < 0:
         raise ConfigError("evm_target must be non-negative", field="evm_target")
     d = np.asarray(d, dtype=complex)
-    removed = _notch_component(_constraint_rows(kernel), d)
+    removed = _notch_component(kernel.active_rows, d)
     d_norm = np.linalg.norm(d, axis=-1)
     r_norm = np.linalg.norm(removed, axis=-1)
     safe = np.where(r_norm > 0, r_norm, 1.0)

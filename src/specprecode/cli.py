@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import ScenarioConfig
+from .config import PRECODERS, ScenarioConfig
 from .errors import ConfigError, NumericalError
 from .runner import compare_runs, run_scenario
 
@@ -27,9 +27,7 @@ def _build_parser():
         description="Mask-compliant OFDM spectral precoding runs.")
     parser.add_argument("--config", help="scenario JSON file (defaults to the "
                         "built-in 5 MHz reference scenario)")
-    parser.add_argument("--precoder", choices=["none", "nsp", "ensp", "admm", "ssp",
-                                               "eadmm", "essp", "oracle"],
-                        help="override the configured precoder")
+    parser.add_argument("--precoder", choices=PRECODERS, help="override the configured precoder")
     parser.add_argument("--seed", type=int, help="override the configured seed")
     parser.add_argument("--symbols", type=int, help="override the symbol count")
     parser.add_argument("--out-dir", help="override the output directory")

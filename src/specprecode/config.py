@@ -23,6 +23,8 @@ from .signal_model import QAM_ORDERS, FrequencyGrid, OfdmNumerology
 from .unconstrained import AdmmConfig, SspConfig
 
 PRECODERS = ("none", "nsp", "ensp", "admm", "ssp", "eadmm", "essp", "oracle")
+# The precoders that take the error budget.
+BUDGET_PRECODERS = ("ensp", "eadmm", "essp")
 
 # Per-PRB error budget of the frequency-selective reference experiment: an
 # explicit ramp on each edge block (outermost subcarrier 20%, innermost
@@ -99,10 +101,9 @@ DEFAULT_SCENARIO = {
     "symbols": 20,
     "precoder": "ssp",
     "admm": {"rho": 10.0, "iters": 80, "residual_tol": None},
-    "ssp": {"sweeps": 3, "phase": "track", "clamp_nonneg": True},
+    "ssp": {"sweeps": 3, "phase": "track"},
     "eadmm": {"rho": 10.0, "iters": 40, "residual_tol": None},
-    "essp": {"outer_iters": 10, "inner_sweeps": 2, "relaxation": 1.0,
-             "tau": 1.0, "early_stop": True},
+    "essp": {"outer_iters": 10, "inner_sweeps": 2, "relaxation": 1.0, "early_stop": True},
     "evm": {"mode": "wideband", "eps_avg_fraction": 0.08, "profile_per_prb": None},
     "psd": {"oversample": 4, "bin_hz": 100_000.0},
     "aclr": {"bw_hz": 4_500_000.0, "spacing_hz": 5_000_000.0},
@@ -208,11 +209,8 @@ class ScenarioConfig:
                           residual_tol=_get(admm_d, "residual_tol", float, "admm.",
                                             optional=True))
         ssp_d = _get(data, "ssp", dict, "")
-        phase = ssp_d.get("phase", "track")
         ssp = SspConfig(sweeps=_get(ssp_d, "sweeps", int, "ssp."),
-                        phase=phase,
-                        clamp_nonneg=_get(ssp_d, "clamp_nonneg", bool, "ssp.",
-                                          optional=True, default=True))
+                        phase=ssp_d.get("phase", "track"))
         eadmm_d = _get(data, "eadmm", dict, "")
         eadmm = AdmmConfig(rho=_get(eadmm_d, "rho", float, "eadmm."),
                            iters=_get(eadmm_d, "iters", int, "eadmm."),
@@ -222,7 +220,6 @@ class ScenarioConfig:
         essp = EsspConfig(outer_iters=_get(essp_d, "outer_iters", int, "essp."),
                           inner_sweeps=_get(essp_d, "inner_sweeps", int, "essp."),
                           relaxation=_get(essp_d, "relaxation", float, "essp."),
-                          tau=_get(essp_d, "tau", float, "essp."),
                           early_stop=_get(essp_d, "early_stop", bool, "essp."))
 
         evm_d = _get(data, "evm", dict, "")
@@ -231,7 +228,7 @@ class ScenarioConfig:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
         evm_eps = _get(evm_d, "eps_avg_fraction", float, "evm.", optional=True)
         evm_profile = _get(evm_d, "profile_per_prb", list, "evm.", optional=True)
-        if precoder in ("ensp", "eadmm", "essp"):
+        if precoder in BUDGET_PRECODERS:
             if evm_mode == "wideband" and evm_eps is None:
                 raise ConfigError("wideband budget needs eps_avg_fraction", field="evm.eps_avg_fraction")
             if evm_mode == "frequency_selective":

@@ -17,12 +17,10 @@ import numpy as np
 
 from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
 from .errors import ConfigError, NumericalError
-from .projections import (project_columns_ball, project_frobenius_ball,
-                          project_rank1)
-from .signal_model import DataGrid
-from .unconstrained import (AdmmConfig, AdmmState, SolverReport, SspConfig,
-                            compute_residuals, mask_bounds, ssp_dual_sweeps,
-                            ssp_primal)
+from .metrics import oobe_power
+from .projections import project_columns_ball, project_frobenius_ball
+from .unconstrained import (AdmmConfig, SolverReport, SspConfig, _evm_wideband,
+                            consensus_admm, mask_bounds, ssp_dual_sweeps, ssp_primal)
 
 
 @dataclass(frozen=True)
@@ -94,12 +92,15 @@ class EvmConstraint:
 
 @dataclass(frozen=True)
 class EsspConfig:
-    """Douglas-Rachford schedule for the budgeted sweep precoder."""
+    """Douglas-Rachford schedule for the budgeted sweep precoder.
+
+    Both operators are projections (prox of an indicator), so the splitting
+    has no step size to set.
+    """
 
     outer_iters: int = 10
     inner_sweeps: int = 2
     relaxation: float = 1.0
-    tau: float = 1.0
     early_stop: bool = True
 
     def __post_init__(self):
@@ -109,8 +110,6 @@ class EsspConfig:
             raise ConfigError("inner_sweeps must be at least 1", field="essp.inner_sweeps")
         if not 0.0 < self.relaxation < 2.0:
             raise ConfigError("relaxation must lie in (0, 2)", field="essp.relaxation")
-        if not self.tau > 0:
-            raise ConfigError("tau must be positive", field="essp.tau")
 
 
 @dataclass(frozen=True)
@@ -134,59 +133,20 @@ def _per_point_bounds(masks, m_pts, n_tx):
     return gamma
 
 
-def _trace_entry(a_rows, x, xbar):
-    evm = float(np.linalg.norm(xbar - x) / np.linalg.norm(x))
-    powers = np.abs(np.einsum("mk,jk->mj", a_rows, xbar)) ** 2
-    return evm, powers.max(axis=1)
-
-
 def eadmm_precode(x, kernel, masks, evm, cfg=None):
     """Consensus ADMM over mask sets and the EVM ball.
 
-    Every iterate of the consensus variable is the image of the ball
-    projection, so the returned grid satisfies the budget exactly; mask
-    satisfaction improves with iterations and is exact in the feasible
-    limit.  Returns (DataGrid, SolverReport).
+    The consensus update projects the mean of the local variables onto the
+    ball, so every iterate of the consensus variable satisfies the budget
+    exactly; mask satisfaction improves with iterations and is exact in the
+    feasible limit.  Returns (DataGrid, SolverReport).
     """
     cfg = cfg or AdmmConfig(iters=40)
     vals = x.symbols
-    n_tx = vals.shape[0]
-    u_rows = kernel.active_rows.conj()
-    m_pts = u_rows.shape[0]
-    gamma = _per_point_bounds(masks, m_pts, n_tx)
+    m_pts = kernel.n_points
+    gamma = _per_point_bounds(masks, m_pts, vals.shape[0])
     proj_e = evm.projector(x)
-
-    y = np.broadcast_to(vals, (m_pts,) + vals.shape).copy()
-    z = np.zeros_like(y)
-    x_bar = vals.copy()
-
-    evm_t, oob_t, pri_t, dua_t = [], [], [], []
-    executed = 0
-    for _ in range(cfg.iters):
-        x_prev = x_bar
-        x_bar = proj_e(np.mean(y + z, axis=0))
-        for m in range(m_pts):
-            target = x_bar - z[m]
-            for j in range(n_tx):
-                y[m, j] = project_rank1(target[j], u_rows[m], gamma[m, j])
-        z += y - x_bar[None, ...]
-        executed += 1
-
-        primal, dual = compute_residuals(AdmmState(d_bar=x_bar, d_bar_prev=x_prev, y=y, rho=cfg.rho))
-        e, p = _trace_entry(kernel.active_rows, vals, x_bar)
-        evm_t.append(e)
-        oob_t.append(p)
-        pri_t.append(primal)
-        dua_t.append(dual)
-        if cfg.residual_tol is not None and max(primal, dual) <= cfg.residual_tol:
-            break
-
-    report = SolverReport(iterations=executed,
-                          evm_trace=np.array(evm_t),
-                          oob_trace=np.array(oob_t),
-                          primal_trace=np.array(pri_t),
-                          dual_trace=np.array(dua_t),
-                          stopped_early=executed < cfg.iters)
+    x_bar, report = consensus_admm(vals, kernel, gamma, cfg, lambda s: proj_e(s / m_pts))
     return x.with_symbols(x_bar), report
 
 
@@ -205,21 +165,17 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     a_rows = kernel.active_rows
     u_rows = a_rows.conj()
     gram = kernel.gram
-    gamma = mask_bounds(getattr(masks, "gamma", masks), a_rows.shape[0])
+    gamma = mask_bounds(masks, a_rows.shape[0])
     proj_e = evm.projector(x)
     ssp_cfg = SspConfig(sweeps=cfg.inner_sweeps)
-
-    def total_oob(grid_vals):
-        return float(np.sum(np.abs(np.einsum("mk,jk->mj", a_rows, grid_vals)) ** 2))
 
     x_bar = vals.copy()
     z_bar = np.zeros_like(vals)
     best = x_bar
-    best_oob = total_oob(x_bar)
+    best_oob = float(np.sum(oobe_power(x_bar, kernel)))
     returned_iteration = 0
 
-    evm_t, oob_t, pri_t, dua_t = [], [], [], []
-    executed = 0
+    entries = []
     stopped = False
     for _ in range(cfg.outer_iters):
         v = 2.0 * x_bar - z_bar
@@ -228,29 +184,21 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
         z_bar = z_bar + cfg.relaxation * (y_bar - x_bar)
         x_prev = x_bar
         x_bar = proj_e(z_bar)
-        executed += 1
 
-        e, p = _trace_entry(a_rows, vals, x_bar)
-        evm_t.append(e)
-        oob_t.append(p)
-        pri_t.append(float(np.linalg.norm(y_bar - x_prev)))
-        dua_t.append(float(np.linalg.norm(x_bar - x_prev)))
-
-        oob_now = total_oob(x_bar)
+        powers = oobe_power(x_bar, kernel)
+        entries.append((_evm_wideband(x_bar, vals), powers.max(axis=1),
+                        float(np.linalg.norm(y_bar - x_prev)),
+                        float(np.linalg.norm(x_bar - x_prev))))
+        oob_now = float(np.sum(powers))
         if cfg.early_stop and oob_now > best_oob:
             stopped = True
             break
         best = x_bar
         best_oob = oob_now
-        returned_iteration = executed
+        returned_iteration = len(entries)
 
-    report = SolverReport(iterations=executed,
-                          evm_trace=np.array(evm_t),
-                          oob_trace=np.array(oob_t),
-                          primal_trace=np.array(pri_t),
-                          dual_trace=np.array(dua_t),
-                          stopped_early=stopped,
-                          returned_iteration=returned_iteration)
+    report = SolverReport.from_entries(entries, stopped_early=stopped,
+                                       returned_iteration=returned_iteration)
     return x.with_symbols(best if cfg.early_stop else x_bar), report
 
 
@@ -266,9 +214,8 @@ def feasibility_probe(x, kernel, masks, evm, oracle_config=None):
     vals = x.symbols
     u_rows = kernel.active_rows.conj()
     m_pts = u_rows.shape[0]
-    gamma = mask_bounds(getattr(masks, "gamma", masks), m_pts)
-    powers = np.abs(np.einsum("mk,jk->mj", u_rows.conj(), vals)) ** 2
-    ratios = powers.max(axis=1) / gamma
+    gamma = mask_bounds(masks, m_pts)
+    ratios = oobe_power(vals, kernel).max(axis=1) / gamma
 
     if num.fft_size > 64:
         return FeasibilityReport(delta_t=None, feasible=None, mask_ratio=ratios)

@@ -85,14 +85,17 @@ def _grid_values(d):
 
 
 def oobe_power(dbar, kernel):
-    """|a(nu_m)^T dbar|^2 per constraint point.
+    """|a(nu_m)^T dbar|^2 per constraint point, the one leakage-power helper.
 
-    Vector input gives an (M,) array; an (n_tx, N) grid gives (M, n_tx).
+    The rows are the kernel's active rows, as in the solvers; on a data grid
+    (zero guard bins) they agree with the full rows.  Vector input gives an
+    (M,) array; an (n_tx, N) grid gives (M, n_tx), each column bitwise
+    equal to that row's vector result.
     """
     vals = _grid_values(dbar)
-    proj = np.tensordot(kernel.matrix, vals, axes=([1], [-1])) if vals.ndim == 1 \
-        else np.einsum("mk,jk->mj", kernel.matrix, vals)
-    return np.abs(proj) ** 2
+    proj = np.einsum("mk,jk->mj", kernel.active_rows, np.atleast_2d(vals))
+    powers = np.abs(proj) ** 2
+    return powers if vals.ndim == 2 else powers[:, 0]
 
 
 def mask_ratio(dbar, kernel, mask):

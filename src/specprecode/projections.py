@@ -42,22 +42,24 @@ def project_rank1(x, u, b):
     """Project x onto {z : |u^H z|^2 <= b}.
 
     x may carry leading batch dimensions; the projection acts on the last
-    axis.  Points already inside the set are returned unchanged (bitwise),
-    and an outside point moves along u by exactly the amount that lands
-    |u^H z| on sqrt(b):
+    axis, and b is a scalar or one bound per row, broadcast over the batch
+    dimensions.  When every row is inside its set, x is returned unchanged
+    (bitwise); otherwise inside rows get a zero update, and an outside row
+    moves along u by exactly the amount that lands |u^H z| on sqrt(b):
 
         z = x + (sqrt(b) - |c|) / (||u||^2 |c|) * u * c,   c = u^H x.
     """
     u = np.asarray(u, dtype=complex)
     if not u.any():
         raise DegenerateConstraintError("constraint direction is identically zero")
-    if b < 0:
+    b = np.asarray(b, dtype=float)
+    if (b < 0).any():
         raise DegenerateConstraintError("constraint bound must be non-negative")
     x = np.asarray(x, dtype=complex)
-    c = np.tensordot(x, np.conj(u), axes=([-1], [0]))
+    c = np.dot(x, u.conj())
     mag = np.abs(c)
     outside = mag ** 2 > b
-    if not np.any(outside):
+    if not outside.any():
         return x.copy()
     unorm_sq = float(np.vdot(u, u).real)
     # (sqrt(b) - |c|) / (||u||^2 |c|), evaluated only where |c|^2 > b (there

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import LogBarrierProblem, ensp_precode, logbarrier_solve, nsp_precode
+from .config import BUDGET_PRECODERS
 from .constrained import eadmm_precode, essp_precode
 from .errors import ConfigError
 from .metrics import PsdAccumulator, aclr, evm_metrics, mask_ratio, oobe_power
@@ -46,16 +47,13 @@ def _fmt(value):
     return str(value)
 
 
-def _pseudo_report(grid, out, kernel, gamma):
-    """One-entry trace for precoders that have no iterations."""
+def _pseudo_report(grid, out, per_point):
+    """One-entry trace for precoders that have no iterations; per_point is
+    the worst-row leakage power of ``out`` at every mask point."""
     diff = out.symbols - grid.symbols
     ref = np.sum(np.abs(grid.symbols) ** 2)
     evm = float(np.sqrt(np.sum(np.abs(diff) ** 2) / ref)) if ref > 0 else 0.0
-    pow_pts = oobe_power(out, kernel)
-    oob = np.max(pow_pts, axis=1) if pow_pts.ndim == 2 else pow_pts
-    return SolverReport(iterations=1, evm_trace=np.array([evm]),
-                        oob_trace=oob[None, :], primal_trace=np.zeros(1),
-                        dual_trace=np.zeros(1))
+    return SolverReport.from_entries([(evm, per_point, 0.0, 0.0)])
 
 
 def _oracle_precode(grid, kernel, gamma):
@@ -99,8 +97,6 @@ def _dispatch(cfg, grid, kernel, evm_c):
         report = None
     else:
         raise ConfigError(f"unknown precoder {cfg.precoder!r}", field="precoder")
-    if report is None:
-        report = _pseudo_report(grid, out, kernel, gamma)
     return out, report, extras
 
 
@@ -145,7 +141,7 @@ def run_scenario(cfg, out_dir=None):
     out_path.mkdir(parents=True, exist_ok=True)
 
     kernel = build_kernel(cfg.numerology, cfg.freq_grid)
-    evm_c = cfg.evm_constraint() if cfg.precoder in ("ensp", "eadmm", "essp") else None
+    evm_c = cfg.evm_constraint() if cfg.precoder in BUDGET_PRECODERS else None
     psd_cfg = cfg.psd_config()
     probe_hz = cfg.freq_grid.to_hz(cfg.numerology.scs_hz)
     psd_acc = PsdAccumulator(cfg.numerology, psd_cfg, probe_freqs_hz=probe_hz)
@@ -172,7 +168,12 @@ def run_scenario(cfg, out_dir=None):
         out, report, extras = _dispatch(cfg, grid, kernel, evm_c)
         t2 = time.perf_counter()
 
-        trace_acc.add(report)
+        pow_pts = oobe_power(out, kernel)
+        per_point = np.max(pow_pts, axis=1)
+        oob_final += per_point
+        ratio_max = max(ratio_max, float(np.max(pow_pts / cfg.mask.gamma[:, None])))
+
+        trace_acc.add(report or _pseudo_report(grid, out, per_point))
         for key, val in extras.items():
             extras_agg[key] = max(extras_agg.get(key, -np.inf), val)
 
@@ -182,11 +183,6 @@ def run_scenario(cfg, out_dir=None):
         ref_sq += np.sum(np.abs(grid.symbols[:, cols]) ** 2, axis=0)
         err_total += float(np.sum(np.abs(diff) ** 2))
         ref_total += float(np.sum(np.abs(grid.symbols) ** 2))
-
-        pow_pts = oobe_power(out, kernel)
-        per_point = np.max(pow_pts, axis=1)
-        oob_final += per_point
-        ratio_max = max(ratio_max, float(np.max(pow_pts / cfg.mask.gamma[:, None])))
 
         samples = synthesize_time_signal(out, oversample=cfg.psd_oversample)
         psd_acc.add(samples)

@@ -4,20 +4,23 @@ semi-analytical sweep precoder (SSP).
 Both solvers perturb a frequency-domain vector d so that every leakage
 constraint |a(nu_m)^T dbar|^2 <= gamma_m holds, keeping dbar as close to d as
 the iteration allows.  ADMM splits the intersection into M rank-1 sets with a
-consensus variable; SSP performs cyclic coordinate ascent on the dual
-multipliers mu_m.  Every SSP quantity lives in the span of the M leakage
-rows, so the sweeps run on the M x M Gram matrix through the Woodbury
-identity: each coordinate solves one M x M system per antenna row, and
-N-space work is a few O(MN) products per sweep, none per coordinate.
+consensus variable; its loop (consensus_admm) also serves EADMM, with the
+error-budget ball in place of the quadratic objective.  SSP performs cyclic
+coordinate ascent on the dual multipliers mu_m.  Every SSP quantity lives in
+the span of the M leakage rows, so the sweeps run on the M x M Gram matrix
+through the Woodbury identity: each coordinate solves one M x M system per
+antenna row, and N-space work is a few O(MN) products per sweep, none per
+coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .metrics import oobe_power
 from .projections import project_rank1
 
 
@@ -43,15 +46,14 @@ def _evm_wideband(dbar, d):
     return float(np.linalg.norm(dbar - d) / ref) if ref > 0 else 0.0
 
 
-def _oob_powers(u_rows, dbar):
-    # Worst row per constraint point: max_j |a_m^T dbar_j|^2.
-    vals = np.abs(np.einsum("mk,jk->mj", u_rows.conj(), dbar)) ** 2
-    return vals.max(axis=1)
-
-
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Penalty, iteration budget, and optional residual-based early exit."""
+    """Penalty, iteration budget, and optional residual-based early exit.
+
+    In EADMM the consensus update is a ball projection of the mean of the
+    local variables, so rho cancels from the iterates there: eadmm.rho only
+    scales the reported dual residual and with it the residual_tol test.
+    """
 
     rho: float = 10.0
     iters: int = 80
@@ -68,16 +70,16 @@ class AdmmConfig:
 
 @dataclass(frozen=True)
 class SspConfig:
-    """Sweep budget, multiplier phase handling, and the dual clamp.
+    """Sweep budget and multiplier phase handling.
 
     phase: "track" aligns each coordinate update with the phase of its
     alpha_1 inner product, which is the exact maximizer of that coordinate's
-    dual function; a real value fixes phi to that constant instead.
+    dual function; a real value fixes phi to that constant instead.  The
+    multipliers are always kept non-negative.
     """
 
     sweeps: int = 3
     phase: object = "track"
-    clamp_nonneg: bool = True
 
     def __post_init__(self):
         if self.sweeps < 1:
@@ -117,28 +119,54 @@ class SolverReport:
             if arr.shape[0] != self.iterations:
                 raise ConfigError("trace length must equal iterations executed", field=name)
 
-
-@dataclass(frozen=True)
-class AdmmState:
-    """One consensus iteration's variables, as compute_residuals expects."""
-
-    d_bar: np.ndarray
-    d_bar_prev: np.ndarray
-    y: np.ndarray
-    rho: float
+    @classmethod
+    def from_entries(cls, entries, **extra):
+        """Report from per-iteration (evm, oob, primal, dual) tuples."""
+        evm, oob, primal, dual = (np.array(t) for t in zip(*entries))
+        return cls(iterations=len(entries), evm_trace=evm, oob_trace=oob,
+                   primal_trace=primal, dual_trace=dual, **extra)
 
 
-def compute_residuals(state):
+def compute_residuals(d_bar, d_bar_prev, y, rho):
     """Consensus residual norms of an ADMM iterate.
 
     primal = sqrt(sum_m ||y_m - dbar||^2); dual = sqrt(M) * rho *
     ||dbar - dbar_prev||.  Norms are Frobenius over any antenna batch.
     """
-    diff = state.y - state.d_bar[None, ...]
+    diff = y - d_bar[None, ...]
     primal = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
-    m = state.y.shape[0]
-    dual = float(np.sqrt(m) * state.rho * np.linalg.norm(state.d_bar - state.d_bar_prev))
+    m = y.shape[0]
+    dual = float(np.sqrt(m) * rho * np.linalg.norm(d_bar - d_bar_prev))
     return primal, dual
+
+
+def consensus_admm(rows, kernel, gamma, cfg, x_update):
+    """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
+
+    rows (n_tx, N) is the input and the EVM reference, gamma (M, n_tx) holds
+    the per-row bounds, and x_update maps the summed local variables
+    sum_m (y_m + z_m) to the next consensus iterate.  Local variables start
+    at the input and duals at zero, so a mask-feasible input is a fixed
+    point from the first iteration.  Returns (x_bar, SolverReport).
+    """
+    u_rows = kernel.active_rows.conj()     # u_m = a(nu_m)* on the active band
+    y = np.broadcast_to(rows, (u_rows.shape[0],) + rows.shape).copy()
+    z = np.zeros_like(y)
+    x_bar = rows.copy()
+    entries = []
+    for _ in range(cfg.iters):
+        x_prev = x_bar
+        x_bar = x_update(np.sum(y + z, axis=0))
+        for m, u in enumerate(u_rows):
+            y[m] = project_rank1(x_bar - z[m], u, gamma[m])
+        z += y - x_bar[None, ...]
+
+        primal, dual = compute_residuals(x_bar, x_prev, y, cfg.rho)
+        entries.append((_evm_wideband(x_bar, rows), oobe_power(x_bar, kernel).max(axis=1),
+                        primal, dual))
+        if cfg.residual_tol is not None and max(primal, dual) <= cfg.residual_tol:
+            break
+    return x_bar, SolverReport.from_entries(entries, stopped_early=len(entries) < cfg.iters)
 
 
 def admm_precode(d, kernel, mask, cfg=None):
@@ -146,44 +174,13 @@ def admm_precode(d, kernel, mask, cfg=None):
 
     Returns (dbar, SolverReport).  d may be a vector or an (n_tx, N) batch;
     rows are precoded independently (the constraint sets are per row).
-    Local variables start at the input point, so a mask-feasible d is a
-    fixed point from the first iteration.
     """
     cfg = cfg or AdmmConfig()
     rows, was_vector = _as_rows(d)
-    u_rows = kernel.active_rows.conj()     # u_m = a(nu_m)* on the active band
-    m_pts = u_rows.shape[0]
-    gamma = mask_bounds(mask, m_pts)
-    rho = cfg.rho
-
-    y = np.broadcast_to(rows, (m_pts,) + rows.shape).copy()
-    z = np.zeros_like(y)
-    d_bar = rows.copy()
-
-    evm_t, oob_t, pri_t, dua_t = [], [], [], []
-    executed = 0
-    for _ in range(cfg.iters):
-        d_prev = d_bar
-        d_bar = (rows + rho * np.sum(y + z, axis=0)) / (1.0 + rho * m_pts)
-        for m in range(m_pts):
-            y[m] = project_rank1(d_bar - z[m], u_rows[m], gamma[m])
-        z += y - d_bar[None, ...]
-        executed += 1
-
-        primal, dual = compute_residuals(AdmmState(d_bar=d_bar, d_bar_prev=d_prev, y=y, rho=rho))
-        evm_t.append(_evm_wideband(d_bar, rows))
-        oob_t.append(_oob_powers(u_rows, d_bar))
-        pri_t.append(primal)
-        dua_t.append(dual)
-        if cfg.residual_tol is not None and max(primal, dual) <= cfg.residual_tol:
-            break
-
-    report = SolverReport(iterations=executed,
-                          evm_trace=np.array(evm_t),
-                          oob_trace=np.array(oob_t),
-                          primal_trace=np.array(pri_t),
-                          dual_trace=np.array(dua_t),
-                          stopped_early=executed < cfg.iters)
+    m_pts = kernel.n_points
+    gamma = np.broadcast_to(mask_bounds(mask, m_pts)[:, None], (m_pts, rows.shape[0]))
+    d_bar, report = consensus_admm(rows, kernel, gamma, cfg,
+                                   lambda s: (rows + cfg.rho * s) / (1.0 + cfg.rho * m_pts))
     return (d_bar[0] if was_vector else d_bar), report
 
 
@@ -240,29 +237,13 @@ def inverse_sum_rank1(mu, kernel):
     return inverse.dense()
 
 
-def _check_pivots(a):
-    """Raise NumericalError when an unpivoted LU pivot of a stacked matrix
-    I + K D vanishes.
-
-    Those pivots are the denominators 1 + mu_k u_k^H G_{<k}^(-1) u_k that
-    FactoredInverse.push checks when it folds the same terms in index
-    order.  With mu >= 0 every pivot is at least 1, so only negative
-    multipliers (clamp_nonneg off) call for the check.
-    """
-    a = a.copy()
-    for k in range(a.shape[-1]):
-        pivot = a[:, k, k]
-        if np.any(np.abs(pivot) < 1e-14):
-            raise NumericalError("singular accumulation in rank-1 inverse update")
-        a[:, k + 1:, k:] -= (a[:, k + 1:, k] / pivot[:, None])[..., None] * a[:, None, k, k:]
-
-
 def _dual_solve(gram, mu, rhs):
-    """(I + K diag(mu_j))^(-1) rhs_j for every row j, as one stacked solve."""
-    a = np.eye(gram.shape[0]) + gram * mu[:, None, :]
-    if mu.min() < 0.0:
-        _check_pivots(a)
-    return np.linalg.solve(a, rhs)
+    """(I + K diag(mu_j))^(-1) rhs_j for every row j, as one stacked solve.
+
+    With mu >= 0 every unpivoted LU pivot of I + K D is at least 1, so the
+    system is never singular.
+    """
+    return np.linalg.solve(np.eye(gram.shape[0]) + gram * mu[:, None, :], rhs)
 
 
 def ssp_dual_sweeps(c0, gram, gamma, cfg):
@@ -284,9 +265,7 @@ def ssp_dual_sweeps(c0, gram, gamma, cfg):
 
     # Exact single-constraint multipliers as the starting point: for M = 1
     # this is already the optimum, and a feasible d starts (and stays) at 0.
-    mu = (np.abs(c0) / root - 1.0) / lam1
-    if cfg.clamp_nonneg:
-        mu = np.maximum(mu, 0.0)
+    mu = np.maximum((np.abs(c0) / root - 1.0) / lam1, 0.0)
 
     rhs = np.empty(c0.shape + (2,), dtype=complex)
     rhs[..., 0] = c0
@@ -301,7 +280,7 @@ def ssp_dual_sweeps(c0, gram, gamma, cfg):
             alpha2 = sol[:, m, 1].real
             phi = np.angle(alpha1) if cfg.phase == "track" else cfg.phase
             mu_new = ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2)
-            mu[:, m] = np.maximum(mu_new, 0.0) if cfg.clamp_nonneg else mu_new
+            mu[:, m] = np.maximum(mu_new, 0.0)
         out[s] = mu
     return out
 
@@ -320,7 +299,7 @@ def ssp_precode(d, kernel, mask, cfg=None):
     The sweeps run on the M-dimensional dual core (ssp_dual_sweeps): each
     coordinate solves one M x M system per antenna row and sets its
     multiplier in closed form.  N-space work is O(MN) products, none per
-    coordinate: one for the primal point and two for its report per sweep.
+    coordinate: one for the primal point and three for its report per sweep.
     Returns (dbar, SolverReport) with one trace entry per sweep; the
     report's residual slots hold the stationarity norm
     ||(I + sum mu A) dbar - d||, evaluated in primal space, and the worst
@@ -335,20 +314,14 @@ def ssp_precode(d, kernel, mask, cfg=None):
     c0 = np.einsum("mk,jk->jm", a_rows, rows)
     mus = ssp_dual_sweeps(c0, gram, gamma, cfg)
 
-    evm_t, oob_t, pri_t, dua_t = [], [], [], []
+    entries = []
     for mu in mus:
         out = ssp_primal(rows, u_rows, gram, c0, mu)
         c = np.einsum("mk,jk->mj", a_rows, out)
         recon = out + np.einsum("jm,mk->jk", mu * c.T, u_rows)
-        evm_t.append(_evm_wideband(out, rows))
-        oob_t.append((np.abs(c) ** 2).max(axis=1))
-        pri_t.append(float(np.linalg.norm(recon - rows, axis=1).max()))
-        dua_t.append(float(np.max(np.abs(mu * (np.abs(c.T) ** 2 - gamma)) / gamma)))
-
-    report = SolverReport(iterations=cfg.sweeps,
-                          evm_trace=np.array(evm_t),
-                          oob_trace=np.array(oob_t),
-                          primal_trace=np.array(pri_t),
-                          dual_trace=np.array(dua_t),
-                          multipliers=mus[-1, 0] if was_vector else mus[-1])
+        powers = oobe_power(out, kernel)
+        entries.append((_evm_wideband(out, rows), powers.max(axis=1),
+                        float(np.linalg.norm(recon - rows, axis=1).max()),
+                        float(np.max(np.abs(mu * (powers.T - gamma)) / gamma))))
+    report = SolverReport.from_entries(entries, multipliers=mus[-1, 0] if was_vector else mus[-1])
     return (out[0] if was_vector else out), report

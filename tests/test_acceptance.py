@@ -312,7 +312,7 @@ def test_08_infeasible_instance_behavior(infeasible_case):
 
     _, rep_free = essp_precode(case.grid, case.kernel, case.gamma, case.evm,
                                EsspConfig(outer_iters=15, inner_sweeps=1,
-                                          tau=1.0, early_stop=False))
+                                          early_stop=False))
     totals = rep_free.oob_trace.sum(axis=1)
     strictly_rising = bool(np.all(np.diff(totals) > 0)) and int(np.argmin(totals)) == 0
 
@@ -323,7 +323,7 @@ def test_08_infeasible_instance_behavior(infeasible_case):
 
     _, rep_stop = essp_precode(case.grid, case.kernel, case.gamma, case.evm,
                                EsspConfig(outer_iters=10, inner_sweeps=2,
-                                          tau=1.0, early_stop=True))
+                                          early_stop=True))
     stop_ok = rep_stop.stopped_early and rep_stop.iterations <= 3
 
     ok = (probe.delta_t is not None and probe.delta_t > 1.0 and strictly_rising

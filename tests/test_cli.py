@@ -7,8 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from specprecode import read_waveform, runner
+from specprecode import (ScenarioConfig, build_kernel, generate_qam_grid, oobe_power,
+                         read_waveform, run_scenario, runner)
 from specprecode.cli import EXIT_CONFIG, EXIT_OK, compare_main, main
+from specprecode.config import BUDGET_PRECODERS, PRECODERS
 
 SMALL_SCENARIO = {
     "numerology": {"fft_size": 64, "cp_len": 4, "scs_hz": 15_000.0,
@@ -141,6 +143,12 @@ class TestMain:
         assert main(["--config", str(path)]) == EXIT_CONFIG
         assert "unknown configuration key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block,key", [("essp", "tau"), ("ssp", "clamp_nonneg")])
+    def test_removed_solver_key_rejected(self, tmp_path, capsys, block, key):
+        path = write_scenario(tmp_path, **{block: {key: 1.0}})
+        assert main(["--config", str(path)]) == EXIT_CONFIG
+        assert f"{block}.{key}: unknown configuration key" in capsys.readouterr().err
+
     def test_bad_override_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         assert main(["--config", str(path), "--symbols", "0"]) == EXIT_CONFIG
@@ -162,6 +170,47 @@ class TestNonFiniteGrid:
         code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
+
+
+# Short schedules for the iterative precoders; ESSP runs every outer
+# iteration, so each one's trace.csv has exactly TRACE_ROWS rows.
+SHORT_SCHEDULES = {"admm": {"iters": 5}, "ssp": {"sweeps": 2}, "eadmm": {"iters": 4},
+                   "essp": {"outer_iters": 3, "early_stop": False}}
+TRACE_ROWS = {"admm": 5, "ssp": 2, "eadmm": 4, "essp": 3}
+
+
+class TestEveryPrecoder:
+    """run_scenario over every configurable precoder on a 64-point grid."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_trace_summary_and_rerun(self, tmp_path, precoder):
+        data = json.loads(json.dumps(SMALL_SCENARIO))
+        data.update(SHORT_SCHEDULES, precoder=precoder)
+        cfg = ScenarioConfig.from_dict(data)
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out_dir in runs:
+            run_scenario(cfg, out_dir)
+
+        _, trace = read_csv(runs[0] / "trace.csv")
+        assert len(trace) == TRACE_ROWS.get(precoder, 1)
+
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        evm_c = cfg.evm_constraint() if precoder in BUDGET_PRECODERS else None
+        total = 0.0
+        for s in range(cfg.symbols):
+            grid = generate_qam_grid(cfg.seed, cfg.numerology, cfg.n_tx,
+                                     cfg.constellation, symbol_index=s)
+            out, _, _ = runner._dispatch(cfg, grid, kernel, evm_c)
+            total = total + oobe_power(out, kernel).max(axis=1)
+        header, rows = read_csv(runs[0] / "summary.csv")
+        summary = dict(zip(header, rows[0]))
+        got = [float(summary[f"oobe_db_p{m + 1}"]) for m in range(cfg.freq_grid.size)]
+        expect = 10.0 * np.log10(np.maximum(total / cfg.symbols, 1e-30))
+        assert got == pytest.approx(expect, rel=1e-11, abs=1e-11)
+
+        for name in ("trace.csv", "evm.csv", "psd.csv", "summary.csv",
+                     "config_resolved.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 class TestCompare:

@@ -59,6 +59,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"ssp": {"momentum": 0.9}})
 
+    @pytest.mark.parametrize("block,key,value", [("essp", "tau", 1.0),
+                                                 ("ssp", "clamp_nonneg", True)])
+    def test_removed_solver_keys_rejected(self, block, key, value):
+        with pytest.raises(ConfigError, match=f"{block}.{key}"):
+            ScenarioConfig.from_dict({block: {key: value}})
+
     def test_wrong_types_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"numerology": {"fft_size": "big"}})

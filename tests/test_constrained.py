@@ -166,7 +166,7 @@ class TestEadmm:
 
 class TestEsspConfig:
     def test_validation(self):
-        for bad in (dict(outer_iters=0), dict(inner_sweeps=0), dict(tau=0.0),
+        for bad in (dict(outer_iters=0), dict(inner_sweeps=0),
                     dict(relaxation=0.0), dict(relaxation=2.0)):
             with pytest.raises(ConfigError):
                 EsspConfig(**bad)

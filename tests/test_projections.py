@@ -212,3 +212,46 @@ class TestBallProjectionsLandInside:
         assert np.all(np.linalg.norm(out - center, axis=0) <= radii)
         inside = dist <= radii
         assert np.array_equal(out[:, inside], x[:, inside])
+
+
+@st.composite
+def rank1_batches(draw):
+    """A batch of rows, a direction and one bound per row; the bounds run
+    from zero to past each row's |u^H x|^2, so draws mix inside and outside
+    rows."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 32))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    rng = np.random.default_rng(seed)
+    x = scale * random_complex(rng, rows, n)
+    u = random_complex(rng, n)
+    fractions = rng.uniform(0.0, 1.3, rows)
+    fractions[rng.uniform(size=rows) < 0.2] = 0.0
+    return x, u, fractions * np.abs(x @ u.conj()) ** 2
+
+
+class TestRank1PerRowBounds:
+    """One bound per row gives each row its own set."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank1_batches())
+    def test_matches_per_row_calls_and_lands_inside(self, case):
+        x, u, b = case
+        out = project_rank1(x, u, b)
+        rows = np.stack([project_rank1(x[j], u, b[j]) for j in range(b.size)])
+        # numpy forms u^H x for a batch by a BLAS matrix-vector product and
+        # for one row by a dot product, whose sums round differently
+        slack = 4 * (x.shape[1] + 2) * np.finfo(float).eps * np.linalg.norm(x, axis=1)
+        assert np.all(np.linalg.norm(out - rows, axis=1) <= slack)
+        inside = np.abs(x @ u.conj()) ** 2 <= b
+        assert np.array_equal(out[inside], x[inside])
+        assert np.all(np.abs(out @ u.conj()) <= np.sqrt(b) + slack * np.linalg.norm(u))
+
+    @settings(max_examples=50, deadline=None)
+    @given(rank1_batches(), st.data())
+    def test_negative_bound_rejected(self, case, data):
+        x, u, b = case
+        b[data.draw(st.integers(0, b.size - 1))] = -data.draw(st.floats(1e-300, 1e6))
+        with pytest.raises(DegenerateConstraintError):
+            project_rank1(x, u, b)
