@@ -32,8 +32,8 @@ from .signal_model import (DataGrid, FrequencyGrid, OfdmNumerology, SpectralKern
                            qam_constellation, read_waveform, synthesize_time_signal,
                            write_waveform)
 from .unconstrained import (AdmmConfig, FactoredInverse, SolverReport,
-                            SspConfig, admm_precode, compute_residuals,
-                            inverse_sum_rank1, mask_bounds, ssp_precode)
+                            SspConfig, admm_precode, inverse_sum_rank1,
+                            mask_bounds, ssp_precode)
 
 __all__ = [
     "__version__",
@@ -45,7 +45,7 @@ __all__ = [
     "PsdAccumulator", "PsdConfig", "PsdEstimate", "Rank1Constraint",
     "ScenarioConfig", "SolverReport", "SpectralKernel", "SspConfig",
     "aclr", "admm_precode", "analytic_inband_reference", "bisection_rank1_oracle",
-    "build_kernel", "calibrate_mask", "compare_runs", "compute_residuals",
+    "build_kernel", "calibrate_mask", "compare_runs",
     "eadmm_precode", "ensp_precode", "essp_precode", "evm_metrics",
     "expand_evm_profile", "feasibility_probe", "generate_qam_grid",
     "inverse_sum_rank1", "kernel_psd_prediction", "kernel_row", "logbarrier_solve",

@@ -144,6 +144,7 @@ class ScenarioConfig:
     freq_grid: FrequencyGrid
     mask: MaskSpec
     ref_db: float
+    inband_ref: float      # analytic in-band kernel power: mask and PSD calibration
     n_tx: int
     constellation: str
     seed: int
@@ -183,7 +184,8 @@ class ScenarioConfig:
             raise ConfigError("one mask value per frequency point is required",
                               field="mask_db_per_100khz")
         ref_db = _get(data, "reference_level_db_per_100khz", float, "")
-        mask = calibrate_mask(mask_db, numerology, ref_db)
+        inband_ref = analytic_inband_reference(numerology)
+        mask = calibrate_mask(mask_db, numerology, ref_db, reference_power=inband_ref)
 
         precoder = _get(data, "precoder", str, "")
         if precoder not in PRECODERS:
@@ -255,8 +257,9 @@ class ScenarioConfig:
                               "psd.oversample", field="aclr.spacing_hz")
 
         cfg = cls(numerology=numerology, freq_grid=freq_grid, mask=mask, ref_db=ref_db,
-                  n_tx=n_tx, constellation=constellation, seed=seed, symbols=symbols,
-                  precoder=precoder, admm=admm, ssp=ssp, eadmm=eadmm, essp=essp,
+                  inband_ref=inband_ref, n_tx=n_tx, constellation=constellation,
+                  seed=seed, symbols=symbols, precoder=precoder,
+                  admm=admm, ssp=ssp, eadmm=eadmm, essp=essp,
                   evm_mode=evm_mode, evm_eps_avg=evm_eps, evm_profile=evm_profile,
                   psd_oversample=psd_os, psd_bin_hz=psd_bin,
                   aclr_bw_hz=aclr_bw, aclr_spacing_hz=aclr_sp,
@@ -295,12 +298,11 @@ class ScenarioConfig:
         The analytic per-antenna in-band kernel power, scaled to a density
         and summed over antennas, is shown at the configured reference dB
         level, so the in-band estimate lands at that level up to estimation
-        noise.
+        noise.  The in-band power is the one the mask was calibrated with.
         """
-        ref_kernel = analytic_inband_reference(self.numerology)
         seg = self.numerology.symbol_len
         fs = self.numerology.sample_rate_hz
-        ref_density = self.n_tx * ref_kernel / (seg * fs)
+        ref_density = self.n_tx * self.inband_ref / (seg * fs)
         return PsdConfig(oversample=self.psd_oversample, bin_hz=self.psd_bin_hz,
                          ref_density=ref_density, ref_db=self.ref_db)
 

@@ -48,6 +48,9 @@ def project_rank1(x, u, b):
     moves along u by exactly the amount that lands |u^H z| on sqrt(b):
 
         z = x + (sqrt(b) - |c|) / (||u||^2 |c|) * u * c,   c = u^H x.
+
+    Both products go through einsum, whose rounding does not depend on the
+    batch shape, so a row gets the same bits alone as in any batch.
     """
     u = np.asarray(u, dtype=complex)
     if not u.any():
@@ -56,7 +59,7 @@ def project_rank1(x, u, b):
     if (b < 0).any():
         raise DegenerateConstraintError("constraint bound must be non-negative")
     x = np.asarray(x, dtype=complex)
-    c = np.dot(x, u.conj())
+    c = np.einsum("...k,k->...", x, u.conj())
     mag = np.abs(c)
     outside = mag ** 2 > b
     if not outside.any():
@@ -66,7 +69,7 @@ def project_rank1(x, u, b):
     # |c| > 0, so the division is safe; b = 0 projects onto the hyperplane).
     coef = np.zeros_like(mag)
     np.divide(np.sqrt(b) - mag, unorm_sq * mag, out=coef, where=outside)
-    return x + (coef * c)[..., None] * u
+    return x + np.einsum("...,k->...k", coef * c, u)
 
 
 def _inward_scale(radius, dist, center_norm, n):

@@ -5,12 +5,15 @@ Both solvers perturb a frequency-domain vector d so that every leakage
 constraint |a(nu_m)^T dbar|^2 <= gamma_m holds, keeping dbar as close to d as
 the iteration allows.  ADMM splits the intersection into M rank-1 sets with a
 consensus variable; its loop (consensus_admm) also serves EADMM, with the
-error-budget ball in place of the quadratic objective.  SSP performs cyclic
-coordinate ascent on the dual multipliers mu_m.  Every SSP quantity lives in
-the span of the M leakage rows, so the sweeps run on the M x M Gram matrix
-through the Woodbury identity: each coordinate solves one M x M system per
-antenna row, and N-space work is a few O(MN) products per sweep, none per
-coordinate.
+error-budget ball in place of the quadratic objective.  Each rank-1
+projection moves its point only along its leakage row, so the loop keeps
+one complex coefficient per set and antenna row instead of M copies of the
+grid: its own N-space work is two O(MN) products per iteration.  SSP
+performs cyclic coordinate ascent on the dual multipliers mu_m.  Every SSP
+quantity lives in the span of the M leakage rows, so the sweeps run on the
+M x M Gram matrix through the Woodbury identity: each coordinate solves one
+M x M system per antenna row, and N-space work is a few O(MN) products per
+sweep, none per coordinate.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import oobe_power
-from .projections import project_rank1
 
 
 def mask_bounds(mask, n_points):
@@ -127,19 +129,6 @@ class SolverReport:
                    primal_trace=primal, dual_trace=dual, **extra)
 
 
-def compute_residuals(d_bar, d_bar_prev, y, rho):
-    """Consensus residual norms of an ADMM iterate.
-
-    primal = sqrt(sum_m ||y_m - dbar||^2); dual = sqrt(M) * rho *
-    ||dbar - dbar_prev||.  Norms are Frobenius over any antenna batch.
-    """
-    diff = y - d_bar[None, ...]
-    primal = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
-    m = y.shape[0]
-    dual = float(np.sqrt(m) * rho * np.linalg.norm(d_bar - d_bar_prev))
-    return primal, dual
-
-
 def consensus_admm(rows, kernel, gamma, cfg, x_update):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
@@ -148,20 +137,39 @@ def consensus_admm(rows, kernel, gamma, cfg, x_update):
     sum_m (y_m + z_m) to the next consensus iterate.  Local variables start
     at the input and duals at zero, so a mask-feasible input is a fixed
     point from the first iteration.  Returns (x_bar, SolverReport).
+
+    The projection onto set m moves its argument only along u_m = a(nu_m)*,
+    so every dual stays z_m = beta_m u_m and every local variable
+    y_m = x_bar + (delta_m - beta_m) u_m, where delta_m is the step of the
+    latest projection and beta_m the dual before it.  The loop holds these
+    (M, n_tx) coefficients instead of the N-space copies: per iteration,
+    c = A x_bar - beta diag(K) gives u_m^H (x_bar - z_m), delta is the
+    closed-form rank-1 step where |c|^2 > gamma (0 inside), the consensus
+    input is M x_bar + (2 delta - beta)^T U, and the primal residual
+    sqrt(sum_m ||y_m - x_bar||^2) is sqrt(sum |delta - beta|^2 K_mm).
     """
-    u_rows = kernel.active_rows.conj()     # u_m = a(nu_m)* on the active band
-    y = np.broadcast_to(rows, (u_rows.shape[0],) + rows.shape).copy()
-    z = np.zeros_like(y)
+    a_rows = kernel.active_rows
+    u_rows = a_rows.conj()
+    k_diag = kernel.gram.diagonal().real[:, None]     # ||u_m||^2
+    if np.any(k_diag <= 0):
+        raise DegenerateConstraintError("a kernel row vanishes on the active band")
+    m_pts = a_rows.shape[0]
+    root = np.sqrt(gamma)
+    beta = delta = np.zeros(gamma.shape, dtype=complex)
     x_bar = rows.copy()
     entries = []
     for _ in range(cfg.iters):
         x_prev = x_bar
-        x_bar = x_update(np.sum(y + z, axis=0))
-        for m, u in enumerate(u_rows):
-            y[m] = project_rank1(x_bar - z[m], u, gamma[m])
-        z += y - x_bar[None, ...]
+        x_bar = x_update(m_pts * x_prev + (2.0 * delta - beta).T @ u_rows)
+        beta = delta
+        c = a_rows @ x_bar.T - beta * k_diag
+        mag = np.abs(c)
+        coef = np.zeros_like(mag)
+        np.divide(root - mag, k_diag * mag, out=coef, where=mag ** 2 > gamma)
+        delta = coef * c
 
-        primal, dual = compute_residuals(x_bar, x_prev, y, cfg.rho)
+        primal = float(np.sqrt(np.sum(np.abs(delta - beta) ** 2 * k_diag)))
+        dual = float(np.sqrt(m_pts) * cfg.rho * np.linalg.norm(x_bar - x_prev))
         entries.append((_evm_wideband(x_bar, rows), oobe_power(x_bar, kernel).max(axis=1),
                         primal, dual))
         if cfg.residual_tol is not None and max(primal, dual) <= cfg.residual_tol:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specprecode import (ConfigError, EvmConstraint, ScenarioConfig,
-                         analytic_inband_reference)
+                         analytic_inband_reference, config, metrics)
 from specprecode.config import (DEFAULT_SCENARIO, EDGE_RAMP, MASK2_DB,
                                 expand_evm_profile, selective_edge_profile)
 
@@ -187,6 +187,17 @@ class TestDerivedObjects:
         expect = analytic_inband_reference(num) / (num.symbol_len * num.sample_rate_hz)
         assert one.ref_density == pytest.approx(expect, rel=1e-12)
         assert one.ref_db == -21.5
+
+    def test_inband_reference_evaluated_once(self, monkeypatch):
+        cfg = ScenarioConfig.from_dict({"n_tx": 1})
+        num = cfg.numerology
+        expect = analytic_inband_reference(num) / (num.symbol_len * num.sample_rate_hz)
+
+        def evaluated_again(*args, **kwargs):
+            raise AssertionError("in-band reference evaluated after from_dict")
+        monkeypatch.setattr(config, "analytic_inband_reference", evaluated_again)
+        monkeypatch.setattr(metrics, "analytic_inband_reference", evaluated_again)
+        assert cfg.psd_config().ref_density == expect
 
 
 class TestLoad:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from specprecode import (ConfigError, FrequencyGrid, NumericalError,
+from specprecode import (ConfigError, DegenerateConstraintError,
+                         EvmConstraint, FrequencyGrid, NumericalError,
                          ScenarioConfig, SpectralKernel, build_kernel,
-                         project_rank1)
+                         eadmm_precode, oobe_power, project_rank1)
+from specprecode import constrained, unconstrained
 from specprecode.unconstrained import (AdmmConfig, FactoredInverse, SolverReport,
-                                       SspConfig, admm_precode, compute_residuals,
+                                       SspConfig, _evm_wideband, admm_precode,
                                        inverse_sum_rank1, mask_bounds, ssp_precode)
 
 from conftest import qpsk_grid, small_numerology
@@ -74,21 +76,6 @@ class TestConfigs:
             SolverReport(iterations=3, evm_trace=np.zeros(2),
                          oob_trace=np.zeros(3), primal_trace=np.zeros(3),
                          dual_trace=np.zeros(3))
-
-
-class TestComputeResiduals:
-    def test_consensus_fixed_point_is_zero(self):
-        d = np.ones((2, 4), dtype=complex)
-        y = np.broadcast_to(d, (3, 2, 4)).copy()
-        assert compute_residuals(d, d, y, 7.0) == (0.0, 0.0)
-
-    def test_hand_values(self):
-        d = np.zeros((1, 2), dtype=complex)
-        y = np.ones((4, 1, 2), dtype=complex)          # primal = sqrt(8)
-        prev = np.full((1, 2), 0.5 + 0.0j)             # dual = 2*rho*sqrt(0.5)
-        pri, dua = compute_residuals(d, prev, y, 3.0)
-        assert pri == pytest.approx(np.sqrt(8.0), rel=1e-12)
-        assert dua == pytest.approx(2.0 * 3.0 * np.sqrt(0.5), rel=1e-12)
 
 
 class TestAdmm:
@@ -331,6 +318,11 @@ def reference_ssp(rows, kernel, gamma, cfg):
     return mus, points, (np.array(evm), np.array(oob), np.array(stat), np.array(comp))
 
 
+def close(a, b, scale):
+    """max |a - b| <= 1e-10 * scale; a zero scale asks for equality."""
+    return np.abs(np.asarray(a) - b).max() <= 1e-10 * scale
+
+
 def random_kernel(rng, m_pts):
     num = small_numerology()
     matrix = (rng.standard_normal((m_pts, num.fft_size))
@@ -357,10 +349,6 @@ class TestDualCore:
         out, rep = ssp_precode(rows, kern, gamma, cfg)
         mus, points, traces = reference_ssp(rows, kern, gamma, cfg)
 
-        def close(a, b, scale):
-            # max |a - b| <= 1e-10 * scale; a zero scale asks for equality
-            return np.abs(np.asarray(a) - b).max() <= 1e-10 * scale
-
         assert close(out, points[-1], np.abs(points[-1]).max())
         assert close(rep.multipliers, mus[-1], np.abs(mus[-1]).max())
         evm, oob, stat, comp = traces
@@ -372,3 +360,148 @@ class TestDualCore:
         # the stationarity norm is a roundoff-level residual of d, so it is
         # compared on the scale of d
         assert close(rep.primal_trace, stat, np.linalg.norm(rows))
+
+
+def compute_residuals(d_bar, d_bar_prev, y, rho):
+    """Consensus residual norms of an ADMM iterate.
+
+    primal = sqrt(sum_m ||y_m - dbar||^2); dual = sqrt(M) * rho *
+    ||dbar - dbar_prev||.  Norms are Frobenius over any antenna batch.
+    """
+    diff = y - d_bar[None, ...]
+    primal = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
+    m = y.shape[0]
+    dual = float(np.sqrt(m) * rho * np.linalg.norm(d_bar - d_bar_prev))
+    return primal, dual
+
+
+def reference_consensus_admm(rows, kernel, gamma, cfg, x_update):
+    """N-space reference for consensus_admm, with its signature.
+
+    Holds every local variable y_m and dual z_m as an (n_tx, N) grid and
+    projects with one project_rank1 call per set and iteration.
+    """
+    u_rows = kernel.active_rows.conj()
+    y = np.broadcast_to(rows, (u_rows.shape[0],) + rows.shape).copy()
+    z = np.zeros_like(y)
+    x_bar = rows.copy()
+    entries = []
+    for _ in range(cfg.iters):
+        x_prev = x_bar
+        x_bar = x_update(np.sum(y + z, axis=0))
+        for m, u in enumerate(u_rows):
+            y[m] = project_rank1(x_bar - z[m], u, gamma[m])
+        z += y - x_bar[None, ...]
+
+        primal, dual = compute_residuals(x_bar, x_prev, y, cfg.rho)
+        entries.append((_evm_wideband(x_bar, rows), oobe_power(x_bar, kernel).max(axis=1),
+                        primal, dual))
+        if cfg.residual_tol is not None and max(primal, dual) <= cfg.residual_tol:
+            break
+    return x_bar, SolverReport.from_entries(entries, stopped_early=len(entries) < cfg.iters)
+
+
+class TestComputeResiduals:
+    def test_consensus_fixed_point_is_zero(self):
+        d = np.ones((2, 4), dtype=complex)
+        y = np.broadcast_to(d, (3, 2, 4)).copy()
+        assert compute_residuals(d, d, y, 7.0) == (0.0, 0.0)
+
+    def test_hand_values(self):
+        d = np.zeros((1, 2), dtype=complex)
+        y = np.ones((4, 1, 2), dtype=complex)          # primal = sqrt(8)
+        prev = np.full((1, 2), 0.5 + 0.0j)             # dual = 2*rho*sqrt(0.5)
+        pri, dua = compute_residuals(d, prev, y, 3.0)
+        assert pri == pytest.approx(np.sqrt(8.0), rel=1e-12)
+        assert dua == pytest.approx(2.0 * 3.0 * np.sqrt(0.5), rel=1e-12)
+
+
+def consensus_case(seed, solver, cfg, eps_avg=0.1):
+    """Run one ADMM or EADMM instance with the coefficient loop and with the
+    N-space reference; returns (rows, (out, report), (ref_out, ref_report)).
+
+    Every antenna row violates every point.  EADMM budgets are eps_avg
+    wideband, 5-30% per subcarrier, or per-antenna mask bounds under the
+    wideband budget.
+    """
+    rng = np.random.default_rng(seed)
+    m_pts = 1 + seed
+    n_tx = 1 + seed % 3
+    kern = random_kernel(rng, m_pts)
+    grid = qpsk_grid(kern.numerology, n_tx, seed=seed)
+    rows = grid.symbols
+    level = np.abs(kern.active_rows @ rows.T) ** 2
+    gamma = rng.uniform(0.05, 0.3, m_pts) * level.min(axis=1)
+    if solver == "admm":
+        def run():
+            return admm_precode(rows, kern, gamma, cfg)
+    else:
+        num = kern.numerology
+        evm = (EvmConstraint(mode="frequency_selective",
+                             eps=rng.uniform(0.05, 0.3, num.n_active))
+               if solver == "eadmm-selective"
+               else EvmConstraint(mode="wideband", eps_avg=eps_avg))
+        if solver == "eadmm-per-antenna":
+            gamma = rng.uniform(0.05, 0.3, (m_pts, n_tx)) * level
+
+        def run():
+            out, rep = eadmm_precode(grid, kern, gamma, evm, cfg)
+            return out.symbols, rep
+
+    new = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unconstrained, "consensus_admm", reference_consensus_admm)
+        mp.setattr(constrained, "consensus_admm", reference_consensus_admm)
+        ref = run()
+    return rows, new, ref
+
+
+SOLVERS = ["admm", "eadmm-wideband", "eadmm-selective", "eadmm-per-antenna"]
+
+
+class TestConsensusCoefficients:
+    """The coefficient loop against the N-space reference."""
+
+    def check_close(self, rows, new, ref, rho):
+        out, rep = new
+        ref_out, ref_rep = ref
+        assert rep.iterations == ref_rep.iterations
+        assert rep.stopped_early == ref_rep.stopped_early
+        assert close(out, ref_out, np.abs(ref_out).max())
+        assert close(rep.evm_trace, ref_rep.evm_trace, ref_rep.evm_trace.max())
+        assert close(rep.oob_trace, ref_rep.oob_trace, ref_rep.oob_trace.max())
+        # both residuals sit at roundoff once the iterate is feasible, so
+        # they are compared on the scale of the terms they are formed from
+        scale = max(1.0, rho) * np.sqrt(rep.oob_trace.shape[1]) * np.linalg.norm(rows)
+        assert close(rep.primal_trace, ref_rep.primal_trace, scale)
+        assert close(rep.dual_trace, ref_rep.dual_trace, scale)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference(self, seed, solver):
+        cfg = AdmmConfig(iters=80 if solver == "admm" else 40)
+        self.check_close(*consensus_case(seed, solver, cfg), cfg.rho)
+
+    @pytest.mark.parametrize("solver", ["admm", "eadmm-wideband"])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_residual_tol_stops_at_same_iteration(self, seed, solver):
+        # a 100% budget leaves the mask reachable, so EADMM converges too;
+        # the residual crosses the tolerance mid-run, and none of the
+        # residuals up to the stop lies within 1.5% of it
+        cfg = AdmmConfig(iters=200, residual_tol=1e-3)
+        rows, new, ref = consensus_case(seed, solver, cfg, eps_avg=1.0)
+        assert new[1].stopped_early and new[1].iterations > 5
+        self.check_close(rows, new, ref, cfg.rho)
+
+    def test_vanishing_kernel_row_rejected(self):
+        num = small_numerology()
+        matrix = np.ones((2, num.fft_size), dtype=complex)
+        matrix[1, num.active_bins] = 0.0
+        kern = SpectralKernel(matrix=matrix, numerology=num,
+                              freq_grid=FrequencyGrid(points=np.array([10.5, 11.5])))
+        grid = qpsk_grid(num, 2, seed=0)
+        gamma = np.array([0.1, 0.1])
+        with pytest.raises(DegenerateConstraintError):
+            admm_precode(grid.symbols, kern, gamma)
+        with pytest.raises(DegenerateConstraintError):
+            eadmm_precode(grid, kern, gamma, EvmConstraint(mode="wideband", eps_avg=0.1))
