@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 ``specprecode`` runs one scenario and writes its outputs; exit code 0 on
-success, 2 for configuration problems, 3 for numerical failures inside a
-solver.  ``specprecode-compare`` tabulates the summary metrics of several
-finished runs against the first one.
+success, 2 for configuration problems (including a constraint with no
+usable geometry, such as a kernel row that vanishes on the active band), 3
+for numerical failures inside a solver.  ``specprecode-compare`` tabulates
+the summary metrics of several finished runs against the first one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from .config import PRECODERS, ScenarioConfig
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .runner import compare_runs, run_scenario
 
 EXIT_OK = 0
@@ -72,7 +73,7 @@ def main(argv=None):
 
     try:
         manifest = run_scenario(cfg)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateConstraintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

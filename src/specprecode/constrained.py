@@ -19,8 +19,9 @@ from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
 from .errors import ConfigError, NumericalError
 from .metrics import oobe_power
 from .projections import project_columns_ball, project_frobenius_ball
-from .unconstrained import (AdmmConfig, SolverReport, SspConfig, _evm_wideband,
-                            consensus_admm, mask_bounds, ssp_dual_sweeps, ssp_primal)
+from .unconstrained import (AdmmConfig, BlockTraces, SolverReport, SspConfig, _as_block,
+                            _block_evm, _unblock, consensus_admm, mask_bounds,
+                            ssp_dual_sweeps, ssp_primal)
 
 
 @dataclass(frozen=True)
@@ -52,24 +53,34 @@ class EvmConstraint:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
 
     def projector(self, reference):
-        """Projection onto the budget ball(s) around ``reference``."""
+        """Projection onto the budget ball(s) around ``reference``.
+
+        The reference may be one (n_tx, N) symbol or an (S, n_tx, N) block,
+        whose every symbol has its own ball(s).  The projector takes x
+        shaped like the reference, or, with ``active`` (a slice or index
+        array into the block), the stacked symbols ``active`` of the block.
+        """
         num = reference.numerology
         center = reference.symbols
+        block = center.reshape((-1,) + center.shape[-2:])
         if self.mode == "wideband":
-            radius = self.eps_avg * float(np.linalg.norm(center))
+            radii = np.array([self.eps_avg * float(np.linalg.norm(c)) for c in block])
 
-            def proj(x):
-                return project_frobenius_ball(x, center, radius)
-            return proj
+            def project(x, c, r):
+                return np.stack([project_frobenius_ball(*args) for args in zip(x, c, r)])
+        else:
+            if self.eps.size != num.n_active:
+                raise ConfigError("per-subcarrier fractions must cover the active band",
+                                  field="evm.eps")
+            radii = np.zeros((block.shape[0], num.fft_size))
+            col_norms = np.linalg.norm(block, axis=1)
+            radii[:, num.active_bins] = self.eps * col_norms[:, num.active_bins]
+            project = project_columns_ball
 
-        if self.eps.size != num.n_active:
-            raise ConfigError("per-subcarrier fractions must cover the active band", field="evm.eps")
-        radii = np.zeros(num.fft_size)
-        col_norms = np.linalg.norm(center, axis=0)
-        radii[num.active_bins] = self.eps * col_norms[num.active_bins]
-
-        def proj(x):
-            return project_columns_ball(x, center, radii)
+        def proj(x, active=slice(None)):
+            centers = block[active]
+            x = np.asarray(x, dtype=complex)
+            return project(x.reshape(centers.shape), centers, radii[active]).reshape(x.shape)
         return proj
 
     def violation(self, reference, candidate):
@@ -139,67 +150,87 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     The consensus update projects the mean of the local variables onto the
     ball, so every iterate of the consensus variable satisfies the budget
     exactly; mask satisfaction improves with iterations and is exact in the
-    feasible limit.  Returns (DataGrid, SolverReport).
+    feasible limit.  x holds one symbol or an (S, n_tx, N) block, each
+    symbol under its own ball.  Returns (DataGrid, SolverReport), one
+    report per symbol for a block.
     """
     cfg = cfg or AdmmConfig(iters=40)
-    vals = x.symbols
+    block = _as_block(x.symbols)
     m_pts = kernel.n_points
-    gamma = _per_point_bounds(masks, m_pts, vals.shape[0])
+    gamma = _per_point_bounds(masks, m_pts, block.shape[1])
     proj_e = evm.projector(x)
-    x_bar, report = consensus_admm(vals, kernel, gamma, cfg, lambda s: proj_e(s / m_pts))
-    return x.with_symbols(x_bar), report
+    out, reports = consensus_admm(block, kernel, gamma, cfg,
+                                  lambda s, sel: proj_e(s / m_pts, sel))
+    out, report = _unblock(x.symbols.shape, out, reports)
+    return x.with_symbols(out), report
 
 
 def essp_precode(x, kernel, masks, evm, cfg=None):
     """Douglas-Rachford between the mask intersection and the EVM ball.
 
     The mask prox is approximated by inner_sweeps of the sweep precoder's
-    dual core on 2*Xbar - Zbar, batched over antenna rows.  With
-    early_stop, iteration halts as soon as the total sampled out-of-band
-    power of the new iterate exceeds the previous one's, and the previous
-    iterate is returned; the report's returned_iteration names it (0 is the
-    input grid).
+    dual core on 2*Xbar - Zbar, batched over antenna rows and symbols.  With
+    early_stop, a symbol stops as soon as the total sampled out-of-band
+    power of its new iterate exceeds the previous one's, returns the
+    previous iterate and leaves the active set; the report's
+    returned_iteration names that iterate (0 is the input grid).  x holds
+    one symbol or an (S, n_tx, N) block, each symbol under its own ball.
+    Returns (DataGrid, SolverReport), one report per symbol for a block.
     """
     cfg = cfg or EsspConfig()
-    vals = x.symbols
+    block = _as_block(x.symbols)
+    n_sym, n = block.shape[0], block.shape[-1]
     a_rows = kernel.active_rows
     u_rows = a_rows.conj()
     gram = kernel.gram
-    gamma = mask_bounds(masks, a_rows.shape[0])
+    m_pts = a_rows.shape[0]
+    gamma = mask_bounds(masks, m_pts)
     proj_e = evm.projector(x)
     ssp_cfg = SspConfig(sweeps=cfg.inner_sweeps)
 
-    x_bar = vals.copy()
-    z_bar = np.zeros_like(vals)
-    best = x_bar
-    best_oob = float(np.sum(oobe_power(x_bar, kernel)))
-    returned_iteration = 0
-
-    entries = []
-    stopped = False
-    for _ in range(cfg.outer_iters):
+    traces = BlockTraces(cfg.outer_iters, n_sym, m_pts)
+    iterations = np.full(n_sym, cfg.outer_iters)
+    returned = np.zeros(n_sym, dtype=int)
+    out = np.empty_like(block)
+    active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
+    ref, ref_norms = block, np.array([np.linalg.norm(d) for d in block])
+    x_bar = block.copy()
+    z_bar = np.zeros_like(block)
+    best_oob = np.sum(oobe_power(x_bar, kernel), axis=(1, 2))
+    for it in range(cfg.outer_iters):
         v = 2.0 * x_bar - z_bar
-        c0 = np.einsum("mk,jk->jm", a_rows, v)
-        y_bar = ssp_primal(v, u_rows, gram, c0, ssp_dual_sweeps(c0, gram, gamma, ssp_cfg)[-1])
+        rows = v.reshape(-1, n)
+        c0 = np.einsum("mk,jk->jm", a_rows, rows)
+        y_bar = ssp_primal(rows, u_rows, gram, c0,
+                           ssp_dual_sweeps(c0, gram, gamma, ssp_cfg)[-1]).reshape(v.shape)
         z_bar = z_bar + cfg.relaxation * (y_bar - x_bar)
         x_prev = x_bar
-        x_bar = proj_e(z_bar)
+        x_bar = proj_e(z_bar, sel)
 
         powers = oobe_power(x_bar, kernel)
-        entries.append((_evm_wideband(x_bar, vals), powers.max(axis=1),
-                        float(np.linalg.norm(y_bar - x_prev)),
-                        float(np.linalg.norm(x_bar - x_prev))))
-        oob_now = float(np.sum(powers))
-        if cfg.early_stop and oob_now > best_oob:
-            stopped = True
-            break
-        best = x_bar
+        traces.record(it, sel, _block_evm(x_bar, ref, ref_norms), powers.max(axis=2),
+                      [np.linalg.norm(s) for s in y_bar - x_prev],
+                      [np.linalg.norm(s) for s in x_bar - x_prev])
+        oob_now = np.sum(powers, axis=(1, 2))
+        stop = oob_now > best_oob if cfg.early_stop else np.zeros(active.size, dtype=bool)
+        returned[active[~stop]] = it + 1
+        if stop.any():
+            out[active[stop]] = x_prev[stop]
+            iterations[active[stop]] = it + 1
+            keep = ~stop
+            active, x_bar, z_bar, ref, ref_norms, oob_now = (
+                arr[keep] for arr in (active, x_bar, z_bar, ref, ref_norms, oob_now))
+            sel = active
+            if not active.size:
+                break
         best_oob = oob_now
-        returned_iteration = len(entries)
+    out[active] = x_bar
 
-    report = SolverReport.from_entries(entries, stopped_early=stopped,
-                                       returned_iteration=returned_iteration)
-    return x.with_symbols(best if cfg.early_stop else x_bar), report
+    reports = SolverReport.per_symbol(traces, iterations,
+                                      stopped_early=(iterations < cfg.outer_iters).tolist(),
+                                      returned_iteration=returned.tolist())
+    out, report = _unblock(x.symbols.shape, out, reports)
+    return x.with_symbols(out), report
 
 
 def feasibility_probe(x, kernel, masks, evm, oracle_config=None):

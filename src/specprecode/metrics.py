@@ -90,12 +90,13 @@ def oobe_power(dbar, kernel):
     The rows are the kernel's active rows, as in the solvers; on a data grid
     (zero guard bins) they agree with the full rows.  Vector input gives an
     (M,) array; an (n_tx, N) grid gives (M, n_tx), each column bitwise
-    equal to that row's vector result.
+    equal to that row's vector result; an (S, n_tx, N) block gives
+    (S, M, n_tx), each symbol bitwise equal to its own grid's result.
     """
     vals = _grid_values(dbar)
-    proj = np.einsum("mk,jk->mj", kernel.active_rows, np.atleast_2d(vals))
+    proj = np.einsum("mk,...jk->...mj", kernel.active_rows, np.atleast_2d(vals))
     powers = np.abs(proj) ** 2
-    return powers if vals.ndim == 2 else powers[:, 0]
+    return powers if vals.ndim >= 2 else powers[:, 0]
 
 
 def mask_ratio(dbar, kernel, mask):
@@ -231,8 +232,9 @@ class PsdEstimate:
 class PsdAccumulator:
     """Order-independent sums for incremental periodogram averaging.
 
-    Symbols are added one at a time (runner calls this in symbol order for
-    bit-stable accumulation); finalize() bins to the reporting lattice.
+    Waveform blocks are added in time order (the runner adds one block of
+    symbols at a time; the sums are bit-stable under any split of the
+    waveform at segment boundaries); finalize() bins to the reporting lattice.
     Also tracks exact-frequency periodogram values at optional probe
     frequencies for kernel cross-checks.
     """
@@ -257,20 +259,29 @@ class PsdAccumulator:
             self._probe_sum = np.zeros(self.probe_freqs_hz.size)
 
     def add(self, samples):
-        """Accumulate one waveform block (n_tx, n_samples); antennas sum."""
+        """Accumulate one waveform block (n_tx, n_samples); antennas sum.
+
+        All segments of the block are transformed together; their
+        periodograms are then added one at a time, in time order, so the sums
+        do not depend on how the waveform is split into blocks.
+        """
         samples = np.atleast_2d(np.asarray(samples, dtype=complex))
         hop = self.seg_len - self.config.overlap
         n_seg = (samples.shape[1] - self.config.overlap) // hop
         if n_seg < 1:
             raise ConfigError("waveform shorter than one PSD segment", field="psd")
-        for s in range(n_seg):
-            seg = samples[:, s * hop:s * hop + self.seg_len] * self._win
-            spec = np.fft.fft(seg, axis=1)
-            self._psd_sum += np.sum(np.abs(spec) ** 2, axis=0) / (self.fs * self._win_power)
-            if self.probe_freqs_hz is not None:
-                vals = seg @ self._probe_basis.T
-                self._probe_sum += np.sum(np.abs(vals) ** 2, axis=0) / (self.fs * self._win_power)
-            self._segments += 1
+        step_tx, step = samples.strides
+        windows = np.lib.stride_tricks.as_strided(
+            samples, shape=(n_seg, samples.shape[0], self.seg_len),
+            strides=(hop * step, step_tx, step), writeable=False)
+        segs = np.multiply(windows, self._win, order="C")
+        scale = self.fs * self._win_power
+        for spec_power in np.sum(np.abs(np.fft.fft(segs, axis=-1)) ** 2, axis=1) / scale:
+            self._psd_sum += spec_power
+        if self.probe_freqs_hz is not None:
+            for probe_power in np.sum(np.abs(segs @ self._probe_basis.T) ** 2, axis=1) / scale:
+                self._probe_sum += probe_power
+        self._segments += n_seg
 
     def probe_density(self):
         """Mean exact-frequency density (per Hz) at the probe frequencies."""

@@ -107,10 +107,11 @@ def project_frobenius_ball(x, center, radius):
 def project_columns_ball(x, center, radii):
     """Project each column k onto {z_k : ||z_k - center_k|| <= radii_k}.
 
-    x and center are (n_rows, n_cols); radii is length n_cols.  Columns
-    already inside their ball pass through unchanged (bitwise); the others
-    are scaled toward their center so that their recomputed distance is at
-    most their radius.
+    x and center are (..., n_rows, n_cols); radii is (..., n_cols), one
+    radius per column of every leading index.  Columns already inside
+    their ball pass through unchanged (bitwise); the others are scaled
+    toward their center so that their recomputed distance is at most their
+    radius.
     """
     x = np.asarray(x, dtype=complex)
     center = np.asarray(center, dtype=complex)
@@ -118,11 +119,11 @@ def project_columns_ball(x, center, radii):
     if np.any(radii < 0):
         raise DegenerateConstraintError("ball radii must be non-negative")
     diff = x - center
-    dist = np.linalg.norm(diff, axis=0)
+    dist = np.linalg.norm(diff, axis=-2)
     outside = dist > radii
     if not outside.any():
         return x.copy()
     # An infinite distance gives inside columns s = 0; they are taken from x.
     scale = _inward_scale(radii, np.where(outside, dist, np.inf),
-                          np.linalg.norm(center, axis=0), x.shape[0])
-    return np.where(outside, center + diff * scale, x)
+                          np.linalg.norm(center, axis=-2), x.shape[-2])
+    return np.where(outside[..., None, :], center + diff * scale[..., None, :], x)

@@ -12,6 +12,14 @@ A run produces, inside the output directory:
 
 Re-running the same resolved configuration reproduces the data files
 byte for byte; the manifest differs only in its timing block.
+
+The run is a pipeline over blocks of BLOCK_SYMBOLS consecutive symbols:
+each block is generated, precoded, measured, synthesised and added to the
+PSD in one pass, so every numpy call serves the whole block.  Every
+per-symbol result is computed as for a block of one and the run statistics
+are accumulated symbol by symbol in order, so the data files do not depend
+on the block size; the constant only trades per-call overhead against the
+memory of one block's waveform.
 """
 
 from __future__ import annotations
@@ -29,12 +37,16 @@ from .baselines import LogBarrierProblem, ensp_precode, logbarrier_solve, nsp_pr
 from .config import BUDGET_PRECODERS
 from .constrained import eadmm_precode, essp_precode
 from .errors import ConfigError
-from .metrics import PsdAccumulator, aclr, evm_metrics, mask_ratio, oobe_power
-from .signal_model import (build_kernel, generate_qam_grid, synthesize_time_signal,
-                           write_waveform)
+from .metrics import PsdAccumulator, aclr, oobe_power
+from .signal_model import (DataGrid, build_kernel, generate_qam_grid,
+                           synthesize_time_signal, write_waveform)
 from .unconstrained import SolverReport, admm_precode, ssp_precode
 
 _DB_FLOOR = 1e-30
+# Symbols per pipeline block.  At 32 the per-call overhead of the iterative
+# solvers is amortised, and one block's oversampled waveform and its
+# temporaries stay a few MB.
+BLOCK_SYMBOLS = 32
 
 
 def _db(x):
@@ -47,28 +59,25 @@ def _fmt(value):
     return str(value)
 
 
-def _pseudo_report(grid, out, per_point):
-    """One-entry trace for precoders that have no iterations; per_point is
-    the worst-row leakage power of ``out`` at every mask point."""
-    diff = out.symbols - grid.symbols
-    ref = np.sum(np.abs(grid.symbols) ** 2)
-    evm = float(np.sqrt(np.sum(np.abs(diff) ** 2) / ref)) if ref > 0 else 0.0
-    return SolverReport.from_entries([(evm, per_point, 0.0, 0.0)])
-
-
-def _oracle_precode(grid, kernel, gamma):
+def _oracle_precode(block, kernel, gamma):
+    """Log-barrier projection of every (n_tx, N) symbol of the block, with
+    the worst KKT residual and Newton step count over the block."""
     u_rows = kernel.active_rows.conj()
     rank1 = [(u_rows[m], float(gamma[m])) for m in range(u_rows.shape[0])]
-    problem = LogBarrierProblem(objective="least_squares", reference=grid.symbols,
-                                rank1=rank1)
-    result = logbarrier_solve(problem)
-    out = grid.with_symbols(result.solution.reshape(grid.symbols.shape))
-    extras = {"oracle_kkt": float(result.kkt_residual),
-              "oracle_newton_steps": int(result.newton_steps)}
-    return out, extras
+    out = np.empty_like(block)
+    kkt, steps = [], []
+    for s, sym in enumerate(block):
+        result = logbarrier_solve(LogBarrierProblem(objective="least_squares",
+                                                    reference=sym, rank1=rank1))
+        out[s] = result.solution.reshape(sym.shape)
+        kkt.append(float(result.kkt_residual))
+        steps.append(int(result.newton_steps))
+    return out, {"oracle_kkt": max(kkt), "oracle_newton_steps": max(steps)}
 
 
 def _dispatch(cfg, grid, kernel, evm_c):
+    """Precode one symbol or a block; returns (out, report(s) or None, extras),
+    with extras the largest value of each diagnostic over the block."""
     gamma = cfg.mask.gamma
     extras = {}
     if cfg.precoder == "none":
@@ -93,11 +102,22 @@ def _dispatch(cfg, grid, kernel, evm_c):
     elif cfg.precoder == "essp":
         out, report = essp_precode(grid, kernel, cfg.mask, evm_c, cfg.essp)
     elif cfg.precoder == "oracle":
-        out, extras = _oracle_precode(grid, kernel, gamma)
+        shape = grid.symbols.shape
+        vals, extras = _oracle_precode(grid.symbols.reshape((-1,) + shape[-2:]), kernel, gamma)
+        out = grid.with_symbols(vals.reshape(shape))
         report = None
     else:
         raise ConfigError(f"unknown precoder {cfg.precoder!r}", field="precoder")
     return out, report, extras
+
+
+def _pseudo_reports(err_sym, ref_sym, per_point):
+    """One-entry traces for precoders that have no iterations, from each
+    symbol's squared error and reference power and the worst-row leakage
+    power of its output at every mask point."""
+    return [SolverReport.from_entries([(float(np.sqrt(err / ref)) if ref > 0 else 0.0,
+                                        pts, 0.0, 0.0)])
+            for err, ref, pts in zip(err_sym, ref_sym, per_point)]
 
 
 class _TraceAccumulator:
@@ -156,38 +176,49 @@ def run_scenario(cfg, out_dir=None):
     oob_final = np.zeros(n_points)
     ratio_max = 0.0
     extras_agg = {}
-    waveform_chunks = [] if cfg.emit_waveforms else None
+    symbol_len = cfg.numerology.symbol_len
+    waveform = (np.empty((cfg.n_tx, cfg.symbols * symbol_len), dtype=complex)
+                if cfg.emit_waveforms else None)
 
     timings = {"generate": 0.0, "precode": 0.0, "metrics": 0.0, "io": 0.0}
     t_run = time.perf_counter()
-    for s in range(cfg.symbols):
+    for first in range(0, cfg.symbols, BLOCK_SYMBOLS):
         t0 = time.perf_counter()
-        grid = generate_qam_grid(cfg.seed, cfg.numerology, cfg.n_tx,
-                                 cfg.constellation, symbol_index=s)
+        grid = DataGrid(np.stack([
+            generate_qam_grid(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                              symbol_index=s).symbols
+            for s in range(first, min(first + BLOCK_SYMBOLS, cfg.symbols))]), cfg.numerology)
         t1 = time.perf_counter()
-        out, report, extras = _dispatch(cfg, grid, kernel, evm_c)
+        out, reports, extras = _dispatch(cfg, grid, kernel, evm_c)
         t2 = time.perf_counter()
 
-        pow_pts = oobe_power(out, kernel)
-        per_point = np.max(pow_pts, axis=1)
-        oob_final += per_point
+        pow_pts = oobe_power(out, kernel)                     # (S, M, n_tx)
+        per_point = np.max(pow_pts, axis=2)
         ratio_max = max(ratio_max, float(np.max(pow_pts / cfg.mask.gamma[:, None])))
-
-        trace_acc.add(report or _pseudo_report(grid, out, per_point))
         for key, val in extras.items():
             extras_agg[key] = max(extras_agg.get(key, -np.inf), val)
 
-        diff = out.symbols - grid.symbols
         cols = cfg.numerology.active_bins
-        err_sq += np.sum(np.abs(diff[:, cols]) ** 2, axis=0)
-        ref_sq += np.sum(np.abs(grid.symbols[:, cols]) ** 2, axis=0)
-        err_total += float(np.sum(np.abs(diff) ** 2))
-        ref_total += float(np.sum(np.abs(grid.symbols) ** 2))
+        err = np.abs(out.symbols - grid.symbols) ** 2
+        ref = np.abs(grid.symbols) ** 2
+        err_sym = np.sum(err, axis=(1, 2))
+        ref_sym = np.sum(ref, axis=(1, 2))
+        err_cols = np.sum(err[:, :, cols], axis=1)
+        ref_cols = np.sum(ref[:, :, cols], axis=1)
+        if reports is None:
+            reports = _pseudo_reports(err_sym, ref_sym, per_point)
+        for s, report in enumerate(reports):
+            oob_final += per_point[s]
+            trace_acc.add(report)
+            err_sq += err_cols[s]
+            ref_sq += ref_cols[s]
+            err_total += float(err_sym[s])
+            ref_total += float(ref_sym[s])
 
-        samples = synthesize_time_signal(out, oversample=cfg.psd_oversample)
-        psd_acc.add(samples)
-        if waveform_chunks is not None:
-            waveform_chunks.append(synthesize_time_signal(out, oversample=1))
+        psd_acc.add(synthesize_time_signal(out, oversample=cfg.psd_oversample))
+        if waveform is not None:
+            waveform[:, first * symbol_len:(first + len(grid.symbols)) * symbol_len] = (
+                synthesize_time_signal(out, oversample=1))
         t3 = time.perf_counter()
         timings["generate"] += t1 - t0
         timings["precode"] += t2 - t1
@@ -208,9 +239,8 @@ def run_scenario(cfg, out_dir=None):
     summary = _write_summary(out_path / "summary.csv", cfg, evm_wideband, aclr_rep,
                              ratio_max, oob_mean_db, probe_db, extras_agg, files)
     _write_json(out_path / "config_resolved.json", cfg.normalized(), files)
-    if waveform_chunks is not None:
-        samples = np.concatenate(waveform_chunks, axis=1)
-        write_waveform(out_path / "waveform.bin", samples)
+    if waveform is not None:
+        write_waveform(out_path / "waveform.bin", waveform)
         files["waveform.bin"] = _sha256(out_path / "waveform.bin")
     timings["io"] = time.perf_counter() - t_io
     timings["total"] = time.perf_counter() - t_run

@@ -229,7 +229,8 @@ def kernel_row(numerology, point):
 
 @dataclass(frozen=True)
 class DataGrid:
-    """Per-antenna frequency-domain symbols, shape (n_tx, fft_size).
+    """Per-antenna frequency-domain symbols, shape (n_tx, fft_size), or a
+    block of consecutive symbols, shape (S, n_tx, fft_size).
 
     Every value is finite and guard bins are exactly zero; both are checked
     on construction, and every precoder in this package preserves them.
@@ -242,25 +243,26 @@ class DataGrid:
         sym = np.asarray(self.symbols, dtype=complex)
         if sym.ndim == 1:
             sym = sym[None, :]
-        if sym.ndim != 2 or sym.shape[1] != self.numerology.fft_size:
-            raise ConfigError("data grid must be (n_tx, fft_size)", field="grid")
+        if sym.ndim not in (2, 3) or sym.shape[-1] != self.numerology.fft_size:
+            raise ConfigError("data grid must be (n_tx, fft_size) or (S, n_tx, fft_size)",
+                              field="grid")
         if not np.all(np.isfinite(sym)):
             raise ConfigError("data grid contains non-finite values", field="grid")
         guard = ~self.numerology.active_mask()
-        if sym[:, guard].any():
+        if sym[..., guard].any():
             raise ConfigError("guard bins of a data grid must be exactly zero", field="grid")
         object.__setattr__(self, "symbols", sym)
 
     @property
     def n_tx(self):
-        return self.symbols.shape[0]
+        return self.symbols.shape[-2]
 
     def with_symbols(self, symbols):
         return replace(self, symbols=symbols)
 
     def active_values(self):
-        """The (n_tx, n_active) block of amplitudes on active bins."""
-        return self.symbols[:, self.numerology.active_bins]
+        """The (n_tx, n_active) amplitudes on active bins (per symbol of a block)."""
+        return self.symbols[..., self.numerology.active_bins]
 
     def power(self):
         """Total squared magnitude over the grid."""
@@ -311,24 +313,33 @@ def generate_qam_grid(seed, numerology, n_tx, constellation, symbol_index=0):
 
 
 def synthesize_time_signal(grid, oversample=1):
-    """CP-OFDM synthesis of one symbol per antenna.
+    """CP-OFDM synthesis of one symbol, or of a block of consecutive symbols,
+    per antenna.
 
-    Returns an (n_tx, oversample * (N + N_CP)) complex array: the inverse DFT
-    of the grid with 1/sqrt(N) scaling, oversampled by zero padding the
-    spectrum, with the cyclic prefix prepended.  At ``oversample=1`` sample n
-    of the body is (1/sqrt(N)) * sum_k d_k exp(j*2*pi*k*n/N).
+    Returns an (n_tx, S * oversample * (N + N_CP)) complex array, S = 1 for
+    a single symbol: for every symbol the inverse DFT of its grid with
+    1/sqrt(N) scaling, oversampled by zero padding the spectrum, with the
+    cyclic prefix prepended.  At ``oversample=1`` sample n of the body is
+    (1/sqrt(N)) * sum_k d_k exp(j*2*pi*k*n/N).
     """
     if oversample < 1 or int(oversample) != oversample:
         raise ConfigError("oversample must be a positive integer", field="oversample")
     num = grid.numerology
     n = num.fft_size
     n_os = oversample * n
-    spec = np.zeros((grid.n_tx, n_os), dtype=complex)
-    bins_os = np.mod(num.active_offsets, n_os)
-    spec[:, bins_os] = grid.symbols[:, num.active_bins]
-    body = np.fft.ifft(spec, axis=1) * (n_os / np.sqrt(n))
-    cp = body[:, n_os - oversample * num.cp_len:]
-    return np.concatenate([cp, body], axis=1)
+    cp_os = oversample * num.cp_len
+    symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:])
+    spec = np.zeros(symbols.shape[:-1] + (n_os,), dtype=complex)
+    spec[..., np.mod(num.active_offsets, n_os)] = symbols[..., num.active_bins]
+    body = np.fft.ifft(spec, axis=-1)
+    body *= n_os / np.sqrt(n)
+    # Each symbol's samples are written straight into its place in the
+    # antenna streams.
+    stream = np.empty((grid.n_tx, symbols.shape[0], cp_os + n_os), dtype=complex)
+    frames = np.moveaxis(stream, 1, 0)
+    frames[..., :cp_os] = body[..., n_os - cp_os:]
+    frames[..., cp_os:] = body
+    return stream.reshape(grid.n_tx, -1)
 
 
 def write_waveform(path, samples):
@@ -344,7 +355,7 @@ def write_waveform(path, samples):
     interleaved[..., 1] = samples.imag
     with open(path, "wb") as fh:
         fh.write(_WAVEFORM_HEADER.pack(_WAVEFORM_MAGIC, _WAVEFORM_VERSION, n_streams, n_samples))
-        fh.write(interleaved.tobytes())
+        interleaved.tofile(fh)
 
 
 def read_waveform(path):

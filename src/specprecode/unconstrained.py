@@ -14,6 +14,12 @@ quantity lives in the span of the M leakage rows, so the sweeps run on the
 M x M Gram matrix through the Woodbury identity: each coordinate solves one
 M x M system per antenna row, and N-space work is a few O(MN) products per
 sweep, none per coordinate.
+
+Every solver takes a block of S symbols (S, n_tx, N) as well as a single
+(n_tx, N) symbol or a single row, and solves one problem per symbol.  The
+block shares each numpy call, so the per-call overhead is paid once per
+block; every per-symbol quantity is computed by the same operations as for
+a block of one, so a symbol's result does not depend on the block it is in.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
-from .metrics import oobe_power
 
 
 def mask_bounds(mask, n_points):
@@ -36,16 +41,33 @@ def mask_bounds(mask, n_points):
     return gamma
 
 
-def _as_rows(d):
+def _as_block(d):
+    """d as an (S, n_tx, N) block: a vector is one row of one symbol and an
+    (n_tx, N) grid is one symbol."""
     d = np.asarray(d, dtype=complex)
+    if d.ndim not in (1, 2, 3):
+        raise ConfigError("input must be a row, an (n_tx, N) grid or an (S, n_tx, N) block",
+                          field="d")
     if not np.all(np.isfinite(d)):
         raise ConfigError("input grid contains non-finite values", field="d")
-    return (d[None, :], True) if d.ndim == 1 else (d, False)
+    return d.reshape((1,) * (3 - d.ndim) + d.shape)
 
 
-def _evm_wideband(dbar, d):
-    ref = np.linalg.norm(d)
-    return float(np.linalg.norm(dbar - d) / ref) if ref > 0 else 0.0
+def _block_evm(x, block, refs):
+    """Wideband EVM ||x_s - d_s|| / ||d_s|| of every symbol of x against its
+    reference d_s in block, given the reference norms refs (0 where a
+    reference is zero)."""
+    return [float(np.linalg.norm(xs - ds) / r) if r > 0 else 0.0
+            for xs, ds, r in zip(x, block, refs)]
+
+
+def _kernel_diag(gram):
+    """diag(K) = ||u_m||^2 on the active band, the one check that every
+    constraint set has a direction: a row that vanishes there raises."""
+    lam = gram.diagonal().real
+    if np.any(lam <= 0):
+        raise DegenerateConstraintError("a kernel row vanishes on the active band")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -128,68 +150,129 @@ class SolverReport:
         return cls(iterations=len(entries), evm_trace=evm, oob_trace=oob,
                    primal_trace=primal, dual_trace=dual, **extra)
 
+    @classmethod
+    def per_symbol(cls, traces, iterations, **extra):
+        """One report per symbol of a block.
 
-def consensus_admm(rows, kernel, gamma, cfg, x_update):
+        traces is a BlockTraces; iterations holds each symbol's iteration
+        count, and every extra keyword one value per symbol.
+        """
+        return [cls(iterations=int(n), evm_trace=traces.evm[:n, s],
+                    oob_trace=traces.oob[:n, s], primal_trace=traces.primal[:n, s],
+                    dual_trace=traces.dual[:n, s],
+                    **{key: val[s] for key, val in extra.items()})
+                for s, n in enumerate(iterations)]
+
+
+class BlockTraces:
+    """Per-iteration report traces of a block of symbols, filled for the
+    symbols still active at each iteration."""
+
+    def __init__(self, iters, n_sym, m_pts):
+        self.evm = np.zeros((iters, n_sym))
+        self.oob = np.zeros((iters, n_sym, m_pts))
+        self.primal = np.zeros((iters, n_sym))
+        self.dual = np.zeros((iters, n_sym))
+
+    def record(self, it, active, evm, oob, primal, dual):
+        self.evm[it, active] = evm
+        self.oob[it, active] = oob
+        self.primal[it, active] = primal
+        self.dual[it, active] = dual
+
+
+def _unblock(d_shape, out, reports):
+    """A block result in the caller's layout: one report per symbol for a
+    block input, the single report otherwise."""
+    return out.reshape(d_shape), (reports if len(d_shape) == 3 else reports[0])
+
+
+def consensus_admm(block, kernel, gamma, cfg, x_update):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
-    rows (n_tx, N) is the input and the EVM reference, gamma (M, n_tx) holds
-    the per-row bounds, and x_update maps the summed local variables
-    sum_m (y_m + z_m) to the next consensus iterate.  Local variables start
-    at the input and duals at zero, so a mask-feasible input is a fixed
-    point from the first iteration.  Returns (x_bar, SolverReport).
+    block (S, n_tx, N) holds S symbols, each the input and EVM reference of
+    its own problem; gamma (M, n_tx) holds the per-row bounds, and
+    x_update(s, active) maps the summed local variables
+    sum_m (y_m + z_m) of the symbols ``active`` (an index into the block: a
+    slice while every symbol iterates, an index array once some stopped) to
+    their next consensus iterates.  Local variables start at the input and
+    duals at zero, so a mask-feasible input is a fixed point from the first
+    iteration.  Every symbol stops on its own residual_tol test and then
+    leaves the active set.  Returns (x_bar block, one SolverReport per
+    symbol).
 
     The projection onto set m moves its argument only along u_m = a(nu_m)*,
     so every dual stays z_m = beta_m u_m and every local variable
     y_m = x_bar + (delta_m - beta_m) u_m, where delta_m is the step of the
     latest projection and beta_m the dual before it.  The loop holds these
-    (M, n_tx) coefficients instead of the N-space copies: per iteration,
-    c = A x_bar - beta diag(K) gives u_m^H (x_bar - z_m), delta is the
-    closed-form rank-1 step where |c|^2 > gamma (0 inside), the consensus
-    input is M x_bar + (2 delta - beta)^T U, and the primal residual
-    sqrt(sum_m ||y_m - x_bar||^2) is sqrt(sum |delta - beta|^2 K_mm).
+    (M, n_tx) coefficients per symbol instead of the N-space copies: per
+    iteration, c = A x_bar - beta diag(K) gives u_m^H (x_bar - z_m), delta is
+    the closed-form rank-1 step where |c|^2 > gamma (0 inside), the
+    consensus input is M x_bar + (2 delta - beta)^T U, and the primal
+    residual sqrt(sum_m ||y_m - x_bar||^2) is sqrt(sum |delta - beta|^2 K_mm).
+    The report's leakage powers are |A x_bar|^2 from the same product.
     """
     a_rows = kernel.active_rows
     u_rows = a_rows.conj()
-    k_diag = kernel.gram.diagonal().real[:, None]     # ||u_m||^2
-    if np.any(k_diag <= 0):
-        raise DegenerateConstraintError("a kernel row vanishes on the active band")
+    k_diag = _kernel_diag(kernel.gram)[:, None]      # ||u_m||^2
     m_pts = a_rows.shape[0]
+    n_sym = block.shape[0]
     root = np.sqrt(gamma)
-    beta = delta = np.zeros(gamma.shape, dtype=complex)
-    x_bar = rows.copy()
-    entries = []
-    for _ in range(cfg.iters):
+    traces = BlockTraces(cfg.iters, n_sym, m_pts)
+    iterations = np.full(n_sym, cfg.iters)
+    out = np.empty_like(block)
+    active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
+    ref, ref_norms = block, np.array([np.linalg.norm(d) for d in block])
+    beta = delta = np.zeros((n_sym,) + gamma.shape, dtype=complex)
+    x_bar = block.copy()
+    for it in range(cfg.iters):
         x_prev = x_bar
-        x_bar = x_update(m_pts * x_prev + (2.0 * delta - beta).T @ u_rows)
+        x_bar = x_update(m_pts * x_prev + np.swapaxes(2.0 * delta - beta, 1, 2) @ u_rows, sel)
         beta = delta
-        c = a_rows @ x_bar.T - beta * k_diag
+        ax = a_rows @ np.swapaxes(x_bar, 1, 2)         # (A, M, n_tx)
+        c = ax - beta * k_diag
         mag = np.abs(c)
         coef = np.zeros_like(mag)
         np.divide(root - mag, k_diag * mag, out=coef, where=mag ** 2 > gamma)
         delta = coef * c
 
-        primal = float(np.sqrt(np.sum(np.abs(delta - beta) ** 2 * k_diag)))
-        dual = float(np.sqrt(m_pts) * cfg.rho * np.linalg.norm(x_bar - x_prev))
-        entries.append((_evm_wideband(x_bar, rows), oobe_power(x_bar, kernel).max(axis=1),
-                        primal, dual))
-        if cfg.residual_tol is not None and max(primal, dual) <= cfg.residual_tol:
-            break
-    return x_bar, SolverReport.from_entries(entries, stopped_early=len(entries) < cfg.iters)
+        primal = np.sqrt(np.sum(np.abs(delta - beta) ** 2 * k_diag, axis=(1, 2)))
+        step = x_bar - x_prev
+        dual = np.array([np.sqrt(m_pts) * cfg.rho * np.linalg.norm(s) for s in step])
+        traces.record(it, sel, _block_evm(x_bar, ref, ref_norms),
+                      (np.abs(ax) ** 2).max(axis=2), primal, dual)
+        if cfg.residual_tol is None:
+            continue
+        stop = np.maximum(primal, dual) <= cfg.residual_tol
+        if stop.any():
+            out[active[stop]] = x_bar[stop]
+            iterations[active[stop]] = it + 1
+            keep = ~stop
+            active, x_bar, beta, delta, ref, ref_norms = (
+                arr[keep] for arr in (active, x_bar, beta, delta, ref, ref_norms))
+            sel = active
+            if not active.size:
+                break
+    out[active] = x_bar
+    return out, SolverReport.per_symbol(traces, iterations,
+                                        stopped_early=(iterations < cfg.iters).tolist())
 
 
 def admm_precode(d, kernel, mask, cfg=None):
     """Consensus ADMM over the M rank-1 leakage sets.
 
-    Returns (dbar, SolverReport).  d may be a vector or an (n_tx, N) batch;
-    rows are precoded independently (the constraint sets are per row).
+    Returns (dbar, SolverReport).  d may be a vector, an (n_tx, N) symbol or
+    an (S, n_tx, N) block, which gets one report per symbol; rows are
+    precoded independently (the constraint sets are per row).
     """
     cfg = cfg or AdmmConfig()
-    rows, was_vector = _as_rows(d)
+    block = _as_block(d)
     m_pts = kernel.n_points
-    gamma = np.broadcast_to(mask_bounds(mask, m_pts)[:, None], (m_pts, rows.shape[0]))
-    d_bar, report = consensus_admm(rows, kernel, gamma, cfg,
-                                   lambda s: (rows + cfg.rho * s) / (1.0 + cfg.rho * m_pts))
-    return (d_bar[0] if was_vector else d_bar), report
+    gamma = np.broadcast_to(mask_bounds(mask, m_pts)[:, None], (m_pts, block.shape[1]))
+    scale = 1.0 + cfg.rho * m_pts
+    out, reports = consensus_admm(block, kernel, gamma, cfg,
+                                  lambda s, sel: (block[sel] + cfg.rho * s) / scale)
+    return _unblock(np.shape(d), out, reports)
 
 
 class FactoredInverse:
@@ -245,13 +328,14 @@ def inverse_sum_rank1(mu, kernel):
     return inverse.dense()
 
 
-def _dual_solve(gram, mu, rhs):
-    """(I + K diag(mu_j))^(-1) rhs_j for every row j, as one stacked solve.
+def _dual_solve(eye, gram, mu, rhs):
+    """(I + K diag(mu_j))^(-1) rhs_j for every row j, as one stacked solve;
+    eye is the M x M identity.
 
     With mu >= 0 every unpivoted LU pivot of I + K D is at least 1, so the
     system is never singular.
     """
-    return np.linalg.solve(np.eye(gram.shape[0]) + gram * mu[:, None, :], rhs)
+    return np.linalg.solve(eye + gram * mu[:, None, :], rhs)
 
 
 def ssp_dual_sweeps(c0, gram, gamma, cfg):
@@ -266,15 +350,14 @@ def ssp_dual_sweeps(c0, gram, gamma, cfg):
     shape (sweeps, n_tx, M).
     """
     m_pts = gram.shape[0]
-    lam1 = gram.diagonal().real
-    if np.any(lam1 <= 0):
-        raise ConfigError("a kernel row vanishes on the active band", field="kernel")
+    lam1 = _kernel_diag(gram)
     root = np.sqrt(gamma)
 
     # Exact single-constraint multipliers as the starting point: for M = 1
     # this is already the optimum, and a feasible d starts (and stays) at 0.
     mu = np.maximum((np.abs(c0) / root - 1.0) / lam1, 0.0)
 
+    eye = np.eye(m_pts)
     rhs = np.empty(c0.shape + (2,), dtype=complex)
     rhs[..., 0] = c0
     out = np.empty((cfg.sweeps,) + mu.shape)
@@ -283,10 +366,10 @@ def ssp_dual_sweeps(c0, gram, gamma, cfg):
             others = mu.copy()
             others[:, m] = 0.0
             rhs[..., 1] = gram[:, m]
-            sol = _dual_solve(gram, others, rhs)
+            sol = _dual_solve(eye, gram, others, rhs)
             alpha1 = sol[:, m, 0]
             alpha2 = sol[:, m, 1].real
-            phi = np.angle(alpha1) if cfg.phase == "track" else cfg.phase
+            phi = np.arctan2(alpha1.imag, alpha1.real) if cfg.phase == "track" else cfg.phase
             mu_new = ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2)
             mu[:, m] = np.maximum(mu_new, 0.0)
         out[s] = mu
@@ -297,7 +380,7 @@ def ssp_primal(rows, u_rows, gram, c0, mu):
     """x = d - U diag(mu) c with c = (I + K diag(mu))^(-1) c0, row by row:
     the Woodbury form of (I + sum_m mu_m u_m u_m^H)^(-1) d, with the u_m
     stacked as the rows of ``u_rows``."""
-    c = _dual_solve(gram, mu, c0[..., None])[..., 0]
+    c = _dual_solve(np.eye(gram.shape[0]), gram, mu, c0[..., None])[..., 0]
     return rows - np.einsum("jm,mk->jk", mu * c, u_rows)
 
 
@@ -307,29 +390,40 @@ def ssp_precode(d, kernel, mask, cfg=None):
     The sweeps run on the M-dimensional dual core (ssp_dual_sweeps): each
     coordinate solves one M x M system per antenna row and sets its
     multiplier in closed form.  N-space work is O(MN) products, none per
-    coordinate: one for the primal point and three for its report per sweep.
-    Returns (dbar, SolverReport) with one trace entry per sweep; the
+    coordinate: one for the primal point and two for its report per sweep.
+    d may be a vector, an (n_tx, N) symbol or an (S, n_tx, N) block, whose
+    rows all share each stacked solve.  Returns (dbar, SolverReport) with
+    one trace entry per sweep, one report per symbol for a block; the
     report's residual slots hold the stationarity norm
     ||(I + sum mu A) dbar - d||, evaluated in primal space, and the worst
     relative complementarity defect.
     """
     cfg = cfg or SspConfig()
-    rows, was_vector = _as_rows(d)
+    block = _as_block(d)
+    n_sym, n_tx, n = block.shape
+    rows = block.reshape(-1, n)
     a_rows = kernel.active_rows
     u_rows = a_rows.conj()
     gram = kernel.gram
-    gamma = mask_bounds(mask, a_rows.shape[0])
+    m_pts = a_rows.shape[0]
+    gamma = mask_bounds(mask, m_pts)
     c0 = np.einsum("mk,jk->jm", a_rows, rows)
     mus = ssp_dual_sweeps(c0, gram, gamma, cfg)
 
-    entries = []
-    for mu in mus:
+    ref_norms = [np.linalg.norm(sym) for sym in block]
+    traces = BlockTraces(cfg.sweeps, n_sym, m_pts)
+    for it, mu in enumerate(mus):
         out = ssp_primal(rows, u_rows, gram, c0, mu)
         c = np.einsum("mk,jk->mj", a_rows, out)
         recon = out + np.einsum("jm,mk->jk", mu * c.T, u_rows)
-        powers = oobe_power(out, kernel)
-        entries.append((_evm_wideband(out, rows), powers.max(axis=1),
-                        float(np.linalg.norm(recon - rows, axis=1).max()),
-                        float(np.max(np.abs(mu * (powers.T - gamma)) / gamma))))
-    report = SolverReport.from_entries(entries, multipliers=mus[-1, 0] if was_vector else mus[-1])
-    return (out[0] if was_vector else out), report
+        powers = np.abs(c) ** 2           # oobe_power(out), from the same product
+        defect = np.abs(mu * (powers.T - gamma)) / gamma
+        traces.record(it, slice(None), _block_evm(out.reshape(block.shape), block, ref_norms),
+                      powers.reshape(m_pts, n_sym, n_tx).max(axis=2).T,
+                      np.linalg.norm(recon - rows, axis=1).reshape(n_sym, n_tx).max(axis=1),
+                      defect.reshape(n_sym, -1).max(axis=1))
+    multipliers = mus[-1].reshape(np.shape(d)[:-1] + (m_pts,))
+    reports = SolverReport.per_symbol(
+        traces, np.full(n_sym, cfg.sweeps),
+        multipliers=multipliers if np.ndim(d) == 3 else [multipliers])
+    return _unblock(np.shape(d), out, reports)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specprecode import (DataGrid, EvmConstraint, FrequencyGrid, LogBarrierProblem,
-                         OfdmNumerology, ScenarioConfig, build_kernel,
+                         OfdmNumerology, ScenarioConfig, SpectralKernel, build_kernel,
                          logbarrier_solve)
 
 
@@ -31,6 +31,15 @@ def qpsk_grid(numerology, n_tx, seed):
     bits = rng.integers(0, 2, (2, n_tx, numerology.n_active)) * 2 - 1
     sym[:, numerology.active_bins] = (bits[0] + 1j * bits[1]) / np.sqrt(2)
     return DataGrid(symbols=sym, numerology=numerology)
+
+
+def random_kernel(rng, m_pts):
+    """M random complex leakage rows on the small numerology."""
+    num = small_numerology()
+    matrix = (rng.standard_normal((m_pts, num.fft_size))
+              + 1j * rng.standard_normal((m_pts, num.fft_size)))
+    grid = FrequencyGrid(points=np.arange(m_pts) + 10.5)
+    return SpectralKernel(matrix=matrix, freq_grid=grid, numerology=num)
 
 
 def total_oob(kernel, values):

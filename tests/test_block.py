@@ -1,0 +1,178 @@
+"""Block precoding: S symbols in one call against S single-symbol calls.
+
+Every per-symbol quantity of a block is computed by the same operations as
+for a block of one, so outputs and reports must match bitwise, including
+when symbols stop at different iterations and leave the block early.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specprecode import (AdmmConfig, DataGrid, EsspConfig, EvmConstraint, SspConfig,
+                         admm_precode, eadmm_precode, essp_precode, oobe_power, ssp_precode)
+
+from conftest import qpsk_grid, random_kernel
+
+
+def make_block(seed, n_sym, n_tx, m_pts, mask_scale=(0.05, 0.3)):
+    """A random kernel, an (S, n_tx, N) QPSK block and mask bounds at a
+    random fraction of the block's weakest row level per point."""
+    rng = np.random.default_rng(seed)
+    kern = random_kernel(rng, m_pts)
+    num = kern.numerology
+    block = DataGrid(np.stack([qpsk_grid(num, n_tx, seed=1000 * seed + s).symbols
+                               for s in range(n_sym)]), num)
+    level = oobe_power(block, kern).min(axis=(0, 2))
+    gamma = rng.uniform(*mask_scale, m_pts) * level
+    return rng, kern, block, gamma
+
+
+def budget(rng, kind, num):
+    if kind == "wideband":
+        return EvmConstraint(mode="wideband", eps_avg=float(rng.uniform(0.05, 0.6)))
+    return EvmConstraint(mode="frequency_selective", eps=rng.uniform(0.05, 0.6, num.n_active))
+
+
+def same_report(block_rep, single_rep):
+    assert block_rep.iterations == single_rep.iterations
+    assert block_rep.stopped_early == single_rep.stopped_early
+    assert block_rep.returned_iteration == single_rep.returned_iteration
+    for name in ("evm_trace", "oob_trace", "primal_trace", "dual_trace"):
+        assert np.array_equal(getattr(block_rep, name), getattr(single_rep, name)), name
+    if single_rep.multipliers is not None:
+        assert np.array_equal(block_rep.multipliers, single_rep.multipliers)
+
+
+def check_invariants(block, out, kern, evm=None):
+    """Guard bins stay exactly zero and no symbol exceeds its budget."""
+    guard = ~block.numerology.active_mask()
+    assert not out.symbols[..., guard].any()
+    if evm is not None:
+        for ref, sym in zip(block.symbols, out.symbols):
+            assert evm.violation(block.with_symbols(ref), sym) == 0.0
+
+
+def run_block_and_singles(precode, block):
+    """precode(grid) on the block and on each of its symbols alone."""
+    out, reports = precode(block)
+    assert len(reports) == block.symbols.shape[0]
+    for s, sym in enumerate(block.symbols):
+        one_out, one_rep = precode(block.with_symbols(sym))
+        assert np.array_equal(out.symbols[s], one_out.symbols)
+        same_report(reports[s], one_rep)
+    return out, reports
+
+
+sizes = dict(seed=st.integers(0, 2**16), n_sym=st.integers(1, 7),
+             n_tx=st.integers(1, 3), m_pts=st.integers(1, 8))
+
+
+class TestBlockInvariance:
+    @settings(max_examples=20, deadline=None)
+    @given(**sizes, sweeps=st.integers(1, 4))
+    def test_ssp(self, seed, n_sym, n_tx, m_pts, sweeps):
+        _, kern, block, gamma = make_block(seed, n_sym, n_tx, m_pts, (0.05, 1.5))
+        cfg = SspConfig(sweeps=sweeps)
+
+        def precode(grid):
+            vals, rep = ssp_precode(grid.symbols, kern, gamma, cfg)
+            return grid.with_symbols(vals), rep
+        out, _ = run_block_and_singles(precode, block)
+        check_invariants(block, out, kern)
+
+    @settings(max_examples=15, deadline=None)
+    @given(**sizes, tol=st.sampled_from([None, 1e-2, 1e-3]))
+    def test_admm(self, seed, n_sym, n_tx, m_pts, tol):
+        _, kern, block, gamma = make_block(seed, n_sym, n_tx, m_pts, (0.05, 1.5))
+        cfg = AdmmConfig(iters=60, residual_tol=tol)
+
+        def precode(grid):
+            vals, rep = admm_precode(grid.symbols, kern, gamma, cfg)
+            return grid.with_symbols(vals), rep
+        out, _ = run_block_and_singles(precode, block)
+        check_invariants(block, out, kern)
+
+    @settings(max_examples=15, deadline=None)
+    @given(**sizes, kind=st.sampled_from(["wideband", "frequency_selective"]),
+           tol=st.sampled_from([None, 1e-2]))
+    def test_eadmm(self, seed, n_sym, n_tx, m_pts, kind, tol):
+        rng, kern, block, gamma = make_block(seed, n_sym, n_tx, m_pts)
+        evm = budget(rng, kind, kern.numerology)
+        cfg = AdmmConfig(iters=40, residual_tol=tol)
+        out, _ = run_block_and_singles(
+            lambda grid: eadmm_precode(grid, kern, gamma, evm, cfg), block)
+        check_invariants(block, out, kern, evm)
+
+    @settings(max_examples=15, deadline=None)
+    @given(**sizes, kind=st.sampled_from(["wideband", "frequency_selective"]),
+           early_stop=st.booleans())
+    def test_essp(self, seed, n_sym, n_tx, m_pts, kind, early_stop):
+        rng, kern, block, gamma = make_block(seed, n_sym, n_tx, m_pts)
+        evm = budget(rng, kind, kern.numerology)
+        cfg = EsspConfig(outer_iters=8, early_stop=early_stop)
+        out, _ = run_block_and_singles(
+            lambda grid: essp_precode(grid, kern, gamma, evm, cfg), block)
+        check_invariants(block, out, kern, evm)
+
+
+class TestStopsWithinABlock:
+    """Blocks whose symbols stop at different iterations (the cases the
+    property tests reach only by chance)."""
+
+    def test_essp_early_stops_at_different_iterations(self):
+        # symbols of this block stop after 2, 4 and 6 outer iterations, and
+        # three run all 10
+        _, kern, block, gamma = make_block(13, 7, 2, 4)
+        evm = EvmConstraint(mode="wideband", eps_avg=0.05)
+        cfg = EsspConfig(outer_iters=10)
+        out, reports = run_block_and_singles(
+            lambda grid: essp_precode(grid, kern, gamma, evm, cfg), block)
+        stops = {rep.iterations for rep in reports if rep.stopped_early}
+        assert len(stops) >= 3 and any(not rep.stopped_early for rep in reports)
+        check_invariants(block, out, kern, evm)
+
+    @pytest.mark.parametrize("solver", ["admm", "eadmm"])
+    def test_residual_tol_stops_at_different_iterations(self, solver):
+        _, kern, block, gamma = make_block(3, 6, 2, 3)
+        cfg = AdmmConfig(iters=300, residual_tol=1e-3)
+        if solver == "admm":
+            def precode(grid):
+                vals, rep = admm_precode(grid.symbols, kern, gamma, cfg)
+                return grid.with_symbols(vals), rep
+            evm = None
+        else:
+            evm = EvmConstraint(mode="wideband", eps_avg=1.0)
+
+            def precode(grid):
+                return eadmm_precode(grid, kern, gamma, evm, cfg)
+        out, reports = run_block_and_singles(precode, block)
+        assert all(rep.stopped_early for rep in reports)
+        assert len({rep.iterations for rep in reports}) >= 3
+        check_invariants(block, out, kern, evm)
+
+
+class TestReportLeakage:
+    """The reports take |A x|^2 from the solvers' own products;
+    oobe_power stays the definition they are checked against."""
+
+    def test_ssp_matches_oobe_power_bitwise(self):
+        _, kern, block, gamma = make_block(11, 4, 2, 6)
+        out, reports = ssp_precode(block.symbols, kern, gamma, SspConfig(sweeps=3))
+        for sym, rep in zip(out, reports):
+            assert np.array_equal(rep.oob_trace[-1], oobe_power(sym, kern).max(axis=1))
+
+    @pytest.mark.parametrize("solver", ["admm", "eadmm"])
+    def test_consensus_matches_oobe_power(self, solver):
+        _, kern, block, gamma = make_block(12, 4, 2, 6)
+        cfg = AdmmConfig(iters=30)
+        if solver == "admm":
+            vals, reports = admm_precode(block.symbols, kern, gamma, cfg)
+        else:
+            evm = EvmConstraint(mode="wideband", eps_avg=0.3)
+            out, reports = eadmm_precode(block, kern, gamma, evm, cfg)
+            vals = out.symbols
+        for sym, rep in zip(vals, reports):
+            expect = oobe_power(sym, kern).max(axis=1)
+            assert np.abs(rep.oob_trace[-1] - expect).max() <= 1e-12 * expect.max()

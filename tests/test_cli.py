@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from specprecode import (ScenarioConfig, build_kernel, generate_qam_grid, oobe_power,
-                         read_waveform, run_scenario, runner)
+from specprecode import (ScenarioConfig, SpectralKernel, build_kernel, generate_qam_grid,
+                         oobe_power, read_waveform, run_scenario, runner)
 from specprecode.cli import EXIT_CONFIG, EXIT_OK, compare_main, main
 from specprecode.config import BUDGET_PRECODERS, PRECODERS
 
@@ -172,6 +172,23 @@ class TestNonFiniteGrid:
         assert "non-finite" in capsys.readouterr().err
 
 
+class TestDegenerateKernel:
+    @pytest.mark.parametrize("precoder", ["admm", "ssp", "eadmm", "essp"])
+    def test_config_exit_code(self, tmp_path, monkeypatch, capsys, precoder):
+        def vanishing_row(numerology, freq_grid):
+            kernel = build_kernel(numerology, freq_grid)
+            matrix = kernel.matrix.copy()
+            matrix[1, numerology.active_bins] = 0.0
+            return SpectralKernel(matrix=matrix, freq_grid=kernel.freq_grid,
+                                  numerology=numerology)
+
+        monkeypatch.setattr(runner, "build_kernel", vanishing_row)
+        cfg_path = write_scenario(tmp_path, precoder=precoder)
+        code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "a kernel row vanishes on the active band" in capsys.readouterr().err
+
+
 # Short schedules for the iterative precoders; ESSP runs every outer
 # iteration, so each one's trace.csv has exactly TRACE_ROWS rows.
 SHORT_SCHEDULES = {"admm": {"iters": 5}, "ssp": {"sweeps": 2}, "eadmm": {"iters": 4},
@@ -211,6 +228,45 @@ class TestEveryPrecoder:
         for name in ("trace.csv", "evm.csv", "psd.csv", "summary.csv",
                      "config_resolved.json"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+DATA_FILES = ("trace.csv", "evm.csv", "psd.csv", "summary.csv", "config_resolved.json",
+              "waveform.bin")
+
+
+# Per precoder: the scenario and symbol count of the block-size check.
+# ADMM and EADMM stop on residual_tol and ESSP early (on the 512-point
+# reference scenario only), different symbols at different iterations; the
+# slow oracle gets one partial block.
+BLOCK_CASES = {
+    "admm": {"admm": {"iters": 90, "residual_tol": 0.1}},
+    "eadmm": {"eadmm": {"iters": 80, "residual_tol": 0.01},
+              "evm": {"mode": "wideband", "eps_avg_fraction": 0.5}},
+    "essp": None,
+    "oracle": {"symbols": 5},
+}
+
+
+class TestBlockPipeline:
+    """run_scenario one symbol per block against the default block size."""
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_data_files_do_not_depend_on_block_size(self, tmp_path, monkeypatch, precoder):
+        overrides = BLOCK_CASES.get(precoder, {})
+        data = {} if overrides is None else json.loads(json.dumps(SMALL_SCENARIO))
+        # a symbol count that the default block does not divide
+        data.update(precoder=precoder, symbols=runner.BLOCK_SYMBOLS + 5, emit_waveforms=True)
+        data.update(overrides or {})
+        cfg = ScenarioConfig.from_dict(data)
+        run_scenario(cfg, tmp_path / "block")
+        monkeypatch.setattr(runner, "BLOCK_SYMBOLS", 1)
+        run_scenario(cfg, tmp_path / "single")
+        _, trace = read_csv(tmp_path / "block" / "trace.csv")
+        if precoder in ("admm", "eadmm", "essp"):
+            assert len({row[1] for row in trace}) >= 3     # stops at several iterations
+        for name in DATA_FILES:
+            assert ((tmp_path / "block" / name).read_bytes()
+                    == (tmp_path / "single" / name).read_bytes()), name
 
 
 class TestCompare:

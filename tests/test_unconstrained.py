@@ -6,13 +6,13 @@ import pytest
 from specprecode import (ConfigError, DegenerateConstraintError,
                          EvmConstraint, FrequencyGrid, NumericalError,
                          ScenarioConfig, SpectralKernel, build_kernel,
-                         eadmm_precode, oobe_power, project_rank1)
+                         eadmm_precode, essp_precode, oobe_power, project_rank1)
 from specprecode import constrained, unconstrained
 from specprecode.unconstrained import (AdmmConfig, FactoredInverse, SolverReport,
-                                       SspConfig, _evm_wideband, admm_precode,
-                                       inverse_sum_rank1, mask_bounds, ssp_precode)
+                                       SspConfig, admm_precode, inverse_sum_rank1,
+                                       mask_bounds, ssp_precode)
 
-from conftest import qpsk_grid, small_numerology
+from conftest import qpsk_grid, random_kernel, small_numerology
 
 
 @pytest.fixture(scope="module")
@@ -323,14 +323,6 @@ def close(a, b, scale):
     return np.abs(np.asarray(a) - b).max() <= 1e-10 * scale
 
 
-def random_kernel(rng, m_pts):
-    num = small_numerology()
-    matrix = (rng.standard_normal((m_pts, num.fft_size))
-              + 1j * rng.standard_normal((m_pts, num.fft_size)))
-    grid = FrequencyGrid(points=np.arange(m_pts) + 10.5)
-    return SpectralKernel(matrix=matrix, freq_grid=grid, numerology=num)
-
-
 class TestDualCore:
     @pytest.mark.parametrize("cfg", [SspConfig(sweeps=3, phase=0.3), SspConfig(sweeps=3)],
                              ids=["fixed-phase", "default"])
@@ -375,8 +367,25 @@ def compute_residuals(d_bar, d_bar_prev, y, rho):
     return primal, dual
 
 
-def reference_consensus_admm(rows, kernel, gamma, cfg, x_update):
-    """N-space reference for consensus_admm, with its signature.
+def evm_wideband(dbar, d):
+    ref = np.linalg.norm(d)
+    return float(np.linalg.norm(dbar - d) / ref) if ref > 0 else 0.0
+
+
+def reference_consensus_admm(block, kernel, gamma, cfg, x_update):
+    """N-space reference for consensus_admm, with its signature: the
+    symbols of the block one at a time, each through reference_consensus_one."""
+    outs, reports = [], []
+    for i, rows in enumerate(block):
+        out, report = reference_consensus_one(
+            rows, kernel, gamma, cfg, lambda s, i=i: x_update(s[None], np.array([i]))[0])
+        outs.append(out)
+        reports.append(report)
+    return np.stack(outs), reports
+
+
+def reference_consensus_one(rows, kernel, gamma, cfg, x_update):
+    """N-space consensus loop for one (n_tx, N) symbol.
 
     Holds every local variable y_m and dual z_m as an (n_tx, N) grid and
     projects with one project_rank1 call per set and iteration.
@@ -394,7 +403,7 @@ def reference_consensus_admm(rows, kernel, gamma, cfg, x_update):
         z += y - x_bar[None, ...]
 
         primal, dual = compute_residuals(x_bar, x_prev, y, cfg.rho)
-        entries.append((_evm_wideband(x_bar, rows), oobe_power(x_bar, kernel).max(axis=1),
+        entries.append((evm_wideband(x_bar, rows), oobe_power(x_bar, kernel).max(axis=1),
                         primal, dual))
         if cfg.residual_tol is not None and max(primal, dual) <= cfg.residual_tol:
             break
@@ -505,3 +514,8 @@ class TestConsensusCoefficients:
             admm_precode(grid.symbols, kern, gamma)
         with pytest.raises(DegenerateConstraintError):
             eadmm_precode(grid, kern, gamma, EvmConstraint(mode="wideband", eps_avg=0.1))
+        # the sweep precoders make the same diag(K) check
+        with pytest.raises(DegenerateConstraintError):
+            ssp_precode(grid.symbols, kern, gamma)
+        with pytest.raises(DegenerateConstraintError):
+            essp_precode(grid, kern, gamma, EvmConstraint(mode="wideband", eps_avg=0.1))
