@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import oobe_power
-from .projections import project_columns_ball, project_frobenius_ball
+from .projections import _columns_balls, _frobenius_balls, _symbol_norms
 from .unconstrained import (AdmmConfig, BlockTraces, SolverReport, SspConfig, _as_block,
                             _block_evm, _unblock, consensus_admm, mask_bounds,
                             ssp_dual_sweeps, ssp_primal)
@@ -52,35 +52,46 @@ class EvmConstraint:
         else:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
 
-    def projector(self, reference):
+    def projector(self, reference, cols=None):
         """Projection onto the budget ball(s) around ``reference``.
 
         The reference may be one (n_tx, N) symbol or an (S, n_tx, N) block,
-        whose every symbol has its own ball(s).  The projector takes x
-        shaped like the reference, or, with ``active`` (a slice or index
-        array into the block), the stacked symbols ``active`` of the block.
+        whose every symbol has its own ball(s).  ``cols`` (an index array of
+        bins; default all N) picks the frequency columns the projector works
+        on; the others must be zero (guard bins).  The projector takes x
+        shaped like the reference's columns ``cols``, or, with ``active`` (a
+        slice or index array into the block), the stacked symbols ``active``
+        of the block.  The radii and the norms of the centers are computed
+        once here; the wideband radius is always relative to the whole
+        reference symbol.
         """
         num = reference.numerology
         center = reference.symbols
         block = center.reshape((-1,) + center.shape[-2:])
         if self.mode == "wideband":
-            radii = np.array([self.eps_avg * float(np.linalg.norm(c)) for c in block])
+            norms = _symbol_norms(block)
+            radii = self.eps_avg * norms
 
-            def project(x, c, r):
-                return np.stack([project_frobenius_ball(*args) for args in zip(x, c, r)])
+            def project(x, c, r, nrm):
+                return _frobenius_balls(x, c, r, nrm, block[0].size)
         else:
             if self.eps.size != num.n_active:
                 raise ConfigError("per-subcarrier fractions must cover the active band",
                                   field="evm.eps")
-            radii = np.zeros((block.shape[0], num.fft_size))
-            col_norms = np.linalg.norm(block, axis=1)
-            radii[:, num.active_bins] = self.eps * col_norms[:, num.active_bins]
-            project = project_columns_ball
+            norms = np.linalg.norm(block, axis=1)
+            radii = np.zeros_like(norms)
+            radii[:, num.active_bins] = self.eps * norms[:, num.active_bins]
+            if cols is not None:
+                norms, radii = norms.take(cols, axis=-1), radii.take(cols, axis=-1)
+            project = _columns_balls
+        if np.any(radii < 0):
+            raise DegenerateConstraintError("ball radii must be non-negative")
+        centers = block if cols is None else block.take(cols, axis=-1)
 
         def proj(x, active=slice(None)):
-            centers = block[active]
             x = np.asarray(x, dtype=complex)
-            return project(x.reshape(centers.shape), centers, radii[active]).reshape(x.shape)
+            c = centers[active]
+            return project(x.reshape(c.shape), c, radii[active], norms[active]).reshape(x.shape)
         return proj
 
     def violation(self, reference, candidate):
@@ -158,7 +169,7 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     block = _as_block(x.symbols)
     m_pts = kernel.n_points
     gamma = _per_point_bounds(masks, m_pts, block.shape[1])
-    proj_e = evm.projector(x)
+    proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
     out, reports = consensus_admm(block, kernel, gamma, cfg,
                                   lambda s, sel: proj_e(s / m_pts, sel))
     out, report = _unblock(x.symbols.shape, out, reports)
@@ -193,7 +204,7 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     returned = np.zeros(n_sym, dtype=int)
     out = np.empty_like(block)
     active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
-    ref, ref_norms = block, np.array([np.linalg.norm(d) for d in block])
+    ref, ref_norms = block, _symbol_norms(block)
     x_bar = block.copy()
     z_bar = np.zeros_like(block)
     best_oob = np.sum(oobe_power(x_bar, kernel), axis=(1, 2))
@@ -209,8 +220,7 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
 
         powers = oobe_power(x_bar, kernel)
         traces.record(it, sel, _block_evm(x_bar, ref, ref_norms), powers.max(axis=2),
-                      [np.linalg.norm(s) for s in y_bar - x_prev],
-                      [np.linalg.norm(s) for s in x_bar - x_prev])
+                      _symbol_norms(y_bar - x_prev), _symbol_norms(x_bar - x_prev))
         oob_now = np.sum(powers, axis=(1, 2))
         stop = oob_now > best_oob if cfg.early_stop else np.zeros(active.size, dtype=bool)
         returned[active[~stop]] = it + 1

@@ -86,6 +86,22 @@ def _inward_scale(radius, dist, center_norm, n):
     return np.maximum(radius - slack, 0.0) / dist
 
 
+def _symbol_norms(x):
+    """Frobenius norm of every x[s] of a complex stack, each bitwise equal
+    to np.linalg.norm(x[s]) (for any layout with positive strides).
+
+    np.linalg.norm reads a complex array in memory order (its trailing axes
+    by decreasing stride, as ravel(order="K")) and sums the squares as two
+    real dot products over the real and imaginary parts; this makes the
+    same two (strided) dot products for every symbol, stacked in one matmul.
+    """
+    order = 1 + np.argsort([-stride for stride in x.strides[1:]], kind="stable")
+    flat = x.transpose(0, *order).reshape(x.shape[0], 1, -1)
+    re, im = flat.real, flat.imag
+    sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
+    return np.sqrt(sq[:, 0, 0])
+
+
 def project_frobenius_ball(x, center, radius):
     """Project onto {z : ||z - center||_F <= radius}.
 
@@ -104,6 +120,27 @@ def project_frobenius_ball(x, center, radius):
     return center + _inward_scale(radius, dist, np.linalg.norm(center), x.size) * diff
 
 
+def _frobenius_balls(x, centers, radii, center_norms, size):
+    """project_frobenius_ball of every x[s] onto its own ball, in one pass.
+
+    x and centers are complex stacks (S, ...), radii (S,) the non-negative
+    radii, center_norms (S,) the centers' norms (_symbol_norms) and size
+    the number of entries of each ball.  With size x[0].size, each
+    symbol's result is bitwise that of project_frobenius_ball alone; a ball
+    whose other entries are zero in both x and the center (guard bins) is
+    projected on its nonzero part alone, with its full size here.
+    """
+    diff = x - centers
+    dist = _symbol_norms(diff)
+    outside = dist > radii
+    if not outside.any():
+        return x.copy()
+    # An infinite distance gives inside symbols s = 0; they are taken from x.
+    scale = _inward_scale(radii, np.where(outside, dist, np.inf), center_norms, size)
+    expand = (slice(None),) + (None,) * (x.ndim - 1)
+    return np.where(outside[expand], centers + scale[expand] * diff, x)
+
+
 def project_columns_ball(x, center, radii):
     """Project each column k onto {z_k : ||z_k - center_k|| <= radii_k}.
 
@@ -118,12 +155,19 @@ def project_columns_ball(x, center, radii):
     radii = np.asarray(radii, dtype=float)
     if np.any(radii < 0):
         raise DegenerateConstraintError("ball radii must be non-negative")
+    return _columns_balls(x, center, radii, np.linalg.norm(center, axis=-2))
+
+
+def _columns_balls(x, center, radii, center_norms):
+    """project_columns_ball for radii the caller has checked to be
+    non-negative and center column norms it has computed
+    (np.linalg.norm(center, axis=-2)), for a ball applied many times."""
     diff = x - center
     dist = np.linalg.norm(diff, axis=-2)
     outside = dist > radii
     if not outside.any():
         return x.copy()
     # An infinite distance gives inside columns s = 0; they are taken from x.
-    scale = _inward_scale(radii, np.where(outside, dist, np.inf),
-                          np.linalg.norm(center, axis=-2), x.shape[-2])
+    scale = _inward_scale(radii, np.where(outside, dist, np.inf), center_norms,
+                          x.shape[-2])
     return np.where(outside[..., None, :], center + diff * scale[..., None, :], x)

@@ -123,27 +123,30 @@ def _pseudo_reports(err_sym, ref_sym, per_point):
 class _TraceAccumulator:
     """Mean per iteration index across symbols of unequal trace lengths."""
 
+    _FIELDS = ("count", "evm", "oob", "primal", "dual")
+
     def __init__(self, n_points):
-        self.n_points = n_points
-        self.count = []
-        self.evm = []
-        self.oob = []
-        self.primal = []
-        self.dual = []
+        self.count = np.zeros(0, dtype=int)
+        self.evm = np.zeros(0)
+        self.oob = np.zeros((0, n_points))
+        self.primal = np.zeros(0)
+        self.dual = np.zeros(0)
 
     def add(self, report):
-        for i in range(report.iterations):
-            if i == len(self.count):
-                self.count.append(0)
-                self.evm.append(0.0)
-                self.oob.append(np.zeros(self.n_points))
-                self.primal.append(0.0)
-                self.dual.append(0.0)
-            self.count[i] += 1
-            self.evm[i] += report.evm_trace[i] ** 2
-            self.oob[i] = self.oob[i] + np.asarray(report.oob_trace[i])
-            self.primal[i] += report.primal_trace[i]
-            self.dual[i] += report.dual_trace[i]
+        """Add one report's traces, all iterations at once; every entry
+        still accumulates its symbols in the order they are added."""
+        n = report.iterations
+        if n > self.count.size:
+            for name in self._FIELDS:
+                old = getattr(self, name)
+                grown = np.zeros((n,) + old.shape[1:], dtype=old.dtype)
+                grown[:old.shape[0]] = old
+                setattr(self, name, grown)
+        self.count[:n] += 1
+        self.evm[:n] += report.evm_trace ** 2
+        self.oob[:n] += report.oob_trace
+        self.primal[:n] += report.primal_trace
+        self.dual[:n] += report.dual_trace
 
     def rows(self):
         out = []

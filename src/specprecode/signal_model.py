@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import diric
@@ -33,6 +33,11 @@ QAM_ORDERS = {"QPSK": 4, "16QAM": 16, "64QAM": 64, "256QAM": 256}
 _WAVEFORM_MAGIC = b"SPWF"
 _WAVEFORM_VERSION = 1
 _WAVEFORM_HEADER = struct.Struct("<4sIII")
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,22 @@ class OfdmNumerology:
     def n_active(self):
         return int(self.active_offsets.size)
 
-    @property
+    @cached_property
     def active_bins(self):
-        """FFT bin indices (0..N-1) of the active subcarriers, sorted by offset."""
-        return np.mod(self.active_offsets, self.fft_size)
+        """Read-only FFT bin indices (0..N-1) of the active subcarriers,
+        sorted by offset."""
+        return _read_only(np.mod(self.active_offsets, self.fft_size))
+
+    @cached_property
+    def band_bins(self):
+        """Read-only FFT bin indices of the active subcarriers in ascending
+        bin order, the order in which the solvers keep the active band."""
+        return _read_only(np.flatnonzero(self.active_mask()))
+
+    @cached_property
+    def guard_bins(self):
+        """Read-only FFT bin indices of the guard bins, ascending."""
+        return _read_only(np.flatnonzero(~self.active_mask()))
 
     @property
     def occupied_bandwidth_hz(self):
@@ -196,17 +213,21 @@ class SpectralKernel:
         rows = np.zeros_like(self.matrix)
         bins = self.numerology.active_bins
         rows[:, bins] = self.matrix[:, bins]
-        rows.flags.writeable = False
-        return rows
+        return _read_only(rows)
 
     @cached_property
     def gram(self):
         """Read-only M x M Gram matrix K = U^H U of u_m = a(nu_m)* on the
         active band, K[i, k] = sum_n a_i[n] conj(a_k[n]); built on first use."""
         rows = self.active_rows
-        gram = np.einsum("ik,jk->ij", rows, rows.conj())
-        gram.flags.writeable = False
-        return gram
+        return _read_only(np.einsum("ik,jk->ij", rows, rows.conj()))
+
+    @cached_property
+    def band_rows(self):
+        """Read-only M x n_active rows on the active band, in bin order
+        (numerology.band_bins): the columns of active_rows that are not
+        forced to zero, built once."""
+        return _read_only(self.matrix[:, self.numerology.band_bins])
 
     @property
     def active_row_norms_sq(self):
@@ -246,10 +267,9 @@ class DataGrid:
         if sym.ndim not in (2, 3) or sym.shape[-1] != self.numerology.fft_size:
             raise ConfigError("data grid must be (n_tx, fft_size) or (S, n_tx, fft_size)",
                               field="grid")
-        if not np.all(np.isfinite(sym)):
+        if not np.isfinite(sym).all():
             raise ConfigError("data grid contains non-finite values", field="grid")
-        guard = ~self.numerology.active_mask()
-        if sym[..., guard].any():
+        if sym.take(self.numerology.guard_bins, axis=-1).any():
             raise ConfigError("guard bins of a data grid must be exactly zero", field="grid")
         object.__setattr__(self, "symbols", sym)
 
@@ -269,11 +289,13 @@ class DataGrid:
         return float(np.vdot(self.symbols, self.symbols).real)
 
 
+@lru_cache(maxsize=None)
 def qam_constellation(name):
     """Unit-average-power square QAM with Gray labelling on each axis.
 
-    Returns the (order,) array of points indexed by symbol integer; the two
-    halves of the integer's bits select the in-phase and quadrature level.
+    Returns the read-only (order,) array of points indexed by symbol
+    integer, built once per constellation; the two halves of the integer's
+    bits select the in-phase and quadrature level.
     """
     if name not in QAM_ORDERS:
         raise ConfigError(f"unknown constellation {name!r}; choose from {sorted(QAM_ORDERS)}",
@@ -291,7 +313,7 @@ def qam_constellation(name):
     i_level = level_for_label[s >> bits_per_axis]
     q_level = level_for_label[s & (side - 1)]
     scale = np.sqrt(3.0 / (2.0 * (order - 1)))
-    return (i_level + 1j * q_level) * scale
+    return _read_only((i_level + 1j * q_level) * scale)
 
 
 def generate_qam_grid(seed, numerology, n_tx, constellation, symbol_index=0):

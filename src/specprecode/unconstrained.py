@@ -8,7 +8,8 @@ consensus variable; its loop (consensus_admm) also serves EADMM, with the
 error-budget ball in place of the quadratic objective.  Each rank-1
 projection moves its point only along its leakage row, so the loop keeps
 one complex coefficient per set and antenna row instead of M copies of the
-grid: its own N-space work is two O(MN) products per iteration.  SSP
+grid, and it runs on the active columns alone: its own work is two
+O(M n_active) products per iteration.  SSP
 performs cyclic coordinate ascent on the dual multipliers mu_m.  Every SSP
 quantity lives in the span of the M leakage rows, so the sweeps run on the
 M x M Gram matrix through the Woodbury identity: each coordinate solves one
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
+from .projections import _symbol_norms
 
 
 def mask_bounds(mask, n_points):
@@ -57,8 +59,8 @@ def _block_evm(x, block, refs):
     """Wideband EVM ||x_s - d_s|| / ||d_s|| of every symbol of x against its
     reference d_s in block, given the reference norms refs (0 where a
     reference is zero)."""
-    return [float(np.linalg.norm(xs - ds) / r) if r > 0 else 0.0
-            for xs, ds, r in zip(x, block, refs)]
+    err = _symbol_norms(x - block)
+    return np.divide(err, refs, out=np.zeros_like(err), where=refs > 0)
 
 
 def _kernel_diag(gram):
@@ -191,28 +193,33 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
     block (S, n_tx, N) holds S symbols, each the input and EVM reference of
-    its own problem; gamma (M, n_tx) holds the per-row bounds, and
-    x_update(s, active) maps the summed local variables
-    sum_m (y_m + z_m) of the symbols ``active`` (an index into the block: a
-    slice while every symbol iterates, an index array once some stopped) to
-    their next consensus iterates.  Local variables start at the input and
-    duals at zero, so a mask-feasible input is a fixed point from the first
-    iteration.  Every symbol stops on its own residual_tol test and then
-    leaves the active set.  Returns (x_bar block, one SolverReport per
-    symbol).
+    its own problem; gamma (M, n_tx) holds the per-row bounds.  The loop
+    runs on the active band: it gathers the block's active columns once, in
+    bin order (numerology.band_bins), iterates on (S, n_tx, n_active)
+    arrays against kernel.band_rows and scatters the result back once, so
+    the guard bins of the input pass through untouched.  x_update(s,
+    active) maps the band sums sum_m (y_m + z_m) of the symbols ``active``
+    (an index into the block: a slice while every symbol iterates, an index
+    array once some stopped) to their next band iterates.  Local variables
+    start at the input and duals at zero, so a mask-feasible input is a
+    fixed point from the first iteration.  Every symbol stops on its own
+    residual_tol test and then leaves the active set.  Returns (x_bar
+    block, one SolverReport per symbol).
 
     The projection onto set m moves its argument only along u_m = a(nu_m)*,
     so every dual stays z_m = beta_m u_m and every local variable
     y_m = x_bar + (delta_m - beta_m) u_m, where delta_m is the step of the
     latest projection and beta_m the dual before it.  The loop holds these
-    (M, n_tx) coefficients per symbol instead of the N-space copies: per
-    iteration, c = A x_bar - beta diag(K) gives u_m^H (x_bar - z_m), delta is
-    the closed-form rank-1 step where |c|^2 > gamma (0 inside), the
-    consensus input is M x_bar + (2 delta - beta)^T U, and the primal
+    (M, n_tx) coefficients per symbol instead of the copies of the grid:
+    per iteration, c = A x_bar - beta diag(K) gives u_m^H (x_bar - z_m),
+    delta is the closed-form rank-1 step where |c|^2 > gamma (0 inside),
+    the consensus input is M x_bar + (2 delta - beta)^T U, and the primal
     residual sqrt(sum_m ||y_m - x_bar||^2) is sqrt(sum |delta - beta|^2 K_mm).
-    The report's leakage powers are |A x_bar|^2 from the same product.
+    Its own work per iteration is two O(M n_active) products per antenna
+    row.  The report's leakage powers are |A x_bar|^2 from the same product.
     """
-    a_rows = kernel.active_rows
+    bins = kernel.numerology.band_bins
+    a_rows = kernel.band_rows
     u_rows = a_rows.conj()
     k_diag = _kernel_diag(kernel.gram)[:, None]      # ||u_m||^2
     m_pts = a_rows.shape[0]
@@ -220,11 +227,12 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
     root = np.sqrt(gamma)
     traces = BlockTraces(cfg.iters, n_sym, m_pts)
     iterations = np.full(n_sym, cfg.iters)
-    out = np.empty_like(block)
+    band = block.take(bins, axis=-1)
+    out = np.empty_like(band)
     active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
-    ref, ref_norms = block, np.array([np.linalg.norm(d) for d in block])
+    ref, ref_norms = band, _symbol_norms(block)
     beta = delta = np.zeros((n_sym,) + gamma.shape, dtype=complex)
-    x_bar = block.copy()
+    x_bar = band
     for it in range(cfg.iters):
         x_prev = x_bar
         x_bar = x_update(m_pts * x_prev + np.swapaxes(2.0 * delta - beta, 1, 2) @ u_rows, sel)
@@ -237,8 +245,7 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
         delta = coef * c
 
         primal = np.sqrt(np.sum(np.abs(delta - beta) ** 2 * k_diag, axis=(1, 2)))
-        step = x_bar - x_prev
-        dual = np.array([np.sqrt(m_pts) * cfg.rho * np.linalg.norm(s) for s in step])
+        dual = np.sqrt(m_pts) * cfg.rho * _symbol_norms(x_bar - x_prev)
         traces.record(it, sel, _block_evm(x_bar, ref, ref_norms),
                       (np.abs(ax) ** 2).max(axis=2), primal, dual)
         if cfg.residual_tol is None:
@@ -254,8 +261,10 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
             if not active.size:
                 break
     out[active] = x_bar
-    return out, SolverReport.per_symbol(traces, iterations,
-                                        stopped_early=(iterations < cfg.iters).tolist())
+    full = block.copy()
+    full[..., bins] = out
+    return full, SolverReport.per_symbol(traces, iterations,
+                                         stopped_early=(iterations < cfg.iters).tolist())
 
 
 def admm_precode(d, kernel, mask, cfg=None):
@@ -270,8 +279,9 @@ def admm_precode(d, kernel, mask, cfg=None):
     m_pts = kernel.n_points
     gamma = np.broadcast_to(mask_bounds(mask, m_pts)[:, None], (m_pts, block.shape[1]))
     scale = 1.0 + cfg.rho * m_pts
+    band = block.take(kernel.numerology.band_bins, axis=-1)
     out, reports = consensus_admm(block, kernel, gamma, cfg,
-                                  lambda s, sel: (block[sel] + cfg.rho * s) / scale)
+                                  lambda s, sel: (band[sel] + cfg.rho * s) / scale)
     return _unblock(np.shape(d), out, reports)
 
 
@@ -410,7 +420,7 @@ def ssp_precode(d, kernel, mask, cfg=None):
     c0 = np.einsum("mk,jk->jm", a_rows, rows)
     mus = ssp_dual_sweeps(c0, gram, gamma, cfg)
 
-    ref_norms = [np.linalg.norm(sym) for sym in block]
+    ref_norms = _symbol_norms(block)
     traces = BlockTraces(cfg.sweeps, n_sym, m_pts)
     for it, mu in enumerate(mus):
         out = ssp_primal(rows, u_rows, gram, c0, mu)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from specprecode import (DegenerateConstraintError, Rank1Constraint,
                          bisection_rank1_oracle, project_columns_ball,
                          project_frobenius_ball, project_rank1)
+from specprecode.projections import _frobenius_balls, _symbol_norms
 
 
 def random_complex(rng, *shape):
@@ -254,3 +255,49 @@ class TestRank1PerRowBounds:
         b[data.draw(st.integers(0, b.size - 1))] = -data.draw(st.floats(1e-300, 1e6))
         with pytest.raises(DegenerateConstraintError):
             project_rank1(x, u, b)
+
+
+@st.composite
+def symbol_stacks(draw):
+    """Two (S, n_tx, N) complex stacks of one layout: contiguous, a strided
+    slice of a larger stack, or gathered by index arrays (symbols in a
+    random order, columns a sorted subset, as the active band is taken)."""
+    n_sym = draw(st.integers(1, 33))
+    n_tx = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 600))
+    layout = draw(st.sampled_from(["contiguous", "sliced", "fancy"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+
+    def stack():
+        if layout == "contiguous":
+            return scale * random_complex(rng, n_sym, n_tx, n)
+        if layout == "sliced":
+            return (scale * random_complex(rng, 2 * n_sym, n_tx + 1, 2 * n))[::2, 1:, ::2]
+        base = scale * random_complex(rng, n_sym + 3, n_tx, n + 5)
+        cols = np.sort(rng.choice(n + 5, n, replace=False))
+        return base[rng.permutation(n_sym + 3)[:n_sym]][..., cols]
+    return rng, stack(), stack()
+
+
+class TestBatchedHelpers:
+    """The batched norm and Frobenius ball give every symbol the bits of
+    the per-symbol calls."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(symbol_stacks())
+    def test_symbol_norms_match_linalg_norm(self, case):
+        _, x, _ = case
+        assert np.array_equal(_symbol_norms(x), [np.linalg.norm(s) for s in x])
+
+    @settings(max_examples=100, deadline=None)
+    @given(symbol_stacks())
+    def test_frobenius_balls_match_single_balls(self, case):
+        rng, x, centers = case
+        # radii from zero to past each symbol's distance: inside and outside mix
+        fractions = rng.uniform(0.0, 1.3, len(x))
+        fractions[rng.uniform(size=len(x)) < 0.2] = 0.0
+        radii = fractions * _symbol_norms(x - centers)
+        out = _frobenius_balls(x, centers, radii, _symbol_norms(centers), x[0].size)
+        singles = [project_frobenius_ball(*args) for args in zip(x, centers, radii)]
+        assert np.array_equal(out, singles)

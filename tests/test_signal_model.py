@@ -107,6 +107,13 @@ class TestKernel:
         assert np.allclose(kern.active_rows[:, num.active_bins],
                            kern.matrix[:, num.active_bins])
 
+    def test_band_rows_are_the_active_columns_in_bin_order(self):
+        num = small_numerology()
+        kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 7.1])))
+        assert num.band_bins.tolist() == [0, 1, 2, 3, 12, 13, 14, 15]
+        assert np.array_equal(kern.band_rows, kern.active_rows[:, num.band_bins])
+        assert kern.band_rows is kern.band_rows and not kern.band_rows.flags.writeable
+
     def test_row_norm_properties(self):
         num = small_numerology()
         kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 7.1])))
@@ -152,6 +159,17 @@ class TestQamGeneration:
         corners = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
         dist = np.abs(vals[:, None] - corners[None, :]).min(axis=1)
         assert np.all(dist < 1e-12)
+
+    def test_tables_built_once_and_read_only(self):
+        num = small_numerology()
+        assert num.guard_bins.tolist() == list(range(4, 12))
+        tables = [getattr(num, name) for name in ("active_bins", "band_bins", "guard_bins")]
+        tables.append(qam_constellation("16QAM"))
+        assert tables[-1] is qam_constellation("16QAM")
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     def test_constellations_unit_power(self):
         for name in ("QPSK", "16QAM", "64QAM", "256QAM"):

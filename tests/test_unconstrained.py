@@ -388,16 +388,20 @@ def reference_consensus_one(rows, kernel, gamma, cfg, x_update):
     """N-space consensus loop for one (n_tx, N) symbol.
 
     Holds every local variable y_m and dual z_m as an (n_tx, N) grid and
-    projects with one project_rank1 call per set and iteration.
+    projects with one project_rank1 call per set and iteration.  x_update
+    maps the active columns in bin order; the guard bins of x_bar keep
+    their input values.
     """
     u_rows = kernel.active_rows.conj()
+    bins = np.flatnonzero(kernel.numerology.active_mask())
     y = np.broadcast_to(rows, (u_rows.shape[0],) + rows.shape).copy()
     z = np.zeros_like(y)
     x_bar = rows.copy()
     entries = []
     for _ in range(cfg.iters):
         x_prev = x_bar
-        x_bar = x_update(np.sum(y + z, axis=0))
+        x_bar = x_prev.copy()
+        x_bar[:, bins] = x_update(np.sum(y + z, axis=0)[:, bins])
         for m, u in enumerate(u_rows):
             y[m] = project_rank1(x_bar - z[m], u, gamma[m])
         z += y - x_bar[None, ...]

@@ -1,0 +1,192 @@
+"""Digest of every data file that ``run_scenario`` writes, over a fixed set of
+scenarios, for checking that a change to the program keeps its outputs.
+
+Usage (from the root of a checkout):
+
+    python3 tools/digest.py --out new.json
+    python3 tools/digest.py --src ../old/src --out old.json
+    python3 tools/digest.py --against old.json
+
+Each case runs ``run_scenario`` from the package under ``--src`` (default:
+this checkout's ``src``) with one BLAS thread, and the script prints the
+sha256 of each data file and of the manifest without its timing block.
+``--out`` saves the digests and the CSV cells to a JSON file.  With
+``--against`` the script compares every case with the one in that file and
+lists each CSV cell that moved, with its relative difference, and each
+other file whose digest changed.  ``--case`` picks cases by name (repeat
+it), ``--symbols`` caps every case's symbol count, and ``--list`` prints
+the case names.
+
+The cases: the default scenario under every precoder but the oracle at
+20 symbols and (with ESSP also without early stop) at 70; EADMM with the
+second mask and the frequency-selective edge profile; ADMM and EADMM with
+a residual tolerance; the oracle on a 64-point numerology; and the four
+benchmark workloads of ``bench/workloads.json`` at scenario seeds 1000,
+2001 and 3002.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA_FILES = ("trace.csv", "evm.csv", "psd.csv", "summary.csv", "config_resolved.json",
+              "waveform.bin")
+WORKLOAD_SEEDS = (1000, 2001, 3002)
+SMALL_NUMEROLOGY = {
+    "numerology": {"fft_size": 64, "cp_len": 4, "scs_hz": 15_000.0,
+                   "n_active": 24, "first_offset": -12, "prb_size": 4},
+    "frequencies_hz": [-210_750.0, -199_500.0, 199_500.0, 210_750.0],
+    "mask_db_per_100khz": [-75.0, -65.0, -65.0, -75.0],
+    "constellation": "QPSK",
+    "seed": 3,
+    "aclr": {"bw_hz": 300_000.0, "spacing_hz": 500_000.0},
+}
+
+
+def cases(config):
+    """Scenario overrides by case name; config is the package's config module."""
+    out = {}
+    for p in ("none", "nsp", "ensp", "admm", "ssp", "eadmm", "essp"):
+        out[f"default-{p}"] = {"precoder": p}
+    out["eadmm-mask2-selective"] = {
+        "precoder": "eadmm", "mask_db_per_100khz": list(config.MASK2_DB),
+        "evm": {"mode": "frequency_selective",
+                "profile_per_prb": config.selective_edge_profile()}}
+    out["admm-tol"] = {"precoder": "admm", "admm": {"residual_tol": 1e-3}}
+    out["eadmm-tol"] = {"precoder": "eadmm", "eadmm": {"residual_tol": 1e-2}}
+    out["oracle-n64"] = dict(SMALL_NUMEROLOGY, precoder="oracle", symbols=4)
+    for p in ("none", "nsp", "ensp", "ssp", "essp", "eadmm", "admm"):
+        out[f"default-{p}-70"] = {"precoder": p, "symbols": 70}
+    out["default-essp-nostop-70"] = {"precoder": "essp", "symbols": 70,
+                                     "essp": {"early_stop": False}}
+    with open(ROOT / "bench" / "workloads.json", encoding="utf-8") as fh:
+        workloads = json.load(fh)
+    for name, overrides in workloads.items():
+        for seed in WORKLOAD_SEEDS:
+            out[f"{name}-{seed}"] = dict(overrides, seed=seed)
+    return out
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(package, overrides, out_dir):
+    """Digests of one case's files and the rows of its CSV files."""
+    cfg = package.ScenarioConfig.from_dict(overrides)
+    manifest = package.run_scenario(cfg, out_dir)
+    manifest.pop("timings_s")
+    entry = {"files": {"manifest.json": sha256(json.dumps(manifest, sort_keys=True).encode())},
+             "csv": {}}
+    for name in DATA_FILES:
+        path = Path(out_dir) / name
+        if not path.exists():
+            continue
+        entry["files"][name] = sha256(path.read_bytes())
+        if name.endswith(".csv"):
+            with open(path, newline="", encoding="utf-8") as fh:
+                entry["csv"][name] = list(csv.reader(fh))
+    return entry
+
+
+def moved_cells(old_rows, new_rows):
+    """(row, column name, old, new, relative difference) of every CSV cell
+    that differs; the relative difference is None for a non-numeric cell."""
+    if len(old_rows) != len(new_rows) or old_rows[:1] != new_rows[:1]:
+        return [(None, "shape or header", f"{len(old_rows)} rows", f"{len(new_rows)} rows", None)]
+    header = old_rows[0]
+    out = []
+    for i, (old, new) in enumerate(zip(old_rows[1:], new_rows[1:]), start=1):
+        for col, a, b in zip(header, old, new):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+                rel = abs(y - x) / abs(x) if x != 0 else float("inf")
+            except ValueError:
+                rel = None
+            out.append((i, col, a, b, rel))
+    return out
+
+
+def compare(old, new):
+    """Report lines for the cases of new against old; returns (lines, n_moved)."""
+    lines, moved = [], 0
+    for name, entry in new.items():
+        if name not in old:
+            lines.append(f"{name}: not in the old digests")
+            continue
+        ref = old[name]
+        for fname, digest in entry["files"].items():
+            if ref["files"].get(fname) == digest:
+                continue
+            moved += 1
+            cells = (moved_cells(ref["csv"][fname], entry["csv"][fname])
+                     if fname in entry["csv"] and fname in ref["csv"] else [])
+            lines.append(f"{name} {fname}: digest differs, {len(cells)} cells moved")
+            for row, col, a, b, rel in cells:
+                rel_s = "n/a" if rel is None else f"{rel:.2e}"
+                lines.append(f"  row {row} {col}: {a} -> {b} (relative {rel_s})")
+    return lines, moved
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory that holds the specprecode package")
+    parser.add_argument("--case", action="append", help="run only this case (repeatable)")
+    parser.add_argument("--symbols", type=int, help="cap every case's symbol count")
+    parser.add_argument("--out", type=Path, help="write digests and CSV cells here")
+    parser.add_argument("--against", type=Path, help="digests to compare with")
+    parser.add_argument("--list", action="store_true", help="print the case names and exit")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import specprecode
+    from specprecode import config
+
+    print(f"specprecode from {Path(specprecode.__file__).parent}")
+    all_cases = cases(config)
+    if args.list:
+        print("\n".join(all_cases))
+        return 0
+    names = args.case or list(all_cases)
+    unknown = [n for n in names if n not in all_cases]
+    if unknown:
+        parser.error(f"unknown case(s): {', '.join(unknown)}")
+
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            overrides = dict(all_cases[name])
+            if args.symbols is not None:
+                default = config.DEFAULT_SCENARIO["symbols"]
+                overrides["symbols"] = min(args.symbols, overrides.get("symbols", default))
+            entry = run_case(specprecode, overrides, Path(tmp) / name)
+            results[name] = entry
+            for fname, digest in entry["files"].items():
+                print(f"{digest}  {name}/{fname}")
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(results, fh)
+    if args.against is not None:
+        with open(args.against, encoding="utf-8") as fh:
+            old = json.load(fh)
+        lines, moved = compare(old, results)
+        print("\n".join(lines))
+        print(f"{moved} of {sum(len(e['files']) for e in results.values())} files differ")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
