@@ -95,17 +95,23 @@ class EvmConstraint:
         return proj
 
     def violation(self, reference, candidate):
-        """Largest relative budget overshoot (0 means inside everywhere)."""
+        """Largest relative budget overshoot (0 means inside everywhere).
+
+        A block reference (S, n_tx, N) gives each symbol of the candidate its
+        own ball(s), as projector does, and returns the worst overshoot over
+        the symbols.
+        """
         center = reference.symbols
+        block = center.reshape((-1,) + center.shape[-2:])
         x = np.asarray(getattr(candidate, "symbols", candidate), dtype=complex)
+        diff = x.reshape(block.shape) - block
         if self.mode == "wideband":
-            budget = self.eps_avg * np.linalg.norm(center)
-            err = np.linalg.norm(x - center)
-            return float(max(0.0, (err - budget) / max(budget, 1e-300)))
-        num = reference.numerology
-        bins = num.active_bins
-        budget = self.eps * np.linalg.norm(center[:, bins], axis=0)
-        err = np.linalg.norm((x - center)[:, bins], axis=0)
+            budget = self.eps_avg * _symbol_norms(block)
+            rel = (_symbol_norms(diff) - budget) / np.maximum(budget, 1e-300)
+            return float(max(0.0, rel.max()))
+        bins = reference.numerology.active_bins
+        budget = self.eps * np.linalg.norm(block[..., bins], axis=1)
+        err = np.linalg.norm(diff[..., bins], axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(budget > 0, (err - budget) / np.where(budget > 0, budget, 1.0),
                            np.where(err > 0, np.inf, 0.0))
@@ -180,7 +186,11 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     """Douglas-Rachford between the mask intersection and the EVM ball.
 
     The mask prox is approximated by inner_sweeps of the sweep precoder's
-    dual core on 2*Xbar - Zbar, batched over antenna rows and symbols.  With
+    dual core on 2*Xbar - Zbar, batched over antenna rows and symbols.  The
+    loop runs on the active band, as consensus_admm does: it gathers the
+    block's active columns once, in bin order, projects onto the balls on
+    those columns (evm.projector with cols) and scatters the result back
+    once; the EVM reference norms are those of the whole symbols.  With
     early_stop, a symbol stops as soon as the total sampled out-of-band
     power of its new iterate exceeds the previous one's, returns the
     previous iterate and leaves the active set; the report's
@@ -190,30 +200,31 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     """
     cfg = cfg or EsspConfig()
     block = _as_block(x.symbols)
-    n_sym, n = block.shape[0], block.shape[-1]
-    a_rows = kernel.active_rows
+    n_sym = block.shape[0]
+    bins = kernel.numerology.band_bins
+    a_rows = kernel.band_rows
     u_rows = a_rows.conj()
-    gram = kernel.gram
     m_pts = a_rows.shape[0]
     gamma = mask_bounds(masks, m_pts)
-    proj_e = evm.projector(x)
+    proj_e = evm.projector(x, cols=bins)
     ssp_cfg = SspConfig(sweeps=cfg.inner_sweeps)
 
     traces = BlockTraces(cfg.outer_iters, n_sym, m_pts)
     iterations = np.full(n_sym, cfg.outer_iters)
     returned = np.zeros(n_sym, dtype=int)
-    out = np.empty_like(block)
+    band = block.take(bins, axis=-1)
+    out = np.empty_like(band)
     active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
-    ref, ref_norms = block, _symbol_norms(block)
-    x_bar = block.copy()
-    z_bar = np.zeros_like(block)
+    ref, ref_norms = band, _symbol_norms(block)
+    x_bar = band
+    z_bar = np.zeros_like(band)
     best_oob = np.sum(oobe_power(x_bar, kernel), axis=(1, 2))
     for it in range(cfg.outer_iters):
         v = 2.0 * x_bar - z_bar
-        rows = v.reshape(-1, n)
+        rows = v.reshape(-1, v.shape[-1])
         c0 = np.einsum("mk,jk->jm", a_rows, rows)
-        y_bar = ssp_primal(rows, u_rows, gram, c0,
-                           ssp_dual_sweeps(c0, gram, gamma, ssp_cfg)[-1]).reshape(v.shape)
+        mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, ssp_cfg)
+        y_bar = ssp_primal(rows, u_rows, mus[-1], cs[-1]).reshape(v.shape)
         z_bar = z_bar + cfg.relaxation * (y_bar - x_bar)
         x_prev = x_bar
         x_bar = proj_e(z_bar, sel)
@@ -235,11 +246,13 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
                 break
         best_oob = oob_now
     out[active] = x_bar
+    full = block.copy()
+    full[..., bins] = out
 
     reports = SolverReport.per_symbol(traces, iterations,
                                       stopped_early=(iterations < cfg.outer_iters).tolist(),
                                       returned_iteration=returned.tolist())
-    out, report = _unblock(x.symbols.shape, out, reports)
+    out, report = _unblock(x.symbols.shape, full, reports)
     return x.with_symbols(out), report
 
 

@@ -88,13 +88,20 @@ def oobe_power(dbar, kernel):
     """|a(nu_m)^T dbar|^2 per constraint point, the one leakage-power helper.
 
     The rows are the kernel's active rows, as in the solvers; on a data grid
-    (zero guard bins) they agree with the full rows.  Vector input gives an
-    (M,) array; an (n_tx, N) grid gives (M, n_tx), each column bitwise
-    equal to that row's vector result; an (S, n_tx, N) block gives
-    (S, M, n_tx), each symbol bitwise equal to its own grid's result.
+    (zero guard bins) they agree with the full rows.  Input whose last axis
+    holds N entries is a full-width grid; input whose last axis holds
+    n_active entries is the active band in bin order (numerology.band_bins),
+    as the solvers keep it, and meets kernel.band_rows: the einsum gives
+    the same bits either way, since the guard terms it leaves out are
+    exact zeros.  Vector input gives an (M,) array; an (n_tx, N) grid gives
+    (M, n_tx), each column bitwise equal to that row's vector result; an
+    (S, n_tx, N) block gives (S, M, n_tx), each symbol bitwise equal to its
+    own grid's result.
     """
     vals = _grid_values(dbar)
-    proj = np.einsum("mk,...jk->...mj", kernel.active_rows, np.atleast_2d(vals))
+    rows = (kernel.band_rows if vals.shape[-1] == kernel.numerology.n_active
+            else kernel.active_rows)
+    proj = np.einsum("mk,...jk->...mj", rows, np.atleast_2d(vals))
     powers = np.abs(proj) ** 2
     return powers if vals.ndim >= 2 else powers[:, 0]
 

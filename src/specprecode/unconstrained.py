@@ -12,9 +12,11 @@ grid, and it runs on the active columns alone: its own work is two
 O(M n_active) products per iteration.  SSP
 performs cyclic coordinate ascent on the dual multipliers mu_m.  Every SSP
 quantity lives in the span of the M leakage rows, so the sweeps run on the
-M x M Gram matrix through the Woodbury identity: each coordinate solves one
-M x M system per antenna row, and N-space work is a few O(MN) products per
-sweep, none per coordinate.
+M x M Gram matrix through the Woodbury identity: each antenna row holds
+(I + K D)^(-1) K and (I + K D)^(-1) c0, factorized once per call, and each
+coordinate reads its step off them and folds it in as a rank-1 update of
+O(M^2) work.  N-space work is a few O(M n_active) products per sweep on
+the active band, none per coordinate.
 
 Every solver takes a block of S symbols (S, n_tx, N) as well as a single
 (n_tx, N) symbol or a single row, and solves one problem per symbol.  The
@@ -201,8 +203,11 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
     active) maps the band sums sum_m (y_m + z_m) of the symbols ``active``
     (an index into the block: a slice while every symbol iterates, an index
     array once some stopped) to their next band iterates.  Local variables
-    start at the input and duals at zero, so a mask-feasible input is a
-    fixed point from the first iteration.  Every symbol stops on its own
+    start at the input and duals at zero, so no set projection moves a
+    mask-feasible input and its primal residual stays exactly zero; the
+    consensus update (a mean of M equal local variables, and for ADMM its
+    blend with the input) gives the input back only up to the rounding of
+    that mean, a few eps.  Every symbol stops on its own
     residual_tol test and then leaves the active set.  Returns (x_bar
     block, one SolverReport per symbol).
 
@@ -338,26 +343,23 @@ def inverse_sum_rank1(mu, kernel):
     return inverse.dense()
 
 
-def _dual_solve(eye, gram, mu, rhs):
-    """(I + K diag(mu_j))^(-1) rhs_j for every row j, as one stacked solve;
-    eye is the M x M identity.
-
-    With mu >= 0 every unpivoted LU pivot of I + K D is at least 1, so the
-    system is never singular.
-    """
-    return np.linalg.solve(eye + gram * mu[:, None, :], rhs)
-
-
 def ssp_dual_sweeps(c0, gram, gamma, cfg):
     """Cyclic coordinate ascent on the M mask multipliers of every row.
 
-    c0 = U^H d is (n_tx, M) and gram K = U^H U, with u_m = a(nu_m)* the
-    columns of U.  Woodbury gives U^H (I + U D U^H)^(-1) = (I + K D)^(-1) U^H,
-    so coordinate m reads alpha_1 = u_m^H G_{\\m}^(-1) d and
-    alpha_2 = u_m^H G_{\\m}^(-1) u_m off one M x M solve
-    (I + K D_{\\m}) [y, Y] = [c0, K[:, m]] per row: alpha_1 = y_m,
-    alpha_2 = Re Y_m.  Returns the multipliers after every sweep,
-    shape (sweeps, n_tx, M).
+    c0 = U^H d is (R, M) for R antenna rows and gram K = U^H U, with
+    u_m = a(nu_m)* the columns of U.  Woodbury gives
+    U^H (I + U D U^H)^(-1) = (I + K D)^(-1) U^H, so the sweeps run on a core
+    held per row: the Hermitian W = (I + K D)^(-1) K and
+    c = (I + K D)^(-1) c0, both from one stacked solve on entry.  Dropping
+    mu_m from D is a rank-1 change of I + K D, so by Sherman-Morrison
+    coordinate m reads alpha_1 = u_m^H G_{\\m}^(-1) d = c_m / (1 - mu_m W_mm)
+    and alpha_2 = u_m^H G_{\\m}^(-1) u_m = W_mm / (1 - mu_m W_mm).  Its step
+    Delta = mu_m' - mu_m is folded into the core as one rank-1 update with
+    w = W[:, m] and g = Delta / (1 + Delta W_mm):
+    W <- W - g w w^H and c <- c - g c_m w (Hager, "Updating the inverse of
+    a matrix", SIAM Review 1989).  That is O(M^2) work per row and
+    coordinate, and no factorization.  Returns the multipliers and c after
+    every sweep, each of shape (sweeps, R, M).
     """
     m_pts = gram.shape[0]
     lam1 = _kernel_diag(gram)
@@ -367,30 +369,43 @@ def ssp_dual_sweeps(c0, gram, gamma, cfg):
     # this is already the optimum, and a feasible d starts (and stays) at 0.
     mu = np.maximum((np.abs(c0) / root - 1.0) / lam1, 0.0)
 
-    eye = np.eye(m_pts)
-    rhs = np.empty(c0.shape + (2,), dtype=complex)
-    rhs[..., 0] = c0
-    out = np.empty((cfg.sweeps,) + mu.shape)
+    rhs = np.empty(c0.shape + (m_pts + 1,), dtype=complex)
+    rhs[..., :m_pts] = gram
+    rhs[..., m_pts] = c0
+    # With mu >= 0 every unpivoted LU pivot of I + K D is at least 1, so the
+    # system is never singular.
+    core = np.linalg.solve(np.eye(m_pts) + gram * mu[:, None, :], rhs)
+    w_core, c = core[..., :m_pts], core[..., m_pts]
+    mus = np.empty((cfg.sweeps,) + mu.shape)
+    cs = np.empty((cfg.sweeps,) + c.shape, dtype=complex)
     for s in range(cfg.sweeps):
         for m in range(m_pts):
-            others = mu.copy()
-            others[:, m] = 0.0
-            rhs[..., 1] = gram[:, m]
-            sol = _dual_solve(eye, gram, others, rhs)
-            alpha1 = sol[:, m, 0]
-            alpha2 = sol[:, m, 1].real
+            w = w_core[:, :, m]
+            w_mm = w[:, m].real
+            # 1 - mu_m W_mm = 1 / (1 + mu_m alpha_2) lies in (0, 1]
+            denom = 1.0 - mu[:, m] * w_mm
+            if not 0.0 < denom.min() <= denom.max() < np.inf:
+                raise NumericalError("rank-1 update of the SSP dual core lost positivity")
+            alpha1 = c[:, m] / denom
+            alpha2 = w_mm / denom
             phi = np.arctan2(alpha1.imag, alpha1.real) if cfg.phase == "track" else cfg.phase
-            mu_new = ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2)
-            mu[:, m] = np.maximum(mu_new, 0.0)
-        out[s] = mu
-    return out
+            mu_new = np.maximum(
+                ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2), 0.0)
+            step = mu_new - mu[:, m]
+            gw = (step / (1.0 + step * w_mm))[:, None] * w
+            c = c - c[:, m, None] * gw
+            w_core = w_core - gw[:, :, None] * w.conj()[:, None, :]
+            mu[:, m] = mu_new
+        mus[s] = mu
+        cs[s] = c
+    return mus, cs
 
 
-def ssp_primal(rows, u_rows, gram, c0, mu):
-    """x = d - U diag(mu) c with c = (I + K diag(mu))^(-1) c0, row by row:
-    the Woodbury form of (I + sum_m mu_m u_m u_m^H)^(-1) d, with the u_m
-    stacked as the rows of ``u_rows``."""
-    c = _dual_solve(np.eye(gram.shape[0]), gram, mu, c0[..., None])[..., 0]
+def ssp_primal(rows, u_rows, mu, c):
+    """x = d - U diag(mu) c, row by row, with c = (I + K diag(mu))^(-1) c0
+    read from the dual core: the Woodbury form of
+    (I + sum_m mu_m u_m u_m^H)^(-1) d, with the u_m stacked as the rows of
+    ``u_rows``."""
     return rows - np.einsum("jm,mk->jk", mu * c, u_rows)
 
 
@@ -398,42 +413,48 @@ def ssp_precode(d, kernel, mask, cfg=None):
     """Cyclic coordinate ascent on the dual of the mask projection.
 
     The sweeps run on the M-dimensional dual core (ssp_dual_sweeps): each
-    coordinate solves one M x M system per antenna row and sets its
-    multiplier in closed form.  N-space work is O(MN) products, none per
-    coordinate: one for the primal point and two for its report per sweep.
-    d may be a vector, an (n_tx, N) symbol or an (S, n_tx, N) block, whose
-    rows all share each stacked solve.  Returns (dbar, SolverReport) with
-    one trace entry per sweep, one report per symbol for a block; the
-    report's residual slots hold the stationarity norm
+    coordinate reads its two inner products off a Woodbury core held per
+    antenna row, sets its multiplier in closed form and folds the step into
+    the core as a rank-1 update.  N-space work is O(M n_active) products on
+    the active band, gathered once in bin order (numerology.band_bins) and
+    scattered back once, none per coordinate: one for the primal point and
+    two for its report per sweep.  d may be a vector, an (n_tx, N) symbol
+    or an (S, n_tx, N) block, whose rows all share each stacked operation;
+    guard bins of the input pass through untouched.  Returns (dbar,
+    SolverReport) with one trace entry per sweep, one report per symbol for
+    a block; the report's residual slots hold the stationarity norm
     ||(I + sum mu A) dbar - d||, evaluated in primal space, and the worst
     relative complementarity defect.
     """
     cfg = cfg or SspConfig()
     block = _as_block(d)
-    n_sym, n_tx, n = block.shape
-    rows = block.reshape(-1, n)
-    a_rows = kernel.active_rows
+    n_sym, n_tx, _ = block.shape
+    bins = kernel.numerology.band_bins
+    band = block.take(bins, axis=-1)
+    rows = band.reshape(n_sym * n_tx, -1)
+    a_rows = kernel.band_rows
     u_rows = a_rows.conj()
-    gram = kernel.gram
     m_pts = a_rows.shape[0]
     gamma = mask_bounds(mask, m_pts)
     c0 = np.einsum("mk,jk->jm", a_rows, rows)
-    mus = ssp_dual_sweeps(c0, gram, gamma, cfg)
+    mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, cfg)
 
     ref_norms = _symbol_norms(block)
     traces = BlockTraces(cfg.sweeps, n_sym, m_pts)
-    for it, mu in enumerate(mus):
-        out = ssp_primal(rows, u_rows, gram, c0, mu)
+    for it, (mu, c_dual) in enumerate(zip(mus, cs)):
+        out = ssp_primal(rows, u_rows, mu, c_dual)
         c = np.einsum("mk,jk->mj", a_rows, out)
         recon = out + np.einsum("jm,mk->jk", mu * c.T, u_rows)
         powers = np.abs(c) ** 2           # oobe_power(out), from the same product
         defect = np.abs(mu * (powers.T - gamma)) / gamma
-        traces.record(it, slice(None), _block_evm(out.reshape(block.shape), block, ref_norms),
+        traces.record(it, slice(None), _block_evm(out.reshape(band.shape), band, ref_norms),
                       powers.reshape(m_pts, n_sym, n_tx).max(axis=2).T,
                       np.linalg.norm(recon - rows, axis=1).reshape(n_sym, n_tx).max(axis=1),
                       defect.reshape(n_sym, -1).max(axis=1))
+    full = block.copy()
+    full[..., bins] = out.reshape(band.shape)
     multipliers = mus[-1].reshape(np.shape(d)[:-1] + (m_pts,))
     reports = SolverReport.per_symbol(
         traces, np.full(n_sym, cfg.sweeps),
         multipliers=multipliers if np.ndim(d) == 3 else [multipliers])
-    return _unblock(np.shape(d), out, reports)
+    return _unblock(np.shape(d), full, reports)

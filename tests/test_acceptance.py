@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from specprecode import (EsspConfig, EvmConstraint, FactoredInverse,
+from specprecode import (DataGrid, EsspConfig, EvmConstraint, FactoredInverse,
                          FrequencyGrid, LogBarrierProblem, MASK2_DB,
                          OfdmNumerology, OracleConfig, PsdAccumulator,
                          ScenarioConfig, SspConfig, aclr, admm_precode,
@@ -342,7 +342,8 @@ def test_08_infeasible_instance_behavior(infeasible_case):
 def reference_run():
     """2000 symbols of the full scenario: budget-matched precoders and the
     accumulated spectral estimates shared by the contrast and calibration
-    checks."""
+    checks.  The symbols are generated and precoded in blocks of 32, as the
+    runner does; the leakage sums are added symbol by symbol, in order."""
     cfg = _scenario({"symbols": 2000})
     num = cfg.numerology
     kernel = build_kernel(num, cfg.freq_grid)
@@ -355,18 +356,21 @@ def reference_run():
     oob_none = np.zeros(cfg.freq_grid.size)
     oob_nsp = np.zeros(cfg.freq_grid.size)
     grids = []
-    for s in range(cfg.symbols):
-        grid = generate_qam_grid(cfg.seed, num, cfg.n_tx, cfg.constellation,
-                                 symbol_index=s)
-        grids.append(grid)
-        acc_none.add(synthesize_time_signal(grid, oversample=cfg.psd_oversample))
-        out, _ = essp_precode(grid, kernel, cfg.mask, evm8, cfg.essp)
+    for first in range(0, cfg.symbols, 32):
+        block = DataGrid(np.stack([
+            generate_qam_grid(cfg.seed, num, cfg.n_tx, cfg.constellation, symbol_index=s).symbols
+            for s in range(first, min(first + 32, cfg.symbols))]), num)
+        grids.extend(block.symbols)
+        acc_none.add(synthesize_time_signal(block, oversample=cfg.psd_oversample))
+        out, _ = essp_precode(block, kernel, cfg.mask, evm8, cfg.essp)
         acc_essp.add(synthesize_time_signal(out, oversample=cfg.psd_oversample))
-        vals, _ = ensp_precode(grid.symbols, kernel, 0.08)
-        acc_ensp.add(synthesize_time_signal(grid.with_symbols(vals),
+        vals, _ = ensp_precode(block.symbols, kernel, 0.08)
+        acc_ensp.add(synthesize_time_signal(block.with_symbols(vals),
                                             oversample=cfg.psd_oversample))
-        oob_none += oobe_power(grid, kernel).sum(axis=1)
-        oob_nsp += oobe_power(nsp_precode(grid.symbols, kernel), kernel).sum(axis=1)
+        for before, after in zip(oobe_power(block, kernel),
+                                 oobe_power(nsp_precode(block.symbols, kernel), kernel)):
+            oob_none += before.sum(axis=1)
+            oob_nsp += after.sum(axis=1)
     carriers = {"bw_hz": cfg.aclr_bw_hz, "spacing_hz": cfg.aclr_spacing_hz}
     return {
         "cfg": cfg,

@@ -1,17 +1,22 @@
-"""The consensus loop on the active band, over fuzzed numerologies.
+"""The solvers on the active band, over fuzzed numerologies.
 
-ADMM and EADMM gather the active columns in bin order, iterate on them and
-scatter the result back.  Numerologies without a cyclic prefix, with a
-single mask point, with points exactly on subcarriers and with a null at
-DC (a non-contiguous active set) must keep the solvers' invariants.
+ADMM, EADMM, SSP and ESSP gather the active columns in bin order, iterate
+on them and scatter the result back.  Numerologies without a cyclic prefix,
+with a single mask point, with points exactly on subcarriers, with
+near-coincident points (kernel rows correlated at 0.999 or more) and with
+a null at DC (a non-contiguous active set) must keep the solvers'
+invariants, and SSP's rank-1-updated dual core must track the
+per-coordinate LU solves it replaced.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from specprecode import (AdmmConfig, DataGrid, EvmConstraint, FrequencyGrid, OfdmNumerology,
-                         admm_precode, build_kernel, eadmm_precode, oobe_power)
+from specprecode import (AdmmConfig, DataGrid, EsspConfig, EvmConstraint, FrequencyGrid,
+                         OfdmNumerology, SspConfig, admm_precode, build_kernel, eadmm_precode,
+                         essp_precode, oobe_power, ssp_precode)
+from specprecode.unconstrained import ssp_dual_sweeps
 
 EPS = np.finfo(float).eps
 
@@ -35,7 +40,16 @@ def band_cases(draw):
     points = np.where(side < 0, offsets.min(), offsets.max()) + side * rng.integers(1, 4, m_pts)
     if not draw(st.booleans()):
         points = points + rng.uniform(-0.5, 0.5, m_pts)
+    near = draw(st.booleans())
+    if near:
+        points = np.append(points, points[0] + rng.choice([-1, 1]) * rng.uniform(1e-3, 1e-2))
     kernel = build_kernel(num, FrequencyGrid(points=np.unique(points)))
+    if near:
+        # a row that (numerically) vanishes on the band, as on a subcarrier
+        # without a cyclic prefix, has no direction to correlate with
+        k_diag = np.sqrt(kernel.gram.diagonal().real)
+        corr = np.abs(kernel.gram) / np.outer(k_diag, k_diag)
+        assume((corr - np.eye(corr.shape[0])).max() >= 0.999)
     n_sym = draw(st.integers(1, 4))
     n_tx = draw(st.integers(1, 4))
     symbols = np.zeros((n_sym, n_tx, n), dtype=complex)
@@ -44,10 +58,46 @@ def band_cases(draw):
     return rng, kernel, DataGrid(symbols, num)
 
 
-def precode(solver, grid, kernel, gamma, evm, cfg):
+def zero_leakage_case():
+    """A draw of band_cases without leakage: N = 8, cp_len = 7, points
+    {2, 3} and one QPSK row with d_-1 = -d_0.  Its leakage at point 3 is
+    exactly 0, so a bound at a fraction of it is 0, which every solver
+    rejects ("mask bounds must be positive")."""
+    num = OfdmNumerology(fft_size=8, cp_len=7, scs_hz=15e3,
+                         active_offsets=np.array([-1, 0]), prb_size=1)
+    kernel = build_kernel(num, FrequencyGrid(points=np.array([2.0, 3.0])))
+    symbols = np.zeros((1, 1, 8), dtype=complex)
+    symbols[0, 0, num.active_bins] = np.array([-1.0, 1.0]) * (1 + 1j) / np.sqrt(2)
+    return np.random.default_rng(0), kernel, DataGrid(symbols, num)
+
+
+def leakage_levels(grid, kernel):
+    """The worst leakage of the block at every point, the scale of the
+    mask bounds drawn from it.
+
+    Mask bounds must be positive.  A point whose leakage amplitude is
+    below 1e-10 of its Cauchy-Schwarz bound ||u_m|| max ||d_row|| has none
+    in exact arithmetic (zero_leakage_case has 2e-31 at point 2 and
+    exactly 0 at point 3), and a bound at a fraction of it asks for more
+    than the arithmetic resolves, so such a draw is rejected.
+    """
+    level = oobe_power(grid, kernel).max(axis=(0, 2))
+    row_sq = np.max(np.sum(np.abs(grid.symbols) ** 2, axis=-1))
+    assume(np.all(level > 1e-20 * kernel.gram.diagonal().real * row_sq))
+    return level
+
+
+def precode(solver, grid, kernel, gamma, evm, iters):
+    """(output symbols, reports) of one solver, with iters iterations,
+    sweeps or outer iterations."""
     if solver == "admm":
-        return admm_precode(grid.symbols, kernel, gamma, cfg)
-    out, reports = eadmm_precode(grid, kernel, gamma, evm, cfg)
+        return admm_precode(grid.symbols, kernel, gamma, AdmmConfig(iters=iters))
+    if solver == "ssp":
+        return ssp_precode(grid.symbols, kernel, gamma, SspConfig(sweeps=iters))
+    if solver == "eadmm":
+        out, reports = eadmm_precode(grid, kernel, gamma, evm, AdmmConfig(iters=iters))
+    else:
+        out, reports = essp_precode(grid, kernel, gamma, evm, EsspConfig(outer_iters=iters))
     return out.symbols, reports
 
 
@@ -57,33 +107,90 @@ def budget(rng, kind, num):
     return EvmConstraint(mode="frequency_selective", eps=rng.uniform(0.05, 0.6, num.n_active))
 
 
+def reference_dual_sweeps(c0, gram, gamma, cfg):
+    """The dual core as one LU solve per coordinate, the oracle of
+    ssp_dual_sweeps: coordinate m solves (I + K D_{\\m}) [y, Y] = [c0, K[:, m]]
+    for every row, with mu_m left out of D, and reads alpha_1 = y_m and
+    alpha_2 = Re Y_m.  Returns the multipliers after every sweep."""
+    m_pts = gram.shape[0]
+    root = np.sqrt(gamma)
+    mu = np.maximum((np.abs(c0) / root - 1.0) / gram.diagonal().real, 0.0)
+    rhs = np.empty(c0.shape + (2,), dtype=complex)
+    rhs[..., 0] = c0
+    out = np.empty((cfg.sweeps,) + mu.shape)
+    for s in range(cfg.sweeps):
+        for m in range(m_pts):
+            others = mu.copy()
+            others[:, m] = 0.0
+            rhs[..., 1] = gram[:, m]
+            sol = np.linalg.solve(np.eye(m_pts) + gram * others[:, None, :], rhs)
+            alpha1 = sol[:, m, 0]
+            alpha2 = sol[:, m, 1].real
+            phi = np.arctan2(alpha1.imag, alpha1.real) if cfg.phase == "track" else cfg.phase
+            mu_new = ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2)
+            mu[:, m] = np.maximum(mu_new, 0.0)
+        out[s] = mu
+    return out
+
+
+SOLVERS = ["admm", "eadmm", "ssp", "essp"]
+
+
 class TestBandLoop:
-    @settings(max_examples=60, deadline=None)
-    @given(band_cases(), st.sampled_from(["admm", "eadmm"]),
+    @settings(max_examples=80, deadline=None)
+    @given(band_cases(), st.sampled_from(SOLVERS),
            st.sampled_from(["wideband", "frequency_selective"]))
+    @example(zero_leakage_case(), "admm", "wideband")
     def test_guard_bins_budget_and_finite(self, case, solver, kind):
         rng, kernel, grid = case
         num = grid.numerology
-        level = oobe_power(grid, kernel).max(axis=(0, 2))
-        gamma = rng.uniform(0.05, 0.5, kernel.n_points) * level
+        gamma = rng.uniform(0.05, 0.5, kernel.n_points) * leakage_levels(grid, kernel)
         evm = budget(rng, kind, num)
-        out, _ = precode(solver, grid, kernel, gamma, evm, AdmmConfig(iters=30))
+        iters = 30 if solver in ("admm", "eadmm") else 8
+        out, reports = precode(solver, grid, kernel, gamma, evm, iters)
         assert np.all(np.isfinite(out))
         assert not out[..., num.guard_bins].any()
-        if solver == "eadmm":
-            for ref, sym in zip(grid.symbols, out):
-                assert evm.violation(grid.with_symbols(ref), sym) == 0.0
+        if solver in ("eadmm", "essp"):
+            assert evm.violation(grid, out) == 0.0
+        if solver == "ssp":
+            assert all(np.all(rep.multipliers >= 0.0) for rep in reports)
 
-    @settings(max_examples=60, deadline=None)
-    @given(band_cases(), st.sampled_from(["admm", "eadmm"]))
+    @settings(max_examples=80, deadline=None)
+    @given(band_cases(), st.sampled_from(SOLVERS))
     def test_feasible_input_is_a_fixed_point(self, case, solver):
-        # no set projection moves a feasible input: the primal residual is
-        # exactly zero, and the consensus average of M equal local
-        # variables gives the input back up to the rounding of that mean
+        # No set projection moves a feasible input.  ESSP's first
+        # Douglas-Rachford reflection is 2 d, so its bounds are set at 5
+        # times the input's leakage.  SSP and ESSP keep mu = 0 and return
+        # the input bitwise; ADMM and EADMM keep a zero primal residual and
+        # give the input back up to the rounding of the consensus mean of M
+        # equal local variables.
         rng, kernel, grid = case
-        gamma = 2.0 * oobe_power(grid, kernel).max(axis=(0, 2))
+        gamma = (5.0 if solver == "essp" else 2.0) * leakage_levels(grid, kernel)
         evm = budget(rng, "frequency_selective", grid.numerology)
-        out, reports = precode(solver, grid, kernel, gamma, evm, AdmmConfig(iters=10))
-        assert all(np.all(rep.primal_trace == 0.0) for rep in reports)
-        assert np.abs(out - grid.symbols).max() <= 8 * EPS
+        out, reports = precode(solver, grid, kernel, gamma, evm, 10)
+        if solver in ("ssp", "essp"):
+            assert np.array_equal(out, grid.symbols)
+            if solver == "ssp":
+                assert all(np.all(rep.multipliers == 0.0) for rep in reports)
+        else:
+            assert all(np.all(rep.primal_trace == 0.0) for rep in reports)
+            assert np.abs(out - grid.symbols).max() <= 8 * EPS
         assert not out[..., grid.numerology.guard_bins].any()
+
+
+class TestWoodburyCore:
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases(), st.integers(1, 100), st.sampled_from(["track", 0.3]))
+    def test_matches_lu_oracle(self, case, sweeps, phase):
+        rng, kernel, grid = case
+        rows = grid.symbols.reshape(-1, grid.symbols.shape[-1])
+        c0 = np.einsum("mk,jk->jm", kernel.active_rows, rows)
+        gamma = rng.uniform(0.05, 0.5, kernel.n_points) * leakage_levels(grid, kernel)
+        cfg = SspConfig(sweeps=sweeps, phase=phase)
+        mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, cfg)
+        ref = reference_dual_sweeps(c0, kernel.gram, gamma, cfg)
+        assert np.all(mus >= 0.0)
+        assert np.abs(mus - ref).max() <= 1e-9 * np.abs(ref).max()
+        # c = (I + K diag(mu))^(-1) c0 for the multipliers of every sweep
+        lhs = np.eye(kernel.n_points) + kernel.gram * mus[:, :, None, :]
+        assert np.abs(lhs @ cs[..., None] - c0[..., None]).max() <= 1e-9 * np.abs(c0).max()

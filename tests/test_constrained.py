@@ -4,7 +4,7 @@ splitting, and the joint-feasibility probe."""
 import numpy as np
 import pytest
 
-from specprecode import (AdmmConfig, ConfigError, EsspConfig, EvmConstraint,
+from specprecode import (AdmmConfig, ConfigError, DataGrid, EsspConfig, EvmConstraint,
                          FrequencyGrid, ScenarioConfig, build_kernel,
                          eadmm_precode, essp_precode, feasibility_probe)
 
@@ -84,6 +84,23 @@ class TestEvmConstraint:
         bin0 = num.active_bins[0]
         x[:, bin0] *= 1.0 + 0.1 * 3.0
         assert con.violation(grid, x) == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["wideband", "frequency_selective"])
+    def test_violation_of_a_block_is_its_worst_symbol(self, mode):
+        # symbol 0 scaled by 1.5 is 0.5 / 0.3 - 1 = 2/3 over a 30 % budget;
+        # one norm over the whole block would hide it, and the selective
+        # budget would index the antenna axis as columns
+        num = small_numerology()
+        block = DataGrid(np.stack([qpsk_grid(num, 2, seed=s).symbols for s in range(3)]), num)
+        x = block.symbols.copy()
+        x[0] *= 1.5
+        con = (EvmConstraint(mode="wideband", eps_avg=0.3) if mode == "wideband" else
+               EvmConstraint(mode="frequency_selective", eps=np.full(num.n_active, 0.3)))
+        per_symbol = [con.violation(block.with_symbols(ref), sym)
+                      for ref, sym in zip(block.symbols, x)]
+        assert per_symbol[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert per_symbol[1:] == [0.0, 0.0]
+        assert con.violation(block, x) == per_symbol[0]
 
 
 class TestNonFiniteGrid:

@@ -1,19 +1,36 @@
 """Smoke test of the output digest script, tools/digest.py."""
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 DIGEST = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
 
 
-def digest(*args):
-    done = subprocess.run([sys.executable, str(DIGEST), "--case", "default-ssp",
+def run_digest(*args):
+    return subprocess.run([sys.executable, str(DIGEST), "--case", "default-ssp",
                            "--symbols", "2", *map(str, args)],
                           capture_output=True, text=True, timeout=300)
+
+
+def digest(*args):
+    done = run_digest(*args)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+def load_digest_module():
+    """tools/digest.py as a module; the BLAS thread variables it sets on
+    import are restored afterwards."""
+    spec = importlib.util.spec_from_file_location("digest", DIGEST)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
 
 
 def test_digests_and_moved_cells(tmp_path):
@@ -38,3 +55,49 @@ def test_digests_and_moved_cells(tmp_path):
     assert any(line.strip().startswith("row 1 evm_rms:") and "relative 3.33e-01" in line
                for line in report)
     assert report[-1].startswith("1 of ")
+
+    # with a tolerance the moved cell fails the check and is marked
+    done = run_digest("--against", saved, "--rtol", "1e-10", "--atol", "1e-12")
+    assert done.returncode == 1, done.stderr
+    report = done.stdout.splitlines()
+    assert any(line.strip().startswith("row 1 evm_rms:") and line.endswith("beyond tolerance")
+               for line in report)
+    assert report[-1] == "1 beyond tolerance (atol 1e-12, rtol 1e-10)"
+
+
+def test_tolerance_rules():
+    digest_mod = load_digest_module()
+    header = ["iteration", "evm_rms", "note"]
+    rows = [header, ["1", "0.5", "a"], ["2", "1e-14", "b"]]
+
+    def entry(cells, files=None):
+        return {"files": dict({"trace.csv": json.dumps(cells), "waveform.bin": "w",
+                               "manifest.json": "m"}, **(files or {})),
+                "csv": {"trace.csv": cells}}
+
+    old = {"case": entry(rows)}
+    # 0.5 -> 0.5 + 4e-11 is within 1e-12 + 1e-10 * 0.5; 1e-14 -> 5e-13 is
+    # within atol alone
+    near = [header, ["1", repr(0.5 + 4e-11), "a"], ["2", "5e-13", "b"]]
+    lines, moved, offending = digest_mod.compare(old, {"case": entry(near)}, 1e-10, 1e-12)
+    assert (moved, offending) == (1, 0)
+    assert not any("beyond tolerance" in line for line in lines)
+    # without a tolerance the same cells are listed and nothing is offending
+    assert digest_mod.compare(old, {"case": entry(near)})[1:] == (1, 0)
+
+    far = [header, ["1", repr(0.5 + 1e-9), "a"], ["2", "1e-14", "c"]]
+    lines, _, offending = digest_mod.compare(old, {"case": entry(far)}, 1e-10, 1e-12)
+    assert offending == 2
+    assert sum(line.endswith("beyond tolerance") for line in lines) == 2
+
+    # a changed non-CSV data file fails whatever the tolerance; the
+    # manifest does not
+    changed = entry(rows, {"waveform.bin": "x", "manifest.json": "y"})
+    lines, moved, offending = digest_mod.compare(old, {"case": changed}, 1.0, 1.0)
+    assert (moved, offending) == (2, 1)
+    assert "case waveform.bin: digest differs, 0 cells moved beyond tolerance" in lines
+    assert "case manifest.json: digest differs, 0 cells moved" in lines
+
+    # a case missing from the old digests cannot be checked
+    assert digest_mod.compare({}, {"case": entry(rows)}, 1.0, 1.0)[2] == 1
+    assert digest_mod.compare({}, {"case": entry(rows)})[2] == 0

@@ -250,6 +250,14 @@ class TestSsp:
                          for j in range(2)])
         assert np.array_equal(batch, rows)
 
+    def test_unresolvable_bound_raises(self, violated_setup):
+        # a bound 1e-40 of the input's leakage asks for mu_m alpha_2 near
+        # 1e20, where 1 - mu_m W_mm = 1 / (1 + mu_m alpha_2) is below the
+        # rounding of 1: the core reports it instead of going on
+        _, kern, grid, gamma = violated_setup
+        with pytest.raises(NumericalError):
+            ssp_precode(grid.symbols, kern, 1e-40 * gamma, SspConfig(sweeps=1))
+
     def test_vector_multiplier_shape(self, single_point):
         kern, d, gamma = single_point
         _, rep = ssp_precode(d, kern, gamma, SspConfig(sweeps=2))

@@ -13,9 +13,16 @@ sha256 of each data file and of the manifest without its timing block.
 ``--out`` saves the digests and the CSV cells to a JSON file.  With
 ``--against`` the script compares every case with the one in that file and
 lists each CSV cell that moved, with its relative difference, and each
-other file whose digest changed.  ``--case`` picks cases by name (repeat
-it), ``--symbols`` caps every case's symbol count, and ``--list`` prints
-the case names.
+other file whose digest changed.  ``--rtol R`` and ``--atol A`` (either
+one; the other defaults to 0) make the comparison a check: a CSV cell that
+moves by more than A + R |old|, a non-numeric CSV cell that changes, a
+changed non-CSV data file (``config_resolved.json``, ``waveform.bin``) and
+a case missing from the old digests are offending; each is marked
+"beyond tolerance", and the script exits with status 1 if there is one.
+The manifest is not checked: its metrics repeat ``summary.csv`` at full
+precision and its outputs block holds the data files' digests.
+``--case`` picks cases by name (repeat it), ``--symbols`` caps every
+case's symbol count, and ``--list`` prints the case names.
 
 The cases: the default scenario under every precoder but the oracle at
 20 symbols and (with ESSP also without early stop) at 70; EADMM with the
@@ -119,12 +126,32 @@ def moved_cells(old_rows, new_rows):
     return out
 
 
-def compare(old, new):
-    """Report lines for the cases of new against old; returns (lines, n_moved)."""
-    lines, moved = [], 0
+def beyond(a, b, rtol, atol):
+    """Whether CSV cell b moved from a by more than atol + rtol |a|; a
+    non-numeric cell that changed always has."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return True
+    return not abs(y - x) <= atol + rtol * abs(x)
+
+
+def compare(old, new, rtol=None, atol=None):
+    """Report lines for the cases of new against old; returns (lines,
+    n_moved, n_offending).  Without a tolerance (rtol and atol None)
+    nothing is offending."""
+    check = rtol is not None or atol is not None
+    rtol, atol = rtol or 0.0, atol or 0.0
+    lines, moved, offending = [], 0, 0
+
+    def line(text, bad):
+        nonlocal offending
+        offending += bad
+        lines.append(text + (" beyond tolerance" if bad else ""))
+
     for name, entry in new.items():
         if name not in old:
-            lines.append(f"{name}: not in the old digests")
+            line(f"{name}: not in the old digests", check)
             continue
         ref = old[name]
         for fname, digest in entry["files"].items():
@@ -133,11 +160,13 @@ def compare(old, new):
             moved += 1
             cells = (moved_cells(ref["csv"][fname], entry["csv"][fname])
                      if fname in entry["csv"] and fname in ref["csv"] else [])
-            lines.append(f"{name} {fname}: digest differs, {len(cells)} cells moved")
+            line(f"{name} {fname}: digest differs, {len(cells)} cells moved",
+                 check and fname in DATA_FILES and not fname.endswith(".csv"))
             for row, col, a, b, rel in cells:
                 rel_s = "n/a" if rel is None else f"{rel:.2e}"
-                lines.append(f"  row {row} {col}: {a} -> {b} (relative {rel_s})")
-    return lines, moved
+                line(f"  row {row} {col}: {a} -> {b} (relative {rel_s})",
+                     check and (row is None or beyond(a, b, rtol, atol)))
+    return lines, moved, offending
 
 
 def main(argv=None):
@@ -148,8 +177,14 @@ def main(argv=None):
     parser.add_argument("--symbols", type=int, help="cap every case's symbol count")
     parser.add_argument("--out", type=Path, help="write digests and CSV cells here")
     parser.add_argument("--against", type=Path, help="digests to compare with")
+    parser.add_argument("--rtol", type=float,
+                        help="with --against: fail on a CSV cell that moves by more than "
+                             "atol + rtol |old|, or on a changed non-CSV data file")
+    parser.add_argument("--atol", type=float, help="with --against: see --rtol")
     parser.add_argument("--list", action="store_true", help="print the case names and exit")
     args = parser.parse_args(argv)
+    if (args.rtol is not None or args.atol is not None) and args.against is None:
+        parser.error("--rtol and --atol need --against")
 
     sys.path.insert(0, str(args.src.resolve()))
     import specprecode
@@ -182,9 +217,13 @@ def main(argv=None):
     if args.against is not None:
         with open(args.against, encoding="utf-8") as fh:
             old = json.load(fh)
-        lines, moved = compare(old, results)
+        lines, moved, offending = compare(old, results, args.rtol, args.atol)
         print("\n".join(lines))
         print(f"{moved} of {sum(len(e['files']) for e in results.values())} files differ")
+        if args.rtol is not None or args.atol is not None:
+            print(f"{offending} beyond tolerance (atol {args.atol or 0.0:g}, "
+                  f"rtol {args.rtol or 0.0:g})")
+            return 1 if offending else 0
     return 0
 
 
