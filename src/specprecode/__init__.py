@@ -28,7 +28,7 @@ from .projections import (Rank1Constraint, project_columns_ball,
                           project_frobenius_ball, project_rank1)
 from .runner import compare_runs, run_scenario
 from .signal_model import (DataGrid, FrequencyGrid, OfdmNumerology, SpectralKernel,
-                           build_kernel, generate_qam_grid, kernel_row,
+                           build_kernel, generate_qam_block, generate_qam_grid, kernel_row,
                            qam_constellation, read_waveform, synthesize_time_signal,
                            write_waveform)
 from .unconstrained import (AdmmConfig, FactoredInverse, SolverReport,
@@ -47,7 +47,7 @@ __all__ = [
     "aclr", "admm_precode", "analytic_inband_reference", "bisection_rank1_oracle",
     "build_kernel", "calibrate_mask", "compare_runs",
     "eadmm_precode", "ensp_precode", "essp_precode", "evm_metrics",
-    "expand_evm_profile", "feasibility_probe", "generate_qam_grid",
+    "expand_evm_profile", "feasibility_probe", "generate_qam_block", "generate_qam_grid",
     "inverse_sum_rank1", "kernel_psd_prediction", "kernel_row", "logbarrier_solve",
     "mask_bounds", "mask_ratio", "nsp_precode", "oobe_power", "project_columns_ball",
     "project_frobenius_ball", "project_rank1", "psd_estimate", "qam_constellation",

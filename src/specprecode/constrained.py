@@ -20,8 +20,8 @@ from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import oobe_power
 from .projections import _columns_balls, _frobenius_balls, _symbol_norms
 from .unconstrained import (AdmmConfig, BlockTraces, SolverReport, SspConfig, _as_block,
-                            _block_evm, _unblock, consensus_admm, mask_bounds,
-                            ssp_dual_sweeps, ssp_primal)
+                            _block_evm, _row_products, _unblock, consensus_admm,
+                            mask_bounds, ssp_dual_sweeps, ssp_primal)
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     for it in range(cfg.outer_iters):
         v = 2.0 * x_bar - z_bar
         rows = v.reshape(-1, v.shape[-1])
-        c0 = np.einsum("mk,jk->jm", a_rows, rows)
+        c0 = _row_products(rows, a_rows.T)
         mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, ssp_cfg)
         y_bar = ssp_primal(rows, u_rows, mus[-1], cs[-1]).reshape(v.shape)
         z_bar = z_bar + cfg.relaxation * (y_bar - x_bar)

@@ -281,7 +281,9 @@ class PsdAccumulator:
         windows = np.lib.stride_tricks.as_strided(
             samples, shape=(n_seg, samples.shape[0], self.seg_len),
             strides=(hop * step, step_tx, step), writeable=False)
-        segs = np.multiply(windows, self._win, order="C")
+        # A rect window is all ones, and multiplying by 1.0 is exact.
+        segs = (windows if self.config.window == "rect"
+                else np.multiply(windows, self._win, order="C"))
         scale = self.fs * self._win_power
         for spec_power in np.sum(np.abs(np.fft.fft(segs, axis=-1)) ** 2, axis=1) / scale:
             self._psd_sum += spec_power

@@ -38,8 +38,8 @@ from .config import BUDGET_PRECODERS
 from .constrained import eadmm_precode, essp_precode
 from .errors import ConfigError
 from .metrics import PsdAccumulator, aclr, oobe_power
-from .signal_model import (DataGrid, build_kernel, generate_qam_grid,
-                           synthesize_time_signal, write_waveform)
+from .signal_model import (build_kernel, generate_qam_block, synthesize_time_signal,
+                           write_waveform)
 from .unconstrained import SolverReport, admm_precode, ssp_precode
 
 _DB_FLOOR = 1e-30
@@ -187,10 +187,8 @@ def run_scenario(cfg, out_dir=None):
     t_run = time.perf_counter()
     for first in range(0, cfg.symbols, BLOCK_SYMBOLS):
         t0 = time.perf_counter()
-        grid = DataGrid(np.stack([
-            generate_qam_grid(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
-                              symbol_index=s).symbols
-            for s in range(first, min(first + BLOCK_SYMBOLS, cfg.symbols))]), cfg.numerology)
+        grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                  first, min(BLOCK_SYMBOLS, cfg.symbols - first))
         t1 = time.perf_counter()
         out, reports, extras = _dispatch(cfg, grid, kernel, evm_c)
         t2 = time.perf_counter()

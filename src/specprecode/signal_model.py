@@ -316,22 +316,46 @@ def qam_constellation(name):
     return _read_only((i_level + 1j * q_level) * scale)
 
 
-def generate_qam_grid(seed, numerology, n_tx, constellation, symbol_index=0):
-    """Draw one i.i.d. QAM data grid.
-
-    The stream is a counter-based generator keyed by ``seed`` with
-    ``symbol_index`` in the counter, so any symbol of a run can be
-    regenerated independently and the draw for (seed, symbol) never depends
-    on how many symbols were produced before it.
-    """
+def _qam_symbols(seed, numerology, n_tx, constellation, first, count):
+    """The (count, n_tx, N) symbol array of generate_qam_block."""
     if n_tx < 1:
         raise ConfigError("n_tx must be at least 1", field="n_tx")
     points = qam_constellation(constellation)
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, symbol_index]))
-    draws = rng.integers(0, points.size, size=(n_tx, numerology.n_active))
-    symbols = np.zeros((n_tx, numerology.fft_size), dtype=complex)
-    symbols[:, numerology.active_bins] = points[draws]
-    return DataGrid(symbols=symbols, numerology=numerology)
+    bit_gen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state          # a fresh generator: empty buffers
+    counter = state["state"]["counter"]
+    draws = np.empty((count, n_tx, numerology.n_active), dtype=np.int64)
+    for i in range(count):
+        counter[3] = first + i
+        bit_gen.state = state
+        draws[i] = rng.integers(0, points.size, size=draws.shape[1:])
+    symbols = np.zeros((count, n_tx, numerology.fft_size), dtype=complex)
+    symbols[..., numerology.active_bins] = points[draws]
+    return symbols
+
+
+def generate_qam_block(seed, numerology, n_tx, constellation, first=0, count=1):
+    """Draw the i.i.d. QAM data grids of symbols first .. first + count - 1.
+
+    The stream is a counter-based generator keyed by ``seed``, and each
+    symbol's draw starts from the counter (0, 0, 0, symbol index): any
+    symbol of a run can be regenerated independently, and the draw for
+    (seed, symbol) depends neither on how many symbols were produced before
+    it nor on the block it is drawn in.  One Philox bit generator serves
+    the block, its counter re-set for every symbol, and the block is
+    validated once.  Returns a (count, n_tx, N) DataGrid.
+    """
+    return DataGrid(symbols=_qam_symbols(seed, numerology, n_tx, constellation, first, count),
+                    numerology=numerology)
+
+
+def generate_qam_grid(seed, numerology, n_tx, constellation, symbol_index=0):
+    """Draw the (n_tx, N) QAM data grid of one symbol: symbol
+    ``symbol_index`` of generate_qam_block's stream."""
+    return DataGrid(symbols=_qam_symbols(seed, numerology, n_tx, constellation,
+                                         symbol_index, 1)[0],
+                    numerology=numerology)
 
 
 def synthesize_time_signal(grid, oversample=1):
@@ -370,14 +394,13 @@ def write_waveform(path, samples):
     Layout: 16-byte header (magic ``SPWF``, format version, stream count,
     samples per stream) followed by the streams row-major.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=complex))
+    # A little-endian complex128 array already holds its values as
+    # consecutive float64 (re, im) pairs, so it is written as it is.
+    samples = np.atleast_2d(np.asarray(samples, dtype="<c16"))
     n_streams, n_samples = samples.shape
-    interleaved = np.empty((n_streams, n_samples, 2), dtype="<f8")
-    interleaved[..., 0] = samples.real
-    interleaved[..., 1] = samples.imag
     with open(path, "wb") as fh:
         fh.write(_WAVEFORM_HEADER.pack(_WAVEFORM_MAGIC, _WAVEFORM_VERSION, n_streams, n_samples))
-        interleaved.tofile(fh)
+        samples.tofile(fh)
 
 
 def read_waveform(path):

@@ -16,13 +16,16 @@ M x M Gram matrix through the Woodbury identity: each antenna row holds
 (I + K D)^(-1) K and (I + K D)^(-1) c0, factorized once per call, and each
 coordinate reads its step off them and folds it in as a rank-1 update of
 O(M^2) work.  N-space work is a few O(M n_active) products per sweep on
-the active band, none per coordinate.
+the active band, none per coordinate; they run through _row_products, one
+BLAS call per antenna row.
 
 Every solver takes a block of S symbols (S, n_tx, N) as well as a single
 (n_tx, N) symbol or a single row, and solves one problem per symbol.  The
 block shares each numpy call, so the per-call overhead is paid once per
 block; every per-symbol quantity is computed by the same operations as for
 a block of one, so a symbol's result does not depend on the block it is in.
+That is why no product is one matrix-matrix call over a block: a GEMM's
+blocking, and with it the order of its sums, depends on the row count.
 """
 
 from __future__ import annotations
@@ -55,6 +58,15 @@ def _as_block(d):
     if not np.all(np.isfinite(d)):
         raise ConfigError("input grid contains non-finite values", field="d")
     return d.reshape((1,) * (3 - d.ndim) + d.shape)
+
+
+def _row_products(x, mat):
+    """x @ mat for every row of x (..., n) and an (n, M) matrix, as one
+    (1 x n)(n x M) BLAS call per row, so a row's result has the same bits
+    whether it is computed alone, as a view or inside a block of any size.
+    x is made contiguous first: numpy hands a row with a non-unit stride to
+    its own loop instead of BLAS, which rounds differently."""
+    return (np.ascontiguousarray(x)[..., None, :] @ mat)[..., 0, :]
 
 
 def _block_evm(x, block, refs):
@@ -402,11 +414,11 @@ def ssp_dual_sweeps(c0, gram, gamma, cfg):
 
 
 def ssp_primal(rows, u_rows, mu, c):
-    """x = d - U diag(mu) c, row by row, with c = (I + K diag(mu))^(-1) c0
-    read from the dual core: the Woodbury form of
-    (I + sum_m mu_m u_m u_m^H)^(-1) d, with the u_m stacked as the rows of
-    ``u_rows``."""
-    return rows - np.einsum("jm,mk->jk", mu * c, u_rows)
+    """x = d - U diag(mu) c with c = (I + K diag(mu))^(-1) c0 read from the
+    dual core: the Woodbury form of (I + sum_m mu_m u_m u_m^H)^(-1) d, with
+    the u_m stacked as the rows of ``u_rows``.  The product is one BLAS
+    call per row (_row_products)."""
+    return rows - _row_products(mu * c, u_rows)
 
 
 def ssp_precode(d, kernel, mask, cfg=None):
@@ -417,8 +429,11 @@ def ssp_precode(d, kernel, mask, cfg=None):
     antenna row, sets its multiplier in closed form and folds the step into
     the core as a rank-1 update.  N-space work is O(M n_active) products on
     the active band, gathered once in bin order (numerology.band_bins) and
-    scattered back once, none per coordinate: one for the primal point and
-    two for its report per sweep.  d may be a vector, an (n_tx, N) symbol
+    scattered back once, none per coordinate: c0 = U^H d once, and per
+    sweep one for the primal point and two for its report.  All but the
+    report's leakage product run row by row through _row_products; that one
+    stays the einsum of oobe_power, so the reported |c|^2 is bitwise
+    oobe_power of the output.  d may be a vector, an (n_tx, N) symbol
     or an (S, n_tx, N) block, whose rows all share each stacked operation;
     guard bins of the input pass through untouched.  Returns (dbar,
     SolverReport) with one trace entry per sweep, one report per symbol for
@@ -436,7 +451,7 @@ def ssp_precode(d, kernel, mask, cfg=None):
     u_rows = a_rows.conj()
     m_pts = a_rows.shape[0]
     gamma = mask_bounds(mask, m_pts)
-    c0 = np.einsum("mk,jk->jm", a_rows, rows)
+    c0 = _row_products(rows, a_rows.T)
     mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, cfg)
 
     ref_norms = _symbol_norms(block)
@@ -444,7 +459,7 @@ def ssp_precode(d, kernel, mask, cfg=None):
     for it, (mu, c_dual) in enumerate(zip(mus, cs)):
         out = ssp_primal(rows, u_rows, mu, c_dual)
         c = np.einsum("mk,jk->mj", a_rows, out)
-        recon = out + np.einsum("jm,mk->jk", mu * c.T, u_rows)
+        recon = out + _row_products(mu * c.T, u_rows)
         powers = np.abs(c) ** 2           # oobe_power(out), from the same product
         defect = np.abs(mu * (powers.T - gamma)) / gamma
         traces.record(it, slice(None), _block_evm(out.reshape(band.shape), band, ref_norms),

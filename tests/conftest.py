@@ -1,12 +1,23 @@
 """Shared fixtures: the default scenario, a small grid family, and the
-frozen infeasible instance used by the constrained-solver tests."""
+frozen infeasible instance used by the constrained-solver tests.
 
-import numpy as np
-import pytest
+BLAS runs on one thread unless the environment says otherwise, as in
+``bench/`` and ``tools/digest.py``: the products the tests run are small,
+and on a few cores a second BLAS thread slows them down.  numpy reads the
+setting when it is first imported, which is below.
+"""
 
-from specprecode import (DataGrid, EvmConstraint, FrequencyGrid, LogBarrierProblem,
-                         OfdmNumerology, ScenarioConfig, SpectralKernel, build_kernel,
-                         logbarrier_solve)
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from specprecode import (DataGrid, EvmConstraint, FrequencyGrid,  # noqa: E402
+                         LogBarrierProblem, OfdmNumerology, ScenarioConfig, SpectralKernel,
+                         build_kernel, logbarrier_solve)
 
 
 @pytest.fixture(scope="session")

@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from specprecode import (DataGrid, EsspConfig, EvmConstraint, FactoredInverse,
+from specprecode import (EsspConfig, EvmConstraint, FactoredInverse,
                          FrequencyGrid, LogBarrierProblem, MASK2_DB,
                          OfdmNumerology, OracleConfig, PsdAccumulator,
                          ScenarioConfig, SspConfig, aclr, admm_precode,
                          bisection_rank1_oracle, build_kernel, eadmm_precode,
                          ensp_precode, essp_precode, expand_evm_profile,
-                         feasibility_probe, generate_qam_grid,
+                         feasibility_probe, generate_qam_block, generate_qam_grid,
                          kernel_psd_prediction, logbarrier_solve, nsp_precode,
                          oobe_power, project_rank1, selective_edge_profile,
                          ssp_precode, synthesize_time_signal)
@@ -357,9 +357,8 @@ def reference_run():
     oob_nsp = np.zeros(cfg.freq_grid.size)
     grids = []
     for first in range(0, cfg.symbols, 32):
-        block = DataGrid(np.stack([
-            generate_qam_grid(cfg.seed, num, cfg.n_tx, cfg.constellation, symbol_index=s).symbols
-            for s in range(first, min(first + 32, cfg.symbols))]), num)
+        block = generate_qam_block(cfg.seed, num, cfg.n_tx, cfg.constellation, first,
+                                   min(32, cfg.symbols - first))
         grids.extend(block.symbols)
         acc_none.add(synthesize_time_signal(block, oversample=cfg.psd_oversample))
         out, _ = essp_precode(block, kernel, cfg.mask, evm8, cfg.essp)

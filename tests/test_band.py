@@ -6,15 +6,18 @@ with a single mask point, with points exactly on subcarriers, with
 near-coincident points (kernel rows correlated at 0.999 or more) and with
 a null at DC (a non-contiguous active set) must keep the solvers'
 invariants, and SSP's rank-1-updated dual core must track the
-per-coordinate LU solves it replaced.
+per-coordinate LU solves it replaced.  Bad input gets the error class that
+the command line maps to its exit code.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from specprecode import (AdmmConfig, DataGrid, EsspConfig, EvmConstraint, FrequencyGrid,
-                         OfdmNumerology, SspConfig, admm_precode, build_kernel, eadmm_precode,
+from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraintError,
+                         EsspConfig, EvmConstraint, FrequencyGrid, OfdmNumerology,
+                         SpectralKernel, SspConfig, admm_precode, build_kernel, eadmm_precode,
                          essp_precode, oobe_power, ssp_precode)
 from specprecode.unconstrained import ssp_dual_sweeps
 
@@ -194,3 +197,45 @@ class TestWoodburyCore:
         # c = (I + K diag(mu))^(-1) c0 for the multipliers of every sweep
         lhs = np.eye(kernel.n_points) + kernel.gram * mus[:, :, None, :]
         assert np.abs(lhs @ cs[..., None] - c0[..., None]).max() <= 1e-9 * np.abs(c0).max()
+
+
+class TestErrorClasses:
+    """The command line exits with 2 on ConfigError and
+    DegenerateConstraintError (tests/test_cli.py runs one case of each)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases(), st.sampled_from(SOLVERS), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.booleans())
+    def test_nonfinite_input(self, case, solver, value, imaginary):
+        rng, kernel, grid = case
+        # a DataGrid rejects non-finite values, so poison one after it is built
+        bad = DataGrid(grid.symbols.copy(), grid.numerology)
+        idx = tuple(rng.integers(0, n) for n in bad.symbols.shape[:-1])
+        bad.symbols[idx + (rng.choice(grid.numerology.active_bins),)] += (
+            1j * value if imaginary else value)
+        gamma = rng.uniform(0.05, 0.5, kernel.n_points)
+        with pytest.raises(ConfigError, match="non-finite"):
+            precode(solver, bad, kernel, gamma, budget(rng, "wideband", grid.numerology), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases(), st.sampled_from(SOLVERS), st.data())
+    def test_kernel_row_vanishing_on_the_band(self, case, solver, data):
+        rng, kernel, grid = case
+        num = grid.numerology
+        m = data.draw(st.integers(0, kernel.n_points - 1))
+        matrix = kernel.matrix.copy()
+        matrix[m, num.active_bins] = 0.0
+        flat = SpectralKernel(matrix=matrix, freq_grid=kernel.freq_grid, numerology=num)
+        gamma = rng.uniform(0.05, 0.5, kernel.n_points)
+        with pytest.raises(DegenerateConstraintError):
+            precode(solver, grid, flat, gamma, budget(rng, "wideband", num), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases(), st.sampled_from(SOLVERS), st.sampled_from([0.0, -1e-30, -1.0]),
+           st.data())
+    def test_nonpositive_mask_bound(self, case, solver, bound, data):
+        rng, kernel, grid = case
+        gamma = rng.uniform(0.05, 0.5, kernel.n_points)
+        gamma[data.draw(st.integers(0, kernel.n_points - 1))] = bound
+        with pytest.raises(ConfigError, match="mask bounds must be positive"):
+            precode(solver, grid, kernel, gamma, budget(rng, "wideband", grid.numerology), 3)

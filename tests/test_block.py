@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from specprecode import (AdmmConfig, DataGrid, EsspConfig, EvmConstraint, SspConfig,
                          admm_precode, eadmm_precode, essp_precode, oobe_power, ssp_precode)
+from specprecode.unconstrained import _row_products
 
 from conftest import qpsk_grid, random_kernel
 
@@ -115,6 +116,39 @@ class TestBlockInvariance:
         out, _ = run_block_and_singles(
             lambda grid: essp_precode(grid, kern, gamma, evm, cfg), block)
         check_invariants(block, out, kern, evm)
+
+
+class TestRowProducts:
+    """SSP and ESSP form their O(M n) products one BLAS call per row; a
+    row's result must not depend on how it is held or batched."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m_pts=st.integers(1, 8),
+           n_rows=st.integers(1, 40))
+    def test_rows_alone_as_views_copies_and_in_blocks(self, seed, n, m_pts, n_rows):
+        rng = np.random.default_rng(seed)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a_rows = cplx(m_pts, n)
+        # c0 = U^H d against a_rows.T (n x M), and the primal and stationarity
+        # products against the conjugate rows (M x n)
+        for x, mat in ((cplx(n_rows, n), a_rows.T), (cplx(n_rows, m_pts), a_rows.conj())):
+            block = _row_products(x, mat)
+            wide = np.zeros((n_rows, x.shape[1] + 3), dtype=complex)
+            wide[:, 1:-2] = x
+            held = wide[:, 1:-2]                      # rows of a wider array
+            spread = np.repeat(x, 2, axis=1)[:, ::2]  # rows with stride 2
+            for j in range(n_rows):
+                for row in (x[j], x[j:j + 1], x[j].copy(), held[j], held[j:j + 1],
+                            spread[j]):
+                    assert np.array_equal(_row_products(row, mat).reshape(-1), block[j])
+            for split in (1, n_rows // 2 or 1):
+                parts = [_row_products(x[i:i + split], mat) for i in range(0, n_rows, split)]
+                assert np.array_equal(np.concatenate(parts), block)
+            if n_rows % 2 == 0:
+                stacked = _row_products(x.reshape(2, n_rows // 2, -1), mat)
+                assert np.array_equal(stacked.reshape(block.shape), block)
 
 
 class TestStopsWithinABlock:

@@ -9,7 +9,7 @@ import pytest
 
 from specprecode import (ScenarioConfig, SpectralKernel, build_kernel, generate_qam_grid,
                          oobe_power, read_waveform, run_scenario, runner)
-from specprecode.cli import EXIT_CONFIG, EXIT_OK, compare_main, main
+from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
 from specprecode.config import BUDGET_PRECODERS, PRECODERS
 
 SMALL_SCENARIO = {
@@ -157,19 +157,37 @@ class TestMain:
 
 class TestNonFiniteGrid:
     def test_config_exit_code(self, tmp_path, monkeypatch, capsys):
-        real = runner.generate_qam_grid
+        real = runner.generate_qam_block
 
         def poisoned(*args, **kwargs):
             grid = real(*args, **kwargs)
             sym = grid.symbols.copy()
-            sym[0, grid.numerology.active_bins[0]] = np.inf
+            sym[0, 0, grid.numerology.active_bins[0]] = np.inf
             return grid.with_symbols(sym)
 
-        monkeypatch.setattr(runner, "generate_qam_grid", poisoned)
+        monkeypatch.setattr(runner, "generate_qam_block", poisoned)
         cfg_path = write_scenario(tmp_path, precoder="eadmm")
         code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestSolverErrorExitCodes:
+    def test_nonpositive_mask_bound_is_a_config_error(self, tmp_path, capsys):
+        # -inf dB is a zero bound
+        cfg_path = write_scenario(tmp_path, precoder="ssp",
+                                  mask_db_per_100khz=[-75.0, -float("inf"), -65.0, -75.0])
+        code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "mask bounds must be positive" in capsys.readouterr().err
+
+    def test_unresolvable_mask_is_a_numerical_failure(self, tmp_path, capsys):
+        # a -400 dB bound asks SSP's dual core for more than it resolves
+        # in floating point, and the core reports it
+        cfg_path = write_scenario(tmp_path, precoder="ssp", mask_db_per_100khz=[-400.0] * 4)
+        code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestDegenerateKernel:

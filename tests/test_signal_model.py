@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specprecode import (ConfigError, DataGrid, FrequencyGrid, OfdmNumerology,
-                         build_kernel, generate_qam_grid, kernel_row,
+                         build_kernel, generate_qam_block, generate_qam_grid, kernel_row,
                          qam_constellation, read_waveform, synthesize_time_signal,
                          write_waveform)
 
@@ -198,6 +200,27 @@ class TestQamGeneration:
         assert np.array_equal(g1.symbols, g2.symbols)
         assert not np.array_equal(g1.symbols, g3.symbols)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), first=st.integers(0, 10 ** 6),
+           count=st.integers(1, 12), n_tx=st.integers(1, 4),
+           constellation=st.sampled_from(["QPSK", "16QAM", "64QAM", "256QAM"]))
+    def test_block_is_the_stacked_single_symbols(self, seed, first, count, n_tx,
+                                                 constellation):
+        # Each symbol is the draw of a fresh Philox keyed by the seed with
+        # the symbol index in its counter, whatever block it is drawn in.
+        num = small_numerology()
+        block = generate_qam_block(seed, num, n_tx, constellation, first, count)
+        singles = np.stack([generate_qam_grid(seed, num, n_tx, constellation,
+                                              symbol_index=s).symbols
+                            for s in range(first, first + count)])
+        assert np.array_equal(block.symbols, singles)
+        points = qam_constellation(constellation)
+        for i, sym in enumerate(block.symbols):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, first + i]))
+            draws = rng.integers(0, points.size, size=(n_tx, num.n_active))
+            assert np.array_equal(sym[:, num.active_bins], points[draws])
+            assert not sym[:, num.guard_bins].any()
+
     def test_large_grid_mean_power(self, default_cfg):
         powers = [np.abs(generate_qam_grid(1, default_cfg.numerology, 1, "64QAM",
                                            symbol_index=s).active_values()) ** 2
@@ -256,6 +279,16 @@ class TestWaveformIo:
         path = tmp_path / "w.bin"
         write_waveform(path, samples)
         assert np.array_equal(read_waveform(path), samples)
+        # a strided view is written in row-major order as well
+        write_waveform(path, samples[:, ::3])
+        assert np.array_equal(read_waveform(path), samples[:, ::3])
+
+    def test_layout_is_float64_pairs(self, tmp_path):
+        samples = np.array([[1.5 - 2j, -0.25 + 8j], [3j, 7.0]])
+        path = tmp_path / "w.bin"
+        write_waveform(path, samples)
+        body = np.frombuffer(path.read_bytes()[16:], dtype="<f8")
+        assert body.tolist() == [1.5, -2.0, -0.25, 8.0, 0.0, 3.0, 7.0, 0.0]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "w.bin"
