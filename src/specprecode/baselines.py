@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .projections import Rank1Constraint
@@ -25,6 +24,10 @@ def _notch_component(rows, d):
     ``d`` may carry leading batch dimensions.  Raises ConfigError when the
     row Gram matrix is numerically rank deficient (coincident points).
     """
+    # scipy is imported at first use, so that the package and its other
+    # solvers load without it.
+    import scipy.linalg
+
     gram = rows @ rows.conj().T
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * eigs[-1]:
@@ -215,6 +218,8 @@ def _support_indices(problem):
 
 def _newton_minimize(fgh, v0, tol, max_iter):
     """Damped Newton with backtracking; fgh returns inf outside the domain."""
+    import scipy.linalg
+
     v = v0.copy()
     steps = 0
     for _ in range(max_iter):
@@ -248,6 +253,8 @@ def _solve_ls_row(ref_row, dirs, bounds, config):
     followed in an orthonormal basis of that span: 2*rank(U) real unknowns
     instead of 2N, with objective, minimizer, and gradient norms unchanged.
     """
+    import scipy.linalg
+
     bounds = np.asarray(bounds, dtype=float)
     u_mat = np.stack(dirs)                       # (M, N)
     c0 = u_mat.conj() @ ref_row                  # u_m^H ref

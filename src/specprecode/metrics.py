@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .signal_model import OfdmNumerology, _kernel_matrix
+from .signal_model import OfdmNumerology, _kernel_entries, _kernel_matrix
 
 _DB_FLOOR = 1e-30
 
@@ -60,9 +60,16 @@ def analytic_inband_reference(numerology, step=0.25):
     """
     offs = numerology.active_offsets
     nu = np.arange(offs[0], offs[-1] + step / 2, step)
-    rows = _kernel_matrix(numerology.fft_size, numerology.cp_len, nu)
-    act = rows[:, numerology.active_bins]
-    return float(np.mean(np.sum(np.abs(act) ** 2, axis=1)))
+    # An entry depends on the offset nu - k alone, so the kernel is
+    # evaluated once per distinct offset and gathered into the
+    # (active bin, nu) table.  Summing over the table's first axis adds each
+    # nu's terms one at a time in active-bin order, which gives the bits of
+    # the full rows' active columns summed along a row.
+    delta, inverse = np.unique(nu[None, :] - numerology.active_bins[:, None],
+                               return_inverse=True)
+    power = np.abs(_kernel_entries(numerology.fft_size, numerology.cp_len, delta)) ** 2
+    terms = power[inverse].reshape(numerology.n_active, nu.size)
+    return float(np.mean(np.sum(terms, axis=0)))
 
 
 def calibrate_mask(mask_db, numerology, ref_db, reference_power=None):

@@ -14,12 +14,13 @@ Re-running the same resolved configuration reproduces the data files
 byte for byte; the manifest differs only in its timing block.
 
 The run is a pipeline over blocks of BLOCK_SYMBOLS consecutive symbols:
-each block is generated, precoded, measured, synthesised and added to the
-PSD in one pass, so every numpy call serves the whole block.  Every
+each block is generated, precoded and measured in one pass, so every
+numpy call serves the whole block, and its oversampled waveform is
+synthesised and added to the PSD in pieces of PSD_SYMBOLS.  Every
 per-symbol result is computed as for a block of one and the run statistics
-are accumulated symbol by symbol in order, so the data files do not depend
-on the block size; the constant only trades per-call overhead against the
-memory of one block's waveform.
+are accumulated symbol by symbol in order, so the data files depend on
+neither constant; they only trade per-call overhead against the memory of
+the arrays a block or piece needs.
 """
 
 from __future__ import annotations
@@ -44,9 +45,14 @@ from .unconstrained import SolverReport, admm_precode, ssp_precode
 
 _DB_FLOOR = 1e-30
 # Symbols per pipeline block.  At 32 the per-call overhead of the iterative
-# solvers is amortised, and one block's oversampled waveform and its
-# temporaries stay a few MB.
+# solvers is amortised.
 BLOCK_SYMBOLS = 32
+# Symbols per oversampled synthesis and PSD update within a block.  At the
+# default 4x oversampling their arrays take about 70 kB per symbol: a whole
+# block's are 2 MB each, which the allocator can map and return to the
+# system on every block, while 8 symbols' stay in cache and are reused from
+# one piece to the next.
+PSD_SYMBOLS = 8
 
 
 def _db(x):
@@ -216,7 +222,9 @@ def run_scenario(cfg, out_dir=None):
             err_total += float(err_sym[s])
             ref_total += float(ref_sym[s])
 
-        psd_acc.add(synthesize_time_signal(out, oversample=cfg.psd_oversample))
+        for j in range(0, len(out.symbols), PSD_SYMBOLS):
+            piece = out.with_symbols(out.symbols[j:j + PSD_SYMBOLS])
+            psd_acc.add(synthesize_time_signal(piece, oversample=cfg.psd_oversample))
         if waveform is not None:
             waveform[:, first * symbol_len:(first + len(grid.symbols)) * symbol_len] = (
                 synthesize_time_signal(out, oversample=1))

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import diric
 
 from .errors import ConfigError
 
@@ -78,12 +77,15 @@ class OfdmNumerology:
         offsets = np.asarray(self.active_offsets, dtype=int)
         if offsets.ndim != 1 or offsets.size == 0:
             raise ConfigError("active_offsets must be a non-empty 1-D list", field="numerology.active_offsets")
-        if np.unique(offsets).size != offsets.size:
+        offsets = np.sort(offsets)
+        # Sorted neighbours rather than np.unique, whose first call imports
+        # numpy.ma (about 25 ms of start-up).
+        if (offsets[1:] == offsets[:-1]).any():
             raise ConfigError("active_offsets contains duplicates", field="numerology.active_offsets")
         half = self.fft_size // 2
-        if offsets.min() < -half or offsets.max() > (self.fft_size - 1) // 2:
+        if offsets[0] < -half or offsets[-1] > (self.fft_size - 1) // 2:
             raise ConfigError("active_offsets exceed the FFT half-range", field="numerology.active_offsets")
-        object.__setattr__(self, "active_offsets", np.sort(offsets))
+        object.__setattr__(self, "active_offsets", offsets)
 
     @classmethod
     def centered(cls, fft_size, cp_len, scs_hz, n_active, first_offset=None, prb_size=12):
@@ -171,18 +173,36 @@ class FrequencyGrid:
         return int(self.points.size)
 
 
-def _kernel_matrix(fft_size, cp_len, points):
-    """Dirichlet-ratio evaluation of the leakage rows, one row per point."""
+def _diric(x, n):
+    """Dirichlet kernel sin(n x/2) / (n sin(x/2)) for a positive integer n.
+
+    The float64 operations of scipy.special.diric, in its order: where
+    |sin(x/2)| < 1e-7 the value is the limit (-1)^(round(x/(2 pi)) (n-1)),
+    elsewhere sin(n x/2) / (n sin(x/2)).
+    """
+    half = np.asarray(x, dtype=float) / 2
+    denom = np.sin(half)
+    near = np.abs(denom) < 1e-7
+    return np.where(near, (-1.0) ** (np.round(half / np.pi) * (n - 1)),
+                    np.sin(n * half) / (n * np.where(near, 1.0, denom)))
+
+
+def _kernel_entries(fft_size, cp_len, delta):
+    """Kernel entries A(nu, k) as a function of the offsets delta = nu - k."""
     n = fft_size
     length = n + cp_len
-    k = np.arange(n)
-    delta = np.asarray(points, dtype=float)[:, None] - k[None, :]
-    # The row entries are N-periodic in delta; reducing to |delta| <= N/2
-    # keeps the sine ratio well conditioned next to the singular points.
+    # The entries are N-periodic in delta; reducing to |delta| <= N/2 keeps
+    # the sine ratio well conditioned next to the singular points.
     delta = delta - n * np.round(delta / n)
-    ratio = length * diric(2.0 * np.pi * delta / n, length)
+    ratio = length * _diric(2.0 * np.pi * delta / n, length)
     phase = np.exp(1j * np.pi * delta * (cp_len - n + 1) / n)
     return phase * ratio / np.sqrt(n)
+
+
+def _kernel_matrix(fft_size, cp_len, points):
+    """Dirichlet-ratio evaluation of the leakage rows, one row per point."""
+    k = np.arange(fft_size)
+    return _kernel_entries(fft_size, cp_len, np.asarray(points, dtype=float)[:, None] - k[None, :])
 
 
 @dataclass(frozen=True)
@@ -404,14 +424,23 @@ def write_waveform(path, samples):
 
 
 def read_waveform(path):
-    """Inverse of :func:`write_waveform`; returns (n_streams, n_samples) complex."""
+    """Inverse of :func:`write_waveform`; returns (n_streams, n_samples) complex.
+
+    A file that is not exactly a header and the payload it declares (a
+    short header, a truncated payload, trailing bytes) raises ConfigError.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_WAVEFORM_HEADER.size)
+        if len(header) != _WAVEFORM_HEADER.size:
+            raise ConfigError("not a waveform file (short header)", field="waveform")
         magic, version, n_streams, n_samples = _WAVEFORM_HEADER.unpack(header)
         if magic != _WAVEFORM_MAGIC:
             raise ConfigError("not a waveform file (bad magic)", field="waveform")
         if version != _WAVEFORM_VERSION:
             raise ConfigError(f"unsupported waveform version {version}", field="waveform")
-        raw = np.frombuffer(fh.read(n_streams * n_samples * 16), dtype="<f8")
-    pairs = raw.reshape(n_streams, n_samples, 2)
+        payload = fh.read()
+    if len(payload) != n_streams * n_samples * 16:
+        raise ConfigError(f"waveform payload holds {len(payload)} bytes, the header declares "
+                          f"{n_streams * n_samples * 16}", field="waveform")
+    pairs = np.frombuffer(payload, dtype="<f8").reshape(n_streams, n_samples, 2)
     return pairs[..., 0] + 1j * pairs[..., 1]

@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specprecode
 from specprecode import (ScenarioConfig, SpectralKernel, build_kernel, generate_qam_grid,
                          oobe_power, read_waveform, run_scenario, runner)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
@@ -320,3 +325,39 @@ class TestCompare:
         base = self.run(tmp_path, "ssp")
         assert compare_main([str(base)]) == EXIT_CONFIG
         assert "at least two" in capsys.readouterr().err
+
+
+# Resolves the default scenario and runs every precoder for two symbols in a
+# fresh interpreter.  The solvers that need no scipy run first; the lists of
+# scipy modules loaded after them and after the rest go to stdout as JSON.
+COLD_START = """
+import json, sys
+import specprecode
+from specprecode import ScenarioConfig, run_scenario
+
+out, small = sys.argv[1], json.loads(sys.argv[2])
+ScenarioConfig.from_dict({})
+for p in ("none", "ssp", "admm", "essp", "eadmm"):
+    run_scenario(ScenarioConfig.from_dict({"precoder": p, "symbols": 2}), f"{out}/{p}")
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+for p in ("nsp", "ensp"):
+    run_scenario(ScenarioConfig.from_dict({"precoder": p, "symbols": 2}), f"{out}/{p}")
+run_scenario(ScenarioConfig.from_dict(dict(small, precoder="oracle", symbols=2)), f"{out}/oracle")
+print(json.dumps([loaded, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loaded_only_by_the_notch_and_oracle_paths(self, tmp_path):
+        src = str(Path(specprecode.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path),
+                               json.dumps(SMALL_SCENARIO)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout.splitlines()[-1])
+        assert before == []
+        assert "scipy.linalg" in after
+        for p in ("none", "ssp", "admm", "essp", "eadmm", "nsp", "ensp", "oracle"):
+            assert (tmp_path / p / "summary.csv").is_file(), p

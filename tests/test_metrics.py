@@ -8,7 +8,8 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          aclr, analytic_inband_reference, build_kernel,
                          calibrate_mask, evm_metrics, kernel_psd_prediction,
                          mask_ratio, oobe_power, psd_estimate,
-                         synthesize_time_signal)
+                         OfdmNumerology, synthesize_time_signal)
+from specprecode.signal_model import _kernel_matrix
 
 from conftest import qpsk_grid, small_numerology
 
@@ -19,6 +20,16 @@ def metric_setup():
     kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 6.25])))
     grid = qpsk_grid(num, 2, seed=21)
     return num, kern, grid
+
+
+def full_width_inband_reference(numerology, step=0.25):
+    """The calibration through the full kernel rows, restricted afterwards
+    to the active columns."""
+    offs = numerology.active_offsets
+    nu = np.arange(offs[0], offs[-1] + step / 2, step)
+    rows = _kernel_matrix(numerology.fft_size, numerology.cp_len, nu)
+    act = rows[:, numerology.active_bins]
+    return float(np.mean(np.sum(np.abs(act) ** 2, axis=1)))
 
 
 class TestMaskCalibration:
@@ -45,6 +56,18 @@ class TestMaskCalibration:
         lo = calibrate_mask([-70.0], num, ref_db=-21.5)
         hi = calibrate_mask([-60.0], num, ref_db=-21.5)
         assert hi.gamma[0] == pytest.approx(10.0 * lo.gamma[0], rel=1e-12)
+
+    @pytest.mark.parametrize("numerology, step", [
+        (OfdmNumerology.centered(512, 36, 15e3, 300), 0.25),
+        (OfdmNumerology(512, 36, 15e3, np.r_[-150:0, 1:151]), 0.25),   # null at DC
+        (OfdmNumerology.centered(512, 0, 15e3, 300), 0.25),
+        (OfdmNumerology.centered(511, 36, 15e3, 299, first_offset=-140), 0.25),
+        (OfdmNumerology.centered(512, 36, 15e3, 300), 0.3),
+        (OfdmNumerology.centered(64, 4, 15e3, 24), 1 / 3),
+    ], ids=["default", "dc-null", "no-cp", "odd-n", "step-0.3", "step-third"])
+    def test_analytic_reference_matches_full_width_bitwise(self, numerology, step):
+        assert (analytic_inband_reference(numerology, step)
+                == full_width_inband_reference(numerology, step))
 
     def test_analytic_reference_step_stable(self, metric_setup):
         num, _, _ = metric_setup

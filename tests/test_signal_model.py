@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import diric
 
 from specprecode import (ConfigError, DataGrid, FrequencyGrid, OfdmNumerology,
                          build_kernel, generate_qam_block, generate_qam_grid, kernel_row,
                          qam_constellation, read_waveform, synthesize_time_signal,
                          write_waveform)
+from specprecode.signal_model import _diric, _kernel_matrix
 
 from conftest import qpsk_grid, small_numerology
 
@@ -20,6 +22,22 @@ def kernel_oracle(fft_size, cp_len, points):
     delta = np.asarray(points, dtype=float)[:, None] - k[None, :]
     phases = np.exp(-2j * np.pi * delta[..., None] * n / fft_size)
     return phases.sum(axis=-1) / np.sqrt(fft_size)
+
+
+def scipy_kernel_matrix(fft_size, cp_len, points):
+    """The kernel rows as evaluated through scipy.special.diric."""
+    n = fft_size
+    length = n + cp_len
+    k = np.arange(n)
+    delta = np.asarray(points, dtype=float)[:, None] - k[None, :]
+    delta = delta - n * np.round(delta / n)
+    ratio = length * diric(2.0 * np.pi * delta / n, length)
+    phase = np.exp(1j * np.pi * delta * (cp_len - n + 1) / n)
+    return phase * ratio / np.sqrt(n)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestNumerology:
@@ -133,6 +151,48 @@ class TestKernel:
             dtft = np.sum(samples * np.exp(-2j * np.pi * nu * n / num.fft_size))
             direct = kernel_row(num, nu) @ grid.symbols[0]
             assert np.abs(dtft) == pytest.approx(np.abs(direct), rel=1e-9)
+
+
+# Dirichlet arguments: anywhere up to large |x|, exact multiples of 2 pi, and
+# points within 1e-7 of them, on both sides of the helper's sign branch.
+_periods = st.integers(-10**6, 10**6).map(lambda k: 2.0 * np.pi * k)
+_diric_args = st.one_of(
+    st.floats(-1e9, 1e9, allow_nan=False),
+    st.floats(-20.0, 20.0, allow_nan=False),
+    _periods,
+    st.tuples(_periods, st.floats(-1e-7, 1e-7, allow_nan=False)).map(sum),
+    st.tuples(_periods, st.floats(-3e-7, 3e-7, allow_nan=False)).map(sum),
+)
+
+
+class TestDirichlet:
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(_diric_args, min_size=1, max_size=40),
+           n=st.integers(1, 4096))
+    def test_matches_scipy_bitwise(self, xs, n):
+        x = np.array(xs)
+        assert same_bits(_diric(x, n), diric(x, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 548, 549, 4095, 4096])
+    def test_matches_scipy_bitwise_near_every_singular_point(self, n):
+        k = np.arange(-40, 41)
+        eps = np.array([0.0, 1e-12, -1e-12, 9.9e-8, -9.9e-8, 2.1e-7, -2.1e-7])
+        x = (2.0 * np.pi * k[:, None] + eps[None, :]).ravel()
+        assert same_bits(_diric(x, n), diric(x, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fft_size=st.integers(2, 1024), cp_frac=st.floats(0.0, 1.0),
+           data=st.data())
+    def test_kernel_matrix_matches_scipy_bitwise(self, fft_size, cp_frac, data):
+        cp_len = min(int(cp_frac * fft_size), fft_size - 1)
+        span = 2.0 * fft_size
+        points = data.draw(st.lists(st.one_of(
+            st.floats(-span, span, allow_nan=False),
+            st.integers(-2 * fft_size, 2 * fft_size).map(float),
+            st.integers(-4 * fft_size, 4 * fft_size).map(lambda h: h / 2)),
+            min_size=1, max_size=6))
+        assert same_bits(_kernel_matrix(fft_size, cp_len, points),
+                         scipy_kernel_matrix(fft_size, cp_len, points))
 
 
 class TestDataGrid:
@@ -295,3 +355,26 @@ class TestWaveformIo:
         path.write_bytes(b"XXXX" + b"\0" * 12)
         with pytest.raises(ConfigError):
             read_waveform(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"SPWF\x01\0\0\0")
+        with pytest.raises(ConfigError) as err:
+            read_waveform(path)
+        assert err.value.field == "waveform"
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "w.bin"
+        write_waveform(path, np.ones((2, 5), dtype=complex))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigError) as err:
+            read_waveform(path)
+        assert err.value.field == "waveform"
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "w.bin"
+        write_waveform(path, np.ones((2, 5), dtype=complex))
+        path.write_bytes(path.read_bytes() + b"\0" * 16)
+        with pytest.raises(ConfigError) as err:
+            read_waveform(path)
+        assert err.value.field == "waveform"
