@@ -17,11 +17,11 @@ import numpy as np
 
 from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
-from .metrics import oobe_power
-from .projections import _columns_balls, _frobenius_balls, _symbol_norms
+from .metrics import _row_products, oobe_power
+from .projections import _columns_balls, _frobenius_balls, _inward_radius, _symbol_norms
 from .unconstrained import (AdmmConfig, BlockTraces, SolverReport, SspConfig, _as_block,
-                            _block_evm, _row_products, _unblock, consensus_admm,
-                            mask_bounds, ssp_dual_sweeps, ssp_primal)
+                            _block_evm, _unblock, consensus_admm, mask_bounds,
+                            ssp_dual_sweeps, ssp_primal)
 
 
 @dataclass(frozen=True)
@@ -53,27 +53,32 @@ class EvmConstraint:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
 
     def projector(self, reference, cols=None):
-        """Projection onto the budget ball(s) around ``reference``.
+        """Projection onto the budget ball(s) around ``reference``, taken on
+        deviations from it: the one ball projector of EADMM and ESSP.
 
-        The reference may be one (n_tx, N) symbol or an (S, n_tx, N) block,
+        The projector maps e = x - reference to the deviation of x's
+        projection: e itself (bitwise) where x is inside its ball, e scaled
+        toward zero where it is outside.  The scale keeps the slack of
+        _inward_radius for the reference's norm, so the error recomputed as
+        ||(reference + e') - reference|| stays within the budget.  The
+        reference may be one (n_tx, N) symbol or an (S, n_tx, N) block,
         whose every symbol has its own ball(s).  ``cols`` (an index array of
         bins; default all N) picks the frequency columns the projector works
-        on; the others must be zero (guard bins).  The projector takes x
-        shaped like the reference's columns ``cols``, or, with ``active`` (a
-        slice or index array into the block), the stacked symbols ``active``
-        of the block.  The radii and the norms of the centers are computed
-        once here; the wideband radius is always relative to the whole
-        reference symbol.
+        on; the deviations must be zero on the others (guard bins).  The
+        projector takes e shaped like the reference's columns ``cols``, or,
+        with ``active`` (a slice or index array into the block), the stacked
+        symbols ``active`` of the block.  The radii and the norms of the
+        reference are computed once here; the wideband radius is always
+        relative to the whole reference symbol.
         """
         num = reference.numerology
         center = reference.symbols
         block = center.reshape((-1,) + center.shape[-2:])
+        n_cols = block.shape[-1] if cols is None else len(cols)
         if self.mode == "wideband":
             norms = _symbol_norms(block)
             radii = self.eps_avg * norms
-
-            def project(x, c, r, nrm):
-                return _frobenius_balls(x, c, r, nrm, block[0].size)
+            size, project = block[0].size, _frobenius_balls
         else:
             if self.eps.size != num.n_active:
                 raise ConfigError("per-subcarrier fractions must cover the active band",
@@ -83,15 +88,15 @@ class EvmConstraint:
             radii[:, num.active_bins] = self.eps * norms[:, num.active_bins]
             if cols is not None:
                 norms, radii = norms.take(cols, axis=-1), radii.take(cols, axis=-1)
-            project = _columns_balls
+            size, project = block.shape[1], _columns_balls
         if np.any(radii < 0):
             raise DegenerateConstraintError("ball radii must be non-negative")
-        centers = block if cols is None else block.take(cols, axis=-1)
+        inner = _inward_radius(radii, norms, size)
 
-        def proj(x, active=slice(None)):
-            x = np.asarray(x, dtype=complex)
-            c = centers[active]
-            return project(x.reshape(c.shape), c, radii[active], norms[active]).reshape(x.shape)
+        def proj(dev, active=slice(None)):
+            dev = np.asarray(dev, dtype=complex)
+            stack = dev.reshape((-1, block.shape[1], n_cols))
+            return project(stack, radii[active], inner[active]).reshape(dev.shape)
         return proj
 
     def violation(self, reference, candidate):
@@ -167,17 +172,17 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     The consensus update projects the mean of the local variables onto the
     ball, so every iterate of the consensus variable satisfies the budget
     exactly; mask satisfaction improves with iterations and is exact in the
-    feasible limit.  x holds one symbol or an (S, n_tx, N) block, each
-    symbol under its own ball.  Returns (DataGrid, SolverReport), one
-    report per symbol for a block.
+    feasible limit.  consensus_admm iterates on deviations from the input,
+    so the update is evm.projector's zero-centred projection of the mean
+    deviation.  x holds one symbol or an (S, n_tx, N) block, each symbol
+    under its own ball.  Returns (DataGrid, SolverReport), one report per
+    symbol for a block.
     """
     cfg = cfg or AdmmConfig(iters=40)
     block = _as_block(x.symbols)
-    m_pts = kernel.n_points
-    gamma = _per_point_bounds(masks, m_pts, block.shape[1])
+    gamma = _per_point_bounds(masks, kernel.n_points, block.shape[1])
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
-    out, reports = consensus_admm(block, kernel, gamma, cfg,
-                                  lambda s, sel: proj_e(s / m_pts, sel))
+    out, reports = consensus_admm(block, kernel, gamma, cfg, proj_e)
     out, report = _unblock(x.symbols.shape, out, reports)
     return x.with_symbols(out), report
 
@@ -188,23 +193,28 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     The mask prox is approximated by inner_sweeps of the sweep precoder's
     dual core on 2*Xbar - Zbar, batched over antenna rows and symbols.  The
     loop runs on the active band, as consensus_admm does: it gathers the
-    block's active columns once, in bin order, projects onto the balls on
-    those columns (evm.projector with cols) and scatters the result back
-    once; the EVM reference norms are those of the whole symbols.  With
-    early_stop, a symbol stops as soon as the total sampled out-of-band
-    power of its new iterate exceeds the previous one's, returns the
-    previous iterate and leaves the active set; the report's
-    returned_iteration names that iterate (0 is the input grid).  x holds
-    one symbol or an (S, n_tx, N) block, each symbol under its own ball.
-    Returns (DataGrid, SolverReport), one report per symbol for a block.
+    block's active columns d once, in bin order, and carries the
+    deviations from d, starting at e_x = 0 and e_z = -d:
+    e_v = 2 e_x - e_z, e_y = e_v - U^T (mu c) from the dual core on
+    c0 = A d + A e_v, e_z += relaxation (e_y - e_x), and e_x the
+    zero-centred ball projection of e_z (evm.projector with cols).  The
+    leakage A x is A d, formed once, plus A e_x, the EVM trace is
+    ||e_x|| / ||d|| with the norms of the whole symbols, and d + e_x is
+    scattered back once.  With early_stop, a symbol stops as soon as the
+    total sampled out-of-band power of its new iterate exceeds the
+    previous one's, returns the previous iterate and leaves the active
+    set; the report's returned_iteration names that iterate (0 is the
+    input grid).  x holds one symbol or an (S, n_tx, N) block, each
+    symbol under its own ball.  Returns (DataGrid, SolverReport), one
+    report per symbol for a block.
     """
     cfg = cfg or EsspConfig()
     block = _as_block(x.symbols)
     n_sym = block.shape[0]
     bins = kernel.numerology.band_bins
-    a_rows = kernel.band_rows
-    u_rows = a_rows.conj()
-    m_pts = a_rows.shape[0]
+    a_cols = kernel.band_rows.T
+    u_rows = kernel.band_rows.conj()
+    m_pts = u_rows.shape[0]
     gamma = mask_bounds(masks, m_pts)
     proj_e = evm.projector(x, cols=bins)
     ssp_cfg = SspConfig(sweeps=cfg.inner_sweeps)
@@ -215,39 +225,39 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     band = block.take(bins, axis=-1)
     out = np.empty_like(band)
     active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
-    ref, ref_norms = band, _symbol_norms(block)
-    x_bar = band
-    z_bar = np.zeros_like(band)
-    best_oob = np.sum(oobe_power(x_bar, kernel), axis=(1, 2))
+    ad, ref_norms = _row_products(band, a_cols), _symbol_norms(block)
+    dev_x = np.zeros_like(band)
+    dev_z = -band
+    best_oob = np.sum(np.abs(ad) ** 2, axis=(1, 2))
     for it in range(cfg.outer_iters):
-        v = 2.0 * x_bar - z_bar
-        rows = v.reshape(-1, v.shape[-1])
-        c0 = _row_products(rows, a_rows.T)
+        dev_v = 2.0 * dev_x - dev_z
+        rows = dev_v.reshape(-1, dev_v.shape[-1])
+        c0 = (ad + _row_products(dev_v, a_cols)).reshape(rows.shape[0], m_pts)
         mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, ssp_cfg)
-        y_bar = ssp_primal(rows, u_rows, mus[-1], cs[-1]).reshape(v.shape)
-        z_bar = z_bar + cfg.relaxation * (y_bar - x_bar)
-        x_prev = x_bar
-        x_bar = proj_e(z_bar, sel)
+        dev_y = ssp_primal(rows, u_rows, mus[-1], cs[-1]).reshape(dev_v.shape)
+        dev_z = dev_z + cfg.relaxation * (dev_y - dev_x)
+        dev_prev = dev_x
+        dev_x = proj_e(dev_z, sel)
 
-        powers = oobe_power(x_bar, kernel)
-        traces.record(it, sel, _block_evm(x_bar, ref, ref_norms), powers.max(axis=2),
-                      _symbol_norms(y_bar - x_prev), _symbol_norms(x_bar - x_prev))
+        powers = np.abs(ad + _row_products(dev_x, a_cols)) ** 2      # (S, n_tx, M)
+        traces.record(it, sel, _block_evm(dev_x, ref_norms), powers.max(axis=1),
+                      _symbol_norms(dev_y - dev_prev), _symbol_norms(dev_x - dev_prev))
         oob_now = np.sum(powers, axis=(1, 2))
         stop = oob_now > best_oob if cfg.early_stop else np.zeros(active.size, dtype=bool)
         returned[active[~stop]] = it + 1
         if stop.any():
-            out[active[stop]] = x_prev[stop]
+            out[active[stop]] = dev_prev[stop]
             iterations[active[stop]] = it + 1
             keep = ~stop
-            active, x_bar, z_bar, ref, ref_norms, oob_now = (
-                arr[keep] for arr in (active, x_bar, z_bar, ref, ref_norms, oob_now))
+            active, dev_x, dev_z, ad, ref_norms, oob_now = (
+                arr[keep] for arr in (active, dev_x, dev_z, ad, ref_norms, oob_now))
             sel = active
             if not active.size:
                 break
         best_oob = oob_now
-    out[active] = x_bar
+    out[active] = dev_x
     full = block.copy()
-    full[..., bins] = out
+    full[..., bins] = band + out
 
     reports = SolverReport.per_symbol(traces, iterations,
                                       stopped_early=(iterations < cfg.outer_iters).tolist(),

@@ -50,25 +50,36 @@ class MaskSpec:
         return int(self.gamma.size)
 
 
-def analytic_inband_reference(numerology, step=0.25):
+# Spacing of the nu grid of the in-band calibration, in subcarriers.  A
+# power of two, so every offset nu - k of the grid is exact and sits on the
+# lattice of quarter subcarriers.
+_INBAND_STEP = 0.25
+
+
+def analytic_inband_reference(numerology):
     """Ensemble mean in-band kernel power for unit-power constellations.
 
     E|a(nu)^T d|^2 = sum_{k active} |A(nu, k)|^2 when the data entries are
-    i.i.d. with unit power, averaged over a fine nu grid spanning the active
-    band.  This is the per-antenna calibration constant the mask and PSD
-    display share.
+    i.i.d. with unit power, averaged over a grid of nu a quarter subcarrier
+    apart spanning the active band.  This is the per-antenna calibration
+    constant the mask and PSD display share.
     """
     offs = numerology.active_offsets
-    nu = np.arange(offs[0], offs[-1] + step / 2, step)
-    # An entry depends on the offset nu - k alone, so the kernel is
-    # evaluated once per distinct offset and gathered into the
-    # (active bin, nu) table.  Summing over the table's first axis adds each
-    # nu's terms one at a time in active-bin order, which gives the bits of
-    # the full rows' active columns summed along a row.
-    delta, inverse = np.unique(nu[None, :] - numerology.active_bins[:, None],
-                               return_inverse=True)
+    bins = numerology.active_bins
+    nu = np.arange(offs[0], offs[-1] + _INBAND_STEP / 2, _INBAND_STEP)
+    # An entry depends on the offset nu_j - k alone, which is the lattice
+    # point (offs[0] - k) / step + j.  The kernel is evaluated once per
+    # lattice point from the smallest offset to the largest and gathered
+    # into the (active bin, nu) table by that index.  Summing over the
+    # table's first axis adds each nu's terms one at a time in active-bin
+    # order, which gives the bits of the full rows' active columns summed
+    # along a row.
+    per_bin = round(1 / _INBAND_STEP)
+    lowest = per_bin * (offs[0] - bins.max())
+    span = per_bin * (bins.max() - bins.min()) + nu.size
+    delta = _INBAND_STEP * np.arange(lowest, lowest + span)
     power = np.abs(_kernel_entries(numerology.fft_size, numerology.cp_len, delta)) ** 2
-    terms = power[inverse].reshape(numerology.n_active, nu.size)
+    terms = power[per_bin * (bins.max() - bins)[:, None] + np.arange(nu.size)]
     return float(np.mean(np.sum(terms, axis=0)))
 
 
@@ -91,26 +102,37 @@ def _grid_values(d):
     return np.asarray(getattr(d, "symbols", d), dtype=complex)
 
 
+def _row_products(x, mat):
+    """x @ mat for every row of x (..., n) and an (n, M) matrix, as one
+    (1 x n)(n x M) BLAS call per row, so a row's result has the same bits
+    whether it is computed alone, as a view or inside a block of any size.
+    x is made contiguous first: numpy hands a row with a non-unit stride to
+    its own loop instead of BLAS, which rounds differently.  No product is
+    one matrix-matrix call over a block: a GEMM's blocking, and with it the
+    order of its sums, depends on the row count."""
+    return (np.ascontiguousarray(x)[..., None, :] @ mat)[..., 0, :]
+
+
 def oobe_power(dbar, kernel):
     """|a(nu_m)^T dbar|^2 per constraint point, the one leakage-power helper.
 
-    The rows are the kernel's active rows, as in the solvers; on a data grid
-    (zero guard bins) they agree with the full rows.  Input whose last axis
-    holds N entries is a full-width grid; input whose last axis holds
-    n_active entries is the active band in bin order (numerology.band_bins),
-    as the solvers keep it, and meets kernel.band_rows: the einsum gives
-    the same bits either way, since the guard terms it leaves out are
-    exact zeros.  Vector input gives an (M,) array; an (n_tx, N) grid gives
-    (M, n_tx), each column bitwise equal to that row's vector result; an
-    (S, n_tx, N) block gives (S, M, n_tx), each symbol bitwise equal to its
-    own grid's result.
+    The products run on the active band in bin order
+    (numerology.band_bins), where the solvers keep their iterates, against
+    kernel.band_rows, one BLAS call per antenna row (_row_products), as
+    in every solver.  Input whose last axis holds N entries is a
+    full-width grid, gathered onto the band first; on a data grid (zero
+    guard bins) that gives the leakage of the full rows.  Input whose last
+    axis holds n_active entries is the band itself.  A row's powers have
+    the same bits wherever it is held.  Vector input gives an (M,) array;
+    an (n_tx, N) grid gives (M, n_tx), each column bitwise equal to that
+    row's vector result; an (S, n_tx, N) block gives (S, M, n_tx), each
+    symbol bitwise equal to its own grid's result.
     """
     vals = _grid_values(dbar)
-    rows = (kernel.band_rows if vals.shape[-1] == kernel.numerology.n_active
-            else kernel.active_rows)
-    proj = np.einsum("mk,...jk->...mj", rows, np.atleast_2d(vals))
-    powers = np.abs(proj) ** 2
-    return powers if vals.ndim >= 2 else powers[:, 0]
+    num = kernel.numerology
+    band = vals if vals.shape[-1] == num.n_active else vals.take(num.band_bins, axis=-1)
+    powers = np.abs(_row_products(np.atleast_2d(band), kernel.band_rows.T)) ** 2
+    return np.swapaxes(powers, -1, -2) if vals.ndim >= 2 else powers[0]
 
 
 def mask_ratio(dbar, kernel, mask):
@@ -363,16 +385,14 @@ def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):
     rows = _kernel_matrix(n_os, cp_os, nu_os)
     fs = oversample * numerology.sample_rate_hz
     seg = n_os + cp_os
+    cols = rows[:, np.mod(numerology.active_offsets, n_os)].T
     total = np.zeros(freqs_hz.size)
     count = 0
     for grid in grids:
-        vals = _grid_values(grid)
-        bins_os = np.mod(numerology.active_offsets, n_os)
-        act = vals[:, numerology.active_bins]
-        proj = np.einsum("mk,jk->mj", rows[:, bins_os], act)
+        proj = _row_products(_grid_values(grid)[:, numerology.active_bins], cols)
         # The oversampled body is scaled by 1/sqrt(N) of the base FFT, while
         # the kernel rows here carry 1/sqrt(os*N); undo the mismatch.
-        total += np.sum(np.abs(proj) ** 2, axis=1) * oversample
+        total += np.sum(np.abs(proj) ** 2, axis=0) * oversample
         count += 1
     if count == 0:
         raise ConfigError("no grids provided", field="psd")

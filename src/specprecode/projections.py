@@ -2,7 +2,9 @@
 
 Two families: the rank-1 quadratic set {x : |u^H x|^2 <= b}, whose projection
 moves x only along u, and norm balls (Frobenius over a whole grid, or one
-ball per column) that carry error-vector budgets.
+ball per column) that carry error-vector budgets.  The solvers keep their
+iterates as deviations from the ball's center, so their batched ball
+projections (_frobenius_balls, _columns_balls) act on zero-centred balls.
 """
 
 from __future__ import annotations
@@ -72,18 +74,18 @@ def project_rank1(x, u, b):
     return x + np.einsum("...,k->...k", coef * c, u)
 
 
-def _inward_scale(radius, dist, center_norm, n):
-    """radius / dist, pulled in so that center + s * diff lands inside.
+def _inward_radius(radius, center_norm, n):
+    """radius pulled in so that center + (result / dist) * diff lands inside.
 
     With n complex entries per ball, rounding s * diff, adding the center
     back and recomputing the norm move the recomputed distance by at most
     eps ((n + 5.5) radius + 0.51 ||center||) to first order (no underflow).
-    The scale is pulled in by twice that bound, a relative change of
+    The radius is pulled in by twice that bound, a relative change of
     2 eps (n + 6 + ||center|| / radius): about 1e-14 for error budgets of a
-    few percent.  s clamps at 0, where the result is the center.
+    few percent.  It clamps at 0, where the result is the center.
     """
     slack = 2.0 * _EPS * ((n + 6) * radius + center_norm)
-    return np.maximum(radius - slack, 0.0) / dist
+    return np.maximum(radius - slack, 0.0)
 
 
 def _symbol_norms(x):
@@ -117,28 +119,34 @@ def project_frobenius_ball(x, center, radius):
     dist = float(np.linalg.norm(diff))
     if dist <= radius:
         return x.copy()
-    return center + _inward_scale(radius, dist, np.linalg.norm(center), x.size) * diff
+    return center + (_inward_radius(radius, np.linalg.norm(center), x.size) / dist) * diff
 
 
-def _frobenius_balls(x, centers, radii, center_norms, size):
-    """project_frobenius_ball of every x[s] onto its own ball, in one pass.
-
-    x and centers are complex stacks (S, ...), radii (S,) the non-negative
-    radii, center_norms (S,) the centers' norms (_symbol_norms) and size
-    the number of entries of each ball.  With size x[0].size, each
-    symbol's result is bitwise that of project_frobenius_ball alone; a ball
-    whose other entries are zero in both x and the center (guard bins) is
-    projected on its nonzero part alone, with its full size here.
-    """
-    diff = x - centers
-    dist = _symbol_norms(diff)
+def _ball_factors(dist, radii, inner):
+    """(factors, outside) for deviations at distances dist from the centers
+    of balls of the given radii, and their radii pulled in (_inward_radius):
+    a factor is 1 inside its ball and inner / dist outside, where outside
+    is True."""
     outside = dist > radii
-    if not outside.any():
-        return x.copy()
-    # An infinite distance gives inside symbols s = 0; they are taken from x.
-    scale = _inward_scale(radii, np.where(outside, dist, np.inf), center_norms, size)
-    expand = (slice(None),) + (None,) * (x.ndim - 1)
-    return np.where(outside[expand], centers + scale[expand] * diff, x)
+    return np.divide(inner, dist, out=np.ones_like(dist), where=outside), outside
+
+
+def _frobenius_balls(dev, radii, inner):
+    """Every deviation dev[s] from a ball's center projected onto the
+    zero-centred ball {||e||_F <= radii[s]}, in one pass.
+
+    dev is a complex stack (S, ...), radii (S,) the non-negative radii and
+    inner (S,) the radii pulled in by _inward_radius for the centers' norms
+    and the number of entries of each ball.  A deviation inside its ball
+    comes back bitwise, one outside is scaled toward zero, so that the
+    distance recomputed from center + result stays within the radius.  With
+    inner radii for center norms 0 and dev[0].size entries, each symbol's
+    result is bitwise project_frobenius_ball(dev[s], 0, radii[s]); a ball
+    whose other entries are zero (guard bins) is projected on its nonzero
+    part alone, with its full size in inner.
+    """
+    factors, _ = _ball_factors(_symbol_norms(dev), radii, inner)
+    return dev * factors.reshape(factors.shape + (1,) * (dev.ndim - 1))
 
 
 def project_columns_ball(x, center, radii):
@@ -155,19 +163,20 @@ def project_columns_ball(x, center, radii):
     radii = np.asarray(radii, dtype=float)
     if np.any(radii < 0):
         raise DegenerateConstraintError("ball radii must be non-negative")
-    return _columns_balls(x, center, radii, np.linalg.norm(center, axis=-2))
-
-
-def _columns_balls(x, center, radii, center_norms):
-    """project_columns_ball for radii the caller has checked to be
-    non-negative and center column norms it has computed
-    (np.linalg.norm(center, axis=-2)), for a ball applied many times."""
     diff = x - center
-    dist = np.linalg.norm(diff, axis=-2)
-    outside = dist > radii
+    factors, outside = _ball_factors(
+        np.linalg.norm(diff, axis=-2), radii,
+        _inward_radius(radii, np.linalg.norm(center, axis=-2), x.shape[-2]))
     if not outside.any():
         return x.copy()
-    # An infinite distance gives inside columns s = 0; they are taken from x.
-    scale = _inward_scale(radii, np.where(outside, dist, np.inf), center_norms,
-                          x.shape[-2])
-    return np.where(outside[..., None, :], center + diff * scale[..., None, :], x)
+    return np.where(outside[..., None, :], center + diff * factors[..., None, :], x)
+
+
+def _columns_balls(dev, radii, inner):
+    """Every column of the deviations dev (..., n_rows, n_cols) projected
+    onto its zero-centred ball {||e_k|| <= radii_k}, for radii the caller
+    has checked to be non-negative and pulled in (inner, _inward_radius
+    for the centers' column norms and n_rows entries): a column inside
+    comes back bitwise, one outside is scaled toward zero."""
+    factors, _ = _ball_factors(np.linalg.norm(dev, axis=-2), radii, inner)
+    return dev * factors[..., None, :]

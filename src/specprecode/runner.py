@@ -26,7 +26,7 @@ the arrays a block or piece needs.
 from __future__ import annotations
 
 import csv
-import hashlib
+import io
 import json
 import time
 from pathlib import Path
@@ -249,8 +249,7 @@ def run_scenario(cfg, out_dir=None):
                              ratio_max, oob_mean_db, probe_db, extras_agg, files)
     _write_json(out_path / "config_resolved.json", cfg.normalized(), files)
     if waveform is not None:
-        write_waveform(out_path / "waveform.bin", waveform)
-        files["waveform.bin"] = _sha256(out_path / "waveform.bin")
+        files["waveform.bin"] = _sha256(*write_waveform(out_path / "waveform.bin", waveform))
     timings["io"] = time.perf_counter() - t_io
     timings["total"] = time.perf_counter() - t_run
 
@@ -268,21 +267,30 @@ def run_scenario(cfg, out_dir=None):
     return manifest
 
 
-def _sha256(path):
+def _sha256(*chunks):
+    """Hex digest of the bytes of the chunks (bytes or contiguous arrays),
+    one after the other."""
+    import hashlib      # only a run that writes its files needs it
+
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    for chunk in chunks:
+        h.update(chunk)
     return h.hexdigest()
 
 
+def _write_bytes(path, data, files):
+    """Write data to path and record its digest under the file's name."""
+    path.write_bytes(data)
+    files[path.name] = _sha256(data)
+
+
 def _write_csv(path, header, rows, files):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    files[path.name] = _sha256(path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    _write_bytes(path, buf.getvalue().encode("utf-8"), files)
 
 
 def _write_trace(path, trace_acc, n_points, files):
@@ -334,10 +342,8 @@ def _write_summary(path, cfg, evm_wideband, aclr_rep, ratio_max, oob_mean_db,
 
 
 def _write_json(path, data, files):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files[path.name] = _sha256(path)
+    _write_bytes(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+                 files)
 
 
 _COMPARE_SHARED = ("numerology", "frequencies_hz", "mask_db_per_100khz", "n_tx",

@@ -412,15 +412,19 @@ def write_waveform(path, samples):
     """Write complex streams as little-endian float64 (re, im) pairs.
 
     Layout: 16-byte header (magic ``SPWF``, format version, stream count,
-    samples per stream) followed by the streams row-major.
+    samples per stream) followed by the streams row-major.  Returns the
+    header bytes and the contiguous sample array as written, whose bytes
+    follow the header in the file, for a caller that digests the file
+    without reading it back.
     """
     # A little-endian complex128 array already holds its values as
     # consecutive float64 (re, im) pairs, so it is written as it is.
-    samples = np.atleast_2d(np.asarray(samples, dtype="<c16"))
-    n_streams, n_samples = samples.shape
+    samples = np.ascontiguousarray(np.atleast_2d(samples), dtype="<c16")
+    header = _WAVEFORM_HEADER.pack(_WAVEFORM_MAGIC, _WAVEFORM_VERSION, *samples.shape)
     with open(path, "wb") as fh:
-        fh.write(_WAVEFORM_HEADER.pack(_WAVEFORM_MAGIC, _WAVEFORM_VERSION, n_streams, n_samples))
+        fh.write(header)
         samples.tofile(fh)
+    return header, samples
 
 
 def read_waveform(path):

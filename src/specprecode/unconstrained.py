@@ -8,24 +8,23 @@ consensus variable; its loop (consensus_admm) also serves EADMM, with the
 error-budget ball in place of the quadratic objective.  Each rank-1
 projection moves its point only along its leakage row, so the loop keeps
 one complex coefficient per set and antenna row instead of M copies of the
-grid, and it runs on the active columns alone: its own work is two
-O(M n_active) products per iteration.  SSP
-performs cyclic coordinate ascent on the dual multipliers mu_m.  Every SSP
-quantity lives in the span of the M leakage rows, so the sweeps run on the
-M x M Gram matrix through the Woodbury identity: each antenna row holds
-(I + K D)^(-1) K and (I + K D)^(-1) c0, factorized once per call, and each
-coordinate reads its step off them and folds it in as a rank-1 update of
-O(M^2) work.  N-space work is a few O(M n_active) products per sweep on
-the active band, none per coordinate; they run through _row_products, one
-BLAS call per antenna row.
+grid, and it runs on the active columns alone, on the deviation of the
+consensus variable from the input: its own work is two O(M n_active)
+products per iteration.  SSP performs cyclic coordinate ascent on the dual
+multipliers mu_m.  Every SSP quantity lives in the span of the M leakage
+rows, so the sweeps run on the M x M Gram matrix through the Woodbury
+identity: each antenna row holds (I + K D)^(-1) K and (I + K D)^(-1) c0,
+factorized once per call, and each coordinate reads its step off them and
+folds it in as a rank-1 update of O(M^2) work.  N-space work is a few O(M n_active) products per sweep on
+the active band, none per coordinate.  Every O(M n_active) product of the
+solvers and of oobe_power runs through _row_products, one BLAS call per
+antenna row.
 
 Every solver takes a block of S symbols (S, n_tx, N) as well as a single
 (n_tx, N) symbol or a single row, and solves one problem per symbol.  The
 block shares each numpy call, so the per-call overhead is paid once per
 block; every per-symbol quantity is computed by the same operations as for
 a block of one, so a symbol's result does not depend on the block it is in.
-That is why no product is one matrix-matrix call over a block: a GEMM's
-blocking, and with it the order of its sums, depends on the row count.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
+from .metrics import _row_products
 from .projections import _symbol_norms
 
 
@@ -60,20 +60,11 @@ def _as_block(d):
     return d.reshape((1,) * (3 - d.ndim) + d.shape)
 
 
-def _row_products(x, mat):
-    """x @ mat for every row of x (..., n) and an (n, M) matrix, as one
-    (1 x n)(n x M) BLAS call per row, so a row's result has the same bits
-    whether it is computed alone, as a view or inside a block of any size.
-    x is made contiguous first: numpy hands a row with a non-unit stride to
-    its own loop instead of BLAS, which rounds differently."""
-    return (np.ascontiguousarray(x)[..., None, :] @ mat)[..., 0, :]
-
-
-def _block_evm(x, block, refs):
-    """Wideband EVM ||x_s - d_s|| / ||d_s|| of every symbol of x against its
-    reference d_s in block, given the reference norms refs (0 where a
-    reference is zero)."""
-    err = _symbol_norms(x - block)
+def _block_evm(dev, refs):
+    """Wideband EVM ||e_s|| / ||d_s|| of every symbol's deviation e_s from
+    its reference d_s, given the reference norms refs (0 where a reference
+    is zero)."""
+    err = _symbol_norms(dev)
     return np.divide(err, refs, out=np.zeros_like(err), where=refs > 0)
 
 
@@ -206,55 +197,58 @@ def _unblock(d_shape, out, reports):
 def consensus_admm(block, kernel, gamma, cfg, x_update):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
-    block (S, n_tx, N) holds S symbols, each the input and EVM reference of
-    its own problem; gamma (M, n_tx) holds the per-row bounds.  The loop
+    block (S, n_tx, N) holds S symbols, each the input and EVM reference d
+    of its own problem; gamma (M, n_tx) holds the per-row bounds.  The loop
     runs on the active band: it gathers the block's active columns once, in
-    bin order (numerology.band_bins), iterates on (S, n_tx, n_active)
-    arrays against kernel.band_rows and scatters the result back once, so
-    the guard bins of the input pass through untouched.  x_update(s,
-    active) maps the band sums sum_m (y_m + z_m) of the symbols ``active``
-    (an index into the block: a slice while every symbol iterates, an index
-    array once some stopped) to their next band iterates.  Local variables
-    start at the input and duals at zero, so no set projection moves a
-    mask-feasible input and its primal residual stays exactly zero; the
-    consensus update (a mean of M equal local variables, and for ADMM its
-    blend with the input) gives the input back only up to the rounding of
-    that mean, a few eps.  Every symbol stops on its own
-    residual_tol test and then leaves the active set.  Returns (x_bar
-    block, one SolverReport per symbol).
+    bin order (numerology.band_bins), and iterates on the deviation
+    e = x_bar - d of the consensus variable from the input there, as
+    (S, n_tx, n_active) arrays against kernel.band_rows.  x_update(m,
+    active) maps the mean deviation m of the local variables and duals,
+    sum_m (y_m + z_m) / M - d, of the symbols ``active`` (an index into the
+    block: a slice while every symbol iterates, an index array once some
+    stopped) to their next deviations.  The leakage A x_bar is A d, formed
+    once, plus A e, the EVM trace is ||e|| / ||d||, and d + e is scattered
+    back once, so the guard bins of the input pass through untouched.
+    Local variables start at the input and duals at zero, so no set
+    projection moves a mask-feasible input: e stays exactly zero, the input
+    comes back bitwise and the primal residual stays zero.  Every symbol
+    stops on its own residual_tol test and then leaves the active set.
+    Returns (x_bar block, one SolverReport per symbol).
 
     The projection onto set m moves its argument only along u_m = a(nu_m)*,
     so every dual stays z_m = beta_m u_m and every local variable
     y_m = x_bar + (delta_m - beta_m) u_m, where delta_m is the step of the
     latest projection and beta_m the dual before it.  The loop holds these
-    (M, n_tx) coefficients per symbol instead of the copies of the grid:
+    coefficients, (n_tx, M) per symbol, instead of the copies of the grid:
     per iteration, c = A x_bar - beta diag(K) gives u_m^H (x_bar - z_m),
     delta is the closed-form rank-1 step where |c|^2 > gamma (0 inside),
-    the consensus input is M x_bar + (2 delta - beta)^T U, and the primal
+    the mean deviation is e + ((2 delta - beta) / M)^T U, and the primal
     residual sqrt(sum_m ||y_m - x_bar||^2) is sqrt(sum |delta - beta|^2 K_mm).
-    Its own work per iteration is two O(M n_active) products per antenna
-    row.  The report's leakage powers are |A x_bar|^2 from the same product.
+    Its own work per iteration is two O(M n_active) products, one BLAS call
+    per antenna row each (_row_products).  The report's leakage powers are
+    |A x_bar|^2 from the same product.
     """
     bins = kernel.numerology.band_bins
-    a_rows = kernel.band_rows
-    u_rows = a_rows.conj()
-    k_diag = _kernel_diag(kernel.gram)[:, None]      # ||u_m||^2
-    m_pts = a_rows.shape[0]
+    a_cols = kernel.band_rows.T
+    u_rows = kernel.band_rows.conj()
+    k_diag = _kernel_diag(kernel.gram)       # ||u_m||^2
+    m_pts = k_diag.size
     n_sym = block.shape[0]
+    gamma = gamma.T                           # (n_tx, M), as the row products
     root = np.sqrt(gamma)
     traces = BlockTraces(cfg.iters, n_sym, m_pts)
     iterations = np.full(n_sym, cfg.iters)
     band = block.take(bins, axis=-1)
     out = np.empty_like(band)
     active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
-    ref, ref_norms = band, _symbol_norms(block)
+    ad, ref_norms = _row_products(band, a_cols), _symbol_norms(block)
     beta = delta = np.zeros((n_sym,) + gamma.shape, dtype=complex)
-    x_bar = band
+    dev = np.zeros_like(band)
     for it in range(cfg.iters):
-        x_prev = x_bar
-        x_bar = x_update(m_pts * x_prev + np.swapaxes(2.0 * delta - beta, 1, 2) @ u_rows, sel)
+        dev_prev = dev
+        dev = x_update(dev_prev + _row_products((2.0 * delta - beta) / m_pts, u_rows), sel)
         beta = delta
-        ax = a_rows @ np.swapaxes(x_bar, 1, 2)         # (A, M, n_tx)
+        ax = ad + _row_products(dev, a_cols)           # (S, n_tx, M)
         c = ax - beta * k_diag
         mag = np.abs(c)
         coef = np.zeros_like(mag)
@@ -262,24 +256,24 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
         delta = coef * c
 
         primal = np.sqrt(np.sum(np.abs(delta - beta) ** 2 * k_diag, axis=(1, 2)))
-        dual = np.sqrt(m_pts) * cfg.rho * _symbol_norms(x_bar - x_prev)
-        traces.record(it, sel, _block_evm(x_bar, ref, ref_norms),
-                      (np.abs(ax) ** 2).max(axis=2), primal, dual)
+        dual = np.sqrt(m_pts) * cfg.rho * _symbol_norms(dev - dev_prev)
+        traces.record(it, sel, _block_evm(dev, ref_norms), (np.abs(ax) ** 2).max(axis=1),
+                      primal, dual)
         if cfg.residual_tol is None:
             continue
         stop = np.maximum(primal, dual) <= cfg.residual_tol
         if stop.any():
-            out[active[stop]] = x_bar[stop]
+            out[active[stop]] = dev[stop]
             iterations[active[stop]] = it + 1
             keep = ~stop
-            active, x_bar, beta, delta, ref, ref_norms = (
-                arr[keep] for arr in (active, x_bar, beta, delta, ref, ref_norms))
+            active, dev, beta, delta, ad, ref_norms = (
+                arr[keep] for arr in (active, dev, beta, delta, ad, ref_norms))
             sel = active
             if not active.size:
                 break
-    out[active] = x_bar
+    out[active] = dev
     full = block.copy()
-    full[..., bins] = out
+    full[..., bins] = band + out
     return full, SolverReport.per_symbol(traces, iterations,
                                          stopped_early=(iterations < cfg.iters).tolist())
 
@@ -289,16 +283,16 @@ def admm_precode(d, kernel, mask, cfg=None):
 
     Returns (dbar, SolverReport).  d may be a vector, an (n_tx, N) symbol or
     an (S, n_tx, N) block, which gets one report per symbol; rows are
-    precoded independently (the constraint sets are per row).
+    precoded independently (the constraint sets are per row).  The
+    consensus update (d + rho M (d + m)) / (1 + rho M) is the deviation
+    rho M m / (1 + rho M) from d.
     """
     cfg = cfg or AdmmConfig()
     block = _as_block(d)
     m_pts = kernel.n_points
     gamma = np.broadcast_to(mask_bounds(mask, m_pts)[:, None], (m_pts, block.shape[1]))
-    scale = 1.0 + cfg.rho * m_pts
-    band = block.take(kernel.numerology.band_bins, axis=-1)
-    out, reports = consensus_admm(block, kernel, gamma, cfg,
-                                  lambda s, sel: (band[sel] + cfg.rho * s) / scale)
+    weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
+    out, reports = consensus_admm(block, kernel, gamma, cfg, lambda m, sel: weight * m)
     return _unblock(np.shape(d), out, reports)
 
 
@@ -430,16 +424,15 @@ def ssp_precode(d, kernel, mask, cfg=None):
     the core as a rank-1 update.  N-space work is O(M n_active) products on
     the active band, gathered once in bin order (numerology.band_bins) and
     scattered back once, none per coordinate: c0 = U^H d once, and per
-    sweep one for the primal point and two for its report.  All but the
-    report's leakage product run row by row through _row_products; that one
-    stays the einsum of oobe_power, so the reported |c|^2 is bitwise
-    oobe_power of the output.  d may be a vector, an (n_tx, N) symbol
-    or an (S, n_tx, N) block, whose rows all share each stacked operation;
-    guard bins of the input pass through untouched.  Returns (dbar,
-    SolverReport) with one trace entry per sweep, one report per symbol for
-    a block; the report's residual slots hold the stationarity norm
-    ||(I + sum mu A) dbar - d||, evaluated in primal space, and the worst
-    relative complementarity defect.
+    sweep one for the primal point and two for its report.  Each runs row
+    by row through _row_products, as oobe_power does, so the reported
+    |c|^2 is bitwise oobe_power of the output.  d may be a vector, an
+    (n_tx, N) symbol or an (S, n_tx, N) block, whose rows all share each
+    stacked operation; guard bins of the input pass through untouched.
+    Returns (dbar, SolverReport) with one trace entry per sweep, one report
+    per symbol for a block; the report's residual slots hold the
+    stationarity norm ||(I + sum mu A) dbar - d||, evaluated in primal
+    space, and the worst relative complementarity defect.
     """
     cfg = cfg or SspConfig()
     block = _as_block(d)
@@ -447,23 +440,23 @@ def ssp_precode(d, kernel, mask, cfg=None):
     bins = kernel.numerology.band_bins
     band = block.take(bins, axis=-1)
     rows = band.reshape(n_sym * n_tx, -1)
-    a_rows = kernel.band_rows
-    u_rows = a_rows.conj()
-    m_pts = a_rows.shape[0]
+    a_cols = kernel.band_rows.T
+    u_rows = kernel.band_rows.conj()
+    m_pts = u_rows.shape[0]
     gamma = mask_bounds(mask, m_pts)
-    c0 = _row_products(rows, a_rows.T)
+    c0 = _row_products(rows, a_cols)
     mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, cfg)
 
     ref_norms = _symbol_norms(block)
     traces = BlockTraces(cfg.sweeps, n_sym, m_pts)
     for it, (mu, c_dual) in enumerate(zip(mus, cs)):
         out = ssp_primal(rows, u_rows, mu, c_dual)
-        c = np.einsum("mk,jk->mj", a_rows, out)
-        recon = out + _row_products(mu * c.T, u_rows)
+        c = _row_products(out, a_cols)
+        recon = out + _row_products(mu * c, u_rows)
         powers = np.abs(c) ** 2           # oobe_power(out), from the same product
-        defect = np.abs(mu * (powers.T - gamma)) / gamma
-        traces.record(it, slice(None), _block_evm(out.reshape(band.shape), band, ref_norms),
-                      powers.reshape(m_pts, n_sym, n_tx).max(axis=2).T,
+        defect = np.abs(mu * (powers - gamma)) / gamma
+        traces.record(it, slice(None), _block_evm((out - rows).reshape(band.shape), ref_norms),
+                      powers.reshape(n_sym, n_tx, m_pts).max(axis=1),
                       np.linalg.norm(recon - rows, axis=1).reshape(n_sym, n_tx).max(axis=1),
                       defect.reshape(n_sym, -1).max(axis=1))
     full = block.copy()

@@ -119,7 +119,7 @@ class TestBlockInvariance:
 
 
 class TestRowProducts:
-    """SSP and ESSP form their O(M n) products one BLAS call per row; a
+    """The solvers form their O(M n) products one BLAS call per row; a
     row's result must not depend on how it is held or batched."""
 
     @settings(max_examples=150, deadline=None)
@@ -149,6 +149,39 @@ class TestRowProducts:
             if n_rows % 2 == 0:
                 stacked = _row_products(x.reshape(2, n_rows // 2, -1), mat)
                 assert np.array_equal(stacked.reshape(block.shape), block)
+
+
+class TestOobePowerRows:
+    """oobe_power forms |A x|^2 with the solvers' per-row products; a row's
+    powers must not depend on how it is held or batched, or on whether it
+    comes full width or as the active band."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m_pts=st.integers(1, 8), n_rows=st.integers(1, 40))
+    def test_rows_alone_as_views_copies_in_blocks_and_on_the_band(self, seed, m_pts, n_rows):
+        rng = np.random.default_rng(seed)
+        kern = random_kernel(rng, m_pts)
+        num = kern.numerology
+        x = np.zeros((n_rows, num.fft_size), dtype=complex)
+        x[:, num.active_bins] = (rng.standard_normal((n_rows, num.n_active))
+                                 + 1j * rng.standard_normal((n_rows, num.n_active)))
+        block = oobe_power(x, kern)                   # (M, n_rows)
+        band = x[:, num.band_bins]
+        wide = np.zeros((n_rows, num.fft_size + 3), dtype=complex)
+        wide[:, 1:-2] = x
+        held = wide[:, 1:-2]                          # rows of a wider array
+        spread = np.repeat(x, 2, axis=1)[:, ::2]      # rows with stride 2
+        for j in range(n_rows):
+            for row in (x[j], x[j:j + 1], x[j].copy(), held[j], held[j:j + 1], spread[j],
+                        band[j], band[j:j + 1]):
+                assert np.array_equal(oobe_power(row, kern).reshape(-1), block[:, j])
+        assert np.array_equal(oobe_power(band, kern), block)
+        for split in (1, n_rows // 2 or 1):
+            parts = [oobe_power(x[i:i + split], kern) for i in range(0, n_rows, split)]
+            assert np.array_equal(np.concatenate(parts, axis=1), block)
+        if n_rows % 2 == 0:
+            stacked = oobe_power(x.reshape(2, n_rows // 2, -1), kern)
+            assert np.array_equal(np.concatenate(list(stacked), axis=1), block)
 
 
 class TestStopsWithinABlock:

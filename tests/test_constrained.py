@@ -40,16 +40,18 @@ class TestEvmConstraint:
         with pytest.raises(ConfigError):
             EvmConstraint(mode="frequency_selective", eps=[-0.1, 0.2])
 
+    # The projector takes and returns deviations from the reference.
+
     def test_wideband_projector_inside_unchanged(self, pair_setup):
         _, _, grid, _ = pair_setup
         proj = EvmConstraint(mode="wideband", eps_avg=0.5).projector(grid)
-        x = grid.symbols * 1.01
-        assert np.array_equal(proj(x), x)
+        dev = grid.symbols * 0.01
+        assert np.array_equal(proj(dev), dev)
 
     def test_zero_budget_pins_to_reference(self, pair_setup):
         _, _, grid, _ = pair_setup
         proj = EvmConstraint(mode="wideband", eps_avg=0.0).projector(grid)
-        out = proj(grid.symbols + 0.3)
+        out = grid.symbols + proj(np.full(grid.symbols.shape, 0.3 + 0.0j))
         assert np.abs(out - grid.symbols).max() <= 1e-15
 
     def test_selective_eps_must_cover_active_band(self, pair_setup):
@@ -63,7 +65,7 @@ class TestEvmConstraint:
         num, _, grid, _ = pair_setup
         con = EvmConstraint(mode="frequency_selective",
                             eps=np.full(num.n_active, 0.1))
-        out = con.projector(grid)(grid.symbols + 1.0)
+        out = grid.symbols + con.projector(grid)(np.ones(grid.symbols.shape, dtype=complex))
         guards = ~num.active_mask()
         assert np.abs(out[:, guards]).max() <= 1e-15
 

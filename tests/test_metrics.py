@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          PsdAccumulator, PsdConfig, PsdEstimate, ScenarioConfig,
@@ -9,7 +11,7 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          calibrate_mask, evm_metrics, kernel_psd_prediction,
                          mask_ratio, oobe_power, psd_estimate,
                          OfdmNumerology, synthesize_time_signal)
-from specprecode.signal_model import _kernel_matrix
+from specprecode.signal_model import _kernel_entries, _kernel_matrix
 
 from conftest import qpsk_grid, small_numerology
 
@@ -30,6 +32,18 @@ def full_width_inband_reference(numerology, step=0.25):
     rows = _kernel_matrix(numerology.fft_size, numerology.cp_len, nu)
     act = rows[:, numerology.active_bins]
     return float(np.mean(np.sum(np.abs(act) ** 2, axis=1)))
+
+
+def unique_inband_reference(numerology):
+    """The calibration with one kernel evaluation per distinct offset
+    nu - k, found by sorting them (np.unique)."""
+    offs = numerology.active_offsets
+    nu = np.arange(offs[0], offs[-1] + 0.125, 0.25)
+    delta, inverse = np.unique(nu[None, :] - numerology.active_bins[:, None],
+                               return_inverse=True)
+    power = np.abs(_kernel_entries(numerology.fft_size, numerology.cp_len, delta)) ** 2
+    terms = power[inverse].reshape(numerology.n_active, nu.size)
+    return float(np.mean(np.sum(terms, axis=0)))
 
 
 class TestMaskCalibration:
@@ -57,22 +71,36 @@ class TestMaskCalibration:
         hi = calibrate_mask([-60.0], num, ref_db=-21.5)
         assert hi.gamma[0] == pytest.approx(10.0 * lo.gamma[0], rel=1e-12)
 
-    @pytest.mark.parametrize("numerology, step", [
-        (OfdmNumerology.centered(512, 36, 15e3, 300), 0.25),
-        (OfdmNumerology(512, 36, 15e3, np.r_[-150:0, 1:151]), 0.25),   # null at DC
-        (OfdmNumerology.centered(512, 0, 15e3, 300), 0.25),
-        (OfdmNumerology.centered(511, 36, 15e3, 299, first_offset=-140), 0.25),
-        (OfdmNumerology.centered(512, 36, 15e3, 300), 0.3),
-        (OfdmNumerology.centered(64, 4, 15e3, 24), 1 / 3),
-    ], ids=["default", "dc-null", "no-cp", "odd-n", "step-0.3", "step-third"])
-    def test_analytic_reference_matches_full_width_bitwise(self, numerology, step):
-        assert (analytic_inband_reference(numerology, step)
-                == full_width_inband_reference(numerology, step))
+    @pytest.mark.parametrize("numerology", [
+        OfdmNumerology.centered(512, 36, 15e3, 300),
+        OfdmNumerology(512, 36, 15e3, np.r_[-150:0, 1:151]),   # null at DC
+        OfdmNumerology.centered(512, 0, 15e3, 300),
+        OfdmNumerology.centered(511, 36, 15e3, 299, first_offset=-140),
+        OfdmNumerology.centered(64, 4, 15e3, 24),
+    ], ids=["default", "dc-null", "no-cp", "odd-n", "n64"])
+    def test_analytic_reference_matches_full_width_bitwise(self, numerology):
+        assert (analytic_inband_reference(numerology)
+                == full_width_inband_reference(numerology))
+
+    def test_lattice_index_matches_unique_offsets_on_the_default_scenario(self):
+        num = ScenarioConfig.from_dict({}).numerology
+        assert analytic_inband_reference(num) == unique_inband_reference(num)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 700), seed=st.integers(0, 2**32 - 1))
+    def test_lattice_index_matches_unique_offsets_bitwise(self, n, seed):
+        # any set of active offsets, contiguous or not
+        rng = np.random.default_rng(seed)
+        span = np.arange(-(n // 2), (n - 1) // 2 + 1)
+        offsets = rng.choice(span, rng.integers(1, n + 1), replace=False)
+        num = OfdmNumerology(n, int(rng.integers(0, n)), 15e3, offsets, prb_size=1)
+        assert analytic_inband_reference(num) == unique_inband_reference(num)
 
     def test_analytic_reference_step_stable(self, metric_setup):
+        # the quarter-subcarrier grid against a finer one
         num, _, _ = metric_setup
         coarse = analytic_inband_reference(num)
-        fine = analytic_inband_reference(num, step=0.1)
+        fine = full_width_inband_reference(num, step=0.1)
         assert coarse > 0
         assert abs(coarse - fine) / fine < 0.01
 

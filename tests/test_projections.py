@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from specprecode import (DegenerateConstraintError, Rank1Constraint,
                          bisection_rank1_oracle, project_columns_ball,
                          project_frobenius_ball, project_rank1)
-from specprecode.projections import _frobenius_balls, _symbol_norms
+from specprecode.projections import _frobenius_balls, _inward_radius, _symbol_norms
 
 
 def random_complex(rng, *shape):
@@ -297,7 +297,8 @@ class TestBatchedHelpers:
         # radii from zero to past each symbol's distance: inside and outside mix
         fractions = rng.uniform(0.0, 1.3, len(x))
         fractions[rng.uniform(size=len(x)) < 0.2] = 0.0
-        radii = fractions * _symbol_norms(x - centers)
-        out = _frobenius_balls(x, centers, radii, _symbol_norms(centers), x[0].size)
-        singles = [project_frobenius_ball(*args) for args in zip(x, centers, radii)]
+        dev = x - centers
+        radii = fractions * _symbol_norms(dev)
+        out = _frobenius_balls(dev, radii, _inward_radius(radii, 0.0, dev[0].size))
+        singles = [project_frobenius_ball(d, 0, r) for d, r in zip(dev, radii)]
         assert np.array_equal(out, singles)

@@ -382,11 +382,18 @@ def evm_wideband(dbar, d):
 
 def reference_consensus_admm(block, kernel, gamma, cfg, x_update):
     """N-space reference for consensus_admm, with its signature: the
-    symbols of the block one at a time, each through reference_consensus_one."""
+    symbols of the block one at a time, each through reference_consensus_one.
+    x_update maps a mean deviation from the input's active band to the next
+    deviation; the reference turns it into the map from the band sums of
+    y_m + z_m to the next iterate."""
     outs, reports = [], []
+    m_pts = kernel.n_points
     for i, rows in enumerate(block):
-        out, report = reference_consensus_one(
-            rows, kernel, gamma, cfg, lambda s, i=i: x_update(s[None], np.array([i]))[0])
+        band = rows[:, kernel.numerology.band_bins]
+
+        def update(s, i=i, band=band):
+            return band + x_update((s / m_pts - band)[None], np.array([i]))[0]
+        out, report = reference_consensus_one(rows, kernel, gamma, cfg, update)
         outs.append(out)
         reports.append(report)
     return np.stack(outs), reports

@@ -25,8 +25,8 @@ precision and its outputs block holds the data files' digests.
 case's symbol count, and ``--list`` prints the case names.
 
 The cases: the default scenario under every precoder but the oracle at
-20 symbols and (with ESSP also without early stop) at 70; EADMM with the
-second mask and the frequency-selective edge profile; ADMM and EADMM with
+20 symbols and (with ESSP also without early stop) at 70; EADMM and ESSP
+with the second mask and the frequency-selective edge profile; ADMM and EADMM with
 a residual tolerance; the oracle on a 64-point numerology; and the four
 benchmark workloads of ``bench/workloads.json`` at scenario seeds 1000,
 2001 and 3002.
@@ -65,10 +65,11 @@ def cases(config):
     out = {}
     for p in ("none", "nsp", "ensp", "admm", "ssp", "eadmm", "essp"):
         out[f"default-{p}"] = {"precoder": p}
-    out["eadmm-mask2-selective"] = {
-        "precoder": "eadmm", "mask_db_per_100khz": list(config.MASK2_DB),
-        "evm": {"mode": "frequency_selective",
-                "profile_per_prb": config.selective_edge_profile()}}
+    for p in ("eadmm", "essp"):
+        out[f"{p}-mask2-selective"] = {
+            "precoder": p, "mask_db_per_100khz": list(config.MASK2_DB),
+            "evm": {"mode": "frequency_selective",
+                    "profile_per_prb": config.selective_edge_profile()}}
     out["admm-tol"] = {"precoder": "admm", "admm": {"residual_tol": 1e-3}}
     out["eadmm-tol"] = {"precoder": "eadmm", "eadmm": {"residual_tol": 1e-2}}
     out["oracle-n64"] = dict(SMALL_NUMEROLOGY, precoder="oracle", symbols=4)
