@@ -12,45 +12,43 @@ error vector magnitude, PSD, ACLR) used to evaluate runs.
 
 __version__ = "0.1.0"
 
-from .baselines import (LogBarrierProblem, LogBarrierResult, NotchProjector,
-                        OracleConfig, bisection_rank1_oracle, ensp_precode,
-                        logbarrier_solve, nsp_precode)
+from .baselines import (LogBarrierProblem, LogBarrierResult, OracleConfig,
+                        bisection_rank1_oracle, ensp_precode, logbarrier_solve,
+                        nsp_precode)
 from .config import (DEFAULT_SCENARIO, MASK2_DB, ScenarioConfig,
                      expand_evm_profile, selective_edge_profile)
 from .constrained import (EsspConfig, EvmConstraint, FeasibilityReport,
                           eadmm_precode, essp_precode, feasibility_probe)
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
-from .metrics import (AclrReport, EvmReport, MaskSpec, PsdAccumulator, PsdConfig,
-                      PsdEstimate, aclr, analytic_inband_reference, calibrate_mask,
-                      evm_metrics, kernel_psd_prediction, mask_ratio, oobe_power,
-                      psd_estimate)
+from .metrics import (AclrReport, MaskSpec, PsdAccumulator, PsdConfig, PsdEstimate,
+                      aclr, analytic_inband_reference, calibrate_mask,
+                      kernel_psd_prediction, oobe_power)
 from .projections import (Rank1Constraint, project_columns_ball,
                           project_frobenius_ball, project_rank1)
 from .runner import compare_runs, run_scenario
 from .signal_model import (DataGrid, FrequencyGrid, OfdmNumerology, SpectralKernel,
-                           build_kernel, generate_qam_block, generate_qam_grid, kernel_row,
+                           build_kernel, generate_qam_block, generate_qam_grid,
                            qam_constellation, read_waveform, synthesize_time_signal,
                            write_waveform)
 from .unconstrained import (AdmmConfig, FactoredInverse, SolverReport,
-                            SspConfig, admm_precode, inverse_sum_rank1,
-                            mask_bounds, ssp_precode)
+                            SspConfig, admm_precode, mask_bounds, ssp_precode)
 
 __all__ = [
     "__version__",
     "AclrReport", "AdmmConfig", "ConfigError", "DataGrid",
     "DEFAULT_SCENARIO", "DegenerateConstraintError", "EsspConfig", "EvmConstraint",
-    "EvmReport", "FactoredInverse", "FeasibilityReport", "FrequencyGrid",
+    "FactoredInverse", "FeasibilityReport", "FrequencyGrid",
     "LogBarrierProblem", "LogBarrierResult", "MASK2_DB", "MaskSpec",
-    "NotchProjector", "NumericalError", "OfdmNumerology", "OracleConfig",
+    "NumericalError", "OfdmNumerology", "OracleConfig",
     "PsdAccumulator", "PsdConfig", "PsdEstimate", "Rank1Constraint",
     "ScenarioConfig", "SolverReport", "SpectralKernel", "SspConfig",
     "aclr", "admm_precode", "analytic_inband_reference", "bisection_rank1_oracle",
     "build_kernel", "calibrate_mask", "compare_runs",
-    "eadmm_precode", "ensp_precode", "essp_precode", "evm_metrics",
+    "eadmm_precode", "ensp_precode", "essp_precode",
     "expand_evm_profile", "feasibility_probe", "generate_qam_block", "generate_qam_grid",
-    "inverse_sum_rank1", "kernel_psd_prediction", "kernel_row", "logbarrier_solve",
-    "mask_bounds", "mask_ratio", "nsp_precode", "oobe_power", "project_columns_ball",
-    "project_frobenius_ball", "project_rank1", "psd_estimate", "qam_constellation",
+    "kernel_psd_prediction", "logbarrier_solve", "mask_bounds", "nsp_precode",
+    "oobe_power", "project_columns_ball", "project_frobenius_ball", "project_rank1",
+    "qam_constellation",
     "read_waveform", "run_scenario", "selective_edge_profile", "ssp_precode",
     "synthesize_time_signal", "write_waveform",
 ]

@@ -44,26 +44,6 @@ def _notch_component(rows, d):
     return np.tensordot(w, rows.conj(), axes=([-1], [0]))
 
 
-@dataclass(frozen=True)
-class NotchProjector:
-    """G = I - alpha * A^H (A A^H)^(-1) A for the kernel's constraint rows."""
-
-    matrix: np.ndarray
-    alpha: float
-
-    @classmethod
-    def build(cls, kernel, alpha=1.0):
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError("alpha must lie in [0, 1]", field="alpha")
-        rows = kernel.active_rows
-        n = rows.shape[1]
-        p_t = _notch_component(rows, np.eye(n, dtype=complex))
-        return cls(matrix=np.eye(n, dtype=complex) - alpha * p_t.T, alpha=float(alpha))
-
-    def apply(self, d):
-        return np.tensordot(np.asarray(d, dtype=complex), self.matrix.T, axes=([-1], [0]))
-
-
 def nsp_precode(d, kernel):
     """Null-space projection: d with every constraint frequency nulled.
 

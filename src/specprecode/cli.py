@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .config import PRECODERS, ScenarioConfig
+from .config import PRECODERS, ScenarioConfig, read_scenario
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .runner import compare_runs, run_scenario
 
@@ -42,13 +42,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ConfigError("config root must be an object", field="config")
-        else:
-            data = {}
+        data = read_scenario(args.config) if args.config is not None else {}
         for key, val in (("precoder", args.precoder), ("seed", args.seed),
                          ("symbols", args.symbols), ("out_dir", args.out_dir)):
             if val is not None:
@@ -56,12 +50,6 @@ def main(argv=None):
         if args.emit_waveforms:
             data["emit_waveforms"] = True
         cfg = ScenarioConfig.from_dict(data)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

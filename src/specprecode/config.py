@@ -19,12 +19,13 @@ import numpy as np
 from .constrained import EsspConfig, EvmConstraint
 from .errors import ConfigError
 from .metrics import MaskSpec, PsdConfig, analytic_inband_reference, calibrate_mask
+from .runner import PRECODER_TABLE
 from .signal_model import QAM_ORDERS, FrequencyGrid, OfdmNumerology
 from .unconstrained import AdmmConfig, SspConfig
 
-PRECODERS = ("none", "nsp", "ensp", "admm", "ssp", "eadmm", "essp", "oracle")
+PRECODERS = tuple(PRECODER_TABLE)
 # The precoders that take the error budget.
-BUDGET_PRECODERS = ("ensp", "eadmm", "essp")
+BUDGET_PRECODERS = tuple(name for name, entry in PRECODER_TABLE.items() if entry.budgets)
 
 # Per-PRB error budget of the frequency-selective reference experiment: an
 # explicit ramp on each edge block (outermost subcarrier 20%, innermost
@@ -230,16 +231,16 @@ class ScenarioConfig:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
         evm_eps = _get(evm_d, "eps_avg_fraction", float, "evm.", optional=True)
         evm_profile = _get(evm_d, "profile_per_prb", list, "evm.", optional=True)
-        if precoder in BUDGET_PRECODERS:
+        budgets = PRECODER_TABLE[precoder].budgets
+        if budgets:
+            if evm_mode not in budgets:
+                raise ConfigError(f"precoder {precoder!r} takes {' or '.join(budgets)} "
+                                  "budgets only", field="evm.mode")
             if evm_mode == "wideband" and evm_eps is None:
                 raise ConfigError("wideband budget needs eps_avg_fraction", field="evm.eps_avg_fraction")
-            if evm_mode == "frequency_selective":
-                if precoder == "ensp":
-                    raise ConfigError("the scaled notch supports wideband budgets only",
-                                      field="evm.mode")
-                if evm_profile is None:
-                    raise ConfigError("frequency-selective budget needs profile_per_prb",
-                                      field="evm.profile_per_prb")
+            if evm_mode == "frequency_selective" and evm_profile is None:
+                raise ConfigError("frequency-selective budget needs profile_per_prb",
+                                  field="evm.profile_per_prb")
         if evm_profile is not None:
             expand_evm_profile(evm_profile, numerology)   # validate coverage
 
@@ -270,18 +271,9 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}", field="config") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}", field="config") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be an object", field="config")
-        return cls.from_dict(data)
+        return cls.from_dict(read_scenario(path))
 
-    def evm_constraint(self, reference=None):
+    def evm_constraint(self):
         """The configured budget as an EvmConstraint, or None if absent."""
         if self.evm_mode == "wideband":
             if self.evm_eps_avg is None:
@@ -309,6 +301,21 @@ class ScenarioConfig:
     def normalized(self):
         """The resolved configuration as a plain loadable dict."""
         return copy.deepcopy(self.raw)
+
+
+def read_scenario(path):
+    """The JSON object of a scenario file, not yet validated; a missing
+    file, invalid JSON or a root that is not an object raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}", field="config") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"not valid JSON: {exc}", field="config") from None
+    if not isinstance(data, dict):
+        raise ConfigError("the root must be an object", field="config")
+    return data
 
 
 def _merge_defaults(base, override):

@@ -11,12 +11,12 @@ same thing in either domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .signal_model import OfdmNumerology, _kernel_entries, _kernel_matrix
+from .signal_model import _kernel_entries, _kernel_matrix
 
 _DB_FLOOR = 1e-30
 
@@ -133,71 +133,6 @@ def oobe_power(dbar, kernel):
     band = vals if vals.shape[-1] == num.n_active else vals.take(num.band_bins, axis=-1)
     powers = np.abs(_row_products(np.atleast_2d(band), kernel.band_rows.T)) ** 2
     return np.swapaxes(powers, -1, -2) if vals.ndim >= 2 else powers[0]
-
-
-def mask_ratio(dbar, kernel, mask):
-    """Per-point |a^T dbar|^2 / gamma; 1.0 is the mask boundary."""
-    powers = oobe_power(dbar, kernel)
-    gamma = np.asarray(mask.gamma if hasattr(mask, "gamma") else mask, dtype=float)
-    if powers.ndim == 2:
-        return powers / gamma[:, None]
-    return powers / gamma
-
-
-@dataclass(frozen=True)
-class EvmReport:
-    """EVM fractions at every scope, with zero-power scopes flagged.
-
-    per_subcarrier and per_prb follow the active band in offset order;
-    entries whose reference power is zero hold NaN and are marked invalid.
-    """
-
-    wideband_per_antenna: np.ndarray
-    pooled: float
-    per_subcarrier: np.ndarray
-    per_prb: np.ndarray
-    subcarrier_valid: np.ndarray
-    prb_valid: np.ndarray
-    active_offsets: np.ndarray
-
-
-def evm_metrics(x, xbar):
-    """Error-vector magnitudes between a reference grid and its precoded form.
-
-    wideband per antenna j: ||xbar_j - x_j|| / ||x_j||; pooled: Frobenius
-    over the whole grid; per-subcarrier and per-PRB pool over columns.
-    """
-    num = x.numerology
-    ref = _grid_values(x)
-    out = _grid_values(xbar)
-    if ref.shape != out.shape:
-        raise ConfigError("grids must have matching shapes", field="grid")
-
-    diff = out - ref
-    ref_row = np.linalg.norm(ref, axis=1)
-    if np.any(ref_row == 0):
-        raise ConfigError("a reference antenna row has zero power", field="grid")
-    wideband = np.linalg.norm(diff, axis=1) / ref_row
-    pooled = float(np.linalg.norm(diff) / np.linalg.norm(ref))
-
-    bins = num.active_bins
-    err_col = np.sum(np.abs(diff[:, bins]) ** 2, axis=0)
-    pow_col = np.sum(np.abs(ref[:, bins]) ** 2, axis=0)
-    sc_valid = pow_col > 0
-    per_sc = np.full(bins.size, np.nan)
-    per_sc[sc_valid] = np.sqrt(err_col[sc_valid] / pow_col[sc_valid])
-
-    n_prb = num.n_prb
-    err_prb = err_col.reshape(n_prb, num.prb_size).sum(axis=1)
-    pow_prb = pow_col.reshape(n_prb, num.prb_size).sum(axis=1)
-    prb_valid = pow_prb > 0
-    per_prb = np.full(n_prb, np.nan)
-    per_prb[prb_valid] = np.sqrt(err_prb[prb_valid] / pow_prb[prb_valid])
-
-    return EvmReport(wideband_per_antenna=wideband, pooled=pooled,
-                     per_subcarrier=per_sc, per_prb=per_prb,
-                     subcarrier_valid=sc_valid, prb_valid=prb_valid,
-                     active_offsets=num.active_offsets.copy())
 
 
 @dataclass(frozen=True)
@@ -353,22 +288,6 @@ class PsdAccumulator:
                            ref_density=cfg.ref_density, ref_db=cfg.ref_db)
 
 
-def psd_estimate(samples, numerology, config=None, probe_freqs_hz=None):
-    """Averaged periodogram of a concatenated CP-OFDM waveform.
-
-    samples: (n_tx, n_samples) at oversample * base rate.  Returns a
-    PsdEstimate (summed over antennas); pass probe_freqs_hz to also get the
-    exact-frequency densities as (estimate, probe_density) for cross-checks.
-    """
-    config = config or PsdConfig()
-    acc = PsdAccumulator(numerology, config, probe_freqs_hz=probe_freqs_hz)
-    acc.add(samples)
-    est = acc.finalize()
-    if probe_freqs_hz is not None:
-        return est, acc.probe_density()
-    return est
-
-
 def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):
     """Ensemble leakage density predicted from the frequency grids.
 
@@ -376,7 +295,9 @@ def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):
     the synthesizer (FFT size and CP scaled by the oversampling factor) at
     the probe frequencies and averages |a(nu)^T dbar_j|^2 over symbols and
     antennas, returning a density per Hz comparable to PsdEstimate and
-    probe_density values.
+    probe_density values.  Each grid is one (n_tx, N) symbol or an
+    (S, n_tx, N) block; a block counts as its S symbols, added one at a
+    time in order, so it gives the bits of the list of its symbols.
     """
     freqs_hz = np.asarray(freqs_hz, dtype=float)
     nu_os = freqs_hz / numerology.scs_hz
@@ -389,11 +310,12 @@ def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):
     total = np.zeros(freqs_hz.size)
     count = 0
     for grid in grids:
-        proj = _row_products(_grid_values(grid)[:, numerology.active_bins], cols)
+        proj = _row_products(_grid_values(grid)[..., numerology.active_bins], cols)
         # The oversampled body is scaled by 1/sqrt(N) of the base FFT, while
         # the kernel rows here carry 1/sqrt(os*N); undo the mismatch.
-        total += np.sum(np.abs(proj) ** 2, axis=0) * oversample
-        count += 1
+        for power in np.atleast_2d(np.sum(np.abs(proj) ** 2, axis=-2) * oversample):
+            total += power
+            count += 1
     if count == 0:
         raise ConfigError("no grids provided", field="psd")
     return total / count / (fs * seg)

@@ -29,13 +29,13 @@ import csv
 import io
 import json
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import LogBarrierProblem, ensp_precode, logbarrier_solve, nsp_precode
-from .config import BUDGET_PRECODERS
 from .constrained import eadmm_precode, essp_precode
 from .errors import ConfigError
 from .metrics import PsdAccumulator, aclr, oobe_power
@@ -65,56 +65,57 @@ def _fmt(value):
     return str(value)
 
 
-def _oracle_precode(block, kernel, gamma):
-    """Log-barrier projection of every (n_tx, N) symbol of the block, with
-    the worst KKT residual and Newton step count over the block."""
+def _scaled_notch(cfg, block, kernel, budget):
+    vals, alpha = ensp_precode(block.symbols, kernel, budget.eps_avg)
+    return block.with_symbols(vals), None, {"ensp_alpha_max": float(np.max(alpha))}
+
+
+def _log_barrier(cfg, block, kernel, budget):
+    """Log-barrier projection of every (n_tx, N) symbol, with the worst KKT
+    residual and Newton step count over the block."""
     u_rows = kernel.active_rows.conj()
-    rank1 = [(u_rows[m], float(gamma[m])) for m in range(u_rows.shape[0])]
-    out = np.empty_like(block)
+    rank1 = [(u_rows[m], float(cfg.mask.gamma[m])) for m in range(u_rows.shape[0])]
+    shape = block.symbols.shape
+    syms = block.symbols.reshape((-1,) + shape[-2:])
+    out = np.empty_like(syms)
     kkt, steps = [], []
-    for s, sym in enumerate(block):
+    for s, sym in enumerate(syms):
         result = logbarrier_solve(LogBarrierProblem(objective="least_squares",
                                                     reference=sym, rank1=rank1))
         out[s] = result.solution.reshape(sym.shape)
         kkt.append(float(result.kkt_residual))
         steps.append(int(result.newton_steps))
-    return out, {"oracle_kkt": max(kkt), "oracle_newton_steps": max(steps)}
+    return (block.with_symbols(out.reshape(shape)), None,
+            {"oracle_kkt": max(kkt), "oracle_newton_steps": max(steps)})
 
 
-def _dispatch(cfg, grid, kernel, evm_c):
-    """Precode one symbol or a block; returns (out, report(s) or None, extras),
-    with extras the largest value of each diagnostic over the block."""
-    gamma = cfg.mask.gamma
-    extras = {}
-    if cfg.precoder == "none":
-        out = grid
-        report = None
-    elif cfg.precoder == "nsp":
-        out = grid.with_symbols(nsp_precode(grid.symbols, kernel))
-        report = None
-    elif cfg.precoder == "ensp":
-        vals, alpha = ensp_precode(grid.symbols, kernel, cfg.evm_eps_avg)
-        out = grid.with_symbols(vals)
-        extras["ensp_alpha_max"] = float(np.max(alpha))
-        report = None
-    elif cfg.precoder == "admm":
-        vals, report = admm_precode(grid.symbols, kernel, cfg.mask, cfg.admm)
-        out = grid.with_symbols(vals)
-    elif cfg.precoder == "ssp":
-        vals, report = ssp_precode(grid.symbols, kernel, cfg.mask, cfg.ssp)
-        out = grid.with_symbols(vals)
-    elif cfg.precoder == "eadmm":
-        out, report = eadmm_precode(grid, kernel, cfg.mask, evm_c, cfg.eadmm)
-    elif cfg.precoder == "essp":
-        out, report = essp_precode(grid, kernel, cfg.mask, evm_c, cfg.essp)
-    elif cfg.precoder == "oracle":
-        shape = grid.symbols.shape
-        vals, extras = _oracle_precode(grid.symbols.reshape((-1,) + shape[-2:]), kernel, gamma)
-        out = grid.with_symbols(vals.reshape(shape))
-        report = None
-    else:
-        raise ConfigError(f"unknown precoder {cfg.precoder!r}", field="precoder")
-    return out, report, extras
+def _on_values(block, result):
+    vals, reports = result
+    return block.with_symbols(vals), reports, {}
+
+
+# One entry per precoder.  ``budgets`` names the modes of error budget the
+# precoder takes (none for a mask-only precoder).  ``run(cfg, block,
+# kernel, budget)`` precodes one (n_tx, N) symbol or an (S, n_tx, N) block
+# and returns (precoded grid, per-symbol SolverReports or None, extras),
+# with extras the largest value of each diagnostic over the block.
+_Precoder = namedtuple("_Precoder", "budgets run")
+_ANY_BUDGET = ("wideband", "frequency_selective")
+PRECODER_TABLE = {
+    "none": _Precoder((), lambda cfg, block, kernel, budget: (block, None, {})),
+    "nsp": _Precoder((), lambda cfg, block, kernel, budget: (
+        block.with_symbols(nsp_precode(block.symbols, kernel)), None, {})),
+    "ensp": _Precoder(("wideband",), _scaled_notch),
+    "admm": _Precoder((), lambda cfg, block, kernel, budget: _on_values(
+        block, admm_precode(block.symbols, kernel, cfg.mask, cfg.admm))),
+    "ssp": _Precoder((), lambda cfg, block, kernel, budget: _on_values(
+        block, ssp_precode(block.symbols, kernel, cfg.mask, cfg.ssp))),
+    "eadmm": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
+        *eadmm_precode(block, kernel, cfg.mask, budget, cfg.eadmm), {})),
+    "essp": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
+        *essp_precode(block, kernel, cfg.mask, budget, cfg.essp), {})),
+    "oracle": _Precoder((), _log_barrier),
+}
 
 
 def _pseudo_reports(err_sym, ref_sym, per_point):
@@ -170,7 +171,8 @@ def run_scenario(cfg, out_dir=None):
     out_path.mkdir(parents=True, exist_ok=True)
 
     kernel = build_kernel(cfg.numerology, cfg.freq_grid)
-    evm_c = cfg.evm_constraint() if cfg.precoder in BUDGET_PRECODERS else None
+    precoder = PRECODER_TABLE[cfg.precoder]
+    budget = cfg.evm_constraint() if precoder.budgets else None
     psd_cfg = cfg.psd_config()
     probe_hz = cfg.freq_grid.to_hz(cfg.numerology.scs_hz)
     psd_acc = PsdAccumulator(cfg.numerology, psd_cfg, probe_freqs_hz=probe_hz)
@@ -196,7 +198,7 @@ def run_scenario(cfg, out_dir=None):
         grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
                                   first, min(BLOCK_SYMBOLS, cfg.symbols - first))
         t1 = time.perf_counter()
-        out, reports, extras = _dispatch(cfg, grid, kernel, evm_c)
+        out, reports, extras = precoder.run(cfg, grid, kernel, budget)
         t2 = time.perf_counter()
 
         pow_pts = oobe_power(out, kernel)                     # (S, M, n_tx)
@@ -301,10 +303,8 @@ def _write_trace(path, trace_acc, n_points, files):
 
 
 def _write_evm(path, offsets, evm_per_sc, cfg, files):
-    budget = None
-    if cfg.evm_profile is not None and cfg.evm_mode == "frequency_selective":
-        from .config import expand_evm_profile
-        budget = expand_evm_profile(cfg.evm_profile, cfg.numerology)
+    selective = cfg.evm_constraint() if cfg.evm_mode == "frequency_selective" else None
+    budget = None if selective is None else selective.eps
     header = ["subcarrier_offset", "evm_rms"] + (["budget"] if budget is not None else [])
     rows = []
     for i, off in enumerate(offsets):

@@ -131,10 +131,6 @@ class OfdmNumerology:
         """Read-only FFT bin indices of the guard bins, ascending."""
         return _read_only(np.flatnonzero(~self.active_mask()))
 
-    @property
-    def occupied_bandwidth_hz(self):
-        return self.n_active * self.scs_hz
-
     def active_mask(self):
         """Boolean length-N mask, True on active bins."""
         mask = np.zeros(self.fft_size, dtype=bool)
@@ -222,11 +218,6 @@ class SpectralKernel:
     def n_points(self):
         return self.matrix.shape[0]
 
-    @property
-    def row_norms_sq(self):
-        """Squared 2-norm of each full row."""
-        return np.einsum("mk,mk->m", self.matrix, self.matrix.conj()).real
-
     @cached_property
     def active_rows(self):
         """Read-only M x N rows with guard-bin columns zeroed, built once."""
@@ -249,11 +240,6 @@ class SpectralKernel:
         forced to zero, built once."""
         return _read_only(self.matrix[:, self.numerology.band_bins])
 
-    @property
-    def active_row_norms_sq(self):
-        rows = self.matrix[:, self.numerology.active_bins]
-        return np.einsum("mk,mk->m", rows, rows.conj()).real
-
 
 def build_kernel(numerology, freq_grid):
     """Evaluate the leakage kernel for ``freq_grid`` under ``numerology``."""
@@ -261,11 +247,6 @@ def build_kernel(numerology, freq_grid):
         freq_grid = FrequencyGrid(points=np.asarray(freq_grid, dtype=float))
     matrix = _kernel_matrix(numerology.fft_size, numerology.cp_len, freq_grid.points)
     return SpectralKernel(matrix=matrix, freq_grid=freq_grid, numerology=numerology)
-
-
-def kernel_row(numerology, point):
-    """Single leakage row a(nu)^T as a length-N vector."""
-    return _kernel_matrix(numerology.fft_size, numerology.cp_len, [float(point)])[0]
 
 
 @dataclass(frozen=True)
@@ -299,14 +280,6 @@ class DataGrid:
 
     def with_symbols(self, symbols):
         return replace(self, symbols=symbols)
-
-    def active_values(self):
-        """The (n_tx, n_active) amplitudes on active bins (per symbol of a block)."""
-        return self.symbols[..., self.numerology.active_bins]
-
-    def power(self):
-        """Total squared magnitude over the grid."""
-        return float(np.vdot(self.symbols, self.symbols).real)
 
 
 @lru_cache(maxsize=None)

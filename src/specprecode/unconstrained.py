@@ -332,23 +332,6 @@ class FactoredInverse:
         return out
 
 
-def inverse_sum_rank1(mu, kernel):
-    """Explicit (I + sum_m mu_m u_m u_m^H)^(-1) with u_m = a(nu_m)*.
-
-    Folds the M rank-1 terms into a FactoredInverse and expands it; raises
-    NumericalError when an update denominator vanishes (possible only with
-    negative multipliers).
-    """
-    mu = np.asarray(mu, dtype=float)
-    u_all = kernel.matrix.conj()
-    if mu.shape != (u_all.shape[0],):
-        raise ConfigError("one multiplier per kernel row is required", field="mu")
-    inverse = FactoredInverse(u_all.shape[1])
-    for u, mu_m in zip(u_all, mu):
-        inverse.push(u, mu_m)
-    return inverse.dense()
-
-
 def ssp_dual_sweeps(c0, gram, gamma, cfg):
     """Cyclic coordinate ascent on the M mask multipliers of every row.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specprecode import (ConfigError, DegenerateConstraintError, FrequencyGrid,
-                         LogBarrierProblem, NotchProjector, bisection_rank1_oracle,
+                         LogBarrierProblem, bisection_rank1_oracle,
                          build_kernel, ensp_precode, logbarrier_solve, nsp_precode,
                          project_rank1)
 
@@ -84,19 +84,6 @@ class TestEnsp:
         _, kern, grid = notch_setup
         with pytest.raises(ConfigError):
             ensp_precode(grid.symbols, kern, -0.1)
-
-
-class TestNotchProjector:
-    def test_full_alpha_matches_nsp(self, notch_setup):
-        _, kern, grid = notch_setup
-        proj = NotchProjector.build(kern, alpha=1.0)
-        assert np.allclose(proj.apply(grid.symbols),
-                           nsp_precode(grid.symbols, kern), atol=1e-12)
-
-    def test_alpha_out_of_range_rejected(self, notch_setup):
-        _, kern, _ = notch_setup
-        with pytest.raises(ConfigError):
-            NotchProjector.build(kern, alpha=1.5)
 
 
 class TestBisectionOracle:

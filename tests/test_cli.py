@@ -240,7 +240,7 @@ class TestEveryPrecoder:
         for s in range(cfg.symbols):
             grid = generate_qam_grid(cfg.seed, cfg.numerology, cfg.n_tx,
                                      cfg.constellation, symbol_index=s)
-            out, _, _ = runner._dispatch(cfg, grid, kernel, evm_c)
+            out, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, evm_c)
             total = total + oobe_power(out, kernel).max(axis=1)
         header, rows = read_csv(runs[0] / "summary.csv")
         summary = dict(zip(header, rows[0]))

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          PsdAccumulator, PsdConfig, PsdEstimate, ScenarioConfig,
                          aclr, analytic_inband_reference, build_kernel,
-                         calibrate_mask, evm_metrics, kernel_psd_prediction,
-                         mask_ratio, oobe_power, psd_estimate,
-                         OfdmNumerology, synthesize_time_signal)
+                         calibrate_mask, generate_qam_block, kernel_psd_prediction,
+                         oobe_power, OfdmNumerology, synthesize_time_signal)
 from specprecode.signal_model import _kernel_entries, _kernel_matrix
 
 from conftest import qpsk_grid, small_numerology
@@ -129,62 +128,12 @@ class TestLeakageMetrics:
         for full, part in ((block, band), (block[0], band[0]), (block[0, 1], band[0, 1])):
             assert np.array_equal(oobe_power(part, kern), oobe_power(full, kern))
 
-    def test_mask_ratio_homogeneity(self, metric_setup):
-        _, kern, grid = metric_setup
-        gamma = np.array([0.5, 0.25])
-        base = mask_ratio(grid, kern, gamma)
-        quarter = mask_ratio(grid, kern, 4.0 * gamma)
-        assert quarter == pytest.approx(base / 4.0, rel=1e-12)
-        spec = MaskSpec(gamma=gamma)
-        assert mask_ratio(grid, kern, spec) == pytest.approx(base, rel=1e-12)
-
     def test_default_scenario_input_violates_mask(self):
         # the shipped scenario only makes sense if raw grids breach the mask
         cfg = ScenarioConfig.from_dict({})
         kern = build_kernel(cfg.numerology, cfg.freq_grid)
         grid = qpsk_grid(cfg.numerology, 2, seed=3)
-        assert mask_ratio(grid, kern, cfg.mask).max() > 1.0
-
-
-class TestEvmMetrics:
-    def test_identical_grids_zero(self, metric_setup):
-        _, _, grid = metric_setup
-        rep = evm_metrics(grid, grid.symbols.copy())
-        assert np.all(rep.wideband_per_antenna == 0.0) and rep.pooled == 0.0
-        assert np.all(rep.per_subcarrier == 0.0) and np.all(rep.per_prb == 0.0)
-        assert np.all(rep.subcarrier_valid) and np.all(rep.prb_valid)
-
-    def test_uniform_shrink_hits_every_scope(self, metric_setup):
-        _, _, grid = metric_setup
-        rep = evm_metrics(grid, 0.92 * grid.symbols)
-        assert rep.pooled == pytest.approx(0.08, rel=1e-12)
-        assert rep.wideband_per_antenna == pytest.approx([0.08, 0.08], rel=1e-12)
-        assert rep.per_subcarrier == pytest.approx(0.08, rel=1e-12)
-        assert rep.per_prb == pytest.approx(0.08, rel=1e-12)
-        assert rep.active_offsets.tolist() == grid.numerology.active_offsets.tolist()
-
-    def test_zero_power_column_flagged(self, metric_setup):
-        num, _, grid = metric_setup
-        ref = grid.symbols.copy()
-        dead = num.active_bins[2]
-        ref[:, dead] = 0.0
-        dead_grid = DataGrid(symbols=ref, numerology=num)
-        rep = evm_metrics(dead_grid, ref.copy())
-        assert not rep.subcarrier_valid[2]
-        assert np.isnan(rep.per_subcarrier[2])
-        assert np.all(rep.prb_valid)        # the PRB still carries power
-
-    def test_zero_power_row_rejected(self, metric_setup):
-        num, _, grid = metric_setup
-        ref = grid.symbols.copy()
-        ref[1] = 0.0
-        with pytest.raises(ConfigError):
-            evm_metrics(DataGrid(symbols=ref, numerology=num), ref)
-
-    def test_shape_mismatch_rejected(self, metric_setup):
-        _, _, grid = metric_setup
-        with pytest.raises(ConfigError):
-            evm_metrics(grid, grid.symbols[:1])
+        assert (oobe_power(grid, kern) / cfg.mask.gamma[:, None]).max() > 1.0
 
 
 class TestPsdConfig:
@@ -253,7 +202,9 @@ class TestPsdAccumulation:
         sym[0, tone_bin % num.fft_size] = 1.0
         grid = DataGrid(symbols=sym, numerology=num)
         cfg = PsdConfig(oversample=4, bin_hz=100e3)
-        est = psd_estimate(synthesize_time_signal(grid, oversample=4), num, cfg)
+        acc = PsdAccumulator(num, cfg)
+        acc.add(synthesize_time_signal(grid, oversample=4))
+        est = acc.finalize()
         peak = est.freq_hz[np.argmax(est.density_per_hz)]
         assert abs(peak - tone_bin * num.scs_hz) <= cfg.bin_hz
 
@@ -299,6 +250,16 @@ class TestPsdAccumulation:
         measured = acc.probe_density()
         predicted = kernel_psd_prediction(grids, num, 4, freqs)
         assert measured == pytest.approx(predicted, rel=1e-9)
+
+    def test_prediction_of_a_block_is_that_of_its_symbols(self):
+        # a block counts as its symbols, added one at a time in order
+        cfg = ScenarioConfig.from_dict({})
+        num = cfg.numerology
+        freqs = cfg.freq_grid.to_hz(num.scs_hz)
+        block = generate_qam_block(cfg.seed, num, cfg.n_tx, cfg.constellation, 0, 3)
+        singles = [block.with_symbols(sym) for sym in block.symbols]
+        assert np.array_equal(kernel_psd_prediction([block], num, 4, freqs),
+                              kernel_psd_prediction(singles, num, 4, freqs))
 
     def test_empty_accumulator_rejected(self, metric_setup):
         num, _, _ = metric_setup

@@ -1,4 +1,5 @@
-"""Smoke test of the output digest script, tools/digest.py."""
+"""Smoke tests of the tools: the output digest script, tools/digest.py, and
+the source line counter, tools/loc.py."""
 
 import importlib.util
 import json
@@ -8,7 +9,9 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-DIGEST = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+DIGEST = TOOLS / "digest.py"
+LOC = TOOLS / "loc.py"
 
 
 def run_digest(*args):
@@ -101,3 +104,38 @@ def test_tolerance_rules():
     # a case missing from the old digests cannot be checked
     assert digest_mod.compare({}, {"case": entry(rows)}, 1.0, 1.0)[2] == 1
     assert digest_mod.compare({}, {"case": entry(rows)})[2] == 0
+
+
+LOC_SAMPLE = '''"""Module docstring
+over two lines."""
+
+import os  # a comment after code counts
+
+
+def f(x):
+    """Docstring."""
+    # a comment line
+    text = """a string that is
+not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    \'\'\'Class docstring.\'\'\'
+    value = 1
+'''
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(LOC_SAMPLE)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n# end\n")
+    done = subprocess.run([sys.executable, str(LOC), str(tmp_path / "pkg")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    # a.py: import, def, text = (two lines), return (two lines), class, value
+    assert rows == [["8", "18", str(tmp_path / "pkg" / "a.py")],
+                    ["1", "3", str(tmp_path / "pkg" / "b.py")],
+                    ["9", "21", "total"]]

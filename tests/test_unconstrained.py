@@ -9,8 +9,7 @@ from specprecode import (ConfigError, DegenerateConstraintError,
                          eadmm_precode, essp_precode, oobe_power, project_rank1)
 from specprecode import constrained, unconstrained
 from specprecode.unconstrained import (AdmmConfig, FactoredInverse, SolverReport,
-                                       SspConfig, admm_precode, inverse_sum_rank1,
-                                       mask_bounds, ssp_precode)
+                                       SspConfig, admm_precode, mask_bounds, ssp_precode)
 
 from conftest import qpsk_grid, random_kernel, small_numerology
 
@@ -170,36 +169,6 @@ class TestFactoredInverse:
         u = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(NumericalError):
             f.push(u, -1.0)          # 1 + mu ||u||^2 = 0
-
-
-class TestInverseSumRank1:
-    def test_zero_multipliers_identity(self, violated_setup):
-        _, kern, _, _ = violated_setup
-        out = inverse_sum_rank1(np.zeros(2), kern)
-        assert np.array_equal(out, np.eye(kern.matrix.shape[1]))
-
-    def test_single_term_closed_form(self, single_point):
-        kern, _, _ = single_point
-        u = kern.matrix.conj()[0]
-        mu = 2.5
-        out = inverse_sum_rank1(np.array([mu]), kern)
-        coef = mu / (1.0 + mu * np.vdot(u, u).real)
-        expect = np.eye(u.size) - coef * np.outer(u, u.conj())
-        assert np.abs(out - expect).max() <= 1e-12
-
-    def test_matches_dense_inverse(self, violated_setup):
-        _, kern, _, _ = violated_setup
-        mu = np.array([1.3, 0.4])
-        u = kern.matrix.conj()
-        mat = np.eye(u.shape[1], dtype=complex)
-        for m in range(2):
-            mat += mu[m] * np.outer(u[m], u[m].conj())
-        assert np.abs(inverse_sum_rank1(mu, kern) - np.linalg.inv(mat)).max() <= 1e-12
-
-    def test_multiplier_shape_checked(self, violated_setup):
-        _, kern, _, _ = violated_setup
-        with pytest.raises(ConfigError):
-            inverse_sum_rank1(np.zeros(3), kern)
 
 
 class TestSsp:
