@@ -3,9 +3,12 @@
 NSP removes the component of the grid that the leakage rows see, so every
 constraint frequency is nulled exactly.  ENSP scales that removal per antenna
 row so the error-vector budget is met with equality whenever full nulling
-would overspend it.  The module also carries two reference solvers used only
-for certification: a bisection search for the rank-1 projection and a
-log-barrier interior-point solver for small constrained instances.
+would overspend it.  NSP is the projection precoder of van de Beek,
+"Sculpting the multicarrier spectrum: a novel projection precoder" (IEEE
+Commun. Lett. 2009), and both notch baselines need numpy alone.  The module also
+carries two reference solvers used only for certification: a bisection
+search for the rank-1 projection and a log-barrier interior-point solver for
+small constrained instances, the one path of the package that loads scipy.
 """
 
 from __future__ import annotations
@@ -18,29 +21,27 @@ from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .projections import Rank1Constraint
 
 
+_DEPENDENT_ROWS = ("leakage rows are linearly dependent; constraint frequencies must "
+                   "be distinct")
+
+
 def _notch_component(rows, d):
-    """P d with P = A^H (A A^H)^(-1) A, computed through solves.
+    """P d with P = A^H (A A^H)^(-1) A, computed through one solve with the
+    M x M row Gram matrix.
 
     ``d`` may carry leading batch dimensions.  Raises ConfigError when the
     row Gram matrix is numerically rank deficient (coincident points).
     """
-    # scipy is imported at first use, so that the package and its other
-    # solvers load without it.
-    import scipy.linalg
-
     gram = rows @ rows.conj().T
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * eigs[-1]:
-        raise ConfigError("leakage rows are linearly dependent; constraint "
-                          "frequencies must be distinct")
+        raise ConfigError(_DEPENDENT_ROWS)
     c = np.tensordot(np.asarray(d, dtype=complex), rows, axes=([-1], [1]))
     flat = c.reshape(-1, rows.shape[0])
     try:
-        factor = scipy.linalg.cho_factor(gram)
+        w = np.linalg.solve(gram, flat.T).T.reshape(c.shape)
     except np.linalg.LinAlgError as exc:
-        raise ConfigError("leakage rows are linearly dependent; constraint "
-                          "frequencies must be distinct") from exc
-    w = scipy.linalg.cho_solve(factor, flat.T).T.reshape(c.shape)
+        raise ConfigError(_DEPENDENT_ROWS) from exc
     return np.tensordot(w, rows.conj(), axes=([-1], [0]))
 
 

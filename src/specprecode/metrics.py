@@ -137,7 +137,7 @@ def oobe_power(dbar, kernel):
 
 @dataclass(frozen=True)
 class PsdConfig:
-    """Periodogram averaging settings.
+    """Rect-window periodogram averaging settings.
 
     segment_len defaults to one full oversampled OFDM symbol; the reference
     pair (ref_density, ref_db) fixes the dB display: a density equal to
@@ -147,7 +147,6 @@ class PsdConfig:
     oversample: int = 4
     segment_len: int = None
     overlap: int = 0
-    window: str = "rect"
     bin_hz: float = 100e3
     ref_density: float = 1.0
     ref_db: float = 0.0
@@ -215,12 +214,6 @@ class PsdAccumulator:
         self.config = config
         self.seg_len = config.resolved_segment(numerology)
         self.fs = config.oversample * numerology.sample_rate_hz
-        if config.window == "rect":
-            self._win = np.ones(self.seg_len)
-        else:
-            from scipy.signal import get_window
-            self._win = get_window(config.window, self.seg_len)
-        self._win_power = float(np.sum(self._win ** 2))
         self._psd_sum = np.zeros(self.seg_len)
         self._segments = 0
         self.probe_freqs_hz = None if probe_freqs_hz is None else np.asarray(probe_freqs_hz, float)
@@ -242,13 +235,11 @@ class PsdAccumulator:
         if n_seg < 1:
             raise ConfigError("waveform shorter than one PSD segment", field="psd")
         step_tx, step = samples.strides
-        windows = np.lib.stride_tricks.as_strided(
+        segs = np.lib.stride_tricks.as_strided(
             samples, shape=(n_seg, samples.shape[0], self.seg_len),
             strides=(hop * step, step_tx, step), writeable=False)
-        # A rect window is all ones, and multiplying by 1.0 is exact.
-        segs = (windows if self.config.window == "rect"
-                else np.multiply(windows, self._win, order="C"))
-        scale = self.fs * self._win_power
+        # Rect-window periodograms: the window's power is the segment length.
+        scale = self.fs * self.seg_len
         for spec_power in np.sum(np.abs(np.fft.fft(segs, axis=-1)) ** 2, axis=1) / scale:
             self._psd_sum += spec_power
         if self.probe_freqs_hz is not None:

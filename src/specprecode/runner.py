@@ -20,12 +20,18 @@ synthesised and added to the PSD in pieces of PSD_SYMBOLS.  Every
 per-symbol result is computed as for a block of one and the run statistics
 are accumulated symbol by symbol in order, so the data files depend on
 neither constant; they only trade per-call overhead against the memory of
-the arrays a block or piece needs.
+the arrays a block or piece needs.  ``waveform.bin`` is written block by
+block as well: each block's base-rate samples go to their offsets in every
+stream of a file that is renamed into place when the run has written it
+whole, so a run holds one block of waveform at a time and a run that raises
+leaves no partial file.  Its digest is then taken in chunks of the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import json
 import time
@@ -39,8 +45,8 @@ from .baselines import LogBarrierProblem, ensp_precode, logbarrier_solve, nsp_pr
 from .constrained import eadmm_precode, essp_precode
 from .errors import ConfigError
 from .metrics import PsdAccumulator, aclr, oobe_power
-from .signal_model import (build_kernel, generate_qam_block, synthesize_time_signal,
-                           write_waveform)
+from .signal_model import (WaveformWriter, build_kernel, generate_qam_block,
+                           synthesize_time_signal)
 from .unconstrained import SolverReport, admm_precode, ssp_precode
 
 _DB_FLOOR = 1e-30
@@ -53,6 +59,8 @@ BLOCK_SYMBOLS = 32
 # system on every block, while 8 symbols' stay in cache and are reused from
 # one piece to the next.
 PSD_SYMBOLS = 8
+# Bytes read at a time when a written file is digested.
+_DIGEST_CHUNK = 1 << 20
 
 
 def _db(x):
@@ -188,52 +196,54 @@ def run_scenario(cfg, out_dir=None):
     ratio_max = 0.0
     extras_agg = {}
     symbol_len = cfg.numerology.symbol_len
-    waveform = (np.empty((cfg.n_tx, cfg.symbols * symbol_len), dtype=complex)
-                if cfg.emit_waveforms else None)
+    waveform_path = out_path / "waveform.bin"
+    waveform = (WaveformWriter(waveform_path, cfg.n_tx, cfg.symbols * symbol_len)
+                if cfg.emit_waveforms else contextlib.nullcontext())
 
     timings = {"generate": 0.0, "precode": 0.0, "metrics": 0.0, "io": 0.0}
     t_run = time.perf_counter()
-    for first in range(0, cfg.symbols, BLOCK_SYMBOLS):
-        t0 = time.perf_counter()
-        grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
-                                  first, min(BLOCK_SYMBOLS, cfg.symbols - first))
-        t1 = time.perf_counter()
-        out, reports, extras = precoder.run(cfg, grid, kernel, budget)
-        t2 = time.perf_counter()
+    with waveform:
+        for first in range(0, cfg.symbols, BLOCK_SYMBOLS):
+            t0 = time.perf_counter()
+            grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                      first, min(BLOCK_SYMBOLS, cfg.symbols - first))
+            t1 = time.perf_counter()
+            out, reports, extras = precoder.run(cfg, grid, kernel, budget)
+            t2 = time.perf_counter()
 
-        pow_pts = oobe_power(out, kernel)                     # (S, M, n_tx)
-        per_point = np.max(pow_pts, axis=2)
-        ratio_max = max(ratio_max, float(np.max(pow_pts / cfg.mask.gamma[:, None])))
-        for key, val in extras.items():
-            extras_agg[key] = max(extras_agg.get(key, -np.inf), val)
+            pow_pts = oobe_power(out, kernel)                     # (S, M, n_tx)
+            per_point = np.max(pow_pts, axis=2)
+            ratio_max = max(ratio_max, float(np.max(pow_pts / cfg.mask.gamma[:, None])))
+            for key, val in extras.items():
+                extras_agg[key] = max(extras_agg.get(key, -np.inf), val)
 
-        cols = cfg.numerology.active_bins
-        err = np.abs(out.symbols - grid.symbols) ** 2
-        ref = np.abs(grid.symbols) ** 2
-        err_sym = np.sum(err, axis=(1, 2))
-        ref_sym = np.sum(ref, axis=(1, 2))
-        err_cols = np.sum(err[:, :, cols], axis=1)
-        ref_cols = np.sum(ref[:, :, cols], axis=1)
-        if reports is None:
-            reports = _pseudo_reports(err_sym, ref_sym, per_point)
-        for s, report in enumerate(reports):
-            oob_final += per_point[s]
-            trace_acc.add(report)
-            err_sq += err_cols[s]
-            ref_sq += ref_cols[s]
-            err_total += float(err_sym[s])
-            ref_total += float(ref_sym[s])
+            cols = cfg.numerology.active_bins
+            err = np.abs(out.symbols - grid.symbols) ** 2
+            ref = np.abs(grid.symbols) ** 2
+            err_sym = np.sum(err, axis=(1, 2))
+            ref_sym = np.sum(ref, axis=(1, 2))
+            err_cols = np.sum(err[:, :, cols], axis=1)
+            ref_cols = np.sum(ref[:, :, cols], axis=1)
+            if reports is None:
+                reports = _pseudo_reports(err_sym, ref_sym, per_point)
+            for s, report in enumerate(reports):
+                oob_final += per_point[s]
+                trace_acc.add(report)
+                err_sq += err_cols[s]
+                ref_sq += ref_cols[s]
+                err_total += float(err_sym[s])
+                ref_total += float(ref_sym[s])
 
-        for j in range(0, len(out.symbols), PSD_SYMBOLS):
-            piece = out.with_symbols(out.symbols[j:j + PSD_SYMBOLS])
-            psd_acc.add(synthesize_time_signal(piece, oversample=cfg.psd_oversample))
-        if waveform is not None:
-            waveform[:, first * symbol_len:(first + len(grid.symbols)) * symbol_len] = (
-                synthesize_time_signal(out, oversample=1))
-        t3 = time.perf_counter()
-        timings["generate"] += t1 - t0
-        timings["precode"] += t2 - t1
-        timings["metrics"] += t3 - t2
+            for j in range(0, len(out.symbols), PSD_SYMBOLS):
+                piece = out.with_symbols(out.symbols[j:j + PSD_SYMBOLS])
+                psd_acc.add(synthesize_time_signal(piece, oversample=cfg.psd_oversample))
+            t3 = time.perf_counter()
+            if cfg.emit_waveforms:
+                waveform.write(first * symbol_len, synthesize_time_signal(out, oversample=1))
+            timings["generate"] += t1 - t0
+            timings["precode"] += t2 - t1
+            timings["metrics"] += t3 - t2
+            timings["io"] += time.perf_counter() - t3
 
     t_io = time.perf_counter()
     psd = psd_acc.finalize()
@@ -250,9 +260,10 @@ def run_scenario(cfg, out_dir=None):
     summary = _write_summary(out_path / "summary.csv", cfg, evm_wideband, aclr_rep,
                              ratio_max, oob_mean_db, probe_db, extras_agg, files)
     _write_json(out_path / "config_resolved.json", cfg.normalized(), files)
-    if waveform is not None:
-        files["waveform.bin"] = _sha256(*write_waveform(out_path / "waveform.bin", waveform))
-    timings["io"] = time.perf_counter() - t_io
+    if cfg.emit_waveforms:
+        with open(waveform_path, "rb") as fh:
+            files["waveform.bin"] = _sha256(iter(functools.partial(fh.read, _DIGEST_CHUNK), b""))
+    timings["io"] += time.perf_counter() - t_io
     timings["total"] = time.perf_counter() - t_run
 
     manifest = {
@@ -269,9 +280,8 @@ def run_scenario(cfg, out_dir=None):
     return manifest
 
 
-def _sha256(*chunks):
-    """Hex digest of the bytes of the chunks (bytes or contiguous arrays),
-    one after the other."""
+def _sha256(chunks):
+    """Hex digest of the bytes of an iterable of chunks, one after the other."""
     import hashlib      # only a run that writes its files needs it
 
     h = hashlib.sha256()
@@ -283,7 +293,7 @@ def _sha256(*chunks):
 def _write_bytes(path, data, files):
     """Write data to path and record its digest under the file's name."""
     path.write_bytes(data)
-    files[path.name] = _sha256(data)
+    files[path.name] = _sha256([data])
 
 
 def _write_csv(path, header, rows, files):

@@ -19,6 +19,7 @@ exact (to roundoff) arbitrarily close to the singular points.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -381,23 +382,62 @@ def synthesize_time_signal(grid, oversample=1):
     return stream.reshape(grid.n_tx, -1)
 
 
-def write_waveform(path, samples):
-    """Write complex streams as little-endian float64 (re, im) pairs.
+class WaveformWriter:
+    """Writes the file of (n_streams, n_samples) complex streams piece by piece.
 
     Layout: 16-byte header (magic ``SPWF``, format version, stream count,
-    samples per stream) followed by the streams row-major.  Returns the
-    header bytes and the contiguous sample array as written, whose bytes
-    follow the header in the file, for a caller that digests the file
-    without reading it back.
+    samples per stream) followed by the streams row-major, each sample a
+    little-endian float64 (re, im) pair.  Used as a context manager: the
+    header is written on entry, :meth:`write` puts a piece of every stream
+    at its place, and the file is written under ``path`` + ``.part`` and
+    renamed to ``path`` on a normal exit once every sample is in place.  On
+    an exception, or with samples missing, the partial file is removed.
     """
-    # A little-endian complex128 array already holds its values as
-    # consecutive float64 (re, im) pairs, so it is written as it is.
-    samples = np.ascontiguousarray(np.atleast_2d(samples), dtype="<c16")
-    header = _WAVEFORM_HEADER.pack(_WAVEFORM_MAGIC, _WAVEFORM_VERSION, *samples.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        samples.tofile(fh)
-    return header, samples
+
+    def __init__(self, path, n_streams, n_samples):
+        self._path = os.fspath(path)
+        self.shape = (n_streams, n_samples)
+        self._part = self._path + ".part"
+        self._fh = None
+        self._written = 0
+
+    def __enter__(self):
+        self._fh = open(self._part, "wb")
+        self._fh.write(_WAVEFORM_HEADER.pack(_WAVEFORM_MAGIC, _WAVEFORM_VERSION, *self.shape))
+        return self
+
+    def write(self, first, samples):
+        """Write samples (n_streams, k) as samples first .. first + k - 1 of
+        every stream."""
+        # A little-endian complex128 array already holds its values as
+        # consecutive float64 (re, im) pairs, so each row is written as it is.
+        samples = np.ascontiguousarray(np.atleast_2d(samples), dtype="<c16")
+        n_streams, n_samples = self.shape
+        if samples.shape[0] != n_streams or not 0 <= first <= n_samples - samples.shape[1]:
+            raise ValueError(f"samples {samples.shape} at offset {first} do not fit "
+                             f"streams {self.shape}")
+        for a, row in enumerate(samples):
+            self._fh.seek(_WAVEFORM_HEADER.size + (a * n_samples + first) * 16)
+            self._fh.write(row)
+        self._written += samples.size
+
+    def __exit__(self, exc_type, exc, tb):
+        self._fh.close()
+        total = self.shape[0] * self.shape[1]
+        if exc_type is None and self._written == total:
+            os.replace(self._part, self._path)
+            return
+        os.remove(self._part)
+        if exc_type is None:
+            raise ValueError(f"{self._written} of {total} waveform samples were written")
+
+
+def write_waveform(path, samples):
+    """Write complex streams (n_streams, n_samples) in the layout of
+    :class:`WaveformWriter`."""
+    samples = np.atleast_2d(samples)
+    with WaveformWriter(path, *samples.shape) as writer:
+        writer.write(0, samples)
 
 
 def read_waveform(path):

@@ -80,6 +80,16 @@ class TestEnsp:
         err = np.linalg.norm(out - grid.symbols, axis=1)
         assert np.allclose(err, alpha * np.linalg.norm(removed, axis=1), rtol=1e-12)
 
+    @pytest.mark.parametrize("shift", [0, 16])
+    def test_coincident_points_rejected(self, notch_setup, shift):
+        # rows are periodic in the FFT size, so points 16 apart coincide
+        num, _, grid = notch_setup
+        kern_dup = build_kernel(num, FrequencyGrid(points=np.array([5.3, 6.25, 5.3 + shift])))
+        with pytest.raises(ConfigError, match="linearly dependent"):
+            ensp_precode(grid.symbols, kern_dup, 0.05)
+        with pytest.raises(ConfigError, match="linearly dependent"):
+            nsp_precode(grid.symbols, kern_dup)
+
     def test_negative_budget_rejected(self, notch_setup):
         _, kern, grid = notch_setup
         with pytest.raises(ConfigError):

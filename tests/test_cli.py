@@ -6,14 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import specprecode
-from specprecode import (ScenarioConfig, SpectralKernel, build_kernel, generate_qam_grid,
-                         oobe_power, read_waveform, run_scenario, runner)
+from specprecode import (NumericalError, ScenarioConfig, SpectralKernel, build_kernel,
+                         generate_qam_block, generate_qam_grid, oobe_power, read_waveform,
+                         run_scenario, runner, synthesize_time_signal, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
 from specprecode.config import BUDGET_PRECODERS, PRECODERS
 
@@ -292,6 +294,62 @@ class TestBlockPipeline:
                     == (tmp_path / "single" / name).read_bytes()), name
 
 
+class TestStreamedWaveform:
+    """waveform.bin as run_scenario writes it, one block at a time."""
+
+    @pytest.mark.parametrize("n_tx", [1, 3])
+    def test_file_is_that_of_the_whole_run(self, tmp_path, n_tx):
+        # a symbol count that the default block does not divide
+        cfg = ScenarioConfig.from_dict(dict(SMALL_SCENARIO, precoder="ensp", n_tx=n_tx,
+                                            symbols=runner.BLOCK_SYMBOLS + 5,
+                                            emit_waveforms=True))
+        manifest = run_scenario(cfg, tmp_path / "run")
+
+        grid = generate_qam_block(cfg.seed, cfg.numerology, n_tx, cfg.constellation,
+                                  0, cfg.symbols)
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        out, _, _ = runner.PRECODER_TABLE["ensp"].run(cfg, grid, kernel, cfg.evm_constraint())
+        write_waveform(tmp_path / "whole.bin", synthesize_time_signal(out, oversample=1))
+        written = tmp_path / "run" / "waveform.bin"
+        assert written.read_bytes() == (tmp_path / "whole.bin").read_bytes()
+        assert manifest["outputs"]["waveform.bin"] == sha256(written)
+
+    def test_failed_run_leaves_no_waveform(self, tmp_path, monkeypatch):
+        notch = runner.PRECODER_TABLE["nsp"]
+        calls = []
+
+        def fails_on_second_block(cfg, block, kernel, budget):
+            calls.append(len(block.symbols))
+            if len(calls) == 2:
+                raise NumericalError("second block")
+            return notch.run(cfg, block, kernel, budget)
+
+        monkeypatch.setitem(runner.PRECODER_TABLE, "nsp", notch._replace(run=fails_on_second_block))
+        cfg = ScenarioConfig.from_dict(dict(SMALL_SCENARIO, precoder="nsp",
+                                            symbols=runner.BLOCK_SYMBOLS + 5,
+                                            emit_waveforms=True))
+        out = tmp_path / "out"
+        with pytest.raises(NumericalError):
+            run_scenario(cfg, out)
+        assert len(calls) == 2
+        assert list(out.iterdir()) == []
+
+    def test_peak_memory_does_not_grow_with_the_run(self, tmp_path):
+        def peak(symbols):
+            cfg = ScenarioConfig.from_dict({"precoder": "ensp", "symbols": symbols,
+                                            "emit_waveforms": True})
+            tracemalloc.start()
+            try:
+                run_scenario(cfg, tmp_path / str(symbols))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)             # fills the caches that the first run of a scenario does
+        # 576 more symbols would add 10 MB of waveform held in memory
+        assert peak(640) - peak(64) < 2e6
+
+
 class TestCompare:
     def run(self, tmp_path, name, **overrides):
         cfg_path = write_scenario(tmp_path, name=f"{name}.json", **overrides)
@@ -329,7 +387,7 @@ class TestCompare:
 
 # Resolves the default scenario and runs every precoder for two symbols in a
 # fresh interpreter.  The solvers that need no scipy run first; the lists of
-# scipy modules loaded after them and after the rest go to stdout as JSON.
+# scipy modules loaded after them and after the oracle go to stdout as JSON.
 COLD_START = """
 import json, sys
 import specprecode
@@ -337,18 +395,16 @@ from specprecode import ScenarioConfig, run_scenario
 
 out, small = sys.argv[1], json.loads(sys.argv[2])
 ScenarioConfig.from_dict({})
-for p in ("none", "ssp", "admm", "essp", "eadmm"):
+for p in ("none", "ssp", "admm", "essp", "eadmm", "nsp", "ensp"):
     run_scenario(ScenarioConfig.from_dict({"precoder": p, "symbols": 2}), f"{out}/{p}")
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-for p in ("nsp", "ensp"):
-    run_scenario(ScenarioConfig.from_dict({"precoder": p, "symbols": 2}), f"{out}/{p}")
 run_scenario(ScenarioConfig.from_dict(dict(small, precoder="oracle", symbols=2)), f"{out}/oracle")
 print(json.dumps([loaded, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
 """
 
 
 class TestColdStart:
-    def test_scipy_loaded_only_by_the_notch_and_oracle_paths(self, tmp_path):
+    def test_scipy_loaded_only_by_the_oracle(self, tmp_path):
         src = str(Path(specprecode.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -10,7 +10,7 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, OfdmNumerology,
                          build_kernel, generate_qam_block, generate_qam_grid,
                          qam_constellation, read_waveform, synthesize_time_signal,
                          write_waveform)
-from specprecode.signal_model import _diric, _kernel_matrix
+from specprecode.signal_model import WaveformWriter, _diric, _kernel_matrix
 
 from conftest import qpsk_grid, small_numerology
 
@@ -341,6 +341,28 @@ class TestWaveformIo:
         # a strided view is written in row-major order as well
         write_waveform(path, samples[:, ::3])
         assert np.array_equal(read_waveform(path), samples[:, ::3])
+
+    def test_writer_places_pieces_of_every_stream(self, tmp_path):
+        rng = np.random.default_rng(3)
+        samples = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+        write_waveform(tmp_path / "whole.bin", samples)
+        path = tmp_path / "pieces.bin"
+        with WaveformWriter(path, 3, 40) as writer:
+            for first, stop in ((32, 40), (0, 8), (8, 32)):
+                writer.write(first, samples[:, first:stop])
+            assert not path.exists()
+        assert path.read_bytes() == (tmp_path / "whole.bin").read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["pieces.bin", "whole.bin"]
+
+    def test_writer_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "w.bin"
+        with pytest.raises(ValueError, match="8 of 10"):
+            with WaveformWriter(path, 2, 5) as writer:
+                writer.write(0, np.ones((2, 4), dtype=complex))
+        with pytest.raises(ValueError, match="do not fit"):
+            with WaveformWriter(path, 2, 5) as writer:
+                writer.write(2, np.ones((2, 4), dtype=complex))
+        assert list(tmp_path.iterdir()) == []
 
     def test_layout_is_float64_pairs(self, tmp_path):
         samples = np.array([[1.5 - 2j, -0.25 + 8j], [3j, 7.0]])

@@ -27,8 +27,9 @@ case's symbol count, and ``--list`` prints the case names.
 The cases: the default scenario under every precoder but the oracle at
 20 symbols and (with ESSP also without early stop) at 70; EADMM and ESSP
 with the second mask and the frequency-selective edge profile; ADMM and EADMM with
-a residual tolerance; the oracle on a 64-point numerology; and the four
-benchmark workloads of ``bench/workloads.json`` at scenario seeds 1000,
+a residual tolerance; the oracle on a 64-point numerology; SSP on three
+antennas at 70 symbols with its waveform written; and the four benchmark
+workloads of ``bench/workloads.json`` at scenario seeds 1000,
 2001 and 3002.
 """
 
@@ -77,6 +78,8 @@ def cases(config):
         out[f"default-{p}-70"] = {"precoder": p, "symbols": 70}
     out["default-essp-nostop-70"] = {"precoder": "essp", "symbols": 70,
                                      "essp": {"early_stop": False}}
+    out["ssp-3tx-waveform-70"] = {"precoder": "ssp", "n_tx": 3, "symbols": 70,
+                                  "emit_waveforms": True}
     with open(ROOT / "bench" / "workloads.json", encoding="utf-8") as fh:
         workloads = json.load(fh)
     for name, overrides in workloads.items():
