@@ -9,6 +9,15 @@ Commun. Lett. 2009), and both notch baselines need numpy alone.  The module also
 carries two reference solvers used only for certification: a bisection
 search for the rank-1 projection and a log-barrier interior-point solver for
 small constrained instances, the one path of the package that loads scipy.
+
+The log-barrier solver's two problems, least squares to the reference under
+the rank-1 sets and the epigraph of a common scale on their bounds under
+error-vector balls, share one central-path routine.  Every constraint is a
+stacked quadratic term s(v) = beta + h.v - ||G v + g||^2 of real unknowns v,
+one family of terms each for the rank-1 sets, the Frobenius ball and the
+column balls, so the barrier's value, gradient and Hessian take a few
+matrix products per family (Boyd & Vandenberghe, Convex Optimization,
+section 11.3).
 """
 
 from __future__ import annotations
@@ -179,11 +188,12 @@ class LogBarrierResult:
     objective_value: float
 
 
-def _realify_direction(u):
-    # u^H x = p.v + i q.v for v = [Re x; Im x].
-    p = np.concatenate([u.real, u.imag])
-    q = np.concatenate([-u.imag, u.real])
-    return p, q
+def _realified_forms(u):
+    """Rows [p; q] of each direction u (last axis): u^H x = p.v + i q.v for
+    v = [Re x; Im x].  Returns shape u.shape[:-1] + (2, 2 * u.shape[-1])."""
+    p = np.concatenate([u.real, u.imag], axis=-1)
+    q = np.concatenate([-u.imag, u.real], axis=-1)
+    return np.stack([p, q], axis=-2)
 
 
 def _support_indices(problem):
@@ -226,6 +236,59 @@ def _newton_minimize(fgh, v0, tol, max_iter):
     return v, steps
 
 
+def _central_path(v, quad, lin, families, config):
+    """Barrier method for min quad ||v||^2 + lin.v subject to stacked
+    quadratic constraints s_c(v) = beta_c + h_c.v - ||G_c v + g_c||^2 >= 0.
+
+    Each family is (G (C, R, D), g (C, R), h (C, D), beta (C,)).  The
+    barrier t (quad ||v||^2 + lin.v) - sum log s_c is minimized by Newton
+    from the strictly interior v for each t of the schedule.  Returns (v,
+    kkt, Newton steps), with kkt the larger of the stationarity norm under
+    the central-path multipliers lambda_c = 1/(t s_c) (the barrier gradient
+    divided by t) and the complementarity gap 1/t, both at t_final.
+    """
+    eye = np.eye(v.size)
+
+    def make_fgh(t, start):
+        # Values are taken relative to the stage's start and each G_c w + g_c
+        # as its value there plus G_c (w - start): Newton's line search then
+        # compares values of the size of the stage's decrease, free of the
+        # cancellation in G_c w + g_c near an active constraint.
+        at_start = [gmat @ start + gvec for gmat, gvec, _, _ in families]
+
+        def fgh(w):
+            move = w - start
+            val = t * (quad * float(move @ (w + start)) + float(lin @ move))
+            grad = t * (2.0 * quad * w + lin)
+            hess = (2.0 * t * quad) * eye
+            for (gmat, _, hvec, beta), a0 in zip(families, at_start):
+                a = a0 + gmat @ move
+                s = beta + hvec @ w - np.einsum("cr,cr->c", a, a)
+                if np.any(s <= 0):
+                    return np.inf, None, None
+                val -= float(np.log(s).sum())
+                # dvec = -grad s_c; the Hessian of -log s_c is
+                # 2 G_c^T G_c / s_c + dvec dvec^T / s_c^2.
+                dvec = 2.0 * np.einsum("crd,cr->cd", gmat, a) - hvec
+                flat = gmat.reshape(-1, w.size)
+                scaled = dvec / s[:, None]
+                grad = grad + scaled.sum(axis=0)
+                hess = hess + 2.0 * (flat.T / np.repeat(s, gmat.shape[1])) @ flat \
+                    + scaled.T @ scaled
+            return val, grad, hess
+        return fgh
+
+    total_steps = 0
+    t = config.t_initial
+    for _ in range(config.outer_steps):
+        v, steps = _newton_minimize(make_fgh(t, v), v, config.inner_tol, config.max_inner)
+        total_steps += steps
+        t *= config.t_multiplier
+    _, grad_t, _ = make_fgh(config.t_final, v)(v)
+    kkt = max(float(np.linalg.norm(grad_t)) / config.t_final, 1.0 / config.t_final)
+    return v, kkt, total_steps
+
+
 def _solve_ls_row(ref_row, dirs, bounds, config):
     """Least-squares-to-reference for one row under rank-1 constraints.
 
@@ -249,168 +312,74 @@ def _solve_ls_row(ref_row, dirs, bounds, config):
     rank = int(np.sum(diag > max(diag[0], 1.0) * 1e-13)) if diag.size else 0
     basis = q_full[:, :rank]                     # orthonormal span of {u_m}
     w_red = basis.conj().T @ u_mat.T             # columns: reduced u_m
-    pq = [_realify_direction(w_red[:, m]) for m in range(u_mat.shape[0])]
-    off = np.stack([c0.real, c0.imag], axis=1)   # affine part of each form
-
-    def slacks(z):
-        vals = np.array([(p @ z + o[0]) ** 2 + (q @ z + o[1]) ** 2
-                         for (p, q), o in zip(pq, off)])
-        return bounds - vals
+    # |u_m^H (ref + basis y)|^2 = ||G_m z + [Re c0_m, Im c0_m]||^2, z = [Re y; Im y]
+    forms = _realified_forms(w_red.T)
 
     # Strictly interior start: null every constraint direction.
     y0 = np.linalg.lstsq(w_red.conj().T, -c0, rcond=None)[0]
-    v = np.concatenate([y0.real, y0.imag])
-
-    def make_fgh(t):
-        def fgh(z):
-            s = slacks(z)
-            if np.any(s <= 0):
-                return np.inf, None, None
-            val = t * float(z @ z) - float(np.log(s).sum())
-            grad = 2.0 * t * z
-            hess = 2.0 * t * np.eye(z.size)
-            for (p, q), o, s_m in zip(pq, off, s):
-                gp, gq = p @ z + o[0], q @ z + o[1]
-                dg = 2.0 * (gp * p + gq * q)
-                grad += dg / s_m
-                hess += 2.0 * (np.outer(p, p) + np.outer(q, q)) / s_m
-                hess += np.outer(dg, dg) / s_m ** 2
-            return val, grad, hess
-        return fgh
-
-    total_steps = 0
-    t = config.t_initial
-    for _ in range(config.outer_steps):
-        v, steps = _newton_minimize(make_fgh(t), v, config.inner_tol, config.max_inner)
-        total_steps += steps
-        t *= config.t_multiplier
-
-    t_final = config.t_final
-    _, grad_t, _ = make_fgh(t_final)(v)
-    # With lambda_m = 1/(t s_m) the stationarity residual of the original
-    # problem is grad of the barrier objective divided by t; the
-    # complementarity residual on the central path is exactly 1/t.  The
-    # basis is orthonormal, so reduced and full-space norms coincide.
-    kkt = max(float(np.linalg.norm(grad_t)) / t_final, 1.0 / t_final)
-    y = v[:rank] + 1j * v[rank:]
-    x = ref_row + basis @ y
-    return x, kkt, total_steps, float(np.linalg.norm(x - ref_row) ** 2)
+    v0 = np.concatenate([y0.real, y0.imag])
+    family = (forms, np.stack([c0.real, c0.imag], axis=1), np.zeros((len(bounds), v0.size)),
+              bounds)
+    v, kkt, steps = _central_path(v0, 1.0, np.zeros(v0.size), [family], config)
+    # The basis is orthonormal, so reduced and full-space norms coincide.
+    x = ref_row + basis @ (v[:rank] + 1j * v[rank:])
+    return x, kkt, steps, float(np.linalg.norm(x - ref_row) ** 2)
 
 
 def _solve_epigraph(problem, config):
-    """min delta_t with |u^H x_j|^2 <= delta_t * b_m and hard balls."""
+    """min delta_t with |u^H x_j|^2 <= delta_t * b_m and hard balls.
+
+    The unknowns are w = [Re x_0, Im x_0, ..., Re x_{n-1}, Im x_{n-1},
+    delta_t] on the support columns; ``lift`` picks the grid part of w.
+    """
     ref = problem.reference
     n_rows = ref.shape[0]
     support = _support_indices(problem)
     k = support.size
-    refs = ref[:, support]
-    pq = [(_realify_direction(c.u[support]), c.b) for c in problem.rank1]
+    dim = 2 * k * n_rows + 1
+    lift = np.eye(dim - 1, dim)
 
-    def split(w):
-        rows = [w[j * 2 * k:(j + 1) * 2 * k] for j in range(n_rows)]
-        return rows, w[-1]
+    def realified(grid):
+        return np.concatenate([grid.real, grid.imag], axis=1).ravel()
 
-    def row_complex(vr):
-        return vr[:k] + 1j * vr[k:]
+    def ball(center, gmat, rad_sq):
+        # ||x - center||^2 <= rad^2 over the rows of gmat
+        c = realified(np.atleast_2d(np.asarray(center, complex))[:, support])
+        g = -(gmat @ np.append(c, 0.0))
+        return gmat, g, np.zeros((len(gmat), dim)), rad_sq
 
-    ball_terms = []
+    # Row j, point m: |u_m^H x_j|^2 <= delta_t b_m, with h = b_m e_dt.
+    forms = _realified_forms(np.stack([c.u[support] for c in problem.rank1]))
+    bounds = np.tile([c.b for c in problem.rank1], n_rows)
+    g_rank1 = np.einsum("jl,mrx->jmrlx", np.eye(n_rows), forms).reshape(
+        len(bounds), 2, dim - 1) @ lift
+    h_rank1 = np.zeros((len(bounds), dim))
+    h_rank1[:, -1] = bounds
+    families = [(g_rank1, np.zeros((len(bounds), 2)), h_rank1, np.zeros(len(bounds)))]
     if problem.frob_ball is not None:
         center, radius = problem.frob_ball
         if radius <= 0:
             raise DegenerateConstraintError("epigraph oracle needs a positive ball radius")
-        c_rows = [np.concatenate([row.real, row.imag])
-                  for row in np.atleast_2d(np.asarray(center, complex))[:, support]]
-        ball_terms.append(("frob", c_rows, float(radius) ** 2))
+        families.append(ball(center, lift[None], np.array([float(radius) ** 2])))
     if problem.col_balls is not None:
         center, radii = problem.col_balls
         radii = np.asarray(radii, dtype=float)[support]
         if np.any(radii <= 0):
             raise DegenerateConstraintError("epigraph oracle needs positive column radii")
-        c_cols = np.atleast_2d(np.asarray(center, complex))[:, support]
-        ball_terms.append(("cols", c_cols, radii ** 2))
+        cols = lift.reshape(n_rows, 2, k, dim).transpose(2, 0, 1, 3).reshape(k, 2 * n_rows, dim)
+        families.append(ball(center, cols, radii ** 2))
 
-    w0 = np.concatenate([np.concatenate([row.real, row.imag]) for row in refs])
-    worst = max(max(((p @ vr) ** 2 + (q @ vr) ** 2) / b for (p, q), b in pq)
-                for vr in [w0[j * 2 * k:(j + 1) * 2 * k] for j in range(n_rows)])
-    w = np.concatenate([w0, [2.0 * worst + 1e-9]])
-    dim = w.size
-
-    def make_fgh(t):
-        def fgh(ww):
-            rows, dt = split(ww)
-            grad = np.zeros(dim)
-            hess = np.zeros((dim, dim))
-            val = t * dt
-            grad[-1] = t
-            for j, vr in enumerate(rows):
-                off = j * 2 * k
-                sl = slice(off, off + 2 * k)
-                for (p, q), b in pq:
-                    gp, gq = p @ vr, q @ vr
-                    s = dt * b - (gp ** 2 + gq ** 2)
-                    if s <= 0:
-                        return np.inf, None, None
-                    val -= np.log(s)
-                    dg = 2.0 * (gp * p + gq * q)
-                    grad[sl] += dg / s
-                    grad[-1] -= b / s
-                    hess[sl, sl] += 2.0 * (np.outer(p, p) + np.outer(q, q)) / s \
-                        + np.outer(dg, dg) / s ** 2
-                    hess[sl, -1] += -b * dg / s ** 2
-                    hess[-1, sl] += -b * dg / s ** 2
-                    hess[-1, -1] += b ** 2 / s ** 2
-            for kind, cval, rad_sq in ball_terms:
-                if kind == "frob":
-                    diffs = [vr - cr for vr, cr in zip(rows, cval)]
-                    s = rad_sq - sum(float(dd @ dd) for dd in diffs)
-                    if s <= 0:
-                        return np.inf, None, None
-                    val -= np.log(s)
-                    dvec = np.zeros(dim)
-                    for j, dd in enumerate(diffs):
-                        dvec[j * 2 * k:(j + 1) * 2 * k] = 2.0 * dd
-                    grad += dvec / s
-                    hess += np.outer(dvec, dvec) / s ** 2
-                    for j in range(n_rows):
-                        sl = slice(j * 2 * k, (j + 1) * 2 * k)
-                        hess[sl, sl] += 2.0 * np.eye(2 * k) / s
-                else:
-                    x = np.stack([row_complex(vr) for vr in rows])
-                    for ci in range(k):
-                        diff_col = x[:, ci] - cval[:, ci]
-                        s = rad_sq[ci] - float(np.sum(np.abs(diff_col) ** 2))
-                        if s <= 0:
-                            return np.inf, None, None
-                        val -= np.log(s)
-                        dvec = np.zeros(dim)
-                        for j in range(n_rows):
-                            off = j * 2 * k
-                            dvec[off + ci] = 2.0 * diff_col[j].real
-                            dvec[off + k + ci] = 2.0 * diff_col[j].imag
-                        grad += dvec / s
-                        hess += np.outer(dvec, dvec) / s ** 2
-                        for j in range(n_rows):
-                            off = j * 2 * k
-                            hess[off + ci, off + ci] += 2.0 / s
-                            hess[off + k + ci, off + k + ci] += 2.0 / s
-            return val, grad, hess
-        return fgh
-
-    total_steps = 0
-    t = config.t_initial
-    for _ in range(config.outer_steps):
-        w, steps = _newton_minimize(make_fgh(t), w, config.inner_tol, config.max_inner)
-        total_steps += steps
-        t *= config.t_multiplier
-
-    t_final = config.t_final
-    _, grad_t, _ = make_fgh(t_final)(w)
-    kkt = max(float(np.linalg.norm(grad_t)) / t_final, 1.0 / t_final)
-    rows, dt = split(w)
+    # Start at the reference with delta_t twice its worst scale.
+    w = np.append(realified(ref[:, support]), 0.0)
+    worst = float(np.max(np.sum((g_rank1 @ w) ** 2, axis=1) / bounds))
+    w[-1] = 2.0 * worst + 1e-9
+    lin = np.zeros(dim)
+    lin[-1] = 1.0
+    w, kkt, steps = _central_path(w, 0.0, lin, families, config)
     sol = ref.copy()
-    for j, vr in enumerate(rows):
-        sol[j, support] = row_complex(vr)
-    return sol, float(dt), kkt, total_steps
+    grid = w[:-1].reshape(n_rows, 2, k)
+    sol[:, support] = grid[:, 0] + 1j * grid[:, 1]
+    return sol, float(w[-1]), kkt, steps
 
 
 def logbarrier_solve(problem, config=None):

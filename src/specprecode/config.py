@@ -269,10 +269,6 @@ class ScenarioConfig:
                   raw=data)
         return cfg
 
-    @classmethod
-    def load(cls, path):
-        return cls.from_dict(read_scenario(path))
-
     def evm_constraint(self):
         """The configured budget as an EvmConstraint, or None if absent."""
         if self.evm_mode == "wideband":

@@ -139,14 +139,12 @@ def oobe_power(dbar, kernel):
 class PsdConfig:
     """Rect-window periodogram averaging settings.
 
-    segment_len defaults to one full oversampled OFDM symbol; the reference
-    pair (ref_density, ref_db) fixes the dB display: a density equal to
-    ref_density (per Hz) is shown as ref_db (per 100 kHz bins).
+    Each segment is one full oversampled OFDM symbol, without overlap; the
+    reference pair (ref_density, ref_db) fixes the dB display: a density
+    equal to ref_density (per Hz) is shown as ref_db (per 100 kHz bins).
     """
 
     oversample: int = 4
-    segment_len: int = None
-    overlap: int = 0
     bin_hz: float = 100e3
     ref_density: float = 1.0
     ref_db: float = 0.0
@@ -154,16 +152,11 @@ class PsdConfig:
     def __post_init__(self):
         if self.oversample < 1:
             raise ConfigError("oversample must be at least 1", field="psd.oversample")
-        if self.overlap < 0:
-            raise ConfigError("overlap must be non-negative", field="psd.overlap")
         if self.bin_hz <= 0 or self.ref_density <= 0:
             raise ConfigError("bin width and reference density must be positive", field="psd")
 
     def resolved_segment(self, numerology):
-        seg = self.segment_len or self.oversample * numerology.symbol_len
-        if self.overlap >= seg:
-            raise ConfigError("overlap must be smaller than the segment", field="psd.overlap")
-        return seg
+        return self.oversample * numerology.symbol_len
 
 
 @dataclass(frozen=True)
@@ -230,14 +223,11 @@ class PsdAccumulator:
         do not depend on how the waveform is split into blocks.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=complex))
-        hop = self.seg_len - self.config.overlap
-        n_seg = (samples.shape[1] - self.config.overlap) // hop
+        n_seg = samples.shape[1] // self.seg_len
         if n_seg < 1:
             raise ConfigError("waveform shorter than one PSD segment", field="psd")
-        step_tx, step = samples.strides
-        segs = np.lib.stride_tricks.as_strided(
-            samples, shape=(n_seg, samples.shape[0], self.seg_len),
-            strides=(hop * step, step_tx, step), writeable=False)
+        segs = samples[:, :n_seg * self.seg_len].reshape(
+            samples.shape[0], n_seg, self.seg_len).swapaxes(0, 1)
         # Rect-window periodograms: the window's power is the segment length.
         scale = self.fs * self.seg_len
         for spec_power in np.sum(np.abs(np.fft.fft(segs, axis=-1)) ** 2, axis=1) / scale:

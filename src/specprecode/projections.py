@@ -33,12 +33,6 @@ class Rank1Constraint:
             raise DegenerateConstraintError("constraint bound must be non-negative")
         object.__setattr__(self, "u", u)
 
-    def violation(self, x):
-        """|u^H x|^2 - b, positive when x is outside the set."""
-        inner = np.tensordot(np.conj(self.u), np.asarray(x, dtype=complex),
-                             axes=([0], [-1]))
-        return (np.abs(inner) ** 2 - self.b)
-
 
 def project_rank1(x, u, b):
     """Project x onto {z : |u^H z|^2 <= b}.

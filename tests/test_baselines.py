@@ -163,6 +163,31 @@ class TestLogBarrier:
         assert res.delta_t <= 1.0
         assert res.objective_value == res.delta_t
 
+    @pytest.mark.parametrize("ball", ["frobenius", "columns"])
+    def test_epigraph_solution_meets_its_constraints(self, notch_setup, ball):
+        _, kern, grid = notch_setup
+        x = grid.symbols
+        u = kern.active_rows.conj()
+        bounds = 0.3 * (np.abs(np.einsum("mk,jk->mj", u.conj(), x)) ** 2).max(axis=1)
+        if ball == "frobenius":
+            radius = 0.2 * np.linalg.norm(x)
+            balls = {"frob_ball": (x, radius)}
+        else:
+            radii = np.linalg.norm(x, axis=0) * np.linspace(0.1, 0.3, x.shape[1])
+            balls = {"col_balls": (x, radii)}
+        res = logbarrier_solve(LogBarrierProblem(
+            objective="epigraph", reference=x,
+            rank1=[(u[m], bounds[m]) for m in range(2)], **balls))
+        leak = np.abs(np.einsum("mk,jk->mj", u.conj(), res.solution)) ** 2
+        assert np.all(leak <= res.delta_t * bounds[:, None] * (1 + 1e-6))
+        err = res.solution - x
+        if ball == "frobenius":
+            assert np.linalg.norm(err) <= radius
+        else:
+            assert np.all(np.linalg.norm(err, axis=0) <= radii)
+        assert 0.0 < res.delta_t < 1.0 / 0.3
+        assert res.kkt_residual <= 1e-6
+
     def test_epigraph_size_guard(self):
         rng = np.random.default_rng(31)
         ref = rng.normal(size=(2, 4096)) + 0j

@@ -8,7 +8,7 @@ import pytest
 from specprecode import (ConfigError, EvmConstraint, ScenarioConfig,
                          analytic_inband_reference, config, metrics)
 from specprecode.config import (DEFAULT_SCENARIO, EDGE_RAMP, MASK2_DB,
-                                expand_evm_profile, selective_edge_profile)
+                                expand_evm_profile, read_scenario, selective_edge_profile)
 
 from conftest import small_numerology
 
@@ -203,22 +203,22 @@ class TestDerivedObjects:
 class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            ScenarioConfig.load(tmp_path / "absent.json")
+            ScenarioConfig.from_dict(read_scenario(tmp_path / "absent.json"))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
-            ScenarioConfig.load(path)
+            ScenarioConfig.from_dict(read_scenario(path))
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ConfigError):
-            ScenarioConfig.load(path)
+            ScenarioConfig.from_dict(read_scenario(path))
 
     def test_valid_file(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({"seed": 9, "precoder": "admm"}))
-        cfg = ScenarioConfig.load(path)
+        cfg = ScenarioConfig.from_dict(read_scenario(path))
         assert cfg.seed == 9 and cfg.precoder == "admm"

@@ -4,8 +4,8 @@ splitting, and the joint-feasibility probe."""
 import numpy as np
 import pytest
 
-from specprecode import (AdmmConfig, ConfigError, DataGrid, EsspConfig, EvmConstraint,
-                         FrequencyGrid, ScenarioConfig, build_kernel,
+from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraintError,
+                         EsspConfig, EvmConstraint, FrequencyGrid, ScenarioConfig, build_kernel,
                          eadmm_precode, essp_precode, feasibility_probe)
 
 from conftest import qpsk_grid, small_numerology
@@ -263,6 +263,38 @@ class TestFeasibilityProbe:
         evm = EvmConstraint(mode="wideband", eps_avg=1.0)
         rep = feasibility_probe(case.grid, case.kernel, case.gamma, evm)
         assert rep.delta_t <= 1.0
+
+    def selective(self, case, fractions):
+        return EvmConstraint(mode="frequency_selective",
+                             eps=np.full(case.grid.numerology.n_active, fractions))
+
+    def test_column_balls_within_the_wideband_ball(self, infeasible_case):
+        # with every fraction at the wideband one, the column balls' radii
+        # square-sum to the Frobenius radius, so their intersection lies
+        # inside that ball and the scale can only grow
+        case = infeasible_case
+        wide = feasibility_probe(case.grid, case.kernel, case.gamma, case.evm)
+        rep = feasibility_probe(case.grid, case.kernel, case.gamma,
+                                self.selective(case, case.eps_fraction))
+        assert rep.delta_t >= wide.delta_t
+        assert rep.delta_t > 1.0
+        assert rep.feasible is False
+
+    def test_unit_fraction_columns_always_feasible(self, infeasible_case):
+        # the zero grid lies in every fraction-1 column ball
+        case = infeasible_case
+        rep = feasibility_probe(case.grid, case.kernel, case.gamma,
+                                self.selective(case, 1.0))
+        assert rep.delta_t <= 1.0
+        assert rep.feasible is True
+
+    def test_zero_column_fraction_rejected(self, infeasible_case):
+        case = infeasible_case
+        eps = np.full(case.grid.numerology.n_active, 0.5)
+        eps[3] = 0.0
+        evm = EvmConstraint(mode="frequency_selective", eps=eps)
+        with pytest.raises(DegenerateConstraintError):
+            feasibility_probe(case.grid, case.kernel, case.gamma, evm)
 
     def test_large_grids_report_ratios_only(self):
         cfg = ScenarioConfig.from_dict({})

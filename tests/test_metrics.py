@@ -141,18 +141,13 @@ class TestPsdConfig:
         with pytest.raises(ConfigError):
             PsdConfig(oversample=0)
         with pytest.raises(ConfigError):
-            PsdConfig(overlap=-1)
-        with pytest.raises(ConfigError):
             PsdConfig(bin_hz=0.0)
         with pytest.raises(ConfigError):
             PsdConfig(ref_density=0.0)
 
-    def test_overlap_must_fit_segment(self, metric_setup):
+    def test_segment_is_one_oversampled_symbol(self, metric_setup):
         num, _, _ = metric_setup
-        seg = 4 * num.symbol_len
-        with pytest.raises(ConfigError):
-            PsdConfig(oversample=4, overlap=seg).resolved_segment(num)
-        assert PsdConfig(oversample=4).resolved_segment(num) == seg
+        assert PsdConfig(oversample=4).resolved_segment(num) == 4 * num.symbol_len
 
 
 class TestPsdEstimate:

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specprecode import (DegenerateConstraintError, Rank1Constraint,
-                         bisection_rank1_oracle, project_columns_ball,
-                         project_frobenius_ball, project_rank1)
+from specprecode import (DegenerateConstraintError, bisection_rank1_oracle,
+                         project_columns_ball, project_frobenius_ball, project_rank1)
 from specprecode.projections import _frobenius_balls, _inward_radius, _symbol_norms
 
 
@@ -101,15 +100,6 @@ class TestRank1Projection:
             project_rank1(x, np.zeros(4), 1.0)
         with pytest.raises(DegenerateConstraintError):
             project_rank1(x, x, -1.0)
-
-    def test_constraint_violation_sign(self):
-        rng = np.random.default_rng(7)
-        u = random_complex(rng, 4)
-        c = Rank1Constraint(u=u, b=1.0)
-        inside = feasible_points(rng, u, 1.0, 1)[0]
-        outside = 10.0 * u / np.vdot(u, u).real
-        assert c.violation(inside) <= 0
-        assert c.violation(outside) > 0
 
 
 class TestBallProjections:
