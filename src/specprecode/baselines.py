@@ -229,7 +229,9 @@ def _newton_minimize(fgh, v0, tol, max_iter):
             t *= 0.5
             if t < 1e-14:
                 break
-        if t < 1e-14:
+        # once 0.25 t decrement rounds away against val, the Armijo test
+        # certifies no decrease, so the stage ends instead of stepping on
+        if t < 1e-14 or val - 0.25 * t * decrement == val:
             break
         v = v - t * step
         steps += 1

@@ -6,7 +6,9 @@ variable is the image of the ball projection).  ESSP wraps the sweep
 precoder in Douglas-Rachford splitting between the mask intersection and the
 ball; when mask and budget cannot both be met the iteration has no fixed
 point, so an early-stopping rule watches the sampled out-of-band power and
-returns the last iterate that still improved it.
+returns the last iterate that still improved it.  Both iterate on the
+active-band loop of unconstrained.py (_band_iterations), which gathers the
+band, stops each symbol on its own rule and scatters the result.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import _row_products, oobe_power
 from .projections import _columns_balls, _frobenius_balls, _inward_radius, _symbol_norms
-from .unconstrained import (AdmmConfig, BlockTraces, SolverReport, SspConfig, _as_block,
-                            _block_evm, _unblock, consensus_admm, mask_bounds,
-                            ssp_dual_sweeps, ssp_primal)
+from .unconstrained import (AdmmConfig, SspConfig, _as_block, _band_iterations, _unblock,
+                            consensus_admm, mask_bounds, ssp_dual_sweeps, ssp_primal)
 
 
 @dataclass(frozen=True)
@@ -192,44 +193,35 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
 
     The mask prox is approximated by inner_sweeps of the sweep precoder's
     dual core on 2*Xbar - Zbar, batched over antenna rows and symbols.  The
-    loop runs on the active band, as consensus_admm does: it gathers the
-    block's active columns d once, in bin order, and carries the
-    deviations from d, starting at e_x = 0 and e_z = -d:
-    e_v = 2 e_x - e_z, e_y = e_v - U^T (mu c) from the dual core on
-    c0 = A d + A e_v, e_z += relaxation (e_y - e_x), and e_x the
-    zero-centred ball projection of e_z (evm.projector with cols).  The
-    leakage A x is A d, formed once, plus A e_x, the EVM trace is
-    ||e_x|| / ||d|| with the norms of the whole symbols, and d + e_x is
-    scattered back once.  With early_stop, a symbol stops as soon as the
-    total sampled out-of-band power of its new iterate exceeds the
-    previous one's, returns the previous iterate and leaves the active
-    set; the report's returned_iteration names that iterate (0 is the
-    input grid).  x holds one symbol or an (S, n_tx, N) block, each
+    iteration is a start/step pair on _band_iterations, whose state holds
+    the deviations from the active band d of the input, starting at
+    e_x = 0 and e_z = -d: e_v = 2 e_x - e_z, e_y = e_v - U^T (mu c) from
+    the dual core on c0 = A d + A e_v, e_z += relaxation (e_y - e_x), and
+    e_x the zero-centred ball projection of e_z (evm.projector with
+    cols).  The leakage A x is A d plus A e_x.  With early_stop, a symbol
+    stops as soon as the total sampled out-of-band power of its new
+    iterate exceeds the previous one's and returns the previous iterate,
+    so the report's returned_iteration, the iterate returned (0 is the
+    input grid), is iterations - 1 for a symbol that stopped, also on the
+    last iteration (where stopped_early is False), and iterations for one
+    that ran out.  x holds one symbol or an (S, n_tx, N) block, each
     symbol under its own ball.  Returns (DataGrid, SolverReport), one
     report per symbol for a block.
     """
     cfg = cfg or EsspConfig()
     block = _as_block(x.symbols)
-    n_sym = block.shape[0]
-    bins = kernel.numerology.band_bins
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
     m_pts = u_rows.shape[0]
     gamma = mask_bounds(masks, m_pts)
-    proj_e = evm.projector(x, cols=bins)
+    proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
     ssp_cfg = SspConfig(sweeps=cfg.inner_sweeps)
 
-    traces = BlockTraces(cfg.outer_iters, n_sym, m_pts)
-    iterations = np.full(n_sym, cfg.outer_iters)
-    returned = np.zeros(n_sym, dtype=int)
-    band = block.take(bins, axis=-1)
-    out = np.empty_like(band)
-    active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
-    ad, ref_norms = _row_products(band, a_cols), _symbol_norms(block)
-    dev_x = np.zeros_like(band)
-    dev_z = -band
-    best_oob = np.sum(np.abs(ad) ** 2, axis=(1, 2))
-    for it in range(cfg.outer_iters):
+    def start(band, ad):
+        return np.zeros_like(band), -band, np.sum(np.abs(ad) ** 2, axis=(1, 2))
+
+    def step(ad, state, sel):
+        dev_x, dev_z, best_oob = state
         dev_v = 2.0 * dev_x - dev_z
         rows = dev_v.reshape(-1, dev_v.shape[-1])
         c0 = (ad + _row_products(dev_v, a_cols)).reshape(rows.shape[0], m_pts)
@@ -240,28 +232,15 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
         dev_x = proj_e(dev_z, sel)
 
         powers = np.abs(ad + _row_products(dev_x, a_cols)) ** 2      # (S, n_tx, M)
-        traces.record(it, sel, _block_evm(dev_x, ref_norms), powers.max(axis=1),
-                      _symbol_norms(dev_y - dev_prev), _symbol_norms(dev_x - dev_prev))
         oob_now = np.sum(powers, axis=(1, 2))
-        stop = oob_now > best_oob if cfg.early_stop else np.zeros(active.size, dtype=bool)
-        returned[active[~stop]] = it + 1
-        if stop.any():
-            out[active[stop]] = dev_prev[stop]
-            iterations[active[stop]] = it + 1
-            keep = ~stop
-            active, dev_x, dev_z, ad, ref_norms, oob_now = (
-                arr[keep] for arr in (active, dev_x, dev_z, ad, ref_norms, oob_now))
-            sel = active
-            if not active.size:
-                break
-        best_oob = oob_now
-    out[active] = dev_x
-    full = block.copy()
-    full[..., bins] = band + out
+        stop = oob_now > best_oob if cfg.early_stop else None
+        entries = (powers.max(axis=1), _symbol_norms(dev_y - dev_prev),
+                   _symbol_norms(dev_x - dev_prev))
+        return (dev_x, dev_z, oob_now), entries, stop, dev_prev
 
-    reports = SolverReport.per_symbol(traces, iterations,
-                                      stopped_early=(iterations < cfg.outer_iters).tolist(),
-                                      returned_iteration=returned.tolist())
+    full, reports, stopped = _band_iterations(block, kernel, cfg.outer_iters, start, step)
+    for rep, stop in zip(reports, stopped):
+        rep.returned_iteration = rep.iterations - int(stop)
     out, report = _unblock(x.symbols.shape, full, reports)
     return x.with_symbols(out), report
 

@@ -4,19 +4,26 @@ semi-analytical sweep precoder (SSP).
 Both solvers perturb a frequency-domain vector d so that every leakage
 constraint |a(nu_m)^T dbar|^2 <= gamma_m holds, keeping dbar as close to d as
 the iteration allows.  ADMM splits the intersection into M rank-1 sets with a
-consensus variable; its loop (consensus_admm) also serves EADMM, with the
-error-budget ball in place of the quadratic objective.  Each rank-1
-projection moves its point only along its leakage row, so the loop keeps
-one complex coefficient per set and antenna row instead of M copies of the
-grid, and it runs on the active columns alone, on the deviation of the
-consensus variable from the input: its own work is two O(M n_active)
-products per iteration.  SSP performs cyclic coordinate ascent on the dual
-multipliers mu_m.  Every SSP quantity lives in the span of the M leakage
-rows, so the sweeps run on the M x M Gram matrix through the Woodbury
-identity: each antenna row holds (I + K D)^(-1) K and (I + K D)^(-1) c0,
-factorized once per call, and each coordinate reads its step off them and
-folds it in as a rank-1 update of O(M^2) work.  N-space work is a few O(M n_active) products per sweep on
-the active band, none per coordinate.  Every O(M n_active) product of the
+consensus variable; its iteration (consensus_admm) also serves EADMM, with
+the error-budget ball in place of the quadratic objective.  Each rank-1
+projection moves its point only along its leakage row, so the iteration
+keeps one complex coefficient per set and antenna row instead of M copies
+of the grid: its own work is two O(M n_active) products per iteration.
+
+The splitting precoders, ADMM, EADMM and ESSP (constrained.py), share one
+active-band loop, _band_iterations, and each is a start/step pair on it.
+The loop gathers the block's active columns d once, in bin order, forms
+their leakage A d once, iterates on the deviation e = x - d, stops every
+symbol on its own rule and scatters d + e back once; it alone records the
+EVM trace and builds the reports.
+
+SSP performs cyclic coordinate ascent on the dual multipliers mu_m.  Every
+SSP quantity lives in the span of the M leakage rows, so the sweeps run on
+the M x M Gram matrix through the Woodbury identity: each antenna row holds
+(I + K D)^(-1) K and (I + K D)^(-1) c0, factorized once per call, and each
+coordinate reads its step off them and folds it in as a rank-1 update of
+O(M^2) work.  N-space work is a few O(M n_active) products per sweep on the
+active band, none per coordinate.  Every O(M n_active) product of the
 solvers and of oobe_power runs through _row_products, one BLAS call per
 antenna row.
 
@@ -194,26 +201,73 @@ def _unblock(d_shape, out, reports):
     return out.reshape(d_shape), (reports if len(d_shape) == 3 else reports[0])
 
 
+def _band_iterations(block, kernel, iters, start, step):
+    """The active-band loop of the splitting precoders (ADMM, EADMM, ESSP).
+
+    The loop gathers the active columns d of the block (S, n_tx, N) once, in
+    bin order (numerology.band_bins), forms their leakage A d once, and runs
+    at most ``iters`` iterations on per-symbol state arrays.  start(band, ad)
+    returns the state tuple; its first entry is the deviation e = x - d of
+    the iterate from d.  step(ad, state, sel) advances the symbols ``sel``
+    (a slice while every symbol iterates, an index array into the block once
+    some stopped) and returns (state, (oob, primal, dual), stop, returns):
+    the new state, the trace entries, a per-symbol stop mask (or None) and
+    the deviations that the stopping symbols return.  The loop records the
+    EVM trace ||e|| / ||d|| of every iteration, with the norms of the whole
+    symbols.  A stopping symbol leaves the state, and the loop ends when no
+    symbol is left.  d + e is scattered back once into a copy of the block,
+    so the guard bins of the input pass through untouched.  Returns (block,
+    one SolverReport per symbol, stopped): stopped marks the symbols whose
+    stop fired, also on the last iteration, where stopped_early stays False.
+    """
+    bins = kernel.numerology.band_bins
+    n_sym = block.shape[0]
+    traces = BlockTraces(iters, n_sym, kernel.n_points)
+    iterations = np.full(n_sym, iters)
+    stopped = np.zeros(n_sym, dtype=bool)
+    band = block.take(bins, axis=-1)
+    out = np.empty_like(band)
+    active, sel = np.arange(n_sym), slice(None)
+    ad, ref_norms = _row_products(band, kernel.band_rows.T), _symbol_norms(block)
+    state = start(band, ad)
+    for it in range(iters):
+        state, entries, stop, returns = step(ad, state, sel)
+        traces.record(it, sel, _block_evm(state[0], ref_norms), *entries)
+        if stop is None or not stop.any():
+            continue
+        out[active[stop]] = returns[stop]
+        iterations[active[stop]] = it + 1
+        stopped[active[stop]] = True
+        keep = ~stop
+        active, ad, ref_norms = active[keep], ad[keep], ref_norms[keep]
+        state = tuple(arr[keep] for arr in state)
+        sel = active
+        if not active.size:
+            break
+    out[active] = state[0]
+    full = block.copy()
+    full[..., bins] = band + out
+    reports = SolverReport.per_symbol(traces, iterations,
+                                      stopped_early=(iterations < iters).tolist())
+    return full, reports, stopped
+
+
 def consensus_admm(block, kernel, gamma, cfg, x_update):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
     block (S, n_tx, N) holds S symbols, each the input and EVM reference d
-    of its own problem; gamma (M, n_tx) holds the per-row bounds.  The loop
-    runs on the active band: it gathers the block's active columns once, in
-    bin order (numerology.band_bins), and iterates on the deviation
-    e = x_bar - d of the consensus variable from the input there, as
-    (S, n_tx, n_active) arrays against kernel.band_rows.  x_update(m,
-    active) maps the mean deviation m of the local variables and duals,
-    sum_m (y_m + z_m) / M - d, of the symbols ``active`` (an index into the
-    block: a slice while every symbol iterates, an index array once some
-    stopped) to their next deviations.  The leakage A x_bar is A d, formed
-    once, plus A e, the EVM trace is ||e|| / ||d||, and d + e is scattered
-    back once, so the guard bins of the input pass through untouched.
-    Local variables start at the input and duals at zero, so no set
-    projection moves a mask-feasible input: e stays exactly zero, the input
-    comes back bitwise and the primal residual stays zero.  Every symbol
-    stops on its own residual_tol test and then leaves the active set.
-    Returns (x_bar block, one SolverReport per symbol).
+    of its own problem; gamma (M, n_tx) holds the per-row bounds.  The
+    iteration is a start/step pair on _band_iterations, whose state is the
+    deviation e = x_bar - d of the consensus variable from the input and
+    the coefficients beta and delta below.  x_update(m, active) maps the
+    mean deviation m of the local variables and duals,
+    sum_m (y_m + z_m) / M - d, of the symbols ``active`` to their next
+    deviations.  The leakage A x_bar is A d plus A e.  Local variables
+    start at the input and duals at zero, so no set projection moves a
+    mask-feasible input: e stays exactly zero, the input comes back
+    bitwise and the primal residual stays zero.  Every symbol stops on its
+    own residual_tol test and returns its current iterate.  Returns (x_bar
+    block, one SolverReport per symbol).
 
     The projection onto set m moves its argument only along u_m = a(nu_m)*,
     so every dual stays z_m = beta_m u_m and every local variable
@@ -228,24 +282,19 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
     per antenna row each (_row_products).  The report's leakage powers are
     |A x_bar|^2 from the same product.
     """
-    bins = kernel.numerology.band_bins
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
     k_diag = _kernel_diag(kernel.gram)       # ||u_m||^2
     m_pts = k_diag.size
-    n_sym = block.shape[0]
     gamma = gamma.T                           # (n_tx, M), as the row products
     root = np.sqrt(gamma)
-    traces = BlockTraces(cfg.iters, n_sym, m_pts)
-    iterations = np.full(n_sym, cfg.iters)
-    band = block.take(bins, axis=-1)
-    out = np.empty_like(band)
-    active, sel = np.arange(n_sym), slice(None)     # sel: a slice until a symbol stops
-    ad, ref_norms = _row_products(band, a_cols), _symbol_norms(block)
-    beta = delta = np.zeros((n_sym,) + gamma.shape, dtype=complex)
-    dev = np.zeros_like(band)
-    for it in range(cfg.iters):
-        dev_prev = dev
+
+    def start(band, ad):
+        beta = np.zeros(ad.shape, dtype=complex)
+        return np.zeros_like(band), beta, beta
+
+    def step(ad, state, sel):
+        dev_prev, beta, delta = state
         dev = x_update(dev_prev + _row_products((2.0 * delta - beta) / m_pts, u_rows), sel)
         beta = delta
         ax = ad + _row_products(dev, a_cols)           # (S, n_tx, M)
@@ -257,25 +306,10 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
 
         primal = np.sqrt(np.sum(np.abs(delta - beta) ** 2 * k_diag, axis=(1, 2)))
         dual = np.sqrt(m_pts) * cfg.rho * _symbol_norms(dev - dev_prev)
-        traces.record(it, sel, _block_evm(dev, ref_norms), (np.abs(ax) ** 2).max(axis=1),
-                      primal, dual)
-        if cfg.residual_tol is None:
-            continue
-        stop = np.maximum(primal, dual) <= cfg.residual_tol
-        if stop.any():
-            out[active[stop]] = dev[stop]
-            iterations[active[stop]] = it + 1
-            keep = ~stop
-            active, dev, beta, delta, ad, ref_norms = (
-                arr[keep] for arr in (active, dev, beta, delta, ad, ref_norms))
-            sel = active
-            if not active.size:
-                break
-    out[active] = dev
-    full = block.copy()
-    full[..., bins] = band + out
-    return full, SolverReport.per_symbol(traces, iterations,
-                                         stopped_early=(iterations < cfg.iters).tolist())
+        stop = None if cfg.residual_tol is None else np.maximum(primal, dual) <= cfg.residual_tol
+        return (dev, beta, delta), ((np.abs(ax) ** 2).max(axis=1), primal, dual), stop, dev
+    full, reports, _ = _band_iterations(block, kernel, cfg.iters, start, step)
+    return full, reports
 
 
 def admm_precode(d, kernel, mask, cfg=None):

@@ -7,6 +7,7 @@ from specprecode import (ConfigError, DegenerateConstraintError, FrequencyGrid,
                          LogBarrierProblem, bisection_rank1_oracle,
                          build_kernel, ensp_precode, logbarrier_solve, nsp_precode,
                          project_rank1)
+from specprecode.baselines import _newton_minimize
 
 from conftest import qpsk_grid, small_numerology
 
@@ -187,6 +188,14 @@ class TestLogBarrier:
             assert np.all(np.linalg.norm(err, axis=0) <= radii)
         assert 0.0 < res.delta_t < 1.0 / 0.3
         assert res.kkt_residual <= 1e-6
+
+    def test_newton_ends_where_armijo_certifies_nothing(self):
+        # at a value of 1e8 the Armijo target val - 0.25 t decrement rounds
+        # to val, so no backtracking step can show a decrease
+        v0 = np.ones(3)
+        v, steps = _newton_minimize(lambda v: (1e8, v.copy(), np.eye(v.size)), v0, 1e-12, 60)
+        assert steps == 0
+        assert np.array_equal(v, v0)
 
     def test_epigraph_size_guard(self):
         rng = np.random.default_rng(31)

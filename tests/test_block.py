@@ -198,7 +198,31 @@ class TestStopsWithinABlock:
             lambda grid: essp_precode(grid, kern, gamma, evm, cfg), block)
         stops = {rep.iterations for rep in reports if rep.stopped_early}
         assert len(stops) >= 3 and any(not rep.stopped_early for rep in reports)
+        # a symbol that stops returns the iterate before, one that runs out the last
+        for rep in reports:
+            assert rep.returned_iteration == rep.iterations - rep.stopped_early
         check_invariants(block, out, kern, evm)
+
+        # cut to 4 iterations, the symbols that stop at 4 stop on the last
+        # one: stopped_early is False, yet they return iterate 3, as in the
+        # full run
+        assert 4 in stops
+        cut, short = essp_precode(block, kern, gamma, evm, EsspConfig(outer_iters=4))
+        for s, (rep, full_rep) in enumerate(zip(short, reports)):
+            if full_rep.iterations <= 4:
+                assert rep.iterations == full_rep.iterations
+                assert rep.returned_iteration == full_rep.returned_iteration
+                assert np.array_equal(cut.symbols[s], out.symbols[s])
+            else:
+                assert not rep.stopped_early
+                assert rep.returned_iteration == rep.iterations == 4
+        assert any(rep.returned_iteration == 3 and not rep.stopped_early for rep in short)
+
+        _, nostop = essp_precode(block, kern, gamma, evm,
+                                 EsspConfig(outer_iters=10, early_stop=False))
+        for rep in nostop:
+            assert not rep.stopped_early
+            assert rep.iterations == rep.returned_iteration == 10
 
     @pytest.mark.parametrize("solver", ["admm", "eadmm"])
     def test_residual_tol_stops_at_different_iterations(self, solver):

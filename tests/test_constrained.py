@@ -240,6 +240,14 @@ class TestEssp:
         assert np.array_equal(out.symbols, ref.symbols)
         assert case.evm.violation(case.grid, out) == 0.0
 
+        # stopping on the last iteration still returns the iterate before
+        last, last_rep = essp_precode(case.grid, case.kernel, case.gamma, case.evm,
+                                      EsspConfig(outer_iters=rep.iterations, inner_sweeps=2,
+                                                 relaxation=1.0, early_stop=True))
+        assert last_rep.iterations == rep.iterations and not last_rep.stopped_early
+        assert last_rep.returned_iteration == rep.iterations - 1
+        assert np.array_equal(last.symbols, ref.symbols)
+
 
 class TestFeasibilityProbe:
     def test_certifies_joint_infeasibility(self, infeasible_case):

@@ -1,6 +1,7 @@
 """Smoke tests of the tools: the output digest script, tools/digest.py, and
 the source line counter, tools/loc.py."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -9,7 +10,10 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import specprecode
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+BENCH = TOOLS.parent / "bench"
 DIGEST = TOOLS / "digest.py"
 LOC = TOOLS / "loc.py"
 
@@ -139,3 +143,16 @@ def test_loc_counts_code_lines_only(tmp_path):
     assert rows == [["8", "18", str(tmp_path / "pkg" / "a.py")],
                     ["1", "3", str(tmp_path / "pkg" / "b.py")],
                     ["9", "21", "total"]]
+
+
+def test_bench_imports_only_public_names():
+    """Every name that bench/*.py imports from specprecode is public, so a
+    change that drops or renames one fails here and not only when the
+    benchmark runs."""
+    imported = {(path.name, alias.name)
+                for path in sorted(BENCH.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "specprecode"
+                for alias in node.names}
+    assert imported
+    assert {item for item in imported if item[1] not in specprecode.__all__} == set()
