@@ -23,8 +23,7 @@ from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import (AclrReport, MaskSpec, PsdAccumulator, PsdConfig, PsdEstimate,
                       aclr, analytic_inband_reference, calibrate_mask,
                       kernel_psd_prediction, oobe_power)
-from .projections import (Rank1Constraint, project_columns_ball,
-                          project_frobenius_ball, project_rank1)
+from .projections import Rank1Constraint, project_rank1
 from .runner import compare_runs, run_scenario
 from .signal_model import (DataGrid, FrequencyGrid, OfdmNumerology, SpectralKernel,
                            build_kernel, generate_qam_block, generate_qam_grid,
@@ -47,7 +46,7 @@ __all__ = [
     "eadmm_precode", "ensp_precode", "essp_precode",
     "expand_evm_profile", "feasibility_probe", "generate_qam_block", "generate_qam_grid",
     "kernel_psd_prediction", "logbarrier_solve", "mask_bounds", "nsp_precode",
-    "oobe_power", "project_columns_ball", "project_frobenius_ball", "project_rank1",
+    "oobe_power", "project_rank1",
     "qam_constellation",
     "read_waveform", "run_scenario", "selective_edge_profile", "ssp_precode",
     "synthesize_time_signal", "write_waveform",

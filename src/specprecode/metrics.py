@@ -7,16 +7,26 @@ meet through a calibration constant: the analytic ensemble mean of the
 in-band kernel power density anchors both the mask bounds (gamma from dB
 offsets) and the display normalization of the PSD, so a dB value means the
 same thing in either domain.
+
+A periodogram segment is one oversampled symbol, 4 * (512 + 36) = 2192 =
+2^4 * 137 samples in the reference scenario, and a generic FFT spends most
+of its time on the prime factor 137.  So |DFT|^2 is computed by a two-stage
+(Cooley-Tukey) split n = p m, p the largest odd prime factor of n: the
+p-point DFTs are a real matrix product on the input folded by the DFT
+matrix's symmetry, and the m-point DFTs are an FFT.  It rounds differently
+from a one-stage FFT, so densities differ from numpy's FFT at roundoff
+(about 1e-15 of a row's largest value).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
-from .signal_model import _kernel_entries, _kernel_matrix
+from .signal_model import _kernel_entries, _kernel_matrix, _read_only
 
 _DB_FLOOR = 1e-30
 
@@ -192,12 +202,109 @@ class PsdEstimate:
         return float(np.sum(self.density_per_hz * overlap))
 
 
+def _largest_odd_prime(n):
+    """The largest odd prime factor of n >= 1, or 1 for a power of two."""
+    while n % 2 == 0:
+        n //= 2
+    p, f = 1, 3
+    while f * f <= n:
+        while n % f == 0:
+            p, n = f, n // f
+        f += 2
+    return max(p, n)
+
+
+# Rows per matrix product of the periodogram transform.  Its two work
+# arrays take 35 kB each per 2192-point row.  At 4 rows the allocator
+# reuses them and they stay in cache; at 16 rows, fresh pages were mapped
+# for them on every call, which doubled the time per row.
+_DFT_ROWS = 4
+
+
+@lru_cache(maxsize=None)
+def _dft_tables(n):
+    """(p, m, tables, twiddles) of the two-stage DFT of length n = p m.
+
+    p is the largest odd prime factor of n (1 for a power of two) and
+    h = (p - 1) / 2.  tables (2, h + 1, h + 1) holds cos(2 pi j k / p) and
+    sin(2 pi j k / p) for j, k = 0 .. h; twiddles (p, m) holds
+    exp(-2 pi i k r / n) for output k of the p-point stage and input r of
+    the m-point stage; both are None for p = 1.  Built once per length.
+    """
+    p = _largest_odd_prime(n)
+    m, h = n // p, (p - 1) // 2
+    if p == 1:
+        return p, m, None, None
+    jk = 2 * np.pi / p * (np.outer(np.arange(h + 1), np.arange(h + 1)) % p)
+    kr = np.outer(np.arange(p), np.arange(m)) % n
+    return (p, m, _read_only(np.stack([np.cos(jk), np.sin(jk)])),
+            _read_only(np.exp(-2j * np.pi / n * kr)))
+
+
+def _dft_power(x):
+    """|DFT_n|^2 along the last axis of a complex array x (..., n), in
+    natural bin order.
+
+    The DFT is split as n = p m (Cooley-Tukey): input t = m j + r and
+    output k = k1 + p k2 for j, k1 < p and r, k2 < m.  The p-point DFTs over
+    j come first.  They are a stacked real matrix product of the cosine
+    and sine tables of _dft_tables with the input folded by the DFT
+    matrix's symmetry, s_j = x_j + x_{p-j} and d_j = x_j - x_{p-j} for
+    j = 1 .. h, with s_0 = x_0, whose complex values the product reads as
+    (re, im) pairs.  Its outputs C_k1 = sum_j cos(2 pi j k1 / p) s_j and
+    S_k1 = sum_j sin(2 pi j k1 / p) d_j give Y_k1 = C_k1 - i S_k1 and
+    Y_{p-k1} = C_k1 + i S_k1, for a quarter of the real products of the
+    complex DFT matrix.  Then come the twiddles, the m-point FFTs over r on
+    the contiguous last axis, re^2 + im^2, and one transpose into natural
+    bin order.  p = 1 (n a power of two) leaves the FFT alone.  The rows
+    of x go through in groups of _DFT_ROWS, one product per group; each
+    column of a product holds values of one row, so a row is transformed
+    by the same operations in a batch of any size.
+    """
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    power = np.empty(rows.shape)
+    for i in range(0, len(rows), _DFT_ROWS):
+        _rows_dft_power(rows[i:i + _DFT_ROWS], power[i:i + _DFT_ROWS])
+    return power.reshape(x.shape)
+
+
+def _rows_dft_power(x, power):
+    """_dft_power of at most _DFT_ROWS rows x (r, n), written into power."""
+    r, n = x.shape
+    p, m, tables, twiddles = _dft_tables(n)
+    if p == 1:
+        y = np.fft.fft(x)[None]
+    else:
+        h = (p - 1) // 2
+        xj = x.reshape(r, p, m).transpose(1, 0, 2)        # xj[j, row, r'] = x[row, m j + r']
+        folded = np.empty((2, h + 1, r, m), dtype=complex)
+        folded[0, 0] = xj[0]
+        np.add(xj[1:h + 1], xj[:h:-1], out=folded[0, 1:])
+        folded[1, 0] = 0.0
+        np.subtract(xj[1:h + 1], xj[:h:-1], out=folded[1, 1:])
+        prod = np.matmul(tables, folded.view(np.float64).reshape(2, h + 1, -1))
+        cos_part, sin_part = prod.view(complex).reshape(folded.shape)
+        sin_part *= 1j
+        # Y over the p-point outputs takes the folded input's place, and the
+        # FFTs then take the product's: an FFT in place would copy y first.
+        y = folded.reshape(p + 1, r, m)[:p]
+        np.subtract(cos_part, sin_part, out=y[:h + 1])
+        np.add(cos_part[1:], sin_part[1:], out=y[:h:-1])
+        y *= twiddles[:, None, :]
+        y = np.fft.fft(y, axis=-1, out=prod.view(complex).reshape(p + 1, r, m)[:p])
+    # re^2 + im^2, written straight into natural order: power[row, k2 p + k1].
+    parts = np.square(y.view(np.float64), out=y.view(np.float64))
+    np.add(parts[..., 0::2], parts[..., 1::2], out=power.reshape(r, -1, p).transpose(2, 0, 1))
+
+
 class PsdAccumulator:
     """Order-independent sums for incremental periodogram averaging.
 
-    Waveform blocks are added in time order (the runner adds one block of
-    symbols at a time; the sums are bit-stable under any split of the
-    waveform at segment boundaries); finalize() bins to the reporting lattice.
+    Waveform blocks (add) or their frames, one segment per symbol
+    (add_frames, which the runner calls on a few symbols at a time), are
+    added in time order; the sums are bit-stable under any split of the
+    waveform at segment boundaries.  finalize() bins to the reporting lattice.
     Also tracks exact-frequency periodogram values at optional probe
     frequencies for kernel cross-checks.
     """
@@ -209,6 +316,10 @@ class PsdAccumulator:
         self.fs = config.oversample * numerology.sample_rate_hz
         self._psd_sum = np.zeros(self.seg_len)
         self._segments = 0
+        # The transform's tables are built here, before a run's large
+        # arrays: built in between, they would keep the allocator from
+        # returning those arrays' memory to the system.
+        _dft_tables(self.seg_len)
         self.probe_freqs_hz = None if probe_freqs_hz is None else np.asarray(probe_freqs_hz, float)
         if self.probe_freqs_hz is not None:
             n = np.arange(self.seg_len)
@@ -218,24 +329,34 @@ class PsdAccumulator:
     def add(self, samples):
         """Accumulate one waveform block (n_tx, n_samples); antennas sum.
 
-        All segments of the block are transformed together; their
-        periodograms are then added one at a time, in time order, so the sums
-        do not depend on how the waveform is split into blocks.
-        """
+        The block is cut into segments, which add_frames takes as frames."""
         samples = np.atleast_2d(np.asarray(samples, dtype=complex))
         n_seg = samples.shape[1] // self.seg_len
         if n_seg < 1:
             raise ConfigError("waveform shorter than one PSD segment", field="psd")
-        segs = samples[:, :n_seg * self.seg_len].reshape(
-            samples.shape[0], n_seg, self.seg_len).swapaxes(0, 1)
+        self.add_frames(samples[:, :n_seg * self.seg_len].reshape(
+            samples.shape[0], n_seg, self.seg_len).swapaxes(0, 1))
+
+    def add_frames(self, frames):
+        """Accumulate the segments frames (S, n_tx, seg_len) of S consecutive
+        symbols; antennas sum.
+
+        All segments are transformed together (_dft_power); their
+        periodograms are then added one at a time, in time order, so the
+        sums do not depend on how the waveform is split into blocks.
+        """
+        if frames.ndim != 3 or frames.shape[-1] != self.seg_len:
+            raise ConfigError(f"frames must be (S, n_tx, {self.seg_len})", field="psd")
         # Rect-window periodograms: the window's power is the segment length.
         scale = self.fs * self.seg_len
-        for spec_power in np.sum(np.abs(np.fft.fft(segs, axis=-1)) ** 2, axis=1) / scale:
+        powers = np.sum(_dft_power(frames), axis=1)
+        powers /= scale
+        for spec_power in powers:
             self._psd_sum += spec_power
         if self.probe_freqs_hz is not None:
-            for probe_power in np.sum(np.abs(segs @ self._probe_basis.T) ** 2, axis=1) / scale:
+            for probe_power in np.sum(np.abs(frames @ self._probe_basis.T) ** 2, axis=1) / scale:
                 self._probe_sum += probe_power
-        self._segments += n_seg
+        self._segments += frames.shape[0]
 
     def probe_density(self):
         """Mean exact-frequency density (per Hz) at the probe frequencies."""

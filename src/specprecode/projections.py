@@ -90,30 +90,15 @@ def _symbol_norms(x):
     by decreasing stride, as ravel(order="K")) and sums the squares as two
     real dot products over the real and imaginary parts; this makes the
     same two (strided) dot products for every symbol, stacked in one matmul.
+    A stack of one symbol, as in every per-symbol call, skips the stacking.
     """
+    if x.shape[0] == 1:
+        return np.array([np.linalg.norm(x[0])])
     order = 1 + np.argsort([-stride for stride in x.strides[1:]], kind="stable")
     flat = x.transpose(0, *order).reshape(x.shape[0], 1, -1)
     re, im = flat.real, flat.imag
     sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
     return np.sqrt(sq[:, 0, 0])
-
-
-def project_frobenius_ball(x, center, radius):
-    """Project onto {z : ||z - center||_F <= radius}.
-
-    Pure radial scaling toward the center when outside, so that the
-    recomputed distance of the result is at most radius; the identity
-    inside.
-    """
-    if radius < 0:
-        raise DegenerateConstraintError("ball radius must be non-negative")
-    x = np.asarray(x, dtype=complex)
-    center = np.asarray(center, dtype=complex)
-    diff = x - center
-    dist = float(np.linalg.norm(diff))
-    if dist <= radius:
-        return x.copy()
-    return center + (_inward_radius(radius, np.linalg.norm(center), x.size) / dist) * diff
 
 
 def _ball_factors(dist, radii, inner):
@@ -132,38 +117,13 @@ def _frobenius_balls(dev, radii, inner):
     dev is a complex stack (S, ...), radii (S,) the non-negative radii and
     inner (S,) the radii pulled in by _inward_radius for the centers' norms
     and the number of entries of each ball.  A deviation inside its ball
-    comes back bitwise, one outside is scaled toward zero, so that the
-    distance recomputed from center + result stays within the radius.  With
-    inner radii for center norms 0 and dev[0].size entries, each symbol's
-    result is bitwise project_frobenius_ball(dev[s], 0, radii[s]); a ball
-    whose other entries are zero (guard bins) is projected on its nonzero
-    part alone, with its full size in inner.
+    comes back bitwise, one outside is scaled radially toward zero, so that
+    the distance recomputed from center + result stays within the radius.
+    A ball whose other entries are zero (guard bins) is projected on its
+    nonzero part alone, with its full size in inner.
     """
     factors, _ = _ball_factors(_symbol_norms(dev), radii, inner)
     return dev * factors.reshape(factors.shape + (1,) * (dev.ndim - 1))
-
-
-def project_columns_ball(x, center, radii):
-    """Project each column k onto {z_k : ||z_k - center_k|| <= radii_k}.
-
-    x and center are (..., n_rows, n_cols); radii is (..., n_cols), one
-    radius per column of every leading index.  Columns already inside
-    their ball pass through unchanged (bitwise); the others are scaled
-    toward their center so that their recomputed distance is at most their
-    radius.
-    """
-    x = np.asarray(x, dtype=complex)
-    center = np.asarray(center, dtype=complex)
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii < 0):
-        raise DegenerateConstraintError("ball radii must be non-negative")
-    diff = x - center
-    factors, outside = _ball_factors(
-        np.linalg.norm(diff, axis=-2), radii,
-        _inward_radius(radii, np.linalg.norm(center, axis=-2), x.shape[-2]))
-    if not outside.any():
-        return x.copy()
-    return np.where(outside[..., None, :], center + diff * factors[..., None, :], x)
 
 
 def _columns_balls(dev, radii, inner):
@@ -171,6 +131,6 @@ def _columns_balls(dev, radii, inner):
     onto its zero-centred ball {||e_k|| <= radii_k}, for radii the caller
     has checked to be non-negative and pulled in (inner, _inward_radius
     for the centers' column norms and n_rows entries): a column inside
-    comes back bitwise, one outside is scaled toward zero."""
+    comes back bitwise, one outside is scaled radially toward zero."""
     factors, _ = _ball_factors(np.linalg.norm(dev, axis=-2), radii, inner)
     return dev * factors[..., None, :]

@@ -45,7 +45,7 @@ from .baselines import LogBarrierProblem, ensp_precode, logbarrier_solve, nsp_pr
 from .constrained import eadmm_precode, essp_precode
 from .errors import ConfigError
 from .metrics import PsdAccumulator, aclr, oobe_power
-from .signal_model import (WaveformWriter, build_kernel, generate_qam_block,
+from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate_qam_block,
                            synthesize_time_signal)
 from .unconstrained import SolverReport, admm_precode, ssp_precode
 
@@ -54,11 +54,11 @@ _DB_FLOOR = 1e-30
 # solvers is amortised.
 BLOCK_SYMBOLS = 32
 # Symbols per oversampled synthesis and PSD update within a block.  At the
-# default 4x oversampling their arrays take about 70 kB per symbol: a whole
-# block's are 2 MB each, which the allocator can map and return to the
-# system on every block, while 8 symbols' stay in cache and are reused from
-# one piece to the next.
-PSD_SYMBOLS = 8
+# default 4x oversampling a symbol's frames take about 70 kB: a whole
+# block's would be 2 MB, which the allocator maps and returns to the
+# system on every block, while 4 symbols' stay in cache, reused by every
+# piece of the block.
+PSD_SYMBOLS = 4
 # Bytes read at a time when a written file is digested.
 _DIGEST_CHUNK = 1 << 20
 
@@ -200,7 +200,7 @@ def run_scenario(cfg, out_dir=None):
     waveform = (WaveformWriter(waveform_path, cfg.n_tx, cfg.symbols * symbol_len)
                 if cfg.emit_waveforms else contextlib.nullcontext())
 
-    timings = {"generate": 0.0, "precode": 0.0, "metrics": 0.0, "io": 0.0}
+    timings = {"generate": 0.0, "precode": 0.0, "metrics": 0.0, "psd": 0.0, "io": 0.0}
     t_run = time.perf_counter()
     with waveform:
         for first in range(0, cfg.symbols, BLOCK_SYMBOLS):
@@ -234,15 +234,25 @@ def run_scenario(cfg, out_dir=None):
                 err_total += float(err_sym[s])
                 ref_total += float(ref_sym[s])
 
+            t_psd = time.perf_counter()
+            # The oversampled frames of every piece of the block are
+            # synthesised into one buffer, through one spectrum buffer.
+            size = min(PSD_SYMBOLS, len(out.symbols))
+            frames = np.empty((size, cfg.n_tx, psd_acc.seg_len), dtype=complex)
+            spec = np.zeros((size, cfg.n_tx, cfg.psd_oversample * cfg.numerology.fft_size),
+                            dtype=complex)
             for j in range(0, len(out.symbols), PSD_SYMBOLS):
-                piece = out.with_symbols(out.symbols[j:j + PSD_SYMBOLS])
-                psd_acc.add(synthesize_time_signal(piece, oversample=cfg.psd_oversample))
+                piece = out.symbols[j:j + PSD_SYMBOLS]
+                psd_acc.add_frames(_write_frames(piece, cfg.numerology, cfg.psd_oversample,
+                                                 frames[:len(piece)], spec[:len(piece)]))
+            del frames, spec
             t3 = time.perf_counter()
             if cfg.emit_waveforms:
                 waveform.write(first * symbol_len, synthesize_time_signal(out, oversample=1))
             timings["generate"] += t1 - t0
             timings["precode"] += t2 - t1
             timings["metrics"] += t3 - t2
+            timings["psd"] += t3 - t_psd
             timings["io"] += time.perf_counter() - t3
 
     t_io = time.perf_counter()

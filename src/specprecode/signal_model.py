@@ -352,6 +352,28 @@ def generate_qam_grid(seed, numerology, n_tx, constellation, symbol_index=0):
                     numerology=numerology)
 
 
+def _write_frames(symbols, numerology, oversample, frames, spec):
+    """Write the CP-OFDM frames of a block of symbols (S, n_tx, N) into
+    frames (S, n_tx, oversample * (N + N_CP)), and return frames.
+
+    Each frame is the inverse DFT of its symbol's grid with 1/sqrt(N)
+    scaling, oversampled by zero padding the spectrum, with the cyclic
+    prefix copied in front from the body's tail.  spec (S, n_tx,
+    oversample * N) holds the padded spectra: only its active positions are
+    written, so its other entries must be zero, and they stay zero.  The
+    inverse DFT writes straight into the frames' bodies; frames may be any
+    view whose last axis is contiguous.  Both arrays can be reused from one
+    call to the next.
+    """
+    n_os = oversample * numerology.fft_size
+    cp_os = oversample * numerology.cp_len
+    spec[..., np.mod(numerology.active_offsets, n_os)] = symbols[..., numerology.active_bins]
+    body = np.fft.ifft(spec, axis=-1, out=frames[..., cp_os:])
+    body *= n_os / np.sqrt(numerology.fft_size)
+    frames[..., :cp_os] = body[..., n_os - cp_os:]
+    return frames
+
+
 def synthesize_time_signal(grid, oversample=1):
     """CP-OFDM synthesis of one symbol, or of a block of consecutive symbols,
     per antenna.
@@ -365,20 +387,12 @@ def synthesize_time_signal(grid, oversample=1):
     if oversample < 1 or int(oversample) != oversample:
         raise ConfigError("oversample must be a positive integer", field="oversample")
     num = grid.numerology
-    n = num.fft_size
-    n_os = oversample * n
-    cp_os = oversample * num.cp_len
     symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:])
-    spec = np.zeros(symbols.shape[:-1] + (n_os,), dtype=complex)
-    spec[..., np.mod(num.active_offsets, n_os)] = symbols[..., num.active_bins]
-    body = np.fft.ifft(spec, axis=-1)
-    body *= n_os / np.sqrt(n)
-    # Each symbol's samples are written straight into its place in the
+    # Each symbol's frame is written straight into its place in the
     # antenna streams.
-    stream = np.empty((grid.n_tx, symbols.shape[0], cp_os + n_os), dtype=complex)
-    frames = np.moveaxis(stream, 1, 0)
-    frames[..., :cp_os] = body[..., n_os - cp_os:]
-    frames[..., cp_os:] = body
+    stream = np.empty((grid.n_tx, symbols.shape[0], oversample * num.symbol_len), dtype=complex)
+    spec = np.zeros(symbols.shape[:-1] + (oversample * num.fft_size,), dtype=complex)
+    _write_frames(symbols, num, oversample, np.moveaxis(stream, 1, 0), spec)
     return stream.reshape(grid.n_tx, -1)
 
 

@@ -88,6 +88,13 @@ class TestMain:
         for name, digest in manifest["outputs"].items():
             assert sha256(base_run / name) == digest
 
+    def test_manifest_timings(self, base_run):
+        # bench/child.py reads generate, precode, metrics and total; psd
+        # (the oversampled synthesis and the periodogram) is a part of metrics
+        timings = json.loads((base_run / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == {"generate", "precode", "metrics", "psd", "io", "total"}
+        assert 0 < timings["psd"] <= timings["metrics"] <= timings["total"]
+
     def test_trace_and_summary_headers(self, base_run):
         header, rows = read_csv(base_run / "trace.csv")
         assert header == ["iter", "symbols", "evm_rms",

@@ -10,7 +10,9 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          aclr, analytic_inband_reference, build_kernel,
                          calibrate_mask, generate_qam_block, kernel_psd_prediction,
                          oobe_power, OfdmNumerology, synthesize_time_signal)
-from specprecode.signal_model import _kernel_entries, _kernel_matrix
+from specprecode import runner
+from specprecode.metrics import _dft_power, _dft_tables
+from specprecode.signal_model import _kernel_entries, _kernel_matrix, _write_frames
 
 from conftest import qpsk_grid, small_numerology
 
@@ -270,7 +272,67 @@ class TestPsdAccumulation:
         with pytest.raises(ConfigError):
             acc.add(np.zeros((1, 10), dtype=complex))
 
+    def test_frames_must_be_segments(self, metric_setup):
+        num, _, _ = metric_setup
+        acc = PsdAccumulator(num, PsdConfig(oversample=4))
+        with pytest.raises(ConfigError):
+            acc.add_frames(np.zeros((2, 1, acc.seg_len + 1), dtype=complex))
+
     def test_no_grids_rejected(self, metric_setup):
         num, _, _ = metric_setup
         with pytest.raises(ConfigError):
             kernel_psd_prediction([], num, 4, np.array([1e5]))
+
+
+class TestPeriodogramTransform:
+    """The two-stage |DFT|^2 of the periodogram (metrics._dft_power)."""
+
+    # (n, p, m): the reference segment 4 (512 + 36) = 16 * 137, the 64-point
+    # numerology's 4 (64 + 4) = 16 * 17, powers of two (p = 1), a prime
+    # (m = 1) and 4 (64 + 3) = 4 * 67
+    LENGTHS = [(2192, 137, 16), (272, 17, 16), (256, 1, 256), (2048, 1, 2048),
+               (137, 137, 1), (268, 67, 4)]
+
+    @pytest.mark.parametrize("n, p, m", LENGTHS)
+    def test_matches_numpy_fft(self, n, p, m):
+        assert _dft_tables(n)[:2] == (p, m)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))
+        expect = np.abs(np.fft.fft(x)) ** 2
+        got = _dft_power(x)
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - expect) <= 1e-12 * expect.max(axis=-1, keepdims=True))
+
+    def test_tone_lands_in_its_bin(self):
+        n = 2192
+        x = np.exp(2j * np.pi * 300 * np.arange(n) / n)
+        power = _dft_power(x)
+        assert np.argmax(power) == 300 and power[300] == pytest.approx(n ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("symbols", [1, 2, 16])
+    def test_sums_do_not_depend_on_the_split(self, symbols):
+        # one segment at a time, pieces of PSD_SYMBOLS and add() of the
+        # whole block's stream give the same bits: the runner and the
+        # per-symbol bench replica add the same periodograms
+        cfg = ScenarioConfig.from_dict({})
+        num = cfg.numerology
+        block = generate_qam_block(cfg.seed, num, cfg.n_tx, cfg.constellation, 0, symbols)
+        psd_cfg = cfg.psd_config()
+        probes = cfg.freq_grid.to_hz(num.scs_hz)
+        accs = [PsdAccumulator(num, psd_cfg, probe_freqs_hz=probes) for _ in range(3)]
+
+        def add_pieces(acc, size):
+            frames = np.empty((size, cfg.n_tx, acc.seg_len), dtype=complex)
+            spec = np.zeros((size, cfg.n_tx, psd_cfg.oversample * num.fft_size), dtype=complex)
+            for j in range(0, symbols, size):
+                piece = block.symbols[j:j + size]
+                acc.add_frames(_write_frames(piece, num, psd_cfg.oversample,
+                                             frames[:len(piece)], spec[:len(piece)]))
+
+        add_pieces(accs[0], 1)
+        add_pieces(accs[1], runner.PSD_SYMBOLS)
+        accs[2].add(synthesize_time_signal(block, oversample=psd_cfg.oversample))
+        for acc in accs[1:]:
+            assert acc._segments == symbols
+            assert np.array_equal(acc._psd_sum, accs[0]._psd_sum)
+            assert np.array_equal(acc._probe_sum, accs[0]._probe_sum)

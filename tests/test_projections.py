@@ -5,13 +5,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specprecode import (DegenerateConstraintError, bisection_rank1_oracle,
-                         project_columns_ball, project_frobenius_ball, project_rank1)
-from specprecode.projections import _frobenius_balls, _inward_radius, _symbol_norms
+from specprecode import DegenerateConstraintError, bisection_rank1_oracle, project_rank1
+from specprecode.projections import (_ball_factors, _columns_balls, _frobenius_balls,
+                                     _inward_radius, _symbol_norms)
 
 
 def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# Per-ball projections onto balls of any center: the oracles of the
+# solvers' batched zero-centred projections, _frobenius_balls and
+# _columns_balls.
+
+def project_frobenius_ball(x, center, radius):
+    """Project onto {z : ||z - center||_F <= radius}.
+
+    Pure radial scaling toward the center when outside, so that the
+    recomputed distance of the result is at most radius; the identity
+    inside.
+    """
+    if radius < 0:
+        raise DegenerateConstraintError("ball radius must be non-negative")
+    x = np.asarray(x, dtype=complex)
+    center = np.asarray(center, dtype=complex)
+    diff = x - center
+    dist = float(np.linalg.norm(diff))
+    if dist <= radius:
+        return x.copy()
+    return center + (_inward_radius(radius, np.linalg.norm(center), x.size) / dist) * diff
+
+
+def project_columns_ball(x, center, radii):
+    """Project each column k onto {z_k : ||z_k - center_k|| <= radii_k}.
+
+    x and center are (..., n_rows, n_cols); radii is (..., n_cols), one
+    radius per column of every leading index.  Columns already inside
+    their ball pass through unchanged (bitwise); the others are scaled
+    toward their center so that their recomputed distance is at most their
+    radius.
+    """
+    x = np.asarray(x, dtype=complex)
+    center = np.asarray(center, dtype=complex)
+    radii = np.asarray(radii, dtype=float)
+    if np.any(radii < 0):
+        raise DegenerateConstraintError("ball radii must be non-negative")
+    diff = x - center
+    factors, outside = _ball_factors(
+        np.linalg.norm(diff, axis=-2), radii,
+        _inward_radius(radii, np.linalg.norm(center, axis=-2), x.shape[-2]))
+    if not outside.any():
+        return x.copy()
+    return np.where(outside[..., None, :], center + diff * factors[..., None, :], x)
 
 
 def feasible_points(rng, u, b, count):
@@ -271,7 +316,7 @@ def symbol_stacks(draw):
 
 
 class TestBatchedHelpers:
-    """The batched norm and Frobenius ball give every symbol the bits of
+    """The batched norm and ball projections give every symbol the bits of
     the per-symbol calls."""
 
     @settings(max_examples=100, deadline=None)
@@ -291,4 +336,15 @@ class TestBatchedHelpers:
         radii = fractions * _symbol_norms(dev)
         out = _frobenius_balls(dev, radii, _inward_radius(radii, 0.0, dev[0].size))
         singles = [project_frobenius_ball(d, 0, r) for d, r in zip(dev, radii)]
+        assert np.array_equal(out, singles)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symbol_stacks())
+    def test_columns_balls_match_single_balls(self, case):
+        rng, x, centers = case
+        dev = x - centers
+        radii = rng.uniform(0.0, 1.3, (len(x), x.shape[-1])) * np.linalg.norm(dev, axis=-2)
+        radii[rng.uniform(size=radii.shape) < 0.2] = 0.0
+        out = _columns_balls(dev, radii, _inward_radius(radii, 0.0, dev.shape[-2]))
+        singles = [project_columns_ball(d, np.zeros_like(d), r) for d, r in zip(dev, radii)]
         assert np.array_equal(out, singles)

@@ -27,9 +27,12 @@ case's symbol count, and ``--list`` prints the case names.
 The cases: the default scenario under every precoder but the oracle at
 20 symbols and (with ESSP also without early stop) at 70; EADMM and ESSP
 with the second mask and the frequency-selective edge profile; ADMM and EADMM with
-a residual tolerance; the oracle on a 64-point numerology; SSP on three
-antennas at 70 symbols with its waveform written; and the four benchmark
-workloads of ``bench/workloads.json`` at scenario seeds 1000,
+a residual tolerance; the oracle on a 64-point numerology; SSP on that
+numerology without a cyclic prefix (PSD segment 256 = 2^8, with its
+waveform written) and with a 3-sample one (segment 268 = 4 * 67), so that
+both the plain-FFT and the large-prime paths of the periodogram run; SSP
+on three antennas at 70 symbols with its waveform written; and the four
+benchmark workloads of ``bench/workloads.json`` at scenario seeds 1000,
 2001 and 3002.
 """
 
@@ -74,6 +77,10 @@ def cases(config):
     out["admm-tol"] = {"precoder": "admm", "admm": {"residual_tol": 1e-3}}
     out["eadmm-tol"] = {"precoder": "eadmm", "eadmm": {"residual_tol": 1e-2}}
     out["oracle-n64"] = dict(SMALL_NUMEROLOGY, precoder="oracle", symbols=4)
+    for cp_len, extra in ((0, {"emit_waveforms": True}), (3, {})):
+        numerology = dict(SMALL_NUMEROLOGY["numerology"], cp_len=cp_len)
+        out[f"ssp-n64-cp{cp_len}"] = dict(SMALL_NUMEROLOGY, numerology=numerology,
+                                          precoder="ssp", symbols=20, **extra)
     for p in ("none", "nsp", "ensp", "ssp", "essp", "eadmm", "admm"):
         out[f"default-{p}-70"] = {"precoder": p, "symbols": 70}
     out["default-essp-nostop-70"] = {"precoder": "essp", "symbols": 70,
