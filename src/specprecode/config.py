@@ -102,7 +102,7 @@ DEFAULT_SCENARIO = {
     "symbols": 20,
     "precoder": "ssp",
     "admm": {"rho": 10.0, "iters": 80, "residual_tol": None},
-    "ssp": {"sweeps": 3, "phase": "track"},
+    "ssp": {"sweeps": 3},
     "eadmm": {"rho": 10.0, "iters": 40, "residual_tol": None},
     "essp": {"outer_iters": 10, "inner_sweeps": 2, "relaxation": 1.0, "early_stop": True},
     "evm": {"mode": "wideband", "eps_avg_fraction": 0.08, "profile_per_prb": None},
@@ -212,8 +212,7 @@ class ScenarioConfig:
                           residual_tol=_get(admm_d, "residual_tol", float, "admm.",
                                             optional=True))
         ssp_d = _get(data, "ssp", dict, "")
-        ssp = SspConfig(sweeps=_get(ssp_d, "sweeps", int, "ssp."),
-                        phase=ssp_d.get("phase", "track"))
+        ssp = SspConfig(sweeps=_get(ssp_d, "sweeps", int, "ssp."))
         eadmm_d = _get(data, "eadmm", dict, "")
         eadmm = AdmmConfig(rho=_get(eadmm_d, "rho", float, "eadmm."),
                            iters=_get(eadmm_d, "iters", int, "eadmm."),

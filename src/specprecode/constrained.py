@@ -4,11 +4,14 @@ EADMM runs consensus ADMM over the M rank-1 leakage sets plus the EVM ball,
 so every reported iterate sits exactly inside the budget (the consensus
 variable is the image of the ball projection).  ESSP wraps the sweep
 precoder in Douglas-Rachford splitting between the mask intersection and the
-ball; when mask and budget cannot both be met the iteration has no fixed
-point, so an early-stopping rule watches the sampled out-of-band power and
-returns the last iterate that still improved it.  Both iterate on the
-active-band loop of unconstrained.py (_band_iterations), which gathers the
-band, stops each symbol on its own rule and scatters the result.
+ball: its mask prox is SSP's dual core, set up once per outer iteration and
+advanced by inner_sweeps of the same sweep that SSP's step makes
+(unconstrained.ssp_core, ssp_sweep).  When mask and budget cannot both be
+met the iteration has no fixed point, so an early-stopping rule watches the
+sampled out-of-band power and returns the last iterate that still improved
+it.  Both iterate on the active-band loop of unconstrained.py
+(_band_iterations), as ADMM and SSP do, which gathers the band, stops each
+symbol on its own rule and scatters the result.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import numpy as np
 
 from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
-from .metrics import _row_products, oobe_power
+from .metrics import _checked_bounds, _row_products, oobe_power
 from .projections import _columns_balls, _frobenius_balls, _inward_radius, _symbol_norms
-from .unconstrained import (AdmmConfig, SspConfig, _as_block, _band_iterations, _unblock,
-                            consensus_admm, mask_bounds, ssp_dual_sweeps, ssp_primal)
+from .unconstrained import (AdmmConfig, _as_block, _band_iterations, _unblock, consensus_admm,
+                            mask_bounds, ssp_core, ssp_sweep)
 
 
 @dataclass(frozen=True)
@@ -162,9 +165,7 @@ def _per_point_bounds(masks, m_pts, n_tx):
         return np.repeat(mask_bounds(gamma, m_pts)[:, None], n_tx, axis=1)
     if gamma.shape != (m_pts, n_tx):
         raise ConfigError("per-antenna mask must be (n_points, n_tx)", field="mask")
-    if np.any(gamma <= 0):
-        raise ConfigError("mask bounds must be positive", field="mask")
-    return gamma
+    return _checked_bounds(gamma)
 
 
 def eadmm_precode(x, kernel, masks, evm, cfg=None):
@@ -192,30 +193,28 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     """Douglas-Rachford between the mask intersection and the EVM ball.
 
     The mask prox is approximated by inner_sweeps of the sweep precoder's
-    dual core on 2*Xbar - Zbar, batched over antenna rows and symbols.  The
-    iteration is a start/step pair on _band_iterations, whose state holds
-    the deviations from the active band d of the input, starting at
-    e_x = 0 and e_z = -d: e_v = 2 e_x - e_z, e_y = e_v - U^T (mu c) from
-    the dual core on c0 = A d + A e_v, e_z += relaxation (e_y - e_x), and
-    e_x the zero-centred ball projection of e_z (evm.projector with
-    cols).  The leakage A x is A d plus A e_x.  With early_stop, a symbol
-    stops as soon as the total sampled out-of-band power of its new
-    iterate exceeds the previous one's and returns the previous iterate,
-    so the report's returned_iteration, the iterate returned (0 is the
-    input grid), is iterations - 1 for a symbol that stopped, also on the
-    last iteration (where stopped_early is False), and iterations for one
-    that ran out.  x holds one symbol or an (S, n_tx, N) block, each
-    symbol under its own ball.  Returns (DataGrid, SolverReport), one
-    report per symbol for a block.
+    dual core (ssp_core, then ssp_sweep) on 2*Xbar - Zbar, batched over
+    antenna rows and symbols.  The iteration is a start/step pair on
+    _band_iterations, whose state holds the deviations from the active band
+    d of the input, starting at e_x = 0 and e_z = -d: e_v = 2 e_x - e_z,
+    e_y = e_v - U^T (mu c) from the dual core on c0 = A d + A e_v,
+    e_z += relaxation (e_y - e_x), and e_x the zero-centred ball projection
+    of e_z (evm.projector with cols).  The leakage A x is A d plus A e_x.  With
+    early_stop, a symbol stops as soon as the total sampled out-of-band
+    power of its new iterate exceeds the previous one's and returns the
+    previous iterate, so the report's returned_iteration, the iterate
+    returned (0 is the input grid), is iterations - 1 for a symbol that
+    stopped, also on the last iteration (where stopped_early is False), and
+    iterations for one that ran out.  x holds one symbol or an (S, n_tx, N)
+    block, each symbol under its own ball.  Returns (DataGrid,
+    SolverReport), one report per symbol for a block.
     """
     cfg = cfg or EsspConfig()
     block = _as_block(x.symbols)
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
-    m_pts = u_rows.shape[0]
-    gamma = mask_bounds(masks, m_pts)
+    gamma = mask_bounds(masks, kernel.n_points)
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
-    ssp_cfg = SspConfig(sweeps=cfg.inner_sweeps)
 
     def start(band, ad):
         return np.zeros_like(band), -band, np.sum(np.abs(ad) ** 2, axis=(1, 2))
@@ -223,10 +222,11 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     def step(ad, state, sel):
         dev_x, dev_z, best_oob = state
         dev_v = 2.0 * dev_x - dev_z
-        rows = dev_v.reshape(-1, dev_v.shape[-1])
-        c0 = (ad + _row_products(dev_v, a_cols)).reshape(rows.shape[0], m_pts)
-        mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, ssp_cfg)
-        dev_y = ssp_primal(rows, u_rows, mus[-1], cs[-1]).reshape(dev_v.shape)
+        core = ssp_core(ad + _row_products(dev_v, a_cols), kernel.gram, gamma)
+        for _ in range(cfg.inner_sweeps):
+            core = ssp_sweep(*core, gamma)
+        mu, _, c = core
+        dev_y = dev_v - _row_products(mu * c, u_rows)
         dev_z = dev_z + cfg.relaxation * (dev_y - dev_x)
         dev_prev = dev_x
         dev_x = proj_e(dev_z, sel)

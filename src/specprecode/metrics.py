@@ -35,6 +35,15 @@ def _to_db(x):
     return 10.0 * np.log10(np.maximum(np.asarray(x, dtype=float), _DB_FLOOR))
 
 
+def _checked_bounds(gamma, field="mask"):
+    """gamma as a float array, the one check of every mask bound: each must
+    be positive and finite, or ConfigError names ``field``."""
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all((gamma > 0) & (gamma < np.inf)):       # NaN fails both
+        raise ConfigError("mask bounds must be positive and finite", field=field)
+    return gamma
+
+
 @dataclass(frozen=True)
 class MaskSpec:
     """Per-point leakage bounds, linear in kernel power units.
@@ -48,9 +57,7 @@ class MaskSpec:
     ref_db: float = None
 
     def __post_init__(self):
-        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if np.any(gamma <= 0):
-            raise ConfigError("mask bounds must be positive", field="mask.gamma")
+        gamma = np.atleast_1d(_checked_bounds(self.gamma, field="mask.gamma"))
         object.__setattr__(self, "gamma", gamma)
         if self.mask_db is not None:
             object.__setattr__(self, "mask_db", np.atleast_1d(np.asarray(self.mask_db, dtype=float)))

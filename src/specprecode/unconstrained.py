@@ -10,22 +10,23 @@ projection moves its point only along its leakage row, so the iteration
 keeps one complex coefficient per set and antenna row instead of M copies
 of the grid: its own work is two O(M n_active) products per iteration.
 
-The splitting precoders, ADMM, EADMM and ESSP (constrained.py), share one
-active-band loop, _band_iterations, and each is a start/step pair on it.
-The loop gathers the block's active columns d once, in bin order, forms
-their leakage A d once, iterates on the deviation e = x - d, stops every
-symbol on its own rule and scatters d + e back once; it alone records the
-EVM trace and builds the reports.
+All four iterative precoders, ADMM, SSP, EADMM and ESSP (constrained.py),
+share one active-band loop, _band_iterations, and each is a start/step pair
+on it.  The loop gathers the block's active columns d once, in bin order,
+forms their leakage A d once, iterates on the deviation e = x - d, stops
+every symbol on its own rule and scatters d + e back once; it alone
+records the EVM trace and builds the reports.
 
 SSP performs cyclic coordinate ascent on the dual multipliers mu_m.  Every
 SSP quantity lives in the span of the M leakage rows, so the sweeps run on
 the M x M Gram matrix through the Woodbury identity: each antenna row holds
-(I + K D)^(-1) K and (I + K D)^(-1) c0, factorized once per call, and each
-coordinate reads its step off them and folds it in as a rank-1 update of
-O(M^2) work.  N-space work is a few O(M n_active) products per sweep on the
-active band, none per coordinate.  Every O(M n_active) product of the
-solvers and of oobe_power runs through _row_products, one BLAS call per
-antenna row.
+(I + K D)^(-1) K and (I + K D)^(-1) c0, set up by one stacked solve
+(ssp_core), and each coordinate of a sweep (ssp_sweep) reads its step off
+them and folds it in as a rank-1 update of O(M^2) work.  SSP's step is one
+sweep and ESSP's Douglas-Rachford prox a set-up and a few sweeps.  N-space
+work is a few O(M n_active) products per sweep on the active band, none
+per coordinate.  Every O(M n_active) product of the solvers and of
+oobe_power runs through _row_products, one BLAS call per antenna row.
 
 Every solver takes a block of S symbols (S, n_tx, N) as well as a single
 (n_tx, N) symbol or a single row, and solves one problem per symbol.  The
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
-from .metrics import _row_products
+from .metrics import _checked_bounds, _row_products
 from .projections import _symbol_norms
 
 
@@ -50,9 +51,7 @@ def mask_bounds(mask, n_points):
     gamma = np.asarray(getattr(mask, "gamma", mask), dtype=float)
     if gamma.shape != (n_points,):
         raise ConfigError("mask must provide one bound per kernel row", field="mask")
-    if np.any(gamma <= 0):
-        raise ConfigError("mask bounds must be positive", field="mask")
-    return gamma
+    return _checked_bounds(gamma)
 
 
 def _as_block(d):
@@ -108,25 +107,13 @@ class AdmmConfig:
 
 @dataclass(frozen=True)
 class SspConfig:
-    """Sweep budget and multiplier phase handling.
-
-    phase: "track" aligns each coordinate update with the phase of its
-    alpha_1 inner product, which is the exact maximizer of that coordinate's
-    dual function; a real value fixes phi to that constant instead.  The
-    multipliers are always kept non-negative.
-    """
+    """Sweep budget: the number of cyclic sweeps over the multipliers."""
 
     sweeps: int = 3
-    phase: object = "track"
 
     def __post_init__(self):
         if self.sweeps < 1:
             raise ConfigError("sweep count must be at least 1", field="ssp.sweeps")
-        if self.phase != "track":
-            try:
-                object.__setattr__(self, "phase", float(self.phase))
-            except (TypeError, ValueError):
-                raise ConfigError('phase must be "track" or a real number', field="ssp.phase") from None
 
 
 @dataclass
@@ -202,7 +189,8 @@ def _unblock(d_shape, out, reports):
 
 
 def _band_iterations(block, kernel, iters, start, step):
-    """The active-band loop of the splitting precoders (ADMM, EADMM, ESSP).
+    """The active-band loop of the iterative precoders (ADMM, SSP, EADMM,
+    ESSP).
 
     The loop gathers the active columns d of the block (S, n_tx, N) once, in
     bin order (numerology.band_bins), forms their leakage A d once, and runs
@@ -244,7 +232,7 @@ def _band_iterations(block, kernel, iters, start, step):
         sel = active
         if not active.size:
             break
-    out[active] = state[0]
+    out[sel] = state[0]
     full = block.copy()
     full[..., bins] = band + out
     reports = SolverReport.per_symbol(traces, iterations,
@@ -366,120 +354,120 @@ class FactoredInverse:
         return out
 
 
-def ssp_dual_sweeps(c0, gram, gamma, cfg):
-    """Cyclic coordinate ascent on the M mask multipliers of every row.
+def ssp_core(c0, gram, gamma):
+    """The dual core of cyclic coordinate ascent on the M mask multipliers.
 
-    c0 = U^H d is (R, M) for R antenna rows and gram K = U^H U, with
-    u_m = a(nu_m)* the columns of U.  Woodbury gives
-    U^H (I + U D U^H)^(-1) = (I + K D)^(-1) U^H, so the sweeps run on a core
-    held per row: the Hermitian W = (I + K D)^(-1) K and
-    c = (I + K D)^(-1) c0, both from one stacked solve on entry.  Dropping
-    mu_m from D is a rank-1 change of I + K D, so by Sherman-Morrison
-    coordinate m reads alpha_1 = u_m^H G_{\\m}^(-1) d = c_m / (1 - mu_m W_mm)
-    and alpha_2 = u_m^H G_{\\m}^(-1) u_m = W_mm / (1 - mu_m W_mm).  Its step
-    Delta = mu_m' - mu_m is folded into the core as one rank-1 update with
-    w = W[:, m] and g = Delta / (1 + Delta W_mm):
-    W <- W - g w w^H and c <- c - g c_m w (Hager, "Updating the inverse of
-    a matrix", SIAM Review 1989).  That is O(M^2) work per row and
-    coordinate, and no factorization.  Returns the multipliers and c after
-    every sweep, each of shape (sweeps, R, M).
+    c0 = U^H d is (..., M) for any leading row shape and gram K = U^H U,
+    with u_m = a(nu_m)* the columns of U.  Woodbury gives
+    U^H (I + U D U^H)^(-1) = (I + K D)^(-1) U^H, so the sweeps (ssp_sweep)
+    run on a core held per row: the multipliers mu, the Hermitian
+    W = (I + K D)^(-1) K and c = (I + K D)^(-1) c0.  Returns (mu, W, c) at
+    the starting multipliers, W and c from one stacked solve.  Both core
+    functions work on the rows flattened to (R, M), where numpy's
+    elementwise calls on small arrays cost less than over several leading
+    axes.
     """
     m_pts = gram.shape[0]
     lam1 = _kernel_diag(gram)
-    root = np.sqrt(gamma)
-
     # Exact single-constraint multipliers as the starting point: for M = 1
     # this is already the optimum, and a feasible d starts (and stays) at 0.
-    mu = np.maximum((np.abs(c0) / root - 1.0) / lam1, 0.0)
-
-    rhs = np.empty(c0.shape + (m_pts + 1,), dtype=complex)
+    mu = np.maximum((np.abs(c0.reshape(-1, m_pts)) / np.sqrt(gamma) - 1.0) / lam1, 0.0)
+    rhs = np.empty(mu.shape + (m_pts + 1,), dtype=complex)
     rhs[..., :m_pts] = gram
-    rhs[..., m_pts] = c0
+    rhs[..., m_pts] = c0.reshape(mu.shape)
     # With mu >= 0 every unpivoted LU pivot of I + K D is at least 1, so the
     # system is never singular.
     core = np.linalg.solve(np.eye(m_pts) + gram * mu[:, None, :], rhs)
-    w_core, c = core[..., :m_pts], core[..., m_pts]
-    mus = np.empty((cfg.sweeps,) + mu.shape)
-    cs = np.empty((cfg.sweeps,) + c.shape, dtype=complex)
-    for s in range(cfg.sweeps):
-        for m in range(m_pts):
-            w = w_core[:, :, m]
-            w_mm = w[:, m].real
-            # 1 - mu_m W_mm = 1 / (1 + mu_m alpha_2) lies in (0, 1]
-            denom = 1.0 - mu[:, m] * w_mm
-            if not 0.0 < denom.min() <= denom.max() < np.inf:
-                raise NumericalError("rank-1 update of the SSP dual core lost positivity")
-            alpha1 = c[:, m] / denom
-            alpha2 = w_mm / denom
-            phi = np.arctan2(alpha1.imag, alpha1.real) if cfg.phase == "track" else cfg.phase
-            mu_new = np.maximum(
-                ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2), 0.0)
-            step = mu_new - mu[:, m]
-            gw = (step / (1.0 + step * w_mm))[:, None] * w
-            c = c - c[:, m, None] * gw
-            w_core = w_core - gw[:, :, None] * w.conj()[:, None, :]
-            mu[:, m] = mu_new
-        mus[s] = mu
-        cs[s] = c
-    return mus, cs
+    return (mu.reshape(c0.shape), core[..., :m_pts].reshape(c0.shape + (m_pts,)),
+            core[..., m_pts].reshape(c0.shape))
 
 
-def ssp_primal(rows, u_rows, mu, c):
-    """x = d - U diag(mu) c with c = (I + K diag(mu))^(-1) c0 read from the
-    dual core: the Woodbury form of (I + sum_m mu_m u_m u_m^H)^(-1) d, with
-    the u_m stacked as the rows of ``u_rows``.  The product is one BLAS
-    call per row (_row_products)."""
-    return rows - _row_products(mu * c, u_rows)
+def ssp_sweep(mu, w_core, c, gamma):
+    """One cyclic sweep over the M multipliers of every row of the core
+    (mu, W, c) of ssp_core; returns the new core.
+
+    Dropping mu_m from D is a rank-1 change of I + K D, so by
+    Sherman-Morrison coordinate m reads
+    alpha_1 = u_m^H G_{\\m}^(-1) d = c_m / (1 - mu_m W_mm) and
+    alpha_2 = u_m^H G_{\\m}^(-1) u_m = W_mm / (1 - mu_m W_mm), and sets mu_m
+    to the exact maximizer of its dual function, kept non-negative.  Its
+    step Delta = mu_m' - mu_m is folded into the core as one rank-1 update
+    with w = W[:, m] and g = Delta / (1 + Delta W_mm):
+    W <- W - g w w^H and c <- c - g c_m w (Hager, "Updating the inverse of
+    a matrix", SIAM Review 1989).  That is O(M^2) work per row and
+    coordinate, and no factorization.
+    """
+    root = np.sqrt(gamma)
+    shape, m_pts = mu.shape, mu.shape[-1]
+    mu = mu.reshape(-1, m_pts).copy()
+    w_core, c = w_core.reshape(-1, m_pts, m_pts), c.reshape(-1, m_pts)
+    for m in range(m_pts):
+        w = w_core[:, :, m]
+        w_mm = w[:, m].real
+        # 1 - mu_m W_mm = 1 / (1 + mu_m alpha_2) lies in (0, 1]
+        denom = 1.0 - mu[:, m] * w_mm
+        if not 0.0 < denom.min() <= denom.max() < np.inf:
+            raise NumericalError("rank-1 update of the SSP dual core lost positivity")
+        alpha1 = c[:, m] / denom
+        alpha2 = w_mm / denom
+        phi = np.arctan2(alpha1.imag, alpha1.real)
+        mu_new = np.maximum(
+            ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2), 0.0)
+        step = mu_new - mu[:, m]
+        gw = (step / (1.0 + step * w_mm))[:, None] * w
+        c = c - c[:, m, None] * gw
+        w_core = w_core - gw[:, :, None] * w.conj()[:, None, :]
+        mu[:, m] = mu_new
+    return mu.reshape(shape), w_core.reshape(shape + (m_pts,)), c.reshape(shape)
 
 
 def ssp_precode(d, kernel, mask, cfg=None):
     """Cyclic coordinate ascent on the dual of the mask projection.
 
-    The sweeps run on the M-dimensional dual core (ssp_dual_sweeps): each
-    coordinate reads its two inner products off a Woodbury core held per
-    antenna row, sets its multiplier in closed form and folds the step into
-    the core as a rank-1 update.  N-space work is O(M n_active) products on
-    the active band, gathered once in bin order (numerology.band_bins) and
-    scattered back once, none per coordinate: c0 = U^H d once, and per
-    sweep one for the primal point and two for its report.  Each runs row
-    by row through _row_products, as oobe_power does, so the reported
-    |c|^2 is bitwise oobe_power of the output.  d may be a vector, an
-    (n_tx, N) symbol or an (S, n_tx, N) block, whose rows all share each
-    stacked operation; guard bins of the input pass through untouched.
-    Returns (dbar, SolverReport) with one trace entry per sweep, one report
-    per symbol for a block; the report's residual slots hold the
-    stationarity norm ||(I + sum mu A) dbar - d||, evaluated in primal
-    space, and the worst relative complementarity defect.
+    The sweeps run on the M-dimensional dual core (ssp_core, ssp_sweep):
+    each coordinate reads its two inner products off a Woodbury core held
+    per antenna row, sets its multiplier in closed form and folds the step
+    into the core as a rank-1 update.  The iteration is a start/step pair
+    on _band_iterations, whose state is the deviation e = -U (mu c) of the
+    primal point from the band d, the band and the core (mu, W, c) on
+    c0 = A d; one step is one sweep.  N-space work is O(M n_active)
+    products, none per coordinate: per sweep one for e and two for its
+    report.  Each runs row by row through _row_products, as oobe_power
+    does, so the reported |c|^2 is bitwise oobe_power of the output.  d may
+    be a vector, an (n_tx, N) symbol or an (S, n_tx, N) block, whose rows
+    all share each stacked operation; guard bins of the input pass through
+    untouched.  Returns (dbar, SolverReport) with one trace entry per
+    sweep, one report per symbol for a block; the report's residual slots
+    hold the stationarity norm ||(I + sum mu A) dbar - d||, evaluated in
+    primal space, and the worst relative complementarity defect.
     """
     cfg = cfg or SspConfig()
     block = _as_block(d)
-    n_sym, n_tx, _ = block.shape
-    bins = kernel.numerology.band_bins
-    band = block.take(bins, axis=-1)
-    rows = band.reshape(n_sym * n_tx, -1)
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
     m_pts = u_rows.shape[0]
     gamma = mask_bounds(mask, m_pts)
-    c0 = _row_products(rows, a_cols)
-    mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, cfg)
+    mu = None
 
-    ref_norms = _symbol_norms(block)
-    traces = BlockTraces(cfg.sweeps, n_sym, m_pts)
-    for it, (mu, c_dual) in enumerate(zip(mus, cs)):
-        out = ssp_primal(rows, u_rows, mu, c_dual)
+    def start(band, ad):
+        return (np.zeros_like(band), band) + ssp_core(ad, kernel.gram, gamma)
+
+    def step(ad, state, sel):
+        nonlocal mu
+        _, band, mu, w_core, c_dual = state
+        mu, w_core, c_dual = ssp_sweep(mu, w_core, c_dual, gamma)
+        dev = _row_products(-mu * c_dual, u_rows)     # -U (mu c): negation is exact
+        out = band + dev
         c = _row_products(out, a_cols)
         recon = out + _row_products(mu * c, u_rows)
         powers = np.abs(c) ** 2           # oobe_power(out), from the same product
         defect = np.abs(mu * (powers - gamma)) / gamma
-        traces.record(it, slice(None), _block_evm((out - rows).reshape(band.shape), ref_norms),
-                      powers.reshape(n_sym, n_tx, m_pts).max(axis=1),
-                      np.linalg.norm(recon - rows, axis=1).reshape(n_sym, n_tx).max(axis=1),
-                      defect.reshape(n_sym, -1).max(axis=1))
-    full = block.copy()
-    full[..., bins] = out.reshape(band.shape)
-    multipliers = mus[-1].reshape(np.shape(d)[:-1] + (m_pts,))
-    reports = SolverReport.per_symbol(
-        traces, np.full(n_sym, cfg.sweeps),
-        multipliers=multipliers if np.ndim(d) == 3 else [multipliers])
+        entries = (powers.max(axis=1), np.linalg.norm(recon - band, axis=-1).max(axis=1),
+                   defect.max(axis=(1, 2)))
+        return (dev, band, mu, w_core, c_dual), entries, None, dev
+
+    full, reports, _ = _band_iterations(block, kernel, cfg.sweeps, start, step)
+    multipliers = mu.reshape(np.shape(d)[:-1] + (m_pts,))
+    for rep, mult in zip(reports, multipliers if np.ndim(d) == 3 else [multipliers]):
+        rep.multipliers = mult
     return _unblock(np.shape(d), full, reports)

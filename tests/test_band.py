@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraintError,
                          EsspConfig, EvmConstraint, FrequencyGrid, OfdmNumerology,
-                         SpectralKernel, SspConfig, admm_precode, build_kernel, eadmm_precode,
-                         essp_precode, oobe_power, ssp_precode)
-from specprecode.unconstrained import ssp_dual_sweeps
+                         ScenarioConfig, SpectralKernel, SspConfig, admm_precode, build_kernel,
+                         eadmm_precode, essp_precode, generate_qam_block, oobe_power,
+                         ssp_precode)
+from specprecode.runner import BLOCK_SYMBOLS
+from specprecode.unconstrained import ssp_core, ssp_sweep
 
 @st.composite
 def band_cases(draw):
@@ -107,28 +109,29 @@ def budget(rng, kind, num):
     return EvmConstraint(mode="frequency_selective", eps=rng.uniform(0.05, 0.6, num.n_active))
 
 
-def reference_dual_sweeps(c0, gram, gamma, cfg):
+def reference_dual_sweeps(c0, gram, gamma, sweeps):
     """The dual core as one LU solve per coordinate, the oracle of
-    ssp_dual_sweeps: coordinate m solves (I + K D_{\\m}) [y, Y] = [c0, K[:, m]]
-    for every row, with mu_m left out of D, and reads alpha_1 = y_m and
-    alpha_2 = Re Y_m.  Returns the multipliers after every sweep."""
+    ssp_core and ssp_sweep: coordinate m solves
+    (I + K D_{\\m}) [y, Y] = [c0, K[:, m]] for every row, with mu_m left out
+    of D, and reads alpha_1 = y_m and alpha_2 = Re Y_m.  Returns the
+    multipliers after every sweep."""
     m_pts = gram.shape[0]
     root = np.sqrt(gamma)
     mu = np.maximum((np.abs(c0) / root - 1.0) / gram.diagonal().real, 0.0)
     rhs = np.empty(c0.shape + (2,), dtype=complex)
     rhs[..., 0] = c0
-    out = np.empty((cfg.sweeps,) + mu.shape)
-    for s in range(cfg.sweeps):
+    out = np.empty((sweeps,) + mu.shape)
+    for s in range(sweeps):
         for m in range(m_pts):
             others = mu.copy()
-            others[:, m] = 0.0
+            others[..., m] = 0.0
             rhs[..., 1] = gram[:, m]
-            sol = np.linalg.solve(np.eye(m_pts) + gram * others[:, None, :], rhs)
-            alpha1 = sol[:, m, 0]
-            alpha2 = sol[:, m, 1].real
-            phi = np.arctan2(alpha1.imag, alpha1.real) if cfg.phase == "track" else cfg.phase
+            sol = np.linalg.solve(np.eye(m_pts) + gram * others[..., None, :], rhs)
+            alpha1 = sol[..., m, 0]
+            alpha2 = sol[..., m, 1].real
+            phi = np.arctan2(alpha1.imag, alpha1.real)
             mu_new = ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2)
-            mu[:, m] = np.maximum(mu_new, 0.0)
+            mu[..., m] = np.maximum(mu_new, 0.0)
         out[s] = mu
     return out
 
@@ -175,22 +178,45 @@ class TestBandLoop:
         assert not out[..., grid.numerology.guard_bins].any()
 
 
+def check_against_lu_oracle(c0, gram, gamma, sweeps):
+    """ssp_core and ``sweeps`` calls of ssp_sweep against the LU oracle,
+    sweep by sweep; returns the multipliers at set-up and after the last
+    sweep."""
+    core = ssp_core(c0, gram, gamma)
+    first = core[0]
+    ref = reference_dual_sweeps(c0, gram, gamma, sweeps)
+    for mu_ref in ref:
+        core = ssp_sweep(*core, gamma)
+        mu, _, c = core
+        assert np.all(mu >= 0.0)
+        assert np.abs(mu - mu_ref).max() <= 1e-9 * np.abs(ref).max()
+        # c = (I + K diag(mu))^(-1) c0 for the multipliers of the sweep
+        lhs = np.eye(gram.shape[0]) + gram * mu[..., None, :]
+        assert np.abs(lhs @ c[..., None] - c0[..., None]).max() <= 1e-9 * np.abs(c0).max()
+    return first, core[0]
+
+
 class TestWoodburyCore:
     @settings(max_examples=60, deadline=None)
-    @given(band_cases(), st.integers(1, 100), st.sampled_from(["track", 0.3]))
-    def test_matches_lu_oracle(self, case, sweeps, phase):
+    @given(band_cases(), st.integers(1, 100))
+    def test_matches_lu_oracle(self, case, sweeps):
         rng, kernel, grid = case
         rows = grid.symbols.reshape(-1, grid.symbols.shape[-1])
         c0 = np.einsum("mk,jk->jm", kernel.active_rows, rows)
         gamma = rng.uniform(0.05, 0.5, kernel.n_points) * leakage_levels(grid, kernel)
-        cfg = SspConfig(sweeps=sweeps, phase=phase)
-        mus, cs = ssp_dual_sweeps(c0, kernel.gram, gamma, cfg)
-        ref = reference_dual_sweeps(c0, kernel.gram, gamma, cfg)
-        assert np.all(mus >= 0.0)
-        assert np.abs(mus - ref).max() <= 1e-9 * np.abs(ref).max()
-        # c = (I + K diag(mu))^(-1) c0 for the multipliers of every sweep
-        lhs = np.eye(kernel.n_points) + kernel.gram * mus[:, :, None, :]
-        assert np.abs(lhs @ cs[..., None] - c0[..., None]).max() <= 1e-9 * np.abs(c0).max()
+        check_against_lu_oracle(c0, kernel.gram, gamma, sweeps)
+
+    def test_matches_lu_oracle_where_the_clamp_binds(self):
+        # The default scenario's first block, held as (S, n_tx, M) rows: on
+        # it, multipliers that start positive end at exactly 0, so the clamp
+        # mu = max(., 0) binds under the tracked phase.
+        cfg = ScenarioConfig.from_dict({})
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                  0, BLOCK_SYMBOLS)
+        c0 = np.einsum("mk,sjk->sjm", kernel.active_rows, grid.symbols)
+        first, last = check_against_lu_oracle(c0, kernel.gram, cfg.mask.gamma, 3)
+        assert np.count_nonzero((first > 0.0) & (last == 0.0)) > 0
 
 
 class TestErrorClasses:
@@ -233,3 +259,15 @@ class TestErrorClasses:
         gamma[data.draw(st.integers(0, kernel.n_points - 1))] = bound
         with pytest.raises(ConfigError, match="mask bounds must be positive"):
             precode(solver, grid, kernel, gamma, budget(rng, "wideband", grid.numerology), 3)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("bound", [np.nan, np.inf])
+    def test_nonfinite_mask_bound(self, solver, bound):
+        rng, kernel, grid = zero_leakage_case()
+        evm = budget(rng, "wideband", grid.numerology)
+        with pytest.raises(ConfigError, match="mask bounds must be positive and finite"):
+            precode(solver, grid, kernel, np.array([1.0, bound]), evm, 3)
+        if solver == "eadmm":
+            # per-antenna bounds, (M, n_tx), go through the same check
+            with pytest.raises(ConfigError, match="mask bounds must be positive and finite"):
+                precode(solver, grid, kernel, np.array([[1.0], [bound]]), evm, 3)

@@ -188,12 +188,14 @@ class TestNonFiniteGrid:
 
 class TestSolverErrorExitCodes:
     def test_nonpositive_mask_bound_is_a_config_error(self, tmp_path, capsys):
-        # -inf dB is a zero bound
-        cfg_path = write_scenario(tmp_path, precoder="ssp",
-                                  mask_db_per_100khz=[-75.0, -float("inf"), -65.0, -75.0])
-        code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG
-        assert "mask bounds must be positive" in capsys.readouterr().err
+        # -inf dB is a zero bound, +inf dB an infinite one
+        for precoder in ("ssp", "admm"):
+            for level in (-float("inf"), float("nan"), float("inf")):
+                cfg_path = write_scenario(tmp_path, precoder=precoder,
+                                          mask_db_per_100khz=[-75.0, level, -65.0, -75.0])
+                code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+                assert code == EXIT_CONFIG
+                assert "mask bounds must be positive and finite" in capsys.readouterr().err
 
     def test_unresolvable_mask_is_a_numerical_failure(self, tmp_path, capsys):
         # a -400 dB bound asks SSP's dual core for more than it resolves

@@ -1,5 +1,6 @@
 """Scenario configuration: defaults, validation, and derived objects."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -60,10 +61,19 @@ class TestValidation:
             ScenarioConfig.from_dict({"ssp": {"momentum": 0.9}})
 
     @pytest.mark.parametrize("block,key,value", [("essp", "tau", 1.0),
-                                                 ("ssp", "clamp_nonneg", True)])
+                                                 ("ssp", "clamp_nonneg", True),
+                                                 ("ssp", "phase", "track")])
     def test_removed_solver_keys_rejected(self, block, key, value):
-        with pytest.raises(ConfigError, match=f"{block}.{key}"):
+        with pytest.raises(ConfigError, match="unknown configuration key") as info:
             ScenarioConfig.from_dict({block: {key: value}})
+        assert info.value.field == f"{block}.{key}"
+
+    @pytest.mark.parametrize("block", ["admm", "ssp", "eadmm", "essp"])
+    def test_every_solver_key_reaches_a_field(self, block):
+        # a key that no solver field reads could not change a result
+        solver_cfg = getattr(ScenarioConfig.from_dict({}), block)
+        fields = {f.name for f in dataclasses.fields(solver_cfg)}
+        assert set(DEFAULT_SCENARIO[block]) == fields
 
     def test_wrong_types_rejected(self):
         with pytest.raises(ConfigError):
@@ -87,7 +97,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"admm": {"rho": -1.0}})
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"ssp": {"phase": "loose"}})
+            ScenarioConfig.from_dict({"ssp": {"sweeps": 0}})
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"essp": {"relaxation": 2.5}})
 
