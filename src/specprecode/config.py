@@ -66,20 +66,18 @@ def expand_evm_profile(profile, numerology):
     out = np.empty(numerology.n_active, dtype=float)
     for i, entry in enumerate(profile):
         block = slice(i * numerology.prb_size, (i + 1) * numerology.prb_size)
-        if np.isscalar(entry):
-            if entry < 0:
-                raise ConfigError("budget fractions must be non-negative",
-                                  field=f"evm.profile_per_prb[{i}]")
-            out[block] = float(entry)
-        else:
+        try:
             vals = np.asarray(entry, dtype=float)
-            if vals.shape != (numerology.prb_size,):
-                raise ConfigError(f"ramp entry must list {numerology.prb_size} values",
-                                  field=f"evm.profile_per_prb[{i}]")
-            if np.any(vals < 0):
-                raise ConfigError("budget fractions must be non-negative",
-                                  field=f"evm.profile_per_prb[{i}]")
-            out[block] = vals
+        except (TypeError, ValueError):
+            raise ConfigError("budget fractions must be numbers",
+                              field=f"evm.profile_per_prb[{i}]") from None
+        if vals.shape not in ((), (numerology.prb_size,)):
+            raise ConfigError(f"ramp entry must list {numerology.prb_size} values",
+                              field=f"evm.profile_per_prb[{i}]")
+        if not np.all((vals >= 0) & (vals < np.inf)):       # NaN fails both
+            raise ConfigError("budget fractions must be non-negative and finite",
+                              field=f"evm.profile_per_prb[{i}]")
+        out[block] = vals
     return out
 
 
@@ -251,6 +249,10 @@ class ScenarioConfig:
         aclr_d = _get(data, "aclr", dict, "")
         aclr_bw = _get(aclr_d, "bw_hz", float, "aclr.")
         aclr_sp = _get(aclr_d, "spacing_hz", float, "aclr.")
+        for name, val in (("psd.bin_hz", psd_bin), ("aclr.bw_hz", aclr_bw),
+                          ("aclr.spacing_hz", aclr_sp)):
+            if not 0 < val < np.inf:                        # NaN fails too
+                raise ConfigError("must be positive and finite", field=name)
         span = psd_os * numerology.sample_rate_hz / 2
         if aclr_sp + aclr_bw / 2 > span:
             raise ConfigError("PSD span too narrow for the adjacent bands; raise "

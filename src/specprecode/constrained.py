@@ -44,14 +44,16 @@ class EvmConstraint:
 
     def __post_init__(self):
         if self.mode == "wideband":
-            if self.eps_avg is None or self.eps_avg < 0:
-                raise ConfigError("wideband budget needs eps_avg >= 0", field="evm.eps_avg")
+            if self.eps_avg is None or not 0 <= self.eps_avg < np.inf:     # NaN fails
+                raise ConfigError("wideband budget needs a finite eps_avg >= 0",
+                                  field="evm.eps_avg")
         elif self.mode == "frequency_selective":
             if self.eps is None:
                 raise ConfigError("frequency-selective budget needs per-subcarrier eps", field="evm.eps")
             eps = np.asarray(self.eps, dtype=float)
-            if np.any(eps < 0):
-                raise ConfigError("per-subcarrier fractions must be non-negative", field="evm.eps")
+            if not np.all((eps >= 0) & (eps < np.inf)):
+                raise ConfigError("per-subcarrier fractions must be non-negative and finite",
+                                  field="evm.eps")
             object.__setattr__(self, "eps", eps)
         else:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")

@@ -2,7 +2,9 @@
 
 A run produces, inside the output directory:
 
-``trace.csv``      per-iteration solver trace, averaged across symbols
+``trace.csv``      per-iteration solver trace: row i averages over the
+                   symbols that reached iteration i (its ``symbols``
+                   column); a precoder without iterations writes one row
 ``evm.csv``        per-subcarrier error budget use, pooled across the run
 ``psd.csv``        binned power spectral density of the emitted waveform
 ``summary.csv``    one-row headline metrics
@@ -17,14 +19,16 @@ The run is a pipeline over blocks of BLOCK_SYMBOLS consecutive symbols:
 each block is generated, precoded and measured in one pass, so every
 numpy call serves the whole block, and its oversampled waveform is
 synthesised and added to the PSD in pieces of PSD_SYMBOLS.  Every
-per-symbol result is computed as for a block of one and the run statistics
-are accumulated symbol by symbol in order, so the data files depend on
-neither constant; they only trade per-call overhead against the memory of
-the arrays a block or piece needs.  ``waveform.bin`` is written block by
-block as well: each block's base-rate samples go to their offsets in every
-stream of a file that is renamed into place when the run has written it
-whole, so a run holds one block of waveform at a time and a run that raises
-leaves no partial file.  Its digest is then taken in chunks of the file.
+per-symbol result is computed as for a block of one, and one run record
+(``_RunRecord``) adds each block's statistics symbol by symbol in order and
+writes trace.csv, evm.csv, psd.csv and summary.csv from them at the end,
+so the data files depend on neither constant; they only trade per-call
+overhead against the memory of the arrays a block or piece needs.
+``waveform.bin`` is written block by block as well: each block's
+base-rate samples go to their offsets in every stream of a file that is
+renamed into place when the run has written it whole, so a run holds one
+block of waveform at a time and a run that raises leaves no partial file.
+Its digest is then taken in chunks of the file.
 """
 
 from __future__ import annotations
@@ -44,12 +48,11 @@ from . import __version__
 from .baselines import LogBarrierProblem, ensp_precode, logbarrier_solve, nsp_precode
 from .constrained import eadmm_precode, essp_precode
 from .errors import ConfigError
-from .metrics import PsdAccumulator, aclr, oobe_power
+from .metrics import PsdAccumulator, _to_db, aclr, oobe_power
 from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate_qam_block,
                            synthesize_time_signal)
-from .unconstrained import SolverReport, admm_precode, ssp_precode
+from .unconstrained import admm_precode, ssp_precode
 
-_DB_FLOOR = 1e-30
 # Symbols per pipeline block.  At 32 the per-call overhead of the iterative
 # solvers is amortised.
 BLOCK_SYMBOLS = 32
@@ -61,10 +64,6 @@ BLOCK_SYMBOLS = 32
 PSD_SYMBOLS = 4
 # Bytes read at a time when a written file is digested.
 _DIGEST_CHUNK = 1 << 20
-
-
-def _db(x):
-    return 10.0 * np.log10(np.maximum(x, _DB_FLOOR))
 
 
 def _fmt(value):
@@ -126,51 +125,109 @@ PRECODER_TABLE = {
 }
 
 
-def _pseudo_reports(err_sym, ref_sym, per_point):
-    """One-entry traces for precoders that have no iterations, from each
-    symbol's squared error and reference power and the worst-row leakage
-    power of its output at every mask point."""
-    return [SolverReport.from_entries([(float(np.sqrt(err / ref)) if ref > 0 else 0.0,
-                                        pts, 0.0, 0.0)])
-            for err, ref, pts in zip(err_sym, ref_sym, per_point)]
+class _RunRecord:
+    """The run's statistics, added one symbol at a time in run order, and the
+    data files derived from them.
 
+    Per active subcarrier it sums the error and reference power, and over
+    the run their totals; per mask point the worst-row leakage; it keeps the
+    largest mask ratio and the largest value of each extra.  Row i of
+    ``trace`` sums over the symbols that reached iteration i + 1: their
+    count, evm^2, the M leakage powers, and the primal and dual residuals.
+    A precoder without iterations gives each symbol one row, from its EVM
+    and leakage.
+    """
 
-class _TraceAccumulator:
-    """Mean per iteration index across symbols of unequal trace lengths."""
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.err_cols = np.zeros(cfg.numerology.n_active)
+        self.ref_cols = np.zeros(cfg.numerology.n_active)
+        self.err = self.ref = 0.0
+        self.leak = np.zeros(cfg.freq_grid.size)
+        self.ratio_max = 0.0
+        self.extras = {}
+        self.trace = np.zeros((0, cfg.freq_grid.size + 4))
 
-    _FIELDS = ("count", "evm", "oob", "primal", "dual")
+    def add(self, grid, out, reports, extras, pow_pts):
+        """Add a block: its input and precoded grids, the precoder's reports
+        (or None) and extras, and the (S, M, n_tx) leakage of its output."""
+        per_point = np.max(pow_pts, axis=2)
+        self.ratio_max = max(self.ratio_max,
+                             float(np.max(pow_pts / self.cfg.mask.gamma[:, None])))
+        for key, val in extras.items():
+            self.extras[key] = max(self.extras.get(key, -np.inf), val)
 
-    def __init__(self, n_points):
-        self.count = np.zeros(0, dtype=int)
-        self.evm = np.zeros(0)
-        self.oob = np.zeros((0, n_points))
-        self.primal = np.zeros(0)
-        self.dual = np.zeros(0)
+        cols = self.cfg.numerology.active_bins
+        err = np.abs(out.symbols - grid.symbols) ** 2
+        ref = np.abs(grid.symbols) ** 2
+        err_sym = np.sum(err, axis=(1, 2))
+        ref_sym = np.sum(ref, axis=(1, 2))
+        err_cols = np.sum(err[:, :, cols], axis=1)
+        ref_cols = np.sum(ref[:, :, cols], axis=1)
+        if reports is None:
+            evm = np.sqrt(np.divide(err_sym, ref_sym, out=np.zeros_like(err_sym),
+                                    where=ref_sym > 0))
+            rows = np.column_stack((np.ones_like(evm), evm ** 2, per_point,
+                                    np.zeros((len(evm), 2))))[:, None]
+        else:
+            rows = [np.column_stack((np.ones(r.iterations), r.evm_trace ** 2, r.oob_trace,
+                                     r.primal_trace, r.dual_trace)) for r in reports]
+        for s, row in enumerate(rows):
+            if len(row) > len(self.trace):
+                self.trace = np.pad(self.trace, ((0, len(row) - len(self.trace)), (0, 0)))
+            self.trace[:len(row)] += row
+            self.leak += per_point[s]
+            self.err_cols += err_cols[s]
+            self.ref_cols += ref_cols[s]
+            self.err += float(err_sym[s])
+            self.ref += float(ref_sym[s])
 
-    def add(self, report):
-        """Add one report's traces, all iterations at once; every entry
-        still accumulates its symbols in the order they are added."""
-        n = report.iterations
-        if n > self.count.size:
-            for name in self._FIELDS:
-                old = getattr(self, name)
-                grown = np.zeros((n,) + old.shape[1:], dtype=old.dtype)
-                grown[:old.shape[0]] = old
-                setattr(self, name, grown)
-        self.count[:n] += 1
-        self.evm[:n] += report.evm_trace ** 2
-        self.oob[:n] += report.oob_trace
-        self.primal[:n] += report.primal_trace
-        self.dual[:n] += report.dual_trace
+    def write(self, out_path, psd_acc, files):
+        """Write trace.csv, evm.csv, psd.csv and summary.csv, recording their
+        digests in ``files``; returns the summary."""
+        cfg = self.cfg
+        n_points = cfg.freq_grid.size
+        header = ["iter", "symbols", "evm_rms"]
+        header += [f"oobe_db_p{m + 1}" for m in range(n_points)]
+        header += ["primal_residual", "dual_residual"]
+        rows = [[i + 1, row[0], float(np.sqrt(row[1] / row[0])),
+                 *_to_db(row[2:-2] / row[0]).tolist(), row[-2] / row[0], row[-1] / row[0]]
+                for i, row in enumerate(self.trace)]
+        _write_csv(out_path / "trace.csv", header, rows, files)
 
-    def rows(self):
-        out = []
-        for i, n in enumerate(self.count):
-            row = [i + 1, n, float(np.sqrt(self.evm[i] / n))]
-            row.extend(_db(self.oob[i] / n).tolist())
-            row.extend([self.primal[i] / n, self.dual[i] / n])
-            out.append(row)
-        return out
+        selective = cfg.evm_constraint() if cfg.evm_mode == "frequency_selective" else None
+        columns = [cfg.numerology.active_offsets, np.sqrt(np.where(
+            self.ref_cols > 0, self.err_cols / np.maximum(self.ref_cols, 1e-300), np.nan))]
+        header = ["subcarrier_offset", "evm_rms"]
+        if selective is not None:
+            columns.append(selective.eps)
+            header.append("budget")
+        _write_csv(out_path / "evm.csv", header, zip(*columns), files)
+
+        psd = psd_acc.finalize()
+        _write_csv(out_path / "psd.csv", ["freq_hz", "density_db"],
+                   zip(psd.freq_hz, psd.density_db), files)
+
+        aclr_rep = aclr(psd, {"bw_hz": cfg.aclr_bw_hz, "spacing_hz": cfg.aclr_spacing_hz})
+        summary = {
+            "precoder": cfg.precoder,
+            "symbols": cfg.symbols,
+            "n_tx": cfg.n_tx,
+            "evm_wideband_rms": float(np.sqrt(self.err / self.ref)),
+            "aclr_lower_db": float(aclr_rep.lower_db),
+            "aclr_upper_db": float(aclr_rep.upper_db),
+            "aclr_worst_db": float(aclr_rep.worst_db),
+            "mask_ratio_max": self.ratio_max,
+        }
+        for m, val in enumerate(_to_db(self.leak / cfg.symbols)):
+            summary[f"oobe_db_p{m + 1}"] = float(val)
+        probe_db = cfg.ref_db + _to_db(psd_acc.probe_density() / psd.ref_density)
+        for m, val in enumerate(probe_db):
+            summary[f"psd_probe_db_p{m + 1}"] = float(val)
+        summary.update({k: float(v) for k, v in sorted(self.extras.items())})
+        _write_csv(out_path / "summary.csv", list(summary.keys()), [list(summary.values())],
+                   files)
+        return summary
 
 
 def run_scenario(cfg, out_dir=None):
@@ -184,17 +241,7 @@ def run_scenario(cfg, out_dir=None):
     psd_cfg = cfg.psd_config()
     probe_hz = cfg.freq_grid.to_hz(cfg.numerology.scs_hz)
     psd_acc = PsdAccumulator(cfg.numerology, psd_cfg, probe_freqs_hz=probe_hz)
-    trace_acc = _TraceAccumulator(cfg.freq_grid.size)
-
-    n_points = cfg.freq_grid.size
-    offsets = cfg.numerology.active_offsets
-    err_sq = np.zeros(cfg.numerology.n_active)
-    ref_sq = np.zeros(cfg.numerology.n_active)
-    err_total = 0.0
-    ref_total = 0.0
-    oob_final = np.zeros(n_points)
-    ratio_max = 0.0
-    extras_agg = {}
+    record = _RunRecord(cfg)
     symbol_len = cfg.numerology.symbol_len
     waveform_path = out_path / "waveform.bin"
     waveform = (WaveformWriter(waveform_path, cfg.n_tx, cfg.symbols * symbol_len)
@@ -211,28 +258,7 @@ def run_scenario(cfg, out_dir=None):
             out, reports, extras = precoder.run(cfg, grid, kernel, budget)
             t2 = time.perf_counter()
 
-            pow_pts = oobe_power(out, kernel)                     # (S, M, n_tx)
-            per_point = np.max(pow_pts, axis=2)
-            ratio_max = max(ratio_max, float(np.max(pow_pts / cfg.mask.gamma[:, None])))
-            for key, val in extras.items():
-                extras_agg[key] = max(extras_agg.get(key, -np.inf), val)
-
-            cols = cfg.numerology.active_bins
-            err = np.abs(out.symbols - grid.symbols) ** 2
-            ref = np.abs(grid.symbols) ** 2
-            err_sym = np.sum(err, axis=(1, 2))
-            ref_sym = np.sum(ref, axis=(1, 2))
-            err_cols = np.sum(err[:, :, cols], axis=1)
-            ref_cols = np.sum(ref[:, :, cols], axis=1)
-            if reports is None:
-                reports = _pseudo_reports(err_sym, ref_sym, per_point)
-            for s, report in enumerate(reports):
-                oob_final += per_point[s]
-                trace_acc.add(report)
-                err_sq += err_cols[s]
-                ref_sq += ref_cols[s]
-                err_total += float(err_sym[s])
-                ref_total += float(ref_sym[s])
+            record.add(grid, out, reports, extras, oobe_power(out, kernel))
 
             t_psd = time.perf_counter()
             # The oversampled frames of every piece of the block are
@@ -256,19 +282,8 @@ def run_scenario(cfg, out_dir=None):
             timings["io"] += time.perf_counter() - t3
 
     t_io = time.perf_counter()
-    psd = psd_acc.finalize()
-    aclr_rep = aclr(psd, {"bw_hz": cfg.aclr_bw_hz, "spacing_hz": cfg.aclr_spacing_hz})
-    evm_wideband = float(np.sqrt(err_total / ref_total))
-    evm_per_sc = np.sqrt(np.where(ref_sq > 0, err_sq / np.maximum(ref_sq, 1e-300), np.nan))
-    oob_mean_db = _db(oob_final / cfg.symbols)
-    probe_db = cfg.ref_db + _db(psd_acc.probe_density() / psd_cfg.ref_density)
-
     files = {}
-    _write_trace(out_path / "trace.csv", trace_acc, n_points, files)
-    _write_evm(out_path / "evm.csv", offsets, evm_per_sc, cfg, files)
-    _write_psd(out_path / "psd.csv", psd, files)
-    summary = _write_summary(out_path / "summary.csv", cfg, evm_wideband, aclr_rep,
-                             ratio_max, oob_mean_db, probe_db, extras_agg, files)
+    summary = record.write(out_path, psd_acc, files)
     _write_json(out_path / "config_resolved.json", cfg.normalized(), files)
     if cfg.emit_waveforms:
         with open(waveform_path, "rb") as fh:
@@ -313,52 +328,6 @@ def _write_csv(path, header, rows, files):
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
     _write_bytes(path, buf.getvalue().encode("utf-8"), files)
-
-
-def _write_trace(path, trace_acc, n_points, files):
-    header = ["iter", "symbols", "evm_rms"]
-    header += [f"oobe_db_p{m + 1}" for m in range(n_points)]
-    header += ["primal_residual", "dual_residual"]
-    _write_csv(path, header, trace_acc.rows(), files)
-
-
-def _write_evm(path, offsets, evm_per_sc, cfg, files):
-    selective = cfg.evm_constraint() if cfg.evm_mode == "frequency_selective" else None
-    budget = None if selective is None else selective.eps
-    header = ["subcarrier_offset", "evm_rms"] + (["budget"] if budget is not None else [])
-    rows = []
-    for i, off in enumerate(offsets):
-        row = [int(off), evm_per_sc[i]]
-        if budget is not None:
-            row.append(budget[i])
-        rows.append(row)
-    _write_csv(path, header, rows, files)
-
-
-def _write_psd(path, psd, files):
-    rows = [[f, d] for f, d in zip(psd.freq_hz, psd.density_db)]
-    _write_csv(path, ["freq_hz", "density_db"], rows, files)
-
-
-def _write_summary(path, cfg, evm_wideband, aclr_rep, ratio_max, oob_mean_db,
-                   probe_db, extras, files):
-    summary = {
-        "precoder": cfg.precoder,
-        "symbols": cfg.symbols,
-        "n_tx": cfg.n_tx,
-        "evm_wideband_rms": evm_wideband,
-        "aclr_lower_db": float(aclr_rep.lower_db),
-        "aclr_upper_db": float(aclr_rep.upper_db),
-        "aclr_worst_db": float(aclr_rep.worst_db),
-        "mask_ratio_max": ratio_max,
-    }
-    for m, val in enumerate(oob_mean_db):
-        summary[f"oobe_db_p{m + 1}"] = float(val)
-    for m, val in enumerate(probe_db):
-        summary[f"psd_probe_db_p{m + 1}"] = float(val)
-    summary.update({k: float(v) for k, v in sorted(extras.items())})
-    _write_csv(path, list(summary.keys()), [list(summary.values())], files)
-    return summary
 
 
 def _write_json(path, data, files):

@@ -156,6 +156,8 @@ class FrequencyGrid:
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
         if pts.ndim != 1 or pts.size == 0:
             raise ConfigError("frequency grid must be a non-empty 1-D list", field="frequencies")
+        if not np.all(np.isfinite(pts)):
+            raise ConfigError("frequency points must be finite", field="frequencies")
         object.__setattr__(self, "points", pts)
 
     @classmethod

@@ -145,13 +145,6 @@ class SolverReport:
                 raise ConfigError("trace length must equal iterations executed", field=name)
 
     @classmethod
-    def from_entries(cls, entries, **extra):
-        """Report from per-iteration (evm, oob, primal, dual) tuples."""
-        evm, oob, primal, dual = (np.array(t) for t in zip(*entries))
-        return cls(iterations=len(entries), evm_trace=evm, oob_trace=oob,
-                   primal_trace=primal, dual_trace=dual, **extra)
-
-    @classmethod
     def per_symbol(cls, traces, iterations, **extra):
         """One report per symbol of a block.
 

@@ -169,6 +169,36 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRejectedSettings:
+    """Settings that no run can use exit 2 before any output is written."""
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"aclr": {"bw_hz": 0.0, "spacing_hz": 500_000.0}}, "aclr.bw_hz"),
+        ({"aclr": {"bw_hz": NAN, "spacing_hz": 500_000.0}}, "aclr.bw_hz"),
+        ({"aclr": {"bw_hz": 300_000.0, "spacing_hz": -1.0}}, "aclr.spacing_hz"),
+        ({"aclr": {"bw_hz": 300_000.0, "spacing_hz": NAN}}, "aclr.spacing_hz"),
+        ({"psd": {"bin_hz": NAN}}, "psd.bin_hz"),
+        ({"psd": {"bin_hz": INF}}, "psd.bin_hz"),
+        ({"psd": {"bin_hz": 0.0}}, "psd.bin_hz"),
+        ({"frequencies_hz": [-210_750.0, NAN, 199_500.0, 210_750.0]}, "frequencies"),
+        ({"precoder": "essp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg"),
+        ({"precoder": "ensp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg"),
+        ({"precoder": "eadmm", "evm": {"mode": "frequency_selective",
+                                       "profile_per_prb": [NAN] * 6}},
+         "evm.profile_per_prb[0]"),
+    ])
+    def test_exit_code_and_no_output(self, tmp_path, capsys, overrides, field):
+        path = write_scenario(tmp_path, **overrides)
+        out_dir = tmp_path / "out"
+        code = main(["--config", str(path), "--out-dir", str(out_dir), "--emit-waveforms"])
+        assert code == EXIT_CONFIG
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 class TestNonFiniteGrid:
     def test_config_exit_code(self, tmp_path, monkeypatch, capsys):
         real = runner.generate_qam_block
@@ -301,6 +331,49 @@ class TestBlockPipeline:
         for name in DATA_FILES:
             assert ((tmp_path / "block" / name).read_bytes()
                     == (tmp_path / "single" / name).read_bytes()), name
+
+
+class TestTraceValues:
+    """trace.csv cells recomputed from the precoder's own per-symbol results."""
+
+    def run(self, tmp_path, precoder, **overrides):
+        data = json.loads(json.dumps(SMALL_SCENARIO))
+        data.update(precoder=precoder, symbols=12, **overrides)
+        cfg = ScenarioConfig.from_dict(data)
+        run_scenario(cfg, tmp_path)
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                  0, cfg.symbols)
+        budget = cfg.evm_constraint() if precoder in BUDGET_PRECODERS else None
+        out, reports, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, budget)
+        _, rows = read_csv(tmp_path / "trace.csv")
+        return cfg, [[float(v) for v in row] for row in rows], grid, out, reports, kernel
+
+    def test_symbols_that_stop_at_different_iterations(self, tmp_path):
+        cfg, rows, _, _, reports, _ = self.run(tmp_path, "admm", **BLOCK_CASES["admm"])
+        iterations = [r.iterations for r in reports]
+        assert len(set(iterations)) >= 2
+        assert len(rows) == max(iterations)
+        for i, row in enumerate(rows):
+            reached = [r for r in reports if r.iterations > i]
+            expect = [i + 1, len(reached),
+                      np.sqrt(np.mean([r.evm_trace[i] ** 2 for r in reached]))]
+            expect += list(10.0 * np.log10(np.mean([r.oob_trace[i] for r in reached], axis=0)))
+            expect += [np.mean([r.primal_trace[i] for r in reached]),
+                       np.mean([r.dual_trace[i] for r in reached])]
+            assert row == pytest.approx(expect, rel=1e-11)
+
+    def test_precoder_without_iterations_writes_one_row(self, tmp_path):
+        cfg, rows, grid, out, reports, kernel = self.run(tmp_path, "ensp")
+        assert reports is None
+        err = np.sum(np.abs(out.symbols - grid.symbols) ** 2, axis=(1, 2))
+        ref = np.sum(np.abs(grid.symbols) ** 2, axis=(1, 2))
+        leak = np.mean(oobe_power(out, kernel).max(axis=2), axis=0)
+        assert len(rows) == 1
+        assert rows[0][:3] == pytest.approx([1, cfg.symbols, np.sqrt(np.mean(err / ref))],
+                                            rel=1e-11)
+        assert rows[0][3:-2] == pytest.approx(10.0 * np.log10(leak), rel=1e-11)
+        assert rows[0][-2:] == [0.0, 0.0]
 
 
 class TestStreamedWaveform:

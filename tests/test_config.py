@@ -130,6 +130,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"aclr": {"spacing_hz": 14e6}})
 
+    @pytest.mark.parametrize("data,field", [
+        ({"aclr": {"bw_hz": 0.0}}, "aclr.bw_hz"),
+        ({"aclr": {"bw_hz": float("nan")}}, "aclr.bw_hz"),
+        ({"aclr": {"spacing_hz": -1.0}}, "aclr.spacing_hz"),
+        ({"aclr": {"spacing_hz": float("inf")}}, "aclr.spacing_hz"),
+        ({"psd": {"bin_hz": float("nan")}}, "psd.bin_hz"),
+        ({"psd": {"bin_hz": -100e3}}, "psd.bin_hz"),
+        ({"frequencies_hz": [-5_010_000.0, -4_995_000.0, -2_565_000.0, float("nan"),
+                             2_550_000.0, 2_565_000.0, 4_995_000.0, float("inf")]},
+         "frequencies"),
+    ])
+    def test_unusable_band_settings_rejected(self, data, field):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict(data)
+        assert info.value.field == field
+
 
 class TestProfiles:
     def test_reference_profile_shape(self):
@@ -172,6 +188,19 @@ class TestProfiles:
             expand_evm_profile([[0.1, 0.2], 0.1], num)
         with pytest.raises(ConfigError):
             expand_evm_profile([[0.1, 0.2, -0.3, 0.4], 0.1], num)
+
+    @pytest.mark.parametrize("profile,index", [
+        ([float("nan"), 0.1], 0),
+        ([0.1, float("inf")], 1),
+        ([[0.1, float("nan"), 0.3, 0.4], 0.1], 0),
+        ([0.1, [0.1, 0.2, -float("inf"), 0.4]], 1),
+        ([0.1, "a"], 1),
+        ([[0.1, "a", 0.3, 0.4], 0.1], 0),
+    ])
+    def test_expand_rejects_unusable_entries(self, profile, index):
+        with pytest.raises(ConfigError) as info:
+            expand_evm_profile(profile, small_numerology())
+        assert info.value.field == f"evm.profile_per_prb[{index}]"
 
 
 class TestDerivedObjects:

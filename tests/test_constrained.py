@@ -40,6 +40,19 @@ class TestEvmConstraint:
         with pytest.raises(ConfigError):
             EvmConstraint(mode="frequency_selective", eps=[-0.1, 0.2])
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"mode": "wideband", "eps_avg": float("nan")}, "evm.eps_avg"),
+        ({"mode": "wideband", "eps_avg": float("inf")}, "evm.eps_avg"),
+        ({"mode": "frequency_selective", "eps": [0.1, float("nan")]}, "evm.eps"),
+        ({"mode": "frequency_selective", "eps": [float("inf"), 0.2]}, "evm.eps"),
+        ({"mode": "frequency_selective", "eps": [-float("inf"), 0.2]}, "evm.eps"),
+    ])
+    def test_non_finite_budgets_rejected(self, kwargs, field):
+        # NaN passes every ordering test, so "eps < 0" alone let it through
+        with pytest.raises(ConfigError, match="finite") as info:
+            EvmConstraint(**kwargs)
+        assert info.value.field == field
+
     # The projector takes and returns deviations from the reference.
 
     def test_wideband_projector_inside_unchanged(self, pair_setup):

@@ -384,7 +384,10 @@ def reference_consensus_one(rows, kernel, gamma, cfg, x_update):
                         primal, dual))
         if cfg.residual_tol is not None and max(primal, dual) <= cfg.residual_tol:
             break
-    return x_bar, SolverReport.from_entries(entries, stopped_early=len(entries) < cfg.iters)
+    evm, oob, primal, dual = (np.array(t) for t in zip(*entries))
+    return x_bar, SolverReport(iterations=len(entries), evm_trace=evm, oob_trace=oob,
+                               primal_trace=primal, dual_trace=dual,
+                               stopped_early=len(entries) < cfg.iters)
 
 
 class TestComputeResiduals:
