@@ -6,6 +6,16 @@ per-solver settings, the error-budget block, constellation, seed, and symbol
 count.  The default scenario is a 5 MHz 15 kHz-SCS carrier (N = 512,
 N_CP = 36, 25 resource blocks slightly asymmetric around DC) with eight
 constraint points just outside the occupied band.
+
+``ScenarioConfig.from_dict`` first merges a scenario into DEFAULT_SCENARIO
+in one checked pass: every key must be a key of the default, and every
+value must have the kind of its default (a float key takes an int too, no
+number key takes a bool, a list's entries have the kind of the default
+list's first entry); only the keys of _NULLABLE take null.  Range checks
+live in the objects built from the merged dict (numerology, frequency grid,
+mask, error budget, solver settings) and in ``from_dict`` for its own keys,
+so a malformed scenario raises ConfigError before a run starts.  The merged
+dict keeps the values as written and is what ``normalized`` returns.
 """
 
 from __future__ import annotations
@@ -113,26 +123,60 @@ DEFAULT_SCENARIO = {
 MASK2_DB = [-85.0, -85.0, -75.0, -75.0, -75.0, -75.0, -85.0, -85.0]
 
 
-def _get(d, key, kind, path, optional=False, default=None):
-    if key not in d or d[key] is None:
-        if optional:
-            return default
-        raise ConfigError("missing required field", field=f"{path}{key}")
-    val = d[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if kind is bool and isinstance(val, bool):
-        return val
-    if kind is str and isinstance(val, str):
-        return val
-    if kind is list and isinstance(val, list):
-        return val
-    if kind is dict and isinstance(val, dict):
-        return val
-    raise ConfigError(f"expected {kind.__name__}, got {type(val).__name__}",
-                      field=f"{path}{key}")
+# The keys that accept null, with the kind of their other values.  A null
+# numerology key takes OfdmNumerology.centered's default (a band centred on
+# DC, 12-subcarrier blocks), a null residual_tol runs every iteration, and a
+# null eps_avg_fraction or profile_per_prb leaves that budget out.
+_NULLABLE = {
+    "numerology.first_offset": int,
+    "numerology.prb_size": int,
+    "admm.residual_tol": float,
+    "eadmm.residual_tol": float,
+    "evm.eps_avg_fraction": float,
+    "evm.profile_per_prb": list,
+}
+
+
+def _is_kind(val, kind):
+    """Whether a JSON value has a key's kind: a float key takes an int as
+    well, and no number key takes a bool."""
+    if kind is float:
+        return isinstance(val, (int, float)) and not isinstance(val, bool)
+    if kind is int:
+        return isinstance(val, int) and not isinstance(val, bool)
+    return isinstance(val, kind)
+
+
+def _resolve(default, given, path):
+    """``given`` merged into ``default`` and checked against it, key by key.
+
+    An unknown key, a null outside _NULLABLE and a value of another kind
+    than its default (a list entry: than the default list's first entry)
+    raise ConfigError under the dotted path.  The values are kept as given;
+    the result shares no list or dict with ``default``.
+    """
+    if given is None:
+        if path in _NULLABLE:
+            return None
+        raise ConfigError("missing required field", field=path)
+    kind = _NULLABLE.get(path, type(default))
+    if not _is_kind(given, kind):
+        raise ConfigError(f"expected {kind.__name__}, got {type(given).__name__}", field=path)
+    if kind is dict:
+        prefix = f"{path}." if path else ""
+        for key in given:
+            if key not in default:
+                raise ConfigError("unknown configuration key", field=prefix + key)
+        return {key: _resolve(val, given.get(key, val), prefix + key)
+                for key, val in default.items()}
+    if kind is list:
+        entry_kind = type(default[0]) if default else object
+        for i, entry in enumerate(given):
+            if not _is_kind(entry, entry_kind):
+                raise ConfigError(f"expected {entry_kind.__name__}, got {type(entry).__name__}",
+                                  field=f"{path}[{i}]")
+        return list(given)
+    return given
 
 
 @dataclass
@@ -163,71 +207,42 @@ class ScenarioConfig:
     out_dir: str
     emit_waveforms: bool
     raw: dict = field(repr=False, default=None)
+    _budget: EvmConstraint = field(repr=False, default=None)
 
     @classmethod
     def from_dict(cls, data):
-        data = _merge_defaults(copy.deepcopy(DEFAULT_SCENARIO), data)
-        num_d = _get(data, "numerology", dict, "")
+        data = _resolve(DEFAULT_SCENARIO, data, "")
         numerology = OfdmNumerology.centered(
-            fft_size=_get(num_d, "fft_size", int, "numerology."),
-            cp_len=_get(num_d, "cp_len", int, "numerology."),
-            scs_hz=_get(num_d, "scs_hz", float, "numerology."),
-            n_active=_get(num_d, "n_active", int, "numerology."),
-            first_offset=_get(num_d, "first_offset", int, "numerology.", optional=True),
-            prb_size=_get(num_d, "prb_size", int, "numerology.", optional=True, default=12),
-        )
-        freqs_hz = np.asarray(_get(data, "frequencies_hz", list, ""), dtype=float)
-        freq_grid = FrequencyGrid.from_hz(freqs_hz, numerology.scs_hz)
-        mask_db = _get(data, "mask_db_per_100khz", list, "")
+            **{key: val for key, val in data["numerology"].items() if val is not None})
+        freq_grid = FrequencyGrid.from_hz(data["frequencies_hz"], numerology.scs_hz)
+        mask_db = data["mask_db_per_100khz"]
         if len(mask_db) != freq_grid.size:
             raise ConfigError("one mask value per frequency point is required",
                               field="mask_db_per_100khz")
-        ref_db = _get(data, "reference_level_db_per_100khz", float, "")
+        ref_db = data["reference_level_db_per_100khz"]
         inband_ref = analytic_inband_reference(numerology)
         mask = calibrate_mask(mask_db, numerology, ref_db, reference_power=inband_ref)
 
-        precoder = _get(data, "precoder", str, "")
+        precoder = data["precoder"]
         if precoder not in PRECODERS:
             raise ConfigError(f"unknown precoder {precoder!r}; choose from {PRECODERS}",
                               field="precoder")
-        constellation = _get(data, "constellation", str, "")
-        if constellation not in QAM_ORDERS:
-            raise ConfigError(f"unknown constellation {constellation!r}", field="constellation")
-
-        n_tx = _get(data, "n_tx", int, "")
-        if n_tx < 1:
+        if data["constellation"] not in QAM_ORDERS:
+            raise ConfigError(f"unknown constellation {data['constellation']!r}",
+                              field="constellation")
+        if data["n_tx"] < 1:
             raise ConfigError("n_tx must be at least 1", field="n_tx")
-        seed = _get(data, "seed", int, "")
-        if seed < 0:
-            raise ConfigError("seed must be a non-negative integer", field="seed")
-        symbols = _get(data, "symbols", int, "")
-        if symbols < 1:
+        if not 0 <= data["seed"] < 2 ** 128:                  # a Philox key has 128 bits
+            raise ConfigError("seed must be a non-negative integer below 2**128", field="seed")
+        if data["symbols"] < 1:
             raise ConfigError("symbols must be at least 1", field="symbols")
+        solvers = {"admm": AdmmConfig(**data["admm"]), "ssp": SspConfig(**data["ssp"]),
+                   "eadmm": AdmmConfig(**data["eadmm"]), "essp": EsspConfig(**data["essp"])}
 
-        admm_d = _get(data, "admm", dict, "")
-        admm = AdmmConfig(rho=_get(admm_d, "rho", float, "admm."),
-                          iters=_get(admm_d, "iters", int, "admm."),
-                          residual_tol=_get(admm_d, "residual_tol", float, "admm.",
-                                            optional=True))
-        ssp_d = _get(data, "ssp", dict, "")
-        ssp = SspConfig(sweeps=_get(ssp_d, "sweeps", int, "ssp."))
-        eadmm_d = _get(data, "eadmm", dict, "")
-        eadmm = AdmmConfig(rho=_get(eadmm_d, "rho", float, "eadmm."),
-                           iters=_get(eadmm_d, "iters", int, "eadmm."),
-                           residual_tol=_get(eadmm_d, "residual_tol", float, "eadmm.",
-                                             optional=True))
-        essp_d = _get(data, "essp", dict, "")
-        essp = EsspConfig(outer_iters=_get(essp_d, "outer_iters", int, "essp."),
-                          inner_sweeps=_get(essp_d, "inner_sweeps", int, "essp."),
-                          relaxation=_get(essp_d, "relaxation", float, "essp."),
-                          early_stop=_get(essp_d, "early_stop", bool, "essp."))
-
-        evm_d = _get(data, "evm", dict, "")
-        evm_mode = _get(evm_d, "mode", str, "evm.")
+        evm = data["evm"]
+        evm_mode, evm_eps, evm_profile = evm["mode"], evm["eps_avg_fraction"], evm["profile_per_prb"]
         if evm_mode not in ("wideband", "frequency_selective"):
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
-        evm_eps = _get(evm_d, "eps_avg_fraction", float, "evm.", optional=True)
-        evm_profile = _get(evm_d, "profile_per_prb", list, "evm.", optional=True)
         budgets = PRECODER_TABLE[precoder].budgets
         if budgets:
             if evm_mode not in budgets:
@@ -238,17 +253,17 @@ class ScenarioConfig:
             if evm_mode == "frequency_selective" and evm_profile is None:
                 raise ConfigError("frequency-selective budget needs profile_per_prb",
                                   field="evm.profile_per_prb")
-        if evm_profile is not None:
-            expand_evm_profile(evm_profile, numerology)   # validate coverage
+        eps = None if evm_profile is None else expand_evm_profile(evm_profile, numerology)
+        if evm_mode == "wideband":
+            budget = None if evm_eps is None else EvmConstraint(mode="wideband", eps_avg=evm_eps)
+        else:
+            budget = None if eps is None else EvmConstraint(mode="frequency_selective", eps=eps)
 
-        psd_d = _get(data, "psd", dict, "")
-        psd_os = _get(psd_d, "oversample", int, "psd.")
+        psd_os = data["psd"]["oversample"]
         if psd_os < 4:
             raise ConfigError("PSD oversampling must be at least 4", field="psd.oversample")
-        psd_bin = _get(psd_d, "bin_hz", float, "psd.")
-        aclr_d = _get(data, "aclr", dict, "")
-        aclr_bw = _get(aclr_d, "bw_hz", float, "aclr.")
-        aclr_sp = _get(aclr_d, "spacing_hz", float, "aclr.")
+        psd_bin = data["psd"]["bin_hz"]
+        aclr_bw, aclr_sp = data["aclr"]["bw_hz"], data["aclr"]["spacing_hz"]
         for name, val in (("psd.bin_hz", psd_bin), ("aclr.bw_hz", aclr_bw),
                           ("aclr.spacing_hz", aclr_sp)):
             if not 0 < val < np.inf:                        # NaN fails too
@@ -258,28 +273,18 @@ class ScenarioConfig:
             raise ConfigError("PSD span too narrow for the adjacent bands; raise "
                               "psd.oversample", field="aclr.spacing_hz")
 
-        cfg = cls(numerology=numerology, freq_grid=freq_grid, mask=mask, ref_db=ref_db,
-                  inband_ref=inband_ref, n_tx=n_tx, constellation=constellation,
-                  seed=seed, symbols=symbols, precoder=precoder,
-                  admm=admm, ssp=ssp, eadmm=eadmm, essp=essp,
-                  evm_mode=evm_mode, evm_eps_avg=evm_eps, evm_profile=evm_profile,
-                  psd_oversample=psd_os, psd_bin_hz=psd_bin,
-                  aclr_bw_hz=aclr_bw, aclr_spacing_hz=aclr_sp,
-                  out_dir=_get(data, "out_dir", str, ""),
-                  emit_waveforms=_get(data, "emit_waveforms", bool, ""),
-                  raw=data)
-        return cfg
+        return cls(numerology=numerology, freq_grid=freq_grid, mask=mask, ref_db=ref_db,
+                   inband_ref=inband_ref, n_tx=data["n_tx"], constellation=data["constellation"],
+                   seed=data["seed"], symbols=data["symbols"], precoder=precoder, **solvers,
+                   evm_mode=evm_mode, evm_eps_avg=evm_eps, evm_profile=evm_profile,
+                   psd_oversample=psd_os, psd_bin_hz=psd_bin,
+                   aclr_bw_hz=aclr_bw, aclr_spacing_hz=aclr_sp,
+                   out_dir=data["out_dir"], emit_waveforms=data["emit_waveforms"],
+                   raw=data, _budget=budget)
 
     def evm_constraint(self):
         """The configured budget as an EvmConstraint, or None if absent."""
-        if self.evm_mode == "wideband":
-            if self.evm_eps_avg is None:
-                return None
-            return EvmConstraint(mode="wideband", eps_avg=self.evm_eps_avg)
-        if self.evm_profile is None:
-            return None
-        eps = expand_evm_profile(self.evm_profile, self.numerology)
-        return EvmConstraint(mode="frequency_selective", eps=eps)
+        return self._budget
 
     def psd_config(self):
         """PSD settings with the display reference tied to the calibration.
@@ -314,16 +319,3 @@ def read_scenario(path):
         raise ConfigError("the root must be an object", field="config")
     return data
 
-
-def _merge_defaults(base, override):
-    for key, val in override.items():
-        if key not in base:
-            raise ConfigError("unknown configuration key", field=key)
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            for sub in val:
-                if sub not in base[key]:
-                    raise ConfigError("unknown configuration key", field=f"{key}.{sub}")
-            base[key].update(val)
-        else:
-            base[key] = val
-    return base

@@ -71,8 +71,8 @@ class OfdmNumerology:
             raise ConfigError("fft_size must be at least 2", field="numerology.fft_size")
         if self.cp_len < 0 or self.cp_len >= self.fft_size:
             raise ConfigError("cp_len must satisfy 0 <= cp_len < fft_size", field="numerology.cp_len")
-        if not self.scs_hz > 0:
-            raise ConfigError("scs_hz must be positive", field="numerology.scs_hz")
+        if not 0 < self.scs_hz < np.inf:                   # NaN fails too
+            raise ConfigError("scs_hz must be positive and finite", field="numerology.scs_hz")
         if self.prb_size < 1:
             raise ConfigError("prb_size must be positive", field="numerology.prb_size")
         offsets = np.asarray(self.active_offsets, dtype=int)

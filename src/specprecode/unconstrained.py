@@ -97,12 +97,13 @@ class AdmmConfig:
     residual_tol: float = None
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ConfigError("rho must be positive", field="admm.rho")
+        if not 0 < self.rho < np.inf:                      # NaN fails too
+            raise ConfigError("rho must be positive and finite", field="admm.rho")
         if self.iters < 1:
             raise ConfigError("iteration count must be at least 1", field="admm.iters")
-        if self.residual_tol is not None and self.residual_tol < 0:
-            raise ConfigError("residual_tol must be non-negative", field="admm.residual_tol")
+        if self.residual_tol is not None and not 0 <= self.residual_tol < np.inf:
+            raise ConfigError("residual_tol must be non-negative and finite",
+                              field="admm.residual_tol")
 
 
 @dataclass(frozen=True)

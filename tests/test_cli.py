@@ -189,6 +189,13 @@ class TestRejectedSettings:
         ({"precoder": "eadmm", "evm": {"mode": "frequency_selective",
                                        "profile_per_prb": [NAN] * 6}},
          "evm.profile_per_prb[0]"),
+        ({"frequencies_hz": [-210_750.0, -199_500.0, "199500", 210_750.0]},
+         "frequencies_hz[2]"),
+        ({"mask_db_per_100khz": [-75.0, "-65", -65.0, -75.0]}, "mask_db_per_100khz[1]"),
+        ({"numerology": dict(SMALL_SCENARIO["numerology"], scs_hz=INF)}, "numerology.scs_hz"),
+        ({"seed": 2 ** 128}, "seed"),
+        ({"precoder": "admm", "admm": {"rho": INF}}, "admm.rho"),
+        ({"precoder": "eadmm", "eadmm": {"residual_tol": NAN}}, "admm.residual_tol"),
     ])
     def test_exit_code_and_no_output(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, **overrides)
@@ -196,7 +203,7 @@ class TestRejectedSettings:
         code = main(["--config", str(path), "--out-dir", str(out_dir), "--emit-waveforms"])
         assert code == EXIT_CONFIG
         assert f"error: {field}: " in capsys.readouterr().err
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()
 
 
 class TestNonFiniteGrid:

@@ -75,13 +75,33 @@ class TestValidation:
         fields = {f.name for f in dataclasses.fields(solver_cfg)}
         assert set(DEFAULT_SCENARIO[block]) == fields
 
-    def test_wrong_types_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"numerology": {"fft_size": "big"}})
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"seed": True})
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"frequencies_hz": 5e6})
+    @pytest.mark.parametrize("data,field,message", [
+        ({"numerology": {"fft_size": "big"}}, "numerology.fft_size", "expected int, got str"),
+        ({"seed": True}, "seed", "expected int, got bool"),
+        ({"frequencies_hz": 5e6}, "frequencies_hz", "expected list, got float"),
+        ({"symbols": 20.0}, "symbols", "expected int, got float"),
+        ({"aclr": {"bw_hz": True}}, "aclr.bw_hz", "expected float, got bool"),
+        ({"essp": {"inner_sweeps": None}}, "essp.inner_sweeps", "missing required field"),
+    ], ids=["str-for-int", "bool-for-int", "float-for-list", "float-for-int",
+            "bool-for-float", "null-for-int"])
+    def test_wrong_types_rejected(self, data, field, message):
+        with pytest.raises(ConfigError, match=message) as info:
+            ScenarioConfig.from_dict(data)
+        assert info.value.field == field
+
+    def test_int_for_float_kept_as_written(self):
+        cfg = ScenarioConfig.from_dict({"numerology": {"scs_hz": 15000}})
+        written = cfg.normalized()["numerology"]["scs_hz"]
+        assert written == 15000 and type(written) is int
+        assert cfg.numerology.scs_hz == 15000.0
+        assert type(DEFAULT_SCENARIO["numerology"]["scs_hz"]) is float
+
+    def test_null_keys_keep_their_meaning(self):
+        cfg = ScenarioConfig.from_dict({"numerology": {"first_offset": None, "prb_size": None},
+                                        "admm": {"residual_tol": None}})
+        assert cfg.numerology.active_offsets[0] == -150 and cfg.numerology.prb_size == 12
+        assert cfg.admm.residual_tol is None
+        assert cfg.normalized()["numerology"]["prb_size"] is None
 
     def test_value_ranges(self):
         for bad in ({"n_tx": 0}, {"seed": -1}, {"symbols": 0},

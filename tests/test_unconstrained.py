@@ -61,6 +61,12 @@ class TestConfigs:
             AdmmConfig(iters=0)
         with pytest.raises(ConfigError):
             AdmmConfig(residual_tol=-1e-6)
+        with pytest.raises(ConfigError) as info:
+            AdmmConfig(rho=float("inf"))
+        assert info.value.field == "admm.rho"
+        with pytest.raises(ConfigError) as info:
+            AdmmConfig(residual_tol=float("nan"))
+        assert info.value.field == "admm.residual_tol"
 
     def test_ssp_validation(self):
         with pytest.raises(ConfigError):
