@@ -236,8 +236,15 @@ class ScenarioConfig:
             raise ConfigError("seed must be a non-negative integer below 2**128", field="seed")
         if data["symbols"] < 1:
             raise ConfigError("symbols must be at least 1", field="symbols")
-        solvers = {"admm": AdmmConfig(**data["admm"]), "ssp": SspConfig(**data["ssp"]),
-                   "eadmm": AdmmConfig(**data["eadmm"]), "essp": EsspConfig(**data["essp"])}
+        solvers = {}
+        for block, kind in (("admm", AdmmConfig), ("ssp", SspConfig), ("eadmm", AdmmConfig),
+                            ("essp", EsspConfig)):
+            try:
+                solvers[block] = kind(**data[block])
+            except ConfigError as exc:
+                # the eadmm block shares AdmmConfig, whose checks name admm.*
+                key = exc.field.rpartition(".")[2]
+                raise ConfigError(exc.reason, field=f"{block}.{key}") from None
 
         evm = data["evm"]
         evm_mode, evm_eps, evm_profile = evm["mode"], evm["eps_avg_fraction"], evm["profile_per_prb"]

@@ -4,8 +4,9 @@ EADMM runs consensus ADMM over the M rank-1 leakage sets plus the EVM ball,
 so every reported iterate sits exactly inside the budget (the consensus
 variable is the image of the ball projection).  ESSP wraps the sweep
 precoder in Douglas-Rachford splitting between the mask intersection and the
-ball: its mask prox is SSP's dual core, set up once per outer iteration and
-advanced by inner_sweeps of the same sweep that SSP's step makes
+ball: its mask prox is SSP's dual core, the multipliers and one array
+[W | c] per antenna row, set up by one stacked solve per outer iteration
+and advanced by inner_sweeps of the same sweep that SSP's step makes
 (unconstrained.ssp_core, ssp_sweep).  When mask and budget cannot both be
 met the iteration has no fixed point, so an early-stopping rule watches the
 sampled out-of-band power and returns the last iterate that still improved
@@ -199,7 +200,8 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     antenna rows and symbols.  The iteration is a start/step pair on
     _band_iterations, whose state holds the deviations from the active band
     d of the input, starting at e_x = 0 and e_z = -d: e_v = 2 e_x - e_z,
-    e_y = e_v - U^T (mu c) from the dual core on c0 = A d + A e_v,
+    e_y = e_v - U^T (mu c) from the dual core (mu, [W | c]) on
+    c0 = A d + A e_v, with c the last column of the core,
     e_z += relaxation (e_y - e_x), and e_x the zero-centred ball projection
     of e_z (evm.projector with cols).  The leakage A x is A d plus A e_x.  With
     early_stop, a symbol stops as soon as the total sampled out-of-band
@@ -224,11 +226,10 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     def step(ad, state, sel):
         dev_x, dev_z, best_oob = state
         dev_v = 2.0 * dev_x - dev_z
-        core = ssp_core(ad + _row_products(dev_v, a_cols), kernel.gram, gamma)
+        mu, core = ssp_core(ad + _row_products(dev_v, a_cols), kernel.gram, gamma)
         for _ in range(cfg.inner_sweeps):
-            core = ssp_sweep(*core, gamma)
-        mu, _, c = core
-        dev_y = dev_v - _row_products(mu * c, u_rows)
+            mu, core = ssp_sweep(mu, core, gamma)
+        dev_y = dev_v - _row_products(mu * core[..., kernel.n_points], u_rows)
         dev_z = dev_z + cfg.relaxation * (dev_y - dev_x)
         dev_prev = dev_x
         dev_x = proj_e(dev_z, sel)

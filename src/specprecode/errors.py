@@ -5,6 +5,7 @@ class ConfigError(ValueError):
     """A scenario or numerology parameter is missing, malformed, or out of range."""
 
     def __init__(self, message, field=None):
+        self.reason = message
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)

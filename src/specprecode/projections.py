@@ -88,17 +88,16 @@ def _symbol_norms(x):
 
     np.linalg.norm reads a complex array in memory order (its trailing axes
     by decreasing stride, as ravel(order="K")) and sums the squares as two
-    real dot products over the real and imaginary parts; this makes the
-    same two (strided) dot products for every symbol, stacked in one matmul.
+    real dot products over the real and imaginary parts; np.vecdot makes
+    the same two (strided) BLAS dot products for every symbol of the stack.
     A stack of one symbol, as in every per-symbol call, skips the stacking.
     """
     if x.shape[0] == 1:
         return np.array([np.linalg.norm(x[0])])
     order = 1 + np.argsort([-stride for stride in x.strides[1:]], kind="stable")
-    flat = x.transpose(0, *order).reshape(x.shape[0], 1, -1)
+    flat = x.transpose(0, *order).reshape(x.shape[0], -1)
     re, im = flat.real, flat.imag
-    sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
-    return np.sqrt(sq[:, 0, 0])
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _ball_factors(dist, radii, inner):

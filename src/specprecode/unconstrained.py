@@ -20,10 +20,11 @@ records the EVM trace and builds the reports.
 SSP performs cyclic coordinate ascent on the dual multipliers mu_m.  Every
 SSP quantity lives in the span of the M leakage rows, so the sweeps run on
 the M x M Gram matrix through the Woodbury identity: each antenna row holds
-(I + K D)^(-1) K and (I + K D)^(-1) c0, set up by one stacked solve
-(ssp_core), and each coordinate of a sweep (ssp_sweep) reads its step off
-them and folds it in as a rank-1 update of O(M^2) work.  SSP's step is one
-sweep and ESSP's Douglas-Rachford prox a set-up and a few sweeps.  N-space
+one M x (M + 1) array [W | c] = (I + K D)^(-1) [K | c0], set up by one
+stacked solve (ssp_core), and each coordinate of a sweep (ssp_sweep) reads
+its step off that array and folds it in as one Sherman-Morrison outer
+product of O(M^2) work.  SSP's step is one sweep and ESSP's
+Douglas-Rachford prox a set-up and a few sweeps.  N-space
 work is a few O(M n_active) products per sweep on the active band, none
 per coordinate.  Every O(M n_active) product of the solvers and of
 oobe_power runs through _row_products, one BLAS call per antenna row.
@@ -354,12 +355,11 @@ def ssp_core(c0, gram, gamma):
     c0 = U^H d is (..., M) for any leading row shape and gram K = U^H U,
     with u_m = a(nu_m)* the columns of U.  Woodbury gives
     U^H (I + U D U^H)^(-1) = (I + K D)^(-1) U^H, so the sweeps (ssp_sweep)
-    run on a core held per row: the multipliers mu, the Hermitian
-    W = (I + K D)^(-1) K and c = (I + K D)^(-1) c0.  Returns (mu, W, c) at
-    the starting multipliers, W and c from one stacked solve.  Both core
-    functions work on the rows flattened to (R, M), where numpy's
-    elementwise calls on small arrays cost less than over several leading
-    axes.
+    run on a core held per row: the multipliers mu and the one array
+    B^(-1) [K | c0] with B = I + K D, (..., M, M + 1), whose first M
+    columns are W = (I + K D)^(-1) K and whose last is
+    c = (I + K D)^(-1) c0.  Returns (mu, core) at the starting
+    multipliers, the core from one stacked solve, kept whole.
     """
     m_pts = gram.shape[0]
     lam1 = _kernel_diag(gram)
@@ -372,65 +372,68 @@ def ssp_core(c0, gram, gamma):
     # With mu >= 0 every unpivoted LU pivot of I + K D is at least 1, so the
     # system is never singular.
     core = np.linalg.solve(np.eye(m_pts) + gram * mu[:, None, :], rhs)
-    return (mu.reshape(c0.shape), core[..., :m_pts].reshape(c0.shape + (m_pts,)),
-            core[..., m_pts].reshape(c0.shape))
+    return mu.reshape(c0.shape), core.reshape(c0.shape + (m_pts + 1,))
 
 
-def ssp_sweep(mu, w_core, c, gamma):
+def ssp_sweep(mu, core, gamma):
     """One cyclic sweep over the M multipliers of every row of the core
-    (mu, W, c) of ssp_core; returns the new core.
+    (mu, B^(-1) [K | c0]) of ssp_core; returns the new (mu, core) and
+    leaves its arguments unchanged.
 
-    Dropping mu_m from D is a rank-1 change of I + K D, so by
-    Sherman-Morrison coordinate m reads
-    alpha_1 = u_m^H G_{\\m}^(-1) d = c_m / (1 - mu_m W_mm) and
-    alpha_2 = u_m^H G_{\\m}^(-1) u_m = W_mm / (1 - mu_m W_mm), and sets mu_m
-    to the exact maximizer of its dual function, kept non-negative.  Its
-    step Delta = mu_m' - mu_m is folded into the core as one rank-1 update
-    with w = W[:, m] and g = Delta / (1 + Delta W_mm):
-    W <- W - g w w^H and c <- c - g c_m w (Hager, "Updating the inverse of
-    a matrix", SIAM Review 1989).  That is O(M^2) work per row and
-    coordinate, and no factorization.
+    Coordinate m sets mu_m to the exact maximizer of its dual function,
+    kept non-negative.  With G_{\\m} = I + U D U^H without mu_m's term,
+    alpha_1 = u_m^H G_{\\m}^(-1) d = c_m / t_m and
+    alpha_2 = u_m^H G_{\\m}^(-1) u_m = W_mm / t_m by Sherman-Morrison, where
+    t_m = 1 - mu_m W_mm = 1 / (1 + mu_m alpha_2) lies in (0, 1]; the
+    maximizer (|alpha_1| - sqrt(gamma_m)) / (sqrt(gamma_m) alpha_2), with
+    t_m cancelled, reads mu_m' = max((|c_m| / sqrt(gamma_m) - t_m) / W_mm, 0)
+    off the core's own entries.  The step Delta = mu_m' - mu_m changes B
+    by Delta k_m e_m^T (k_m the column m of K), so the core takes the exact
+    rank-1 update core <- core - g W[:, m] core[m, :] with
+    g = Delta / (1 + Delta W_mm), where row m of the core is
+    e_m^T B^(-1) [K | c0] (Hager, "Updating the inverse of a matrix", SIAM
+    Review 1989).  That is one O(M^2) outer product per row and
+    coordinate, into a buffer allocated once per call, and no
+    factorization.  The sweep works on copies with the rows flattened and
+    moved last, (M, R) and (M, M + 1, R), so that every elementwise call of
+    a coordinate runs over R contiguous entries; it returns transposed
+    views in the caller's layout.
     """
     root = np.sqrt(gamma)
     shape, m_pts = mu.shape, mu.shape[-1]
-    mu = mu.reshape(-1, m_pts).copy()
-    w_core, c = w_core.reshape(-1, m_pts, m_pts), c.reshape(-1, m_pts)
+    mu = mu.reshape(-1, m_pts).T.copy()
+    core = core.reshape(-1, m_pts, m_pts + 1).transpose(1, 2, 0).copy()
+    update = np.empty_like(core)
     for m in range(m_pts):
-        w = w_core[:, :, m]
-        w_mm = w[:, m].real
-        # 1 - mu_m W_mm = 1 / (1 + mu_m alpha_2) lies in (0, 1]
-        denom = 1.0 - mu[:, m] * w_mm
+        w_mm = core[m, m].real
+        denom = 1.0 - mu[m] * w_mm
         if not 0.0 < denom.min() <= denom.max() < np.inf:
             raise NumericalError("rank-1 update of the SSP dual core lost positivity")
-        alpha1 = c[:, m] / denom
-        alpha2 = w_mm / denom
-        phi = np.arctan2(alpha1.imag, alpha1.real)
-        mu_new = np.maximum(
-            ((alpha1 * np.exp(-1j * phi)).real - root[m]) / (root[m] * alpha2), 0.0)
-        step = mu_new - mu[:, m]
-        gw = (step / (1.0 + step * w_mm))[:, None] * w
-        c = c - c[:, m, None] * gw
-        w_core = w_core - gw[:, :, None] * w.conj()[:, None, :]
-        mu[:, m] = mu_new
-    return mu.reshape(shape), w_core.reshape(shape + (m_pts,)), c.reshape(shape)
+        mu_new = np.maximum((np.abs(core[m, m_pts]) / root[m] - denom) / w_mm, 0.0)
+        step = mu_new - mu[m]
+        gw = (step / (1.0 + step * w_mm)) * core[:, m]
+        np.multiply(gw[:, None, :], core[m], out=update)
+        core -= update
+        mu[m] = mu_new
+    return mu.T.reshape(shape), core.transpose(2, 0, 1).reshape(shape + (m_pts + 1,))
 
 
 def ssp_precode(d, kernel, mask, cfg=None):
     """Cyclic coordinate ascent on the dual of the mask projection.
 
     The sweeps run on the M-dimensional dual core (ssp_core, ssp_sweep):
-    each coordinate reads its two inner products off a Woodbury core held
-    per antenna row, sets its multiplier in closed form and folds the step
-    into the core as a rank-1 update.  The iteration is a start/step pair
-    on _band_iterations, whose state is the deviation e = -U (mu c) of the
-    primal point from the band d, the band and the core (mu, W, c) on
-    c0 = A d; one step is one sweep.  N-space work is O(M n_active)
-    products, none per coordinate: per sweep one for e and two for its
-    report.  Each runs row by row through _row_products, as oobe_power
-    does, so the reported |c|^2 is bitwise oobe_power of the output.  d may
-    be a vector, an (n_tx, N) symbol or an (S, n_tx, N) block, whose rows
-    all share each stacked operation; guard bins of the input pass through
-    untouched.  Returns (dbar, SolverReport) with one trace entry per
+    each coordinate reads its multiplier off the Woodbury array [W | c]
+    held per antenna row, sets it in closed form and folds the step into
+    the array as one rank-1 outer product.  The iteration is a start/step
+    pair on _band_iterations, whose state is the deviation e = -U (mu c) of
+    the primal point from the band d, the band, the multipliers mu and the
+    array [W | c] on c0 = A d; one step is one sweep.  N-space work is
+    O(M n_active) products, none per coordinate: per sweep one for e and
+    two for its report.  Each runs row by row through _row_products, as
+    oobe_power does, so the reported |c|^2 is bitwise oobe_power of the
+    output.  d may be a vector, an (n_tx, N) symbol or an (S, n_tx, N)
+    block, whose rows all share each stacked operation; guard bins of the
+    input pass through untouched.  Returns (dbar, SolverReport) with one trace entry per
     sweep, one report per symbol for a block; the report's residual slots
     hold the stationarity norm ||(I + sum mu A) dbar - d||, evaluated in
     primal space, and the worst relative complementarity defect.
@@ -448,9 +451,9 @@ def ssp_precode(d, kernel, mask, cfg=None):
 
     def step(ad, state, sel):
         nonlocal mu
-        _, band, mu, w_core, c_dual = state
-        mu, w_core, c_dual = ssp_sweep(mu, w_core, c_dual, gamma)
-        dev = _row_products(-mu * c_dual, u_rows)     # -U (mu c): negation is exact
+        _, band, mu, core = state
+        mu, core = ssp_sweep(mu, core, gamma)
+        dev = _row_products(-mu * core[..., m_pts], u_rows)   # -U (mu c): negation is exact
         out = band + dev
         c = _row_products(out, a_cols)
         recon = out + _row_products(mu * c, u_rows)
@@ -458,7 +461,7 @@ def ssp_precode(d, kernel, mask, cfg=None):
         defect = np.abs(mu * (powers - gamma)) / gamma
         entries = (powers.max(axis=1), np.linalg.norm(recon - band, axis=-1).max(axis=1),
                    defect.max(axis=(1, 2)))
-        return (dev, band, mu, w_core, c_dual), entries, None, dev
+        return (dev, band, mu, core), entries, None, dev
 
     full, reports, _ = _band_iterations(block, kernel, cfg.sweeps, start, step)
     multipliers = mu.reshape(np.shape(d)[:-1] + (m_pts,))

@@ -178,22 +178,40 @@ class TestBandLoop:
         assert not out[..., grid.numerology.guard_bins].any()
 
 
+def dense_core(c0, gram, mu):
+    """(W, c) = (I + K diag(mu))^(-1) [K | c0] from one dense solve per row."""
+    m_pts = gram.shape[0]
+    rhs = np.concatenate([np.broadcast_to(gram, c0.shape[:-1] + gram.shape), c0[..., None]],
+                         axis=-1)
+    sol = np.linalg.solve(np.eye(m_pts) + gram * mu[..., None, :], rhs)
+    return sol[..., :m_pts], sol[..., m_pts]
+
+
+def check_core(mu, core, c0, gram):
+    """W and c of the core each within 1e-9 (relative) of the dense solve
+    at the core's multipliers."""
+    m_pts = gram.shape[0]
+    assert core.shape == c0.shape[:-1] + (m_pts, m_pts + 1)
+    w_ref, c_ref = dense_core(c0, gram, mu)
+    assert np.abs(core[..., :m_pts] - w_ref).max() <= 1e-9 * np.abs(w_ref).max()
+    assert np.abs(core[..., m_pts] - c_ref).max() <= 1e-9 * np.abs(c_ref).max()
+
+
 def check_against_lu_oracle(c0, gram, gamma, sweeps):
     """ssp_core and ``sweeps`` calls of ssp_sweep against the LU oracle,
-    sweep by sweep; returns the multipliers at set-up and after the last
-    sweep."""
-    core = ssp_core(c0, gram, gamma)
-    first = core[0]
+    sweep by sweep, and the core against the dense solve after the set-up
+    and after every sweep; returns the multipliers at set-up and after the
+    last sweep."""
+    mu, core = ssp_core(c0, gram, gamma)
+    check_core(mu, core, c0, gram)
+    first = mu
     ref = reference_dual_sweeps(c0, gram, gamma, sweeps)
     for mu_ref in ref:
-        core = ssp_sweep(*core, gamma)
-        mu, _, c = core
+        mu, core = ssp_sweep(mu, core, gamma)
         assert np.all(mu >= 0.0)
         assert np.abs(mu - mu_ref).max() <= 1e-9 * np.abs(ref).max()
-        # c = (I + K diag(mu))^(-1) c0 for the multipliers of the sweep
-        lhs = np.eye(gram.shape[0]) + gram * mu[..., None, :]
-        assert np.abs(lhs @ c[..., None] - c0[..., None]).max() <= 1e-9 * np.abs(c0).max()
-    return first, core[0]
+        check_core(mu, core, c0, gram)
+    return first, mu
 
 
 class TestWoodburyCore:
@@ -217,6 +235,20 @@ class TestWoodburyCore:
         c0 = np.einsum("mk,sjk->sjm", kernel.active_rows, grid.symbols)
         first, last = check_against_lu_oracle(c0, kernel.gram, cfg.mask.gamma, 3)
         assert np.count_nonzero((first > 0.0) & (last == 0.0)) > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(band_cases())
+    def test_sweep_leaves_its_arguments_unchanged(self, case):
+        rng, kernel, grid = case
+        c0 = np.einsum("mk,sjk->sjm", kernel.active_rows, grid.symbols)
+        gamma = rng.uniform(0.05, 0.5, kernel.n_points) * leakage_levels(grid, kernel)
+        mu, core = ssp_core(c0, kernel.gram, gamma)
+        for _ in range(2):          # from the set-up, then from a sweep's output
+            mu_copy, core_copy = mu.copy(), core.copy()
+            mu_new, core_new = ssp_sweep(mu, core, gamma)
+            assert np.array_equal(mu, mu_copy) and np.array_equal(core, core_copy)
+            assert mu_new.shape == mu.shape and core_new.shape == core.shape
+            mu, core = mu_new, core_new
 
 
 class TestErrorClasses:

@@ -195,7 +195,9 @@ class TestRejectedSettings:
         ({"numerology": dict(SMALL_SCENARIO["numerology"], scs_hz=INF)}, "numerology.scs_hz"),
         ({"seed": 2 ** 128}, "seed"),
         ({"precoder": "admm", "admm": {"rho": INF}}, "admm.rho"),
-        ({"precoder": "eadmm", "eadmm": {"residual_tol": NAN}}, "admm.residual_tol"),
+        ({"precoder": "eadmm", "eadmm": {"residual_tol": NAN}}, "eadmm.residual_tol"),
+        ({"precoder": "eadmm", "eadmm": {"rho": INF}}, "eadmm.rho"),
+        ({"precoder": "eadmm", "eadmm": {"iters": 0}}, "eadmm.iters"),
     ])
     def test_exit_code_and_no_output(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, **overrides)

@@ -1,5 +1,6 @@
-"""Smoke tests of the tools: the output digest script, tools/digest.py, and
-the source line counter, tools/loc.py."""
+"""Smoke tests of the tools: the output digest script, tools/digest.py,
+the source line counter, tools/loc.py, and the in-process A/B timer,
+tools/abtime.py."""
 
 import ast
 import importlib.util
@@ -16,6 +17,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 BENCH = TOOLS.parent / "bench"
 DIGEST = TOOLS / "digest.py"
 LOC = TOOLS / "loc.py"
+ABTIME = TOOLS / "abtime.py"
 
 
 def run_digest(*args):
@@ -143,6 +145,21 @@ def test_loc_counts_code_lines_only(tmp_path):
     assert rows == [["8", "18", str(tmp_path / "pkg" / "a.py")],
                     ["1", "3", str(tmp_path / "pkg" / "b.py")],
                     ["9", "21", "total"]]
+
+
+def test_abtime_same_tree_twice():
+    src = Path(specprecode.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(ABTIME), "--a", str(src), "--b", str(src),
+                           "--workload", "ssp-mask1", "--pairs", "2", "--symbols", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("pair 1 (a first): ")
+    assert lines[1].startswith("pair 2 (b first): ")
+    assert lines[2].startswith("median ratio a/b over 2 pairs: wall ")
+    files = dict(line.split(": ") for line in lines[3:])
+    assert {"trace.csv", "summary.csv", "manifest.json"} <= set(files)
+    assert set(files.values()) == {"identical"}
 
 
 def test_bench_imports_only_public_names():

@@ -1,0 +1,127 @@
+"""Interleaved in-process A/B timing of ``run_scenario`` between two source
+trees.
+
+Usage (from the root of a checkout):
+
+    python3 tools/abtime.py --a ../old/src --b src --workload essp-wideband
+    python3 tools/abtime.py --a ../old/src --b src --workload ssp-mask1 --pairs 16
+
+``--a`` and ``--b`` are directories that hold a ``specprecode`` package.
+Each package is copied into a temporary directory under its own name
+(``specprecode_a``, ``specprecode_b``) and imported from there, so both run
+in one process, with one BLAS thread.  The scenario is a workload of
+``bench/workloads.json`` at scenario seed ``--seed``, its symbol count
+capped by ``--symbols``.  After one untimed run of each tree, every pair
+runs both trees back to back, the first pair a then b, the next b then a,
+and so on.  The script prints each pair's time ratio a / b in wall-clock
+time (``perf_counter``) and in CPU time (``process_time``), then the median
+ratios (above 1: b is faster), and whether each output file of the two
+trees' last runs is identical (the manifest compared without its timings).
+
+Separate runs on a shared host can drift by tens of percent minutes apart;
+the two runs of a pair see the same host state, so their ratio compares
+the code.  A tree compared with itself reads close to 1.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import importlib  # noqa: E402
+import json  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "bench" / "workloads.json"
+
+
+def import_copy(src, name, tmp):
+    """The specprecode package under ``src``, copied to ``tmp`` as ``name``
+    and imported under that name (its modules import each other relatively)."""
+    shutil.copytree(Path(src) / "specprecode", Path(tmp) / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def timed_run(package, overrides, out_dir):
+    """(wall s, CPU s, manifest without timings) of one run_scenario call."""
+    cfg = package.ScenarioConfig.from_dict(overrides)
+    gc.collect()
+    wall, cpu = time.perf_counter(), time.process_time()
+    manifest = package.run_scenario(cfg, out_dir)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    manifest.pop("timings_s")
+    return wall, cpu, manifest
+
+
+def compare_outputs(dir_a, dir_b, manifest_a, manifest_b):
+    """(file name, identical) for every output file of either run."""
+    names = sorted({path.name for d in (dir_a, dir_b) for path in Path(d).iterdir()})
+    out = []
+    for name in names:
+        if name == "manifest.json":
+            same = manifest_a == manifest_b
+        else:
+            a, b = Path(dir_a) / name, Path(dir_b) / name
+            same = a.exists() and b.exists() and a.read_bytes() == b.read_bytes()
+        out.append((name, same))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--a", type=Path, required=True,
+                        help="directory that holds the baseline specprecode package")
+    parser.add_argument("--b", type=Path, required=True,
+                        help="directory that holds the changed specprecode package")
+    parser.add_argument("--workload", default="essp-wideband",
+                        help="workload name in bench/workloads.json")
+    parser.add_argument("--seed", type=int, default=1, help="scenario seed")
+    parser.add_argument("--symbols", type=int, help="cap the workload's symbol count")
+    parser.add_argument("--pairs", type=int, default=12, help="number of timed pairs")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    with open(WORKLOADS, encoding="utf-8") as fh:
+        workloads = json.load(fh)
+    if args.workload not in workloads:
+        parser.error(f"unknown workload {args.workload!r}; choose from {sorted(workloads)}")
+    overrides = dict(workloads[args.workload], seed=args.seed)
+    if args.symbols is not None:
+        overrides["symbols"] = min(args.symbols, overrides.get("symbols", args.symbols))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        trees = {"a": import_copy(args.a, "specprecode_a", tmp),
+                 "b": import_copy(args.b, "specprecode_b", tmp)}
+        dirs = {key: Path(tmp) / f"out_{key}" for key in trees}
+        manifests = {key: timed_run(pkg, overrides, dirs[key])[2] for key, pkg in trees.items()}
+        wall_ratios, cpu_ratios = [], []
+        for pair in range(args.pairs):
+            order = ("a", "b") if pair % 2 == 0 else ("b", "a")
+            times = {}
+            for key in order:
+                wall, cpu, manifests[key] = timed_run(trees[key], overrides, dirs[key])
+                times[key] = (wall, cpu)
+            wall_ratios.append(times["a"][0] / times["b"][0])
+            cpu_ratios.append(times["a"][1] / times["b"][1])
+            print(f"pair {pair + 1} ({order[0]} first): wall a {times['a'][0]:.4f} s "
+                  f"b {times['b'][0]:.4f} s ratio {wall_ratios[-1]:.4f}, "
+                  f"cpu ratio {cpu_ratios[-1]:.4f}")
+        print(f"median ratio a/b over {args.pairs} pairs: wall "
+              f"{statistics.median(wall_ratios):.4f}, cpu {statistics.median(cpu_ratios):.4f}")
+        for name, same in compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"]):
+            print(f"{name}: {'identical' if same else 'differs'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
