@@ -183,13 +183,18 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     under its own ball.  Returns (DataGrid, SolverReport), one report per
     symbol for a block.
     """
-    cfg = cfg or AdmmConfig(iters=40)
+    out, report = _unblock(x.symbols.shape,
+                           *_eadmm_block(x, kernel, masks, evm, cfg or AdmmConfig(iters=40)))
+    return x.with_symbols(out), report
+
+
+def _eadmm_block(x, kernel, masks, evm, cfg):
+    """eadmm_precode on x's symbols as a block: (precoded block,
+    BlockTraces)."""
     block = _as_block(x.symbols)
     gamma = _per_point_bounds(masks, kernel.n_points, block.shape[1])
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
-    out, reports = consensus_admm(block, kernel, gamma, cfg, proj_e)
-    out, report = _unblock(x.symbols.shape, out, reports)
-    return x.with_symbols(out), report
+    return consensus_admm(block, kernel, gamma, cfg, proj_e)
 
 
 def essp_precode(x, kernel, masks, evm, cfg=None):
@@ -213,7 +218,14 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     block, each symbol under its own ball.  Returns (DataGrid,
     SolverReport), one report per symbol for a block.
     """
-    cfg = cfg or EsspConfig()
+    out, report = _unblock(x.symbols.shape,
+                           *_essp_block(x, kernel, masks, evm, cfg or EsspConfig()))
+    return x.with_symbols(out), report
+
+
+def _essp_block(x, kernel, masks, evm, cfg):
+    """essp_precode on x's symbols as a block: (precoded block,
+    BlockTraces), the report holding each symbol's returned iterate."""
     block = _as_block(x.symbols)
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
@@ -241,11 +253,9 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
                    _symbol_norms(dev_x - dev_prev))
         return (dev_x, dev_z, oob_now), entries, stop, dev_prev
 
-    full, reports, stopped = _band_iterations(block, kernel, cfg.outer_iters, start, step)
-    for rep, stop in zip(reports, stopped):
-        rep.returned_iteration = rep.iterations - int(stop)
-    out, report = _unblock(x.symbols.shape, full, reports)
-    return x.with_symbols(out), report
+    full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step)
+    traces.returned_iteration = traces.iterations - traces.stopped
+    return full, traces
 
 
 def feasibility_probe(x, kernel, masks, evm, oracle_config=None):

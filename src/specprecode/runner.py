@@ -19,11 +19,14 @@ The run is a pipeline over blocks of BLOCK_SYMBOLS consecutive symbols:
 each block is generated, precoded and measured in one pass, so every
 numpy call serves the whole block, and its oversampled waveform is
 synthesised and added to the PSD in pieces of PSD_SYMBOLS.  Every
-per-symbol result is computed as for a block of one, and one run record
-(``_RunRecord``) adds each block's statistics symbol by symbol in order and
-writes trace.csv, evm.csv, psd.csv and summary.csv from them at the end,
-so the data files depend on neither constant; they only trade per-call
-overhead against the memory of the arrays a block or piece needs.
+per-symbol result is computed as for a block of one.  An iterative
+precoder hands the run its block report (unconstrained.BlockTraces), and
+one run record (``_RunRecord``) adds each block's statistics in one pass,
+every running sum taking the block's symbols one at a time in order
+(metrics._add_in_order), and writes trace.csv, evm.csv, psd.csv and
+summary.csv from them at the end, so the data files depend on neither
+constant; they only trade per-call overhead against the memory of the
+arrays a block or piece needs.
 ``waveform.bin`` is written block by block as well: each block's
 base-rate samples go to their offsets in every stream of a file that is
 renamed into place when the run has written it whole, so a run holds one
@@ -46,12 +49,12 @@ import numpy as np
 
 from . import __version__
 from .baselines import LogBarrierProblem, ensp_precode, logbarrier_solve, nsp_precode
-from .constrained import eadmm_precode, essp_precode
+from .constrained import _eadmm_block, _essp_block
 from .errors import ConfigError
-from .metrics import PsdAccumulator, _to_db, aclr, oobe_power
+from .metrics import PsdAccumulator, _add_in_order, _to_db, aclr, oobe_power
 from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate_qam_block,
                            synthesize_time_signal)
-from .unconstrained import admm_precode, ssp_precode
+from .unconstrained import BlockTraces, _admm_block, _ssp_block
 
 # Symbols per pipeline block.  At 32 the per-call overhead of the iterative
 # solvers is amortised.
@@ -74,7 +77,7 @@ def _fmt(value):
 
 def _scaled_notch(cfg, block, kernel, budget):
     vals, alpha = ensp_precode(block.symbols, kernel, budget.eps_avg)
-    return block.with_symbols(vals), None, {"ensp_alpha_max": float(np.max(alpha))}
+    return vals, None, {"ensp_alpha_max": float(np.max(alpha))}
 
 
 def _log_barrier(cfg, block, kernel, budget):
@@ -92,42 +95,39 @@ def _log_barrier(cfg, block, kernel, budget):
         out[s] = result.solution.reshape(sym.shape)
         kkt.append(float(result.kkt_residual))
         steps.append(int(result.newton_steps))
-    return (block.with_symbols(out.reshape(shape)), None,
+    return (out.reshape(shape), None,
             {"oracle_kkt": max(kkt), "oracle_newton_steps": max(steps)})
-
-
-def _on_values(block, result):
-    vals, reports = result
-    return block.with_symbols(vals), reports, {}
 
 
 # One entry per precoder.  ``budgets`` names the modes of error budget the
 # precoder takes (none for a mask-only precoder).  ``run(cfg, block,
-# kernel, budget)`` precodes one (n_tx, N) symbol or an (S, n_tx, N) block
-# and returns (precoded grid, per-symbol SolverReports or None, extras),
-# with extras the largest value of each diagnostic over the block.
+# kernel, budget)`` precodes a DataGrid block of S symbols and returns
+# (precoded symbols (S, n_tx, N), block report or None, extras), with
+# extras the largest value of each diagnostic over the block.  The
+# iterative precoders run their block-level bodies, whose block report
+# (unconstrained.BlockTraces) the run record adds whole.
 _Precoder = namedtuple("_Precoder", "budgets run")
 _ANY_BUDGET = ("wideband", "frequency_selective")
 PRECODER_TABLE = {
-    "none": _Precoder((), lambda cfg, block, kernel, budget: (block, None, {})),
+    "none": _Precoder((), lambda cfg, block, kernel, budget: (block.symbols, None, {})),
     "nsp": _Precoder((), lambda cfg, block, kernel, budget: (
-        block.with_symbols(nsp_precode(block.symbols, kernel)), None, {})),
+        nsp_precode(block.symbols, kernel), None, {})),
     "ensp": _Precoder(("wideband",), _scaled_notch),
-    "admm": _Precoder((), lambda cfg, block, kernel, budget: _on_values(
-        block, admm_precode(block.symbols, kernel, cfg.mask, cfg.admm))),
-    "ssp": _Precoder((), lambda cfg, block, kernel, budget: _on_values(
-        block, ssp_precode(block.symbols, kernel, cfg.mask, cfg.ssp))),
+    "admm": _Precoder((), lambda cfg, block, kernel, budget: (
+        *_admm_block(block.symbols, kernel, cfg.mask, cfg.admm), {})),
+    "ssp": _Precoder((), lambda cfg, block, kernel, budget: (
+        *_ssp_block(block.symbols, kernel, cfg.mask, cfg.ssp), {})),
     "eadmm": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
-        *eadmm_precode(block, kernel, cfg.mask, budget, cfg.eadmm), {})),
+        *_eadmm_block(block, kernel, cfg.mask, budget, cfg.eadmm), {})),
     "essp": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
-        *essp_precode(block, kernel, cfg.mask, budget, cfg.essp), {})),
+        *_essp_block(block, kernel, cfg.mask, budget, cfg.essp), {})),
     "oracle": _Precoder((), _log_barrier),
 }
 
 
 class _RunRecord:
-    """The run's statistics, added one symbol at a time in run order, and the
-    data files derived from them.
+    """The run's statistics, added a block at a time with every symbol in
+    run order, and the data files derived from them.
 
     Per active subcarrier it sums the error and reference power, and over
     the run their totals; per mask point the worst-row leakage; it keeps the
@@ -135,7 +135,8 @@ class _RunRecord:
     ``trace`` sums over the symbols that reached iteration i + 1: their
     count, evm^2, the M leakage powers, and the primal and dual residuals.
     A precoder without iterations gives each symbol one row, from its EVM
-    and leakage.
+    and leakage.  Every sum adds the block's symbols one at a time, in
+    order (_add_in_order), so the sums do not depend on the block size.
     """
 
     def __init__(self, cfg):
@@ -148,9 +149,10 @@ class _RunRecord:
         self.extras = {}
         self.trace = np.zeros((0, cfg.freq_grid.size + 4))
 
-    def add(self, grid, out, reports, extras, pow_pts):
-        """Add a block: its input and precoded grids, the precoder's reports
-        (or None) and extras, and the (S, M, n_tx) leakage of its output."""
+    def add(self, grid, out, traces, extras, pow_pts):
+        """Add a block: its input and precoded grids, the precoder's block
+        report (or None) and extras, and the (S, M, n_tx) leakage of its
+        output."""
         per_point = np.max(pow_pts, axis=2)
         self.ratio_max = max(self.ratio_max,
                              float(np.max(pow_pts / self.cfg.mask.gamma[:, None])))
@@ -162,25 +164,26 @@ class _RunRecord:
         ref = np.abs(grid.symbols) ** 2
         err_sym = np.sum(err, axis=(1, 2))
         ref_sym = np.sum(ref, axis=(1, 2))
-        err_cols = np.sum(err[:, :, cols], axis=1)
-        ref_cols = np.sum(ref[:, :, cols], axis=1)
-        if reports is None:
-            evm = np.sqrt(np.divide(err_sym, ref_sym, out=np.zeros_like(err_sym),
-                                    where=ref_sym > 0))
-            rows = np.column_stack((np.ones_like(evm), evm ** 2, per_point,
-                                    np.zeros((len(evm), 2))))[:, None]
-        else:
-            rows = [np.column_stack((np.ones(r.iterations), r.evm_trace ** 2, r.oob_trace,
-                                     r.primal_trace, r.dual_trace)) for r in reports]
-        for s, row in enumerate(rows):
-            if len(row) > len(self.trace):
-                self.trace = np.pad(self.trace, ((0, len(row) - len(self.trace)), (0, 0)))
-            self.trace[:len(row)] += row
-            self.leak += per_point[s]
-            self.err_cols += err_cols[s]
-            self.ref_cols += ref_cols[s]
-            self.err += float(err_sym[s])
-            self.ref += float(ref_sym[s])
+        if traces is None:
+            traces = BlockTraces(1, len(err_sym), per_point.shape[1])
+            traces.record(0, slice(None), np.sqrt(np.divide(
+                err_sym, ref_sym, out=np.zeros_like(err_sym), where=ref_sym > 0)),
+                per_point, 0.0, 0.0)
+        # (S, iterations, M + 4); a symbol adds zeros after its last
+        # iteration, which leaves every (non-negative) sum's bits alone.
+        n = traces.iterations.max()
+        rows = np.concatenate(((np.arange(n)[:, None] < traces.iterations)[..., None],
+                               traces.evm[:n, :, None] ** 2, traces.oob[:n],
+                               traces.primal[:n, :, None], traces.dual[:n, :, None]),
+                              axis=-1).swapaxes(0, 1)
+        if n > len(self.trace):
+            self.trace = np.pad(self.trace, ((0, n - len(self.trace)), (0, 0)))
+        self.trace[:n] = _add_in_order(self.trace[:n], rows)
+        self.leak = _add_in_order(self.leak, per_point)
+        self.err_cols = _add_in_order(self.err_cols, err.sum(axis=1).take(cols, axis=-1))
+        self.ref_cols = _add_in_order(self.ref_cols, ref.sum(axis=1).take(cols, axis=-1))
+        self.err = _add_in_order(self.err, err_sym)
+        self.ref = _add_in_order(self.ref, ref_sym)
 
     def write(self, out_path, psd_acc, files):
         """Write trace.csv, evm.csv, psd.csv and summary.csv, recording their
@@ -255,10 +258,11 @@ def run_scenario(cfg, out_dir=None):
             grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
                                       first, min(BLOCK_SYMBOLS, cfg.symbols - first))
             t1 = time.perf_counter()
-            out, reports, extras = precoder.run(cfg, grid, kernel, budget)
+            vals, traces, extras = precoder.run(cfg, grid, kernel, budget)
+            out = grid.with_symbols(vals)
             t2 = time.perf_counter()
 
-            record.add(grid, out, reports, extras, oobe_power(out, kernel))
+            record.add(grid, out, traces, extras, oobe_power(out, kernel))
 
             t_psd = time.perf_counter()
             # The oversampled frames of every piece of the block are

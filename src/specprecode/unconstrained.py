@@ -15,7 +15,10 @@ share one active-band loop, _band_iterations, and each is a start/step pair
 on it.  The loop gathers the block's active columns d once, in bin order,
 forms their leakage A d once, iterates on the deviation e = x - d, stops
 every symbol on its own rule and scatters d + e back once; it alone
-records the EVM trace and builds the reports.
+records the EVM trace.  It returns one block report (BlockTraces) of
+(iterations, S, ...) trace arrays and per-symbol counts, which the runner
+adds whole; only the public *_precode functions split it into per-symbol
+SolverReports.
 
 SSP performs cyclic coordinate ascent on the dual multipliers mu_m.  Every
 SSP quantity lives in the span of the M leakage rows, so the sweeps run on
@@ -146,29 +149,29 @@ class SolverReport:
             if arr.shape[0] != self.iterations:
                 raise ConfigError("trace length must equal iterations executed", field=name)
 
-    @classmethod
-    def per_symbol(cls, traces, iterations, **extra):
-        """One report per symbol of a block.
-
-        traces is a BlockTraces; iterations holds each symbol's iteration
-        count, and every extra keyword one value per symbol.
-        """
-        return [cls(iterations=int(n), evm_trace=traces.evm[:n, s],
-                    oob_trace=traces.oob[:n, s], primal_trace=traces.primal[:n, s],
-                    dual_trace=traces.dual[:n, s],
-                    **{key: val[s] for key, val in extra.items()})
-                for s, n in enumerate(iterations)]
-
 
 class BlockTraces:
-    """Per-iteration report traces of a block of symbols, filled for the
-    symbols still active at each iteration."""
+    """The block report of the active-band loop for a block of S symbols.
+
+    The per-iteration traces evm, oob, primal and dual are (iters, S, ...)
+    arrays, filled for the symbols still active at each iteration and zero
+    after a symbol stopped.  Per symbol it holds the iteration count and
+    whether its stop fired (stopped), and, where a solver sets them, the
+    iterate it returned (returned_iteration, ESSP) and its final
+    multipliers (SSP), (S, n_tx, M), or (1, M) for a single row.  The
+    runner adds it whole; the public precoders split it into SolverReports
+    (_unblock).
+    """
+
+    returned_iteration = multipliers = None
 
     def __init__(self, iters, n_sym, m_pts):
         self.evm = np.zeros((iters, n_sym))
         self.oob = np.zeros((iters, n_sym, m_pts))
         self.primal = np.zeros((iters, n_sym))
         self.dual = np.zeros((iters, n_sym))
+        self.iterations = np.full(n_sym, iters)
+        self.stopped = np.zeros(n_sym, dtype=bool)
 
     def record(self, it, active, evm, oob, primal, dual):
         self.evm[it, active] = evm
@@ -177,9 +180,18 @@ class BlockTraces:
         self.dual[it, active] = dual
 
 
-def _unblock(d_shape, out, reports):
-    """A block result in the caller's layout: one report per symbol for a
-    block input, the single report otherwise."""
+def _unblock(d_shape, out, traces):
+    """A block result in the caller's layout: the precoded values, and the
+    block report as one SolverReport per symbol for a block input, the
+    single report otherwise.  A symbol stopped early when its stop fired
+    before the last iteration."""
+    iters, mult, returned = len(traces.evm), traces.multipliers, traces.returned_iteration
+    reports = [SolverReport(iterations=int(n), evm_trace=traces.evm[:n, s],
+                            oob_trace=traces.oob[:n, s], primal_trace=traces.primal[:n, s],
+                            dual_trace=traces.dual[:n, s], stopped_early=bool(n < iters),
+                            multipliers=None if mult is None else mult[s],
+                            returned_iteration=None if returned is None else int(returned[s]))
+               for s, n in enumerate(traces.iterations)]
     return out.reshape(d_shape), (reports if len(d_shape) == 3 else reports[0])
 
 
@@ -200,17 +212,14 @@ def _band_iterations(block, kernel, iters, start, step):
     symbols.  A stopping symbol leaves the state, and the loop ends when no
     symbol is left.  d + e is scattered back once into a copy of the block,
     so the guard bins of the input pass through untouched.  Returns (block,
-    one SolverReport per symbol, stopped): stopped marks the symbols whose
-    stop fired, also on the last iteration, where stopped_early stays False.
+    BlockTraces): the block report's stopped marks the symbols whose stop
+    fired, also on the last iteration.
     """
     bins = kernel.numerology.band_bins
-    n_sym = block.shape[0]
-    traces = BlockTraces(iters, n_sym, kernel.n_points)
-    iterations = np.full(n_sym, iters)
-    stopped = np.zeros(n_sym, dtype=bool)
+    traces = BlockTraces(iters, len(block), kernel.n_points)
     band = block.take(bins, axis=-1)
     out = np.empty_like(band)
-    active, sel = np.arange(n_sym), slice(None)
+    active, sel = np.arange(len(block)), slice(None)
     ad, ref_norms = _row_products(band, kernel.band_rows.T), _symbol_norms(block)
     state = start(band, ad)
     for it in range(iters):
@@ -219,8 +228,8 @@ def _band_iterations(block, kernel, iters, start, step):
         if stop is None or not stop.any():
             continue
         out[active[stop]] = returns[stop]
-        iterations[active[stop]] = it + 1
-        stopped[active[stop]] = True
+        traces.iterations[active[stop]] = it + 1
+        traces.stopped[active[stop]] = True
         keep = ~stop
         active, ad, ref_norms = active[keep], ad[keep], ref_norms[keep]
         state = tuple(arr[keep] for arr in state)
@@ -230,9 +239,7 @@ def _band_iterations(block, kernel, iters, start, step):
     out[sel] = state[0]
     full = block.copy()
     full[..., bins] = band + out
-    reports = SolverReport.per_symbol(traces, iterations,
-                                      stopped_early=(iterations < iters).tolist())
-    return full, reports, stopped
+    return full, traces
 
 
 def consensus_admm(block, kernel, gamma, cfg, x_update):
@@ -250,7 +257,7 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
     mask-feasible input: e stays exactly zero, the input comes back
     bitwise and the primal residual stays zero.  Every symbol stops on its
     own residual_tol test and returns its current iterate.  Returns (x_bar
-    block, one SolverReport per symbol).
+    block, BlockTraces).
 
     The projection onto set m moves its argument only along u_m = a(nu_m)*,
     so every dual stays z_m = beta_m u_m and every local variable
@@ -291,8 +298,7 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
         dual = np.sqrt(m_pts) * cfg.rho * _symbol_norms(dev - dev_prev)
         stop = None if cfg.residual_tol is None else np.maximum(primal, dual) <= cfg.residual_tol
         return (dev, beta, delta), ((np.abs(ax) ** 2).max(axis=1), primal, dual), stop, dev
-    full, reports, _ = _band_iterations(block, kernel, cfg.iters, start, step)
-    return full, reports
+    return _band_iterations(block, kernel, cfg.iters, start, step)
 
 
 def admm_precode(d, kernel, mask, cfg=None):
@@ -300,17 +306,20 @@ def admm_precode(d, kernel, mask, cfg=None):
 
     Returns (dbar, SolverReport).  d may be a vector, an (n_tx, N) symbol or
     an (S, n_tx, N) block, which gets one report per symbol; rows are
-    precoded independently (the constraint sets are per row).  The
-    consensus update (d + rho M (d + m)) / (1 + rho M) is the deviation
-    rho M m / (1 + rho M) from d.
+    precoded independently (the constraint sets are per row).
     """
-    cfg = cfg or AdmmConfig()
+    return _unblock(np.shape(d), *_admm_block(d, kernel, mask, cfg or AdmmConfig()))
+
+
+def _admm_block(d, kernel, mask, cfg):
+    """admm_precode on d as a block: (dbar block, BlockTraces).  The
+    consensus update (d + rho M (d + m)) / (1 + rho M) is the deviation
+    rho M m / (1 + rho M) from d."""
     block = _as_block(d)
     m_pts = kernel.n_points
     gamma = np.broadcast_to(mask_bounds(mask, m_pts)[:, None], (m_pts, block.shape[1]))
     weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
-    out, reports = consensus_admm(block, kernel, gamma, cfg, lambda m, sel: weight * m)
-    return _unblock(np.shape(d), out, reports)
+    return consensus_admm(block, kernel, gamma, cfg, lambda m, sel: weight * m)
 
 
 class FactoredInverse:
@@ -438,7 +447,12 @@ def ssp_precode(d, kernel, mask, cfg=None):
     hold the stationarity norm ||(I + sum mu A) dbar - d||, evaluated in
     primal space, and the worst relative complementarity defect.
     """
-    cfg = cfg or SspConfig()
+    return _unblock(np.shape(d), *_ssp_block(d, kernel, mask, cfg or SspConfig()))
+
+
+def _ssp_block(d, kernel, mask, cfg):
+    """ssp_precode on d as a block: (dbar block, BlockTraces), the report
+    holding the final multipliers."""
     block = _as_block(d)
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
@@ -463,8 +477,6 @@ def ssp_precode(d, kernel, mask, cfg=None):
                    defect.max(axis=(1, 2)))
         return (dev, band, mu, core), entries, None, dev
 
-    full, reports, _ = _band_iterations(block, kernel, cfg.sweeps, start, step)
-    multipliers = mu.reshape(np.shape(d)[:-1] + (m_pts,))
-    for rep, mult in zip(reports, multipliers if np.ndim(d) == 3 else [multipliers]):
-        rep.multipliers = mult
-    return _unblock(np.shape(d), full, reports)
+    full, traces = _band_iterations(block, kernel, cfg.sweeps, start, step)
+    traces.multipliers = mu.reshape((len(mu),) + np.shape(d)[-2:-1] + (m_pts,))
+    return full, traces

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import specprecode
-from specprecode import (NumericalError, ScenarioConfig, SpectralKernel, build_kernel,
-                         generate_qam_block, generate_qam_grid, oobe_power, read_waveform,
+from specprecode import (NumericalError, ScenarioConfig, SpectralKernel, admm_precode,
+                         build_kernel, generate_qam_block, oobe_power, read_waveform,
                          run_scenario, runner, synthesize_time_signal, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
 from specprecode.config import BUDGET_PRECODERS, PRECODERS
@@ -288,10 +288,10 @@ class TestEveryPrecoder:
         evm_c = cfg.evm_constraint() if precoder in BUDGET_PRECODERS else None
         total = 0.0
         for s in range(cfg.symbols):
-            grid = generate_qam_grid(cfg.seed, cfg.numerology, cfg.n_tx,
-                                     cfg.constellation, symbol_index=s)
+            grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                      s, 1)
             out, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, evm_c)
-            total = total + oobe_power(out, kernel).max(axis=1)
+            total = total + oobe_power(out[0], kernel).max(axis=1)
         header, rows = read_csv(runs[0] / "summary.csv")
         summary = dict(zip(header, rows[0]))
         got = [float(summary[f"oobe_db_p{m + 1}"]) for m in range(cfg.freq_grid.size)]
@@ -353,13 +353,12 @@ class TestTraceValues:
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
                                   0, cfg.symbols)
-        budget = cfg.evm_constraint() if precoder in BUDGET_PRECODERS else None
-        out, reports, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, budget)
         _, rows = read_csv(tmp_path / "trace.csv")
-        return cfg, [[float(v) for v in row] for row in rows], grid, out, reports, kernel
+        return cfg, [[float(v) for v in row] for row in rows], grid, kernel
 
     def test_symbols_that_stop_at_different_iterations(self, tmp_path):
-        cfg, rows, _, _, reports, _ = self.run(tmp_path, "admm", **BLOCK_CASES["admm"])
+        cfg, rows, grid, kernel = self.run(tmp_path, "admm", **BLOCK_CASES["admm"])
+        _, reports = admm_precode(grid.symbols, kernel, cfg.mask, cfg.admm)
         iterations = [r.iterations for r in reports]
         assert len(set(iterations)) >= 2
         assert len(rows) == max(iterations)
@@ -373,9 +372,11 @@ class TestTraceValues:
             assert row == pytest.approx(expect, rel=1e-11)
 
     def test_precoder_without_iterations_writes_one_row(self, tmp_path):
-        cfg, rows, grid, out, reports, kernel = self.run(tmp_path, "ensp")
+        cfg, rows, grid, kernel = self.run(tmp_path, "ensp")
+        out, reports, _ = runner.PRECODER_TABLE["ensp"].run(cfg, grid, kernel,
+                                                            cfg.evm_constraint())
         assert reports is None
-        err = np.sum(np.abs(out.symbols - grid.symbols) ** 2, axis=(1, 2))
+        err = np.sum(np.abs(out - grid.symbols) ** 2, axis=(1, 2))
         ref = np.sum(np.abs(grid.symbols) ** 2, axis=(1, 2))
         leak = np.mean(oobe_power(out, kernel).max(axis=2), axis=0)
         assert len(rows) == 1
@@ -383,6 +384,67 @@ class TestTraceValues:
                                             rel=1e-11)
         assert rows[0][3:-2] == pytest.approx(10.0 * np.log10(leak), rel=1e-11)
         assert rows[0][-2:] == [0.0, 0.0]
+
+
+class TestRunRecord:
+    """_RunRecord.add on whole blocks against a symbol-by-symbol add."""
+
+    @staticmethod
+    def add_by_symbol(sums, grid, out, reports, pow_pts, cols):
+        """The run record's sums, added one symbol at a time in order."""
+        per_point = np.max(pow_pts, axis=2)
+        err = np.abs(out.symbols - grid.symbols) ** 2
+        ref = np.abs(grid.symbols) ** 2
+        err_sym, ref_sym = np.sum(err, axis=(1, 2)), np.sum(ref, axis=(1, 2))
+        err_cols, ref_cols = np.sum(err[:, :, cols], axis=1), np.sum(ref[:, :, cols], axis=1)
+        if reports is None:
+            evm = np.sqrt(err_sym / ref_sym)
+            rows = [np.concatenate(([1.0, e ** 2], p, [0.0, 0.0]))[None]
+                    for e, p in zip(evm, per_point)]
+        else:
+            rows = [np.column_stack((np.ones(r.iterations), r.evm_trace ** 2, r.oob_trace,
+                                     r.primal_trace, r.dual_trace)) for r in reports]
+        for s, row in enumerate(rows):
+            if len(row) > len(sums["trace"]):
+                sums["trace"] = np.pad(sums["trace"],
+                                       ((0, len(row) - len(sums["trace"])), (0, 0)))
+            sums["trace"][:len(row)] += row
+            sums["leak"] += per_point[s]
+            sums["err_cols"] += err_cols[s]
+            sums["ref_cols"] += ref_cols[s]
+            sums["err"] += float(err_sym[s])
+            sums["ref"] += float(ref_sym[s])
+
+    @pytest.mark.parametrize("precoder", ["admm", "ensp"])
+    def test_block_add_has_the_bits_of_symbol_by_symbol_adds(self, precoder):
+        data = json.loads(json.dumps(SMALL_SCENARIO))
+        data.update(precoder=precoder, **BLOCK_CASES.get(precoder, {}))
+        cfg = ScenarioConfig.from_dict(data)
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        record = runner._RunRecord(cfg)
+        sums = {"trace": np.zeros((0, cfg.freq_grid.size + 4)),
+                "leak": np.zeros(cfg.freq_grid.size), "err": 0.0, "ref": 0.0,
+                "err_cols": np.zeros(cfg.numerology.n_active),
+                "ref_cols": np.zeros(cfg.numerology.n_active)}
+        # two blocks, so the second adds onto running totals
+        for first in (0, 12):
+            grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                      first, 12)
+            if precoder == "admm":
+                vals, reports = admm_precode(grid.symbols, kernel, cfg.mask, cfg.admm)
+                assert len({r.iterations for r in reports}) >= 2
+            else:
+                vals, reports, _ = runner.PRECODER_TABLE[precoder].run(
+                    cfg, grid, kernel, cfg.evm_constraint())
+            out = grid.with_symbols(vals)
+            pow_pts = oobe_power(out, kernel)
+            block_vals, traces, extras = runner.PRECODER_TABLE[precoder].run(
+                cfg, grid, kernel, cfg.evm_constraint() if precoder == "ensp" else None)
+            assert np.array_equal(block_vals, vals)
+            record.add(grid, out, traces, extras, pow_pts)
+            self.add_by_symbol(sums, grid, out, reports, pow_pts, cfg.numerology.active_bins)
+        for name, total in sums.items():
+            assert np.array_equal(getattr(record, name), total), name
 
 
 class TestStreamedWaveform:
@@ -400,7 +462,8 @@ class TestStreamedWaveform:
                                   0, cfg.symbols)
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         out, _, _ = runner.PRECODER_TABLE["ensp"].run(cfg, grid, kernel, cfg.evm_constraint())
-        write_waveform(tmp_path / "whole.bin", synthesize_time_signal(out, oversample=1))
+        write_waveform(tmp_path / "whole.bin",
+                       synthesize_time_signal(grid.with_symbols(out), oversample=1))
         written = tmp_path / "run" / "waveform.bin"
         assert written.read_bytes() == (tmp_path / "whole.bin").read_bytes()
         assert manifest["outputs"]["waveform.bin"] == sha256(written)

@@ -11,7 +11,7 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          calibrate_mask, generate_qam_block, kernel_psd_prediction,
                          oobe_power, OfdmNumerology, synthesize_time_signal)
 from specprecode import runner
-from specprecode.metrics import _dft_power, _dft_tables
+from specprecode.metrics import _add_in_order, _dft_power, _dft_tables
 from specprecode.signal_model import _kernel_entries, _kernel_matrix, _write_frames
 
 from conftest import qpsk_grid, small_numerology
@@ -282,6 +282,18 @@ class TestPsdAccumulation:
         num, _, _ = metric_setup
         with pytest.raises(ConfigError):
             kernel_psd_prediction([], num, 4, np.array([1e5]))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (1, 12), (3, 12), (2192,)])
+def test_add_in_order_adds_one_row_at_a_time(shape):
+    # pairwise summation would regroup 33 terms of such spread magnitudes
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((32,) + shape) * 10.0 ** rng.integers(-8, 8, (32,) + shape)
+    total = rng.standard_normal(shape)
+    expect = total
+    for row in rows:
+        expect = expect + row
+    assert np.array_equal(_add_in_order(total, rows), expect)
 
 
 class TestPeriodogramTransform:

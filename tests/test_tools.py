@@ -157,7 +157,11 @@ def test_abtime_same_tree_twice():
     assert lines[0].startswith("pair 1 (a first): ")
     assert lines[1].startswith("pair 2 (b first): ")
     assert lines[2].startswith("median ratio a/b over 2 pairs: wall ")
-    files = dict(line.split(": ") for line in lines[3:])
+    assert lines[3].startswith("median layer ratio a/b: ")
+    layers = dict(item.split() for item in lines[3].split(": ", 1)[1].split(", "))
+    assert set(layers) == {"generate", "precode", "metrics", "psd", "io", "total"}
+    assert all(float(ratio) > 0 for ratio in layers.values())
+    files = dict(line.split(": ") for line in lines[4:])
     assert {"trace.csv", "summary.csv", "manifest.json"} <= set(files)
     assert set(files.values()) == {"identical"}
 

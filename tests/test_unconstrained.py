@@ -8,7 +8,7 @@ from specprecode import (ConfigError, DegenerateConstraintError,
                          ScenarioConfig, SpectralKernel, build_kernel,
                          eadmm_precode, essp_precode, oobe_power, project_rank1)
 from specprecode import constrained, unconstrained
-from specprecode.unconstrained import (AdmmConfig, FactoredInverse, SolverReport,
+from specprecode.unconstrained import (AdmmConfig, BlockTraces, FactoredInverse, SolverReport,
                                        SspConfig, admm_precode, mask_bounds, ssp_precode)
 
 from conftest import qpsk_grid, random_kernel, small_numerology
@@ -345,22 +345,26 @@ def evm_wideband(dbar, d):
 
 
 def reference_consensus_admm(block, kernel, gamma, cfg, x_update):
-    """N-space reference for consensus_admm, with its signature: the
-    symbols of the block one at a time, each through reference_consensus_one.
+    """N-space reference for consensus_admm, with its signature and its
+    block report: the symbols of the block one at a time, each through
+    reference_consensus_one.
     x_update maps a mean deviation from the input's active band to the next
     deviation; the reference turns it into the map from the band sums of
     y_m + z_m to the next iterate."""
-    outs, reports = [], []
+    outs = []
     m_pts = kernel.n_points
+    traces = BlockTraces(cfg.iters, len(block), m_pts)
     for i, rows in enumerate(block):
         band = rows[:, kernel.numerology.band_bins]
 
         def update(s, i=i, band=band):
             return band + x_update((s / m_pts - band)[None], np.array([i]))[0]
-        out, report = reference_consensus_one(rows, kernel, gamma, cfg, update)
+        out, rep = reference_consensus_one(rows, kernel, gamma, cfg, update)
         outs.append(out)
-        reports.append(report)
-    return np.stack(outs), reports
+        n = traces.iterations[i] = rep.iterations
+        traces.record(slice(n), i, rep.evm_trace, rep.oob_trace, rep.primal_trace,
+                      rep.dual_trace)
+    return np.stack(outs), traces
 
 
 def reference_consensus_one(rows, kernel, gamma, cfg, x_update):

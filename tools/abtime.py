@@ -15,8 +15,10 @@ capped by ``--symbols``.  After one untimed run of each tree, every pair
 runs both trees back to back, the first pair a then b, the next b then a,
 and so on.  The script prints each pair's time ratio a / b in wall-clock
 time (``perf_counter``) and in CPU time (``process_time``), then the median
-ratios (above 1: b is faster), and whether each output file of the two
-trees' last runs is identical (the manifest compared without its timings).
+ratios (above 1: b is faster), the median ratio of each layer time of the
+manifests' ``timings_s`` (``generate``, ``precode``, ``metrics``, ``psd``,
+``io`` and ``total``), and whether each output file of the two trees' last
+runs is identical (the manifest compared without its timings).
 
 Separate runs on a shared host can drift by tens of percent minutes apart;
 the two runs of a pair see the same host state, so their ratio compares
@@ -52,14 +54,14 @@ def import_copy(src, name, tmp):
 
 
 def timed_run(package, overrides, out_dir):
-    """(wall s, CPU s, manifest without timings) of one run_scenario call."""
+    """(wall s, CPU s, manifest without timings, the manifest's timings) of
+    one run_scenario call."""
     cfg = package.ScenarioConfig.from_dict(overrides)
     gc.collect()
     wall, cpu = time.perf_counter(), time.process_time()
     manifest = package.run_scenario(cfg, out_dir)
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-    manifest.pop("timings_s")
-    return wall, cpu, manifest
+    return wall, cpu, manifest, manifest.pop("timings_s")
 
 
 def compare_outputs(dir_a, dir_b, manifest_a, manifest_b):
@@ -104,20 +106,25 @@ def main(argv=None):
                  "b": import_copy(args.b, "specprecode_b", tmp)}
         dirs = {key: Path(tmp) / f"out_{key}" for key in trees}
         manifests = {key: timed_run(pkg, overrides, dirs[key])[2] for key, pkg in trees.items()}
-        wall_ratios, cpu_ratios = [], []
+        wall_ratios, cpu_ratios, layer_ratios = [], [], {}
         for pair in range(args.pairs):
             order = ("a", "b") if pair % 2 == 0 else ("b", "a")
-            times = {}
+            times, layers = {}, {}
             for key in order:
-                wall, cpu, manifests[key] = timed_run(trees[key], overrides, dirs[key])
+                wall, cpu, manifests[key], layers[key] = timed_run(trees[key], overrides,
+                                                                   dirs[key])
                 times[key] = (wall, cpu)
             wall_ratios.append(times["a"][0] / times["b"][0])
             cpu_ratios.append(times["a"][1] / times["b"][1])
+            for name, seconds in layers["a"].items():
+                layer_ratios.setdefault(name, []).append(seconds / layers["b"][name])
             print(f"pair {pair + 1} ({order[0]} first): wall a {times['a'][0]:.4f} s "
                   f"b {times['b'][0]:.4f} s ratio {wall_ratios[-1]:.4f}, "
                   f"cpu ratio {cpu_ratios[-1]:.4f}")
         print(f"median ratio a/b over {args.pairs} pairs: wall "
               f"{statistics.median(wall_ratios):.4f}, cpu {statistics.median(cpu_ratios):.4f}")
+        print("median layer ratio a/b: " + ", ".join(
+            f"{name} {statistics.median(ratios):.4f}" for name, ratios in layer_ratios.items()))
         for name, same in compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"]):
             print(f"{name}: {'identical' if same else 'differs'}")
     return 0
