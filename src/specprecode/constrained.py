@@ -5,12 +5,14 @@ so every reported iterate sits exactly inside the budget (the consensus
 variable is the image of the ball projection).  ESSP wraps the sweep
 precoder in Douglas-Rachford splitting between the mask intersection and the
 ball: its mask prox is SSP's dual core, the multipliers and one array
-[W | c] per antenna row, set up by one stacked solve per outer iteration
-and advanced by inner_sweeps of the same sweep that SSP's step makes
-(unconstrained.ssp_core, ssp_sweep).  When mask and budget cannot both be
-met the iteration has no fixed point, so an early-stopping rule watches the
-sampled out-of-band power and returns the last iterate that still improved
-it.  Both iterate on the active-band loop of unconstrained.py
+[W | c] per antenna row, set up by one stacked solve per block
+(unconstrained.ssp_core) and warm-started from one outer iteration to the
+next: the core is carried, re-centred on each new prox centre without a
+solve, and advanced by inner_sweeps of the same sweep that SSP's step
+makes (ssp_sweep).  When mask and budget cannot both be met the iteration
+has no fixed point, so an early-stopping rule watches the sampled
+out-of-band power and returns the last iterate that still improved it.
+Both iterate on the active-band loop of unconstrained.py
 (_band_iterations), as ADMM and SSP do, which gathers the band, stops each
 symbol on its own rule and scatters the result.
 """
@@ -201,21 +203,24 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     """Douglas-Rachford between the mask intersection and the EVM ball.
 
     The mask prox is approximated by inner_sweeps of the sweep precoder's
-    dual core (ssp_core, then ssp_sweep) on 2*Xbar - Zbar, batched over
-    antenna rows and symbols.  The iteration is a start/step pair on
+    dual core (ssp_sweep) on 2*Xbar - Zbar, batched over antenna rows and
+    symbols.  The prox is warm-started: the block's one ssp_core call sets
+    up the core (mu, [W | c]) at the first prox centre 2 d, and every outer
+    iteration carries mu and W on and re-centres c on its own centre's
+    leakage c0 as c = (I + K D)^(-1) c0 = c0 - W (mu c0), one M x M
+    product per row and no solve.  The iteration is a start/step pair on
     _band_iterations, whose state holds the deviations from the active band
-    d of the input, starting at e_x = 0 and e_z = -d: e_v = 2 e_x - e_z,
-    e_y = e_v - U^T (mu c) from the dual core (mu, [W | c]) on
-    c0 = A d + A e_v, with c the last column of the core,
-    e_z += relaxation (e_y - e_x), and e_x the zero-centred ball projection
-    of e_z (evm.projector with cols).  The leakage A x is A d plus A e_x.  With
-    early_stop, a symbol stops as soon as the total sampled out-of-band
-    power of its new iterate exceeds the previous one's and returns the
-    previous iterate, so the report's returned_iteration, the iterate
-    returned (0 is the input grid), is iterations - 1 for a symbol that
-    stopped, also on the last iteration (where stopped_early is False), and
-    iterations for one that ran out.  x holds one symbol or an (S, n_tx, N)
-    block, each symbol under its own ball.  Returns (DataGrid,
+    d of the input, starting at e_x = 0 and e_z = -d, and the core:
+    e_v = 2 e_x - e_z, c0 = A d + A e_v, e_y = e_v - U^T (mu c) after the
+    sweeps, e_z += relaxation (e_y - e_x), and e_x the zero-centred ball
+    projection of e_z (evm.projector with cols).  The leakage A x is A d
+    plus A e_x.  With early_stop, a symbol stops as soon as the total
+    sampled out-of-band power of its new iterate exceeds the previous one's
+    and returns the previous iterate, so the report's returned_iteration,
+    the iterate returned (0 is the input grid), is iterations - 1 for a
+    symbol that stopped, also on the last iteration (where stopped_early is
+    False), and iterations for one that ran out.  x holds one symbol or an
+    (S, n_tx, N) block, each symbol under its own ball.  Returns (DataGrid,
     SolverReport), one report per symbol for a block.
     """
     out, report = _unblock(x.symbols.shape,
@@ -229,29 +234,34 @@ def _essp_block(x, kernel, masks, evm, cfg):
     block = _as_block(x.symbols)
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
-    gamma = mask_bounds(masks, kernel.n_points)
+    m_pts = kernel.n_points
+    gamma = mask_bounds(masks, m_pts)
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
 
     def start(band, ad):
-        return np.zeros_like(band), -band, np.sum(np.abs(ad) ** 2, axis=(1, 2))
+        # the one stacked solve of the block, at the first prox centre 2 d
+        return ((np.zeros_like(band), -band, np.sum(np.abs(ad) ** 2, axis=(1, 2)))
+                + ssp_core(ad + ad, kernel.gram, gamma))
 
     def step(ad, state, sel):
-        dev_x, dev_z, best_oob = state
+        dev_x, dev_z, best_oob, mu, core = state
         dev_v = 2.0 * dev_x - dev_z
-        mu, core = ssp_core(ad + _row_products(dev_v, a_cols), kernel.gram, gamma)
+        # re-centre the carried core: c = B^(-1) c0 = c0 - W (mu c0)
+        c0 = ad + _row_products(dev_v, a_cols)
+        core = core.copy()
+        core[..., m_pts] = c0 - np.matmul(core[..., :m_pts], (mu * c0)[..., None])[..., 0]
         for _ in range(cfg.inner_sweeps):
             mu, core = ssp_sweep(mu, core, gamma)
-        dev_y = dev_v - _row_products(mu * core[..., kernel.n_points], u_rows)
-        dev_z = dev_z + cfg.relaxation * (dev_y - dev_x)
+        move = dev_v - _row_products(mu * core[..., m_pts], u_rows) - dev_x     # e_y - e_x
+        dev_z = dev_z + cfg.relaxation * move
         dev_prev = dev_x
         dev_x = proj_e(dev_z, sel)
 
         powers = np.abs(ad + _row_products(dev_x, a_cols)) ** 2      # (S, n_tx, M)
         oob_now = np.sum(powers, axis=(1, 2))
         stop = oob_now > best_oob if cfg.early_stop else None
-        entries = (powers.max(axis=1), _symbol_norms(dev_y - dev_prev),
-                   _symbol_norms(dev_x - dev_prev))
-        return (dev_x, dev_z, oob_now), entries, stop, dev_prev
+        entries = (powers.max(axis=1), _symbol_norms(move), _symbol_norms(dev_x - dev_prev))
+        return (dev_x, dev_z, oob_now, mu, core), entries, stop, dev_prev
 
     full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step)
     traces.returned_iteration = traces.iterations - traces.stopped
@@ -264,10 +274,14 @@ def feasibility_probe(x, kernel, masks, evm, oracle_config=None):
     On small instances (fft_size <= 64) the log-barrier epigraph problem is
     solved for the smallest mask inflation delta_t compatible with the EVM
     ball; delta_t <= 1 certifies that mask and budget can be met together.
-    Larger instances report ratios only (delta_t None).
+    Larger instances report ratios only (delta_t None).  x holds one
+    (n_tx, N) grid.
     """
     num = x.numerology
     vals = x.symbols
+    if vals.ndim != 2:
+        raise ConfigError("feasibility_probe takes one (n_tx, N) grid, "
+                          f"not a block of shape {vals.shape}")
     u_rows = kernel.active_rows.conj()
     m_pts = u_rows.shape[0]
     gamma = mask_bounds(masks, m_pts)

@@ -6,9 +6,12 @@ with a single mask point, with points exactly on subcarriers, with
 near-coincident points (kernel rows correlated at 0.999 or more) and with
 a null at DC (a non-contiguous active set) must keep the solvers'
 invariants, and SSP's rank-1-updated dual core must track the
-per-coordinate LU solves it replaced.  Bad input gets the error class that
-the command line maps to its exit code.
+per-coordinate LU solves it replaced, also where ESSP carries it from one
+outer iteration to the next.  Bad input gets the error class that the
+command line maps to its exit code.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraint
                          ScenarioConfig, SpectralKernel, SspConfig, admm_precode, build_kernel,
                          eadmm_precode, essp_precode, generate_qam_block, oobe_power,
                          ssp_precode)
+from specprecode import constrained
 from specprecode.runner import BLOCK_SYMBOLS
 from specprecode.unconstrained import ssp_core, ssp_sweep
 
@@ -249,6 +253,95 @@ class TestWoodburyCore:
             assert np.array_equal(mu, mu_copy) and np.array_equal(core, core_copy)
             assert mu_new.shape == mu.shape and core_new.shape == core.shape
             mu, core = mu_new, core_new
+
+
+def recorded_essp(grid, kernel, gamma, evm, cfg):
+    """essp_precode with its dual-core calls recorded: (output symbols, the
+    number of ssp_core calls, the carried (mu, core) that the last outer
+    iteration's sweeps start from, and the (mu, core) they end at)."""
+    sweeps = []
+
+    def sweep(mu, core, gamma):
+        out = ssp_sweep(mu, core, gamma)
+        sweeps.append(((mu, core), out))
+        return out
+
+    with mock.patch.object(constrained, "ssp_sweep", sweep), \
+            mock.patch.object(constrained, "ssp_core", wraps=ssp_core) as setup:
+        out, _ = essp_precode(grid, kernel, gamma, evm, cfg)
+    return out.symbols, setup.call_count, sweeps[-cfg.inner_sweeps][0], sweeps[-1][1]
+
+
+def check_carried_core(start, end, gram):
+    """The core at the end of ESSP's last prox against the dense solve at
+    its multipliers (check_core), on that prox centre's leakage
+    c0 = B c = c + K (mu c), read off the core its sweeps started from."""
+    mu, core = start
+    c = core[..., -1]
+    check_core(*end, c + np.einsum("ij,...j->...i", gram, mu * c), gram)
+
+
+def cold_first_iterate(grid, kernel, gamma, evm, cfg):
+    """ESSP's first iterate with a cold prox: ssp_core and inner_sweeps
+    sweeps at the prox centre 2 d, then the relaxed step from
+    e_z = -d and the ball projection of e_z."""
+    bins = kernel.numerology.band_bins
+    symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:])
+    band = symbols[..., bins]
+    mu, core = ssp_core(np.einsum("mk,sjk->sjm", kernel.band_rows, 2.0 * band),
+                        kernel.gram, gamma)
+    for _ in range(cfg.inner_sweeps):
+        mu, core = ssp_sweep(mu, core, gamma)
+    dev_y = band - np.einsum("sjm,mk->sjk", mu * core[..., -1], kernel.band_rows.conj())
+    out = symbols.copy()
+    out[..., bins] += evm.projector(grid, cols=bins)(-band + cfg.relaxation * dev_y)
+    return out.reshape(grid.symbols.shape)
+
+
+class TestEsspCarriedCore:
+    """ESSP's prox is the sweep core carried across outer iterations: one
+    ssp_core set-up per block, at the first prox centre, and every later
+    centre's leakage c0 folded in as c = c0 - W (mu c0)."""
+
+    @pytest.fixture(scope="class")
+    def default_block(self):
+        """The default scenario's first 30 symbols under its 8 % wideband
+        budget, the essp-wideband block."""
+        cfg = ScenarioConfig.from_dict({})
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation, 0, 30)
+        return grid, kernel, cfg.mask.gamma, cfg.evm_constraint()
+
+    def test_one_setup_per_block_and_the_core_stays_exact(self, default_block):
+        # 10 outer iterations of 2 sweeps over 8 points: 160 rank-1 updates
+        # of every row's carried W
+        cfg = EsspConfig(outer_iters=10, inner_sweeps=2, early_stop=False)
+        _, setups, start, end = recorded_essp(*default_block, cfg)
+        assert setups == 1
+        check_carried_core(start, end, default_block[1].gram)
+
+    @settings(max_examples=40, deadline=None)
+    @given(band_cases(), st.sampled_from(["wideband", "frequency_selective"]),
+           st.integers(1, 10), st.integers(1, 3))
+    def test_carried_core_matches_dense_solve(self, case, kind, outer, sweeps):
+        rng, kernel, grid = case
+        gamma = rng.uniform(0.05, 0.5, kernel.n_points) * leakage_levels(grid, kernel)
+        evm = budget(rng, kind, grid.numerology)
+        cfg = EsspConfig(outer_iters=outer, inner_sweeps=sweeps, early_stop=False)
+        _, setups, start, end = recorded_essp(grid, kernel, gamma, evm, cfg)
+        assert setups == 1
+        check_carried_core(start, end, kernel.gram)
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    def test_first_iteration_matches_a_cold_prox(self, default_block, infeasible_case, sweeps):
+        case = infeasible_case
+        cfg = EsspConfig(outer_iters=1, inner_sweeps=sweeps, early_stop=False)
+        for grid, kernel, gamma, evm in (default_block,
+                                         (case.grid, case.kernel, case.gamma, case.evm)):
+            out, _ = essp_precode(grid, kernel, gamma, evm, cfg)
+            ref = cold_first_iterate(grid, kernel, gamma, evm, cfg)
+            assert not np.array_equal(ref, grid.symbols)
+            assert np.abs(out.symbols - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestErrorClasses:

@@ -317,6 +317,12 @@ class TestFeasibilityProbe:
         with pytest.raises(DegenerateConstraintError):
             feasibility_probe(case.grid, case.kernel, case.gamma, evm)
 
+    def test_block_rejected(self, infeasible_case):
+        case = infeasible_case
+        block = DataGrid(np.stack([case.grid.symbols] * 3), case.grid.numerology)
+        with pytest.raises(ConfigError, match=r"takes one \(n_tx, N\) grid"):
+            feasibility_probe(block, case.kernel, case.gamma, case.evm)
+
     def test_large_grids_report_ratios_only(self):
         cfg = ScenarioConfig.from_dict({})
         kern = build_kernel(cfg.numerology, cfg.freq_grid)

@@ -161,9 +161,24 @@ def test_abtime_same_tree_twice():
     layers = dict(item.split() for item in lines[3].split(": ", 1)[1].split(", "))
     assert set(layers) == {"generate", "precode", "metrics", "psd", "io", "total"}
     assert all(float(ratio) > 0 for ratio in layers.values())
+    # identical trees move no summary cell, so every line after the
+    # medians is a file's verdict
+    assert not any(" -> " in line for line in lines)
     files = dict(line.split(": ") for line in lines[4:])
     assert {"trace.csv", "summary.csv", "manifest.json"} <= set(files)
     assert set(files.values()) == {"identical"}
+
+
+def test_abtime_lists_moved_summary_cells():
+    spec = importlib.util.spec_from_file_location("abtime", ABTIME)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    a = {"metrics": {"aclr_worst_db": 41.8, "pass_frac": 1.0, "old": 2}}
+    b = {"metrics": {"aclr_worst_db": 41.84, "pass_frac": 1.0, "new": 3}}
+    assert module.moved_metrics(a, b) == [("aclr_worst_db", 41.8, 41.84), ("old", 2, None),
+                                          ("new", None, 3)]
+    assert module.moved_metrics(a, a) == []
 
 
 def test_bench_imports_only_public_names():

@@ -18,7 +18,9 @@ time (``perf_counter``) and in CPU time (``process_time``), then the median
 ratios (above 1: b is faster), the median ratio of each layer time of the
 manifests' ``timings_s`` (``generate``, ``precode``, ``metrics``, ``psd``,
 ``io`` and ``total``), and whether each output file of the two trees' last
-runs is identical (the manifest compared without its timings).
+runs is identical (the manifest compared without its timings).  Where
+``summary.csv`` differs, each summary cell that moved follows as
+``name: a -> b``, read from the two manifests' ``metrics``.
 
 Separate runs on a shared host can drift by tens of percent minutes apart;
 the two runs of a pair see the same host state, so their ratio compares
@@ -78,6 +80,14 @@ def compare_outputs(dir_a, dir_b, manifest_a, manifest_b):
     return out
 
 
+def moved_metrics(manifest_a, manifest_b):
+    """(name, a, b) for every summary cell that differs between the two
+    manifests' ``metrics``, in column order (None where one lacks it)."""
+    met_a, met_b = manifest_a["metrics"], manifest_b["metrics"]
+    return [(name, met_a.get(name), met_b.get(name)) for name in dict.fromkeys([*met_a, *met_b])
+            if met_a.get(name) != met_b.get(name)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", type=Path, required=True,
@@ -127,6 +137,9 @@ def main(argv=None):
             f"{name} {statistics.median(ratios):.4f}" for name, ratios in layer_ratios.items()))
         for name, same in compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"]):
             print(f"{name}: {'identical' if same else 'differs'}")
+            if name == "summary.csv" and not same:
+                for metric, a, b in moved_metrics(manifests["a"], manifests["b"]):
+                    print(f"  {metric}: {a} -> {b}")
     return 0
 
 
