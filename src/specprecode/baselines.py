@@ -5,10 +5,11 @@ constraint frequency is nulled exactly.  ENSP scales that removal per antenna
 row so the error-vector budget is met with equality whenever full nulling
 would overspend it.  NSP is the projection precoder of van de Beek,
 "Sculpting the multicarrier spectrum: a novel projection precoder" (IEEE
-Commun. Lett. 2009), and both notch baselines need numpy alone.  The module also
-carries two reference solvers used only for certification: a bisection
+Commun. Lett. 2009).  The notch runs on the package's shared algebra: the
+kernel's cached Gram matrix and one BLAS call per antenna row.  The module
+also carries two reference solvers used only for certification: a bisection
 search for the rank-1 projection and a log-barrier interior-point solver for
-small constrained instances, the one path of the package that loads scipy.
+small constrained instances.
 
 The log-barrier solver's two problems, least squares to the reference under
 the rank-1 sets and the epigraph of a common scale on their bounds under
@@ -27,64 +28,69 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
+from .metrics import _row_products
 from .projections import Rank1Constraint
+from .unconstrained import _as_block
 
 
 _DEPENDENT_ROWS = ("leakage rows are linearly dependent; constraint frequencies must "
                    "be distinct")
 
 
-def _notch_component(rows, d):
+def _notch_component(kernel, d):
     """P d with P = A^H (A A^H)^(-1) A, computed through one solve with the
-    M x M row Gram matrix.
+    M x M row Gram matrix K = A A^H, ``kernel.gram``.
 
-    ``d`` may carry leading batch dimensions.  Raises ConfigError when the
-    row Gram matrix is numerically rank deficient (coincident points).
+    ``d`` is an (S, n_tx, N) block.  A d and U w run through
+    metrics._row_products against the full-width ``kernel.active_rows``,
+    one BLAS call per row, so a row is notched with the same bits alone or
+    inside a block of any size.  Raises ConfigError when K is numerically
+    rank deficient (coincident points).
     """
-    gram = rows @ rows.conj().T
+    gram = kernel.gram
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * eigs[-1]:
         raise ConfigError(_DEPENDENT_ROWS)
-    c = np.tensordot(np.asarray(d, dtype=complex), rows, axes=([-1], [1]))
-    flat = c.reshape(-1, rows.shape[0])
+    c = _row_products(d, kernel.active_rows.T)
     try:
-        w = np.linalg.solve(gram, flat.T).T.reshape(c.shape)
+        w = np.linalg.solve(gram, c.reshape(-1, gram.shape[0]).T).T.reshape(c.shape)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(_DEPENDENT_ROWS) from exc
-    return np.tensordot(w, rows.conj(), axes=([-1], [0]))
+    return _row_products(w, kernel.active_rows.conj())
 
 
 def nsp_precode(d, kernel):
     """Null-space projection: d with every constraint frequency nulled.
 
-    Accepts a vector or a batch of rows; the result satisfies
-    |a(nu_m)^T result| <= 1e-10 * ||d|| for every point m.
+    Accepts a row, an (n_tx, N) grid or an (S, n_tx, N) block, and rejects
+    non-finite values; the result satisfies |a(nu_m)^T result| <= 1e-10 *
+    ||d|| for every point m.
     """
-    d = np.asarray(d, dtype=complex)
-    return d - _notch_component(kernel.active_rows, d)
+    block = _as_block(d)
+    return (block - _notch_component(kernel, block)).reshape(np.shape(d))
 
 
 def ensp_precode(d, kernel, evm_target):
     """EVM-capped notch: remove alpha * P d with the largest alpha in [0, 1]
     whose error stays within ``evm_target`` as a fraction of ||d||.
 
-    Returns (precoded, alpha); alpha is per row for batched input.  The
-    error is exactly alpha * ||P d||, linear in alpha, so the cap is closed
-    form.  alpha = 0 signals that precoding was not needed (P d = 0) or that
-    the budget is zero.
+    Takes d as nsp_precode does.  Returns (precoded, alpha); alpha is per
+    row for a grid or a block.  The error is exactly alpha * ||P d||, linear
+    in alpha, so the cap is closed form.  alpha = 0 signals that precoding
+    was not needed (P d = 0) or that the budget is zero; an infinite budget
+    gives the full notch, and a NaN one is rejected.
     """
-    if evm_target < 0:
+    if not evm_target >= 0:
         raise ConfigError("evm_target must be non-negative", field="evm_target")
-    d = np.asarray(d, dtype=complex)
-    removed = _notch_component(kernel.active_rows, d)
-    d_norm = np.linalg.norm(d, axis=-1)
+    block = _as_block(d)
+    removed = _notch_component(kernel, block)
+    d_norm = np.linalg.norm(block, axis=-1)
     r_norm = np.linalg.norm(removed, axis=-1)
     safe = np.where(r_norm > 0, r_norm, 1.0)
     alpha = np.where(r_norm > 0, np.minimum(1.0, evm_target * d_norm / safe), 0.0)
-    out = d - np.asarray(alpha)[..., None] * removed
-    if d.ndim == 1:
-        return out, float(alpha)
-    return out, alpha
+    out = (block - alpha[..., None] * removed).reshape(np.shape(d))
+    alpha = alpha.reshape(np.shape(d)[:-1])
+    return out, (float(alpha) if alpha.ndim == 0 else alpha)
 
 
 def bisection_rank1_oracle(x, u, b, tol=1e-12, max_iter=200):
@@ -209,8 +215,6 @@ def _support_indices(problem):
 
 def _newton_minimize(fgh, v0, tol, max_iter):
     """Damped Newton with backtracking; fgh returns inf outside the domain."""
-    import scipy.linalg
-
     v = v0.copy()
     steps = 0
     for _ in range(max_iter):
@@ -218,7 +222,8 @@ def _newton_minimize(fgh, v0, tol, max_iter):
         if not np.isfinite(val):
             raise NumericalError("barrier minimization started outside its domain")
         try:
-            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess), grad)
+            chol = np.linalg.cholesky(hess)
+            step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         decrement = float(grad @ step)
@@ -299,8 +304,6 @@ def _solve_ls_row(ref_row, dirs, bounds, config):
     followed in an orthonormal basis of that span: 2*rank(U) real unknowns
     instead of 2N, with objective, minimizer, and gradient norms unchanged.
     """
-    import scipy.linalg
-
     bounds = np.asarray(bounds, dtype=float)
     u_mat = np.stack(dirs)                       # (M, N)
     c0 = u_mat.conj() @ ref_row                  # u_m^H ref
@@ -309,10 +312,9 @@ def _solve_ls_row(ref_row, dirs, bounds, config):
     if np.all(np.abs(c0) ** 2 <= bounds):
         return ref_row.copy(), 0.0, 0, 0.0
 
-    q_full, r_full, _ = scipy.linalg.qr(u_mat.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_full))
-    rank = int(np.sum(diag > max(diag[0], 1.0) * 1e-13)) if diag.size else 0
-    basis = q_full[:, :rank]                     # orthonormal span of {u_m}
+    left, sing, _ = np.linalg.svd(u_mat.T, full_matrices=False)
+    rank = int(np.sum(sing > max(sing[0], 1.0) * 1e-13)) if sing.size else 0
+    basis = left[:, :rank]                       # orthonormal span of {u_m}
     w_red = basis.conj().T @ u_mat.T             # columns: reduced u_m
     # |u_m^H (ref + basis y)|^2 = ||G_m z + [Re c0_m, Im c0_m]||^2, z = [Re y; Im y]
     forms = _realified_forms(w_red.T)

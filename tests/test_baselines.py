@@ -31,7 +31,7 @@ class TestNsp:
         _, kern, grid = notch_setup
         batch = nsp_precode(grid.symbols, kern)
         rows = np.stack([nsp_precode(grid.symbols[j], kern) for j in range(2)])
-        assert np.allclose(batch, rows, atol=1e-13)
+        assert np.array_equal(batch, rows)
 
     def test_removal_is_orthogonal(self, notch_setup):
         # removed component lies in the row span; the remainder is closest
@@ -52,6 +52,18 @@ class TestNsp:
         with pytest.raises(ConfigError):
             nsp_precode(grid.symbols, kern_dup)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "imag-nan"])
+    def test_non_finite_input_rejected(self, notch_setup, bad):
+        _, kern, grid = notch_setup
+        poisoned = grid.symbols.copy()
+        poisoned[1, grid.numerology.active_bins[3]] = bad
+        for d in (poisoned, poisoned[1]):
+            with pytest.raises(ConfigError, match="non-finite"):
+                nsp_precode(d, kern)
+            with pytest.raises(ConfigError, match="non-finite"):
+                ensp_precode(d, kern, 0.05)
+
 
 class TestEnsp:
     def test_error_capped_at_budget(self, notch_setup):
@@ -64,15 +76,24 @@ class TestEnsp:
 
     def test_generous_budget_reaches_full_notch(self, notch_setup):
         _, kern, grid = notch_setup
-        out, alpha = ensp_precode(grid.symbols, kern, 1.0)
-        assert np.all(alpha == 1.0)
-        assert np.allclose(out, nsp_precode(grid.symbols, kern), atol=1e-12)
+        for budget in (1.0, np.inf):
+            out, alpha = ensp_precode(grid.symbols, kern, budget)
+            assert np.all(alpha == 1.0)
+            assert np.allclose(out, nsp_precode(grid.symbols, kern), atol=1e-12)
 
     def test_zero_budget_is_identity(self, notch_setup):
         _, kern, grid = notch_setup
         out, alpha = ensp_precode(grid.symbols, kern, 0.0)
         assert np.all(alpha == 0.0)
         assert np.array_equal(out, grid.symbols)
+
+    def test_vector_and_batch_agree(self, notch_setup):
+        _, kern, grid = notch_setup
+        batch, alpha = ensp_precode(grid.symbols, kern, 0.05)
+        for j in range(2):
+            row, alpha_j = ensp_precode(grid.symbols[j], kern, 0.05)
+            assert np.array_equal(batch[j], row)
+            assert alpha[j] == alpha_j
 
     def test_error_exactly_linear_in_alpha(self, notch_setup):
         _, kern, grid = notch_setup
@@ -93,8 +114,9 @@ class TestEnsp:
 
     def test_negative_budget_rejected(self, notch_setup):
         _, kern, grid = notch_setup
-        with pytest.raises(ConfigError):
-            ensp_precode(grid.symbols, kern, -0.1)
+        for budget in (-0.1, np.nan):
+            with pytest.raises(ConfigError, match="evm_target"):
+                ensp_precode(grid.symbols, kern, budget)
 
 
 class TestBisectionOracle:
