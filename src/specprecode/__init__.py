@@ -23,7 +23,7 @@ from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import (AclrReport, MaskSpec, PsdAccumulator, PsdConfig, PsdEstimate,
                       aclr, analytic_inband_reference, calibrate_mask,
                       kernel_psd_prediction, oobe_power)
-from .projections import Rank1Constraint, project_rank1
+from .projections import project_rank1
 from .runner import compare_runs, run_scenario
 from .signal_model import (DataGrid, FrequencyGrid, OfdmNumerology, SpectralKernel,
                            build_kernel, generate_qam_block, generate_qam_grid,
@@ -39,7 +39,7 @@ __all__ = [
     "FactoredInverse", "FeasibilityReport", "FrequencyGrid",
     "LogBarrierProblem", "LogBarrierResult", "MASK2_DB", "MaskSpec",
     "NumericalError", "OfdmNumerology", "OracleConfig",
-    "PsdAccumulator", "PsdConfig", "PsdEstimate", "Rank1Constraint",
+    "PsdAccumulator", "PsdConfig", "PsdEstimate",
     "ScenarioConfig", "SolverReport", "SpectralKernel", "SspConfig",
     "aclr", "admm_precode", "analytic_inband_reference", "bisection_rank1_oracle",
     "build_kernel", "calibrate_mask", "compare_runs",

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import _row_products
-from .projections import Rank1Constraint
 from .unconstrained import _as_block
 
 
@@ -82,15 +81,20 @@ def ensp_precode(d, kernel, evm_target):
     """
     if not evm_target >= 0:
         raise ConfigError("evm_target must be non-negative", field="evm_target")
-    block = _as_block(d)
+    out, alpha = _ensp_block(_as_block(d), kernel, evm_target)
+    alpha = alpha.reshape(np.shape(d)[:-1])
+    return out.reshape(np.shape(d)), (float(alpha) if alpha.ndim == 0 else alpha)
+
+
+def _ensp_block(block, kernel, evm_target):
+    """ensp_precode on an (S, n_tx, N) block and a checked target:
+    (precoded block, alpha (S, n_tx))."""
     removed = _notch_component(kernel, block)
     d_norm = np.linalg.norm(block, axis=-1)
     r_norm = np.linalg.norm(removed, axis=-1)
     safe = np.where(r_norm > 0, r_norm, 1.0)
     alpha = np.where(r_norm > 0, np.minimum(1.0, evm_target * d_norm / safe), 0.0)
-    out = (block - alpha[..., None] * removed).reshape(np.shape(d))
-    alpha = alpha.reshape(np.shape(d)[:-1])
-    return out, (float(alpha) if alpha.ndim == 0 else alpha)
+    return block - alpha[..., None] * removed, alpha
 
 
 def bisection_rank1_oracle(x, u, b, tol=1e-12, max_iter=200):
@@ -159,8 +163,11 @@ class OracleConfig:
 class LogBarrierProblem:
     """Small convex instance for the reference solver.
 
-    objective "least_squares": closest grid to ``reference`` under the
-    rank-1 constraints (rows independent, no balls).  objective "epigraph":
+    ``rank1`` lists the (u, b) pairs of the rank-1 sets
+    {x : |u^H x|^2 <= b}: every direction u must be nonzero and every
+    bound b positive.  objective "least_squares": closest grid to
+    ``reference`` under the rank-1 constraints (rows independent, no
+    balls).  objective "epigraph":
     minimize a common scale delta_t with every rank-1 bound inflated to
     delta_t * b and any balls kept hard; delta_t <= 1 certifies that the
     instance as posed is feasible.
@@ -176,12 +183,13 @@ class LogBarrierProblem:
         if self.objective not in ("least_squares", "epigraph"):
             raise ConfigError("objective must be least_squares or epigraph", field="oracle.objective")
         self.reference = np.atleast_2d(np.asarray(self.reference, dtype=complex))
-        self.rank1 = [c if isinstance(c, Rank1Constraint) else Rank1Constraint(u=c[0], b=c[1])
-                      for c in self.rank1]
+        self.rank1 = [(np.asarray(u, dtype=complex), b) for u, b in self.rank1]
         if not self.rank1:
             raise ConfigError("oracle needs at least one rank-1 constraint", field="oracle.rank1")
-        for c in self.rank1:
-            if c.b <= 0:
+        for u, b in self.rank1:
+            if not u.any():
+                raise DegenerateConstraintError("constraint direction is identically zero")
+            if not b > 0:                                  # NaN fails too
                 raise DegenerateConstraintError("log-barrier oracle requires strictly positive bounds")
 
 
@@ -204,8 +212,8 @@ def _realified_forms(u):
 
 def _support_indices(problem):
     cols = np.any(problem.reference != 0, axis=0)
-    for c in problem.rank1:
-        cols |= c.u != 0
+    for u, _ in problem.rank1:
+        cols |= u != 0
     if problem.frob_ball is not None:
         cols |= np.any(np.atleast_2d(np.asarray(problem.frob_ball[0], complex)) != 0, axis=0)
     if problem.col_balls is not None:
@@ -353,8 +361,8 @@ def _solve_epigraph(problem, config):
         return gmat, g, np.zeros((len(gmat), dim)), rad_sq
 
     # Row j, point m: |u_m^H x_j|^2 <= delta_t b_m, with h = b_m e_dt.
-    forms = _realified_forms(np.stack([c.u[support] for c in problem.rank1]))
-    bounds = np.tile([c.b for c in problem.rank1], n_rows)
+    forms = _realified_forms(np.stack([u[support] for u, _ in problem.rank1]))
+    bounds = np.tile([b for _, b in problem.rank1], n_rows)
     g_rank1 = np.einsum("jl,mrx->jmrlx", np.eye(n_rows), forms).reshape(
         len(bounds), 2, dim - 1) @ lift
     h_rank1 = np.zeros((len(bounds), dim))
@@ -398,8 +406,8 @@ def logbarrier_solve(problem, config=None):
         if problem.frob_ball is not None or problem.col_balls is not None:
             raise ConfigError("least_squares oracle mode supports rank-1 constraints only")
         support = _support_indices(problem)
-        dirs = [c.u[support] for c in problem.rank1]
-        bounds = [c.b for c in problem.rank1]
+        dirs = [u[support] for u, _ in problem.rank1]
+        bounds = [b for _, b in problem.rank1]
         sol = problem.reference.copy()
         kkt = 0.0
         steps = 0

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
-from .errors import ConfigError, DegenerateConstraintError, NumericalError
+from .errors import ConfigError, NumericalError
 from .metrics import _checked_bounds, _row_products, oobe_power
-from .projections import _columns_balls, _frobenius_balls, _inward_radius, _symbol_norms
+from .projections import _inward_radius, _project_balls, _symbol_norms
 from .unconstrained import (AdmmConfig, _as_block, _band_iterations, _unblock, consensus_admm,
                             mask_bounds, ssp_core, ssp_sweep)
 
@@ -61,73 +61,89 @@ class EvmConstraint:
         else:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
 
+    def _balls(self, block, numerology, cols=None):
+        """The budget balls of every symbol of block (S, n_tx, N), taken on
+        the frequency columns ``cols`` (an index array of bins; default all
+        N): (dist, radii, inner).
+
+        dist maps a stack of deviations (S', n_tx, n_cols) to their
+        distances from the centers, radii are the balls' radii and inner
+        the radii pulled in by _inward_radius for the centers' norms, all
+        shaped to broadcast against the deviations: (S, 1, 1) for the
+        wideband budget, one ball per symbol whose radius is always
+        relative to the whole symbol, and (S, 1, n_cols) for the
+        frequency-selective one, one ball per column, of radius 0 on the
+        guard bins.
+        """
+        if self.mode == "wideband":
+            def dist(dev):
+                return _symbol_norms(dev)[:, None, None]
+            norms = dist(block)
+            radii, size = self.eps_avg * norms, block[0].size
+        else:
+            if self.eps.size != numerology.n_active:
+                raise ConfigError("per-subcarrier fractions must cover the active band",
+                                  field="evm.eps")
+
+            def dist(dev):
+                return np.linalg.norm(dev, axis=1, keepdims=True)
+            norms = dist(block)
+            radii = np.zeros_like(norms)
+            radii[..., numerology.active_bins] = self.eps * norms[..., numerology.active_bins]
+            if cols is not None:
+                norms, radii = norms.take(cols, axis=-1), radii.take(cols, axis=-1)
+            size = block.shape[1]
+        return dist, radii, _inward_radius(radii, norms, size)
+
     def projector(self, reference, cols=None):
         """Projection onto the budget ball(s) around ``reference``, taken on
         deviations from it: the one ball projector of EADMM and ESSP.
 
         The projector maps e = x - reference to the deviation of x's
-        projection: e itself (bitwise) where x is inside its ball, e scaled
-        toward zero where it is outside.  The scale keeps the slack of
-        _inward_radius for the reference's norm, so the error recomputed as
-        ||(reference + e') - reference|| stays within the budget.  The
-        reference may be one (n_tx, N) symbol or an (S, n_tx, N) block,
-        whose every symbol has its own ball(s).  ``cols`` (an index array of
-        bins; default all N) picks the frequency columns the projector works
-        on; the deviations must be zero on the others (guard bins).  The
-        projector takes e shaped like the reference's columns ``cols``, or,
-        with ``active`` (a slice or index array into the block), the stacked
-        symbols ``active`` of the block.  The radii and the norms of the
-        reference are computed once here; the wideband radius is always
-        relative to the whole reference symbol.
+        projection (_project_balls): e itself (bitwise) where x is inside
+        its ball, e scaled toward zero where it is outside.  The scale keeps
+        the slack of _inward_radius for the reference's norm, so the error
+        recomputed as ||(reference + e') - reference|| stays within the
+        budget.  The reference may be one (n_tx, N) symbol or an
+        (S, n_tx, N) block, whose every symbol has its own ball(s).
+        ``cols`` (an index array of bins; default all N) picks the frequency
+        columns the projector works on; the deviations must be zero on the
+        others (guard bins).  The projector takes e shaped like the
+        reference's columns ``cols``, or, with ``active`` (a slice or index
+        array into the block), the stacked symbols ``active`` of the block.
+        The balls (_balls) are derived once here.
         """
-        num = reference.numerology
         center = reference.symbols
         block = center.reshape((-1,) + center.shape[-2:])
         n_cols = block.shape[-1] if cols is None else len(cols)
-        if self.mode == "wideband":
-            norms = _symbol_norms(block)
-            radii = self.eps_avg * norms
-            size, project = block[0].size, _frobenius_balls
-        else:
-            if self.eps.size != num.n_active:
-                raise ConfigError("per-subcarrier fractions must cover the active band",
-                                  field="evm.eps")
-            norms = np.linalg.norm(block, axis=1)
-            radii = np.zeros_like(norms)
-            radii[:, num.active_bins] = self.eps * norms[:, num.active_bins]
-            if cols is not None:
-                norms, radii = norms.take(cols, axis=-1), radii.take(cols, axis=-1)
-            size, project = block.shape[1], _columns_balls
-        if np.any(radii < 0):
-            raise DegenerateConstraintError("ball radii must be non-negative")
-        inner = _inward_radius(radii, norms, size)
+        dist, radii, inner = self._balls(block, reference.numerology, cols)
 
         def proj(dev, active=slice(None)):
             dev = np.asarray(dev, dtype=complex)
             stack = dev.reshape((-1, block.shape[1], n_cols))
-            return project(stack, radii[active], inner[active]).reshape(dev.shape)
+            return _project_balls(stack, dist(stack), radii[active],
+                                  inner[active]).reshape(dev.shape)
         return proj
 
     def violation(self, reference, candidate):
         """Largest relative budget overshoot (0 means inside everywhere).
 
-        A block reference (S, n_tx, N) gives each symbol of the candidate its
-        own ball(s), as projector does, and returns the worst overshoot over
-        the symbols.
+        The overshoot of a ball is (error - radius) / radius over the balls
+        of _balls on the active columns; a ball of radius 0 is overshot
+        infinitely by any nonzero error, in either mode.  Only the active
+        columns are read: the guard bins of a DataGrid are zero, and every
+        precoder leaves them so.  A block reference (S, n_tx, N) gives each
+        symbol of the candidate its own ball(s), as projector does, and
+        returns the worst overshoot over the symbols.
         """
         center = reference.symbols
         block = center.reshape((-1,) + center.shape[-2:])
         x = np.asarray(getattr(candidate, "symbols", candidate), dtype=complex)
-        diff = x.reshape(block.shape) - block
-        if self.mode == "wideband":
-            budget = self.eps_avg * _symbol_norms(block)
-            rel = (_symbol_norms(diff) - budget) / np.maximum(budget, 1e-300)
-            return float(max(0.0, rel.max()))
         bins = reference.numerology.active_bins
-        budget = self.eps * np.linalg.norm(block[..., bins], axis=1)
-        err = np.linalg.norm(diff[..., bins], axis=1)
+        dist, radii, _ = self._balls(block, reference.numerology, bins)
+        err = dist((x.reshape(block.shape) - block)[..., bins])
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(budget > 0, (err - budget) / np.where(budget > 0, budget, 1.0),
+            rel = np.where(radii > 0, (err - radii) / np.where(radii > 0, radii, 1.0),
                            np.where(err > 0, np.inf, 0.0))
         return float(max(0.0, rel.max()))
 
@@ -185,15 +201,15 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     under its own ball.  Returns (DataGrid, SolverReport), one report per
     symbol for a block.
     """
-    out, report = _unblock(x.symbols.shape,
-                           *_eadmm_block(x, kernel, masks, evm, cfg or AdmmConfig(iters=40)))
+    out, report = _unblock(x.symbols.shape, *_eadmm_block(
+        x.with_symbols(_as_block(x.symbols)), kernel, masks, evm, cfg or AdmmConfig(iters=40)))
     return x.with_symbols(out), report
 
 
 def _eadmm_block(x, kernel, masks, evm, cfg):
-    """eadmm_precode on x's symbols as a block: (precoded block,
-    BlockTraces)."""
-    block = _as_block(x.symbols)
+    """eadmm_precode on a DataGrid x whose symbols are an (S, n_tx, N)
+    block: (precoded block, BlockTraces)."""
+    block = x.symbols
     gamma = _per_point_bounds(masks, kernel.n_points, block.shape[1])
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
     return consensus_admm(block, kernel, gamma, cfg, proj_e)
@@ -223,15 +239,16 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     (S, n_tx, N) block, each symbol under its own ball.  Returns (DataGrid,
     SolverReport), one report per symbol for a block.
     """
-    out, report = _unblock(x.symbols.shape,
-                           *_essp_block(x, kernel, masks, evm, cfg or EsspConfig()))
+    out, report = _unblock(x.symbols.shape, *_essp_block(
+        x.with_symbols(_as_block(x.symbols)), kernel, masks, evm, cfg or EsspConfig()))
     return x.with_symbols(out), report
 
 
 def _essp_block(x, kernel, masks, evm, cfg):
-    """essp_precode on x's symbols as a block: (precoded block,
-    BlockTraces), the report holding each symbol's returned iterate."""
-    block = _as_block(x.symbols)
+    """essp_precode on a DataGrid x whose symbols are an (S, n_tx, N)
+    block: (precoded block, BlockTraces), the report holding each symbol's
+    returned iterate."""
+    block = x.symbols
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
     m_pts = kernel.n_points
@@ -290,17 +307,11 @@ def feasibility_probe(x, kernel, masks, evm, oracle_config=None):
     if num.fft_size > 64:
         return FeasibilityReport(delta_t=None, feasible=None, mask_ratio=ratios)
 
-    rank1 = [(u_rows[m], gamma[m]) for m in range(m_pts)]
-    if evm.mode == "wideband":
-        radius = evm.eps_avg * float(np.linalg.norm(vals))
-        problem = LogBarrierProblem(objective="epigraph", reference=vals,
-                                    rank1=rank1, frob_ball=(vals, radius))
-    else:
-        radii = np.zeros(num.fft_size)
-        col_norms = np.linalg.norm(vals, axis=0)
-        radii[num.active_bins] = evm.eps * col_norms[num.active_bins]
-        problem = LogBarrierProblem(objective="epigraph", reference=vals,
-                                    rank1=rank1, col_balls=(vals, radii))
+    radii = evm._balls(vals[None], num)[1][0, 0]
+    balls = ({"frob_ball": (vals, radii[0])} if evm.mode == "wideband" else
+             {"col_balls": (vals, radii)})
+    problem = LogBarrierProblem(objective="epigraph", reference=vals,
+                                rank1=[(u_rows[m], gamma[m]) for m in range(m_pts)], **balls)
     try:
         result = logbarrier_solve(problem, oracle_config or OracleConfig())
     except NumericalError as exc:

@@ -3,35 +3,18 @@
 Two families: the rank-1 quadratic set {x : |u^H x|^2 <= b}, whose projection
 moves x only along u, and norm balls (Frobenius over a whole grid, or one
 ball per column) that carry error-vector budgets.  The solvers keep their
-iterates as deviations from the ball's center, so their batched ball
-projections (_frobenius_balls, _columns_balls) act on zero-centred balls.
+iterates as deviations from the ball's center, so their one batched ball
+projection (_project_balls) acts on zero-centred balls, with the distances
+and radii that constrained.EvmConstraint derives for either budget.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateConstraintError
 
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class Rank1Constraint:
-    """The set {x : |u^H x|^2 <= b}."""
-
-    u: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        if not u.any():
-            raise DegenerateConstraintError("constraint direction is identically zero")
-        if self.b < 0:
-            raise DegenerateConstraintError("constraint bound must be non-negative")
-        object.__setattr__(self, "u", u)
 
 
 def project_rank1(x, u, b):
@@ -102,36 +85,17 @@ def _symbol_norms(x):
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def _ball_factors(dist, radii, inner):
-    """(factors, outside) for deviations at distances dist from the centers
-    of balls of the given radii, and their radii pulled in (_inward_radius):
-    a factor is 1 inside its ball and inner / dist outside, where outside
-    is True."""
-    outside = dist > radii
-    return np.divide(inner, dist, out=np.ones_like(dist), where=outside), outside
+def _project_balls(dev, dist, radii, inner):
+    """Deviations dev from the centers of balls projected onto the
+    zero-centred balls, in one pass.
 
-
-def _frobenius_balls(dev, radii, inner):
-    """Every deviation dev[s] from a ball's center projected onto the
-    zero-centred ball {||e||_F <= radii[s]}, in one pass.
-
-    dev is a complex stack (S, ...), radii (S,) the non-negative radii and
-    inner (S,) the radii pulled in by _inward_radius for the centers' norms
-    and the number of entries of each ball.  A deviation inside its ball
-    comes back bitwise, one outside is scaled radially toward zero, so that
-    the distance recomputed from center + result stays within the radius.
-    A ball whose other entries are zero (guard bins) is projected on its
-    nonzero part alone, with its full size in inner.
+    dist holds the distances of dev from the centers, radii the
+    non-negative radii and inner the radii pulled in by _inward_radius for
+    the centers' norms and the entries of a ball; all three broadcast
+    against dev, one entry per ball.  A deviation inside its ball (dist <=
+    radius) comes back bitwise, one outside is scaled by inner / dist
+    toward zero, so that the distance recomputed from center + result stays
+    within the radius.  A ball whose other entries are zero (guard bins) is
+    projected on its nonzero part alone, with its full size in inner.
     """
-    factors, _ = _ball_factors(_symbol_norms(dev), radii, inner)
-    return dev * factors.reshape(factors.shape + (1,) * (dev.ndim - 1))
-
-
-def _columns_balls(dev, radii, inner):
-    """Every column of the deviations dev (..., n_rows, n_cols) projected
-    onto its zero-centred ball {||e_k|| <= radii_k}, for radii the caller
-    has checked to be non-negative and pulled in (inner, _inward_radius
-    for the centers' column norms and n_rows entries): a column inside
-    comes back bitwise, one outside is scaled radially toward zero."""
-    factors, _ = _ball_factors(np.linalg.norm(dev, axis=-2), radii, inner)
-    return dev * factors[..., None, :]
+    return dev * np.divide(inner, dist, out=np.ones_like(dist), where=dist > radii)

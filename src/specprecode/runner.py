@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import LogBarrierProblem, ensp_precode, logbarrier_solve, nsp_precode
+from .baselines import LogBarrierProblem, _ensp_block, _notch_component, logbarrier_solve
 from .constrained import _eadmm_block, _essp_block
 from .errors import ConfigError
 from .metrics import PsdAccumulator, _add_in_order, _to_db, aclr, oobe_power
@@ -76,7 +76,7 @@ def _fmt(value):
 
 
 def _scaled_notch(cfg, block, kernel, budget):
-    vals, alpha = ensp_precode(block.symbols, kernel, budget.eps_avg)
+    vals, alpha = _ensp_block(block.symbols, kernel, budget.eps_avg)
     return vals, None, {"ensp_alpha_max": float(np.max(alpha))}
 
 
@@ -103,15 +103,18 @@ def _log_barrier(cfg, block, kernel, budget):
 # precoder takes (none for a mask-only precoder).  ``run(cfg, block,
 # kernel, budget)`` precodes a DataGrid block of S symbols and returns
 # (precoded symbols (S, n_tx, N), block report or None, extras), with
-# extras the largest value of each diagnostic over the block.  The
-# iterative precoders run their block-level bodies, whose block report
-# (unconstrained.BlockTraces) the run record adds whole.
+# extras the largest value of each diagnostic over the block.  Every
+# precoder runs its block-level body on the block's symbols, which the
+# DataGrid has checked, so no body checks them again (the public *_precode
+# functions do, through unconstrained._as_block); the iterative bodies
+# return a block report (unconstrained.BlockTraces) that the run record
+# adds whole.
 _Precoder = namedtuple("_Precoder", "budgets run")
 _ANY_BUDGET = ("wideband", "frequency_selective")
 PRECODER_TABLE = {
     "none": _Precoder((), lambda cfg, block, kernel, budget: (block.symbols, None, {})),
     "nsp": _Precoder((), lambda cfg, block, kernel, budget: (
-        nsp_precode(block.symbols, kernel), None, {})),
+        block.symbols - _notch_component(kernel, block.symbols), None, {})),
     "ensp": _Precoder(("wideband",), _scaled_notch),
     "admm": _Precoder((), lambda cfg, block, kernel, budget: (
         *_admm_block(block.symbols, kernel, cfg.mask, cfg.admm), {})),

@@ -158,9 +158,8 @@ class BlockTraces:
     after a symbol stopped.  Per symbol it holds the iteration count and
     whether its stop fired (stopped), and, where a solver sets them, the
     iterate it returned (returned_iteration, ESSP) and its final
-    multipliers (SSP), (S, n_tx, M), or (1, M) for a single row.  The
-    runner adds it whole; the public precoders split it into SolverReports
-    (_unblock).
+    multipliers (SSP), (S, n_tx, M).  The runner adds it whole; the public
+    precoders split it into SolverReports (_unblock).
     """
 
     returned_iteration = multipliers = None
@@ -183,13 +182,14 @@ class BlockTraces:
 def _unblock(d_shape, out, traces):
     """A block result in the caller's layout: the precoded values, and the
     block report as one SolverReport per symbol for a block input, the
-    single report otherwise.  A symbol stopped early when its stop fired
-    before the last iteration."""
+    single report otherwise, whose multipliers are (M,) for a single row.
+    A symbol stopped early when its stop fired before the last iteration."""
     iters, mult, returned = len(traces.evm), traces.multipliers, traces.returned_iteration
+    row_shape = d_shape[-2:-1] + (-1,)
     reports = [SolverReport(iterations=int(n), evm_trace=traces.evm[:n, s],
                             oob_trace=traces.oob[:n, s], primal_trace=traces.primal[:n, s],
                             dual_trace=traces.dual[:n, s], stopped_early=bool(n < iters),
-                            multipliers=None if mult is None else mult[s],
+                            multipliers=None if mult is None else mult[s].reshape(row_shape),
                             returned_iteration=None if returned is None else int(returned[s]))
                for s, n in enumerate(traces.iterations)]
     return out.reshape(d_shape), (reports if len(d_shape) == 3 else reports[0])
@@ -308,14 +308,13 @@ def admm_precode(d, kernel, mask, cfg=None):
     an (S, n_tx, N) block, which gets one report per symbol; rows are
     precoded independently (the constraint sets are per row).
     """
-    return _unblock(np.shape(d), *_admm_block(d, kernel, mask, cfg or AdmmConfig()))
+    return _unblock(np.shape(d), *_admm_block(_as_block(d), kernel, mask, cfg or AdmmConfig()))
 
 
-def _admm_block(d, kernel, mask, cfg):
-    """admm_precode on d as a block: (dbar block, BlockTraces).  The
-    consensus update (d + rho M (d + m)) / (1 + rho M) is the deviation
+def _admm_block(block, kernel, mask, cfg):
+    """admm_precode on an (S, n_tx, N) block: (dbar block, BlockTraces).
+    The consensus update (d + rho M (d + m)) / (1 + rho M) is the deviation
     rho M m / (1 + rho M) from d."""
-    block = _as_block(d)
     m_pts = kernel.n_points
     gamma = np.broadcast_to(mask_bounds(mask, m_pts)[:, None], (m_pts, block.shape[1]))
     weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
@@ -447,13 +446,12 @@ def ssp_precode(d, kernel, mask, cfg=None):
     hold the stationarity norm ||(I + sum mu A) dbar - d||, evaluated in
     primal space, and the worst relative complementarity defect.
     """
-    return _unblock(np.shape(d), *_ssp_block(d, kernel, mask, cfg or SspConfig()))
+    return _unblock(np.shape(d), *_ssp_block(_as_block(d), kernel, mask, cfg or SspConfig()))
 
 
-def _ssp_block(d, kernel, mask, cfg):
-    """ssp_precode on d as a block: (dbar block, BlockTraces), the report
-    holding the final multipliers."""
-    block = _as_block(d)
+def _ssp_block(block, kernel, mask, cfg):
+    """ssp_precode on an (S, n_tx, N) block: (dbar block, BlockTraces), the
+    report holding the final multipliers."""
     a_cols = kernel.band_rows.T
     u_rows = kernel.band_rows.conj()
     m_pts = u_rows.shape[0]
@@ -478,5 +476,5 @@ def _ssp_block(d, kernel, mask, cfg):
         return (dev, band, mu, core), entries, None, dev
 
     full, traces = _band_iterations(block, kernel, cfg.sweeps, start, step)
-    traces.multipliers = mu.reshape((len(mu),) + np.shape(d)[-2:-1] + (m_pts,))
+    traces.multipliers = mu
     return full, traces

@@ -236,6 +236,8 @@ class TestLogBarrier:
             LogBarrierProblem(objective="fancy", reference=ref, rank1=[(u, 1.0)])
         with pytest.raises(ConfigError):
             LogBarrierProblem(objective="least_squares", reference=ref, rank1=[])
-        with pytest.raises(DegenerateConstraintError):
-            LogBarrierProblem(objective="least_squares", reference=ref,
-                              rank1=[(u, 0.0)])
+        # a zero direction or a bound that is not positive, NaN included
+        for pair in ((np.zeros(4), 1.0), (u, 0.0), (u, np.nan)):
+            with pytest.raises(DegenerateConstraintError):
+                LogBarrierProblem(objective="least_squares", reference=ref,
+                                  rank1=[(u, 1.0), pair])

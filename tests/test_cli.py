@@ -14,8 +14,9 @@ import pytest
 
 import specprecode
 from specprecode import (NumericalError, ScenarioConfig, SpectralKernel, admm_precode,
-                         build_kernel, generate_qam_block, oobe_power, read_waveform,
-                         run_scenario, runner, synthesize_time_signal, write_waveform)
+                         baselines, build_kernel, constrained, generate_qam_block, oobe_power,
+                         read_waveform, run_scenario, runner, synthesize_time_signal,
+                         unconstrained, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
 from specprecode.config import BUDGET_PRECODERS, PRECODERS
 
@@ -301,6 +302,21 @@ class TestEveryPrecoder:
         for name in ("trace.csv", "evm.csv", "psd.csv", "summary.csv",
                      "config_resolved.json"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_blocks_are_checked_once(self, tmp_path, monkeypatch, precoder):
+        # the runner's DataGrid checks every block for non-finite values;
+        # only the public *_precode functions check their input again
+        def second_check(d):
+            raise AssertionError("a precoder body checked its block again")
+
+        for module in (unconstrained, constrained, baselines):
+            monkeypatch.setattr(module, "_as_block", second_check)
+        data = json.loads(json.dumps(SMALL_SCENARIO))
+        data.update(SHORT_SCHEDULES, precoder=precoder, symbols=2)
+        run_scenario(ScenarioConfig.from_dict(data), tmp_path)
+        with pytest.raises(AssertionError, match="checked its block again"):
+            admm_precode(np.ones(64, dtype=complex), None, None)
 
 
 DATA_FILES = ("trace.csv", "evm.csv", "psd.csv", "summary.csv", "config_resolved.json",

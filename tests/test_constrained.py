@@ -101,6 +101,17 @@ class TestEvmConstraint:
         assert con.violation(grid, x) == pytest.approx(2.0, rel=1e-9)
 
     @pytest.mark.parametrize("mode", ["wideband", "frequency_selective"])
+    def test_zero_budget_violation(self, pair_setup, mode):
+        # a zero radius is overshot infinitely by any error, in either mode
+        num, _, grid, _ = pair_setup
+        con = (EvmConstraint(mode="wideband", eps_avg=0.0) if mode == "wideband" else
+               EvmConstraint(mode="frequency_selective", eps=np.zeros(num.n_active)))
+        assert con.violation(grid, grid.symbols) == 0.0
+        x = grid.symbols.copy()
+        x[0, num.active_bins[0]] += 1e-12
+        assert con.violation(grid, x) == np.inf
+
+    @pytest.mark.parametrize("mode", ["wideband", "frequency_selective"])
     def test_violation_of_a_block_is_its_worst_symbol(self, mode):
         # symbol 0 scaled by 1.5 is 0.5 / 0.3 - 1 = 2/3 over a 30 % budget;
         # one norm over the whole block would hide it, and the selective

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specprecode import DegenerateConstraintError, bisection_rank1_oracle, project_rank1
-from specprecode.projections import (_ball_factors, _columns_balls, _frobenius_balls,
-                                     _inward_radius, _symbol_norms)
+from specprecode.projections import _inward_radius, _project_balls, _symbol_norms
 
 
 def random_complex(rng, *shape):
@@ -15,8 +14,8 @@ def random_complex(rng, *shape):
 
 
 # Per-ball projections onto balls of any center: the oracles of the
-# solvers' batched zero-centred projections, _frobenius_balls and
-# _columns_balls.
+# solvers' one batched zero-centred projection, _project_balls, for either
+# budget's balls.
 
 def project_frobenius_ball(x, center, radius):
     """Project onto {z : ||z - center||_F <= radius}.
@@ -51,11 +50,12 @@ def project_columns_ball(x, center, radii):
     if np.any(radii < 0):
         raise DegenerateConstraintError("ball radii must be non-negative")
     diff = x - center
-    factors, outside = _ball_factors(
-        np.linalg.norm(diff, axis=-2), radii,
-        _inward_radius(radii, np.linalg.norm(center, axis=-2), x.shape[-2]))
+    dist = np.linalg.norm(diff, axis=-2)
+    outside = dist > radii
     if not outside.any():
         return x.copy()
+    inner = _inward_radius(radii, np.linalg.norm(center, axis=-2), x.shape[-2])
+    factors = np.where(outside, inner / np.where(outside, dist, 1.0), 1.0)
     return np.where(outside[..., None, :], center + diff * factors[..., None, :], x)
 
 
@@ -334,7 +334,9 @@ class TestBatchedHelpers:
         fractions[rng.uniform(size=len(x)) < 0.2] = 0.0
         dev = x - centers
         radii = fractions * _symbol_norms(dev)
-        out = _frobenius_balls(dev, radii, _inward_radius(radii, 0.0, dev[0].size))
+        inner = _inward_radius(radii, 0.0, dev[0].size)
+        out = _project_balls(dev, _symbol_norms(dev)[:, None, None], radii[:, None, None],
+                             inner[:, None, None])
         singles = [project_frobenius_ball(d, 0, r) for d, r in zip(dev, radii)]
         assert np.array_equal(out, singles)
 
@@ -345,6 +347,8 @@ class TestBatchedHelpers:
         dev = x - centers
         radii = rng.uniform(0.0, 1.3, (len(x), x.shape[-1])) * np.linalg.norm(dev, axis=-2)
         radii[rng.uniform(size=radii.shape) < 0.2] = 0.0
-        out = _columns_balls(dev, radii, _inward_radius(radii, 0.0, dev.shape[-2]))
+        inner = _inward_radius(radii, 0.0, dev.shape[-2])
+        out = _project_balls(dev, np.linalg.norm(dev, axis=-2, keepdims=True),
+                             radii[:, None, :], inner[:, None, :])
         singles = [project_columns_ball(d, np.zeros_like(d), r) for d, r in zip(dev, radii)]
         assert np.array_equal(out, singles)

@@ -33,7 +33,9 @@ waveform written) and with a 3-sample one (segment 268 = 4 * 67), so that
 both the plain-FFT and the large-prime paths of the periodogram run; SSP
 on three antennas at 70 symbols with its waveform written; NSP and ENSP
 on one antenna at 65 symbols, so that the runner's last block of 32
-symbols holds a lone row; and the four benchmark workloads of
+symbols holds a lone row; EADMM and ESSP the same way under the
+frequency-selective edge profile, whose per-column balls then hold a single
+row; and the four benchmark workloads of
 ``bench/workloads.json`` at scenario seeds 1000, 2001 and 3002.
 """
 
@@ -90,6 +92,11 @@ def cases(config):
                                   "emit_waveforms": True}
     for p in ("nsp", "ensp"):
         out[f"{p}-1tx-65"] = {"precoder": p, "n_tx": 1, "symbols": 65}
+    for p in ("eadmm", "essp"):
+        out[f"{p}-selective-1tx-65"] = {
+            "precoder": p, "n_tx": 1, "symbols": 65,
+            "evm": {"mode": "frequency_selective",
+                    "profile_per_prb": config.selective_edge_profile()}}
     with open(ROOT / "bench" / "workloads.json", encoding="utf-8") as fh:
         workloads = json.load(fh)
     for name, overrides in workloads.items():
