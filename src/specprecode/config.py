@@ -197,9 +197,7 @@ class ScenarioConfig:
     ssp: SspConfig
     eadmm: AdmmConfig
     essp: EsspConfig
-    evm_mode: str
     evm_eps_avg: float
-    evm_profile: list
     psd_oversample: int
     psd_bin_hz: float
     aclr_bw_hz: float
@@ -283,8 +281,7 @@ class ScenarioConfig:
         return cls(numerology=numerology, freq_grid=freq_grid, mask=mask, ref_db=ref_db,
                    inband_ref=inband_ref, n_tx=data["n_tx"], constellation=data["constellation"],
                    seed=data["seed"], symbols=data["symbols"], precoder=precoder, **solvers,
-                   evm_mode=evm_mode, evm_eps_avg=evm_eps, evm_profile=evm_profile,
-                   psd_oversample=psd_os, psd_bin_hz=psd_bin,
+                   evm_eps_avg=evm_eps, psd_oversample=psd_os, psd_bin_hz=psd_bin,
                    aclr_bw_hz=aclr_bw, aclr_spacing_hz=aclr_sp,
                    out_dir=data["out_dir"], emit_waveforms=data["emit_waveforms"],
                    raw=data, _budget=budget)

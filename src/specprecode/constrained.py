@@ -25,7 +25,7 @@ import numpy as np
 
 from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
 from .errors import ConfigError, NumericalError
-from .metrics import _checked_bounds, _row_products, oobe_power
+from .metrics import _row_products, oobe_power
 from .projections import _inward_radius, _project_balls, _symbol_norms
 from .unconstrained import (AdmmConfig, _as_block, _band_iterations, _unblock, consensus_admm,
                             mask_bounds, ssp_core, ssp_sweep)
@@ -179,16 +179,6 @@ class FeasibilityReport:
     mask_ratio: np.ndarray
 
 
-def _per_point_bounds(masks, m_pts, n_tx):
-    """Mask bounds as (M, n_tx): shared per point or per-antenna override."""
-    gamma = np.asarray(getattr(masks, "gamma", masks), dtype=float)
-    if gamma.ndim == 1:
-        return np.repeat(mask_bounds(gamma, m_pts)[:, None], n_tx, axis=1)
-    if gamma.shape != (m_pts, n_tx):
-        raise ConfigError("per-antenna mask must be (n_points, n_tx)", field="mask")
-    return _checked_bounds(gamma)
-
-
 def eadmm_precode(x, kernel, masks, evm, cfg=None):
     """Consensus ADMM over mask sets and the EVM ball.
 
@@ -197,9 +187,11 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     exactly; mask satisfaction improves with iterations and is exact in the
     feasible limit.  consensus_admm iterates on deviations from the input,
     so the update is evm.projector's zero-centred projection of the mean
-    deviation.  x holds one symbol or an (S, n_tx, N) block, each symbol
-    under its own ball.  Returns (DataGrid, SolverReport), one report per
-    symbol for a block.
+    deviation.  masks is a MaskSpec or an (M,) array of bounds
+    (mask_bounds), shared by every antenna row as in the other solvers.  x
+    holds one symbol or an (S, n_tx, N) block, each symbol under its own
+    ball.  Returns (DataGrid, SolverReport), one report per symbol for a
+    block.
     """
     out, report = _unblock(x.symbols.shape, *_eadmm_block(
         x.with_symbols(_as_block(x.symbols)), kernel, masks, evm, cfg or AdmmConfig(iters=40)))
@@ -209,10 +201,9 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
 def _eadmm_block(x, kernel, masks, evm, cfg):
     """eadmm_precode on a DataGrid x whose symbols are an (S, n_tx, N)
     block: (precoded block, BlockTraces)."""
-    block = x.symbols
-    gamma = _per_point_bounds(masks, kernel.n_points, block.shape[1])
+    gamma = mask_bounds(masks, kernel.n_points)
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
-    return consensus_admm(block, kernel, gamma, cfg, proj_e)
+    return consensus_admm(x.symbols, kernel, gamma, cfg, proj_e)
 
 
 def essp_precode(x, kernel, masks, evm, cfg=None):

@@ -64,25 +64,15 @@ def _checked_bounds(gamma, field="mask"):
 
 @dataclass(frozen=True)
 class MaskSpec:
-    """Per-point leakage bounds, linear in kernel power units.
-
-    mask_db and ref_db keep the display form: gamma_m sits mask_db[m] dB
-    away from the reference level ref_db.
-    """
+    """Per-point leakage bounds gamma, linear in kernel power units and
+    shared by every antenna row: the one form in which the solvers take
+    the mask (unconstrained.mask_bounds)."""
 
     gamma: np.ndarray
-    mask_db: np.ndarray = None
-    ref_db: float = None
 
     def __post_init__(self):
-        gamma = np.atleast_1d(_checked_bounds(self.gamma, field="mask.gamma"))
-        object.__setattr__(self, "gamma", gamma)
-        if self.mask_db is not None:
-            object.__setattr__(self, "mask_db", np.atleast_1d(np.asarray(self.mask_db, dtype=float)))
-
-    @property
-    def n_points(self):
-        return int(self.gamma.size)
+        object.__setattr__(self, "gamma",
+                           np.atleast_1d(_checked_bounds(self.gamma, field="mask.gamma")))
 
 
 # Spacing of the nu grid of the in-band calibration, in subcarriers.  A
@@ -130,7 +120,7 @@ def calibrate_mask(mask_db, numerology, ref_db, reference_power=None):
     if reference_power is None:
         reference_power = analytic_inband_reference(numerology)
     gamma = 10.0 ** ((mask_db - ref_db) / 10.0) * reference_power
-    return MaskSpec(gamma=gamma, mask_db=mask_db, ref_db=float(ref_db))
+    return MaskSpec(gamma=gamma)
 
 
 def _grid_values(d):
@@ -440,9 +430,9 @@ def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):
         proj = _row_products(_grid_values(grid)[..., numerology.active_bins], cols)
         # The oversampled body is scaled by 1/sqrt(N) of the base FFT, while
         # the kernel rows here carry 1/sqrt(os*N); undo the mismatch.
-        for power in np.atleast_2d(np.sum(np.abs(proj) ** 2, axis=-2) * oversample):
-            total += power
-            count += 1
+        powers = np.atleast_2d(np.sum(np.abs(proj) ** 2, axis=-2) * oversample)
+        total = _add_in_order(total, powers)
+        count += len(powers)
     if count == 0:
         raise ConfigError("no grids provided", field="psd")
     return total / count / (fs * seg)

@@ -73,11 +73,8 @@ def _symbol_norms(x):
     by decreasing stride, as ravel(order="K")) and sums the squares as two
     real dot products over the real and imaginary parts; np.vecdot makes
     the same two (strided) BLAS dot products for every symbol of the stack.
-    A stack of one symbol, as in every per-symbol call, skips the stacking,
-    and a C-contiguous stack is in memory order already.
+    A C-contiguous stack is in memory order already.
     """
-    if x.shape[0] == 1:
-        return np.array([np.linalg.norm(x[0])])
     if not x.flags.c_contiguous:
         x = x.transpose(0, *(1 + np.argsort([-stride for stride in x.strides[1:]], kind="stable")))
     flat = x.reshape(len(x), -1)

@@ -5,7 +5,8 @@ A run produces, inside the output directory:
 ``trace.csv``      per-iteration solver trace: row i averages over the
                    symbols that reached iteration i (its ``symbols``
                    column); a precoder without iterations writes one row
-``evm.csv``        per-subcarrier error budget use, pooled across the run
+``evm.csv``        per-subcarrier EVM pooled across the run, with the
+                   budget when the precoder applied a frequency-selective one
 ``psd.csv``        binned power spectral density of the emitted waveform
 ``summary.csv``    one-row headline metrics
 ``config_resolved.json``  the exact configuration the run used
@@ -140,10 +141,13 @@ class _RunRecord:
     A precoder without iterations gives each symbol one row, from its EVM
     and leakage.  Every sum adds the block's symbols one at a time, in
     order (_add_in_order), so the sums do not depend on the block size.
+    ``budget`` is the EvmConstraint the precoder applied, None for a
+    precoder without one; evm.csv reports a frequency-selective one.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, budget):
         self.cfg = cfg
+        self.budget = budget
         self.err_cols = np.zeros(cfg.numerology.n_active)
         self.ref_cols = np.zeros(cfg.numerology.n_active)
         self.err = self.ref = 0.0
@@ -201,12 +205,11 @@ class _RunRecord:
                 for i, row in enumerate(self.trace)]
         _write_csv(out_path / "trace.csv", header, rows, files)
 
-        selective = cfg.evm_constraint() if cfg.evm_mode == "frequency_selective" else None
         columns = [cfg.numerology.active_offsets, np.sqrt(np.where(
             self.ref_cols > 0, self.err_cols / np.maximum(self.ref_cols, 1e-300), np.nan))]
         header = ["subcarrier_offset", "evm_rms"]
-        if selective is not None:
-            columns.append(selective.eps)
+        if self.budget is not None and self.budget.mode == "frequency_selective":
+            columns.append(self.budget.eps)
             header.append("budget")
         _write_csv(out_path / "evm.csv", header, zip(*columns), files)
 
@@ -247,7 +250,7 @@ def run_scenario(cfg, out_dir=None):
     psd_cfg = cfg.psd_config()
     probe_hz = cfg.freq_grid.to_hz(cfg.numerology.scs_hz)
     psd_acc = PsdAccumulator(cfg.numerology, psd_cfg, probe_freqs_hz=probe_hz)
-    record = _RunRecord(cfg)
+    record = _RunRecord(cfg, budget)
     symbol_len = cfg.numerology.symbol_len
     waveform_path = out_path / "waveform.bin"
     waveform = (WaveformWriter(waveform_path, cfg.n_tx, cfg.symbols * symbol_len)

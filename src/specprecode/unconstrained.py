@@ -51,7 +51,9 @@ from .projections import _symbol_norms
 
 
 def mask_bounds(mask, n_points):
-    """Accept a MaskSpec-like object (``gamma`` attribute) or a plain array."""
+    """The (M,) bounds of a MaskSpec-like object (``gamma`` attribute) or
+    of a plain array, shared by every antenna row: the one form in which
+    every solver takes the mask."""
     gamma = np.asarray(getattr(mask, "gamma", mask), dtype=float)
     if gamma.shape != (n_points,):
         raise ConfigError("mask must provide one bound per kernel row", field="mask")
@@ -246,13 +248,13 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
     block (S, n_tx, N) holds S symbols, each the input and EVM reference d
-    of its own problem; gamma (M, n_tx) holds the per-row bounds.  The
-    iteration is a start/step pair on _band_iterations, whose state is the
-    deviation e = x_bar - d of the consensus variable from the input and
-    the coefficients beta and delta below.  x_update(m, active) maps the
-    mean deviation m of the local variables and duals,
-    sum_m (y_m + z_m) / M - d, of the symbols ``active`` to their next
-    deviations.  The leakage A x_bar is A d plus A e.  Local variables
+    of its own problem; gamma (M,) holds the bounds that every antenna row
+    shares (mask_bounds).  The iteration is a start/step pair on
+    _band_iterations, whose state is the deviation e = x_bar - d of the
+    consensus variable from the input and the coefficients beta and delta
+    below.  x_update(m, active) maps the mean deviation m of the local
+    variables and duals, sum_m (y_m + z_m) / M - d, of the symbols
+    ``active`` to their next deviations.  The leakage A x_bar is A d plus A e.  Local variables
     start at the input and duals at zero, so no set projection moves a
     mask-feasible input: e stays exactly zero, the input comes back
     bitwise and the primal residual stays zero.  Every symbol stops on its
@@ -276,7 +278,6 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
     u_rows = kernel.band_rows.conj()
     k_diag = _kernel_diag(kernel.gram)       # ||u_m||^2
     m_pts = k_diag.size
-    gamma = gamma.T                           # (n_tx, M), as the row products
     root = np.sqrt(gamma)
 
     def start(band, ad):
@@ -316,9 +317,9 @@ def _admm_block(block, kernel, mask, cfg):
     The consensus update (d + rho M (d + m)) / (1 + rho M) is the deviation
     rho M m / (1 + rho M) from d."""
     m_pts = kernel.n_points
-    gamma = np.broadcast_to(mask_bounds(mask, m_pts)[:, None], (m_pts, block.shape[1]))
     weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
-    return consensus_admm(block, kernel, gamma, cfg, lambda m, sel: weight * m)
+    return consensus_admm(block, kernel, mask_bounds(mask, m_pts), cfg,
+                          lambda m, sel: weight * m)
 
 
 class FactoredInverse:

@@ -392,7 +392,3 @@ class TestErrorClasses:
         evm = budget(rng, "wideband", grid.numerology)
         with pytest.raises(ConfigError, match="mask bounds must be positive and finite"):
             precode(solver, grid, kernel, np.array([1.0, bound]), evm, 3)
-        if solver == "eadmm":
-            # per-antenna bounds, (M, n_tx), go through the same check
-            with pytest.raises(ConfigError, match="mask bounds must be positive and finite"):
-                precode(solver, grid, kernel, np.array([[1.0], [bound]]), evm, 3)

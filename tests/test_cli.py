@@ -113,6 +113,22 @@ class TestMain:
         assert header == ["subcarrier_offset", "evm_rms"]
         assert [int(r[0]) for r in rows] == list(range(-12, 12))
 
+    @pytest.mark.parametrize("precoder", ["ssp", "admm", "nsp", "essp"])
+    def test_evm_csv_budget_is_the_applied_one(self, tmp_path, precoder):
+        # a frequency-selective evm block that only ESSP applies: the
+        # budget column reports it there and nowhere else
+        profile = [0.2, 0.1, 0.08, 0.08, 0.1, 0.2]
+        cfg = ScenarioConfig.from_dict(dict(
+            SMALL_SCENARIO, **SHORT_SCHEDULES, precoder=precoder,
+            evm={"mode": "frequency_selective", "profile_per_prb": profile}))
+        run_scenario(cfg, tmp_path)
+        header, rows = read_csv(tmp_path / "evm.csv")
+        if precoder == "essp":
+            assert header == ["subcarrier_offset", "evm_rms", "budget"]
+            assert [float(r[2]) for r in rows] == cfg.evm_constraint().eps.tolist()
+        else:
+            assert header == ["subcarrier_offset", "evm_rms"]
+
     def test_reruns_are_byte_stable(self, tmp_path):
         cfg_path = write_scenario(tmp_path)
         digests = []
@@ -441,7 +457,8 @@ class TestRunRecord:
         data.update(precoder=precoder, **BLOCK_CASES.get(precoder, {}))
         cfg = ScenarioConfig.from_dict(data)
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
-        record = runner._RunRecord(cfg)
+        budget = cfg.evm_constraint() if precoder in BUDGET_PRECODERS else None
+        record = runner._RunRecord(cfg, budget)
         sums = {"trace": np.zeros((0, cfg.freq_grid.size + 4)),
                 "leak": np.zeros(cfg.freq_grid.size), "err": 0.0, "ref": 0.0,
                 "err_cols": np.zeros(cfg.numerology.n_active),
@@ -454,12 +471,11 @@ class TestRunRecord:
                 vals, reports = admm_precode(grid.symbols, kernel, cfg.mask, cfg.admm)
                 assert len({r.iterations for r in reports}) >= 2
             else:
-                vals, reports, _ = runner.PRECODER_TABLE[precoder].run(
-                    cfg, grid, kernel, cfg.evm_constraint())
+                vals, reports, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, budget)
             out = grid.with_symbols(vals)
             pow_pts = oobe_power(out, kernel)
             block_vals, traces, extras = runner.PRECODER_TABLE[precoder].run(
-                cfg, grid, kernel, cfg.evm_constraint() if precoder == "ensp" else None)
+                cfg, grid, kernel, budget)
             assert np.array_equal(block_vals, vals)
             record.add(grid, out, traces, extras, pow_pts)
             self.add_by_symbol(sums, grid, out, reports, pow_pts, cfg.numerology.active_bins)

@@ -20,15 +20,15 @@ class TestDefaults:
         num = cfg.numerology
         assert (num.fft_size, num.cp_len, num.n_active, num.prb_size) == (512, 36, 300, 12)
         assert num.n_prb == 25
-        assert cfg.freq_grid.size == 8 and cfg.mask.n_points == 8
+        assert cfg.freq_grid.size == 8
         assert cfg.precoder == "ssp" and cfg.constellation == "64QAM"
         assert (cfg.seed, cfg.symbols, cfg.n_tx) == (1, 20, 2)
-        assert cfg.evm_mode == "wideband" and cfg.evm_eps_avg == 0.08
+        assert cfg.evm_constraint().mode == "wideband" and cfg.evm_eps_avg == 0.08
         assert cfg.psd_oversample == 4 and cfg.psd_bin_hz == 100e3
 
     def test_looser_mask_entries_get_larger_bounds(self):
         cfg = ScenarioConfig.from_dict({})
-        mask_db = np.asarray(cfg.mask.mask_db)
+        mask_db = np.asarray(cfg.raw["mask_db_per_100khz"])
         tight = cfg.mask.gamma[mask_db == -75.0]
         loose = cfg.mask.gamma[mask_db == -65.0]
         assert loose.min() > tight.max()

@@ -193,18 +193,15 @@ class TestEadmm:
         assert np.all(ratios <= 1.0 + 1e-6)
         assert evm.violation(case.grid, out) <= 1e-9
 
-    def test_per_antenna_bounds(self, pair_setup):
-        _, kern, grid, gamma = pair_setup
-        evm = EvmConstraint(mode="wideband", eps_avg=0.5)
-        cfg = AdmmConfig(iters=25)
-        shared, _ = eadmm_precode(grid, kern, gamma, evm, cfg)
-        tiled, _ = eadmm_precode(grid, kern,
-                                 np.repeat(gamma[:, None], 2, axis=1), evm, cfg)
-        assert np.array_equal(shared.symbols, tiled.symbols)
-        with pytest.raises(ConfigError):
-            eadmm_precode(grid, kern, np.ones((3, 2)), evm, cfg)
-        with pytest.raises(ConfigError):
-            eadmm_precode(grid, kern, np.zeros((2, 2)), evm, cfg)
+
+@pytest.mark.parametrize("precode", [eadmm_precode, essp_precode], ids=["eadmm", "essp"])
+def test_per_antenna_bounds_rejected(pair_setup, precode):
+    # the mask has one form, (M,) bounds shared by every antenna row
+    _, kern, grid, gamma = pair_setup
+    evm = EvmConstraint(mode="wideband", eps_avg=0.5)
+    with pytest.raises(ConfigError, match="one bound per kernel row") as info:
+        precode(grid, kern, np.repeat(gamma[:, None], grid.symbols.shape[0], axis=1), evm)
+    assert info.value.field == "mask"
 
 
 class TestEsspConfig:

@@ -420,8 +420,7 @@ def consensus_case(seed, solver, cfg, eps_avg=0.1):
     N-space reference; returns (rows, (out, report), (ref_out, ref_report)).
 
     Every antenna row violates every point.  EADMM budgets are eps_avg
-    wideband, 5-30% per subcarrier, or per-antenna mask bounds under the
-    wideband budget.
+    wideband or 5-30% per subcarrier.
     """
     rng = np.random.default_rng(seed)
     m_pts = 1 + seed
@@ -440,8 +439,6 @@ def consensus_case(seed, solver, cfg, eps_avg=0.1):
                              eps=rng.uniform(0.05, 0.3, num.n_active))
                if solver == "eadmm-selective"
                else EvmConstraint(mode="wideband", eps_avg=eps_avg))
-        if solver == "eadmm-per-antenna":
-            gamma = rng.uniform(0.05, 0.3, (m_pts, n_tx)) * level
 
         def run():
             out, rep = eadmm_precode(grid, kern, gamma, evm, cfg)
@@ -455,7 +452,7 @@ def consensus_case(seed, solver, cfg, eps_avg=0.1):
     return rows, new, ref
 
 
-SOLVERS = ["admm", "eadmm-wideband", "eadmm-selective", "eadmm-per-antenna"]
+SOLVERS = ["admm", "eadmm-wideband", "eadmm-selective"]
 
 
 class TestConsensusCoefficients:

@@ -26,8 +26,9 @@ case's symbol count, and ``--list`` prints the case names.
 
 The cases: the default scenario under every precoder but the oracle at
 20 symbols and (with ESSP also without early stop) at 70; EADMM and ESSP
-with the second mask and the frequency-selective edge profile; ADMM and EADMM with
-a residual tolerance; the oracle on a 64-point numerology; SSP on that
+with the second mask and the frequency-selective edge profile; SSP under
+that profile, which it does not apply; ADMM and EADMM with a residual
+tolerance; the oracle on a 64-point numerology; SSP on that
 numerology without a cyclic prefix (PSD segment 256 = 2^8, with its
 waveform written) and with a 3-sample one (segment 268 = 4 * 67), so that
 both the plain-FFT and the large-prime paths of the periodogram run; SSP
@@ -77,6 +78,10 @@ def cases(config):
             "precoder": p, "mask_db_per_100khz": list(config.MASK2_DB),
             "evm": {"mode": "frequency_selective",
                     "profile_per_prb": config.selective_edge_profile()}}
+    out["ssp-selective-evm"] = {
+        "precoder": "ssp",
+        "evm": {"mode": "frequency_selective",
+                "profile_per_prb": config.selective_edge_profile()}}
     out["admm-tol"] = {"precoder": "admm", "admm": {"residual_tol": 1e-3}}
     out["eadmm-tol"] = {"precoder": "eadmm", "eadmm": {"residual_tol": 1e-2}}
     out["oracle-n64"] = dict(SMALL_NUMEROLOGY, precoder="oracle", symbols=4)
