@@ -259,10 +259,12 @@ class ScenarioConfig:
                 raise ConfigError("frequency-selective budget needs profile_per_prb",
                                   field="evm.profile_per_prb")
         eps = None if evm_profile is None else expand_evm_profile(evm_profile, numerology)
-        if evm_mode == "wideband":
-            budget = None if evm_eps is None else EvmConstraint(mode="wideband", eps_avg=evm_eps)
+        if not budgets:
+            budget = None
+        elif evm_mode == "wideband":
+            budget = EvmConstraint(mode="wideband", eps_avg=evm_eps)
         else:
-            budget = None if eps is None else EvmConstraint(mode="frequency_selective", eps=eps)
+            budget = EvmConstraint(mode="frequency_selective", eps=eps)
 
         psd_os = data["psd"]["oversample"]
         if psd_os < 4:
@@ -287,7 +289,9 @@ class ScenarioConfig:
                    raw=data, _budget=budget)
 
     def evm_constraint(self):
-        """The configured budget as an EvmConstraint, or None if absent."""
+        """The budget the precoder applies, as an EvmConstraint: None for a
+        precoder that takes no budget (its PRECODER_TABLE entry names no
+        mode), whatever the evm block holds."""
         return self._budget
 
     def psd_config(self):

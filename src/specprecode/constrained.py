@@ -14,7 +14,13 @@ has no fixed point, so an early-stopping rule watches the sampled
 out-of-band power and returns the last iterate that still improved it.
 Both iterate on the active-band loop of unconstrained.py
 (_band_iterations), as ADMM and SSP do, which gathers the band, stops each
-symbol on its own rule and scatters the result.
+symbol on its own rule and scatters the result.  The budget's mode picks
+the form of the iterates there: a wideband ball scales whole symbols, so
+every iterate stays in span{d_r, U} per antenna row and both solvers run
+on M + 1 coefficients per row, with M x M products only, measuring each
+symbol's error in N-space once, at the scatter; a frequency-selective
+budget scales each subcarrier on its own, so the same step bodies run on
+band arrays, with O(M n_active) products per iteration.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
 from .errors import ConfigError, NumericalError
-from .metrics import _row_products, oobe_power
+from .metrics import oobe_power
 from .projections import _inward_radius, _project_balls, _symbol_norms
 from .unconstrained import (AdmmConfig, _as_block, _band_iterations, _unblock, consensus_admm,
                             mask_bounds, ssp_core, ssp_sweep)
@@ -67,7 +73,9 @@ class EvmConstraint:
         N): (dist, radii, inner).
 
         dist maps a stack of deviations (S', n_tx, n_cols) to their
-        distances from the centers, radii are the balls' radii and inner
+        distances from the centers (for the wideband budget, through
+        ``norms``, which maps the stack to its per-symbol norms and
+        defaults to _symbol_norms), radii are the balls' radii and inner
         the radii pulled in by _inward_radius for the centers' norms, all
         shaped to broadcast against the deviations: (S, 1, 1) for the
         wideband budget, one ball per symbol whose radius is always
@@ -76,8 +84,8 @@ class EvmConstraint:
         guard bins.
         """
         if self.mode == "wideband":
-            def dist(dev):
-                return _symbol_norms(dev)[:, None, None]
+            def dist(dev, norms=_symbol_norms):
+                return norms(dev)[:, None, None]
             norms = dist(block)
             radii, size = self.eps_avg * norms, block[0].size
         else:
@@ -85,7 +93,7 @@ class EvmConstraint:
                 raise ConfigError("per-subcarrier fractions must cover the active band",
                                   field="evm.eps")
 
-            def dist(dev):
+            def dist(dev, norms=None):
                 return np.linalg.norm(dev, axis=1, keepdims=True)
             norms = dist(block)
             radii = np.zeros_like(norms)
@@ -111,18 +119,23 @@ class EvmConstraint:
         others (guard bins).  The projector takes e shaped like the
         reference's columns ``cols``, or, with ``active`` (a slice or index
         array into the block), the stacked symbols ``active`` of the block.
-        The balls (_balls) are derived once here.
+        Under the wideband budget, ``norms`` measures the distances: the
+        per-symbol norms of a stack of deviations in the caller's form
+        (default _symbol_norms, for band arrays), so that the active-band
+        loop's span coefficients are projected by the same one scale per
+        symbol.  The projector's ``wideband`` tells the loop which form its
+        iterates take.  The balls (_balls) are derived once here.
         """
         center = reference.symbols
         block = center.reshape((-1,) + center.shape[-2:])
-        n_cols = block.shape[-1] if cols is None else len(cols)
         dist, radii, inner = self._balls(block, reference.numerology, cols)
 
-        def proj(dev, active=slice(None)):
+        def proj(dev, active=slice(None), norms=_symbol_norms):
             dev = np.asarray(dev, dtype=complex)
-            stack = dev.reshape((-1, block.shape[1], n_cols))
-            return _project_balls(stack, dist(stack), radii[active],
+            stack = dev.reshape((-1,) + dev.shape[-2:])
+            return _project_balls(stack, dist(stack, norms), radii[active],
                                   inner[active]).reshape(dev.shape)
+        proj.wideband = self.mode == "wideband"
         return proj
 
     def violation(self, reference, candidate):
@@ -203,7 +216,7 @@ def _eadmm_block(x, kernel, masks, evm, cfg):
     block: (precoded block, BlockTraces)."""
     gamma = mask_bounds(masks, kernel.n_points)
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
-    return consensus_admm(x.symbols, kernel, gamma, cfg, proj_e)
+    return consensus_admm(x.symbols, kernel, gamma, cfg, proj_e, proj_e)
 
 
 def essp_precode(x, kernel, masks, evm, cfg=None):
@@ -218,17 +231,22 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     product per row and no solve.  The iteration is a start/step pair on
     _band_iterations, whose state holds the deviations from the active band
     d of the input, starting at e_x = 0 and e_z = -d, and the core:
-    e_v = 2 e_x - e_z, c0 = A d + A e_v, e_y = e_v - U^T (mu c) after the
+    e_v = 2 e_x - e_z, c0 = A d + A e_v, e_y = e_v - U (mu c) after the
     sweeps, e_z += relaxation (e_y - e_x), and e_x the zero-centred ball
     projection of e_z (evm.projector with cols).  The leakage A x is A d
-    plus A e_x.  With early_stop, a symbol stops as soon as the total
-    sampled out-of-band power of its new iterate exceeds the previous one's
-    and returns the previous iterate, so the report's returned_iteration,
-    the iterate returned (0 is the input grid), is iterations - 1 for a
-    symbol that stopped, also on the last iteration (where stopped_early is
-    False), and iterations for one that ran out.  x holds one symbol or an
-    (S, n_tx, N) block, each symbol under its own ball.  Returns (DataGrid,
-    SolverReport), one report per symbol for a block.
+    plus A e_x.  Under a wideband budget every deviation is alpha d + U xi
+    per antenna row, with one alpha per symbol (-1 for the first e_z), so
+    the loop holds (xi, alpha) and c0, the leakage and the ball's distances
+    come from M x M products; the one N-space step is the scatter, where
+    each symbol's error is checked against its ball.  With early_stop, a
+    symbol stops as soon as the total sampled out-of-band power of its new
+    iterate exceeds the previous one's and returns the previous iterate,
+    so the report's returned_iteration, the iterate returned (0 is the
+    input grid), is iterations - 1 for a symbol that stopped, also on the
+    last iteration (where stopped_early is False), and iterations for one
+    that ran out.  x holds one symbol or an (S, n_tx, N) block, each
+    symbol under its own ball.  Returns (DataGrid, SolverReport), one
+    report per symbol for a block.
     """
     out, report = _unblock(x.symbols.shape, *_essp_block(
         x.with_symbols(_as_block(x.symbols)), kernel, masks, evm, cfg or EsspConfig()))
@@ -239,39 +257,37 @@ def _essp_block(x, kernel, masks, evm, cfg):
     """essp_precode on a DataGrid x whose symbols are an (S, n_tx, N)
     block: (precoded block, BlockTraces), the report holding each symbol's
     returned iterate."""
-    block = x.symbols
-    a_cols = kernel.band_rows.T
-    u_rows = kernel.band_rows.conj()
     m_pts = kernel.n_points
     gamma = mask_bounds(masks, m_pts)
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
 
-    def start(band, ad):
+    def start(form, band):
         # the one stacked solve of the block, at the first prox centre 2 d
-        return ((np.zeros_like(band), -band, np.sum(np.abs(ad) ** 2, axis=(1, 2)))
+        ad = form.ad
+        return ((form.zeros(), -form.reference(band), np.sum(np.abs(ad) ** 2, axis=(1, 2)))
                 + ssp_core(ad + ad, kernel.gram, gamma))
 
-    def step(ad, state, sel):
+    def step(form, state, sel):
         dev_x, dev_z, best_oob, mu, core = state
         dev_v = 2.0 * dev_x - dev_z
         # re-centre the carried core: c = B^(-1) c0 = c0 - W (mu c0)
-        c0 = ad + _row_products(dev_v, a_cols)
+        c0 = form.ad + form.leak(dev_v)
         core = core.copy()
         core[..., m_pts] = c0 - np.matmul(core[..., :m_pts], (mu * c0)[..., None])[..., 0]
         for _ in range(cfg.inner_sweeps):
             mu, core = ssp_sweep(mu, core, gamma)
-        move = dev_v - _row_products(mu * core[..., m_pts], u_rows) - dev_x     # e_y - e_x
+        move = dev_v + form.span(-mu * core[..., m_pts]) - dev_x        # e_y - e_x
         dev_z = dev_z + cfg.relaxation * move
         dev_prev = dev_x
-        dev_x = proj_e(dev_z, sel)
+        dev_x = proj_e(dev_z, sel, form.norms)
 
-        powers = np.abs(ad + _row_products(dev_x, a_cols)) ** 2      # (S, n_tx, M)
+        powers = np.abs(form.ad + form.leak(dev_x)) ** 2      # (S, n_tx, M)
         oob_now = np.sum(powers, axis=(1, 2))
         stop = oob_now > best_oob if cfg.early_stop else None
-        entries = (powers.max(axis=1), _symbol_norms(move), _symbol_norms(dev_x - dev_prev))
+        entries = (powers.max(axis=1), form.norms(move), form.norms(dev_x - dev_prev))
         return (dev_x, dev_z, oob_now, mu, core), entries, stop, dev_prev
 
-    full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step)
+    full, traces = _band_iterations(x.symbols, kernel, cfg.outer_iters, start, step, proj_e)
     traces.returned_iteration = traces.iterations - traces.stopped
     return full, traces
 

@@ -246,7 +246,7 @@ def run_scenario(cfg, out_dir=None):
 
     kernel = build_kernel(cfg.numerology, cfg.freq_grid)
     precoder = PRECODER_TABLE[cfg.precoder]
-    budget = cfg.evm_constraint() if precoder.budgets else None
+    budget = cfg.evm_constraint()
     psd_cfg = cfg.psd_config()
     probe_hz = cfg.freq_grid.to_hz(cfg.numerology.scs_hz)
     psd_acc = PsdAccumulator(cfg.numerology, psd_cfg, probe_freqs_hz=probe_hz)

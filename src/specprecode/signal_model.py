@@ -237,6 +237,16 @@ class SpectralKernel:
         return _read_only(np.einsum("ik,jk->ij", rows, rows.conj()))
 
     @cached_property
+    def band_factor(self):
+        """Read-only upper-triangular factor R of the QR factorization
+        U = Q R of the n_active x M matrix U of the columns u_m = a(nu_m)*
+        on the active band: R^H R = K (gram), and ||R xi|| equals ||U xi||
+        up to the rounding of forming U xi, also where K is
+        ill-conditioned and xi^H K xi loses half the digits.  Built on
+        first use; min(n_active, M) x M."""
+        return _read_only(np.linalg.qr(self.band_rows.conj().T, mode="r"))
+
+    @cached_property
     def band_rows(self):
         """Read-only M x n_active rows on the active band, in bin order
         (numerology.band_bins): the columns of active_rows that are not

@@ -8,14 +8,20 @@ consensus variable; its iteration (consensus_admm) also serves EADMM, with
 the error-budget ball in place of the quadratic objective.  Each rank-1
 projection moves its point only along its leakage row, so the iteration
 keeps one complex coefficient per set and antenna row instead of M copies
-of the grid: its own work is two O(M n_active) products per iteration.
+of the grid.
 
 All four iterative precoders, ADMM, SSP, EADMM and ESSP (constrained.py),
 share one active-band loop, _band_iterations, and each is a start/step pair
 on it.  The loop gathers the block's active columns d once, in bin order,
 forms their leakage A d once, iterates on the deviation e = x - d, stops
 every symbol on its own rule and scatters d + e back once; it alone
-records the EVM trace.  It returns one block report (BlockTraces) of
+records the EVM trace.  Without a budget and under a wideband one, every
+iterate of every solver lies in span{d_r, U} for each antenna row r (U
+the M leakage directions u_m = a(nu_m)*), so the loop holds e as M + 1
+coefficients per row (_SpanDeviations) and the iterations touch N-space
+only to gather and to scatter; a frequency-selective budget, which scales
+each subcarrier on its own, runs the same step bodies on band arrays
+(_BandDeviations).  It returns one block report (BlockTraces) of
 (iterations, S, ...) trace arrays and per-symbol counts, which the runner
 adds whole; only the public *_precode functions split it into per-symbol
 SolverReports.
@@ -27,10 +33,12 @@ one M x (M + 1) array [W | c] = (I + K D)^(-1) [K | c0], set up by one
 stacked solve (ssp_core), and each coordinate of a sweep (ssp_sweep) reads
 its step off that array and folds it in as one Sherman-Morrison outer
 product of O(M^2) work.  SSP's step is one sweep and ESSP's
-Douglas-Rachford prox a set-up and a few sweeps.  N-space
-work is a few O(M n_active) products per sweep on the active band, none
-per coordinate.  Every O(M n_active) product of the solvers and of
-oobe_power runs through _row_products, one BLAS call per antenna row.
+Douglas-Rachford prox a set-up and a few sweeps.  Outside the sweeps a
+step works on the span coefficients with M x M products (K = U^H U); the
+O(M n_active) products are the gather's A d and the scatter's U xi, once
+per block, and, under a frequency-selective budget, a few per iteration.
+Every product of the solvers and of oobe_power runs through _row_products,
+one BLAS call per antenna row.
 
 Every solver takes a block of S symbols (S, n_tx, N) as well as a single
 (n_tx, N) symbol or a single row, and solves one problem per symbol.  The
@@ -41,6 +49,7 @@ a block of one, so a symbol's result does not depend on the block it is in.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +79,6 @@ def _as_block(d):
     if not np.all(np.isfinite(d)):
         raise ConfigError("input grid contains non-finite values", field="d")
     return d.reshape((1,) * (3 - d.ndim) + d.shape)
-
-
-def _block_evm(dev, refs):
-    """Wideband EVM ||e_s|| / ||d_s|| of every symbol's deviation e_s from
-    its reference d_s, given the reference norms refs (0 where a reference
-    is zero)."""
-    err = _symbol_norms(dev)
-    return np.divide(err, refs, out=np.zeros_like(err), where=refs > 0)
 
 
 def _kernel_diag(gram):
@@ -197,69 +198,237 @@ def _unblock(d_shape, out, traces):
     return out.reshape(d_shape), (reports if len(d_shape) == 3 else reports[0])
 
 
-def _band_iterations(block, kernel, iters, start, step):
+class _BandDeviations:
+    """Deviations e = x - d of a block's iterates from its active band d,
+    held as band arrays shaped like d, (S, n_tx, n_active): the form of a
+    frequency-selective budget, whose balls scale each subcarrier on its
+    own and so take the iterates out of span{d_r, U}.
+
+    Each solver's step is written once, against the few operations that
+    both forms provide on top of linear arithmetic (sums, differences and
+    per-symbol scales) of the arrays that hold deviations: leak(e) = A e,
+    span(v) = U v for coefficients v (S, n_tx, M), the per-row norms
+    row_norms(e) and the per-symbol norms norms(e) = ||e_s||, and the
+    starting deviations zeros() and reference(band) = d.  ad holds A d of
+    the symbols the form serves, and take(keep) restricts it to the
+    symbols keep.  to_band(e, band, ball) is e as a band array.
+    """
+
+    def __init__(self, kernel, band, ad):
+        self.a_cols = kernel.band_rows.T
+        self.u_rows = kernel.band_rows.conj()
+        self.ad = ad
+
+    def take(self, keep):
+        new = copy.copy(self)
+        new.ad = self.ad[keep]
+        return new
+
+    def zeros(self):
+        return np.zeros(self.ad.shape[:-1] + self.u_rows.shape[-1:], dtype=complex)
+
+    def reference(self, band):
+        return band
+
+    def leak(self, dev):
+        return _row_products(dev, self.a_cols)
+
+    def span(self, coef):
+        return _row_products(coef, self.u_rows)
+
+    def row_norms(self, dev):
+        return np.linalg.norm(dev, axis=-1)
+
+    def norms(self, dev):
+        return _symbol_norms(dev)
+
+    def to_band(self, dev, band, ball):
+        """dev itself: a budgeted solver projected it in N-space already."""
+        return dev
+
+
+class _SpanDeviations:
+    """Deviations e_r = alpha d_r + U xi_r of every antenna row r, held as
+    (S, n_tx, M + 1) coefficients [xi | alpha]: the form of the iterative
+    precoders without a budget and under a wideband one, whose ball scales
+    whole symbols.  alpha starts at 0, or at -1 for ESSP's e_z = -d, and
+    stays equal on the rows of a symbol.
+
+    It provides the operations of _BandDeviations in M + 1 dimensions per
+    row.  With K = U^H U, A U = K and U^H d_r = A d_r (ad), the leakage is
+    A e = K xi + alpha ad and adding U v adds v to xi.  The norms come
+    from the factor R of U = Q R (kernel.band_factor), as
+    ||e_r||^2 = ||R xi||^2 + 2 Re(conj(alpha) ad^H xi) + |alpha|^2 ||d_r||^2:
+    ||R xi|| is as accurate as ||U xi|| formed in N-space, where the Gram
+    form xi^H K xi would lose half the digits on an ill-conditioned K.
+    Every M x M product runs row by row through _row_products and every
+    sum over a row or a symbol's rows in a fixed order, so a symbol's
+    results do not depend on its block.  Where every alpha of a stack is
+    zero, as for all solvers but ESSP's first iteration, the alpha terms
+    are skipped: they would add exact zeros.  Only to_band works in
+    N-space.
+    """
+
+    def __init__(self, kernel, band, ad):
+        self.gram_t = np.ascontiguousarray(kernel.gram.T)
+        self.factor_t = np.ascontiguousarray(kernel.band_factor.T)
+        self.u_rows = kernel.band_rows.conj()
+        self.ad = ad
+        self.d_sq = np.vecdot(band, band).real          # ||d_r||^2
+
+    def take(self, keep):
+        new = copy.copy(self)
+        new.ad, new.d_sq = self.ad[keep], self.d_sq[keep]
+        return new
+
+    def zeros(self):
+        return np.zeros(self.ad.shape[:-1] + (self.ad.shape[-1] + 1,), dtype=complex)
+
+    def reference(self, band):
+        dev = self.zeros()
+        dev[..., -1] = 1.0
+        return dev
+
+    def leak(self, dev):
+        k_xi, alpha = _row_products(dev[..., :-1], self.gram_t), dev[..., -1:]
+        return k_xi + alpha * self.ad if alpha.any() else k_xi
+
+    def span(self, coef):
+        dev = np.zeros(coef.shape[:-1] + (coef.shape[-1] + 1,), dtype=complex)
+        dev[..., :-1] = coef
+        return dev
+
+    def _row_squares(self, dev):
+        # np.vecdot's rounding follows the layout, so every row is read from
+        # a C-contiguous stack, as it is for a block of one
+        dev = np.ascontiguousarray(dev)
+        xi, alpha = dev[..., :-1], dev[..., -1]
+        r_xi = _row_products(xi, self.factor_t)
+        sq = np.vecdot(r_xi, r_xi).real
+        if not alpha.any():
+            return sq
+        sq += (alpha.conj() * (alpha * self.d_sq + 2.0 * np.vecdot(self.ad, xi))).real
+        return np.maximum(sq, 0.0)          # the cross term can cancel below 0
+
+    def row_norms(self, dev):
+        return np.sqrt(self._row_squares(dev))
+
+    def norms(self, dev):
+        return np.sqrt(np.sum(self._row_squares(dev), axis=-1))
+
+    def to_band(self, dev, band, ball):
+        """alpha d + U xi in N-space, the one scatter of the block.  With a
+        budget, each symbol's error is measured there once (ball, the
+        budget's projector), and a symbol that the coefficient-form
+        distances let out of its ball is projected back onto it."""
+        dev = dev[..., -1:] * band + _row_products(dev[..., :-1], self.u_rows)
+        return dev if ball is None else ball(dev)
+
+
+def _in_span(ball):
+    """Whether the iterates stay in span{d_r, U} on every antenna row r:
+    without a budget (ball None), and under a wideband one, whose ball
+    scales whole symbols.  The one choice of the deviation form."""
+    return ball is None or ball.wideband
+
+
+def _with_band(block, x_band, bins):
+    """A copy of block whose columns bins (ascending) hold x_band, written
+    one run of consecutive bins at a time, with the guard columns between
+    the runs copied from block: slice assignments cost a fraction of a
+    fancy-index scatter into a copy of the block."""
+    full = np.empty_like(block)
+    cuts = np.flatnonzero(np.diff(bins) != 1) + 1
+    col = 0
+    for lo, hi in zip([0, *cuts], [*cuts, bins.size]):
+        first, stop = bins[lo], bins[hi - 1] + 1
+        full[..., col:first] = block[..., col:first]
+        full[..., first:stop] = x_band[..., lo:hi]
+        col = stop
+    full[..., col:] = block[..., col:]
+    return full
+
+
+def _band_iterations(block, kernel, iters, start, step, ball=None):
     """The active-band loop of the iterative precoders (ADMM, SSP, EADMM,
     ESSP).
 
     The loop gathers the active columns d of the block (S, n_tx, N) once, in
     bin order (numerology.band_bins), forms their leakage A d once, and runs
-    at most ``iters`` iterations on per-symbol state arrays.  start(band, ad)
-    returns the state tuple; its first entry is the deviation e = x - d of
-    the iterate from d.  step(ad, state, sel) advances the symbols ``sel``
-    (a slice while every symbol iterates, an index array into the block once
-    some stopped) and returns (state, (oob, primal, dual), stop, returns):
-    the new state, the trace entries, a per-symbol stop mask (or None) and
-    the deviations that the stopping symbols return.  The loop records the
-    EVM trace ||e|| / ||d|| of every iteration, with the norms of the whole
-    symbols.  A stopping symbol leaves the state, and the loop ends when no
-    symbol is left.  d + e is scattered back once into a copy of the block,
-    so the guard bins of the input pass through untouched.  Returns (block,
-    BlockTraces): the block report's stopped marks the symbols whose stop
-    fired, also on the last iteration.
+    at most ``iters`` iterations on per-symbol state arrays.  The iterates
+    are held as deviations e = x - d in one of two forms, chosen by the
+    budget (_in_span): as coefficients in span{d_r, U} (_SpanDeviations)
+    without a budget or under a wideband one, whose projector ``ball`` is,
+    and as band arrays (_BandDeviations) under a frequency-selective one.
+    start(form, band) returns the state tuple; its first entry is the
+    deviation of the iterate.  step(form, state, sel) advances the symbols
+    ``sel`` (a slice while every symbol iterates, an index array into the
+    block once some stopped), whose A d is form.ad, and returns (state,
+    (oob, primal, dual), stop, returns): the new state, the trace entries,
+    a per-symbol stop mask (or None) and the deviations that the stopping
+    symbols return.  The loop records the EVM trace ||e|| / ||d|| of every
+    iteration, with the norms of the whole symbols.  A stopping symbol
+    leaves the state, and the loop ends when no symbol is left.  The
+    returned deviations are scattered once: d + e into the band columns of
+    a copy of the block, so the guard bins of the input pass through
+    untouched.  In the span form e is formed there in N-space, budget-checked
+    (to_band), and the last leakage entry of every symbol that ran its
+    iterations out is measured on its output, which makes it bitwise
+    oobe_power of what the symbol returns.  Returns (block, BlockTraces):
+    the block report's stopped marks the symbols whose stop fired, also on
+    the last iteration.
     """
     bins = kernel.numerology.band_bins
     traces = BlockTraces(iters, len(block), kernel.n_points)
     band = block.take(bins, axis=-1)
-    out = np.empty_like(band)
     active, sel = np.arange(len(block)), slice(None)
     ad, ref_norms = _row_products(band, kernel.band_rows.T), _symbol_norms(block)
-    state = start(band, ad)
+    form = whole = (_SpanDeviations if _in_span(ball) else _BandDeviations)(kernel, band, ad)
+    state = start(form, band)
+    out = np.empty_like(state[0])
     for it in range(iters):
-        state, entries, stop, returns = step(ad, state, sel)
-        traces.record(it, sel, _block_evm(state[0], ref_norms), *entries)
+        state, entries, stop, returns = step(form, state, sel)
+        err = form.norms(state[0])
+        traces.record(it, sel, np.divide(err, ref_norms, out=np.zeros_like(err),
+                                         where=ref_norms > 0), *entries)
         if stop is None or not stop.any():
             continue
         out[active[stop]] = returns[stop]
         traces.iterations[active[stop]] = it + 1
         traces.stopped[active[stop]] = True
         keep = ~stop
-        active, ad, ref_norms = active[keep], ad[keep], ref_norms[keep]
+        active, ref_norms, form = active[keep], ref_norms[keep], form.take(keep)
         state = tuple(arr[keep] for arr in state)
         sel = active
         if not active.size:
             break
     out[sel] = state[0]
-    full = block.copy()
-    full[..., bins] = band + out
-    return full, traces
+    x_band = band + whole.to_band(out, band, ball)
+    ran_out = ~traces.stopped
+    if isinstance(whole, _SpanDeviations) and ran_out.any():
+        leak = _row_products(x_band[ran_out], kernel.band_rows.T)
+        traces.oob[-1, ran_out] = (np.abs(leak) ** 2).max(axis=1)
+    return _with_band(block, x_band, bins), traces
 
 
-def consensus_admm(block, kernel, gamma, cfg, x_update):
+def consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
     block (S, n_tx, N) holds S symbols, each the input and EVM reference d
     of its own problem; gamma (M,) holds the bounds that every antenna row
     shares (mask_bounds).  The iteration is a start/step pair on
     _band_iterations, whose state is the deviation e = x_bar - d of the
-    consensus variable from the input and the coefficients beta and delta
-    below.  x_update(m, active) maps the mean deviation m of the local
-    variables and duals, sum_m (y_m + z_m) / M - d, of the symbols
-    ``active`` to their next deviations.  The leakage A x_bar is A d plus A e.  Local variables
-    start at the input and duals at zero, so no set projection moves a
-    mask-feasible input: e stays exactly zero, the input comes back
-    bitwise and the primal residual stays zero.  Every symbol stops on its
-    own residual_tol test and returns its current iterate.  Returns (x_bar
-    block, BlockTraces).
+    consensus variable from the input, in the loop's deviation form, and
+    the coefficients beta and delta below.  x_update(m, active, norms) maps
+    the mean deviation m of the local variables and duals,
+    sum_m (y_m + z_m) / M - d, of the symbols ``active`` to their next
+    deviations, given the form's per-symbol norms; ball is the projector of
+    the budget (None without one), which picks the form.  The leakage
+    A x_bar is A d plus A e.  Local variables start at the input and duals
+    at zero, so no set projection moves a mask-feasible input: e stays
+    exactly zero, the input comes back bitwise and the primal residual
+    stays zero.  Every symbol stops on its own residual_tol test and
+    returns its current iterate.  Returns (x_bar block, BlockTraces).
 
     The projection onto set m moves its argument only along u_m = a(nu_m)*,
     so every dual stays z_m = beta_m u_m and every local variable
@@ -268,27 +437,28 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
     coefficients, (n_tx, M) per symbol, instead of the copies of the grid:
     per iteration, c = A x_bar - beta diag(K) gives u_m^H (x_bar - z_m),
     delta is the closed-form rank-1 step where |c|^2 > gamma (0 inside),
-    the mean deviation is e + ((2 delta - beta) / M)^T U, and the primal
+    the mean deviation is e + U ((2 delta - beta) / M), and the primal
     residual sqrt(sum_m ||y_m - x_bar||^2) is sqrt(sum |delta - beta|^2 K_mm).
-    Its own work per iteration is two O(M n_active) products, one BLAS call
-    per antenna row each (_row_products).  The report's leakage powers are
-    |A x_bar|^2 from the same product.
+    Without a budget and under a wideband one, e itself is U xi and the
+    whole iteration runs on M coefficients per antenna row, with M x M
+    products only; under a frequency-selective budget its own work per
+    iteration is two O(M n_active) products, one BLAS call per antenna row
+    each (_row_products).  The report's leakage powers are |A x_bar|^2
+    from the same product.
     """
-    a_cols = kernel.band_rows.T
-    u_rows = kernel.band_rows.conj()
     k_diag = _kernel_diag(kernel.gram)       # ||u_m||^2
     m_pts = k_diag.size
     root = np.sqrt(gamma)
 
-    def start(band, ad):
-        beta = np.zeros(ad.shape, dtype=complex)
-        return np.zeros_like(band), beta, beta
+    def start(form, band):
+        beta = np.zeros(form.ad.shape, dtype=complex)
+        return form.zeros(), beta, beta
 
-    def step(ad, state, sel):
+    def step(form, state, sel):
         dev_prev, beta, delta = state
-        dev = x_update(dev_prev + _row_products((2.0 * delta - beta) / m_pts, u_rows), sel)
+        dev = x_update(dev_prev + form.span((2.0 * delta - beta) / m_pts), sel, form.norms)
         beta = delta
-        ax = ad + _row_products(dev, a_cols)           # (S, n_tx, M)
+        ax = form.ad + form.leak(dev)           # (S, n_tx, M)
         c = ax - beta * k_diag
         mag = np.abs(c)
         coef = np.zeros_like(mag)
@@ -296,10 +466,10 @@ def consensus_admm(block, kernel, gamma, cfg, x_update):
         delta = coef * c
 
         primal = np.sqrt(np.sum(np.abs(delta - beta) ** 2 * k_diag, axis=(1, 2)))
-        dual = np.sqrt(m_pts) * cfg.rho * _symbol_norms(dev - dev_prev)
+        dual = np.sqrt(m_pts) * cfg.rho * form.norms(dev - dev_prev)
         stop = None if cfg.residual_tol is None else np.maximum(primal, dual) <= cfg.residual_tol
         return (dev, beta, delta), ((np.abs(ax) ** 2).max(axis=1), primal, dual), stop, dev
-    return _band_iterations(block, kernel, cfg.iters, start, step)
+    return _band_iterations(block, kernel, cfg.iters, start, step, ball)
 
 
 def admm_precode(d, kernel, mask, cfg=None):
@@ -319,7 +489,7 @@ def _admm_block(block, kernel, mask, cfg):
     m_pts = kernel.n_points
     weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
     return consensus_admm(block, kernel, mask_bounds(mask, m_pts), cfg,
-                          lambda m, sel: weight * m)
+                          lambda m, *_: weight * m)
 
 
 class FactoredInverse:
@@ -436,16 +606,20 @@ def ssp_precode(d, kernel, mask, cfg=None):
     the array as one rank-1 outer product.  The iteration is a start/step
     pair on _band_iterations, whose state is the deviation e = -U (mu c) of
     the primal point from the band d, the band, the multipliers mu and the
-    array [W | c] on c0 = A d; one step is one sweep.  N-space work is
-    O(M n_active) products, none per coordinate: per sweep one for e and
-    two for its report.  Each runs row by row through _row_products, as
-    oobe_power does, so the reported |c|^2 is bitwise oobe_power of the
-    output.  d may be a vector, an (n_tx, N) symbol or an (S, n_tx, N)
-    block, whose rows all share each stacked operation; guard bins of the
-    input pass through untouched.  Returns (dbar, SolverReport) with one trace entry per
-    sweep, one report per symbol for a block; the report's residual slots
-    hold the stationarity norm ||(I + sum mu A) dbar - d||, evaluated in
-    primal space, and the worst relative complementarity defect.
+    array [W | c] on c0 = A d; one step is one sweep.  The deviation stays
+    in the span of U, so the loop holds it as the coefficients -mu c and
+    a sweep's report takes the leakage c = A d + K (-mu c) from M x M
+    products; N-space work is the gather's A d and the scatter's
+    U (-mu c), once per call.  The last sweep's leakage is measured on the
+    output, row by row through _row_products as oobe_power does, so it is
+    bitwise oobe_power of the output.  d may be a vector, an (n_tx, N)
+    symbol or an (S, n_tx, N) block, whose rows all share each stacked
+    operation; guard bins of the input pass through untouched.  Returns
+    (dbar, SolverReport) with one trace entry per sweep, one report per
+    symbol for a block; the report's residual slots hold the stationarity
+    norm ||(I + sum mu A) dbar - d|| = ||U (mu c - mu c_core)||, evaluated
+    on the coefficients (zero but for roundoff), and the worst relative
+    complementarity defect.
     """
     return _unblock(np.shape(d), *_ssp_block(_as_block(d), kernel, mask, cfg or SspConfig()))
 
@@ -453,28 +627,25 @@ def ssp_precode(d, kernel, mask, cfg=None):
 def _ssp_block(block, kernel, mask, cfg):
     """ssp_precode on an (S, n_tx, N) block: (dbar block, BlockTraces), the
     report holding the final multipliers."""
-    a_cols = kernel.band_rows.T
-    u_rows = kernel.band_rows.conj()
-    m_pts = u_rows.shape[0]
+    m_pts = kernel.n_points
     gamma = mask_bounds(mask, m_pts)
     mu = None
 
-    def start(band, ad):
-        return (np.zeros_like(band), band) + ssp_core(ad, kernel.gram, gamma)
+    def start(form, band):
+        return (form.zeros(),) + ssp_core(form.ad, kernel.gram, gamma)
 
-    def step(ad, state, sel):
+    def step(form, state, sel):
         nonlocal mu
-        _, band, mu, core = state
+        _, mu, core = state
         mu, core = ssp_sweep(mu, core, gamma)
-        dev = _row_products(-mu * core[..., m_pts], u_rows)   # -U (mu c): negation is exact
-        out = band + dev
-        c = _row_products(out, a_cols)
-        recon = out + _row_products(mu * c, u_rows)
-        powers = np.abs(c) ** 2           # oobe_power(out), from the same product
+        dev = form.span(-mu * core[..., m_pts])      # -U (mu c): negation is exact
+        c = form.ad + form.leak(dev)                  # A dbar
+        powers = np.abs(c) ** 2
         defect = np.abs(mu * (powers - gamma)) / gamma
-        entries = (powers.max(axis=1), np.linalg.norm(recon - band, axis=-1).max(axis=1),
+        # (I + sum mu A) dbar - d = e + U (mu A dbar), zero but for roundoff
+        entries = (powers.max(axis=1), form.row_norms(dev + form.span(mu * c)).max(axis=1),
                    defect.max(axis=(1, 2)))
-        return (dev, band, mu, core), entries, None, dev
+        return (dev, mu, core), entries, None, dev
 
     full, traces = _band_iterations(block, kernel, cfg.sweeps, start, step)
     traces.multipliers = mu

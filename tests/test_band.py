@@ -23,7 +23,7 @@ from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraint
                          ScenarioConfig, SpectralKernel, SspConfig, admm_precode, build_kernel,
                          eadmm_precode, essp_precode, generate_qam_block, oobe_power,
                          ssp_precode)
-from specprecode import constrained
+from specprecode import constrained, unconstrained
 from specprecode.runner import BLOCK_SYMBOLS
 from specprecode.unconstrained import ssp_core, ssp_sweep
 
@@ -152,7 +152,11 @@ class TestBandLoop:
         rng, kernel, grid = case
         num = grid.numerology
         gamma = rng.uniform(0.05, 0.5, kernel.n_points) * leakage_levels(grid, kernel)
-        evm = budget(rng, kind, num)
+        # wideband fractions log-uniform down to 1e-9, where the span form's
+        # Gram-form ||e||^2 cancels most
+        evm = (EvmConstraint(mode="wideband",
+                             eps_avg=float(np.exp(rng.uniform(np.log(1e-9), np.log(0.95)))))
+               if kind == "wideband" else budget(rng, kind, num))
         iters = 30 if solver in ("admm", "eadmm") else 8
         out, reports = precode(solver, grid, kernel, gamma, evm, iters)
         assert np.all(np.isfinite(out))
@@ -180,6 +184,93 @@ class TestBandLoop:
         if solver in ("admm", "eadmm"):
             assert all(np.all(rep.primal_trace == 0.0) for rep in reports)
         assert not out[..., grid.numerology.guard_bins].any()
+
+
+def span_and_band(run):
+    """(span, band): run() with the loop's own choice of deviation form,
+    the span coefficients for every problem here, and with the band form
+    forced."""
+    span = run()
+    with mock.patch.object(unconstrained, "_in_span", lambda ball: False):
+        band = run()
+    return span, band
+
+
+def check_forms_agree(span, band, level, gamma):
+    """Outputs and every trace array of the span form within 1e-12 of the
+    band form's, relative to each array's largest entry; the same stop
+    iterations, returned iterates and multipliers.
+
+    Both forms form the leakage A x = A d + A e, so the leakage powers are
+    compared on the scale of the input's, level.  SSP's stationarity norm
+    is zero but for roundoff in either form, so it is compared on the
+    scale of the input, as the consensus residuals are once they are at
+    roundoff: sqrt(M) rho ||d|| with the default rho.  Its complementarity
+    defect mu (|c|^2 - gamma) / gamma cancels at an optimum, so it is
+    compared on the scale of its terms.  An ESSP stop may
+    flip only on an exact tie: the run that went on past the other's stop
+    kept its leakage total to roundoff up to its own stop, so its iterate
+    stood still and both return the same point; the traces are then
+    compared on the iterations both ran."""
+    (out, reports), (ref_out, ref_reports) = span, band
+    assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+    for rep, ref in zip(reports, ref_reports):
+        n = min(rep.iterations, ref.iterations)
+        if rep.iterations != ref.iterations:
+            longer = max(rep, ref, key=lambda r: r.iterations)
+            totals = longer.oob_trace.sum(axis=1)[max(n - 2, 0):]
+            assert n > 1 and np.ptp(totals) <= 1e-12 * totals.max()
+        else:
+            assert rep.stopped_early == ref.stopped_early
+            assert rep.returned_iteration == ref.returned_iteration
+        if ref.multipliers is not None:
+            assert np.array_equal(rep.multipliers, ref.multipliers)
+        residual_scale = 10.0 * np.sqrt(ref.oob_trace.shape[1]) * np.abs(ref_out).max()
+        for name in ("evm_trace", "oob_trace", "primal_trace", "dual_trace"):
+            got, want = getattr(rep, name)[:n], getattr(ref, name)[:n]
+            scale = np.abs(want).max()
+            if name == "oob_trace":
+                scale = max(scale, level)
+            if name in ("primal_trace", "dual_trace"):
+                scale = max(scale, residual_scale * np.sqrt(want.size))
+            if name == "dual_trace" and ref.multipliers is not None:
+                scale = max(scale, ref.multipliers.max() * (ref.oob_trace / gamma).max())
+            assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+class TestSpanForm:
+    """Without a budget and under a wideband one the solvers iterate on
+    span coefficients; the band form, which frequency-selective budgets
+    use, is their reference."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_default_block(self, solver):
+        cfg = ScenarioConfig.from_dict({"precoder": solver})
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                  0, BLOCK_SYMBOLS)
+        runs = {"admm": lambda: admm_precode(grid.symbols, kernel, cfg.mask, cfg.admm),
+                "ssp": lambda: ssp_precode(grid.symbols, kernel, cfg.mask, cfg.ssp),
+                "eadmm": lambda: eadmm_precode(grid, kernel, cfg.mask, cfg.evm_constraint(),
+                                               cfg.eadmm),
+                "essp": lambda: essp_precode(grid, kernel, cfg.mask, cfg.evm_constraint(),
+                                             cfg.essp)}
+
+        def run():
+            out, reports = runs[solver]()
+            return getattr(out, "symbols", out), reports
+        check_forms_agree(*span_and_band(run), oobe_power(grid, kernel).max(), cfg.mask.gamma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases(), st.sampled_from(SOLVERS))
+    def test_band_cases(self, case, solver):
+        rng, kernel, grid = case
+        level = leakage_levels(grid, kernel)
+        gamma = rng.uniform(0.05, 0.5, kernel.n_points) * level
+        evm = budget(rng, "wideband", grid.numerology)
+        iters = 30 if solver in ("admm", "eadmm") else 8
+        check_forms_agree(*span_and_band(
+            lambda: precode(solver, grid, kernel, gamma, evm, iters)), level.max(), gamma)
 
 
 def dense_core(c0, gram, mu):
@@ -307,7 +398,7 @@ class TestEsspCarriedCore:
     def default_block(self):
         """The default scenario's first 30 symbols under its 8 % wideband
         budget, the essp-wideband block."""
-        cfg = ScenarioConfig.from_dict({})
+        cfg = ScenarioConfig.from_dict({"precoder": "essp"})
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation, 0, 30)
         return grid, kernel, cfg.mask.gamma, cfg.evm_constraint()

@@ -18,7 +18,7 @@ from specprecode import (NumericalError, ScenarioConfig, SpectralKernel, admm_pr
                          read_waveform, run_scenario, runner, synthesize_time_signal,
                          unconstrained, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
-from specprecode.config import BUDGET_PRECODERS, PRECODERS
+from specprecode.config import PRECODERS
 
 SMALL_SCENARIO = {
     "numerology": {"fft_size": 64, "cp_len": 4, "scs_hz": 15_000.0,
@@ -302,7 +302,7 @@ class TestEveryPrecoder:
         assert len(trace) == TRACE_ROWS.get(precoder, 1)
 
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
-        evm_c = cfg.evm_constraint() if precoder in BUDGET_PRECODERS else None
+        evm_c = cfg.evm_constraint()
         total = 0.0
         for s in range(cfg.symbols):
             grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
@@ -457,7 +457,7 @@ class TestRunRecord:
         data.update(precoder=precoder, **BLOCK_CASES.get(precoder, {}))
         cfg = ScenarioConfig.from_dict(data)
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
-        budget = cfg.evm_constraint() if precoder in BUDGET_PRECODERS else None
+        budget = cfg.evm_constraint()
         record = runner._RunRecord(cfg, budget)
         sums = {"trace": np.zeros((0, cfg.freq_grid.size + 4)),
                 "leak": np.zeros(cfg.freq_grid.size), "err": 0.0, "ref": 0.0,

@@ -23,7 +23,8 @@ class TestDefaults:
         assert cfg.freq_grid.size == 8
         assert cfg.precoder == "ssp" and cfg.constellation == "64QAM"
         assert (cfg.seed, cfg.symbols, cfg.n_tx) == (1, 20, 2)
-        assert cfg.evm_constraint().mode == "wideband" and cfg.evm_eps_avg == 0.08
+        # the default ssp takes no budget, so none is applied
+        assert cfg.evm_constraint() is None and cfg.evm_eps_avg == 0.08
         assert cfg.psd_oversample == 4 and cfg.psd_bin_hz == 100e3
 
     def test_looser_mask_entries_get_larger_bounds(self):
@@ -225,7 +226,7 @@ class TestProfiles:
 
 class TestDerivedObjects:
     def test_wideband_constraint(self):
-        con = ScenarioConfig.from_dict({}).evm_constraint()
+        con = ScenarioConfig.from_dict({"precoder": "essp"}).evm_constraint()
         assert isinstance(con, EvmConstraint)
         assert con.mode == "wideband" and con.eps_avg == 0.08
 

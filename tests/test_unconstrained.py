@@ -344,13 +344,14 @@ def evm_wideband(dbar, d):
     return float(np.linalg.norm(dbar - d) / ref) if ref > 0 else 0.0
 
 
-def reference_consensus_admm(block, kernel, gamma, cfg, x_update):
+def reference_consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
     """N-space reference for consensus_admm, with its signature and its
     block report: the symbols of the block one at a time, each through
     reference_consensus_one.
     x_update maps a mean deviation from the input's active band to the next
     deviation; the reference turns it into the map from the band sums of
-    y_m + z_m to the next iterate."""
+    y_m + z_m to the next iterate.  The budget's projector ball is x_update
+    itself here, which projects in N-space, so the reference ignores it."""
     outs = []
     m_pts = kernel.n_points
     traces = BlockTraces(cfg.iters, len(block), m_pts)

@@ -32,9 +32,11 @@ tolerance; the oracle on a 64-point numerology; SSP on that
 numerology without a cyclic prefix (PSD segment 256 = 2^8, with its
 waveform written) and with a 3-sample one (segment 268 = 4 * 67), so that
 both the plain-FFT and the large-prime paths of the periodogram run; SSP
-on three antennas at 70 symbols with its waveform written; NSP and ENSP
-on one antenna at 65 symbols, so that the runner's last block of 32
-symbols holds a lone row; EADMM and ESSP the same way under the
+on three antennas at 70 symbols with its waveform written; NSP, ENSP,
+ADMM, SSP, EADMM and ESSP on one antenna at 65 symbols, so that the
+runner's last block of 32 symbols holds a lone row (the four iterative
+solvers there on their span coefficients, under the wideband budget
+where they take one); EADMM and ESSP the same way under the
 frequency-selective edge profile, whose per-column balls then hold a single
 row; and the four benchmark workloads of
 ``bench/workloads.json`` at scenario seeds 1000, 2001 and 3002.
@@ -95,7 +97,7 @@ def cases(config):
                                      "essp": {"early_stop": False}}
     out["ssp-3tx-waveform-70"] = {"precoder": "ssp", "n_tx": 3, "symbols": 70,
                                   "emit_waveforms": True}
-    for p in ("nsp", "ensp"):
+    for p in ("nsp", "ensp", "admm", "ssp", "eadmm", "essp"):
         out[f"{p}-1tx-65"] = {"precoder": p, "n_tx": 1, "symbols": 65}
     for p in ("eadmm", "essp"):
         out[f"{p}-selective-1tx-65"] = {
