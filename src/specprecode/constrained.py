@@ -216,7 +216,7 @@ def _eadmm_block(x, kernel, masks, evm, cfg):
     block: (precoded block, BlockTraces)."""
     gamma = mask_bounds(masks, kernel.n_points)
     proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
-    return consensus_admm(x.symbols, kernel, gamma, cfg, proj_e, proj_e)
+    return consensus_admm(x.symbols, kernel, gamma, cfg, proj_e, ball=proj_e)
 
 
 def essp_precode(x, kernel, masks, evm, cfg=None):
@@ -287,7 +287,7 @@ def _essp_block(x, kernel, masks, evm, cfg):
         entries = (powers.max(axis=1), form.norms(move), form.norms(dev_x - dev_prev))
         return (dev_x, dev_z, oob_now, mu, core), entries, stop, dev_prev
 
-    full, traces = _band_iterations(x.symbols, kernel, cfg.outer_iters, start, step, proj_e)
+    full, traces = _band_iterations(x.symbols, kernel, cfg.outer_iters, start, step, ball=proj_e)
     traces.returned_iteration = traces.iterations - traces.stopped
     return full, traces
 

@@ -270,8 +270,10 @@ class _SpanDeviations:
     """
 
     def __init__(self, kernel, band, ad):
-        self.gram_t = np.ascontiguousarray(kernel.gram.T)
-        self.factor_t = np.ascontiguousarray(kernel.band_factor.T)
+        # K^T and R^T with a zero row for alpha, so that the products take
+        # the whole coefficient rows and see xi alone
+        self.gram_t = np.pad(kernel.gram.T, ((0, 1), (0, 0)))
+        self.factor_t = np.pad(kernel.band_factor.T, ((0, 1), (0, 0)))
         self.u_rows = kernel.band_rows.conj()
         self.ad = ad
         self.d_sq = np.vecdot(band, band).real          # ||d_r||^2
@@ -290,7 +292,7 @@ class _SpanDeviations:
         return dev
 
     def leak(self, dev):
-        k_xi, alpha = _row_products(dev[..., :-1], self.gram_t), dev[..., -1:]
+        k_xi, alpha = _row_products(dev, self.gram_t), dev[..., -1:]
         return k_xi + alpha * self.ad if alpha.any() else k_xi
 
     def span(self, coef):
@@ -299,14 +301,14 @@ class _SpanDeviations:
         return dev
 
     def _row_squares(self, dev):
-        # np.vecdot's rounding follows the layout, so every row is read from
-        # a C-contiguous stack, as it is for a block of one
-        dev = np.ascontiguousarray(dev)
-        xi, alpha = dev[..., :-1], dev[..., -1]
-        r_xi = _row_products(xi, self.factor_t)
+        r_xi = _row_products(dev, self.factor_t)
         sq = np.vecdot(r_xi, r_xi).real
+        alpha = dev[..., -1]
         if not alpha.any():
             return sq
+        # np.vecdot's rounding follows the layout, so xi is read from a
+        # C-contiguous stack, as it is for a block of one
+        xi = np.ascontiguousarray(dev)[..., :-1]
         sq += (alpha.conj() * (alpha * self.d_sq + 2.0 * np.vecdot(self.ad, xi))).real
         return np.maximum(sq, 0.0)          # the cross term can cancel below 0
 
@@ -469,7 +471,7 @@ def consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
         dual = np.sqrt(m_pts) * cfg.rho * form.norms(dev - dev_prev)
         stop = None if cfg.residual_tol is None else np.maximum(primal, dual) <= cfg.residual_tol
         return (dev, beta, delta), ((np.abs(ax) ** 2).max(axis=1), primal, dual), stop, dev
-    return _band_iterations(block, kernel, cfg.iters, start, step, ball)
+    return _band_iterations(block, kernel, cfg.iters, start, step, ball=ball)
 
 
 def admm_precode(d, kernel, mask, cfg=None):
