@@ -35,8 +35,9 @@ its step off that array and folds it in as one Sherman-Morrison outer
 product of O(M^2) work.  SSP's step is one sweep and ESSP's
 Douglas-Rachford prox a set-up and a few sweeps.  Outside the sweeps a
 step works on the span coefficients with M x M products (K = U^H U); the
-O(M n_active) products are the gather's A d and the scatter's U xi, once
-per block, and, under a frequency-selective budget, a few per iteration.
+O(M n_active) products are the gather's A d, the scatter's U xi and the
+leakage of the output, once per block each, and, under a
+frequency-selective budget, a few per iteration.
 Every product of the solvers and of oobe_power runs through _row_products,
 one BLAS call per antenna row.
 
@@ -357,11 +358,13 @@ def _band_iterations(block, kernel, iters, start, step, ball=None):
 
     The loop gathers the active columns d of the block (S, n_tx, N) once, in
     bin order (numerology.band_bins), forms their leakage A d once, and runs
-    at most ``iters`` iterations on per-symbol state arrays.  The iterates
-    are held as deviations e = x - d in one of two forms, chosen by the
-    budget (_in_span): as coefficients in span{d_r, U} (_SpanDeviations)
-    without a budget or under a wideband one, whose projector ``ball`` is,
-    and as band arrays (_BandDeviations) under a frequency-selective one.
+    at most ``iters`` iterations on per-symbol state arrays.  ``ball`` is
+    the projector of the solver's budget (EvmConstraint.projector), None
+    without one.  The iterates are held as deviations e = x - d in one of
+    two forms, chosen by the budget (_in_span): as coefficients in
+    span{d_r, U} (_SpanDeviations) without a budget or under a wideband
+    one, and as band arrays (_BandDeviations) under a frequency-selective
+    one.
     start(form, band) returns the state tuple; its first entry is the
     deviation of the iterate.  step(form, state, sel) advances the symbols
     ``sel`` (a slice while every symbol iterates, an index array into the
