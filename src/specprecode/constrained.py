@@ -32,7 +32,7 @@ import numpy as np
 from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
 from .errors import ConfigError, NumericalError
 from .metrics import oobe_power
-from .projections import _inward_radius, _project_balls, _symbol_norms
+from .projections import _column_norms, _inward_radius, _project_balls, _symbol_norms
 from .unconstrained import (AdmmConfig, _as_block, _band_iterations, _unblock, consensus_admm,
                             mask_bounds, ssp_core, ssp_sweep)
 
@@ -81,7 +81,11 @@ class EvmConstraint:
         wideband budget, one ball per symbol whose radius is always
         relative to the whole symbol, and (S, 1, n_cols) for the
         frequency-selective one, one ball per column, of radius 0 on the
-        guard bins.
+        guard bins, whose distances are the column norms over the
+        antennas, sqrt(sum re^2 + im^2), from one real square-and-sum
+        (_column_norms).  projector and violation measure with the same
+        dist, so the inward radii that the projector scales to are the
+        ones that violation checks.
         """
         if self.mode == "wideband":
             def dist(dev, norms=_symbol_norms):
@@ -94,7 +98,7 @@ class EvmConstraint:
                                   field="evm.eps")
 
             def dist(dev, norms=None):
-                return np.linalg.norm(dev, axis=1, keepdims=True)
+                return _column_norms(dev)
             norms = dist(block)
             radii = np.zeros_like(norms)
             radii[..., numerology.active_bins] = self.eps * norms[..., numerology.active_bins]

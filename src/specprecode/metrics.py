@@ -94,18 +94,21 @@ def analytic_inband_reference(numerology):
     nu = np.arange(offs[0], offs[-1] + _INBAND_STEP / 2, _INBAND_STEP)
     # An entry depends on the offset nu_j - k alone, which is the lattice
     # point (offs[0] - k) / step + j.  The kernel is evaluated once per
-    # lattice point from the smallest offset to the largest and gathered
-    # into the (active bin, nu) table by that index.  Summing over the
-    # table's first axis adds each nu's terms one at a time in active-bin
-    # order, which gives the bits of the full rows' active columns summed
-    # along a row.
+    # lattice point from the smallest offset to the largest, and bin k's
+    # terms for every nu are the slice of that row starting at its lattice
+    # point.  Adding the slices one at a time in active-bin order adds each
+    # nu's terms in that order, which gives the bits of the full rows'
+    # active columns summed along a row, without the (active bin, nu)
+    # table.
     per_bin = round(1 / _INBAND_STEP)
     lowest = per_bin * (offs[0] - bins.max())
     span = per_bin * (bins.max() - bins.min()) + nu.size
     delta = _INBAND_STEP * np.arange(lowest, lowest + span)
     power = np.abs(_kernel_entries(numerology.fft_size, numerology.cp_len, delta)) ** 2
-    terms = power[per_bin * (bins.max() - bins)[:, None] + np.arange(nu.size)]
-    return float(np.mean(np.sum(terms, axis=0)))
+    total = np.zeros(nu.size)
+    for start in (per_bin * (bins.max() - bins)).tolist():
+        total += power[start:start + nu.size]
+    return float(np.mean(total))
 
 
 def calibrate_mask(mask_db, numerology, ref_db, reference_power=None):

@@ -82,6 +82,20 @@ def _symbol_norms(x):
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+def _column_norms(x):
+    """Norm of every column x[s, :, k] of a complex stack (S, n_tx, n_cols),
+    shaped (S, 1, n_cols): sqrt(sum over the antennas of re^2 + im^2), as
+    one real square-and-sum of the stack's float view over the antennas
+    (np.einsum) and one add of each column's real and imaginary parts.
+    It stays within a few ulps of np.linalg.norm(x, axis=1), which forms a
+    conjugate copy and a complex product, and a symbol's values do not
+    depend on the stack it is in.
+    """
+    flat = np.ascontiguousarray(x, dtype=complex).view(float)
+    sq = np.einsum("sti,sti->si", flat, flat)
+    return np.sqrt(sq[:, 0::2] + sq[:, 1::2])[:, None, :]
+
+
 def _project_balls(dev, dist, radii, inner):
     """Deviations dev from the centers of balls projected onto the
     zero-centred balls, in one pass.

@@ -38,9 +38,7 @@ Its digest is then taken in chunks of the file.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import io
 import json
 import time
 from collections import namedtuple
@@ -57,8 +55,11 @@ from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate
                            synthesize_time_signal)
 from .unconstrained import BlockTraces, _admm_block, _ssp_block
 
-# Symbols per pipeline block.  At 32 the per-call overhead of the iterative
-# solvers is amortised.
+# Symbols per pipeline block.  Measured in run_scenario on 256 symbols of
+# the benchmark workloads (2 vCPUs, one BLAS thread): SSP's precode costs
+# 113 us/symbol at 16, 67 at 32 and 52 at 128, as its per-call overhead is
+# spread over more symbols, while ENSP's costs 21 us/symbol at 32 and
+# 29-36 from 48 up, as its block arrays leave the cache.
 BLOCK_SYMBOLS = 32
 # Symbols per oversampled synthesis and PSD update within a block.  At the
 # default 4x oversampling a symbol's frames take about 70 kB: a whole
@@ -71,9 +72,15 @@ _DIGEST_CHUNK = 1 << 20
 
 
 def _fmt(value):
+    """A CSV cell: "%.12g" for a float, str otherwise, quoted as the csv
+    module's default dialect quotes it (where it holds a comma, a quote or
+    a line break, with its quotes doubled)."""
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+        return "%.12g" % value
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _scaled_notch(cfg, block, kernel, budget):
@@ -211,11 +218,11 @@ class _RunRecord:
         if self.budget is not None and self.budget.mode == "frequency_selective":
             columns.append(self.budget.eps)
             header.append("budget")
-        _write_csv(out_path / "evm.csv", header, zip(*columns), files)
+        _write_csv(out_path / "evm.csv", header, zip(*[col.tolist() for col in columns]), files)
 
         psd = psd_acc.finalize()
         _write_csv(out_path / "psd.csv", ["freq_hz", "density_db"],
-                   zip(psd.freq_hz, psd.density_db), files)
+                   zip(psd.freq_hz.tolist(), psd.density_db.tolist()), files)
 
         aclr_rep = aclr(psd, {"bw_hz": cfg.aclr_bw_hz, "spacing_hz": cfg.aclr_spacing_hz})
         summary = {
@@ -332,12 +339,15 @@ def _write_bytes(path, data, files):
 
 
 def _write_csv(path, header, rows, files):
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _write_bytes(path, buf.getvalue().encode("utf-8"), files)
+    """Write a table, formatted in one pass: the bytes that csv.writer
+    writes for the _fmt cells of each row, with \r\n line ends (as there,
+    a row whose one cell is empty reads '""')."""
+    lines = []
+    for row in (header, *rows):
+        cells = [_fmt(v) for v in row]
+        lines.append('""' if cells == [""] else ",".join(cells))
+    lines.append("")
+    _write_bytes(path, "\r\n".join(lines).encode("utf-8"), files)
 
 
 def _write_json(path, data, files):

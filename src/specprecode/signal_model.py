@@ -322,22 +322,47 @@ def qam_constellation(name):
     return _read_only((i_level + 1j * q_level) * scale)
 
 
+def _bin_runs(bins):
+    """(lo, hi, first, stop) for every run of consecutive bins of an index
+    array: bins[lo:hi] are the bins first .. stop - 1.  A copy into or out
+    of the runs is one slice assignment per run, at a fraction of the cost
+    of a fancy-index scatter."""
+    cuts = np.flatnonzero(np.diff(bins) != 1) + 1
+    return [(lo, hi, int(bins[lo]), int(bins[hi - 1]) + 1)
+            for lo, hi in zip([0, *cuts], [*cuts, bins.size])]
+
+
 def _qam_symbols(seed, numerology, n_tx, constellation, first, count):
-    """The (count, n_tx, N) symbol array of generate_qam_block."""
+    """The (count, n_tx, N) symbol array of generate_qam_block.
+
+    A symbol's n_tx * n_active integers are read off its Philox stream as
+    Generator.integers(0, order) reads them for a power-of-two order 2^b:
+    each raw 64-bit output (random_raw) gives two 32-bit halves, the low
+    one first, and each half maps to its top b bits.  That is Lemire's
+    bounded mapping ("Fast random integer generation in an interval", ACM
+    TOMACS 2019), whose rejection step never fires for a power of two, so
+    the integers are bitwise those of one integers call per symbol.  The
+    points fill the block one run of consecutive active bins at a time.
+    """
     if n_tx < 1:
         raise ConfigError("n_tx must be at least 1", field="n_tx")
     points = qam_constellation(constellation)
+    bits = points.size.bit_length() - 1
+    n_draws = n_tx * numerology.n_active
     bit_gen = np.random.Philox(key=seed)
-    rng = np.random.Generator(bit_gen)
     state = bit_gen.state          # a fresh generator: empty buffers
     counter = state["state"]["counter"]
-    draws = np.empty((count, n_tx, numerology.n_active), dtype=np.int64)
+    raw = np.empty((count, (n_draws + 1) // 2), dtype=np.uint64)
     for i in range(count):
         counter[3] = first + i
         bit_gen.state = state
-        draws[i] = rng.integers(0, points.size, size=draws.shape[1:])
+        raw[i] = bit_gen.random_raw(raw.shape[1])
+    # the 32-bit halves in stream order, low half first on any host
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :n_draws]
+    draws = (halves >> (32 - bits)).astype(np.intp).reshape(count, n_tx, -1)
     symbols = np.zeros((count, n_tx, numerology.fft_size), dtype=complex)
-    symbols[..., numerology.active_bins] = points[draws]
+    for lo, hi, first_bin, stop in _bin_runs(numerology.active_bins):
+        symbols[..., first_bin:stop] = points[draws[..., lo:hi]]
     return symbols
 
 
@@ -349,8 +374,9 @@ def generate_qam_block(seed, numerology, n_tx, constellation, first=0, count=1):
     symbol of a run can be regenerated independently, and the draw for
     (seed, symbol) depends neither on how many symbols were produced before
     it nor on the block it is drawn in.  One Philox bit generator serves
-    the block, its counter re-set for every symbol, and the block is
-    validated once.  Returns a (count, n_tx, N) DataGrid.
+    the block, its counter re-set for every symbol, whose integers are
+    the Generator.integers mapping of its raw outputs (_qam_symbols), and
+    the block is validated once.  Returns a (count, n_tx, N) DataGrid.
     """
     return DataGrid(symbols=_qam_symbols(seed, numerology, n_tx, constellation, first, count),
                     numerology=numerology)

@@ -58,6 +58,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import _checked_bounds, _row_products
 from .projections import _symbol_norms
+from .signal_model import _bin_runs
 
 
 def mask_bounds(mask, n_points):
@@ -212,7 +213,12 @@ class _BandDeviations:
     row_norms(e) and the per-symbol norms norms(e) = ||e_s||, and the
     starting deviations zeros() and reference(band) = d.  ad holds A d of
     the symbols the form serves, and take(keep) restricts it to the
-    symbols keep.  to_band(e, band, ball) is e as a band array.
+    symbols keep.  to_band(e, band, ball) is e as a band array.  norms,
+    the EVM trace and residual norms of the selective EADMM and ESSP, is
+    one np.vecdot per symbol over the contiguous float view of its
+    entries: within a few ulps of _symbol_norms, whose bitwise match with
+    np.linalg.norm takes two strided dot products, and a symbol's value
+    does not depend on its block.
     """
 
     def __init__(self, kernel, band, ad):
@@ -240,8 +246,10 @@ class _BandDeviations:
     def row_norms(self, dev):
         return np.linalg.norm(dev, axis=-1)
 
-    def norms(self, dev):
-        return _symbol_norms(dev)
+    @staticmethod
+    def norms(dev):
+        flat = np.ascontiguousarray(dev, dtype=complex).view(float).reshape(len(dev), -1)
+        return np.sqrt(np.vecdot(flat, flat))
 
     def to_band(self, dev, band, ball):
         """dev itself: a budgeted solver projected it in N-space already."""
@@ -337,14 +345,12 @@ def _in_span(ball):
 
 def _with_band(block, x_band, bins):
     """A copy of block whose columns bins (ascending) hold x_band, written
-    one run of consecutive bins at a time, with the guard columns between
-    the runs copied from block: slice assignments cost a fraction of a
-    fancy-index scatter into a copy of the block."""
+    one run of consecutive bins at a time (_bin_runs), with the guard
+    columns between the runs copied from block: slice assignments cost a
+    fraction of a fancy-index scatter into a copy of the block."""
     full = np.empty_like(block)
-    cuts = np.flatnonzero(np.diff(bins) != 1) + 1
     col = 0
-    for lo, hi in zip([0, *cuts], [*cuts, bins.size]):
-        first, stop = bins[lo], bins[hi - 1] + 1
+    for lo, hi, first, stop in _bin_runs(bins):
         full[..., col:first] = block[..., col:first]
         full[..., first:stop] = x_band[..., lo:hi]
         col = stop

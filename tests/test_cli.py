@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -481,6 +482,38 @@ class TestRunRecord:
             self.add_by_symbol(sums, grid, out, reports, pow_pts, cfg.numerology.active_bins)
         for name, total in sums.items():
             assert np.array_equal(getattr(record, name), total), name
+
+
+class TestCsvTables:
+    """runner._write_csv formats a table in one pass into the bytes that
+    csv.writer writes for its cells formatted as "%.12g" or str."""
+
+    @staticmethod
+    def csv_module_bytes(header, rows):
+        """The table as csv.writer writes it, each cell formatted as
+        "%.12g" for a float and str otherwise."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        for row in (header, *rows):
+            writer.writerow([format(float(v), ".12g") if isinstance(v, (float, np.floating))
+                             else str(v) for v in row])
+        return buf.getvalue().encode("utf-8")
+
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        header = ["iter", "precoder", "evm_rms", "oobe_db_p1"]
+        rows = [[1, "eadmm", 0.0123456789012345, -71.25],
+                [np.int64(2), np.int32(-3), np.float64(1.5e-300), np.float32(0.1)],
+                [3, 12345678901234567890, 6.02214076e23, -0.0],
+                [4, np.inf, -np.inf, np.nan],
+                [True, np.bool_(False), None, 2.5e-7],
+                *zip(np.arange(-3, 3).tolist(), np.linspace(-1e-5, 1e15, 6)),
+                *zip(np.arange(3), np.geomspace(1e-9, 1e9, 3), np.array([0.5, -0.0, 7.0])),
+                ["a,b", 'say "x"', "two\nlines", "cr\r"], [""], [], ["", ""]]
+        files = {}
+        runner._write_csv(tmp_path / "t.csv", header, rows, files)
+        data = (tmp_path / "t.csv").read_bytes()
+        assert data == self.csv_module_bytes(header, rows)
+        assert files["t.csv"] == hashlib.sha256(data).hexdigest()
 
 
 class TestStreamedWaveform:

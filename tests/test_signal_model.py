@@ -10,7 +10,7 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, OfdmNumerology,
                          build_kernel, generate_qam_block, generate_qam_grid,
                          qam_constellation, read_waveform, synthesize_time_signal,
                          write_waveform)
-from specprecode.signal_model import WaveformWriter, _diric, _kernel_matrix
+from specprecode.signal_model import QAM_ORDERS, WaveformWriter, _diric, _kernel_matrix
 
 from conftest import qpsk_grid, small_numerology
 
@@ -277,6 +277,28 @@ class TestQamGeneration:
             draws = rng.integers(0, points.size, size=(n_tx, num.n_active))
             assert np.array_equal(sym[:, num.active_bins], points[draws])
             assert not sym[:, num.guard_bins].any()
+
+    @pytest.mark.parametrize("constellation", sorted(QAM_ORDERS))
+    @pytest.mark.parametrize("n_tx", [1, 2, 3])
+    @pytest.mark.parametrize("num", [
+        OfdmNumerology.centered(512, 36, 15e3, 300),
+        # 7 active bins, so an odd draw count at n_tx 1 and 3 (the last raw
+        # output's high half is left unread), in the three runs of bins
+        # 29-31, 1-2 and 5-6; the next numerology adds a fourth, 10-11
+        OfdmNumerology(32, 2, 15e3, [-3, -2, -1, 1, 2, 5, 6], prb_size=1),
+        OfdmNumerology(32, 2, 15e3, [-3, -2, -1, 1, 2, 5, 6, 10, 11], prb_size=1),
+    ], ids=["default", "odd-draws", "four-runs"])
+    def test_raw_stream_mapping_is_generator_integers(self, constellation, n_tx, num):
+        # the integers of every symbol are those of a per-symbol
+        # Generator.integers call on the same Philox stream, bit for bit
+        points = qam_constellation(constellation)
+        block = generate_qam_block(77, num, n_tx, constellation, first=9, count=3).symbols
+        for i, sym in enumerate(block):
+            rng = np.random.Generator(np.random.Philox(key=77, counter=[0, 0, 0, 9 + i]))
+            draws = rng.integers(0, QAM_ORDERS[constellation], size=(n_tx, num.n_active))
+            expected = np.zeros_like(sym)
+            expected[:, num.active_bins] = points[draws]
+            assert sym.tobytes() == expected.tobytes()
 
     def test_large_grid_mean_power(self, default_cfg):
         num = default_cfg.numerology

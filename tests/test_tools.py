@@ -169,6 +169,23 @@ def test_abtime_same_tree_twice():
     assert set(files.values()) == {"identical"}
 
 
+def test_abtime_several_workloads():
+    src = Path(specprecode.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(ABTIME), "--a", str(src), "--b", str(src),
+                           "--workload", "ssp-mask1", "--workload", "essp-wideband",
+                           "--pairs", "1", "--symbols", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "workload ssp-mask1:"
+    assert lines[1].startswith("pair 1 (a first): ")
+    assert "workload essp-wideband:" in lines
+    # one median line per workload, in the order given
+    tail = lines[lines.index("median ratio a/b per workload over 1 pairs:") + 1:]
+    assert [line.split(": ")[0] for line in tail] == ["ssp-mask1", "essp-wideband"]
+    assert all(line.split(": ")[1].startswith("wall ") and ", precode " in line for line in tail)
+
+
 def test_abtime_lists_moved_summary_cells():
     spec = importlib.util.spec_from_file_location("abtime", ABTIME)
     module = importlib.util.module_from_spec(spec)

@@ -5,6 +5,7 @@ Usage (from the root of a checkout):
 
     python3 tools/abtime.py --a ../old/src --b src --workload essp-wideband
     python3 tools/abtime.py --a ../old/src --b src --workload ssp-mask1 --pairs 16
+    python3 tools/abtime.py --a ../old/src --b src --workload all --pairs 8
 
 ``--a`` and ``--b`` are directories that hold a ``specprecode`` package.
 Each package is copied into a temporary directory under its own name
@@ -21,6 +22,11 @@ manifests' ``timings_s`` (``generate``, ``precode``, ``metrics``, ``psd``,
 runs is identical (the manifest compared without its timings).  Where
 ``summary.csv`` differs, each summary cell that moved follows as
 ``name: a -> b``, read from the two manifests' ``metrics``.
+
+``--workload`` may be given more than once, or as ``all`` for every
+workload of ``bench/workloads.json``; the workloads then run one after the
+other, each under a ``workload NAME:`` line, and a last block prints one
+line per workload with its median wall, CPU and precode ratios.
 
 Separate runs on a shared host can drift by tens of percent minutes apart;
 the two runs of a pair see the same host state, so their ratio compares
@@ -88,14 +94,48 @@ def moved_metrics(manifest_a, manifest_b):
             if met_a.get(name) != met_b.get(name)]
 
 
+def ab_workload(trees, overrides, pairs, out_dir):
+    """Time ``pairs`` interleaved pairs of the two trees on one scenario and
+    print the block described above; returns the median (wall, cpu, layer)
+    ratios a / b, layer a dict by layer name."""
+    dirs = {key: Path(out_dir) / f"out_{key}" for key in trees}
+    manifests = {key: timed_run(pkg, overrides, dirs[key])[2] for key, pkg in trees.items()}
+    wall_ratios, cpu_ratios, layer_ratios = [], [], {}
+    for pair in range(pairs):
+        order = ("a", "b") if pair % 2 == 0 else ("b", "a")
+        times, layers = {}, {}
+        for key in order:
+            wall, cpu, manifests[key], layers[key] = timed_run(trees[key], overrides, dirs[key])
+            times[key] = (wall, cpu)
+        wall_ratios.append(times["a"][0] / times["b"][0])
+        cpu_ratios.append(times["a"][1] / times["b"][1])
+        for name, seconds in layers["a"].items():
+            layer_ratios.setdefault(name, []).append(seconds / layers["b"][name])
+        print(f"pair {pair + 1} ({order[0]} first): wall a {times['a'][0]:.4f} s "
+              f"b {times['b'][0]:.4f} s ratio {wall_ratios[-1]:.4f}, "
+              f"cpu ratio {cpu_ratios[-1]:.4f}")
+    wall, cpu = statistics.median(wall_ratios), statistics.median(cpu_ratios)
+    layer = {name: statistics.median(ratios) for name, ratios in layer_ratios.items()}
+    print(f"median ratio a/b over {pairs} pairs: wall {wall:.4f}, cpu {cpu:.4f}")
+    print("median layer ratio a/b: " + ", ".join(
+        f"{name} {ratio:.4f}" for name, ratio in layer.items()))
+    for name, same in compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"]):
+        print(f"{name}: {'identical' if same else 'differs'}")
+        if name == "summary.csv" and not same:
+            for metric, a, b in moved_metrics(manifests["a"], manifests["b"]):
+                print(f"  {metric}: {a} -> {b}")
+    return wall, cpu, layer
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", type=Path, required=True,
                         help="directory that holds the baseline specprecode package")
     parser.add_argument("--b", type=Path, required=True,
                         help="directory that holds the changed specprecode package")
-    parser.add_argument("--workload", default="essp-wideband",
-                        help="workload name in bench/workloads.json")
+    parser.add_argument("--workload", action="append",
+                        help="workload name in bench/workloads.json, or all; repeatable "
+                             "(default essp-wideband)")
     parser.add_argument("--seed", type=int, default=1, help="scenario seed")
     parser.add_argument("--symbols", type=int, help="cap the workload's symbol count")
     parser.add_argument("--pairs", type=int, default=12, help="number of timed pairs")
@@ -104,42 +144,29 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
     with open(WORKLOADS, encoding="utf-8") as fh:
         workloads = json.load(fh)
-    if args.workload not in workloads:
-        parser.error(f"unknown workload {args.workload!r}; choose from {sorted(workloads)}")
-    overrides = dict(workloads[args.workload], seed=args.seed)
-    if args.symbols is not None:
-        overrides["symbols"] = min(args.symbols, overrides.get("symbols", args.symbols))
+    names = []
+    for name in args.workload or ["essp-wideband"]:
+        if name != "all" and name not in workloads:
+            parser.error(f"unknown workload {name!r}; choose from {sorted(workloads)} or all")
+        names += list(workloads) if name == "all" else [name]
+    names = list(dict.fromkeys(names))
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         trees = {"a": import_copy(args.a, "specprecode_a", tmp),
                  "b": import_copy(args.b, "specprecode_b", tmp)}
-        dirs = {key: Path(tmp) / f"out_{key}" for key in trees}
-        manifests = {key: timed_run(pkg, overrides, dirs[key])[2] for key, pkg in trees.items()}
-        wall_ratios, cpu_ratios, layer_ratios = [], [], {}
-        for pair in range(args.pairs):
-            order = ("a", "b") if pair % 2 == 0 else ("b", "a")
-            times, layers = {}, {}
-            for key in order:
-                wall, cpu, manifests[key], layers[key] = timed_run(trees[key], overrides,
-                                                                   dirs[key])
-                times[key] = (wall, cpu)
-            wall_ratios.append(times["a"][0] / times["b"][0])
-            cpu_ratios.append(times["a"][1] / times["b"][1])
-            for name, seconds in layers["a"].items():
-                layer_ratios.setdefault(name, []).append(seconds / layers["b"][name])
-            print(f"pair {pair + 1} ({order[0]} first): wall a {times['a'][0]:.4f} s "
-                  f"b {times['b'][0]:.4f} s ratio {wall_ratios[-1]:.4f}, "
-                  f"cpu ratio {cpu_ratios[-1]:.4f}")
-        print(f"median ratio a/b over {args.pairs} pairs: wall "
-              f"{statistics.median(wall_ratios):.4f}, cpu {statistics.median(cpu_ratios):.4f}")
-        print("median layer ratio a/b: " + ", ".join(
-            f"{name} {statistics.median(ratios):.4f}" for name, ratios in layer_ratios.items()))
-        for name, same in compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"]):
-            print(f"{name}: {'identical' if same else 'differs'}")
-            if name == "summary.csv" and not same:
-                for metric, a, b in moved_metrics(manifests["a"], manifests["b"]):
-                    print(f"  {metric}: {a} -> {b}")
+        medians = {}
+        for name in names:
+            overrides = dict(workloads[name], seed=args.seed)
+            if args.symbols is not None:
+                overrides["symbols"] = min(args.symbols, overrides.get("symbols", args.symbols))
+            if len(names) > 1:
+                print(f"workload {name}:")
+            medians[name] = ab_workload(trees, overrides, args.pairs, Path(tmp) / name)
+        if len(names) > 1:
+            print(f"median ratio a/b per workload over {args.pairs} pairs:")
+            for name, (wall, cpu, layer) in medians.items():
+                print(f"{name}: wall {wall:.4f}, cpu {cpu:.4f}, precode {layer['precode']:.4f}")
     return 0
 
 
