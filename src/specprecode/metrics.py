@@ -8,6 +8,15 @@ in-band kernel power density anchors both the mask bounds (gamma from dB
 offsets) and the display normalization of the PSD, so a dB value means the
 same thing in either domain.
 
+The emitted density at a probe point is the synthesizer's oversampled
+leakage row applied to the active subcarriers (_emitted_rows), the
+transmitted-symbol leakage of van de Beek and Berggren ("Out-of-band power
+suppression in OFDM", IEEE Commun. Lett. 2008): a run takes its probe
+densities from these rows on each block's active band, and
+kernel_psd_prediction evaluates the same rows.  PsdAccumulator's optional
+exact-frequency DTFTs of the frames are the independent reference that
+both are checked against.
+
 A periodogram segment is one oversampled symbol, 4 * (512 + 36) = 2192 =
 2^4 * 137 samples in the reference scenario, and a generic FFT spends most
 of its time on the prime factor 137.  So |DFT|^2 is computed by a two-stage
@@ -26,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .signal_model import _kernel_entries, _kernel_matrix, _read_only
+from .signal_model import _kernel_entries, _read_only
 
 _DB_FLOOR = 1e-30
 
@@ -45,9 +54,13 @@ def _add_in_order(total, rows):
     two entries it therefore adds the rows one at a time, in order; a
     stack of one-entry rows, whose first axis is the fastest, is
     accumulated instead (np.cumsum, in order by definition but one call
-    per column, which costs ten times as much on wide rows).
+    per column, which costs ten times as much on wide rows).  The stack is
+    written into a C-contiguous array whatever the layout of rows
+    (np.concatenate would follow it, and a fancy-indexed block's rows
+    would then be summed pairwise).
     """
-    stacked = np.concatenate(([total], rows))
+    stacked = np.empty((len(rows) + 1,) + np.shape(total), np.result_type(total, rows))
+    stacked[0], stacked[1:] = total, rows
     if stacked[0].size < 2:
         return np.cumsum(stacked, axis=0)[-1]
     return np.add.reduce(stacked, axis=0)
@@ -324,7 +337,10 @@ class PsdAccumulator:
     added in time order; the sums are bit-stable under any split of the
     waveform at segment boundaries.  finalize() bins to the reporting lattice.
     Also tracks exact-frequency periodogram values at optional probe
-    frequencies for kernel cross-checks.
+    frequencies, each a DTFT of the time-domain frames: the independent
+    reference for the emitted rows (_emitted_rows) from which a run takes
+    its probe densities, and for kernel_psd_prediction.  The runner passes
+    no probe frequencies.
     """
 
     def __init__(self, numerology, config, probe_freqs_hz=None):
@@ -408,25 +424,42 @@ class PsdAccumulator:
                            ref_density=cfg.ref_density, ref_db=cfg.ref_db)
 
 
+def _emitted_rows(numerology, oversample, nu, offsets):
+    """The synthesizer's leakage rows at the points nu (subcarriers) on the
+    subcarriers ``offsets``, as the (len(offsets), M) matrix whose
+    products with a band (_row_products) give the emitted leakage.
+
+    A symbol's frame is its grid on the oversampled spectrum (FFT size
+    L N, CP L N_CP; _write_frames), so the DTFT of the frame at nu is the
+    oversampled kernel row applied to the active subcarriers: entry
+    (k, m) is _kernel_entries(L N, L N_CP, nu_m - mod(k, L N)), the
+    entries of _kernel_matrix(L N, L N_CP, nu) at those columns, bit for
+    bit.  The rows carry 1/sqrt(L N) where the frame carries 1/sqrt(N),
+    so their powers are L times too small.  The matrix is C-contiguous:
+    BLAS rounds a product with its transposed layout differently.
+    """
+    n_os = oversample * numerology.fft_size
+    delta = np.asarray(nu, dtype=float)[None, :] - np.mod(offsets, n_os)[:, None]
+    return _kernel_entries(n_os, oversample * numerology.cp_len, delta)
+
+
 def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):
     """Ensemble leakage density predicted from the frequency grids.
 
     Evaluates the leakage rows of the sampling convention actually used by
-    the synthesizer (FFT size and CP scaled by the oversampling factor) at
-    the probe frequencies and averages |a(nu)^T dbar_j|^2 over symbols and
-    antennas, returning a density per Hz comparable to PsdEstimate and
-    probe_density values.  Each grid is one (n_tx, N) symbol or an
-    (S, n_tx, N) block; a block counts as its S symbols, added one at a
-    time in order, so it gives the bits of the list of its symbols.
+    the synthesizer (_emitted_rows, which the run's probe densities use as
+    well) at the probe frequencies and averages |a(nu)^T dbar_j|^2 over
+    symbols and antennas, returning a density per Hz comparable to
+    PsdEstimate and probe_density values.  Each grid is one (n_tx, N)
+    symbol or an (S, n_tx, N) block; a block counts as its S symbols,
+    added one at a time in order, so it gives the bits of the list of its
+    symbols.
     """
     freqs_hz = np.asarray(freqs_hz, dtype=float)
-    nu_os = freqs_hz / numerology.scs_hz
-    n_os = oversample * numerology.fft_size
-    cp_os = oversample * numerology.cp_len
-    rows = _kernel_matrix(n_os, cp_os, nu_os)
+    cols = _emitted_rows(numerology, oversample, freqs_hz / numerology.scs_hz,
+                         numerology.active_offsets)
     fs = oversample * numerology.sample_rate_hz
-    seg = n_os + cp_os
-    cols = rows[:, np.mod(numerology.active_offsets, n_os)].T
+    seg = oversample * numerology.symbol_len
     total = np.zeros(freqs_hz.size)
     count = 0
     for grid in grids:

@@ -19,7 +19,11 @@ byte for byte; the manifest differs only in its timing block.
 The run is a pipeline over blocks of BLOCK_SYMBOLS consecutive symbols:
 each block is generated, precoded and measured in one pass, so every
 numpy call serves the whole block, and its oversampled waveform is
-synthesised and added to the PSD in pieces of PSD_SYMBOLS.  Every
+synthesised and added to the PSD in pieces of PSD_SYMBOLS.  A block is
+measured on its active band, gathered once in bin order
+(numerology.band_bins): its leakage (oobe_power), its EVM sums and its
+probe densities (the band's products with the synthesizer's leakage rows,
+metrics._emitted_rows) all come from that one gather.  Every
 per-symbol result is computed as for a block of one.  An iterative
 precoder hands the run its block report (unconstrained.BlockTraces), and
 one run record (``_RunRecord``) adds each block's statistics in one pass,
@@ -50,7 +54,8 @@ from . import __version__
 from .baselines import LogBarrierProblem, _ensp_block, _notch_component, logbarrier_solve
 from .constrained import _eadmm_block, _essp_block
 from .errors import ConfigError
-from .metrics import PsdAccumulator, _add_in_order, _to_db, aclr, oobe_power
+from .metrics import (PsdAccumulator, _add_in_order, _emitted_rows, _row_products, _to_db, aclr,
+                      oobe_power)
 from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate_qam_block,
                            synthesize_time_signal)
 from .unconstrained import BlockTraces, _admm_block, _ssp_block
@@ -140,9 +145,14 @@ class _RunRecord:
     """The run's statistics, added a block at a time with every symbol in
     run order, and the data files derived from them.
 
-    Per active subcarrier it sums the error and reference power, and over
-    the run their totals; per mask point the worst-row leakage; it keeps the
-    largest mask ratio and the largest value of each extra.  Row i of
+    It measures each block on its active band, gathered once in bin order
+    (numerology.band_bins): per active subcarrier it sums the error and
+    reference power, in bin order (evm.csv reorders them by offset), and
+    their totals over the band; per mask point the worst-row leakage and
+    the emitted probe density (add_probes, from the synthesizer's rows on
+    the band); it keeps the largest mask ratio and the largest value of
+    each extra.  The guard bins of a data grid are zero, so the band holds
+    all of a symbol's power.  Row i of
     ``trace`` sums over the symbols that reached iteration i + 1: their
     count, evm^2, the M leakage powers, and the primal and dual residuals.
     A precoder without iterations gives each symbol one row, from its EVM
@@ -155,27 +165,36 @@ class _RunRecord:
     def __init__(self, cfg, budget):
         self.cfg = cfg
         self.budget = budget
-        self.err_cols = np.zeros(cfg.numerology.n_active)
-        self.ref_cols = np.zeros(cfg.numerology.n_active)
+        num = cfg.numerology
+        self.err_cols = np.zeros(num.n_active)
+        self.ref_cols = np.zeros(num.n_active)
         self.err = self.ref = 0.0
         self.leak = np.zeros(cfg.freq_grid.size)
         self.ratio_max = 0.0
         self.extras = {}
         self.trace = np.zeros((0, cfg.freq_grid.size + 4))
+        self.probe = np.zeros(cfg.freq_grid.size)
+        self.probe_rows = _emitted_rows(num, cfg.psd_oversample, cfg.freq_grid.points,
+                                        num.active_offsets[np.argsort(num.active_bins)])
+        # A probe density is the rows' power times L (_emitted_rows) over
+        # the rect window's power f_s * segment, as in PsdAccumulator.
+        psd = cfg.psd_config()
+        fs = psd.oversample * num.sample_rate_hz
+        self.probe_scale = psd.oversample / (fs * psd.resolved_segment(num))
 
     def add(self, grid, out, traces, extras, pow_pts):
-        """Add a block: its input and precoded grids, the precoder's block
-        report (or None) and extras, and the (S, M, n_tx) leakage of its
-        output."""
+        """Add a block: the active bands (S, n_tx, n_active), in bin order
+        (numerology.band_bins), of its input and precoded grids, the
+        precoder's block report (or None) and extras, and the (S, M, n_tx)
+        leakage of its output."""
         per_point = np.max(pow_pts, axis=2)
         self.ratio_max = max(self.ratio_max,
                              float(np.max(pow_pts / self.cfg.mask.gamma[:, None])))
         for key, val in extras.items():
             self.extras[key] = max(self.extras.get(key, -np.inf), val)
 
-        cols = self.cfg.numerology.active_bins
-        err = np.abs(out.symbols - grid.symbols) ** 2
-        ref = np.abs(grid.symbols) ** 2
+        err = np.abs(out - grid) ** 2
+        ref = np.abs(grid) ** 2
         err_sym = np.sum(err, axis=(1, 2))
         ref_sym = np.sum(ref, axis=(1, 2))
         if traces is None:
@@ -194,10 +213,19 @@ class _RunRecord:
             self.trace = np.pad(self.trace, ((0, n - len(self.trace)), (0, 0)))
         self.trace[:n] = _add_in_order(self.trace[:n], rows)
         self.leak = _add_in_order(self.leak, per_point)
-        self.err_cols = _add_in_order(self.err_cols, err.sum(axis=1).take(cols, axis=-1))
-        self.ref_cols = _add_in_order(self.ref_cols, ref.sum(axis=1).take(cols, axis=-1))
+        self.err_cols = _add_in_order(self.err_cols, err.sum(axis=1))
+        self.ref_cols = _add_in_order(self.ref_cols, ref.sum(axis=1))
         self.err = _add_in_order(self.err, err_sym)
         self.ref = _add_in_order(self.ref, ref_sym)
+
+    def add_probes(self, out):
+        """Add the probe densities of a block's precoded band (S, n_tx,
+        n_active), in bin order: the emitted leakage |band . P|^2 at each
+        point, summed over antennas, with P the synthesizer's rows on the
+        band (probe_rows), one BLAS call per antenna row."""
+        powers = np.sum(np.abs(_row_products(out, self.probe_rows)) ** 2, axis=1)
+        powers *= self.probe_scale
+        self.probe = _add_in_order(self.probe, powers)
 
     def write(self, out_path, psd_acc, files):
         """Write trace.csv, evm.csv, psd.csv and summary.csv, recording their
@@ -212,8 +240,11 @@ class _RunRecord:
                 for i, row in enumerate(self.trace)]
         _write_csv(out_path / "trace.csv", header, rows, files)
 
-        columns = [cfg.numerology.active_offsets, np.sqrt(np.where(
-            self.ref_cols > 0, self.err_cols / np.maximum(self.ref_cols, 1e-300), np.nan))]
+        num = cfg.numerology
+        order = np.searchsorted(num.band_bins, num.active_bins)     # bin order to offset order
+        err_cols, ref_cols = self.err_cols[order], self.ref_cols[order]
+        columns = [num.active_offsets, np.sqrt(np.where(
+            ref_cols > 0, err_cols / np.maximum(ref_cols, 1e-300), np.nan))]
         header = ["subcarrier_offset", "evm_rms"]
         if self.budget is not None and self.budget.mode == "frequency_selective":
             columns.append(self.budget.eps)
@@ -237,7 +268,7 @@ class _RunRecord:
         }
         for m, val in enumerate(_to_db(self.leak / cfg.symbols)):
             summary[f"oobe_db_p{m + 1}"] = float(val)
-        probe_db = cfg.ref_db + _to_db(psd_acc.probe_density() / psd.ref_density)
+        probe_db = cfg.ref_db + _to_db(self.probe / cfg.symbols / psd.ref_density)
         for m, val in enumerate(probe_db):
             summary[f"psd_probe_db_p{m + 1}"] = float(val)
         summary.update({k: float(v) for k, v in sorted(self.extras.items())})
@@ -254,9 +285,7 @@ def run_scenario(cfg, out_dir=None):
     kernel = build_kernel(cfg.numerology, cfg.freq_grid)
     precoder = PRECODER_TABLE[cfg.precoder]
     budget = cfg.evm_constraint()
-    psd_cfg = cfg.psd_config()
-    probe_hz = cfg.freq_grid.to_hz(cfg.numerology.scs_hz)
-    psd_acc = PsdAccumulator(cfg.numerology, psd_cfg, probe_freqs_hz=probe_hz)
+    psd_acc = PsdAccumulator(cfg.numerology, cfg.psd_config())
     record = _RunRecord(cfg, budget)
     symbol_len = cfg.numerology.symbol_len
     waveform_path = out_path / "waveform.bin"
@@ -275,9 +304,14 @@ def run_scenario(cfg, out_dir=None):
             out = grid.with_symbols(vals)
             t2 = time.perf_counter()
 
-            record.add(grid, out, traces, extras, oobe_power(out, kernel))
+            bins = cfg.numerology.band_bins
+            band = out.symbols.take(bins, axis=-1)
+            record.add(grid.symbols.take(bins, axis=-1), band, traces, extras,
+                       oobe_power(band, kernel))
 
             t_psd = time.perf_counter()
+            record.add_probes(band)
+            del band        # freed before the frames are allocated
             # The oversampled frames of every piece of the block are
             # synthesised into one buffer, through one spectrum buffer.
             size = min(PSD_SYMBOLS, len(out.symbols))

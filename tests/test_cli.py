@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 import specprecode
-from specprecode import (NumericalError, ScenarioConfig, SpectralKernel, admm_precode,
-                         baselines, build_kernel, constrained, generate_qam_block, oobe_power,
-                         read_waveform, run_scenario, runner, synthesize_time_signal,
-                         unconstrained, write_waveform)
+from specprecode import (NumericalError, PsdAccumulator, ScenarioConfig, SpectralKernel,
+                         admm_precode, baselines, build_kernel, constrained, generate_qam_block,
+                         oobe_power, read_waveform, run_scenario, runner,
+                         synthesize_time_signal, unconstrained, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
 from specprecode.config import PRECODERS
 
@@ -427,13 +427,15 @@ class TestRunRecord:
     """_RunRecord.add on whole blocks against a symbol-by-symbol add."""
 
     @staticmethod
-    def add_by_symbol(sums, grid, out, reports, pow_pts, cols):
-        """The run record's sums, added one symbol at a time in order."""
+    def add_by_symbol(sums, grid, out, reports, pow_pts, bins):
+        """The run record's sums, added one symbol at a time in order; the
+        error and reference power are those of the active band, its bins
+        in ascending order (``bins``), per bin and over each symbol."""
         per_point = np.max(pow_pts, axis=2)
-        err = np.abs(out.symbols - grid.symbols) ** 2
-        ref = np.abs(grid.symbols) ** 2
+        err = np.abs(out.symbols[..., bins] - grid.symbols[..., bins]) ** 2
+        ref = np.abs(grid.symbols[..., bins]) ** 2
         err_sym, ref_sym = np.sum(err, axis=(1, 2)), np.sum(ref, axis=(1, 2))
-        err_cols, ref_cols = np.sum(err[:, :, cols], axis=1), np.sum(ref[:, :, cols], axis=1)
+        err_cols, ref_cols = np.sum(err, axis=1), np.sum(ref, axis=1)
         if reports is None:
             evm = np.sqrt(err_sym / ref_sym)
             rows = [np.concatenate(([1.0, e ** 2], p, [0.0, 0.0]))[None]
@@ -478,10 +480,36 @@ class TestRunRecord:
             block_vals, traces, extras = runner.PRECODER_TABLE[precoder].run(
                 cfg, grid, kernel, budget)
             assert np.array_equal(block_vals, vals)
-            record.add(grid, out, traces, extras, pow_pts)
-            self.add_by_symbol(sums, grid, out, reports, pow_pts, cfg.numerology.active_bins)
+            bins = cfg.numerology.band_bins
+            record.add(grid.symbols[..., bins], out.symbols[..., bins], traces, extras, pow_pts)
+            self.add_by_symbol(sums, grid, out, reports, pow_pts, bins)
         for name, total in sums.items():
             assert np.array_equal(getattr(record, name), total), name
+
+
+class TestProbeDensities:
+    """The run's psd_probe_db_p* against the exact-frequency periodogram of
+    PsdAccumulator on the synthesized output, an independent path: the
+    run takes them from the emitted rows on the active band."""
+
+    @pytest.mark.parametrize("precoder, n_tx", [
+        pytest.param(p, n, id=p if n == 2 else f"{p}-1tx")
+        for p in ("none", "ssp", "essp") for n in (2, 1)])
+    def test_run_probes_match_the_time_domain_probes(self, tmp_path, precoder, n_tx):
+        cfg = ScenarioConfig.from_dict({"precoder": precoder, "symbols": 4, "n_tx": n_tx})
+        manifest = run_scenario(cfg, tmp_path)
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                  0, cfg.symbols)
+        vals, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, cfg.evm_constraint())
+        psd_cfg = cfg.psd_config()
+        acc = PsdAccumulator(cfg.numerology, psd_cfg,
+                             probe_freqs_hz=cfg.freq_grid.to_hz(cfg.numerology.scs_hz))
+        acc.add(synthesize_time_signal(grid.with_symbols(vals), oversample=cfg.psd_oversample))
+        run = np.array([manifest["metrics"][f"psd_probe_db_p{m + 1}"]
+                        for m in range(cfg.freq_grid.size)])
+        linear = 10.0 ** ((run - psd_cfg.ref_db) / 10.0) * psd_cfg.ref_density
+        assert linear == pytest.approx(acc.probe_density(), rel=1e-9, abs=0)
 
 
 class TestCsvTables:

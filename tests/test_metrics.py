@@ -11,7 +11,8 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          calibrate_mask, generate_qam_block, kernel_psd_prediction,
                          oobe_power, OfdmNumerology, synthesize_time_signal)
 from specprecode import runner
-from specprecode.metrics import _add_in_order, _dft_power, _dft_tables
+from specprecode.metrics import (_add_in_order, _dft_power, _dft_tables, _emitted_rows,
+                                 _row_products)
 from specprecode.signal_model import _kernel_entries, _kernel_matrix, _write_frames
 
 from conftest import qpsk_grid, small_numerology
@@ -283,6 +284,57 @@ class TestPsdAccumulation:
             kernel_psd_prediction([], num, 4, np.array([1e5]))
 
 
+def emitted_numerologies():
+    """The default numerology and the 64-point ones without a cyclic prefix
+    and with a 3-sample one."""
+    small = [OfdmNumerology.centered(fft_size=64, cp_len=cp, scs_hz=15e3, n_active=24,
+                                     first_offset=-12, prb_size=4) for cp in (0, 3)]
+    return [ScenarioConfig.from_dict({}).numerology, *small]
+
+
+class TestEmittedRows:
+    """The synthesizer's leakage rows on the active subcarriers
+    (metrics._emitted_rows), which give the run's probe densities and
+    kernel_psd_prediction."""
+
+    @pytest.mark.parametrize("num", emitted_numerologies(), ids=["default", "n64-cp0", "n64-cp3"])
+    @pytest.mark.parametrize("oversample", [4, 3])
+    def test_entries_match_a_direct_sum_over_the_frame(self, num, oversample):
+        # the frame of a unit symbol on each active subcarrier, as the
+        # synthesizer writes it (the CP, then the body, 1/sqrt(N) scaling),
+        # summed against exp(-2 pi i nu t / (L N)) with t = 0 at the body's
+        # first sample; the rows carry 1/sqrt(L N), so they read 1/sqrt(L)
+        # of that sum.  The points are quarter subcarriers, so nu t and its
+        # remainder modulo L N are exact and the phases keep their digits.
+        n_os, cp_os = oversample * num.fft_size, oversample * num.cp_len
+        nu = np.array([-1.5 * num.fft_size - 0.25, -14.25, -0.5, 0.0, 3.0, 13.25,
+                       num.fft_size / 2 + 7.75, float(num.active_offsets[-1])])
+        unit = np.zeros((num.n_active, 1, num.fft_size), dtype=complex)
+        unit[np.arange(num.n_active), 0, num.active_bins] = 1.0
+        frames = synthesize_time_signal(DataGrid(symbols=unit, numerology=num),
+                                        oversample=oversample).reshape(num.n_active, -1)
+        t = np.arange(n_os + cp_os) - cp_os
+        direct = frames @ np.exp(-2j * np.pi * np.mod(np.outer(t, nu), n_os) / n_os)
+        rows = _emitted_rows(num, oversample, nu, num.active_offsets) * np.sqrt(oversample)
+        scale = np.max(np.abs(direct), axis=0)
+        assert np.all(np.abs(rows - direct) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("num", emitted_numerologies(), ids=["default", "n64-cp0", "n64-cp3"])
+    def test_entries_are_the_kernel_matrix_columns_bitwise(self, num):
+        n_os, cp_os = 4 * num.fft_size, 4 * num.cp_len
+        nu = np.array([-333.5, -170.25, -14.05, 0.0, 13.3, 171.0, 334.0])
+        rows = _emitted_rows(num, 4, nu, num.active_offsets)
+        cols = _kernel_matrix(n_os, cp_os, nu)[:, np.mod(num.active_offsets, n_os)].T
+        assert np.array_equal(rows, cols)
+        # and their products with a band, whose bits depend on the layout
+        band = generate_qam_block(5, num, 2, "16QAM", 0, 3).symbols[..., num.active_bins]
+        assert np.array_equal(_row_products(band, rows), _row_products(band, cols))
+        # in another column order, the same entries in that order
+        order = np.argsort(num.active_bins)
+        assert np.array_equal(_emitted_rows(num, 4, nu, num.active_offsets[order]),
+                              rows[order])
+
+
 @pytest.mark.parametrize("shape", [(), (1,), (2,), (1, 12), (3, 12), (2192,)])
 def test_add_in_order_adds_one_row_at_a_time(shape):
     # pairwise summation would regroup 33 terms of such spread magnitudes
@@ -293,6 +345,18 @@ def test_add_in_order_adds_one_row_at_a_time(shape):
     for row in rows:
         expect = expect + row
     assert np.array_equal(_add_in_order(total, rows), expect)
+
+
+def test_add_in_order_whatever_the_layout_of_the_rows():
+    # a fancy-indexed block is not C-contiguous, nor are its sums over an axis
+    rng = np.random.default_rng(8)
+    block = rng.standard_normal((32, 2, 40)) * 10.0 ** rng.integers(-8, 8, (32, 2, 40))
+    rows = block[..., np.arange(0, 40, 2)].sum(axis=1)
+    assert not rows.flags.c_contiguous
+    expect = np.zeros(20)
+    for row in rows:
+        expect = expect + row
+    assert np.array_equal(_add_in_order(np.zeros(20), rows), expect)
 
 
 class TestPeriodogramTransform:

@@ -42,6 +42,16 @@ def load_digest_module():
     return module
 
 
+def load_abtime_module():
+    """tools/abtime.py as a module; the BLAS thread variables it sets on
+    import are restored afterwards."""
+    spec = importlib.util.spec_from_file_location("abtime", ABTIME)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
 def test_digests_and_moved_cells(tmp_path):
     saved = tmp_path / "old.json"
     lines = digest("--out", saved)
@@ -187,15 +197,37 @@ def test_abtime_several_workloads():
 
 
 def test_abtime_lists_moved_summary_cells():
-    spec = importlib.util.spec_from_file_location("abtime", ABTIME)
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):
-        spec.loader.exec_module(module)
+    module = load_abtime_module()
     a = {"metrics": {"aclr_worst_db": 41.8, "pass_frac": 1.0, "old": 2}}
     b = {"metrics": {"aclr_worst_db": 41.84, "pass_frac": 1.0, "new": 3}}
     assert module.moved_metrics(a, b) == [("aclr_worst_db", 41.8, 41.84), ("old", 2, None),
                                           ("new", None, 3)]
     assert module.moved_metrics(a, a) == []
+
+
+def test_abtime_lists_moved_manifest_metrics():
+    # summary.csv identical, the manifest not: the metrics that moved below
+    # the summary's printed digits are listed under the manifest
+    module = load_abtime_module()
+    a = {"metrics": {"precoder": "ssp", "evm_wideband_rms": 0.1, "psd_probe_db_p1": -66.5,
+                     "zero": 0.0, "old": 2}}
+    b = {"metrics": {"precoder": "ssp", "evm_wideband_rms": 0.1 + 2 ** -56,
+                     "psd_probe_db_p1": -66.5, "zero": 1e-3}}
+    verdicts = [("manifest.json", False), ("summary.csv", True), ("trace.csv", True)]
+    assert module.verdict_lines(verdicts, a, b) == [
+        "manifest.json: differs",
+        "  evm_wideband_rms: 0.1 -> 0.10000000000000002 (relative 1.39e-16)",
+        "  zero: 0.0 -> 0.001",
+        "  old: 2 -> None",
+        "summary.csv: identical",
+        "trace.csv: identical"]
+    # where summary.csv differs, the moves are listed under it alone
+    verdicts[1] = ("summary.csv", False)
+    lines = module.verdict_lines(verdicts, a, b)
+    assert lines[:3] == ["manifest.json: differs", "summary.csv: differs",
+                         "  evm_wideband_rms: 0.1 -> 0.10000000000000002 (relative 1.39e-16)"]
+    # identical manifests list nothing
+    assert module.verdict_lines([("manifest.json", True)], a, a) == ["manifest.json: identical"]
 
 
 def test_bench_imports_only_public_names():

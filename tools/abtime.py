@@ -20,8 +20,10 @@ ratios (above 1: b is faster), the median ratio of each layer time of the
 manifests' ``timings_s`` (``generate``, ``precode``, ``metrics``, ``psd``,
 ``io`` and ``total``), and whether each output file of the two trees' last
 runs is identical (the manifest compared without its timings).  Where
-``summary.csv`` differs, each summary cell that moved follows as
-``name: a -> b``, read from the two manifests' ``metrics``.
+``summary.csv`` differs, or else where ``manifest.json`` does, each
+metric that moved follows as ``name: a -> b (relative r)``, read from the
+two manifests' ``metrics`` at full precision, so that a move below the
+summary's 12 printed digits shows as well.
 
 ``--workload`` may be given more than once, or as ``all`` for every
 workload of ``bench/workloads.json``; the workloads then run one after the
@@ -94,6 +96,28 @@ def moved_metrics(manifest_a, manifest_b):
             if met_a.get(name) != met_b.get(name)]
 
 
+def verdict_lines(verdicts, manifest_a, manifest_b):
+    """The lines that report the output files: ``name: identical`` or
+    ``name: differs`` per (file name, identical) pair, and under the first
+    of ``summary.csv`` and ``manifest.json`` that differs, in that order,
+    each metric that moved as ``  name: a -> b (relative r)``, with
+    r = |b - a| / |a| (left out where a value is missing, zero or not a
+    number).  So a move below the summary's 12 printed digits, which
+    changes only the manifest, is shown too."""
+    differs = [name for name, same in verdicts if not same]
+    listed = next((name for name in ("summary.csv", "manifest.json") if name in differs), None)
+    lines = []
+    for name, same in verdicts:
+        lines.append(f"{name}: {'identical' if same else 'differs'}")
+        if name != listed:
+            continue
+        for metric, a, b in moved_metrics(manifest_a, manifest_b):
+            numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+            rel = f" (relative {abs(b - a) / abs(a):.2e})" if numbers and a else ""
+            lines.append(f"  {metric}: {a} -> {b}{rel}")
+    return lines
+
+
 def ab_workload(trees, overrides, pairs, out_dir):
     """Time ``pairs`` interleaved pairs of the two trees on one scenario and
     print the block described above; returns the median (wall, cpu, layer)
@@ -119,11 +143,9 @@ def ab_workload(trees, overrides, pairs, out_dir):
     print(f"median ratio a/b over {pairs} pairs: wall {wall:.4f}, cpu {cpu:.4f}")
     print("median layer ratio a/b: " + ", ".join(
         f"{name} {ratio:.4f}" for name, ratio in layer.items()))
-    for name, same in compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"]):
-        print(f"{name}: {'identical' if same else 'differs'}")
-        if name == "summary.csv" and not same:
-            for metric, a, b in moved_metrics(manifests["a"], manifests["b"]):
-                print(f"  {metric}: {a} -> {b}")
+    verdicts = compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"])
+    for line in verdict_lines(verdicts, manifests["a"], manifests["b"]):
+        print(line)
     return wall, cpu, layer
 
 
