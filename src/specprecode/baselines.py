@@ -65,7 +65,7 @@ def nsp_precode(d, kernel):
     non-finite values; the result satisfies |a(nu_m)^T result| <= 1e-10 *
     ||d|| for every point m.
     """
-    block = _as_block(d)
+    block = _as_block(d, kernel)
     return (block - _notch_component(kernel, block)).reshape(np.shape(d))
 
 
@@ -81,7 +81,7 @@ def ensp_precode(d, kernel, evm_target):
     """
     if not evm_target >= 0:
         raise ConfigError("evm_target must be non-negative", field="evm_target")
-    out, alpha = _ensp_block(_as_block(d), kernel, evm_target)
+    out, alpha = _ensp_block(_as_block(d, kernel), kernel, evm_target)
     alpha = alpha.reshape(np.shape(d)[:-1])
     return out.reshape(np.shape(d)), (float(alpha) if alpha.ndim == 0 else alpha)
 

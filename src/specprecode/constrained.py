@@ -196,6 +196,17 @@ class FeasibilityReport:
     mask_ratio: np.ndarray
 
 
+def _as_grid_block(x, kernel):
+    """The DataGrid x with its symbols as an (S, n_tx, N) block
+    (unconstrained._as_block), once its numerology is the kernel's: the
+    same FFT size, cyclic prefix and active subcarriers."""
+    num, ref = ((n.fft_size, n.cp_len, n.active_offsets.tolist())
+                for n in (x.numerology, kernel.numerology))
+    if num != ref:
+        raise ConfigError("the grid's numerology is not the kernel's", field="x.numerology")
+    return x.with_symbols(_as_block(x.symbols, kernel))
+
+
 def eadmm_precode(x, kernel, masks, evm, cfg=None):
     """Consensus ADMM over mask sets and the EVM ball.
 
@@ -211,7 +222,7 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     block.
     """
     out, report = _unblock(x.symbols.shape, *_eadmm_block(
-        x.with_symbols(_as_block(x.symbols)), kernel, masks, evm, cfg or AdmmConfig(iters=40)))
+        _as_grid_block(x, kernel), kernel, masks, evm, cfg or AdmmConfig(iters=40)))
     return x.with_symbols(out), report
 
 
@@ -253,7 +264,7 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     report per symbol for a block.
     """
     out, report = _unblock(x.symbols.shape, *_essp_block(
-        x.with_symbols(_as_block(x.symbols)), kernel, masks, evm, cfg or EsspConfig()))
+        _as_grid_block(x, kernel), kernel, masks, evm, cfg or EsspConfig()))
     return x.with_symbols(out), report
 
 

@@ -163,14 +163,17 @@ def oobe_power(dbar, kernel):
     in every solver.  Input whose last axis holds N entries is a
     full-width grid, gathered onto the band first; on a data grid (zero
     guard bins) that gives the leakage of the full rows.  Input whose last
-    axis holds n_active entries is the band itself.  A row's powers have
-    the same bits wherever it is held.  Vector input gives an (M,) array;
-    an (n_tx, N) grid gives (M, n_tx), each column bitwise equal to that
-    row's vector result; an (S, n_tx, N) block gives (S, M, n_tx), each
-    symbol bitwise equal to its own grid's result.
+    axis holds n_active entries is the band itself; any other width raises
+    ConfigError.  A row's powers have the same bits wherever it is held.
+    Vector input gives an (M,) array; an (n_tx, N) grid gives (M, n_tx),
+    each column bitwise equal to that row's vector result; an
+    (S, n_tx, N) block gives (S, M, n_tx), each symbol bitwise equal to
+    its own grid's result.
     """
     vals = _grid_values(dbar)
     num = kernel.numerology
+    if vals.shape[-1] not in (num.fft_size, num.n_active):
+        raise ConfigError("rows must hold the kernel's N bins or its active band", field="dbar")
     band = vals if vals.shape[-1] == num.n_active else vals.take(num.band_bins, axis=-1)
     powers = np.abs(_row_products(np.atleast_2d(band), kernel.band_rows.T)) ** 2
     return np.swapaxes(powers, -1, -2) if vals.ndim >= 2 else powers[0]

@@ -19,19 +19,19 @@ byte for byte; the manifest differs only in its timing block.
 The run is a pipeline over blocks of BLOCK_SYMBOLS consecutive symbols:
 each block is generated, precoded and measured in one pass, so every
 numpy call serves the whole block, and its oversampled waveform is
-synthesised and added to the PSD in pieces of PSD_SYMBOLS.  A block is
-measured on its active band, gathered once in bin order
-(numerology.band_bins): its leakage (oobe_power), its EVM sums and its
-probe densities (the band's products with the synthesizer's leakage rows,
-metrics._emitted_rows) all come from that one gather.  Every
-per-symbol result is computed as for a block of one.  An iterative
-precoder hands the run its block report (unconstrained.BlockTraces), and
-one run record (``_RunRecord``) adds each block's statistics in one pass,
-every running sum taking the block's symbols one at a time in order
-(metrics._add_in_order), and writes trace.csv, evm.csv, psd.csv and
-summary.csv from them at the end, so the data files depend on neither
-constant; they only trade per-call overhead against the memory of the
-arrays a block or piece needs.
+synthesised and added to the PSD in pieces of PSD_SYMBOLS.  The run
+record (``_RunRecord``) is the one place that measures a precoded block:
+it takes the block's active band, gathered once in bin order
+(numerology.band_bins), and forms from it the leakage (oobe_power), the
+EVM sums and the probe densities (the band's products with the
+synthesizer's leakage rows, metrics._emitted_rows).  Every per-symbol
+result is computed as for a block of one.  An iterative precoder hands
+the run its block report (unconstrained.BlockTraces), and the record adds
+each block's statistics in one pass, every running sum taking the
+block's symbols one at a time in order (metrics._add_in_order), and
+writes trace.csv, evm.csv, psd.csv and summary.csv from them at the end,
+so the data files depend on neither constant; they only trade per-call
+overhead against the memory of the arrays a block or piece needs.
 ``waveform.bin`` is written block by block as well: each block's
 base-rate samples go to their offsets in every stream of a file that is
 renamed into place when the run has written it whole, so a run holds one
@@ -148,11 +148,11 @@ class _RunRecord:
     It measures each block on its active band, gathered once in bin order
     (numerology.band_bins): per active subcarrier it sums the error and
     reference power, in bin order (evm.csv reorders them by offset), and
-    their totals over the band; per mask point the worst-row leakage and
-    the emitted probe density (add_probes, from the synthesizer's rows on
-    the band); it keeps the largest mask ratio and the largest value of
-    each extra.  The guard bins of a data grid are zero, so the band holds
-    all of a symbol's power.  Row i of
+    their totals over the band; per mask point the worst-row leakage of
+    the output (oobe_power on the kernel) and its emitted probe density
+    (from the synthesizer's rows on the band); it keeps the largest mask
+    ratio and the largest value of each extra.  The guard bins of a data
+    grid are zero, so the band holds all of a symbol's power.  Row i of
     ``trace`` sums over the symbols that reached iteration i + 1: their
     count, evm^2, the M leakage powers, and the primal and dual residuals.
     A precoder without iterations gives each symbol one row, from its EVM
@@ -162,9 +162,10 @@ class _RunRecord:
     precoder without one; evm.csv reports a frequency-selective one.
     """
 
-    def __init__(self, cfg, budget):
+    def __init__(self, cfg, budget, kernel):
         self.cfg = cfg
         self.budget = budget
+        self.kernel = kernel
         num = cfg.numerology
         self.err_cols = np.zeros(num.n_active)
         self.ref_cols = np.zeros(num.n_active)
@@ -182,14 +183,17 @@ class _RunRecord:
         fs = psd.oversample * num.sample_rate_hz
         self.probe_scale = psd.oversample / (fs * psd.resolved_segment(num))
 
-    def add(self, grid, out, traces, extras, pow_pts):
+    def add(self, grid, out, traces, extras):
         """Add a block: the active bands (S, n_tx, n_active), in bin order
-        (numerology.band_bins), of its input and precoded grids, the
-        precoder's block report (or None) and extras, and the (S, M, n_tx)
-        leakage of its output."""
-        per_point = np.max(pow_pts, axis=2)
-        self.ratio_max = max(self.ratio_max,
-                             float(np.max(pow_pts / self.cfg.mask.gamma[:, None])))
+        (numerology.band_bins), of its input and precoded grids, and the
+        precoder's block report (or None) and extras.  The output's
+        leakage is oobe_power of its band; every antenna row shares the
+        bounds, so the mask ratio is the worst row's.  A probe density is
+        the emitted leakage |band . P|^2 at its point, summed over
+        antennas, with P the synthesizer's rows on the band (probe_rows),
+        one BLAS call per antenna row."""
+        per_point = np.max(oobe_power(out, self.kernel), axis=2)
+        self.ratio_max = max(self.ratio_max, float(np.max(per_point / self.cfg.mask.gamma)))
         for key, val in extras.items():
             self.extras[key] = max(self.extras.get(key, -np.inf), val)
 
@@ -217,15 +221,8 @@ class _RunRecord:
         self.ref_cols = _add_in_order(self.ref_cols, ref.sum(axis=1))
         self.err = _add_in_order(self.err, err_sym)
         self.ref = _add_in_order(self.ref, ref_sym)
-
-    def add_probes(self, out):
-        """Add the probe densities of a block's precoded band (S, n_tx,
-        n_active), in bin order: the emitted leakage |band . P|^2 at each
-        point, summed over antennas, with P the synthesizer's rows on the
-        band (probe_rows), one BLAS call per antenna row."""
         powers = np.sum(np.abs(_row_products(out, self.probe_rows)) ** 2, axis=1)
-        powers *= self.probe_scale
-        self.probe = _add_in_order(self.probe, powers)
+        self.probe = _add_in_order(self.probe, powers * self.probe_scale)
 
     def write(self, out_path, psd_acc, files):
         """Write trace.csv, evm.csv, psd.csv and summary.csv, recording their
@@ -286,7 +283,7 @@ def run_scenario(cfg, out_dir=None):
     precoder = PRECODER_TABLE[cfg.precoder]
     budget = cfg.evm_constraint()
     psd_acc = PsdAccumulator(cfg.numerology, cfg.psd_config())
-    record = _RunRecord(cfg, budget)
+    record = _RunRecord(cfg, budget, kernel)
     symbol_len = cfg.numerology.symbol_len
     waveform_path = out_path / "waveform.bin"
     waveform = (WaveformWriter(waveform_path, cfg.n_tx, cfg.symbols * symbol_len)
@@ -305,13 +302,10 @@ def run_scenario(cfg, out_dir=None):
             t2 = time.perf_counter()
 
             bins = cfg.numerology.band_bins
-            band = out.symbols.take(bins, axis=-1)
-            record.add(grid.symbols.take(bins, axis=-1), band, traces, extras,
-                       oobe_power(band, kernel))
+            record.add(grid.symbols.take(bins, axis=-1), out.symbols.take(bins, axis=-1),
+                       traces, extras)
 
             t_psd = time.perf_counter()
-            record.add_probes(band)
-            del band        # freed before the frames are allocated
             # The oversampled frames of every piece of the block are
             # synthesised into one buffer, through one spectrum buffer.
             size = min(PSD_SYMBOLS, len(out.symbols))

@@ -35,9 +35,10 @@ its step off that array and folds it in as one Sherman-Morrison outer
 product of O(M^2) work.  SSP's step is one sweep and ESSP's
 Douglas-Rachford prox a set-up and a few sweeps.  Outside the sweeps a
 step works on the span coefficients with M x M products (K = U^H U); the
-O(M n_active) products are the gather's A d, the scatter's U xi and the
-leakage of the output, once per block each, and, under a
-frequency-selective budget, a few per iteration.
+O(M n_active) products are the gather's A d and the scatter's U xi, once
+per block each, and, under a frequency-selective budget, a few per
+iteration.  FactoredInverse applies the same Woodbury form to N-space
+vectors.
 Every product of the solvers and of oobe_power runs through _row_products,
 one BLAS call per antenna row.
 
@@ -71,13 +72,15 @@ def mask_bounds(mask, n_points):
     return _checked_bounds(gamma)
 
 
-def _as_block(d):
+def _as_block(d, kernel):
     """d as an (S, n_tx, N) block: a vector is one row of one symbol and an
-    (n_tx, N) grid is one symbol."""
+    (n_tx, N) grid is one symbol.  N must be the kernel's FFT size."""
     d = np.asarray(d, dtype=complex)
     if d.ndim not in (1, 2, 3):
         raise ConfigError("input must be a row, an (n_tx, N) grid or an (S, n_tx, N) block",
                           field="d")
+    if d.shape[-1] != kernel.numerology.fft_size:
+        raise ConfigError("input rows must hold the kernel's FFT size of entries", field="d")
     if not np.all(np.isfinite(d)):
         raise ConfigError("input grid contains non-finite values", field="d")
     return d.reshape((1,) * (3 - d.ndim) + d.shape)
@@ -382,19 +385,18 @@ def _band_iterations(block, kernel, iters, start, step, ball=None):
     leaves the state, and the loop ends when no symbol is left.  The
     returned deviations are scattered once: d + e into the band columns of
     a copy of the block, so the guard bins of the input pass through
-    untouched.  In the span form e is formed there in N-space, budget-checked
-    (to_band), and the last leakage entry of every symbol that ran its
-    iterations out is measured on its output, which makes it bitwise
-    oobe_power of what the symbol returns.  Returns (block, BlockTraces):
-    the block report's stopped marks the symbols whose stop fired, also on
-    the last iteration.
+    untouched; in the span form e is formed there in N-space and
+    budget-checked (to_band).  Every trace entry is the step's own
+    arithmetic on the iterate; the output is not measured again.  Returns
+    (block, BlockTraces): the block report's stopped marks the symbols
+    whose stop fired, also on the last iteration.
     """
     bins = kernel.numerology.band_bins
     traces = BlockTraces(iters, len(block), kernel.n_points)
     band = block.take(bins, axis=-1)
     active, sel = np.arange(len(block)), slice(None)
     ad, ref_norms = _row_products(band, kernel.band_rows.T), _symbol_norms(block)
-    form = whole = (_SpanDeviations if _in_span(ball) else _BandDeviations)(kernel, band, ad)
+    form = (_SpanDeviations if _in_span(ball) else _BandDeviations)(kernel, band, ad)
     state = start(form, band)
     out = np.empty_like(state[0])
     for it in range(iters):
@@ -414,12 +416,7 @@ def _band_iterations(block, kernel, iters, start, step, ball=None):
         if not active.size:
             break
     out[sel] = state[0]
-    x_band = band + whole.to_band(out, band, ball)
-    ran_out = ~traces.stopped
-    if isinstance(whole, _SpanDeviations) and ran_out.any():
-        leak = _row_products(x_band[ran_out], kernel.band_rows.T)
-        traces.oob[-1, ran_out] = (np.abs(leak) ** 2).max(axis=1)
-    return _with_band(block, x_band, bins), traces
+    return _with_band(block, band + form.to_band(out, band, ball), bins), traces
 
 
 def consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
@@ -490,7 +487,8 @@ def admm_precode(d, kernel, mask, cfg=None):
     an (S, n_tx, N) block, which gets one report per symbol; rows are
     precoded independently (the constraint sets are per row).
     """
-    return _unblock(np.shape(d), *_admm_block(_as_block(d), kernel, mask, cfg or AdmmConfig()))
+    return _unblock(np.shape(d), *_admm_block(_as_block(d, kernel), kernel, mask,
+                                               cfg or AdmmConfig()))
 
 
 def _admm_block(block, kernel, mask, cfg):
@@ -504,39 +502,37 @@ def _admm_block(block, kernel, mask, cfg):
 
 
 class FactoredInverse:
-    """(I + sum_k mu_k u_k u_k^H)^(-1) held as a product of rank-1 downdates.
-
-    Each push folds one term into the inverse through the update
-    B_new^(-1) = B^(-1) - (mu g) w w^H with w = B^(-1) u and
-    g = 1 / (1 + mu u^H w), so applying the inverse to a vector costs one
-    pass over the stored pairs and nothing is ever factorized.
+    """B^(-1) for B = I + sum_k mu_k u_k u_k^H over the terms pushed so far,
+    applied in the Woodbury form that ssp_core solves: with U the columns
+    u_k, D = diag(mu) and K = U^H U, B^(-1) = I - U D (I + K D)^(-1) U^H,
+    so applying it takes one solve with the terms' Gram matrix and nothing
+    of size N x N is factorized.
     """
 
     def __init__(self, n):
         self.n = n
-        self._pairs = []   # (w, coef) with coef = mu * g
+        self._rows = np.zeros((0, n), dtype=complex)     # u_k^T
+        self._mu = np.zeros(0)
 
     def apply(self, v):
-        """B^(-1) v for the current accumulation."""
-        x = np.array(v, dtype=complex)
-        for w, coef in self._pairs:
-            x -= (coef * np.vdot(w, v)) * w
-        return x
+        """B^(-1) v for the current accumulation; v is a vector or an
+        (n, k) stack of columns."""
+        v = np.asarray(v, dtype=complex)
+        u, mu = self._rows, self._mu
+        coef = np.linalg.solve(np.eye(mu.size) + (u.conj() @ u.T) * mu,
+                               u.conj() @ v.reshape(self.n, -1))
+        return v - (u.T @ (mu[:, None] * coef)).reshape(v.shape)
 
     def push(self, u, mu):
-        if mu == 0.0:
-            return
-        w = self.apply(u)
-        denom = 1.0 + mu * np.vdot(u, w).real
-        if abs(denom) < 1e-14:
+        """Add the term mu u u^H; NumericalError where it makes B singular,
+        its Sherman-Morrison denominator 1 + mu u^H B^(-1) u vanishing."""
+        if abs(1.0 + mu * np.vdot(u, self.apply(u)).real) < 1e-14:
             raise NumericalError("singular accumulation in rank-1 inverse update")
-        self._pairs.append((w, mu / denom))
+        self._rows = np.vstack((self._rows, u))
+        self._mu = np.append(self._mu, mu)
 
     def dense(self):
-        out = np.eye(self.n, dtype=complex)
-        for w, coef in self._pairs:
-            out -= coef * np.outer(w, w.conj())
-        return out
+        return self.apply(np.eye(self.n))
 
 
 def ssp_core(c0, gram, gamma):
@@ -619,20 +615,22 @@ def ssp_precode(d, kernel, mask, cfg=None):
     the primal point from the band d, the band, the multipliers mu and the
     array [W | c] on c0 = A d; one step is one sweep.  The deviation stays
     in the span of U, so the loop holds it as the coefficients -mu c and
-    a sweep's report takes the leakage c = A d + K (-mu c) from M x M
-    products; N-space work is the gather's A d and the scatter's
-    U (-mu c), once per call.  The last sweep's leakage is measured on the
-    output, row by row through _row_products as oobe_power does, so it is
-    bitwise oobe_power of the output.  d may be a vector, an (n_tx, N)
-    symbol or an (S, n_tx, N) block, whose rows all share each stacked
-    operation; guard bins of the input pass through untouched.  Returns
-    (dbar, SolverReport) with one trace entry per sweep, one report per
-    symbol for a block; the report's residual slots hold the stationarity
-    norm ||(I + sum mu A) dbar - d|| = ||U (mu c - mu c_core)||, evaluated
-    on the coefficients (zero but for roundoff), and the worst relative
-    complementarity defect.
+    a sweep's report takes the leakage A dbar = A d + K (-mu c) from
+    M x M products; N-space work is the gather's A d and the scatter's
+    U (-mu c), once per call.  d may be a vector, an (n_tx, N) symbol or an
+    (S, n_tx, N) block, whose rows all share each stacked operation; guard
+    bins of the input pass through untouched.  Returns (dbar, SolverReport)
+    with one trace entry per sweep, one report per symbol for a block; the
+    report's residual slots hold the stationarity norm
+    ||(I + sum mu A) dbar - d|| = ||U D (A dbar - c)||, evaluated on the
+    coefficients, and the worst relative complementarity defect.  The
+    stationarity norm is zero in exact arithmetic: it measures how far the
+    rank-1-updated core's c has drifted from the iterate's real leakage
+    A dbar, roundoff at realistic masks and large where the core's
+    cancellation grows, at masks far below the input's leakage.
     """
-    return _unblock(np.shape(d), *_ssp_block(_as_block(d), kernel, mask, cfg or SspConfig()))
+    return _unblock(np.shape(d), *_ssp_block(_as_block(d, kernel), kernel, mask,
+                                             cfg or SspConfig()))
 
 
 def _ssp_block(block, kernel, mask, cfg):
@@ -653,7 +651,7 @@ def _ssp_block(block, kernel, mask, cfg):
         c = form.ad + form.leak(dev)                  # A dbar
         powers = np.abs(c) ** 2
         defect = np.abs(mu * (powers - gamma)) / gamma
-        # (I + sum mu A) dbar - d = e + U (mu A dbar), zero but for roundoff
+        # (I + sum mu A) dbar - d = e + U (mu A dbar): the core's drift
         entries = (powers.max(axis=1), form.row_norms(dev + form.span(mu * c)).max(axis=1),
                    defect.max(axis=(1, 2)))
         return (dev, mu, core), entries, None, dev

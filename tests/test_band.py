@@ -11,6 +11,7 @@ outer iteration to the next.  Bad input gets the error class that the
 command line maps to its exit code.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,11 +22,35 @@ from hypothesis import strategies as st
 from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraintError,
                          EsspConfig, EvmConstraint, FrequencyGrid, OfdmNumerology,
                          ScenarioConfig, SpectralKernel, SspConfig, admm_precode, build_kernel,
-                         eadmm_precode, essp_precode, generate_qam_block, oobe_power,
-                         ssp_precode)
+                         eadmm_precode, ensp_precode, essp_precode, generate_qam_block,
+                         nsp_precode, oobe_power, ssp_precode)
 from specprecode import constrained, unconstrained
 from specprecode.runner import BLOCK_SYMBOLS
 from specprecode.unconstrained import ssp_core, ssp_sweep
+
+
+def band_case(n, cp_len, offsets, seed, m_pts, on_subcarriers, near, n_sym, n_tx):
+    """(rng, kernel, grid) from the values that band_cases draws: an N-point
+    numerology with the active ``offsets``, m_pts points 1-3 subcarriers
+    outside the band, on subcarriers or between them, with one more point
+    next to the first where ``near``, and a QPSK block of n_sym symbols on
+    n_tx antennas, every random choice from default_rng(seed), which is
+    returned as well."""
+    num = OfdmNumerology(fft_size=n, cp_len=cp_len, scs_hz=15e3,
+                         active_offsets=offsets, prb_size=1)
+    rng = np.random.default_rng(seed)
+    side = rng.choice([-1, 1], m_pts)
+    points = np.where(side < 0, offsets.min(), offsets.max()) + side * rng.integers(1, 4, m_pts)
+    if not on_subcarriers:
+        points = points + rng.uniform(-0.5, 0.5, m_pts)
+    if near:
+        points = np.append(points, points[0] + rng.choice([-1, 1]) * rng.uniform(1e-3, 1e-2))
+    kernel = build_kernel(num, FrequencyGrid(points=np.unique(points)))
+    symbols = np.zeros((n_sym, n_tx, n), dtype=complex)
+    bits = rng.integers(0, 2, (2, n_sym, n_tx, offsets.size)) * 2 - 1
+    symbols[..., num.active_bins] = (bits[0] + 1j * bits[1]) / np.sqrt(2)
+    return rng, kernel, DataGrid(symbols, num)
+
 
 @st.composite
 def band_cases(draw):
@@ -37,31 +62,18 @@ def band_cases(draw):
     offsets = np.arange(first, first + n_active)
     if draw(st.booleans()) and offsets.size > 2:
         offsets = offsets[offsets != 0]                # a null at DC
-    num = OfdmNumerology(fft_size=n, cp_len=cp_len, scs_hz=15e3,
-                         active_offsets=offsets, prb_size=1)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    m_pts = draw(st.integers(1, 6))
-    # points 1-3 subcarriers outside the band, on subcarriers or between them
-    side = rng.choice([-1, 1], m_pts)
-    points = np.where(side < 0, offsets.min(), offsets.max()) + side * rng.integers(1, 4, m_pts)
-    if not draw(st.booleans()):
-        points = points + rng.uniform(-0.5, 0.5, m_pts)
     near = draw(st.booleans())
-    if near:
-        points = np.append(points, points[0] + rng.choice([-1, 1]) * rng.uniform(1e-3, 1e-2))
-    kernel = build_kernel(num, FrequencyGrid(points=np.unique(points)))
+    case = band_case(n, cp_len, offsets, draw(st.integers(0, 2 ** 32 - 1)),
+                     draw(st.integers(1, 6)), draw(st.booleans()), near,
+                     draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     if near:
         # a row that (numerically) vanishes on the band, as on a subcarrier
         # without a cyclic prefix, has no direction to correlate with
-        k_diag = np.sqrt(kernel.gram.diagonal().real)
-        corr = np.abs(kernel.gram) / np.outer(k_diag, k_diag)
+        gram = case[1].gram
+        k_diag = np.sqrt(gram.diagonal().real)
+        corr = np.abs(gram) / np.outer(k_diag, k_diag)
         assume((corr - np.eye(corr.shape[0])).max() >= 0.999)
-    n_sym = draw(st.integers(1, 4))
-    n_tx = draw(st.integers(1, 4))
-    symbols = np.zeros((n_sym, n_tx, n), dtype=complex)
-    bits = rng.integers(0, 2, (2, n_sym, n_tx, offsets.size)) * 2 - 1
-    symbols[..., num.active_bins] = (bits[0] + 1j * bits[1]) / np.sqrt(2)
-    return rng, kernel, DataGrid(symbols, num)
+    return case
 
 
 def zero_leakage_case():
@@ -209,21 +221,23 @@ def check_forms_agree(span, band, level, gamma):
     sqrt(M) rho ||d_s|| with the default rho, as in
     tests/test_unconstrained.py; SSP's complementarity defect
     mu (|c|^2 - gamma) / gamma on the scale of mu |c|^2 / gamma.  An ESSP
-    stop may differ only on an exact tie: the run that went on past the
-    other's stop kept its leakage total to roundoff up to its own stop, so
-    its iterate stood still and both return the same point; the traces are
-    then compared on the iterations both ran."""
+    stop may differ only on an exact tie, in the iteration it fired or in
+    whether it fired on the last iteration: the run that went on past the
+    other's stop kept its leakage totals within 1e-12 of their largest
+    from the iterate the other returned on, so its iterate stood still and
+    both return the same point; the traces are then compared on the
+    iterations both ran."""
     (out, reports), (ref_out, ref_reports) = span, band
     assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
     for sym, rep, ref in zip(ref_out, reports, ref_reports):
         n = min(rep.iterations, ref.iterations)
-        if rep.iterations != ref.iterations:
-            longer = max(rep, ref, key=lambda r: r.iterations)
+        if rep.iterations == ref.iterations:
+            assert rep.stopped_early == ref.stopped_early
+        ends = [(r.iterations, r.returned_iteration) for r in (rep, ref)]
+        if ends[0] != ends[1]:
+            longer = (rep, ref)[ends.index(max(ends))]
             totals = longer.oob_trace.sum(axis=1)[max(n - 2, 0):]
             assert n > 1 and np.ptp(totals) <= 1e-12 * totals.max()
-        else:
-            assert rep.stopped_early == ref.stopped_early
-            assert rep.returned_iteration == ref.returned_iteration
         if ref.multipliers is not None:
             assert np.array_equal(rep.multipliers, ref.multipliers)
         residual_scale = AdmmConfig().rho * np.sqrt(len(gamma)) * np.linalg.norm(sym)
@@ -264,6 +278,10 @@ class TestSpanForm:
 
     @settings(max_examples=60, deadline=None)
     @given(band_cases(), st.sampled_from(SOLVERS))
+    # an exact tie: both forms run 8 iterations with their leakage totals
+    # equal to roundoff, and only the span form's stop fires on the last
+    @example(band_case(8, 1, np.array([-1, 0]), seed=2, m_pts=2, on_subcarriers=True, near=True,
+                       n_sym=2, n_tx=1), "essp")
     def test_band_cases(self, case, solver):
         rng, kernel, grid = case
         level = leakage_levels(grid, kernel)
@@ -484,3 +502,44 @@ class TestErrorClasses:
         evm = budget(rng, "wideband", grid.numerology)
         with pytest.raises(ConfigError, match="mask bounds must be positive and finite"):
             precode(solver, grid, kernel, np.array([1.0, bound]), evm, 3)
+
+
+class TestForeignInput:
+    """The default 512-point kernel rejects input of another numerology
+    with ConfigError: rows of another width, for oobe_power any but its
+    FFT size and its active band's, and for EADMM and ESSP a DataGrid of
+    another FFT size, cyclic prefix or active set, which they would
+    otherwise iterate on."""
+
+    ROW_CALLS = {
+        "nsp": lambda rows, kernel, mask: nsp_precode(rows, kernel),
+        "ensp": lambda rows, kernel, mask: ensp_precode(rows, kernel, 0.08),
+        "admm": lambda rows, kernel, mask: admm_precode(rows, kernel, mask),
+        "ssp": lambda rows, kernel, mask: ssp_precode(rows, kernel, mask),
+        "oobe_power": lambda rows, kernel, mask: oobe_power(rows, kernel),
+    }
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        cfg = ScenarioConfig.from_dict({})
+        return cfg, build_kernel(cfg.numerology, cfg.freq_grid)
+
+    @pytest.mark.parametrize("call", sorted(ROW_CALLS))
+    @pytest.mark.parametrize("width", [1024, 400])
+    def test_rows_of_another_width(self, default, call, width):
+        cfg, kernel = default
+        with pytest.raises(ConfigError):
+            self.ROW_CALLS[call](np.ones((2, width), dtype=complex), kernel, cfg.mask)
+
+    @pytest.mark.parametrize("solver", ["eadmm", "essp"])
+    @pytest.mark.parametrize("change", [{"fft_size": 1024}, {"cp_len": 40}, "240 active"],
+                             ids=["fft_size", "cp_len", "active_offsets"])
+    def test_grid_of_another_numerology(self, default, solver, change):
+        cfg, kernel = default
+        if change == "240 active":
+            change = {"active_offsets": cfg.numerology.active_offsets[30:270]}
+        num = replace(cfg.numerology, **change)
+        grid = generate_qam_block(cfg.seed, num, cfg.n_tx, cfg.constellation, 0, 2)
+        evm = EvmConstraint(mode="wideband", eps_avg=0.08)
+        with pytest.raises(ConfigError, match="numerology"):
+            precode(solver, grid, kernel, cfg.mask.gamma, evm, 3)

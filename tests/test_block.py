@@ -248,21 +248,16 @@ class TestReportLeakage:
     """The reports take |A x|^2 from the solvers' own products;
     oobe_power stays the definition they are checked against."""
 
-    def test_ssp_matches_oobe_power_bitwise(self):
-        _, kern, block, gamma = make_block(11, 4, 2, 6)
-        out, reports = ssp_precode(block.symbols, kern, gamma, SspConfig(sweeps=3))
-        for sym, rep in zip(out, reports):
-            assert np.array_equal(rep.oob_trace[-1], oobe_power(sym, kern).max(axis=1))
-
-    @pytest.mark.parametrize("solver", ["admm", "eadmm"])
-    def test_consensus_matches_oobe_power(self, solver):
-        _, kern, block, gamma = make_block(12, 4, 2, 6)
-        cfg = AdmmConfig(iters=30)
+    @pytest.mark.parametrize("solver", ["admm", "eadmm", "ssp"])
+    def test_matches_oobe_power(self, solver):
+        _, kern, block, gamma = make_block(11 if solver == "ssp" else 12, 4, 2, 6)
         if solver == "admm":
-            vals, reports = admm_precode(block.symbols, kern, gamma, cfg)
+            vals, reports = admm_precode(block.symbols, kern, gamma, AdmmConfig(iters=30))
+        elif solver == "ssp":
+            vals, reports = ssp_precode(block.symbols, kern, gamma, SspConfig(sweeps=3))
         else:
             evm = EvmConstraint(mode="wideband", eps_avg=0.3)
-            out, reports = eadmm_precode(block, kern, gamma, evm, cfg)
+            out, reports = eadmm_precode(block, kern, gamma, evm, AdmmConfig(iters=30))
             vals = out.symbols
         for sym, rep in zip(vals, reports):
             expect = oobe_power(sym, kern).max(axis=1)

@@ -20,6 +20,7 @@ from specprecode import (NumericalError, PsdAccumulator, ScenarioConfig, Spectra
                          synthesize_time_signal, unconstrained, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
 from specprecode.config import PRECODERS
+from specprecode.metrics import _row_products
 
 SMALL_SCENARIO = {
     "numerology": {"fft_size": 64, "cp_len": 4, "scs_hz": 15_000.0,
@@ -324,7 +325,7 @@ class TestEveryPrecoder:
     def test_blocks_are_checked_once(self, tmp_path, monkeypatch, precoder):
         # the runner's DataGrid checks every block for non-finite values;
         # only the public *_precode functions check their input again
-        def second_check(d):
+        def second_check(d, kernel):
             raise AssertionError("a precoder body checked its block again")
 
         for module in (unconstrained, constrained, baselines):
@@ -427,10 +428,12 @@ class TestRunRecord:
     """_RunRecord.add on whole blocks against a symbol-by-symbol add."""
 
     @staticmethod
-    def add_by_symbol(sums, grid, out, reports, pow_pts, bins):
+    def add_by_symbol(sums, grid, out, reports, pow_pts, bins, record):
         """The run record's sums, added one symbol at a time in order; the
         error and reference power are those of the active band, its bins
-        in ascending order (``bins``), per bin and over each symbol."""
+        in ascending order (``bins``), per bin and over each symbol, and
+        the probe powers are each symbol's band against the record's
+        emitted rows."""
         per_point = np.max(pow_pts, axis=2)
         err = np.abs(out.symbols[..., bins] - grid.symbols[..., bins]) ** 2
         ref = np.abs(grid.symbols[..., bins]) ** 2
@@ -453,6 +456,8 @@ class TestRunRecord:
             sums["ref_cols"] += ref_cols[s]
             sums["err"] += float(err_sym[s])
             sums["ref"] += float(ref_sym[s])
+            proj = _row_products(out.symbols[s][..., bins], record.probe_rows)
+            sums["probe"] += np.sum(np.abs(proj) ** 2, axis=0) * record.probe_scale
 
     @pytest.mark.parametrize("precoder", ["admm", "ensp"])
     def test_block_add_has_the_bits_of_symbol_by_symbol_adds(self, precoder):
@@ -461,9 +466,10 @@ class TestRunRecord:
         cfg = ScenarioConfig.from_dict(data)
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         budget = cfg.evm_constraint()
-        record = runner._RunRecord(cfg, budget)
+        record = runner._RunRecord(cfg, budget, kernel)
         sums = {"trace": np.zeros((0, cfg.freq_grid.size + 4)),
-                "leak": np.zeros(cfg.freq_grid.size), "err": 0.0, "ref": 0.0,
+                "leak": np.zeros(cfg.freq_grid.size), "probe": np.zeros(cfg.freq_grid.size),
+                "err": 0.0, "ref": 0.0,
                 "err_cols": np.zeros(cfg.numerology.n_active),
                 "ref_cols": np.zeros(cfg.numerology.n_active)}
         # two blocks, so the second adds onto running totals
@@ -481,8 +487,8 @@ class TestRunRecord:
                 cfg, grid, kernel, budget)
             assert np.array_equal(block_vals, vals)
             bins = cfg.numerology.band_bins
-            record.add(grid.symbols[..., bins], out.symbols[..., bins], traces, extras, pow_pts)
-            self.add_by_symbol(sums, grid, out, reports, pow_pts, bins)
+            record.add(grid.symbols[..., bins], out.symbols[..., bins], traces, extras)
+            self.add_by_symbol(sums, grid, out, reports, pow_pts, bins, record)
         for name, total in sums.items():
             assert np.array_equal(getattr(record, name), total), name
 

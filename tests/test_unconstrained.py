@@ -6,7 +6,8 @@ import pytest
 from specprecode import (ConfigError, DegenerateConstraintError,
                          EvmConstraint, FrequencyGrid, NumericalError,
                          ScenarioConfig, SpectralKernel, build_kernel,
-                         eadmm_precode, essp_precode, oobe_power, project_rank1)
+                         eadmm_precode, essp_precode, generate_qam_grid, oobe_power,
+                         project_rank1)
 from specprecode import constrained, unconstrained
 from specprecode.unconstrained import (AdmmConfig, BlockTraces, FactoredInverse, SolverReport,
                                        SspConfig, admm_precode, mask_bounds, ssp_precode)
@@ -192,6 +193,25 @@ class TestSsp:
         _, rep = ssp_precode(grid.symbols, kern, gamma, SspConfig(sweeps=4))
         assert rep.multipliers.shape == (2, 2)
         assert np.all(rep.multipliers >= 0.0)
+
+    @pytest.mark.parametrize("fraction", [1e-2, 1e-10])
+    def test_stationarity_slot_is_the_n_space_residual(self, fraction):
+        # The slot is ||(I + sum mu u u^H) dbar - d|| = ||e + U D (A dbar)||,
+        # zero in exact arithmetic: how far the rank-1-updated core has
+        # drifted from the iterate's real leakage, roundoff at a bound of
+        # 1e-2 of the input's leakage and about 6 at 1e-10.  Recomputed in
+        # N-space from the output and the multipliers, on the scale of its
+        # two terms.
+        cfg = ScenarioConfig.from_dict({})
+        kern = build_kernel(cfg.numerology, cfg.freq_grid)
+        d = generate_qam_grid(1000, cfg.numerology, cfg.n_tx, cfg.constellation).symbols
+        gamma = fraction * oobe_power(d, kern).max(axis=1)
+        out, rep = ssp_precode(d, kern, gamma, SspConfig(sweeps=3))
+        rows = kern.active_rows
+        pull = (rep.multipliers * (out @ rows.T)) @ rows.conj()        # U D A dbar per row
+        residual = np.linalg.norm(out + pull - d, axis=1).max()
+        scale = max(np.linalg.norm(out - d, axis=1).max(), np.linalg.norm(pull, axis=1).max())
+        assert abs(rep.primal_trace[-1] - residual) <= 1e-6 * scale
 
     def test_stationarity_holds_every_sweep(self, violated_setup):
         # dbar is the Woodbury form of the inverse applied to d, so the KKT
