@@ -9,8 +9,8 @@ offsets) and the display normalization of the PSD, so a dB value means the
 same thing in either domain.
 
 The emitted density at a probe point is the synthesizer's oversampled
-leakage row applied to the active subcarriers (_emitted_rows), the
-transmitted-symbol leakage of van de Beek and Berggren ("Out-of-band power
+leakage row applied to the active subcarriers (signal_model._emitted_rows),
+the transmitted-symbol leakage of van de Beek and Berggren ("Out-of-band power
 suppression in OFDM", IEEE Commun. Lett. 2008): a run takes its probe
 densities from these rows on each block's active band, and
 kernel_psd_prediction evaluates the same rows.  PsdAccumulator's optional
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .signal_model import _kernel_entries, _read_only
+from .signal_model import _emitted_rows, _kernel_entries, _read_only
 
 _DB_FLOOR = 1e-30
 
@@ -332,6 +332,25 @@ def _rows_dft_power(x, power):
     np.add(parts[..., 0::2], parts[..., 1::2], out=power.reshape(r, -1, p).transpose(2, 0, 1))
 
 
+@lru_cache(maxsize=None)
+def _psd_lattice(seg_len, fs, bin_hz):
+    """(order, bins, keep, counts, centers): the reporting lattice of a
+    segment's periodogram.  order sorts the FFT bins by frequency; lattice
+    bin i covers [i, i + 1) * bin_hz, and bins holds the lattice index of
+    each sorted FFT bin, counted from the lowest; keep lists the occupied
+    lattice bins, counts their FFT-bin counts and centers their centre
+    frequencies.  Built once per segment length, rate and bin width;
+    read-only."""
+    freqs = np.fft.fftfreq(seg_len, d=1.0 / fs)
+    order = np.argsort(freqs)
+    idx = np.floor(freqs[order] / bin_hz + 1e-9).astype(int)
+    lowest = idx.min()
+    counts = np.bincount(idx - lowest).astype(float)
+    keep = np.flatnonzero(counts)
+    return (_read_only(order), _read_only(idx - lowest), _read_only(keep),
+            _read_only(counts[keep]), _read_only((keep + lowest + 0.5) * bin_hz))
+
+
 class PsdAccumulator:
     """Order-independent sums for incremental periodogram averaging.
 
@@ -404,46 +423,16 @@ class PsdAccumulator:
     def finalize(self):
         if self._segments == 0:
             raise ConfigError("no segments accumulated", field="psd")
-        mean_psd = self._psd_sum / self._segments
-        freqs = np.fft.fftfreq(self.seg_len, d=1.0 / self.fs)
-        order = np.argsort(freqs)
-        freqs = freqs[order]
-        mean_psd = mean_psd[order]
-
         cfg = self.config
-        idx = np.floor(freqs / cfg.bin_hz + 1e-9).astype(int)   # bin i covers [i, i+1) * bin_hz
-        uniq = np.arange(idx.min(), idx.max() + 1)
-        density = np.zeros(uniq.size)
-        counts = np.zeros(uniq.size)
-        np.add.at(density, idx - idx.min(), mean_psd)
-        np.add.at(counts, idx - idx.min(), 1.0)
-        keep = counts > 0
-        density = density[keep] / counts[keep]
-        centers = (uniq[keep] + 0.5) * cfg.bin_hz
+        order, bins, keep, counts, centers = _psd_lattice(self.seg_len, self.fs, cfg.bin_hz)
+        # bincount adds in input order: a bin's densities in ascending frequency
+        mean_psd = self._psd_sum[order] / self._segments
+        density = np.bincount(bins, weights=mean_psd)[keep] / counts
         density_db = cfg.ref_db + _to_db(density / cfg.ref_density)
         return PsdEstimate(freq_hz=centers, density_db=density_db,
                            density_per_hz=density, bin_hz=cfg.bin_hz,
                            sample_rate_hz=self.fs, segments=self._segments,
                            ref_density=cfg.ref_density, ref_db=cfg.ref_db)
-
-
-def _emitted_rows(numerology, oversample, nu, offsets):
-    """The synthesizer's leakage rows at the points nu (subcarriers) on the
-    subcarriers ``offsets``, as the (len(offsets), M) matrix whose
-    products with a band (_row_products) give the emitted leakage.
-
-    A symbol's frame is its grid on the oversampled spectrum (FFT size
-    L N, CP L N_CP; _write_frames), so the DTFT of the frame at nu is the
-    oversampled kernel row applied to the active subcarriers: entry
-    (k, m) is _kernel_entries(L N, L N_CP, nu_m - mod(k, L N)), the
-    entries of _kernel_matrix(L N, L N_CP, nu) at those columns, bit for
-    bit.  The rows carry 1/sqrt(L N) where the frame carries 1/sqrt(N),
-    so their powers are L times too small.  The matrix is C-contiguous:
-    BLAS rounds a product with its transposed layout differently.
-    """
-    n_os = oversample * numerology.fft_size
-    delta = np.asarray(nu, dtype=float)[None, :] - np.mod(offsets, n_os)[:, None]
-    return _kernel_entries(n_os, oversample * numerology.cp_len, delta)
 
 
 def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):

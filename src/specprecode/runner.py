@@ -24,7 +24,7 @@ record (``_RunRecord``) is the one place that measures a precoded block:
 it takes the block's active band, gathered once in bin order
 (numerology.band_bins), and forms from it the leakage (oobe_power), the
 EVM sums and the probe densities (the band's products with the
-synthesizer's leakage rows, metrics._emitted_rows).  Every per-symbol
+synthesizer's leakage rows, kernel.emitted_rows).  Every per-symbol
 result is computed as for a block of one.  An iterative precoder hands
 the run its block report (unconstrained.BlockTraces), and the record adds
 each block's statistics in one pass, every running sum taking the
@@ -37,6 +37,15 @@ base-rate samples go to their offsets in every stream of a file that is
 renamed into place when the run has written it whole, so a run holds one
 block of waveform at a time and a run that raises leaves no partial file.
 Its digest is then taken in chunks of the file.
+
+What does not depend on the data is built once per process: build_kernel
+memoizes the kernel by value, per (numerology, frequency grid), and the
+read-only arrays derived from it are kept on it (the active-band rows,
+the Gram matrix and its factor, the emitted probe rows per PSD
+oversampling), as are the PSD's transform tables and reporting lattice
+per segment (metrics._dft_tables, metrics._psd_lattice).  Each run builds
+only its run record, PSD sums and buffers, and its files; the manifest
+and config_resolved.json share one normalized config.
 """
 
 from __future__ import annotations
@@ -54,8 +63,7 @@ from . import __version__
 from .baselines import LogBarrierProblem, _ensp_block, _notch_component, logbarrier_solve
 from .constrained import _eadmm_block, _essp_block
 from .errors import ConfigError
-from .metrics import (PsdAccumulator, _add_in_order, _emitted_rows, _row_products, _to_db, aclr,
-                      oobe_power)
+from .metrics import PsdAccumulator, _add_in_order, _row_products, _to_db, aclr, oobe_power
 from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate_qam_block,
                            synthesize_time_signal)
 from .unconstrained import BlockTraces, _admm_block, _ssp_block
@@ -175,8 +183,7 @@ class _RunRecord:
         self.extras = {}
         self.trace = np.zeros((0, cfg.freq_grid.size + 4))
         self.probe = np.zeros(cfg.freq_grid.size)
-        self.probe_rows = _emitted_rows(num, cfg.psd_oversample, cfg.freq_grid.points,
-                                        num.active_offsets[np.argsort(num.active_bins)])
+        self.probe_rows = kernel.emitted_rows(cfg.psd_oversample)
         # A probe density is the rows' power times L (_emitted_rows) over
         # the rect window's power f_s * segment, as in PsdAccumulator.
         psd = cfg.psd_config()
@@ -232,10 +239,10 @@ class _RunRecord:
         header = ["iter", "symbols", "evm_rms"]
         header += [f"oobe_db_p{m + 1}" for m in range(n_points)]
         header += ["primal_residual", "dual_residual"]
-        rows = [[i + 1, row[0], float(np.sqrt(row[1] / row[0])),
-                 *_to_db(row[2:-2] / row[0]).tolist(), row[-2] / row[0], row[-1] / row[0]]
-                for i, row in enumerate(self.trace)]
-        _write_csv(out_path / "trace.csv", header, rows, files)
+        trace, count = self.trace, self.trace[:, :1]
+        _write_csv(out_path / "trace.csv", header, None, files, columns=[
+            np.arange(1, len(trace) + 1), trace[:, 0], np.sqrt(trace[:, 1] / trace[:, 0]),
+            *_to_db(trace[:, 2:-2] / count).T, *(trace[:, -2:] / count).T])
 
         num = cfg.numerology
         order = np.searchsorted(num.band_bins, num.active_bins)     # bin order to offset order
@@ -246,11 +253,11 @@ class _RunRecord:
         if self.budget is not None and self.budget.mode == "frequency_selective":
             columns.append(self.budget.eps)
             header.append("budget")
-        _write_csv(out_path / "evm.csv", header, zip(*[col.tolist() for col in columns]), files)
+        _write_csv(out_path / "evm.csv", header, None, files, columns=columns)
 
         psd = psd_acc.finalize()
-        _write_csv(out_path / "psd.csv", ["freq_hz", "density_db"],
-                   zip(psd.freq_hz.tolist(), psd.density_db.tolist()), files)
+        _write_csv(out_path / "psd.csv", ["freq_hz", "density_db"], None, files,
+                   columns=[psd.freq_hz, psd.density_db])
 
         aclr_rep = aclr(psd, {"bw_hz": cfg.aclr_bw_hz, "spacing_hz": cfg.aclr_spacing_hz})
         summary = {
@@ -329,7 +336,8 @@ def run_scenario(cfg, out_dir=None):
     t_io = time.perf_counter()
     files = {}
     summary = record.write(out_path, psd_acc, files)
-    _write_json(out_path / "config_resolved.json", cfg.normalized(), files)
+    config = cfg.normalized()
+    _write_json(out_path / "config_resolved.json", config, files)
     if cfg.emit_waveforms:
         with open(waveform_path, "rb") as fh:
             files["waveform.bin"] = _sha256(iter(functools.partial(fh.read, _DIGEST_CHUNK), b""))
@@ -339,14 +347,12 @@ def run_scenario(cfg, out_dir=None):
     manifest = {
         "version": __version__,
         "precoder": cfg.precoder,
-        "config": cfg.normalized(),
+        "config": config,
         "metrics": summary,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "outputs": files,
     }
-    with open(out_path / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_path / "manifest.json").write_bytes(_json_bytes(manifest))
     return manifest
 
 
@@ -366,21 +372,32 @@ def _write_bytes(path, data, files):
     files[path.name] = _sha256([data])
 
 
-def _write_csv(path, header, rows, files):
+def _write_csv(path, header, rows, files, columns=None):
     """Write a table, formatted in one pass: the bytes that csv.writer
     writes for the _fmt cells of each row, with \r\n line ends (as there,
-    a row whose one cell is empty reads '""')."""
+    a row whose one cell is empty reads '""').  The body is ``rows``, or,
+    where that is None, ``columns``: 1-D integer or float arrays of one
+    length, printed through one row template of "%d" and "%.12g" slots,
+    the text _fmt gives their cells, with no per-cell type test."""
     lines = []
-    for row in (header, *rows):
+    for row in (header, *(() if rows is None else rows)):
         cells = [_fmt(v) for v in row]
         lines.append('""' if cells == [""] else ",".join(cells))
+    if rows is None:
+        template = ",".join("%.12g" if col.dtype.kind == "f" else "%d" for col in columns)
+        lines += [template % row for row in zip(*(col.tolist() for col in columns))]
     lines.append("")
     _write_bytes(path, "\r\n".join(lines).encode("utf-8"), files)
 
 
+def _json_bytes(data):
+    """The JSON text of data as json.dump(data, fh, indent=2, sort_keys=True)
+    writes it, and a line end, in UTF-8."""
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def _write_json(path, data, files):
-    _write_bytes(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-                 files)
+    _write_bytes(path, _json_bytes(data), files)
 
 
 _COMPARE_SHARED = ("numerology", "frequencies_hz", "mask_db_per_100khz", "n_tx",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -40,9 +40,13 @@ def _read_only(arr):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OfdmNumerology:
     """Static description of the OFDM grid.
+
+    Numerologies compare and hash by value, over their fields, so that
+    separately built equal numerologies key one memoized kernel
+    (build_kernel); the offsets are held read-only for that reason.
 
     Parameters
     ----------
@@ -86,7 +90,20 @@ class OfdmNumerology:
         half = self.fft_size // 2
         if offsets[0] < -half or offsets[-1] > (self.fft_size - 1) // 2:
             raise ConfigError("active_offsets exceed the FFT half-range", field="numerology.active_offsets")
-        object.__setattr__(self, "active_offsets", offsets)
+        object.__setattr__(self, "active_offsets", _read_only(offsets))
+
+    @cached_property
+    def _key(self):
+        return (self.fft_size, self.cp_len, self.scs_hz, tuple(self.active_offsets.tolist()),
+                self.prb_size)
+
+    def __eq__(self, other):
+        if not isinstance(other, OfdmNumerology):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     @classmethod
     def centered(cls, fft_size, cp_len, scs_hz, n_active, first_offset=None, prb_size=12):
@@ -146,19 +163,30 @@ class OfdmNumerology:
         return self.n_active // self.prb_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Evaluation frequencies for leakage constraints, in subcarrier units."""
+    """Evaluation frequencies for leakage constraints, in subcarrier units.
+
+    Grids compare and hash by value, over their points, which are held in a
+    read-only copy."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_1d(np.asarray(self.points, dtype=float))
+        pts = np.array(self.points, dtype=float, ndmin=1)
         if pts.ndim != 1 or pts.size == 0:
             raise ConfigError("frequency grid must be a non-empty 1-D list", field="frequencies")
         if not np.all(np.isfinite(pts)):
             raise ConfigError("frequency points must be finite", field="frequencies")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _read_only(pts))
+
+    def __eq__(self, other):
+        if not isinstance(other, FrequencyGrid):
+            return NotImplemented
+        return self.points.tolist() == other.points.tolist()
+
+    def __hash__(self):
+        return hash(tuple(self.points.tolist()))
 
     @classmethod
     def from_hz(cls, freqs_hz, scs_hz):
@@ -204,6 +232,25 @@ def _kernel_matrix(fft_size, cp_len, points):
     return _kernel_entries(fft_size, cp_len, np.asarray(points, dtype=float)[:, None] - k[None, :])
 
 
+def _emitted_rows(numerology, oversample, nu, offsets):
+    """The synthesizer's leakage rows at the points nu (subcarriers) on the
+    subcarriers ``offsets``, as the (len(offsets), M) matrix whose
+    products with a band (metrics._row_products) give the emitted leakage.
+
+    A symbol's frame is its grid on the oversampled spectrum (FFT size
+    L N, CP L N_CP; _write_frames), so the DTFT of the frame at nu is the
+    oversampled kernel row applied to the active subcarriers: entry
+    (k, m) is _kernel_entries(L N, L N_CP, nu_m - mod(k, L N)), the
+    entries of _kernel_matrix(L N, L N_CP, nu) at those columns, bit for
+    bit.  The rows carry 1/sqrt(L N) where the frame carries 1/sqrt(N),
+    so their powers are L times too small.  The matrix is C-contiguous:
+    BLAS rounds a product with its transposed layout differently.
+    """
+    n_os = oversample * numerology.fft_size
+    delta = np.asarray(nu, dtype=float)[None, :] - np.mod(offsets, n_os)[:, None]
+    return _kernel_entries(n_os, oversample * numerology.cp_len, delta)
+
+
 @dataclass(frozen=True)
 class SpectralKernel:
     """Leakage rows a(nu_m)^T stacked into an M x N matrix.
@@ -211,11 +258,15 @@ class SpectralKernel:
     ``matrix`` holds the full rows over every FFT bin.  ``active_rows`` are
     the same rows with guard-bin columns forced to zero; solvers use those so
     that any update they generate stays supported on the active band.
+    Every array a kernel derives is read-only and built once, on first
+    use; build_kernel's kernels are shared by every later call with equal
+    arguments, so their matrix is read-only as well.
     """
 
     matrix: np.ndarray
     freq_grid: FrequencyGrid
     numerology: OfdmNumerology
+    _emitted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_points(self):
@@ -253,13 +304,38 @@ class SpectralKernel:
         forced to zero, built once."""
         return _read_only(self.matrix[:, self.numerology.band_bins])
 
+    def emitted_rows(self, oversample):
+        """Read-only n_active x M emitted rows (_emitted_rows) at the
+        kernel's points on the active band in bin order, for frames
+        oversampled ``oversample`` times: the rows of a run's probe
+        densities, built once per oversampling."""
+        rows = self._emitted.get(oversample)
+        if rows is None:
+            num = self.numerology
+            offsets = num.active_offsets[np.argsort(num.active_bins)]      # in bin order
+            rows = self._emitted[oversample] = _read_only(
+                _emitted_rows(num, oversample, self.freq_grid.points, offsets))
+        return rows
 
+
+# Kernels build_kernel keeps, the most recently used.  One entry of the
+# reference scenario (N = 512, M = 8) with its derived arrays holds about
+# 0.2 MB.
+_KERNEL_MEMO = 8
+
+
+@lru_cache(maxsize=_KERNEL_MEMO)
 def build_kernel(numerology, freq_grid):
-    """Evaluate the leakage kernel for ``freq_grid`` under ``numerology``."""
-    if not isinstance(freq_grid, FrequencyGrid):
-        freq_grid = FrequencyGrid(points=np.asarray(freq_grid, dtype=float))
+    """Evaluate the leakage kernel for the FrequencyGrid ``freq_grid`` under
+    ``numerology``.
+
+    The kernel is memoized by value: a later call with an equal numerology
+    and grid (both compare by value) returns the same read-only kernel,
+    with every array derived from it so far.  build_kernel.cache_clear()
+    empties the memo.
+    """
     matrix = _kernel_matrix(numerology.fft_size, numerology.cp_len, freq_grid.points)
-    return SpectralKernel(matrix=matrix, freq_grid=freq_grid, numerology=numerology)
+    return SpectralKernel(matrix=_read_only(matrix), freq_grid=freq_grid, numerology=numerology)
 
 
 @dataclass(frozen=True)

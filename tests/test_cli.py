@@ -16,7 +16,7 @@ import pytest
 import specprecode
 from specprecode import (NumericalError, PsdAccumulator, ScenarioConfig, SpectralKernel,
                          admm_precode, baselines, build_kernel, constrained, generate_qam_block,
-                         oobe_power, read_waveform, run_scenario, runner,
+                         oobe_power, read_waveform, run_scenario, runner, signal_model,
                          synthesize_time_signal, unconstrained, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
 from specprecode.config import PRECODERS
@@ -380,6 +380,53 @@ class TestBlockPipeline:
                     == (tmp_path / "single" / name).read_bytes()), name
 
 
+class TestKernelMemo:
+    """build_kernel memoizes a run's set-up by value: the kernel and what a
+    run derives from it, the probe rows among them."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """The calls to signal_model.<name>, counted from an empty memo."""
+        calls = []
+        func = getattr(signal_model, name)
+        monkeypatch.setattr(signal_model, name, lambda *args: calls.append(1) or func(*args))
+        build_kernel.cache_clear()
+        return calls
+
+    def test_one_numerology_builds_one_kernel(self, tmp_path, monkeypatch):
+        calls = self.counted(monkeypatch, "_kernel_matrix")
+        for seed in (3, 4):
+            run_scenario(ScenarioConfig.from_dict(dict(SMALL_SCENARIO, seed=seed)),
+                         tmp_path / str(seed))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change, kernels, rows", [
+        ({"numerology": dict(SMALL_SCENARIO["numerology"], cp_len=6)}, 2, 2),
+        ({"frequencies_hz": [-211_500.0, -199_500.0, 199_500.0, 210_750.0]}, 2, 2),
+        ({"psd": {"oversample": 8}}, 1, 2),
+    ])
+    def test_a_changed_setup_builds_its_own(self, tmp_path, monkeypatch, change, kernels,
+                                            rows):
+        kernel_calls = self.counted(monkeypatch, "_kernel_matrix")
+        row_calls = self.counted(monkeypatch, "_emitted_rows")
+        for name, data in (("base", SMALL_SCENARIO), ("changed", dict(SMALL_SCENARIO, **change)),
+                           ("again", dict(SMALL_SCENARIO, seed=4))):
+            run_scenario(ScenarioConfig.from_dict(data), tmp_path / name)
+        assert (len(kernel_calls), len(row_calls)) == (kernels, rows)
+
+    @pytest.mark.parametrize("precoder", ["ssp", "essp"])
+    def test_a_cold_run_writes_the_files_of_a_warm_run(self, tmp_path, precoder):
+        cfg = ScenarioConfig.from_dict(dict(SMALL_SCENARIO, precoder=precoder,
+                                            emit_waveforms=True))
+        run_scenario(cfg, tmp_path / "first")
+        run_scenario(cfg, tmp_path / "warm")
+        build_kernel.cache_clear()
+        run_scenario(cfg, tmp_path / "cold")
+        for name in DATA_FILES:
+            assert ((tmp_path / "warm" / name).read_bytes()
+                    == (tmp_path / "cold" / name).read_bytes()), name
+
+
 class TestTraceValues:
     """trace.csv cells recomputed from the precoder's own per-symbol results."""
 
@@ -548,6 +595,33 @@ class TestCsvTables:
         data = (tmp_path / "t.csv").read_bytes()
         assert data == self.csv_module_bytes(header, rows)
         assert files["t.csv"] == hashlib.sha256(data).hexdigest()
+
+        # psd- and evm-shaped tables, given as columns: all-float columns
+        # and an int offset column
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300,
+                            0.1, 1 / 3, 123456789012.5, -2.5e-7])
+        rng = np.random.default_rng(7)
+        tables = {
+            "psd.csv": (["freq_hz", "density_db"],
+                        [np.linspace(-3e7, 3e7, special.size), special]),
+            "evm.csv": (["subcarrier_offset", "evm_rms", "budget"],
+                        [np.arange(special.size) - 6, special[::-1],
+                         rng.standard_normal(special.size) * 10.0 ** rng.integers(-300, 300,
+                                                                                  special.size)]),
+        }
+        for name, (header, columns) in tables.items():
+            runner._write_csv(tmp_path / name, header, None, files, columns=columns)
+            data = (tmp_path / name).read_bytes()
+            assert data == self.csv_module_bytes(header, zip(*[c.tolist() for c in columns]))
+            assert files[name] == hashlib.sha256(data).hexdigest()
+
+    def test_manifest_is_that_of_json_dump(self, tmp_path):
+        cfg = ScenarioConfig.from_dict(dict(SMALL_SCENARIO, precoder="essp"))
+        manifest = run_scenario(cfg, tmp_path)
+        text = io.StringIO()
+        json.dump(manifest, text, indent=2, sort_keys=True)
+        text.write("\n")
+        assert (tmp_path / "manifest.json").read_bytes() == text.getvalue().encode("utf-8")
 
 
 class TestStreamedWaveform:

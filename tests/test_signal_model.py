@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import diric
 
-from specprecode import (ConfigError, DataGrid, FrequencyGrid, OfdmNumerology,
+from specprecode import (ConfigError, DataGrid, FrequencyGrid, OfdmNumerology, ScenarioConfig,
                          build_kernel, generate_qam_block, generate_qam_grid,
                          qam_constellation, read_waveform, synthesize_time_signal,
                          write_waveform)
-from specprecode.signal_model import QAM_ORDERS, WaveformWriter, _diric, _kernel_matrix
+from specprecode.signal_model import (_KERNEL_MEMO, QAM_ORDERS, WaveformWriter, _diric,
+                                      _kernel_matrix)
 
 from conftest import qpsk_grid, small_numerology
 
@@ -84,6 +85,30 @@ class TestNumerology:
         with pytest.raises(ConfigError):
             num.n_prb
 
+    def test_equal_numerologies_compare_and_hash_equal(self):
+        a, b = (ScenarioConfig.from_dict({}).numerology for _ in range(2))
+        assert a is not b and a.active_offsets is not b.active_offsets
+        assert a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+    @pytest.mark.parametrize("change", [
+        dict(n_active=7),                       # an active set of another size
+        dict(first_offset=-3),                  # the same size, shifted
+        dict(cp_len=3),
+        dict(prb_size=2),
+    ])
+    def test_a_changed_field_compares_unequal(self, change):
+        # the two active sets of the first case cannot be broadcast together
+        kwargs = dict(fft_size=16, cp_len=2, scs_hz=15e3, n_active=8, prb_size=4)
+        a, b = (OfdmNumerology.centered(**kwargs), OfdmNumerology.centered(**{**kwargs, **change}))
+        assert a != b and not a == b
+        assert len({a, b}) == 2
+        assert a != "numerology"
+
+    def test_offsets_are_read_only(self):
+        with pytest.raises(ValueError):
+            small_numerology().active_offsets[0] = 0
+
 
 class TestFrequencyGrid:
     def test_hz_round_trip(self):
@@ -94,6 +119,27 @@ class TestFrequencyGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             FrequencyGrid(points=np.array([]))
+
+    def test_equal_grids_compare_and_hash_equal(self):
+        a, b = (ScenarioConfig.from_dict({}).freq_grid for _ in range(2))
+        assert a is not b and a.points is not b.points
+        assert a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+    @pytest.mark.parametrize("points", [[5.3], [5.3, 6.25, 7.0], [5.3, 6.5]])
+    def test_other_points_compare_unequal(self, points):
+        a, b = FrequencyGrid(points=[5.3, 6.25]), FrequencyGrid(points=points)
+        assert a != b and not a == b
+        assert len({a, b}) == 2
+        assert a != [5.3, 6.25]
+
+    def test_points_are_a_read_only_copy(self):
+        given_points = np.array([5.3, 6.25])
+        grid = FrequencyGrid(points=given_points)
+        given_points[0] = 1.0
+        assert grid.points.tolist() == [5.3, 6.25]
+        with pytest.raises(ValueError):
+            grid.points[0] = 1.0
 
 
 class TestKernel:
@@ -137,6 +183,45 @@ class TestKernel:
         assert num.band_bins.tolist() == [0, 1, 2, 3, 12, 13, 14, 15]
         assert np.array_equal(kern.band_rows, kern.active_rows[:, num.band_bins])
         assert kern.band_rows is kern.band_rows and not kern.band_rows.flags.writeable
+
+    def test_shared_kernel_cannot_be_written(self):
+        num = small_numerology()
+        kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 7.1])))
+        for arr in (kern.matrix, kern.active_rows, kern.band_rows, kern.gram,
+                    kern.emitted_rows(4)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_emitted_rows_on_the_band_in_bin_order(self):
+        num = small_numerology()
+        kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 7.1])))
+        rows = kern.emitted_rows(4)
+        assert rows is kern.emitted_rows(4) and rows is not kern.emitted_rows(5)
+        # row k is the 4x oversampled kernel column of band bin k
+        full = _kernel_matrix(4 * num.fft_size, 4 * num.cp_len, kern.freq_grid.points)
+        offsets = num.active_offsets[np.argsort(num.active_bins)]
+        assert same_bits(rows, np.ascontiguousarray(
+            full[:, np.mod(offsets, 4 * num.fft_size)].T))
+
+    def test_equal_arguments_share_one_kernel(self):
+        kerns = [build_kernel(small_numerology(), FrequencyGrid(points=[5.3, 7.1]))
+                 for _ in range(2)]
+        assert kerns[0] is kerns[1]
+        other = build_kernel(small_numerology(), FrequencyGrid(points=[5.3, 7.2]))
+        assert other is not kerns[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(fft_size=st.integers(2, 64), cp_frac=st.floats(0.0, 1.0),
+           n_points=st.integers(1, 4))
+    def test_memo_stays_bounded(self, fft_size, cp_frac, n_points):
+        cp_len = min(int(cp_frac * fft_size), fft_size - 1)
+        num = OfdmNumerology.centered(fft_size=fft_size, cp_len=cp_len, scs_hz=15e3,
+                                      n_active=1, prb_size=1)
+        points = np.arange(n_points) + 0.5
+        kern = build_kernel(num, FrequencyGrid(points=points))
+        assert build_kernel.cache_info().currsize <= _KERNEL_MEMO
+        assert same_bits(kern.matrix, _kernel_matrix(fft_size, cp_len, points))
 
     def test_kernel_time_domain_consistency(self):
         # |a(nu)^T d| equals the DTFT magnitude of the synthesized symbol

@@ -16,9 +16,10 @@ capped by ``--symbols``.  After one untimed run of each tree, every pair
 runs both trees back to back, the first pair a then b, the next b then a,
 and so on.  The script prints each pair's time ratio a / b in wall-clock
 time (``perf_counter``) and in CPU time (``process_time``), then the median
-ratios (above 1: b is faster), the median ratio of each layer time of the
-manifests' ``timings_s`` (``generate``, ``precode``, ``metrics``, ``psd``,
-``io`` and ``total``), and whether each output file of the two trees' last
+ratios (above 1: b is faster), on one line with their base, the median
+wall seconds of a call of a and of b, then the median ratio of each layer
+time of the manifests' ``timings_s`` (``generate``, ``precode``,
+``metrics``, ``psd``, ``io`` and ``total``), and whether each output file of the two trees' last
 runs is identical (the manifest compared without its timings).  Where
 ``summary.csv`` differs, or else where ``manifest.json`` does, each
 metric that moved follows as ``name: a -> b (relative r)``, read from the
@@ -28,11 +29,16 @@ summary's 12 printed digits shows as well.
 ``--workload`` may be given more than once, or as ``all`` for every
 workload of ``bench/workloads.json``; the workloads then run one after the
 other, each under a ``workload NAME:`` line, and a last block prints one
-line per workload with its median wall, CPU and precode ratios.
+line per workload with its median wall, CPU and precode ratios and the
+median wall seconds of a and of b.
 
 Separate runs on a shared host can drift by tens of percent minutes apart;
 the two runs of a pair see the same host state, so their ratio compares
 the code.  A tree compared with itself reads close to 1.
+
+``--symbols 1`` probes a call's fixed cost, the part that does not grow
+with the symbol count (set-up, the end-of-run statistics and file
+writes): a one-symbol call is mostly that cost.
 """
 
 import os
@@ -121,16 +127,18 @@ def verdict_lines(verdicts, manifest_a, manifest_b):
 def ab_workload(trees, overrides, pairs, out_dir):
     """Time ``pairs`` interleaved pairs of the two trees on one scenario and
     print the block described above; returns the median (wall, cpu, layer)
-    ratios a / b, layer a dict by layer name."""
+    ratios a / b, layer a dict by layer name, and the median wall seconds
+    of a call, a dict by tree."""
     dirs = {key: Path(out_dir) / f"out_{key}" for key in trees}
     manifests = {key: timed_run(pkg, overrides, dirs[key])[2] for key, pkg in trees.items()}
-    wall_ratios, cpu_ratios, layer_ratios = [], [], {}
+    wall_ratios, cpu_ratios, layer_ratios, walls = [], [], {}, {"a": [], "b": []}
     for pair in range(pairs):
         order = ("a", "b") if pair % 2 == 0 else ("b", "a")
         times, layers = {}, {}
         for key in order:
             wall, cpu, manifests[key], layers[key] = timed_run(trees[key], overrides, dirs[key])
             times[key] = (wall, cpu)
+            walls[key].append(wall)
         wall_ratios.append(times["a"][0] / times["b"][0])
         cpu_ratios.append(times["a"][1] / times["b"][1])
         for name, seconds in layers["a"].items():
@@ -140,13 +148,15 @@ def ab_workload(trees, overrides, pairs, out_dir):
               f"cpu ratio {cpu_ratios[-1]:.4f}")
     wall, cpu = statistics.median(wall_ratios), statistics.median(cpu_ratios)
     layer = {name: statistics.median(ratios) for name, ratios in layer_ratios.items()}
-    print(f"median ratio a/b over {pairs} pairs: wall {wall:.4f}, cpu {cpu:.4f}")
+    base = {key: statistics.median(seconds) for key, seconds in walls.items()}
+    print(f"median ratio a/b over {pairs} pairs: wall {wall:.4f}, cpu {cpu:.4f}; "
+          f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s")
     print("median layer ratio a/b: " + ", ".join(
         f"{name} {ratio:.4f}" for name, ratio in layer.items()))
     verdicts = compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"])
     for line in verdict_lines(verdicts, manifests["a"], manifests["b"]):
         print(line)
-    return wall, cpu, layer
+    return wall, cpu, layer, base
 
 
 def main(argv=None):
@@ -187,8 +197,9 @@ def main(argv=None):
             medians[name] = ab_workload(trees, overrides, args.pairs, Path(tmp) / name)
         if len(names) > 1:
             print(f"median ratio a/b per workload over {args.pairs} pairs:")
-            for name, (wall, cpu, layer) in medians.items():
-                print(f"{name}: wall {wall:.4f}, cpu {cpu:.4f}, precode {layer['precode']:.4f}")
+            for name, (wall, cpu, layer, base) in medians.items():
+                print(f"{name}: wall {wall:.4f}, cpu {cpu:.4f}, precode {layer['precode']:.4f}; "
+                      f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s")
     return 0
 
 
