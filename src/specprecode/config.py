@@ -275,7 +275,7 @@ class ScenarioConfig:
                           ("aclr.spacing_hz", aclr_sp)):
             if not 0 < val < np.inf:                        # NaN fails too
                 raise ConfigError("must be positive and finite", field=name)
-        span = psd_os * numerology.sample_rate_hz / 2
+        span = numerology.oversampled(psd_os).sample_rate_hz / 2
         if aclr_sp + aclr_bw / 2 > span:
             raise ConfigError("PSD span too narrow for the adjacent bands; raise "
                               "psd.oversample", field="aclr.spacing_hz")

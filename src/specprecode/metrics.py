@@ -8,14 +8,16 @@ in-band kernel power density anchors both the mask bounds (gamma from dB
 offsets) and the display normalization of the PSD, so a dB value means the
 same thing in either domain.
 
-The emitted density at a probe point is the synthesizer's oversampled
-leakage row applied to the active subcarriers (signal_model._emitted_rows),
-the transmitted-symbol leakage of van de Beek and Berggren ("Out-of-band power
-suppression in OFDM", IEEE Commun. Lett. 2008): a run takes its probe
-densities from these rows on each block's active band, and
-kernel_psd_prediction evaluates the same rows.  PsdAccumulator's optional
-exact-frequency DTFTs of the frames are the independent reference that
-both are checked against.
+The emitted density at a probe point is the leakage of the synthesizer's
+frame, the transmitted-symbol leakage of van de Beek and Berggren
+("Out-of-band power suppression in OFDM", IEEE Commun. Lett. 2008): a frame
+is a symbol of the numerology oversampled L times
+(OfdmNumerology.oversampled), so its leakage is oobe_power on that
+numerology's kernel, the frame kernel, of the active band in bin order.  A
+run takes its probe densities that way from each block's active band, and
+so does kernel_psd_prediction.  PsdAccumulator's optional exact-frequency
+DTFTs of the frames are the independent reference that both are checked
+against.
 
 A periodogram segment is one oversampled symbol, 4 * (512 + 36) = 2192 =
 2^4 * 137 samples in the reference scenario, and a generic FFT spends most
@@ -35,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .signal_model import _emitted_rows, _kernel_entries, _read_only
+from .signal_model import FrequencyGrid, _kernel_entries, _read_only, build_kernel
 
 _DB_FLOOR = 1e-30
 
@@ -199,9 +201,6 @@ class PsdConfig:
         if self.bin_hz <= 0 or self.ref_density <= 0:
             raise ConfigError("bin width and reference density must be positive", field="psd")
 
-    def resolved_segment(self, numerology):
-        return self.oversample * numerology.symbol_len
-
 
 @dataclass(frozen=True)
 class PsdEstimate:
@@ -358,18 +357,20 @@ class PsdAccumulator:
     (add_frames, which the runner calls on a few symbols at a time), are
     added in time order; the sums are bit-stable under any split of the
     waveform at segment boundaries.  finalize() bins to the reporting lattice.
-    Also tracks exact-frequency periodogram values at optional probe
-    frequencies, each a DTFT of the time-domain frames: the independent
-    reference for the emitted rows (_emitted_rows) from which a run takes
-    its probe densities, and for kernel_psd_prediction.  The runner passes
-    no probe frequencies.
+    A segment is a symbol of the frame numerology
+    numerology.oversampled(config.oversample), at its rate.  Also tracks
+    exact-frequency periodogram values at optional probe frequencies, each
+    a DTFT of the time-domain frames: the independent reference for the
+    frame kernel from which a run takes its probe densities, and for
+    kernel_psd_prediction.  The runner passes no probe frequencies.
     """
 
     def __init__(self, numerology, config, probe_freqs_hz=None):
         self.numerology = numerology
         self.config = config
-        self.seg_len = config.resolved_segment(numerology)
-        self.fs = config.oversample * numerology.sample_rate_hz
+        frame = numerology.oversampled(config.oversample)
+        self.seg_len = frame.symbol_len
+        self.fs = frame.sample_rate_hz
         self._psd_sum = np.zeros(self.seg_len)
         self._segments = 0
         # The transform's tables are built here, before a run's large
@@ -438,32 +439,28 @@ class PsdAccumulator:
 def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):
     """Ensemble leakage density predicted from the frequency grids.
 
-    Evaluates the leakage rows of the sampling convention actually used by
-    the synthesizer (_emitted_rows, which the run's probe densities use as
-    well) at the probe frequencies and averages |a(nu)^T dbar_j|^2 over
-    symbols and antennas, returning a density per Hz comparable to
-    PsdEstimate and probe_density values.  Each grid is one (n_tx, N)
-    symbol or an (S, n_tx, N) block; a block counts as its S symbols,
-    added one at a time in order, so it gives the bits of the list of its
-    symbols.
+    Evaluates the leakage of the synthesizer's frames at the probe
+    frequencies, oobe_power on the frame kernel (the kernel of
+    numerology.oversampled(oversample)) of each grid's active band in bin
+    order, as a run's probe densities do, and averages it over symbols
+    and antennas, returning a density per Hz comparable to PsdEstimate and
+    probe_density values.  Each grid is one (n_tx, N) symbol or an
+    (S, n_tx, N) block; a block counts as its S symbols, added one at a
+    time in order, so it gives the bits of the list of its symbols.
     """
-    freqs_hz = np.asarray(freqs_hz, dtype=float)
-    cols = _emitted_rows(numerology, oversample, freqs_hz / numerology.scs_hz,
-                         numerology.active_offsets)
-    fs = oversample * numerology.sample_rate_hz
-    seg = oversample * numerology.symbol_len
-    total = np.zeros(freqs_hz.size)
+    frame = numerology.oversampled(oversample)
+    kernel = build_kernel(frame, FrequencyGrid.from_hz(freqs_hz, numerology.scs_hz))
+    total = np.zeros(kernel.n_points)
     count = 0
     for grid in grids:
-        proj = _row_products(_grid_values(grid)[..., numerology.active_bins], cols)
-        # The oversampled body is scaled by 1/sqrt(N) of the base FFT, while
-        # the kernel rows here carry 1/sqrt(os*N); undo the mismatch.
-        powers = np.atleast_2d(np.sum(np.abs(proj) ** 2, axis=-2) * oversample)
+        band = _grid_values(grid).take(numerology.band_bins, axis=-1)
+        # The frame kernel's powers are L times too small (SpectralKernel).
+        powers = np.atleast_2d(np.sum(oobe_power(band, kernel), axis=-1) * oversample)
         total = _add_in_order(total, powers)
         count += len(powers)
     if count == 0:
         raise ConfigError("no grids provided", field="psd")
-    return total / count / (fs * seg)
+    return total / count / (frame.sample_rate_hz * frame.symbol_len)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ synthesised and added to the PSD in pieces of PSD_SYMBOLS.  The run
 record (``_RunRecord``) is the one place that measures a precoded block:
 it takes the block's active band, gathered once in bin order
 (numerology.band_bins), and forms from it the leakage (oobe_power), the
-EVM sums and the probe densities (the band's products with the
-synthesizer's leakage rows, kernel.emitted_rows).  Every per-symbol
+EVM sums and the probe densities (oobe_power of the band on the frame
+kernel, the kernel of the synthesizer's frames: build_kernel of
+numerology.oversampled(L) for the PSD oversampling L).  Every per-symbol
 result is computed as for a block of one.  An iterative precoder hands
 the run its block report (unconstrained.BlockTraces), and the record adds
 each block's statistics in one pass, every running sum taking the
@@ -39,13 +40,15 @@ block of waveform at a time and a run that raises leaves no partial file.
 Its digest is then taken in chunks of the file.
 
 What does not depend on the data is built once per process: build_kernel
-memoizes the kernel by value, per (numerology, frequency grid), and the
-read-only arrays derived from it are kept on it (the active-band rows,
-the Gram matrix and its factor, the emitted probe rows per PSD
-oversampling), as are the PSD's transform tables and reporting lattice
-per segment (metrics._dft_tables, metrics._psd_lattice).  Each run builds
-only its run record, PSD sums and buffers, and its files; the manifest
-and config_resolved.json share one normalized config.
+memoizes the kernel by value, per (numerology, frequency grid), so a run
+keys two entries, its solver kernel and its frame kernel, and the
+read-only arrays derived from them are kept on them (the active-band
+rows, the Gram matrix and its factor), as are the PSD's transform tables
+and reporting lattice per segment (metrics._dft_tables,
+metrics._psd_lattice).  Each run resolves its frame numerology once and
+builds only its run record, PSD sums and buffers, and its files; the
+manifest and config_resolved.json share one normalized config.  A run
+that raises leaves no empty directory that it made.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from . import __version__
 from .baselines import LogBarrierProblem, _ensp_block, _notch_component, logbarrier_solve
 from .constrained import _eadmm_block, _essp_block
 from .errors import ConfigError
-from .metrics import PsdAccumulator, _add_in_order, _row_products, _to_db, aclr, oobe_power
+from .metrics import PsdAccumulator, _add_in_order, _to_db, aclr, oobe_power
 from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate_qam_block,
                            synthesize_time_signal)
 from .unconstrained import BlockTraces, _admm_block, _ssp_block
@@ -170,10 +173,11 @@ class _RunRecord:
     precoder without one; evm.csv reports a frequency-selective one.
     """
 
-    def __init__(self, cfg, budget, kernel):
+    def __init__(self, cfg, budget, kernel, frame_kernel):
         self.cfg = cfg
         self.budget = budget
         self.kernel = kernel
+        self.frame_kernel = frame_kernel
         num = cfg.numerology
         self.err_cols = np.zeros(num.n_active)
         self.ref_cols = np.zeros(num.n_active)
@@ -183,12 +187,11 @@ class _RunRecord:
         self.extras = {}
         self.trace = np.zeros((0, cfg.freq_grid.size + 4))
         self.probe = np.zeros(cfg.freq_grid.size)
-        self.probe_rows = kernel.emitted_rows(cfg.psd_oversample)
-        # A probe density is the rows' power times L (_emitted_rows) over
-        # the rect window's power f_s * segment, as in PsdAccumulator.
-        psd = cfg.psd_config()
-        fs = psd.oversample * num.sample_rate_hz
-        self.probe_scale = psd.oversample / (fs * psd.resolved_segment(num))
+        # A probe density is the frame kernel's power times L
+        # (SpectralKernel) over the rect window's power f_s * segment, as in
+        # PsdAccumulator.
+        frame = frame_kernel.numerology
+        self.probe_scale = cfg.psd_oversample / (frame.sample_rate_hz * frame.symbol_len)
 
     def add(self, grid, out, traces, extras):
         """Add a block: the active bands (S, n_tx, n_active), in bin order
@@ -196,9 +199,8 @@ class _RunRecord:
         precoder's block report (or None) and extras.  The output's
         leakage is oobe_power of its band; every antenna row shares the
         bounds, so the mask ratio is the worst row's.  A probe density is
-        the emitted leakage |band . P|^2 at its point, summed over
-        antennas, with P the synthesizer's rows on the band (probe_rows),
-        one BLAS call per antenna row."""
+        the emitted leakage at its point, oobe_power of the band on the
+        frame kernel, summed over antennas."""
         per_point = np.max(oobe_power(out, self.kernel), axis=2)
         self.ratio_max = max(self.ratio_max, float(np.max(per_point / self.cfg.mask.gamma)))
         for key, val in extras.items():
@@ -228,7 +230,7 @@ class _RunRecord:
         self.ref_cols = _add_in_order(self.ref_cols, ref.sum(axis=1))
         self.err = _add_in_order(self.err, err_sym)
         self.ref = _add_in_order(self.ref, ref_sym)
-        powers = np.sum(np.abs(_row_products(out, self.probe_rows)) ** 2, axis=1)
+        powers = np.sum(oobe_power(out, self.frame_kernel), axis=2)
         self.probe = _add_in_order(self.probe, powers * self.probe_scale)
 
     def write(self, out_path, psd_acc, files):
@@ -282,15 +284,31 @@ class _RunRecord:
 
 
 def run_scenario(cfg, out_dir=None):
-    """Execute a scenario and write its outputs; returns the manifest dict."""
-    out_path = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    """Execute a scenario and write its outputs; returns the manifest dict.
 
+    A run that raises removes again the directories it made for its output
+    (the output directory and its missing parents) while they are empty."""
+    out_path = Path(out_dir if out_dir is not None else cfg.out_dir)
+    made = [path for path in (out_path, *out_path.parents) if not path.exists()]
+    out_path.mkdir(parents=True, exist_ok=True)
+    try:
+        return _run(cfg, out_path)
+    except BaseException:
+        for path in made:                   # the output directory first
+            if any(path.iterdir()):
+                break
+            path.rmdir()
+        raise
+
+
+def _run(cfg, out_path):
+    """run_scenario's run into the existing directory out_path."""
     kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+    frame = cfg.numerology.oversampled(cfg.psd_oversample)
     precoder = PRECODER_TABLE[cfg.precoder]
     budget = cfg.evm_constraint()
     psd_acc = PsdAccumulator(cfg.numerology, cfg.psd_config())
-    record = _RunRecord(cfg, budget, kernel)
+    record = _RunRecord(cfg, budget, kernel, build_kernel(frame, cfg.freq_grid))
     symbol_len = cfg.numerology.symbol_len
     waveform_path = out_path / "waveform.bin"
     waveform = (WaveformWriter(waveform_path, cfg.n_tx, cfg.symbols * symbol_len)
@@ -316,12 +334,11 @@ def run_scenario(cfg, out_dir=None):
             # The oversampled frames of every piece of the block are
             # synthesised into one buffer, through one spectrum buffer.
             size = min(PSD_SYMBOLS, len(out.symbols))
-            frames = np.empty((size, cfg.n_tx, psd_acc.seg_len), dtype=complex)
-            spec = np.zeros((size, cfg.n_tx, cfg.psd_oversample * cfg.numerology.fft_size),
-                            dtype=complex)
+            frames = np.empty((size, cfg.n_tx, frame.symbol_len), dtype=complex)
+            spec = np.zeros((size, cfg.n_tx, frame.fft_size), dtype=complex)
             for j in range(0, len(out.symbols), PSD_SYMBOLS):
                 piece = out.symbols[j:j + PSD_SYMBOLS]
-                psd_acc.add_frames(_write_frames(piece, cfg.numerology, cfg.psd_oversample,
+                psd_acc.add_frames(_write_frames(piece, cfg.numerology, frame,
                                                  frames[:len(piece)], spec[:len(piece)]))
             del frames, spec
             t3 = time.perf_counter()

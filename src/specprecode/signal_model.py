@@ -15,13 +15,21 @@ whose closed form is a Dirichlet ratio
 with removable singularities at nu - k = 0 (mod N) where the entry equals
 L/sqrt(N).  Rows are evaluated through a reduced offset so the expression is
 exact (to roundoff) arbitrarily close to the singular points.
+
+The synthesizer oversamples a symbol by zero padding its spectrum, so its
+frame at an oversampling factor is a symbol of the numerology
+numerology.oversampled(factor): FFT size and CP scaled by the factor, the
+same active subcarriers.  The kernel of that numerology, the frame kernel,
+is the leakage of the emitted frame (SpectralKernel); one kernel function
+serves the solver rows and the emitted probe rows.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -162,6 +170,21 @@ class OfdmNumerology:
                               field="numerology.active_offsets")
         return self.n_active // self.prb_size
 
+    def oversampled(self, oversample):
+        """The numerology of the synthesizer's frames at L = ``oversample``
+        times the base rate: FFT size L N and CP L N_CP, with this numerology's
+        subcarrier spacing, active offsets and resource blocks, so its
+        band_bins hold the active subcarriers in the order of this one's.
+        The one check of an oversampling factor: one that is not an integer
+        (a numpy integer is one; 4.0 is not), or is below 1, raises
+        ConfigError.  oversampled(1) is self.
+        """
+        if not isinstance(oversample, numbers.Integral) or oversample < 1:
+            raise ConfigError("oversample must be a positive integer", field="oversample")
+        factor = int(oversample)
+        return self if factor == 1 else replace(self, fft_size=factor * self.fft_size,
+                                                cp_len=factor * self.cp_len)
+
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
@@ -232,25 +255,6 @@ def _kernel_matrix(fft_size, cp_len, points):
     return _kernel_entries(fft_size, cp_len, np.asarray(points, dtype=float)[:, None] - k[None, :])
 
 
-def _emitted_rows(numerology, oversample, nu, offsets):
-    """The synthesizer's leakage rows at the points nu (subcarriers) on the
-    subcarriers ``offsets``, as the (len(offsets), M) matrix whose
-    products with a band (metrics._row_products) give the emitted leakage.
-
-    A symbol's frame is its grid on the oversampled spectrum (FFT size
-    L N, CP L N_CP; _write_frames), so the DTFT of the frame at nu is the
-    oversampled kernel row applied to the active subcarriers: entry
-    (k, m) is _kernel_entries(L N, L N_CP, nu_m - mod(k, L N)), the
-    entries of _kernel_matrix(L N, L N_CP, nu) at those columns, bit for
-    bit.  The rows carry 1/sqrt(L N) where the frame carries 1/sqrt(N),
-    so their powers are L times too small.  The matrix is C-contiguous:
-    BLAS rounds a product with its transposed layout differently.
-    """
-    n_os = oversample * numerology.fft_size
-    delta = np.asarray(nu, dtype=float)[None, :] - np.mod(offsets, n_os)[:, None]
-    return _kernel_entries(n_os, oversample * numerology.cp_len, delta)
-
-
 @dataclass(frozen=True)
 class SpectralKernel:
     """Leakage rows a(nu_m)^T stacked into an M x N matrix.
@@ -261,12 +265,19 @@ class SpectralKernel:
     Every array a kernel derives is read-only and built once, on first
     use; build_kernel's kernels are shared by every later call with equal
     arguments, so their matrix is read-only as well.
+
+    The kernel of a numerology oversampled L times
+    (OfdmNumerology.oversampled) is the frame kernel, the leakage of the
+    synthesizer's frames (_write_frames): its band_rows, applied to a base
+    grid's active band in bin order, give the DTFT of the emitted frame at
+    the points (van de Beek and Berggren, "Out-of-band power suppression in
+    OFDM", IEEE Commun. Lett. 2008).  The rows carry 1/sqrt(L N) where the
+    frame carries 1/sqrt(N), so their powers are L times too small.
     """
 
     matrix: np.ndarray
     freq_grid: FrequencyGrid
     numerology: OfdmNumerology
-    _emitted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_points(self):
@@ -304,23 +315,11 @@ class SpectralKernel:
         forced to zero, built once."""
         return _read_only(self.matrix[:, self.numerology.band_bins])
 
-    def emitted_rows(self, oversample):
-        """Read-only n_active x M emitted rows (_emitted_rows) at the
-        kernel's points on the active band in bin order, for frames
-        oversampled ``oversample`` times: the rows of a run's probe
-        densities, built once per oversampling."""
-        rows = self._emitted.get(oversample)
-        if rows is None:
-            num = self.numerology
-            offsets = num.active_offsets[np.argsort(num.active_bins)]      # in bin order
-            rows = self._emitted[oversample] = _read_only(
-                _emitted_rows(num, oversample, self.freq_grid.points, offsets))
-        return rows
 
-
-# Kernels build_kernel keeps, the most recently used.  One entry of the
-# reference scenario (N = 512, M = 8) with its derived arrays holds about
-# 0.2 MB.
+# Kernels build_kernel keeps, the most recently used.  A run keys two: its
+# solver kernel, which for the reference scenario (N = 512, M = 8) holds
+# about 0.2 MB with its derived arrays, and its frame kernel (N = 2048 at
+# the default 4x oversampling), about 0.3 MB.
 _KERNEL_MEMO = 8
 
 
@@ -466,22 +465,23 @@ def generate_qam_grid(seed, numerology, n_tx, constellation, symbol_index=0):
                     numerology=numerology)
 
 
-def _write_frames(symbols, numerology, oversample, frames, spec):
-    """Write the CP-OFDM frames of a block of symbols (S, n_tx, N) into
-    frames (S, n_tx, oversample * (N + N_CP)), and return frames.
+def _write_frames(symbols, numerology, frame, frames, spec):
+    """Write the CP-OFDM frames of a block of symbols (S, n_tx, N) of
+    ``numerology`` into frames (S, n_tx, frame.symbol_len), and return
+    frames; ``frame`` is the numerology oversampled L times
+    (numerology.oversampled(L)).
 
     Each frame is the inverse DFT of its symbol's grid with 1/sqrt(N)
     scaling, oversampled by zero padding the spectrum, with the cyclic
-    prefix copied in front from the body's tail.  spec (S, n_tx,
-    oversample * N) holds the padded spectra: only its active positions are
-    written, so its other entries must be zero, and they stay zero.  The
-    inverse DFT writes straight into the frames' bodies; frames may be any
-    view whose last axis is contiguous.  Both arrays can be reused from one
-    call to the next.
+    prefix copied in front from the body's tail.  spec (S, n_tx, L N)
+    holds the padded spectra: only its active positions are written, so
+    its other entries must be zero, and they stay zero.  The inverse DFT
+    writes straight into the frames' bodies; frames may be any view whose
+    last axis is contiguous.  Both arrays can be reused from one call to
+    the next.
     """
-    n_os = oversample * numerology.fft_size
-    cp_os = oversample * numerology.cp_len
-    spec[..., np.mod(numerology.active_offsets, n_os)] = symbols[..., numerology.active_bins]
+    n_os, cp_os = frame.fft_size, frame.cp_len
+    spec[..., frame.active_bins] = symbols[..., numerology.active_bins]
     body = np.fft.ifft(spec, axis=-1, out=frames[..., cp_os:])
     body *= n_os / np.sqrt(numerology.fft_size)
     frames[..., :cp_os] = body[..., n_os - cp_os:]
@@ -498,15 +498,14 @@ def synthesize_time_signal(grid, oversample=1):
     cyclic prefix prepended.  At ``oversample=1`` sample n of the body is
     (1/sqrt(N)) * sum_k d_k exp(j*2*pi*k*n/N).
     """
-    if oversample < 1 or int(oversample) != oversample:
-        raise ConfigError("oversample must be a positive integer", field="oversample")
     num = grid.numerology
+    frame = num.oversampled(oversample)
     symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:])
     # Each symbol's frame is written straight into its place in the
     # antenna streams.
-    stream = np.empty((grid.n_tx, symbols.shape[0], oversample * num.symbol_len), dtype=complex)
-    spec = np.zeros(symbols.shape[:-1] + (oversample * num.fft_size,), dtype=complex)
-    _write_frames(symbols, num, oversample, np.moveaxis(stream, 1, 0), spec)
+    stream = np.empty((grid.n_tx, symbols.shape[0], frame.symbol_len), dtype=complex)
+    spec = np.zeros(symbols.shape[:-1] + (frame.fft_size,), dtype=complex)
+    _write_frames(symbols, num, frame, np.moveaxis(stream, 1, 0), spec)
     return stream.reshape(grid.n_tx, -1)
 
 

@@ -227,6 +227,38 @@ class TestRejectedSettings:
         assert not out_dir.exists()
 
 
+class TestFailedRunDirectory:
+    """A run that raises removes the output directory it made, while it is
+    empty, and leaves one that was there before."""
+
+    # equal points give the notch linearly dependent leakage rows, which
+    # the first block raises after the directory is made
+    TWIN_POINTS = {"precoder": "ensp",
+                   "frequencies_hz": [-210_750.0, -210_750.0, 199_500.0, 210_750.0]}
+
+    def test_cli_exit_code_and_no_directory(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, **self.TWIN_POINTS)
+        out_dir = tmp_path / "new" / "out"
+        code = main(["--config", str(path), "--out-dir", str(out_dir), "--emit-waveforms"])
+        assert code == EXIT_CONFIG
+        assert "leakage rows are linearly dependent" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_an_existing_directory_stays(self, tmp_path):
+        cfg = ScenarioConfig.from_dict(dict(SMALL_SCENARIO, **self.TWIN_POINTS))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        with pytest.raises(specprecode.ConfigError, match="linearly dependent"):
+            run_scenario(cfg, out_dir)
+        assert out_dir.is_dir() and not any(out_dir.iterdir())
+        # a directory the run made inside a parent that holds a file goes,
+        # the parent stays
+        (out_dir / "keep").write_text("")
+        with pytest.raises(specprecode.ConfigError, match="linearly dependent"):
+            run_scenario(cfg, out_dir / "a" / "b")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["keep"]
+
+
 class TestNonFiniteGrid:
     def test_config_exit_code(self, tmp_path, monkeypatch, capsys):
         real = runner.generate_qam_block
@@ -381,8 +413,9 @@ class TestBlockPipeline:
 
 
 class TestKernelMemo:
-    """build_kernel memoizes a run's set-up by value: the kernel and what a
-    run derives from it, the probe rows among them."""
+    """build_kernel memoizes a run's set-up by value: the solver kernel and
+    the frame kernel of its probe densities, and what a run derives from
+    them."""
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -393,26 +426,25 @@ class TestKernelMemo:
         build_kernel.cache_clear()
         return calls
 
-    def test_one_numerology_builds_one_kernel(self, tmp_path, monkeypatch):
+    def test_one_numerology_builds_one_solver_and_one_frame_kernel(self, tmp_path,
+                                                                   monkeypatch):
         calls = self.counted(monkeypatch, "_kernel_matrix")
         for seed in (3, 4):
             run_scenario(ScenarioConfig.from_dict(dict(SMALL_SCENARIO, seed=seed)),
                          tmp_path / str(seed))
-        assert len(calls) == 1
+        assert len(calls) == 2
 
-    @pytest.mark.parametrize("change, kernels, rows", [
-        ({"numerology": dict(SMALL_SCENARIO["numerology"], cp_len=6)}, 2, 2),
-        ({"frequencies_hz": [-211_500.0, -199_500.0, 199_500.0, 210_750.0]}, 2, 2),
-        ({"psd": {"oversample": 8}}, 1, 2),
+    @pytest.mark.parametrize("change, kernels", [
+        ({"numerology": dict(SMALL_SCENARIO["numerology"], cp_len=6)}, 4),
+        ({"frequencies_hz": [-211_500.0, -199_500.0, 199_500.0, 210_750.0]}, 4),
+        ({"psd": {"oversample": 8}}, 3),
     ])
-    def test_a_changed_setup_builds_its_own(self, tmp_path, monkeypatch, change, kernels,
-                                            rows):
-        kernel_calls = self.counted(monkeypatch, "_kernel_matrix")
-        row_calls = self.counted(monkeypatch, "_emitted_rows")
+    def test_a_changed_setup_builds_its_own(self, tmp_path, monkeypatch, change, kernels):
+        calls = self.counted(monkeypatch, "_kernel_matrix")
         for name, data in (("base", SMALL_SCENARIO), ("changed", dict(SMALL_SCENARIO, **change)),
                            ("again", dict(SMALL_SCENARIO, seed=4))):
             run_scenario(ScenarioConfig.from_dict(data), tmp_path / name)
-        assert (len(kernel_calls), len(row_calls)) == (kernels, rows)
+        assert len(calls) == kernels
 
     @pytest.mark.parametrize("precoder", ["ssp", "essp"])
     def test_a_cold_run_writes_the_files_of_a_warm_run(self, tmp_path, precoder):
@@ -480,7 +512,7 @@ class TestRunRecord:
         error and reference power are those of the active band, its bins
         in ascending order (``bins``), per bin and over each symbol, and
         the probe powers are each symbol's band against the record's
-        emitted rows."""
+        frame kernel."""
         per_point = np.max(pow_pts, axis=2)
         err = np.abs(out.symbols[..., bins] - grid.symbols[..., bins]) ** 2
         ref = np.abs(grid.symbols[..., bins]) ** 2
@@ -503,7 +535,7 @@ class TestRunRecord:
             sums["ref_cols"] += ref_cols[s]
             sums["err"] += float(err_sym[s])
             sums["ref"] += float(ref_sym[s])
-            proj = _row_products(out.symbols[s][..., bins], record.probe_rows)
+            proj = _row_products(out.symbols[s][..., bins], record.frame_kernel.band_rows.T)
             sums["probe"] += np.sum(np.abs(proj) ** 2, axis=0) * record.probe_scale
 
     @pytest.mark.parametrize("precoder", ["admm", "ensp"])
@@ -513,7 +545,8 @@ class TestRunRecord:
         cfg = ScenarioConfig.from_dict(data)
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         budget = cfg.evm_constraint()
-        record = runner._RunRecord(cfg, budget, kernel)
+        frame_kernel = build_kernel(cfg.numerology.oversampled(cfg.psd_oversample), cfg.freq_grid)
+        record = runner._RunRecord(cfg, budget, kernel, frame_kernel)
         sums = {"trace": np.zeros((0, cfg.freq_grid.size + 4)),
                 "leak": np.zeros(cfg.freq_grid.size), "probe": np.zeros(cfg.freq_grid.size),
                 "err": 0.0, "ref": 0.0,
@@ -543,7 +576,7 @@ class TestRunRecord:
 class TestProbeDensities:
     """The run's psd_probe_db_p* against the exact-frequency periodogram of
     PsdAccumulator on the synthesized output, an independent path: the
-    run takes them from the emitted rows on the active band."""
+    run takes them from the frame kernel on the active band."""
 
     @pytest.mark.parametrize("precoder, n_tx", [
         pytest.param(p, n, id=p if n == 2 else f"{p}-1tx")
@@ -663,7 +696,8 @@ class TestStreamedWaveform:
         with pytest.raises(NumericalError):
             run_scenario(cfg, out)
         assert len(calls) == 2
-        assert list(out.iterdir()) == []
+        # no partial waveform is left, so the directory the run made is gone
+        assert not out.exists()
 
     def test_peak_memory_does_not_grow_with_the_run(self, tmp_path):
         def peak(symbols):

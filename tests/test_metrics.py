@@ -11,8 +11,7 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          calibrate_mask, generate_qam_block, kernel_psd_prediction,
                          oobe_power, OfdmNumerology, synthesize_time_signal)
 from specprecode import runner
-from specprecode.metrics import (_add_in_order, _dft_power, _dft_tables, _emitted_rows,
-                                 _row_products)
+from specprecode.metrics import _add_in_order, _dft_power, _dft_tables, _row_products
 from specprecode.signal_model import _kernel_entries, _kernel_matrix, _write_frames
 
 from conftest import qpsk_grid, small_numerology
@@ -149,7 +148,23 @@ class TestPsdConfig:
 
     def test_segment_is_one_oversampled_symbol(self, metric_setup):
         num, _, _ = metric_setup
-        assert PsdConfig(oversample=4).resolved_segment(num) == 4 * num.symbol_len
+        acc = PsdAccumulator(num, PsdConfig(oversample=4))
+        assert acc.seg_len == num.oversampled(4).symbol_len == 4 * num.symbol_len
+        assert acc.fs == num.oversampled(4).sample_rate_hz == 4 * num.sample_rate_hz
+
+    @pytest.mark.parametrize("oversample", [2.5, 4.0, 0, -1])
+    def test_oversample_must_be_a_positive_integer(self, metric_setup, oversample):
+        # PsdConfig checks only the lower bound; the frame numerology checks
+        # the rest, for the accumulator as for kernel_psd_prediction
+        num, _, grid = metric_setup
+        for call in (lambda: PsdAccumulator(num, PsdConfig(oversample=oversample)),
+                     lambda: kernel_psd_prediction([grid], num, oversample, [1e5])):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert info.value.field in ("oversample", "psd.oversample")
+        if oversample >= 1:
+            with pytest.raises(ConfigError, match="^oversample: "):
+                PsdAccumulator(num, PsdConfig(oversample=oversample))
 
 
 class TestPsdEstimate:
@@ -284,7 +299,7 @@ class TestPsdAccumulation:
             kernel_psd_prediction([], num, 4, np.array([1e5]))
 
 
-def emitted_numerologies():
+def frame_numerologies():
     """The default numerology and the 64-point ones without a cyclic prefix
     and with a 3-sample one."""
     small = [OfdmNumerology.centered(fft_size=64, cp_len=cp, scs_hz=15e3, n_active=24,
@@ -292,47 +307,52 @@ def emitted_numerologies():
     return [ScenarioConfig.from_dict({}).numerology, *small]
 
 
-class TestEmittedRows:
-    """The synthesizer's leakage rows on the active subcarriers
-    (metrics._emitted_rows), which give the run's probe densities and
-    kernel_psd_prediction."""
+class TestFrameKernelRows:
+    """The frame kernel's band rows (the kernel of the numerology
+    oversampled L times, on the active band in bin order), which give the
+    run's probe densities and kernel_psd_prediction."""
 
-    @pytest.mark.parametrize("num", emitted_numerologies(), ids=["default", "n64-cp0", "n64-cp3"])
+    @pytest.mark.parametrize("num", frame_numerologies(), ids=["default", "n64-cp0", "n64-cp3"])
     @pytest.mark.parametrize("oversample", [4, 3])
     def test_entries_match_a_direct_sum_over_the_frame(self, num, oversample):
-        # the frame of a unit symbol on each active subcarrier, as the
-        # synthesizer writes it (the CP, then the body, 1/sqrt(N) scaling),
-        # summed against exp(-2 pi i nu t / (L N)) with t = 0 at the body's
-        # first sample; the rows carry 1/sqrt(L N), so they read 1/sqrt(L)
-        # of that sum.  The points are quarter subcarriers, so nu t and its
-        # remainder modulo L N are exact and the phases keep their digits.
-        n_os, cp_os = oversample * num.fft_size, oversample * num.cp_len
+        # the frame of a unit symbol on each active subcarrier, in bin order,
+        # as the synthesizer writes it (the CP, then the body, 1/sqrt(N)
+        # scaling), summed against exp(-2 pi i nu t / (L N)) with t = 0 at
+        # the body's first sample; the rows carry 1/sqrt(L N), so they read
+        # 1/sqrt(L) of that sum.  The points are quarter subcarriers, so nu t
+        # and its remainder modulo L N are exact and the phases keep their
+        # digits.
+        frame = num.oversampled(oversample)
+        n_os, cp_os = frame.fft_size, frame.cp_len
         nu = np.array([-1.5 * num.fft_size - 0.25, -14.25, -0.5, 0.0, 3.0, 13.25,
                        num.fft_size / 2 + 7.75, float(num.active_offsets[-1])])
         unit = np.zeros((num.n_active, 1, num.fft_size), dtype=complex)
-        unit[np.arange(num.n_active), 0, num.active_bins] = 1.0
+        unit[np.arange(num.n_active), 0, num.band_bins] = 1.0
         frames = synthesize_time_signal(DataGrid(symbols=unit, numerology=num),
                                         oversample=oversample).reshape(num.n_active, -1)
         t = np.arange(n_os + cp_os) - cp_os
         direct = frames @ np.exp(-2j * np.pi * np.mod(np.outer(t, nu), n_os) / n_os)
-        rows = _emitted_rows(num, oversample, nu, num.active_offsets) * np.sqrt(oversample)
+        rows = build_kernel(frame, FrequencyGrid(points=nu)).band_rows.T * np.sqrt(oversample)
         scale = np.max(np.abs(direct), axis=0)
         assert np.all(np.abs(rows - direct) <= 1e-12 * scale)
 
-    @pytest.mark.parametrize("num", emitted_numerologies(), ids=["default", "n64-cp0", "n64-cp3"])
-    def test_entries_are_the_kernel_matrix_columns_bitwise(self, num):
-        n_os, cp_os = 4 * num.fft_size, 4 * num.cp_len
+    @pytest.mark.parametrize("num", frame_numerologies(), ids=["default", "n64-cp0", "n64-cp3"])
+    @pytest.mark.parametrize("oversample", [4, 5, 8])
+    @pytest.mark.parametrize("n_tx, symbols", [(1, 1), (2, 4), (3, 32)])
+    def test_powers_have_the_bits_of_contiguous_band_rows(self, num, oversample, n_tx,
+                                                          symbols):
+        # oobe_power multiplies by the transposed band rows; a product with
+        # the C-contiguous (n_active, M) matrix of the same entries, whose
+        # layout BLAS might round differently, gives the same bits
+        frame = num.oversampled(oversample)
         nu = np.array([-333.5, -170.25, -14.05, 0.0, 13.3, 171.0, 334.0])
-        rows = _emitted_rows(num, 4, nu, num.active_offsets)
-        cols = _kernel_matrix(n_os, cp_os, nu)[:, np.mod(num.active_offsets, n_os)].T
-        assert np.array_equal(rows, cols)
-        # and their products with a band, whose bits depend on the layout
-        band = generate_qam_block(5, num, 2, "16QAM", 0, 3).symbols[..., num.active_bins]
-        assert np.array_equal(_row_products(band, rows), _row_products(band, cols))
-        # in another column order, the same entries in that order
-        order = np.argsort(num.active_bins)
-        assert np.array_equal(_emitted_rows(num, 4, nu, num.active_offsets[order]),
-                              rows[order])
+        kern = build_kernel(frame, FrequencyGrid(points=nu))
+        offsets = num.active_offsets[np.argsort(num.active_bins)]
+        cols = np.ascontiguousarray(
+            _kernel_matrix(frame.fft_size, frame.cp_len, nu)[:, np.mod(offsets, frame.fft_size)].T)
+        band = generate_qam_block(5, num, n_tx, "16QAM", 0, symbols).symbols[..., num.band_bins]
+        expect = np.sum(np.abs(_row_products(band, cols)) ** 2, axis=1)
+        assert np.array_equal(np.sum(oobe_power(band, kern), axis=2), expect)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (2,), (1, 12), (3, 12), (2192,)])
@@ -398,10 +418,11 @@ class TestPeriodogramTransform:
 
         def add_pieces(acc, size):
             frames = np.empty((size, cfg.n_tx, acc.seg_len), dtype=complex)
-            spec = np.zeros((size, cfg.n_tx, psd_cfg.oversample * num.fft_size), dtype=complex)
+            frame = num.oversampled(psd_cfg.oversample)
+            spec = np.zeros((size, cfg.n_tx, frame.fft_size), dtype=complex)
             for j in range(0, symbols, size):
                 piece = block.symbols[j:j + size]
-                acc.add_frames(_write_frames(piece, num, psd_cfg.oversample,
+                acc.add_frames(_write_frames(piece, num, frame,
                                              frames[:len(piece)], spec[:len(piece)]))
 
         add_pieces(accs[0], 1)

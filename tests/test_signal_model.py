@@ -110,6 +110,54 @@ class TestNumerology:
             small_numerology().active_offsets[0] = 0
 
 
+@st.composite
+def frame_cases(draw):
+    """(numerology, L): an N-point numerology with any CP and any valid set
+    of active offsets, asymmetric and with gaps, and an oversampling L."""
+    n = draw(st.integers(2, 64))
+    cp_len = draw(st.integers(0, n - 1))
+    offsets = draw(st.lists(st.integers(-(n // 2), (n - 1) // 2), min_size=1, unique=True))
+    num = OfdmNumerology(fft_size=n, cp_len=cp_len, scs_hz=draw(st.sampled_from([15e3, 30e3])),
+                         active_offsets=np.array(offsets), prb_size=draw(st.integers(1, 12)))
+    return num, draw(st.integers(1, 8))
+
+
+class TestFrameNumerology:
+    """OfdmNumerology.oversampled, the numerology of the synthesizer's frames."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=frame_cases())
+    def test_is_the_oversampled_numerology_with_the_band_in_the_same_order(self, case):
+        num, factor = case
+        frame = num.oversampled(factor)
+        direct = OfdmNumerology(fft_size=factor * num.fft_size, cp_len=factor * num.cp_len,
+                                scs_hz=num.scs_hz, active_offsets=num.active_offsets[::-1],
+                                prb_size=num.prb_size)
+        assert frame == direct and hash(frame) == hash(direct) and len({frame, direct}) == 1
+        assert frame.symbol_len == factor * num.symbol_len
+        # band bin k of the frame carries the subcarrier of band bin k of num
+        assert np.array_equal(frame.active_offsets[np.argsort(frame.active_bins)],
+                              num.active_offsets[np.argsort(num.active_bins)])
+        assert np.array_equal(frame.band_bins,
+                              np.sort(np.mod(num.active_offsets, factor * num.fft_size)))
+        assert num.oversampled(1) is num
+        kern = build_kernel(frame, FrequencyGrid(points=[0.5, num.fft_size / 2 + 0.25]))
+        assert kern is build_kernel(direct, FrequencyGrid(points=[0.5, num.fft_size / 2 + 0.25]))
+        with pytest.raises(ValueError):
+            kern.band_rows[0, 0] = 1.0
+
+    def test_accepts_a_numpy_integer(self):
+        num = small_numerology()
+        assert num.oversampled(np.int64(4)) == num.oversampled(4)
+        assert type(num.oversampled(np.int64(4)).fft_size) is int
+
+    @pytest.mark.parametrize("oversample", [2.5, 4.0, 0, -1, "4", None])
+    def test_anything_but_a_positive_integer_is_rejected(self, oversample):
+        with pytest.raises(ConfigError) as info:
+            small_numerology().oversampled(oversample)
+        assert info.value.field == "oversample"
+
+
 class TestFrequencyGrid:
     def test_hz_round_trip(self):
         grid = FrequencyGrid.from_hz(np.array([-75e3, 30e3]), 15e3)
@@ -187,22 +235,23 @@ class TestKernel:
     def test_shared_kernel_cannot_be_written(self):
         num = small_numerology()
         kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 7.1])))
+        frame_kern = build_kernel(num.oversampled(4), kern.freq_grid)
         for arr in (kern.matrix, kern.active_rows, kern.band_rows, kern.gram,
-                    kern.emitted_rows(4)):
+                    frame_kern.band_rows):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
-    def test_emitted_rows_on_the_band_in_bin_order(self):
+    def test_frame_kernel_rows_on_the_band_in_bin_order(self):
         num = small_numerology()
-        kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 7.1])))
-        rows = kern.emitted_rows(4)
-        assert rows is kern.emitted_rows(4) and rows is not kern.emitted_rows(5)
-        # row k is the 4x oversampled kernel column of band bin k
-        full = _kernel_matrix(4 * num.fft_size, 4 * num.cp_len, kern.freq_grid.points)
+        grid = FrequencyGrid(points=np.array([5.3, 7.1]))
+        rows = build_kernel(num.oversampled(4), grid).band_rows
+        assert rows is build_kernel(num.oversampled(4), grid).band_rows
+        assert rows is not build_kernel(num.oversampled(5), grid).band_rows
+        # column k is the 4x oversampled kernel column of band bin k
+        full = _kernel_matrix(4 * num.fft_size, 4 * num.cp_len, grid.points)
         offsets = num.active_offsets[np.argsort(num.active_bins)]
-        assert same_bits(rows, np.ascontiguousarray(
-            full[:, np.mod(offsets, 4 * num.fft_size)].T))
+        assert same_bits(rows, full[:, np.mod(offsets, 4 * num.fft_size)])
 
     def test_equal_arguments_share_one_kernel(self):
         kerns = [build_kernel(small_numerology(), FrequencyGrid(points=[5.3, 7.1]))
@@ -431,11 +480,18 @@ class TestSynthesis:
         assert fine.shape == (1, 4 * num.symbol_len)
         assert np.allclose(fine[:, ::4], base, atol=1e-12)
 
-    def test_invalid_oversample_rejected(self):
+    @pytest.mark.parametrize("oversample", [2.5, 4.0, 0, -1])
+    def test_invalid_oversample_rejected(self, oversample):
         num = small_numerology()
         grid = qpsk_grid(num, 1, seed=1)
-        with pytest.raises(ConfigError):
-            synthesize_time_signal(grid, oversample=0)
+        with pytest.raises(ConfigError) as info:
+            synthesize_time_signal(grid, oversample=oversample)
+        assert info.value.field == "oversample"
+
+    def test_numpy_integer_oversample(self):
+        grid = qpsk_grid(small_numerology(), 1, seed=1)
+        assert same_bits(synthesize_time_signal(grid, oversample=np.int64(4)),
+                         synthesize_time_signal(grid, oversample=4))
 
 
 class TestWaveformIo:

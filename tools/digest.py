@@ -38,7 +38,10 @@ runner's last block of 32 symbols holds a lone row (the four iterative
 solvers there on their span coefficients, under the wideband budget
 where they take one); EADMM and ESSP the same way under the
 frequency-selective edge profile, whose per-column balls then hold a single
-row; and the four benchmark workloads of
+row; SSP at PSD oversampling 5 (segment 2740 = 20 * 137, the large-prime
+path at another m), ENSP at 7 with its waveform written, and SSP on the
+64-point numerology at 8 (segment 544 = 32 * 17); and the four benchmark
+workloads of
 ``bench/workloads.json`` at scenario seeds 1000, 2001 and 3002.
 """
 
@@ -104,6 +107,11 @@ def cases(config):
             "precoder": p, "n_tx": 1, "symbols": 65,
             "evm": {"mode": "frequency_selective",
                     "profile_per_prb": config.selective_edge_profile()}}
+    out["ssp-os5"] = {"precoder": "ssp", "psd": {"oversample": 5}}
+    out["ensp-os7-waveform"] = {"precoder": "ensp", "psd": {"oversample": 7},
+                                "emit_waveforms": True}
+    out["ssp-n64-os8"] = dict(SMALL_NUMEROLOGY, precoder="ssp", symbols=20,
+                              psd={"oversample": 8})
     with open(ROOT / "bench" / "workloads.json", encoding="utf-8") as fh:
         workloads = json.load(fh)
     for name, overrides in workloads.items():
