@@ -86,10 +86,7 @@ def compare_main(argv=None):
     args = parser.parse_args(argv)
     try:
         table = compare_runs(args.manifests, out_csv=args.out)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, json.JSONDecodeError, KeyError) as exc:
+    except (FileNotFoundError, ConfigError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     header = table["header"]

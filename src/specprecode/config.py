@@ -30,7 +30,7 @@ from .constrained import EsspConfig, EvmConstraint
 from .errors import ConfigError
 from .metrics import MaskSpec, PsdConfig, analytic_inband_reference, calibrate_mask
 from .runner import PRECODER_TABLE
-from .signal_model import QAM_ORDERS, FrequencyGrid, OfdmNumerology
+from .signal_model import FrequencyGrid, OfdmNumerology, qam_constellation
 from .unconstrained import AdmmConfig, SspConfig
 
 PRECODERS = tuple(PRECODER_TABLE)
@@ -225,9 +225,7 @@ class ScenarioConfig:
         if precoder not in PRECODERS:
             raise ConfigError(f"unknown precoder {precoder!r}; choose from {PRECODERS}",
                               field="precoder")
-        if data["constellation"] not in QAM_ORDERS:
-            raise ConfigError(f"unknown constellation {data['constellation']!r}",
-                              field="constellation")
+        qam_constellation(data["constellation"])
         if data["n_tx"] < 1:
             raise ConfigError("n_tx must be at least 1", field="n_tx")
         if not 0 <= data["seed"] < 2 ** 128:                  # a Philox key has 128 bits

@@ -75,17 +75,19 @@ class EvmConstraint:
         dist maps a stack of deviations (S', n_tx, n_cols) to their
         distances from the centers (for the wideband budget, through
         ``norms``, which maps the stack to its per-symbol norms and
-        defaults to _symbol_norms), radii are the balls' radii and inner
-        the radii pulled in by _inward_radius for the centers' norms, all
-        shaped to broadcast against the deviations: (S, 1, 1) for the
-        wideband budget, one ball per symbol whose radius is always
-        relative to the whole symbol, and (S, 1, n_cols) for the
-        frequency-selective one, one ball per column, of radius 0 on the
-        guard bins, whose distances are the column norms over the
-        antennas, sqrt(sum re^2 + im^2), from one real square-and-sum
-        (_column_norms).  projector and violation measure with the same
-        dist, so the inward radii that the projector scales to are the
-        ones that violation checks.
+        defaults to _symbol_norms, so that the active-band loop's span
+        coefficients are measured by the same one scale per symbol),
+        radii are the balls' radii and inner the radii pulled in by
+        _inward_radius for the centers' norms, all shaped to broadcast
+        against the deviations: (S, 1, 1) for the wideband budget, one
+        ball per symbol whose radius is always relative to the whole
+        symbol, and (S, 1, n_cols) for the frequency-selective one, one
+        ball per column, of radius 0 on the guard bins, whose distances
+        are the column norms over the antennas, sqrt(sum re^2 + im^2),
+        from one real square-and-sum (_column_norms).  The projections (projector and the solvers'
+        deviation forms) and violation measure with the same dist, so the
+        inward radii that a projection scales to are the ones that
+        violation checks.
         """
         if self.mode == "wideband":
             def dist(dev, norms=_symbol_norms):
@@ -109,7 +111,7 @@ class EvmConstraint:
 
     def projector(self, reference, cols=None):
         """Projection onto the budget ball(s) around ``reference``, taken on
-        deviations from it: the one ball projector of EADMM and ESSP.
+        deviations from it.
 
         The projector maps e = x - reference to the deviation of x's
         projection (_project_balls): e itself (bitwise) where x is inside
@@ -121,25 +123,18 @@ class EvmConstraint:
         ``cols`` (an index array of bins; default all N) picks the frequency
         columns the projector works on; the deviations must be zero on the
         others (guard bins).  The projector takes e shaped like the
-        reference's columns ``cols``, or, with ``active`` (a slice or index
-        array into the block), the stacked symbols ``active`` of the block.
-        Under the wideband budget, ``norms`` measures the distances: the
-        per-symbol norms of a stack of deviations in the caller's form
-        (default _symbol_norms, for band arrays), so that the active-band
-        loop's span coefficients are projected by the same one scale per
-        symbol.  The projector's ``wideband`` tells the loop which form its
-        iterates take.  The balls (_balls) are derived once here.
+        reference's columns ``cols``.  The balls (_balls) are derived once
+        here; the solvers' active-band loop derives them the same way and
+        projects through its deviation form.
         """
         center = reference.symbols
         block = center.reshape((-1,) + center.shape[-2:])
         dist, radii, inner = self._balls(block, reference.numerology, cols)
 
-        def proj(dev, active=slice(None), norms=_symbol_norms):
+        def proj(dev):
             dev = np.asarray(dev, dtype=complex)
             stack = dev.reshape((-1,) + dev.shape[-2:])
-            return _project_balls(stack, dist(stack, norms), radii[active],
-                                  inner[active]).reshape(dev.shape)
-        proj.wideband = self.mode == "wideband"
+            return _project_balls(stack, dist(stack), radii, inner).reshape(dev.shape)
         return proj
 
     def violation(self, reference, candidate):
@@ -197,14 +192,14 @@ class FeasibilityReport:
 
 
 def _as_grid_block(x, kernel):
-    """The DataGrid x with its symbols as an (S, n_tx, N) block
+    """The symbols of the DataGrid x as an (S, n_tx, N) block
     (unconstrained._as_block), once its numerology is the kernel's: the
     same FFT size, cyclic prefix and active subcarriers."""
     num, ref = ((n.fft_size, n.cp_len, n.active_offsets.tolist())
                 for n in (x.numerology, kernel.numerology))
     if num != ref:
         raise ConfigError("the grid's numerology is not the kernel's", field="x.numerology")
-    return x.with_symbols(_as_block(x.symbols, kernel))
+    return _as_block(x.symbols, kernel)
 
 
 def eadmm_precode(x, kernel, masks, evm, cfg=None):
@@ -214,24 +209,21 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     ball, so every iterate of the consensus variable satisfies the budget
     exactly; mask satisfaction improves with iterations and is exact in the
     feasible limit.  consensus_admm iterates on deviations from the input,
-    so the update is evm.projector's zero-centred projection of the mean
-    deviation.  masks is a MaskSpec or an (M,) array of bounds
-    (mask_bounds), shared by every antenna row as in the other solvers.  x
-    holds one symbol or an (S, n_tx, N) block, each symbol under its own
-    ball.  Returns (DataGrid, SolverReport), one report per symbol for a
-    block.
+    so the update is the zero-centred projection of the mean deviation.
+    masks is a MaskSpec or an (M,) array of bounds (mask_bounds), shared by
+    every antenna row as in the other solvers.  x holds one symbol or an
+    (S, n_tx, N) block, each symbol under its own ball.  Returns
+    (DataGrid, SolverReport), one report per symbol for a block.
     """
     out, report = _unblock(x.symbols.shape, *_eadmm_block(
         _as_grid_block(x, kernel), kernel, masks, evm, cfg or AdmmConfig(iters=40)))
     return x.with_symbols(out), report
 
 
-def _eadmm_block(x, kernel, masks, evm, cfg):
-    """eadmm_precode on a DataGrid x whose symbols are an (S, n_tx, N)
-    block: (precoded block, BlockTraces)."""
-    gamma = mask_bounds(masks, kernel.n_points)
-    proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
-    return consensus_admm(x.symbols, kernel, gamma, cfg, proj_e, ball=proj_e)
+def _eadmm_block(block, kernel, masks, evm, cfg):
+    """eadmm_precode on an (S, n_tx, N) block: (precoded block,
+    BlockTraces)."""
+    return consensus_admm(block, kernel, mask_bounds(masks, kernel.n_points), cfg, evm)
 
 
 def essp_precode(x, kernel, masks, evm, cfg=None):
@@ -248,9 +240,9 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     d of the input, starting at e_x = 0 and e_z = -d, and the core:
     e_v = 2 e_x - e_z, c0 = A d + A e_v, e_y = e_v - U (mu c) after the
     sweeps, e_z += relaxation (e_y - e_x), and e_x the zero-centred ball
-    projection of e_z (evm.projector with cols).  The leakage A x is A d
-    plus A e_x.  Under a wideband budget every deviation is alpha d + U xi
-    per antenna row, with one alpha per symbol (-1 for the first e_z), so
+    projection of e_z (form.project).  The leakage A x is A d plus A e_x.
+    Under a wideband budget every deviation is alpha d + U xi per antenna
+    row, with one alpha per symbol (-1 for the first e_z), so
     the loop holds (xi, alpha) and c0, the leakage and the ball's distances
     come from M x M products; the one N-space step is the scatter, where
     each symbol's error is checked against its ball.  With early_stop, a
@@ -268,13 +260,11 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     return x.with_symbols(out), report
 
 
-def _essp_block(x, kernel, masks, evm, cfg):
-    """essp_precode on a DataGrid x whose symbols are an (S, n_tx, N)
-    block: (precoded block, BlockTraces), the report holding each symbol's
-    returned iterate."""
+def _essp_block(block, kernel, masks, evm, cfg):
+    """essp_precode on an (S, n_tx, N) block: (precoded block,
+    BlockTraces), the report holding each symbol's returned iterate."""
     m_pts = kernel.n_points
     gamma = mask_bounds(masks, m_pts)
-    proj_e = evm.projector(x, cols=kernel.numerology.band_bins)
 
     def start(form, band):
         # the one stacked solve of the block, at the first prox centre 2 d
@@ -282,7 +272,7 @@ def _essp_block(x, kernel, masks, evm, cfg):
         return ((form.zeros(), -form.reference(band), np.sum(np.abs(ad) ** 2, axis=(1, 2)))
                 + ssp_core(ad + ad, kernel.gram, gamma))
 
-    def step(form, state, sel):
+    def step(form, state):
         dev_x, dev_z, best_oob, mu, core = state
         dev_v = 2.0 * dev_x - dev_z
         # re-centre the carried core: c = B^(-1) c0 = c0 - W (mu c0)
@@ -294,7 +284,7 @@ def _essp_block(x, kernel, masks, evm, cfg):
         move = dev_v + form.span(-mu * core[..., m_pts]) - dev_x        # e_y - e_x
         dev_z = dev_z + cfg.relaxation * move
         dev_prev = dev_x
-        dev_x = proj_e(dev_z, sel, form.norms)
+        dev_x = form.project(dev_z)
 
         powers = np.abs(form.ad + form.leak(dev_x)) ** 2      # (S, n_tx, M)
         oob_now = np.sum(powers, axis=(1, 2))
@@ -302,7 +292,7 @@ def _essp_block(x, kernel, masks, evm, cfg):
         entries = (powers.max(axis=1), form.norms(move), form.norms(dev_x - dev_prev))
         return (dev_x, dev_z, oob_now, mu, core), entries, stop, dev_prev
 
-    full, traces = _band_iterations(x.symbols, kernel, cfg.outer_iters, start, step, ball=proj_e)
+    full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step, evm)
     traces.returned_iteration = traces.iterations - traces.stopped
     return full, traces
 

@@ -37,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .signal_model import FrequencyGrid, _kernel_entries, _read_only, build_kernel
+from .signal_model import (FrequencyGrid, _kernel_entries, _oversample_factor, _read_only,
+                           build_kernel)
 
 _DB_FLOOR = 1e-30
 
@@ -196,8 +197,7 @@ class PsdConfig:
     ref_db: float = 0.0
 
     def __post_init__(self):
-        if self.oversample < 1:
-            raise ConfigError("oversample must be at least 1", field="psd.oversample")
+        _oversample_factor(self.oversample)
         if self.bin_hz <= 0 or self.ref_density <= 0:
             raise ConfigError("bin width and reference density must be positive", field="psd")
 

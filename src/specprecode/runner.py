@@ -145,9 +145,9 @@ PRECODER_TABLE = {
     "ssp": _Precoder((), lambda cfg, block, kernel, budget: (
         *_ssp_block(block.symbols, kernel, cfg.mask, cfg.ssp), {})),
     "eadmm": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
-        *_eadmm_block(block, kernel, cfg.mask, budget, cfg.eadmm), {})),
+        *_eadmm_block(block.symbols, kernel, cfg.mask, budget, cfg.eadmm), {})),
     "essp": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
-        *_essp_block(block, kernel, cfg.mask, budget, cfg.essp), {})),
+        *_essp_block(block.symbols, kernel, cfg.mask, budget, cfg.essp), {})),
     "oracle": _Precoder((), _log_barrier),
 }
 
@@ -354,7 +354,7 @@ def _run(cfg, out_path):
     files = {}
     summary = record.write(out_path, psd_acc, files)
     config = cfg.normalized()
-    _write_json(out_path / "config_resolved.json", config, files)
+    _write_bytes(out_path / "config_resolved.json", _json_bytes(config), files)
     if cfg.emit_waveforms:
         with open(waveform_path, "rb") as fh:
             files["waveform.bin"] = _sha256(iter(functools.partial(fh.read, _DIGEST_CHUNK), b""))
@@ -411,10 +411,6 @@ def _json_bytes(data):
     """The JSON text of data as json.dump(data, fh, indent=2, sort_keys=True)
     writes it, and a line end, in UTF-8."""
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _write_json(path, data, files):
-    _write_bytes(path, _json_bytes(data), files)
 
 
 _COMPARE_SHARED = ("numerology", "frequencies_hz", "mask_db_per_100khz", "n_tx",

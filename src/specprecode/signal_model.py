@@ -175,15 +175,22 @@ class OfdmNumerology:
         times the base rate: FFT size L N and CP L N_CP, with this numerology's
         subcarrier spacing, active offsets and resource blocks, so its
         band_bins hold the active subcarriers in the order of this one's.
-        The one check of an oversampling factor: one that is not an integer
-        (a numpy integer is one; 4.0 is not), or is below 1, raises
-        ConfigError.  oversampled(1) is self.
+        The factor is checked by _oversample_factor.  oversampled(1) is
+        self.
         """
-        if not isinstance(oversample, numbers.Integral) or oversample < 1:
-            raise ConfigError("oversample must be a positive integer", field="oversample")
-        factor = int(oversample)
+        factor = _oversample_factor(oversample)
         return self if factor == 1 else replace(self, fft_size=factor * self.fft_size,
                                                 cp_len=factor * self.cp_len)
+
+
+def _oversample_factor(oversample):
+    """The one check of an oversampling factor, shared by the frame
+    numerology and the PSD settings: one that is not an integer (a numpy
+    integer is one; 4.0 is not), or is below 1, raises ConfigError naming
+    ``oversample``.  Returns the factor as an int."""
+    if not isinstance(oversample, numbers.Integral) or oversample < 1:
+        raise ConfigError("oversample must be a positive integer", field="oversample")
+    return int(oversample)
 
 
 @dataclass(frozen=True, eq=False)

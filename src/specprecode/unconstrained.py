@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import _checked_bounds, _row_products
-from .projections import _symbol_norms
+from .projections import _project_balls, _symbol_norms
 from .signal_model import _bin_runs
 
 
@@ -209,29 +209,39 @@ class _BandDeviations:
     frequency-selective budget, whose balls scale each subcarrier on its
     own and so take the iterates out of span{d_r, U}.
 
-    Each solver's step is written once, against the few operations that
-    both forms provide on top of linear arithmetic (sums, differences and
-    per-symbol scales) of the arrays that hold deviations: leak(e) = A e,
-    span(v) = U v for coefficients v (S, n_tx, M), the per-row norms
-    row_norms(e) and the per-symbol norms norms(e) = ||e_s||, and the
-    starting deviations zeros() and reference(band) = d.  ad holds A d of
-    the symbols the form serves, and take(keep) restricts it to the
-    symbols keep.  to_band(e, band, ball) is e as a band array.  norms,
-    the EVM trace and residual norms of the selective EADMM and ESSP, is
-    one np.vecdot per symbol over the contiguous float view of its
-    entries: within a few ulps of _symbol_norms, whose bitwise match with
-    np.linalg.norm takes two strided dot products, and a symbol's value
-    does not depend on its block.
+    The form is the one holder of the per-symbol data of the symbols it
+    serves: ad = A d, the reference norms ref_norms = ||d_s|| and, under a
+    budget, the balls of EvmConstraint._balls on the band, their distance
+    map and their radii and inward radii; take(keep) restricts every one
+    of them to the symbols keep.  Each solver's step is written once,
+    against the few operations that both forms provide on top of linear
+    arithmetic (sums, differences and per-symbol scales) of the arrays
+    that hold deviations: leak(e) = A e, span(v) = U v for coefficients v
+    (S, n_tx, M), the per-row norms row_norms(e) and the per-symbol norms
+    norms(e) = ||e_s||, the starting deviations zeros() and
+    reference(band) = d, and project(e), e projected onto the symbols'
+    zero-centred budget balls (_project_balls) with distances measured
+    by the form's own norms.  to_band(e, band) is e as a band array.
+    norms, the EVM trace and residual norms of the selective EADMM and
+    ESSP, is one np.vecdot per symbol over the contiguous float view of
+    its entries: within a few ulps of _symbol_norms, whose bitwise match
+    with np.linalg.norm takes two strided dot products, and a symbol's
+    value does not depend on its block.
     """
 
-    def __init__(self, kernel, band, ad):
+    _per_symbol = ("ad", "ref_norms", "radii", "inner")
+
+    def __init__(self, kernel, band, ad, ref_norms, balls):
         self.a_cols = kernel.band_rows.T
         self.u_rows = kernel.band_rows.conj()
-        self.ad = ad
+        self.ad, self.ref_norms = ad, ref_norms
+        self.dist, self.radii, self.inner = balls or (None, None, None)
 
     def take(self, keep):
         new = copy.copy(self)
-        new.ad = self.ad[keep]
+        for name in self._per_symbol:
+            if getattr(self, name) is not None:
+                setattr(new, name, getattr(self, name)[keep])
         return new
 
     def zeros(self):
@@ -254,12 +264,15 @@ class _BandDeviations:
         flat = np.ascontiguousarray(dev, dtype=complex).view(float).reshape(len(dev), -1)
         return np.sqrt(np.vecdot(flat, flat))
 
-    def to_band(self, dev, band, ball):
-        """dev itself: a budgeted solver projected it in N-space already."""
+    def project(self, dev, norms=None):
+        return _project_balls(dev, self.dist(dev, norms or self.norms), self.radii, self.inner)
+
+    def to_band(self, dev, band):
+        """dev itself: a budgeted solver projected it on the band already."""
         return dev
 
 
-class _SpanDeviations:
+class _SpanDeviations(_BandDeviations):
     """Deviations e_r = alpha d_r + U xi_r of every antenna row r, held as
     (S, n_tx, M + 1) coefficients [xi | alpha]: the form of the iterative
     precoders without a budget and under a wideband one, whose ball scales
@@ -267,9 +280,10 @@ class _SpanDeviations:
     stays equal on the rows of a symbol.
 
     It provides the operations of _BandDeviations in M + 1 dimensions per
-    row.  With K = U^H U, A U = K and U^H d_r = A d_r (ad), the leakage is
-    A e = K xi + alpha ad and adding U v adds v to xi.  The norms come
-    from the factor R of U = Q R (kernel.band_factor), as
+    row, and holds the per-row ||d_r||^2 (d_sq) as well.  With K = U^H U,
+    A U = K and U^H d_r = A d_r (ad), the leakage is A e = K xi + alpha ad
+    and adding U v adds v to xi.  The norms come from the factor R of
+    U = Q R (kernel.band_factor), as
     ||e_r||^2 = ||R xi||^2 + 2 Re(conj(alpha) ad^H xi) + |alpha|^2 ||d_r||^2:
     ||R xi|| is as accurate as ||U xi|| formed in N-space, where the Gram
     form xi^H K xi would lose half the digits on an ill-conditioned K.
@@ -281,19 +295,15 @@ class _SpanDeviations:
     N-space.
     """
 
-    def __init__(self, kernel, band, ad):
+    _per_symbol = _BandDeviations._per_symbol + ("d_sq",)
+
+    def __init__(self, kernel, band, ad, ref_norms, balls):
+        super().__init__(kernel, band, ad, ref_norms, balls)
         # K^T and R^T with a zero row for alpha, so that the products take
         # the whole coefficient rows and see xi alone
         self.gram_t = np.pad(kernel.gram.T, ((0, 1), (0, 0)))
         self.factor_t = np.pad(kernel.band_factor.T, ((0, 1), (0, 0)))
-        self.u_rows = kernel.band_rows.conj()
-        self.ad = ad
         self.d_sq = np.vecdot(band, band).real          # ||d_r||^2
-
-    def take(self, keep):
-        new = copy.copy(self)
-        new.ad, new.d_sq = self.ad[keep], self.d_sq[keep]
-        return new
 
     def zeros(self):
         return np.zeros(self.ad.shape[:-1] + (self.ad.shape[-1] + 1,), dtype=complex)
@@ -330,20 +340,21 @@ class _SpanDeviations:
     def norms(self, dev):
         return np.sqrt(np.sum(self._row_squares(dev), axis=-1))
 
-    def to_band(self, dev, band, ball):
-        """alpha d + U xi in N-space, the one scatter of the block.  With a
-        budget, each symbol's error is measured there once (ball, the
-        budget's projector), and a symbol that the coefficient-form
-        distances let out of its ball is projected back onto it."""
+    def to_band(self, dev, band):
+        """alpha d + U xi in N-space, the one scatter of the block.  Called
+        on the form of the whole block: under a budget, each symbol's error
+        is measured there once (_symbol_norms), and a symbol that the
+        coefficient-form distances let out of its ball is projected back
+        onto it."""
         dev = dev[..., -1:] * band + _row_products(dev[..., :-1], self.u_rows)
-        return dev if ball is None else ball(dev)
+        return dev if self.dist is None else self.project(dev, _symbol_norms)
 
 
-def _in_span(ball):
+def _in_span(budget):
     """Whether the iterates stay in span{d_r, U} on every antenna row r:
-    without a budget (ball None), and under a wideband one, whose ball
-    scales whole symbols.  The one choice of the deviation form."""
-    return ball is None or ball.wideband
+    without a budget (None), and under a wideband one, whose ball scales
+    whole symbols.  The one choice of the deviation form."""
+    return budget is None or budget.mode == "wideband"
 
 
 def _with_band(block, x_band, bins):
@@ -361,65 +372,65 @@ def _with_band(block, x_band, bins):
     return full
 
 
-def _band_iterations(block, kernel, iters, start, step, ball=None):
+def _band_iterations(block, kernel, iters, start, step, budget=None):
     """The active-band loop of the iterative precoders (ADMM, SSP, EADMM,
     ESSP).
 
     The loop gathers the active columns d of the block (S, n_tx, N) once, in
     bin order (numerology.band_bins), forms their leakage A d once, and runs
-    at most ``iters`` iterations on per-symbol state arrays.  ``ball`` is
-    the projector of the solver's budget (EvmConstraint.projector), None
-    without one.  The iterates are held as deviations e = x - d in one of
-    two forms, chosen by the budget (_in_span): as coefficients in
-    span{d_r, U} (_SpanDeviations) without a budget or under a wideband
-    one, and as band arrays (_BandDeviations) under a frequency-selective
-    one.
-    start(form, band) returns the state tuple; its first entry is the
-    deviation of the iterate.  step(form, state, sel) advances the symbols
-    ``sel`` (a slice while every symbol iterates, an index array into the
-    block once some stopped), whose A d is form.ad, and returns (state,
-    (oob, primal, dual), stop, returns): the new state, the trace entries,
-    a per-symbol stop mask (or None) and the deviations that the stopping
-    symbols return.  The loop records the EVM trace ||e|| / ||d|| of every
-    iteration, with the norms of the whole symbols.  A stopping symbol
-    leaves the state, and the loop ends when no symbol is left.  The
-    returned deviations are scattered once: d + e into the band columns of
-    a copy of the block, so the guard bins of the input pass through
-    untouched; in the span form e is formed there in N-space and
-    budget-checked (to_band).  Every trace entry is the step's own
-    arithmetic on the iterate; the output is not measured again.  Returns
-    (block, BlockTraces): the block report's stopped marks the symbols
-    whose stop fired, also on the last iteration.
+    at most ``iters`` iterations on per-symbol state arrays.  ``budget`` is
+    the solver's EvmConstraint, None without one; its balls on the band
+    (EvmConstraint._balls) are derived once, here.  The iterates are held
+    as deviations e = x - d in one of two forms, chosen by the budget
+    (_in_span): as coefficients in span{d_r, U} (_SpanDeviations) without
+    a budget or under a wideband one, and as band arrays (_BandDeviations)
+    under a frequency-selective one.  The form holds every per-symbol
+    array of the symbols still iterating: A d, the norms ||d_s|| and the
+    balls.  start(form, band) returns the state tuple; its first entry is
+    the deviation of the iterate.  step(form, state) advances every
+    symbol of the form and returns (state, (oob, primal, dual), stop,
+    returns): the new state, the trace entries, a per-symbol stop mask (or
+    None) and the deviations that the stopping symbols return.  The loop
+    records the EVM trace ||e|| / ||d|| of every iteration, with the norms
+    of the whole symbols.  A stopping symbol leaves the state and the form
+    (form.take), and the loop ends when no symbol is left.  The returned
+    deviations are scattered once: d + e into the band columns of a copy
+    of the block, so the guard bins of the input pass through untouched;
+    in the span form e is formed there in N-space and budget-checked on
+    the form of the whole block (to_band).  Every trace entry is the
+    step's own arithmetic on the iterate; the output is not measured
+    again.  Returns (block, BlockTraces): the block report's stopped marks
+    the symbols whose stop fired, also on the last iteration.
     """
     bins = kernel.numerology.band_bins
     traces = BlockTraces(iters, len(block), kernel.n_points)
     band = block.take(bins, axis=-1)
-    active, sel = np.arange(len(block)), slice(None)
-    ad, ref_norms = _row_products(band, kernel.band_rows.T), _symbol_norms(block)
-    form = (_SpanDeviations if _in_span(ball) else _BandDeviations)(kernel, band, ad)
+    active = np.arange(len(block))
+    balls = None if budget is None else budget._balls(block, kernel.numerology, bins)
+    whole = form = (_SpanDeviations if _in_span(budget) else _BandDeviations)(
+        kernel, band, _row_products(band, kernel.band_rows.T), _symbol_norms(block), balls)
     state = start(form, band)
     out = np.empty_like(state[0])
     for it in range(iters):
-        state, entries, stop, returns = step(form, state, sel)
-        err = form.norms(state[0])
-        traces.record(it, sel, np.divide(err, ref_norms, out=np.zeros_like(err),
-                                         where=ref_norms > 0), *entries)
+        state, entries, stop, returns = step(form, state)
+        err, ref_norms = form.norms(state[0]), form.ref_norms
+        traces.record(it, active, np.divide(err, ref_norms, out=np.zeros_like(err),
+                                            where=ref_norms > 0), *entries)
         if stop is None or not stop.any():
             continue
         out[active[stop]] = returns[stop]
         traces.iterations[active[stop]] = it + 1
         traces.stopped[active[stop]] = True
         keep = ~stop
-        active, ref_norms, form = active[keep], ref_norms[keep], form.take(keep)
+        active, form = active[keep], form.take(keep)
         state = tuple(arr[keep] for arr in state)
-        sel = active
         if not active.size:
             break
-    out[sel] = state[0]
-    return _with_band(block, band + form.to_band(out, band, ball), bins), traces
+    out[active] = state[0]
+    return _with_band(block, band + whole.to_band(out, band), bins), traces
 
 
-def consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
+def consensus_admm(block, kernel, gamma, cfg, budget=None):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
     block (S, n_tx, N) holds S symbols, each the input and EVM reference d
@@ -427,16 +438,18 @@ def consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
     shares (mask_bounds).  The iteration is a start/step pair on
     _band_iterations, whose state is the deviation e = x_bar - d of the
     consensus variable from the input, in the loop's deviation form, and
-    the coefficients beta and delta below.  x_update(m, active, norms) maps
-    the mean deviation m of the local variables and duals,
-    sum_m (y_m + z_m) / M - d, of the symbols ``active`` to their next
-    deviations, given the form's per-symbol norms; ball is the projector of
-    the budget (None without one), which picks the form.  The leakage
-    A x_bar is A d plus A e.  Local variables start at the input and duals
-    at zero, so no set projection moves a mask-feasible input: e stays
-    exactly zero, the input comes back bitwise and the primal residual
-    stays zero.  Every symbol stops on its own residual_tol test and
-    returns its current iterate.  Returns (x_bar block, BlockTraces).
+    the coefficients beta and delta below.  The consensus update maps the
+    mean deviation m of the local variables and duals,
+    sum_m (y_m + z_m) / M - d, to the next deviation: without a budget it
+    is ADMM's weighted mean, the deviation rho M m / (1 + rho M) of
+    (d + rho M (d + m)) / (1 + rho M) from d; under ``budget`` (an
+    EvmConstraint, which also picks the form) it is EADMM's ball
+    projection form.project(m).  The leakage A x_bar is A d plus A e.
+    Local variables start at the input and duals at zero, so no set
+    projection moves a mask-feasible input: e stays exactly zero, the
+    input comes back bitwise and the primal residual stays zero.  Every
+    symbol stops on its own residual_tol test and returns its current
+    iterate.  Returns (x_bar block, BlockTraces).
 
     The projection onto set m moves its argument only along u_m = a(nu_m)*,
     so every dual stays z_m = beta_m u_m and every local variable
@@ -457,14 +470,16 @@ def consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
     k_diag = _kernel_diag(kernel.gram)       # ||u_m||^2
     m_pts = k_diag.size
     root = np.sqrt(gamma)
+    weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
 
     def start(form, band):
         beta = np.zeros(form.ad.shape, dtype=complex)
         return form.zeros(), beta, beta
 
-    def step(form, state, sel):
+    def step(form, state):
         dev_prev, beta, delta = state
-        dev = x_update(dev_prev + form.span((2.0 * delta - beta) / m_pts), sel, form.norms)
+        mean = dev_prev + form.span((2.0 * delta - beta) / m_pts)
+        dev = weight * mean if budget is None else form.project(mean)
         beta = delta
         ax = form.ad + form.leak(dev)           # (S, n_tx, M)
         c = ax - beta * k_diag
@@ -477,7 +492,7 @@ def consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
         dual = np.sqrt(m_pts) * cfg.rho * form.norms(dev - dev_prev)
         stop = None if cfg.residual_tol is None else np.maximum(primal, dual) <= cfg.residual_tol
         return (dev, beta, delta), ((np.abs(ax) ** 2).max(axis=1), primal, dual), stop, dev
-    return _band_iterations(block, kernel, cfg.iters, start, step, ball=ball)
+    return _band_iterations(block, kernel, cfg.iters, start, step, budget)
 
 
 def admm_precode(d, kernel, mask, cfg=None):
@@ -492,13 +507,8 @@ def admm_precode(d, kernel, mask, cfg=None):
 
 
 def _admm_block(block, kernel, mask, cfg):
-    """admm_precode on an (S, n_tx, N) block: (dbar block, BlockTraces).
-    The consensus update (d + rho M (d + m)) / (1 + rho M) is the deviation
-    rho M m / (1 + rho M) from d."""
-    m_pts = kernel.n_points
-    weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
-    return consensus_admm(block, kernel, mask_bounds(mask, m_pts), cfg,
-                          lambda m, *_: weight * m)
+    """admm_precode on an (S, n_tx, N) block: (dbar block, BlockTraces)."""
+    return consensus_admm(block, kernel, mask_bounds(mask, kernel.n_points), cfg)
 
 
 class FactoredInverse:
@@ -643,7 +653,7 @@ def _ssp_block(block, kernel, mask, cfg):
     def start(form, band):
         return (form.zeros(),) + ssp_core(form.ad, kernel.gram, gamma)
 
-    def step(form, state, sel):
+    def step(form, state):
         nonlocal mu
         _, mu, core = state
         mu, core = ssp_sweep(mu, core, gamma)

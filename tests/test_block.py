@@ -224,6 +224,33 @@ class TestStopsWithinABlock:
             assert not rep.stopped_early
             assert rep.iterations == rep.returned_iteration == 10
 
+    def test_essp_selective_stops_at_different_iterations(self):
+        # under a flat 5% per-subcarrier budget the band form's per-column
+        # balls leave the block as its symbols stop, after 3, 5, 6, 7 and 9
+        # outer iterations; the others run all 10
+        _, kern, block, gamma = make_block(1, 7, 2, 4)
+        evm = EvmConstraint(mode="frequency_selective",
+                            eps=np.full(kern.numerology.n_active, 0.05))
+        cfg = EsspConfig(outer_iters=10)
+        out, reports = run_block_and_singles(
+            lambda grid: essp_precode(grid, kern, gamma, evm, cfg), block)
+        assert {rep.iterations for rep in reports if rep.stopped_early} == {3, 5, 6, 7, 9}
+        assert any(not rep.stopped_early for rep in reports)
+        for rep in reports:
+            assert rep.returned_iteration == rep.iterations - rep.stopped_early
+        check_invariants(block, out, kern, evm)
+
+    def test_eadmm_selective_stops_at_different_iterations(self):
+        _, kern, block, gamma = make_block(0, 6, 2, 3)
+        evm = EvmConstraint(mode="frequency_selective",
+                            eps=np.full(kern.numerology.n_active, 1.0))
+        cfg = AdmmConfig(iters=300, residual_tol=1e-3)
+        out, reports = run_block_and_singles(
+            lambda grid: eadmm_precode(grid, kern, gamma, evm, cfg), block)
+        assert all(rep.stopped_early and 12 <= rep.iterations <= 21 for rep in reports)
+        assert len({rep.iterations for rep in reports}) >= 3
+        check_invariants(block, out, kern, evm)
+
     @pytest.mark.parametrize("solver", ["admm", "eadmm"])
     def test_residual_tol_stops_at_different_iterations(self, solver):
         _, kern, block, gamma = make_block(3, 6, 2, 3)

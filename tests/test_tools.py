@@ -1,6 +1,6 @@
 """Smoke tests of the tools: the output digest script, tools/digest.py,
-the source line counter, tools/loc.py, and the in-process A/B timer,
-tools/abtime.py."""
+the source line counter, tools/loc.py, and the A/B timer, tools/abtime.py,
+which runs each tree in its own process."""
 
 import ast
 import importlib.util
@@ -161,7 +161,8 @@ def test_loc_counts_code_lines_only(tmp_path):
 def test_abtime_same_tree_twice():
     src = Path(specprecode.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, str(ABTIME), "--a", str(src), "--b", str(src),
-                           "--workload", "ssp-mask1", "--pairs", "2", "--symbols", "2"],
+                           "--workload", "ssp-mask1", "--pairs", "2", "--symbols", "2",
+                           "--calls", "2"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -201,6 +202,18 @@ def test_abtime_several_workloads():
     assert all(line.split(": ")[1].startswith("wall ") and ", precode " in line for line in tail)
     assert all(re.search(r"; median wall a \d+\.\d{5} s, b \d+\.\d{5} s$", line)
                for line in tail)
+
+
+def test_abtime_tree_without_package(tmp_path):
+    # each side imports only its own tree: a directory without the package
+    # fails, and no installed copy is timed in its place
+    src = Path(specprecode.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(ABTIME), "--a", str(tmp_path), "--b", str(src),
+                           "--workload", "ssp-mask1", "--pairs", "1", "--symbols", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode != 0
+    assert str(tmp_path) in done.stderr and "specprecode" in done.stderr
+    assert "pair 1" not in done.stdout
 
 
 def test_abtime_lists_moved_summary_cells():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specprecode import (ConfigError, DegenerateConstraintError,
+from specprecode import (ConfigError, DataGrid, DegenerateConstraintError,
                          EvmConstraint, FrequencyGrid, NumericalError,
                          ScenarioConfig, SpectralKernel, build_kernel,
                          eadmm_precode, essp_precode, generate_qam_grid, oobe_power,
@@ -364,22 +364,27 @@ def evm_wideband(dbar, d):
     return float(np.linalg.norm(dbar - d) / ref) if ref > 0 else 0.0
 
 
-def reference_consensus_admm(block, kernel, gamma, cfg, x_update, ball=None):
+def reference_consensus_admm(block, kernel, gamma, cfg, budget=None):
     """N-space reference for consensus_admm, with its signature and its
     block report: the symbols of the block one at a time, each through
-    reference_consensus_one.
-    x_update maps a mean deviation from the input's active band to the next
-    deviation; the reference turns it into the map from the band sums of
-    y_m + z_m to the next iterate.  The budget's projector ball is x_update
-    itself here, which projects in N-space, so the reference ignores it."""
+    reference_consensus_one.  The consensus update maps a mean deviation
+    from the input's active band to the next deviation: ADMM's weighted
+    mean without a budget, and under one the projector of the symbol's own
+    ball (budget.projector), which projects on the band in N-space; the
+    reference turns it into the map from the band sums of y_m + z_m to
+    the next iterate."""
     outs = []
     m_pts = kernel.n_points
+    num = kernel.numerology
+    weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
     traces = BlockTraces(cfg.iters, len(block), m_pts)
     for i, rows in enumerate(block):
-        band = rows[:, kernel.numerology.band_bins]
+        band = rows[:, num.band_bins]
+        x_update = (budget.projector(DataGrid(rows, num), cols=num.band_bins)
+                    if budget is not None else lambda dev: weight * dev)
 
-        def update(s, i=i, band=band):
-            return band + x_update((s / m_pts - band)[None], np.array([i]))[0]
+        def update(s, band=band, x_update=x_update):
+            return band + x_update(s / m_pts - band)
         out, rep = reference_consensus_one(rows, kernel, gamma, cfg, update)
         outs.append(out)
         n = traces.iterations[i] = rep.iterations

@@ -1,30 +1,33 @@
-"""Interleaved in-process A/B timing of ``run_scenario`` between two source
-trees.
+"""Interleaved A/B timing of ``run_scenario`` between two source trees,
+each side of a pair in a fresh interpreter.
 
 Usage (from the root of a checkout):
 
     python3 tools/abtime.py --a ../old/src --b src --workload essp-wideband
     python3 tools/abtime.py --a ../old/src --b src --workload ssp-mask1 --pairs 16
-    python3 tools/abtime.py --a ../old/src --b src --workload all --pairs 8
+    python3 tools/abtime.py --a ../old/src --b src --workload all --pairs 8 --calls 15
 
 ``--a`` and ``--b`` are directories that hold a ``specprecode`` package.
-Each package is copied into a temporary directory under its own name
-(``specprecode_a``, ``specprecode_b``) and imported from there, so both run
-in one process, with one BLAS thread.  The scenario is a workload of
-``bench/workloads.json`` at scenario seed ``--seed``, its symbol count
-capped by ``--symbols``.  After one untimed run of each tree, every pair
-runs both trees back to back, the first pair a then b, the next b then a,
-and so on.  The script prints each pair's time ratio a / b in wall-clock
-time (``perf_counter``) and in CPU time (``process_time``), then the median
-ratios (above 1: b is faster), on one line with their base, the median
-wall seconds of a call of a and of b, then the median ratio of each layer
-time of the manifests' ``timings_s`` (``generate``, ``precode``,
-``metrics``, ``psd``, ``io`` and ``total``), and whether each output file of the two trees' last
-runs is identical (the manifest compared without its timings).  Where
-``summary.csv`` differs, or else where ``manifest.json`` does, each
-metric that moved follows as ``name: a -> b (relative r)``, read from the
-two manifests' ``metrics`` at full precision, so that a move below the
-summary's 12 printed digits shows as well.
+Every side of every pair runs in a new Python process with ``PYTHONPATH``
+set to its tree and one BLAS thread: the process makes one untimed
+``run_scenario`` call, then ``--calls`` timed calls (default 1), and
+prints their wall-clock times (``perf_counter``), CPU times
+(``process_time``) and the manifests' ``timings_s`` as JSON; a side's
+times are the medians over its calls.  So neither tree runs in a process
+that the other's imports and allocations have shaped.  The scenario is a
+workload of ``bench/workloads.json`` at scenario seed ``--seed``, its
+symbol count capped by ``--symbols``.  The first pair runs a then b, the
+next b then a, and so on.  The script prints each pair's time ratio a / b
+in wall-clock and in CPU time, then the median ratios (above 1: b is
+faster), on one line with their base, the median wall seconds of a call
+of a and of b, then the median ratio of each layer time of the
+manifests' ``timings_s`` (``generate``, ``precode``, ``metrics``,
+``psd``, ``io`` and ``total``), and whether each output file of the two
+trees' last runs is identical (the manifest compared without its
+timings).  Where ``summary.csv`` differs, or else where ``manifest.json``
+does, each metric that moved follows as ``name: a -> b (relative r)``,
+read from the two manifests' ``metrics`` at full precision, so that a
+move below the summary's 12 printed digits shows as well.
 
 ``--workload`` may be given more than once, or as ``all`` for every
 workload of ``bench/workloads.json``; the workloads then run one after the
@@ -33,8 +36,9 @@ line per workload with its median wall, CPU and precode ratios and the
 median wall seconds of a and of b.
 
 Separate runs on a shared host can drift by tens of percent minutes apart;
-the two runs of a pair see the same host state, so their ratio compares
-the code.  A tree compared with itself reads close to 1.
+the two sides of a pair run back to back and see the same host state, so
+their ratio compares the code.  A tree compared with itself reads close
+to 1.
 
 ``--symbols 1`` probes a call's fixed cost, the part that does not grow
 with the symbol count (set-up, the end-of-run statistics and file
@@ -47,37 +51,59 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import gc  # noqa: E402
-import importlib  # noqa: E402
 import json  # noqa: E402
-import shutil  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
-import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "bench" / "workloads.json"
 
 
-def import_copy(src, name, tmp):
-    """The specprecode package under ``src``, copied to ``tmp`` as ``name``
-    and imported under that name (its modules import each other relatively)."""
-    shutil.copytree(Path(src) / "specprecode", Path(tmp) / name,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(name)
-
-
-def timed_run(package, overrides, out_dir):
-    """(wall s, CPU s, manifest without timings, the manifest's timings) of
-    one run_scenario call."""
-    cfg = package.ScenarioConfig.from_dict(overrides)
+# The child process: one untimed call, then the timed ones; it prints the
+# package it imported and, per timed call, (wall s, CPU s, timings_s).
+CHILD = """
+import gc, json, sys, time
+import specprecode
+overrides, out_dir, calls = json.loads(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+cfg = specprecode.ScenarioConfig.from_dict(overrides)
+specprecode.run_scenario(cfg, out_dir)
+runs = []
+for _ in range(calls):
     gc.collect()
     wall, cpu = time.perf_counter(), time.process_time()
-    manifest = package.run_scenario(cfg, out_dir)
-    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-    return wall, cpu, manifest, manifest.pop("timings_s")
+    manifest = specprecode.run_scenario(cfg, out_dir)
+    runs.append((time.perf_counter() - wall, time.process_time() - cpu, manifest["timings_s"]))
+print(json.dumps({"package": specprecode.__file__, "runs": runs}))
+"""
+
+
+def timed_side(tree, overrides, out_dir, calls):
+    """(wall s, CPU s, timings) of ``calls`` run_scenario calls of the
+    package under ``tree`` in a fresh interpreter, each the median over
+    the calls; the manifest of the last call is in ``out_dir``."""
+    tree = Path(tree).resolve()
+    env = dict(os.environ, PYTHONPATH=str(tree))
+    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(overrides), str(out_dir),
+                           str(calls)], env=env, cwd=out_dir.parent, capture_output=True,
+                          text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"run of {tree} failed:\n{done.stderr}")
+    result = json.loads(done.stdout)
+    if tree not in Path(result["package"]).resolve().parents:
+        raise SystemExit(f"{tree} holds no specprecode package; imported {result['package']}")
+    walls, cpus, layers = zip(*result["runs"])
+    return (statistics.median(walls), statistics.median(cpus),
+            {name: statistics.median(t[name] for t in layers) for name in layers[0]})
+
+
+def last_manifest(out_dir):
+    """The manifest that a run wrote to out_dir, without its timings."""
+    manifest = json.loads((Path(out_dir) / "manifest.json").read_text(encoding="utf-8"))
+    manifest.pop("timings_s")
+    return manifest
 
 
 def compare_outputs(dir_a, dir_b, manifest_a, manifest_b):
@@ -124,19 +150,20 @@ def verdict_lines(verdicts, manifest_a, manifest_b):
     return lines
 
 
-def ab_workload(trees, overrides, pairs, out_dir):
+def ab_workload(trees, overrides, pairs, calls, out_dir):
     """Time ``pairs`` interleaved pairs of the two trees on one scenario and
     print the block described above; returns the median (wall, cpu, layer)
     ratios a / b, layer a dict by layer name, and the median wall seconds
     of a call, a dict by tree."""
     dirs = {key: Path(out_dir) / f"out_{key}" for key in trees}
-    manifests = {key: timed_run(pkg, overrides, dirs[key])[2] for key, pkg in trees.items()}
+    for path in dirs.values():
+        path.mkdir(parents=True, exist_ok=True)
     wall_ratios, cpu_ratios, layer_ratios, walls = [], [], {}, {"a": [], "b": []}
     for pair in range(pairs):
         order = ("a", "b") if pair % 2 == 0 else ("b", "a")
         times, layers = {}, {}
         for key in order:
-            wall, cpu, manifests[key], layers[key] = timed_run(trees[key], overrides, dirs[key])
+            wall, cpu, layers[key] = timed_side(trees[key], overrides, dirs[key], calls)
             times[key] = (wall, cpu)
             walls[key].append(wall)
         wall_ratios.append(times["a"][0] / times["b"][0])
@@ -145,7 +172,7 @@ def ab_workload(trees, overrides, pairs, out_dir):
             layer_ratios.setdefault(name, []).append(seconds / layers["b"][name])
         print(f"pair {pair + 1} ({order[0]} first): wall a {times['a'][0]:.4f} s "
               f"b {times['b'][0]:.4f} s ratio {wall_ratios[-1]:.4f}, "
-              f"cpu ratio {cpu_ratios[-1]:.4f}")
+              f"cpu ratio {cpu_ratios[-1]:.4f}", flush=True)
     wall, cpu = statistics.median(wall_ratios), statistics.median(cpu_ratios)
     layer = {name: statistics.median(ratios) for name, ratios in layer_ratios.items()}
     base = {key: statistics.median(seconds) for key, seconds in walls.items()}
@@ -153,6 +180,7 @@ def ab_workload(trees, overrides, pairs, out_dir):
           f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s")
     print("median layer ratio a/b: " + ", ".join(
         f"{name} {ratio:.4f}" for name, ratio in layer.items()))
+    manifests = {key: last_manifest(path) for key, path in dirs.items()}
     verdicts = compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"])
     for line in verdict_lines(verdicts, manifests["a"], manifests["b"]):
         print(line)
@@ -171,9 +199,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1, help="scenario seed")
     parser.add_argument("--symbols", type=int, help="cap the workload's symbol count")
     parser.add_argument("--pairs", type=int, default=12, help="number of timed pairs")
+    parser.add_argument("--calls", type=int, default=1,
+                        help="timed calls per side of a pair, in one process")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 1 or args.calls < 1:
+        parser.error("--pairs and --calls must be at least 1")
     with open(WORKLOADS, encoding="utf-8") as fh:
         workloads = json.load(fh)
     names = []
@@ -183,10 +213,8 @@ def main(argv=None):
         names += list(workloads) if name == "all" else [name]
     names = list(dict.fromkeys(names))
 
+    trees = {"a": args.a, "b": args.b}
     with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        trees = {"a": import_copy(args.a, "specprecode_a", tmp),
-                 "b": import_copy(args.b, "specprecode_b", tmp)}
         medians = {}
         for name in names:
             overrides = dict(workloads[name], seed=args.seed)
@@ -194,7 +222,8 @@ def main(argv=None):
                 overrides["symbols"] = min(args.symbols, overrides.get("symbols", args.symbols))
             if len(names) > 1:
                 print(f"workload {name}:")
-            medians[name] = ab_workload(trees, overrides, args.pairs, Path(tmp) / name)
+            medians[name] = ab_workload(trees, overrides, args.pairs, args.calls,
+                                        Path(tmp) / name)
         if len(names) > 1:
             print(f"median ratio a/b per workload over {args.pairs} pairs:")
             for name, (wall, cpu, layer, base) in medians.items():
