@@ -109,6 +109,16 @@ class EvmConstraint:
             size = block.shape[1]
         return dist, radii, _inward_radius(radii, norms, size)
 
+    def band_balls(self, block, numerology):
+        """What the solvers' active-band loop needs of the budget for the
+        block (S, n_tx, N): (in_span, dist, radii, inner), the balls of
+        _balls on the band (numerology.band_bins, in bin order), and
+        in_span, whether the iterates stay in span{d_r, U} on every antenna
+        row r: under the wideband budget, whose ball scales whole symbols,
+        and not under the frequency-selective one, whose balls scale each
+        subcarrier on its own."""
+        return (self.mode == "wideband",) + self._balls(block, numerology, numerology.band_bins)
+
     def projector(self, reference, cols=None):
         """Projection onto the budget ball(s) around ``reference``, taken on
         deviations from it.

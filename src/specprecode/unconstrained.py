@@ -211,9 +211,9 @@ class _BandDeviations:
 
     The form is the one holder of the per-symbol data of the symbols it
     serves: ad = A d, the reference norms ref_norms = ||d_s|| and, under a
-    budget, the balls of EvmConstraint._balls on the band, their distance
-    map and their radii and inward radii; take(keep) restricts every one
-    of them to the symbols keep.  Each solver's step is written once,
+    budget, the balls of EvmConstraint.band_balls, their distance map and
+    their radii and inward radii; take(keep) restricts every one of them
+    to the symbols keep.  Each solver's step is written once,
     against the few operations that both forms provide on top of linear
     arithmetic (sums, differences and per-symbol scales) of the arrays
     that hold deviations: leak(e) = A e, span(v) = U v for coefficients v
@@ -229,19 +229,16 @@ class _BandDeviations:
     value does not depend on its block.
     """
 
-    _per_symbol = ("ad", "ref_norms", "radii", "inner")
-
-    def __init__(self, kernel, band, ad, ref_norms, balls):
+    def __init__(self, kernel, band, ad, ref_norms, dist=None, radii=None, inner=None):
         self.a_cols = kernel.band_rows.T
         self.u_rows = kernel.band_rows.conj()
-        self.ad, self.ref_norms = ad, ref_norms
-        self.dist, self.radii, self.inner = balls or (None, None, None)
+        self.ad, self.ref_norms, self.dist, self.radii, self.inner = ad, ref_norms, dist, radii, inner
 
     def take(self, keep):
         new = copy.copy(self)
-        for name in self._per_symbol:
-            if getattr(self, name) is not None:
-                setattr(new, name, getattr(self, name)[keep])
+        new.ad, new.ref_norms = self.ad[keep], self.ref_norms[keep]
+        if self.radii is not None:
+            new.radii, new.inner = self.radii[keep], self.inner[keep]
         return new
 
     def zeros(self):
@@ -264,8 +261,8 @@ class _BandDeviations:
         flat = np.ascontiguousarray(dev, dtype=complex).view(float).reshape(len(dev), -1)
         return np.sqrt(np.vecdot(flat, flat))
 
-    def project(self, dev, norms=None):
-        return _project_balls(dev, self.dist(dev, norms or self.norms), self.radii, self.inner)
+    def project(self, dev):
+        return _project_balls(dev, self.dist(dev, self.norms), self.radii, self.inner)
 
     def to_band(self, dev, band):
         """dev itself: a budgeted solver projected it on the band already."""
@@ -295,15 +292,18 @@ class _SpanDeviations(_BandDeviations):
     N-space.
     """
 
-    _per_symbol = _BandDeviations._per_symbol + ("d_sq",)
-
-    def __init__(self, kernel, band, ad, ref_norms, balls):
-        super().__init__(kernel, band, ad, ref_norms, balls)
+    def __init__(self, kernel, band, ad, ref_norms, *balls):
+        super().__init__(kernel, band, ad, ref_norms, *balls)
         # K^T and R^T with a zero row for alpha, so that the products take
         # the whole coefficient rows and see xi alone
         self.gram_t = np.pad(kernel.gram.T, ((0, 1), (0, 0)))
         self.factor_t = np.pad(kernel.band_factor.T, ((0, 1), (0, 0)))
         self.d_sq = np.vecdot(band, band).real          # ||d_r||^2
+
+    def take(self, keep):
+        new = super().take(keep)
+        new.d_sq = self.d_sq[keep]
+        return new
 
     def zeros(self):
         return np.zeros(self.ad.shape[:-1] + (self.ad.shape[-1] + 1,), dtype=complex)
@@ -347,14 +347,8 @@ class _SpanDeviations(_BandDeviations):
         coefficient-form distances let out of its ball is projected back
         onto it."""
         dev = dev[..., -1:] * band + _row_products(dev[..., :-1], self.u_rows)
-        return dev if self.dist is None else self.project(dev, _symbol_norms)
-
-
-def _in_span(budget):
-    """Whether the iterates stay in span{d_r, U} on every antenna row r:
-    without a budget (None), and under a wideband one, whose ball scales
-    whole symbols.  The one choice of the deviation form."""
-    return budget is None or budget.mode == "wideband"
+        return dev if self.dist is None else _project_balls(dev, self.dist(dev, _symbol_norms),
+                                                            self.radii, self.inner)
 
 
 def _with_band(block, x_band, bins):
@@ -380,9 +374,9 @@ def _band_iterations(block, kernel, iters, start, step, budget=None):
     bin order (numerology.band_bins), forms their leakage A d once, and runs
     at most ``iters`` iterations on per-symbol state arrays.  ``budget`` is
     the solver's EvmConstraint, None without one; its balls on the band
-    (EvmConstraint._balls) are derived once, here.  The iterates are held
-    as deviations e = x - d in one of two forms, chosen by the budget
-    (_in_span): as coefficients in span{d_r, U} (_SpanDeviations) without
+    and the form of the iterates (EvmConstraint.band_balls) are derived
+    once, here.  The iterates are held as deviations e = x - d in one of
+    two forms: as coefficients in span{d_r, U} (_SpanDeviations) without
     a budget or under a wideband one, and as band arrays (_BandDeviations)
     under a frequency-selective one.  The form holds every per-symbol
     array of the symbols still iterating: A d, the norms ||d_s|| and the
@@ -406,9 +400,9 @@ def _band_iterations(block, kernel, iters, start, step, budget=None):
     traces = BlockTraces(iters, len(block), kernel.n_points)
     band = block.take(bins, axis=-1)
     active = np.arange(len(block))
-    balls = None if budget is None else budget._balls(block, kernel.numerology, bins)
-    whole = form = (_SpanDeviations if _in_span(budget) else _BandDeviations)(
-        kernel, band, _row_products(band, kernel.band_rows.T), _symbol_norms(block), balls)
+    in_span, *balls = (True,) if budget is None else budget.band_balls(block, kernel.numerology)
+    whole = form = (_SpanDeviations if in_span else _BandDeviations)(
+        kernel, band, _row_products(band, kernel.band_rows.T), _symbol_norms(block), *balls)
     state = start(form, band)
     out = np.empty_like(state[0])
     for it in range(iters):

@@ -204,7 +204,7 @@ def span_and_band(run):
     the span coefficients for every problem here, and with the band form
     forced."""
     span = run()
-    with mock.patch.object(unconstrained, "_in_span", lambda ball: False):
+    with mock.patch.object(unconstrained, "_SpanDeviations", unconstrained._BandDeviations):
         band = run()
     return span, band
 

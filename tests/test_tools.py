@@ -161,8 +161,7 @@ def test_loc_counts_code_lines_only(tmp_path):
 def test_abtime_same_tree_twice():
     src = Path(specprecode.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, str(ABTIME), "--a", str(src), "--b", str(src),
-                           "--workload", "ssp-mask1", "--pairs", "2", "--symbols", "2",
-                           "--calls", "2"],
+                           "--workload", "ssp-mask1", "--pairs", "2", "--symbols", "2"],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()

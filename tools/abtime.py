@@ -5,12 +5,12 @@ Usage (from the root of a checkout):
 
     python3 tools/abtime.py --a ../old/src --b src --workload essp-wideband
     python3 tools/abtime.py --a ../old/src --b src --workload ssp-mask1 --pairs 16
-    python3 tools/abtime.py --a ../old/src --b src --workload all --pairs 8 --calls 15
+    python3 tools/abtime.py --a ../old/src --b src --workload all --pairs 10
 
 ``--a`` and ``--b`` are directories that hold a ``specprecode`` package.
 Every side of every pair runs in a new Python process with ``PYTHONPATH``
 set to its tree and one BLAS thread: the process makes one untimed
-``run_scenario`` call, then ``--calls`` timed calls (default 1), and
+``run_scenario`` call, then ``CALLS`` (15) timed calls, and
 prints their wall-clock times (``perf_counter``), CPU times
 (``process_time``) and the manifests' ``timings_s`` as JSON; a side's
 times are the medians over its calls.  So neither tree runs in a process
@@ -60,6 +60,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "bench" / "workloads.json"
+CALLS = 15          # timed run_scenario calls per side of a pair, in one process
 
 
 # The child process: one untimed call, then the timed ones; it prints the
@@ -80,14 +81,14 @@ print(json.dumps({"package": specprecode.__file__, "runs": runs}))
 """
 
 
-def timed_side(tree, overrides, out_dir, calls):
-    """(wall s, CPU s, timings) of ``calls`` run_scenario calls of the
+def timed_side(tree, overrides, out_dir):
+    """(wall s, CPU s, timings) of CALLS run_scenario calls of the
     package under ``tree`` in a fresh interpreter, each the median over
     the calls; the manifest of the last call is in ``out_dir``."""
     tree = Path(tree).resolve()
     env = dict(os.environ, PYTHONPATH=str(tree))
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(overrides), str(out_dir),
-                           str(calls)], env=env, cwd=out_dir.parent, capture_output=True,
+                           str(CALLS)], env=env, cwd=out_dir.parent, capture_output=True,
                           text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"run of {tree} failed:\n{done.stderr}")
@@ -150,7 +151,7 @@ def verdict_lines(verdicts, manifest_a, manifest_b):
     return lines
 
 
-def ab_workload(trees, overrides, pairs, calls, out_dir):
+def ab_workload(trees, overrides, pairs, out_dir):
     """Time ``pairs`` interleaved pairs of the two trees on one scenario and
     print the block described above; returns the median (wall, cpu, layer)
     ratios a / b, layer a dict by layer name, and the median wall seconds
@@ -163,7 +164,7 @@ def ab_workload(trees, overrides, pairs, calls, out_dir):
         order = ("a", "b") if pair % 2 == 0 else ("b", "a")
         times, layers = {}, {}
         for key in order:
-            wall, cpu, layers[key] = timed_side(trees[key], overrides, dirs[key], calls)
+            wall, cpu, layers[key] = timed_side(trees[key], overrides, dirs[key])
             times[key] = (wall, cpu)
             walls[key].append(wall)
         wall_ratios.append(times["a"][0] / times["b"][0])
@@ -199,11 +200,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1, help="scenario seed")
     parser.add_argument("--symbols", type=int, help="cap the workload's symbol count")
     parser.add_argument("--pairs", type=int, default=12, help="number of timed pairs")
-    parser.add_argument("--calls", type=int, default=1,
-                        help="timed calls per side of a pair, in one process")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.calls < 1:
-        parser.error("--pairs and --calls must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     with open(WORKLOADS, encoding="utf-8") as fh:
         workloads = json.load(fh)
     names = []
@@ -222,8 +221,7 @@ def main(argv=None):
                 overrides["symbols"] = min(args.symbols, overrides.get("symbols", args.symbols))
             if len(names) > 1:
                 print(f"workload {name}:")
-            medians[name] = ab_workload(trees, overrides, args.pairs, args.calls,
-                                        Path(tmp) / name)
+            medians[name] = ab_workload(trees, overrides, args.pairs, Path(tmp) / name)
         if len(names) > 1:
             print(f"median ratio a/b per workload over {args.pairs} pairs:")
             for name, (wall, cpu, layer, base) in medians.items():
