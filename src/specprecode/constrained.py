@@ -84,10 +84,10 @@ class EvmConstraint:
         symbol, and (S, 1, n_cols) for the frequency-selective one, one
         ball per column, of radius 0 on the guard bins, whose distances
         are the column norms over the antennas, sqrt(sum re^2 + im^2),
-        from one real square-and-sum (_column_norms).  The projections (projector and the solvers'
-        deviation forms) and violation measure with the same dist, so the
-        inward radii that a projection scales to are the ones that
-        violation checks.
+        from one real square-and-sum (_column_norms).  The projections
+        (projector and the solvers' deviation forms) and violation measure
+        with the same dist, so the inward radii that a projection scales to
+        are the ones that violation checks.
         """
         if self.mode == "wideband":
             def dist(dev, norms=_symbol_norms):
