@@ -147,6 +147,11 @@ class OfdmNumerology:
         return _read_only(np.mod(self.active_offsets, self.fft_size))
 
     @cached_property
+    def active_runs(self):
+        """The runs of consecutive active_bins (_bin_runs), built once."""
+        return _bin_runs(self.active_bins)
+
+    @cached_property
     def band_bins(self):
         """Read-only FFT bin indices of the active subcarriers in ascending
         bin order, the order in which the solvers keep the active band."""
@@ -443,7 +448,7 @@ def _qam_symbols(seed, numerology, n_tx, constellation, first, count):
     halves = raw.astype("<u8", copy=False).view("<u4")[:, :n_draws]
     draws = (halves >> (32 - bits)).astype(np.intp).reshape(count, n_tx, -1)
     symbols = np.zeros((count, n_tx, numerology.fft_size), dtype=complex)
-    for lo, hi, first_bin, stop in _bin_runs(numerology.active_bins):
+    for lo, hi, first_bin, stop in numerology.active_runs:
         symbols[..., first_bin:stop] = points[draws[..., lo:hi]]
     return symbols
 
@@ -481,14 +486,21 @@ def _write_frames(symbols, numerology, frame, frames, spec):
     Each frame is the inverse DFT of its symbol's grid with 1/sqrt(N)
     scaling, oversampled by zero padding the spectrum, with the cyclic
     prefix copied in front from the body's tail.  spec (S, n_tx, L N)
-    holds the padded spectra: only its active positions are written, so
-    its other entries must be zero, and they stay zero.  The inverse DFT
-    writes straight into the frames' bodies; frames may be any view whose
-    last axis is contiguous.  Both arrays can be reused from one call to
-    the next.
+    holds the padded spectra: only its active positions are written, one
+    slice per run of consecutive bins (active_runs), so its other entries
+    must be zero, and they stay zero.  A run of the frame's active bins is
+    a run of the base's, since both follow the offsets and wrap at DC
+    alone.  The inverse DFT writes straight into the frames' bodies;
+    frames may be any view whose last axis is contiguous, and the leading
+    axes of all three arrays need only agree (synthesize_time_signal
+    passes them antenna first).  Both arrays can be reused from one call
+    to the next.
     """
     n_os, cp_os = frame.fft_size, frame.cp_len
-    spec[..., frame.active_bins] = symbols[..., numerology.active_bins]
+    base = numerology.active_bins
+    for lo, _, first, stop in frame.active_runs:
+        src = int(base[lo])
+        spec[..., first:stop] = symbols[..., src:src + stop - first]
     body = np.fft.ifft(spec, axis=-1, out=frames[..., cp_os:])
     body *= n_os / np.sqrt(numerology.fft_size)
     frames[..., :cp_os] = body[..., n_os - cp_os:]
@@ -507,12 +519,12 @@ def synthesize_time_signal(grid, oversample=1):
     """
     num = grid.numerology
     frame = num.oversampled(oversample)
-    symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:])
-    # Each symbol's frame is written straight into its place in the
-    # antenna streams.
-    stream = np.empty((grid.n_tx, symbols.shape[0], frame.symbol_len), dtype=complex)
+    # The frames are written antenna first, so that the inverse DFT runs
+    # from a contiguous spectrum into the streams' bodies in memory order.
+    symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:]).swapaxes(0, 1)
+    stream = np.empty(symbols.shape[:-1] + (frame.symbol_len,), dtype=complex)
     spec = np.zeros(symbols.shape[:-1] + (frame.fft_size,), dtype=complex)
-    _write_frames(symbols, num, frame, np.moveaxis(stream, 1, 0), spec)
+    _write_frames(symbols, num, frame, stream, spec)
     return stream.reshape(grid.n_tx, -1)
 
 
