@@ -284,22 +284,27 @@ def _essp_block(block, kernel, masks, evm, cfg):
 
     def step(form, state):
         dev_x, dev_z, best_oob, mu, core = state
-        dev_v = 2.0 * dev_x - dev_z
+        dev_v = 2.0 * dev_x
+        dev_v -= dev_z
         # re-centre the carried core: c = B^(-1) c0 = c0 - W (mu c0)
         c0 = form.ad + form.leak(dev_v)
         core = core.copy()
         core[..., m_pts] = c0 - np.matmul(core[..., :m_pts], (mu * c0)[..., None])[..., 0]
         for _ in range(cfg.inner_sweeps):
             mu, core = ssp_sweep(mu, core, gamma)
-        move = dev_v + form.span(-mu * core[..., m_pts]) - dev_x        # e_y - e_x
-        dev_z = dev_z + cfg.relaxation * move
+        move = form.span(-mu * core[..., m_pts])
+        move += dev_v
+        move -= dev_x                                   # e_y - e_x
+        dev_z += cfg.relaxation * move
         dev_prev = dev_x
         dev_x = form.project(dev_z)
 
         powers = np.abs(form.ad + form.leak(dev_x)) ** 2      # (S, n_tx, M)
         oob_now = np.sum(powers, axis=(1, 2))
         stop = oob_now > best_oob if cfg.early_stop else None
-        entries = (powers.max(axis=1), form.norms(move), form.norms(dev_x - dev_prev))
+        primal = form.norms(move)
+        # the step owns move and needs it no more; dev_prev is returned
+        entries = (powers.max(axis=1), primal, form.norms(np.subtract(dev_x, dev_prev, out=move)))
         return (dev_x, dev_z, oob_now, mu, core), entries, stop, dev_prev
 
     full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step, evm)

@@ -96,9 +96,10 @@ def _column_norms(x):
     return np.sqrt(sq[:, 0::2] + sq[:, 1::2])[:, None, :]
 
 
-def _project_balls(dev, dist, radii, inner):
+def _project_balls(dev, dist, radii, inner, out=None):
     """Deviations dev from the centers of balls projected onto the
-    zero-centred balls, in one pass.
+    zero-centred balls, in one pass, into ``out`` where given (dev itself
+    for an in-place projection).
 
     dist holds the distances of dev from the centers, radii the
     non-negative radii and inner the radii pulled in by _inward_radius for
@@ -109,4 +110,5 @@ def _project_balls(dev, dist, radii, inner):
     within the radius.  A ball whose other entries are zero (guard bins) is
     projected on its nonzero part alone, with its full size in inner.
     """
-    return dev * np.divide(inner, dist, out=np.ones_like(dist), where=dist > radii)
+    return np.multiply(dev, np.divide(inner, dist, out=np.ones_like(dist), where=dist > radii),
+                       out=out)

@@ -321,6 +321,19 @@ class SpectralKernel:
         return _read_only(np.linalg.qr(self.band_rows.conj().T, mode="r"))
 
     @cached_property
+    def span_gram(self):
+        """Read-only (M + 1) x M: K^T (gram) with a zero row appended, the
+        matrix that takes span coefficients [xi | alpha] to K xi, alpha
+        unseen (unconstrained._SpanDeviations); built on first use."""
+        return _read_only(np.pad(self.gram.T, ((0, 1), (0, 0))))
+
+    @cached_property
+    def span_factor(self):
+        """Read-only R^T (band_factor) with a zero row appended, which takes
+        span coefficients [xi | alpha] to R xi; built on first use."""
+        return _read_only(np.pad(self.band_factor.T, ((0, 1), (0, 0))))
+
+    @cached_property
     def band_rows(self):
         """Read-only M x n_active rows on the active band, in bin order
         (numerology.band_bins): the columns of active_rows that are not

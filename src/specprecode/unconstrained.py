@@ -261,8 +261,8 @@ class _BandDeviations:
         flat = np.ascontiguousarray(dev, dtype=complex).view(float).reshape(len(dev), -1)
         return np.sqrt(np.vecdot(flat, flat))
 
-    def project(self, dev):
-        return _project_balls(dev, self.dist(dev, self.norms), self.radii, self.inner)
+    def project(self, dev, out=None):
+        return _project_balls(dev, self.dist(dev, self.norms), self.radii, self.inner, out)
 
     def to_band(self, dev, band):
         """dev itself: a budgeted solver projected it on the band already."""
@@ -296,8 +296,7 @@ class _SpanDeviations(_BandDeviations):
         super().__init__(kernel, band, ad, ref_norms, *balls)
         # K^T and R^T with a zero row for alpha, so that the products take
         # the whole coefficient rows and see xi alone
-        self.gram_t = np.pad(kernel.gram.T, ((0, 1), (0, 0)))
-        self.factor_t = np.pad(kernel.band_factor.T, ((0, 1), (0, 0)))
+        self.gram_t, self.factor_t = kernel.span_gram, kernel.span_factor
         self.d_sq = np.vecdot(band, band).real          # ||d_r||^2
 
     def take(self, keep):
@@ -472,8 +471,12 @@ def consensus_admm(block, kernel, gamma, cfg, budget=None):
 
     def step(form, state):
         dev_prev, beta, delta = state
-        mean = dev_prev + form.span((2.0 * delta - beta) / m_pts)
-        dev = weight * mean if budget is None else form.project(mean)
+        dev = form.span((2.0 * delta - beta) / m_pts)
+        dev += dev_prev                         # the mean deviation m
+        if budget is None:
+            dev *= weight
+        else:
+            form.project(dev, out=dev)
         beta = delta
         ax = form.ad + form.leak(dev)           # (S, n_tx, M)
         c = ax - beta * k_diag
@@ -483,7 +486,8 @@ def consensus_admm(block, kernel, gamma, cfg, budget=None):
         delta = coef * c
 
         primal = np.sqrt(np.sum(np.abs(delta - beta) ** 2 * k_diag, axis=(1, 2)))
-        dual = np.sqrt(m_pts) * cfg.rho * form.norms(dev - dev_prev)
+        # the step owns the previous iterate and needs it no more
+        dual = np.sqrt(m_pts) * cfg.rho * form.norms(np.subtract(dev, dev_prev, out=dev_prev))
         stop = None if cfg.residual_tol is None else np.maximum(primal, dual) <= cfg.residual_tol
         return (dev, beta, delta), ((np.abs(ax) ** 2).max(axis=1), primal, dual), stop, dev
     return _band_iterations(block, kernel, cfg.iters, start, step, budget)
