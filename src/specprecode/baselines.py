@@ -6,10 +6,10 @@ row so the error-vector budget is met with equality whenever full nulling
 would overspend it.  NSP is the projection precoder of van de Beek,
 "Sculpting the multicarrier spectrum: a novel projection precoder" (IEEE
 Commun. Lett. 2009).  The notch runs on the package's shared algebra: the
-kernel's cached Gram matrix and one BLAS call per antenna row.  The module
-also carries two reference solvers used only for certification: a bisection
-search for the rank-1 projection and a log-barrier interior-point solver for
-small constrained instances.
+kernel's cached Gram matrix and one GEMM over a block's antenna rows.  The
+module also carries two reference solvers used only for certification: a
+bisection search for the rank-1 projection and a log-barrier interior-point
+solver for small constrained instances.
 
 The log-barrier solver's two problems, least squares to the reference under
 the rank-1 sets and the epigraph of a common scale on their bounds under
@@ -42,8 +42,8 @@ def _notch_component(kernel, d):
 
     ``d`` is an (S, n_tx, N) block.  A d and U w run through
     metrics._row_products against the full-width ``kernel.active_rows``,
-    one BLAS call per row, so a row is notched with the same bits alone or
-    inside a block of any size.  Raises ConfigError when K is numerically
+    one GEMM over the block's rows, which gives a row the same bits alone
+    or inside a block of any size.  Raises ConfigError when K is numerically
     rank deficient (coincident points).
     """
     gram = kernel.gram

@@ -146,15 +146,44 @@ def _grid_values(d):
     return np.asarray(getattr(d, "symbols", d), dtype=complex)
 
 
+# The m n k of a complex GEMM from which OpenBLAS splits it over two
+# threads, and with it the sums along n: at n = 300 and M = 8, 27 rows give
+# the same bits under one and two BLAS threads and 28 rows do not
+# (OpenBLAS 0.3.31, Haswell kernels).
+_SERIAL_GEMM = 65536
+
+
 def _row_products(x, mat):
     """x @ mat for every row of x (..., n) and an (n, M) matrix, as one
-    (1 x n)(n x M) BLAS call per row, so a row's result has the same bits
-    whether it is computed alone, as a view or inside a block of any size.
-    x is made contiguous first: numpy hands a row with a non-unit stride to
-    its own loop instead of BLAS, which rounds differently.  No product is
-    one matrix-matrix call over a block: a GEMM's blocking, and with it the
-    order of its sums, depends on the row count."""
-    return (np.ascontiguousarray(x)[..., None, :] @ mat)[..., 0, :]
+    (r x n)(n x M) GEMM over the block's contiguous rows, so a row's result
+    has the same bits whether it is computed alone, as a view or inside a
+    block of any size.  A GEMM's sum order along n does not depend on how
+    its rows are blocked (Goto and van de Geijn, "Anatomy of
+    high-performance matrix multiplication", ACM TOMS 2008): measured on
+    OpenBLAS 0.3.31 (Haswell kernels), every r from 2 to 199 gives each row
+    the bits of the 200-row GEMM, at n = 9, 300 and 512 and M = 1 to 9.
+    A lone row is padded to two, since numpy sends a (1 x n)(n x M)
+    product to GEMV, which rounds differently.  A block whose r n M
+    reaches _SERIAL_GEMM goes as GEMMs of ``most`` rows, one stacked
+    matmul, and one GEMM of the last rows, at least two of them (a row
+    computed twice gets the same bits twice), so that no GEMM is split
+    over BLAS threads.  x is made contiguous first: numpy hands a row with
+    a non-unit stride to its own loop instead of BLAS, which rounds
+    differently."""
+    rows = np.ascontiguousarray(x).reshape(-1, mat.shape[0])
+    shape = x.shape[:-1] + mat.shape[1:]
+    count, most = len(rows), max(2, (_SERIAL_GEMM - 1) // mat.size)
+    if count <= most:
+        padded = np.concatenate((rows, rows)) if count == 1 else rows
+        return (padded @ mat)[:count].reshape(shape)
+    out = np.empty((count, mat.shape[1]), dtype=np.result_type(rows, mat))
+    full = count - count % most
+    np.matmul(rows[:full].reshape(-1, most, mat.shape[0]), mat,
+              out=out[:full].reshape(-1, most, mat.shape[1]))
+    if full < count:
+        last = min(full, count - 2)
+        np.matmul(rows[last:], mat, out=out[last:])
+    return out.reshape(shape)
 
 
 def oobe_power(dbar, kernel):
@@ -162,7 +191,7 @@ def oobe_power(dbar, kernel):
 
     The products run on the active band in bin order
     (numerology.band_bins), where the solvers keep their iterates, against
-    kernel.band_rows, one BLAS call per antenna row (_row_products), as
+    kernel.band_rows, one GEMM over the antenna rows (_row_products), as
     in every solver.  Input whose last axis holds N entries is a
     full-width grid, gathered onto the band first; on a data grid (zero
     guard bins) that gives the leakage of the full rows.  Input whose last

@@ -40,7 +40,8 @@ per block each, and, under a frequency-selective budget, a few per
 iteration.  FactoredInverse applies the same Woodbury form to N-space
 vectors.
 Every product of the solvers and of oobe_power runs through _row_products,
-one BLAS call per antenna row.
+one GEMM over a block's antenna rows, whose rows get the same bits in a
+block of any size.
 
 Every solver takes a block of S symbols (S, n_tx, N) as well as a single
 (n_tx, N) symbol or a single row, and solves one problem per symbol.  The
@@ -284,9 +285,10 @@ class _SpanDeviations(_BandDeviations):
     ||e_r||^2 = ||R xi||^2 + 2 Re(conj(alpha) ad^H xi) + |alpha|^2 ||d_r||^2:
     ||R xi|| is as accurate as ||U xi|| formed in N-space, where the Gram
     form xi^H K xi would lose half the digits on an ill-conditioned K.
-    Every M x M product runs row by row through _row_products and every
-    sum over a row or a symbol's rows in a fixed order, so a symbol's
-    results do not depend on its block.  Where every alpha of a stack is
+    Every M x M product runs through _row_products, whose rows get the
+    same bits in a block of any size, and every sum over a row or a
+    symbol's rows in a fixed order, so a symbol's results do not depend
+    on its block.  Where every alpha of a stack is
     zero, as for all solvers but ESSP's first iteration, the alpha terms
     are skipped: they would add exact zeros.  Only to_band works in
     N-space.
@@ -456,9 +458,12 @@ def consensus_admm(block, kernel, gamma, cfg, budget=None):
     Without a budget and under a wideband one, e itself is U xi and the
     whole iteration runs on M coefficients per antenna row, with M x M
     products only; under a frequency-selective budget its own work per
-    iteration is two O(M n_active) products, one BLAS call per antenna row
-    each (_row_products).  The report's leakage powers are |A x_bar|^2
-    from the same product.
+    iteration is two O(M n_active) products, one GEMM over the block's
+    antenna rows each (_row_products).  The step forms the new iterate in
+    the array that form.span returns and projects it there, and writes
+    the dual residual's difference over the previous iterate, which it
+    needs no more.  The report's leakage powers are |A x_bar|^2 from the
+    same product.
     """
     k_diag = _kernel_diag(kernel.gram)       # ||u_m||^2
     m_pts = k_diag.size

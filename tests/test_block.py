@@ -5,14 +5,21 @@ for a block of one, so outputs and reports must match bitwise, including
 when symbols stop at different iterations and leave the block early.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specprecode
 from specprecode import (AdmmConfig, DataGrid, EsspConfig, EvmConstraint, SspConfig,
                          admm_precode, eadmm_precode, essp_precode, oobe_power, ssp_precode)
-from specprecode.unconstrained import _row_products
+from specprecode.constrained import _eadmm_block, _essp_block
+from specprecode.unconstrained import _BandDeviations, _SpanDeviations, _row_products
 
 from conftest import qpsk_grid, random_kernel
 
@@ -118,37 +125,82 @@ class TestBlockInvariance:
         check_invariants(block, out, kern, evm)
 
 
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestRowProducts:
-    """The solvers form their O(M n) products one BLAS call per row; a
-    row's result must not depend on how it is held or batched."""
+    """The solvers form their O(M n) products as one GEMM over a block's
+    rows (_row_products); a row's result must not depend on how it is held
+    or batched, on the rows beside it or on the number of BLAS threads."""
+
+    @staticmethod
+    def check_rows(x, mat, splits):
+        """Each row of x alone, as a view, a copy, a row of a wider array
+        and a row with stride 2, every leading row count and every split
+        in ``splits`` give the bits of the whole block's product."""
+        n_rows = len(x)
+        block = _row_products(x, mat)
+        wide = np.zeros((n_rows, x.shape[1] + 3), dtype=complex)
+        wide[:, 1:-2] = x
+        held = wide[:, 1:-2]                      # rows of a wider array
+        spread = np.repeat(x, 2, axis=1)[:, ::2]  # rows with stride 2
+        for j in range(n_rows):
+            for row in (x[j], x[j:j + 1], x[j].copy(), held[j], held[j:j + 1], spread[j]):
+                assert np.array_equal(_row_products(row, mat).reshape(-1), block[j])
+        for count in range(1, n_rows + 1):
+            assert np.array_equal(_row_products(x[:count], mat), block[:count])
+            assert np.array_equal(_row_products(x[n_rows - count:], mat), block[n_rows - count:])
+        for split in splits:
+            parts = [_row_products(x[i:i + split], mat) for i in range(0, n_rows, split)]
+            assert np.array_equal(np.concatenate(parts), block)
+        if n_rows % 2 == 0:
+            stacked = _row_products(x.reshape(n_rows // 2, 2, -1), mat)
+            assert np.array_equal(stacked.reshape(block.shape), block)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m_pts=st.integers(1, 8),
            n_rows=st.integers(1, 40))
     def test_rows_alone_as_views_copies_and_in_blocks(self, seed, n, m_pts, n_rows):
         rng = np.random.default_rng(seed)
-
-        def cplx(*shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        a_rows = cplx(m_pts, n)
+        a_rows = cplx(rng, m_pts, n)
         # c0 = U^H d against a_rows.T (n x M), and the primal and stationarity
         # products against the conjugate rows (M x n)
-        for x, mat in ((cplx(n_rows, n), a_rows.T), (cplx(n_rows, m_pts), a_rows.conj())):
-            block = _row_products(x, mat)
-            wide = np.zeros((n_rows, x.shape[1] + 3), dtype=complex)
-            wide[:, 1:-2] = x
-            held = wide[:, 1:-2]                      # rows of a wider array
-            spread = np.repeat(x, 2, axis=1)[:, ::2]  # rows with stride 2
-            for j in range(n_rows):
-                for row in (x[j], x[j:j + 1], x[j].copy(), held[j], held[j:j + 1],
-                            spread[j]):
-                    assert np.array_equal(_row_products(row, mat).reshape(-1), block[j])
-            for split in (1, n_rows // 2 or 1):
-                parts = [_row_products(x[i:i + split], mat) for i in range(0, n_rows, split)]
-                assert np.array_equal(np.concatenate(parts), block)
-            if n_rows % 2 == 0:
-                stacked = _row_products(x.reshape(2, n_rows // 2, -1), mat)
-                assert np.array_equal(stacked.reshape(block.shape), block)
+        for x, mat in ((cplx(rng, n_rows, n), a_rows.T), (cplx(rng, n_rows, m_pts), a_rows.conj())):
+            self.check_rows(x, mat, (1, n_rows // 2 or 1))
+
+    @pytest.mark.parametrize("n", [9, 300, 512])
+    @pytest.mark.parametrize("m_pts", [8, 9])
+    def test_run_widths_every_row_count_and_split(self, n, m_pts):
+        # the widths of a run: the span coefficients (M + 1), the active
+        # band and the full FFT; 128 rows are more than one GEMM takes at
+        # n = 300 and 512 (metrics._SERIAL_GEMM), so the pieces and the
+        # recomputed last rows are checked as well
+        rng = np.random.default_rng(10 * n + m_pts)
+        a_rows = cplx(rng, m_pts, n)
+        for x, mat in ((cplx(rng, 128, n), a_rows.T), (cplx(rng, 128, m_pts), a_rows.conj())):
+            self.check_rows(x, mat, range(1, 129))
+
+    def test_bits_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # a block of 128 rows at n = 300 under two BLAS threads, in a fresh
+        # interpreter, against this process's one thread
+        rng = np.random.default_rng(3)
+        a_rows = cplx(rng, 8, 300)
+        cases = [(cplx(rng, 128, 300), a_rows.T), (cplx(rng, 128, 8), a_rows.conj())]
+        np.savez(tmp_path / "in.npz", *[arr for case in cases for arr in case])
+        code = ("import numpy as np, sys\n"
+                "from specprecode.metrics import _row_products\n"
+                "arrs = list(np.load(sys.argv[1]).values())\n"
+                "np.savez(sys.argv[2], *[_row_products(x, m) for x, m in zip(arrs[::2], arrs[1::2])])\n")
+        src = str(Path(specprecode.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                                       if p]))
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "in.npz"),
+                        str(tmp_path / "out.npz")], env=env, check=True, timeout=120)
+        two = list(np.load(tmp_path / "out.npz").values())
+        for (x, mat), other in zip(cases, two, strict=True):
+            assert np.array_equal(_row_products(x, mat), other)
 
 
 class TestOobePowerRows:
@@ -289,3 +341,54 @@ class TestReportLeakage:
         for sym, rep in zip(vals, reports):
             expect = oobe_power(sym, kern).max(axis=1)
             assert np.abs(rep.oob_trace[-1] - expect).max() <= 1e-12 * expect.max()
+
+
+class TestStepsLeaveTheirInputs:
+    """The EADMM and ESSP steps do their band arithmetic in place, on
+    arrays that they own: the input block and every array that a
+    deviation form holds (A d, the reference norms, the balls' radii)
+    come back bitwise unchanged, also where symbols stop inside the
+    block and leave the form."""
+
+    @staticmethod
+    def record_forms(monkeypatch):
+        """Every deviation form made from now on, with copies of its arrays
+        as they were when it was made (by the constructor or by take; a
+        call through super() is not the form's making)."""
+        forms = []
+
+        def recording(cls, method):
+            def wrapped(self, *args, **kwargs):
+                made = method(self, *args, **kwargs)
+                if type(self) is cls:
+                    form = self if made is None else made
+                    forms.append((form, {name: value.copy() for name, value in vars(form).items()
+                                         if isinstance(value, np.ndarray)}))
+                return made
+            return wrapped
+        for cls in (_BandDeviations, _SpanDeviations):
+            for name in ("__init__", "take"):
+                monkeypatch.setattr(cls, name, recording(cls, vars(cls)[name]))
+        return forms
+
+    # seeds at which some symbols of the block stop and others run on
+    @pytest.mark.parametrize("solver, kind, seed", [
+        ("eadmm", "wideband", 2), ("eadmm", "frequency_selective", 10),
+        ("essp", "wideband", 3), ("essp", "frequency_selective", 3)])
+    def test_block_and_forms_unchanged(self, monkeypatch, solver, kind, seed):
+        rng, kern, block, gamma = make_block(seed, 6, 2, 4)
+        evm = budget(rng, kind, kern.numerology)
+        forms = self.record_forms(monkeypatch)
+        values = block.symbols.copy()
+        if solver == "eadmm":
+            _, traces = _eadmm_block(values, kern, gamma, evm,
+                                     AdmmConfig(iters=60, residual_tol=3e-2))
+        else:
+            _, traces = _essp_block(values, kern, gamma, evm, EsspConfig(outer_iters=8))
+        assert np.array_equal(values, block.symbols)
+        # some symbols stopped inside the block, so their forms were taken
+        assert traces.stopped.any() and len(set(traces.iterations)) > 1
+        assert len(forms) > 1 and {"ad", "ref_norms", "radii"} <= set(forms[0][1])
+        for form, arrays in forms:
+            for name, value in arrays.items():
+                assert np.array_equal(getattr(form, name), value), name

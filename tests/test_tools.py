@@ -167,11 +167,15 @@ def test_abtime_same_tree_twice():
     lines = done.stdout.splitlines()
     assert lines[0].startswith("pair 1 (a first): ")
     assert lines[1].startswith("pair 2 (b first): ")
+    # each pair reports the minor page faults of a call of each side
+    assert all(re.search(r", minor faults a \d+ b \d+$", line) for line in lines[:2])
     assert lines[2].startswith("median ratio a/b over 2 pairs: wall ")
-    # the ratios' base: the median wall seconds of a call of each tree
+    # the ratios' base: the median wall seconds of a call of each tree, and
+    # beside them the median minor page faults of a call
     base = re.fullmatch(r"median ratio a/b over 2 pairs: wall \S+, cpu \S+; "
-                        r"median wall a (\S+) s, b (\S+) s", lines[2])
-    assert base and all(float(seconds) > 0 for seconds in base.groups())
+                        r"median wall a (\S+) s, b (\S+) s; "
+                        r"median minor faults a (\d+), b (\d+)", lines[2])
+    assert base and all(float(seconds) > 0 for seconds in base.groups()[:2])
     assert lines[3].startswith("median layer ratio a/b: ")
     layers = dict(item.split() for item in lines[3].split(": ", 1)[1].split(", "))
     assert set(layers) == {"generate", "precode", "metrics", "psd", "io", "total"}
@@ -199,7 +203,8 @@ def test_abtime_several_workloads():
     tail = lines[lines.index("median ratio a/b per workload over 1 pairs:") + 1:]
     assert [line.split(": ")[0] for line in tail] == ["ssp-mask1", "essp-wideband"]
     assert all(line.split(": ")[1].startswith("wall ") and ", precode " in line for line in tail)
-    assert all(re.search(r"; median wall a \d+\.\d{5} s, b \d+\.\d{5} s$", line)
+    assert all(re.search(r"; median wall a \d+\.\d{5} s, b \d+\.\d{5} s; "
+                         r"median minor faults a \d+, b \d+$", line)
                for line in tail)
 
 

@@ -12,15 +12,18 @@ Every side of every pair runs in a new Python process with ``PYTHONPATH``
 set to its tree and one BLAS thread: the process makes one untimed
 ``run_scenario`` call, then ``CALLS`` (15) timed calls, and
 prints their wall-clock times (``perf_counter``), CPU times
-(``process_time``) and the manifests' ``timings_s`` as JSON; a side's
-times are the medians over its calls.  So neither tree runs in a process
+(``process_time``), minor page faults (the growth of
+``getrusage(RUSAGE_SELF).ru_minflt`` over the call) and the manifests'
+``timings_s`` as JSON; a side's figures are the medians over its calls.  So neither tree runs in a process
 that the other's imports and allocations have shaped.  The scenario is a
 workload of ``bench/workloads.json`` at scenario seed ``--seed``, its
 symbol count capped by ``--symbols``.  The first pair runs a then b, the
 next b then a, and so on.  The script prints each pair's time ratio a / b
 in wall-clock and in CPU time, then the median ratios (above 1: b is
 faster), on one line with their base, the median wall seconds of a call
-of a and of b, then the median ratio of each layer time of the
+of a and of b, and each side's median minor page faults per call (so an
+effect of the allocator, which a change of array layout can move, shows
+beside the times), then the median ratio of each layer time of the
 manifests' ``timings_s`` (``generate``, ``precode``, ``metrics``,
 ``psd``, ``io`` and ``total``), and whether each output file of the two
 trees' last runs is identical (the manifest compared without its
@@ -32,8 +35,9 @@ move below the summary's 12 printed digits shows as well.
 ``--workload`` may be given more than once, or as ``all`` for every
 workload of ``bench/workloads.json``; the workloads then run one after the
 other, each under a ``workload NAME:`` line, and a last block prints one
-line per workload with its median wall, CPU and precode ratios and the
-median wall seconds of a and of b.
+line per workload with its median wall, CPU and precode ratios, the
+median wall seconds of a and of b and their median minor page faults per
+call.
 
 Separate runs on a shared host can drift by tens of percent minutes apart;
 the two sides of a pair run back to back and see the same host state, so
@@ -64,9 +68,10 @@ CALLS = 15          # timed run_scenario calls per side of a pair, in one proces
 
 
 # The child process: one untimed call, then the timed ones; it prints the
-# package it imported and, per timed call, (wall s, CPU s, timings_s).
+# package it imported and, per timed call, (wall s, CPU s, timings_s,
+# minor page faults).
 CHILD = """
-import gc, json, sys, time
+import gc, json, resource, sys, time
 import specprecode
 overrides, out_dir, calls = json.loads(sys.argv[1]), sys.argv[2], int(sys.argv[3])
 cfg = specprecode.ScenarioConfig.from_dict(overrides)
@@ -74,17 +79,21 @@ specprecode.run_scenario(cfg, out_dir)
 runs = []
 for _ in range(calls):
     gc.collect()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     wall, cpu = time.perf_counter(), time.process_time()
     manifest = specprecode.run_scenario(cfg, out_dir)
-    runs.append((time.perf_counter() - wall, time.process_time() - cpu, manifest["timings_s"]))
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    runs.append((wall, cpu, manifest["timings_s"], faults))
 print(json.dumps({"package": specprecode.__file__, "runs": runs}))
 """
 
 
 def timed_side(tree, overrides, out_dir):
-    """(wall s, CPU s, timings) of CALLS run_scenario calls of the
-    package under ``tree`` in a fresh interpreter, each the median over
-    the calls; the manifest of the last call is in ``out_dir``."""
+    """(wall s, CPU s, timings, minor page faults) of CALLS run_scenario
+    calls of the package under ``tree`` in a fresh interpreter, each the
+    median over the calls; the manifest of the last call is in
+    ``out_dir``."""
     tree = Path(tree).resolve()
     env = dict(os.environ, PYTHONPATH=str(tree))
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(overrides), str(out_dir),
@@ -95,9 +104,10 @@ def timed_side(tree, overrides, out_dir):
     result = json.loads(done.stdout)
     if tree not in Path(result["package"]).resolve().parents:
         raise SystemExit(f"{tree} holds no specprecode package; imported {result['package']}")
-    walls, cpus, layers = zip(*result["runs"])
+    walls, cpus, layers, faults = zip(*result["runs"])
     return (statistics.median(walls), statistics.median(cpus),
-            {name: statistics.median(t[name] for t in layers) for name in layers[0]})
+            {name: statistics.median(t[name] for t in layers) for name in layers[0]},
+            statistics.median(faults))
 
 
 def last_manifest(out_dir):
@@ -154,38 +164,44 @@ def verdict_lines(verdicts, manifest_a, manifest_b):
 def ab_workload(trees, overrides, pairs, out_dir):
     """Time ``pairs`` interleaved pairs of the two trees on one scenario and
     print the block described above; returns the median (wall, cpu, layer)
-    ratios a / b, layer a dict by layer name, and the median wall seconds
-    of a call, a dict by tree."""
+    ratios a / b, layer a dict by layer name, the median wall seconds of a
+    call and the median minor page faults of a call, each a dict by
+    tree."""
     dirs = {key: Path(out_dir) / f"out_{key}" for key in trees}
     for path in dirs.values():
         path.mkdir(parents=True, exist_ok=True)
-    wall_ratios, cpu_ratios, layer_ratios, walls = [], [], {}, {"a": [], "b": []}
+    wall_ratios, cpu_ratios, layer_ratios = [], [], {}
+    walls, faults = {"a": [], "b": []}, {"a": [], "b": []}
     for pair in range(pairs):
         order = ("a", "b") if pair % 2 == 0 else ("b", "a")
         times, layers = {}, {}
         for key in order:
-            wall, cpu, layers[key] = timed_side(trees[key], overrides, dirs[key])
+            wall, cpu, layers[key], fault = timed_side(trees[key], overrides, dirs[key])
             times[key] = (wall, cpu)
             walls[key].append(wall)
+            faults[key].append(fault)
         wall_ratios.append(times["a"][0] / times["b"][0])
         cpu_ratios.append(times["a"][1] / times["b"][1])
         for name, seconds in layers["a"].items():
             layer_ratios.setdefault(name, []).append(seconds / layers["b"][name])
         print(f"pair {pair + 1} ({order[0]} first): wall a {times['a'][0]:.4f} s "
               f"b {times['b'][0]:.4f} s ratio {wall_ratios[-1]:.4f}, "
-              f"cpu ratio {cpu_ratios[-1]:.4f}", flush=True)
+              f"cpu ratio {cpu_ratios[-1]:.4f}, minor faults a {faults['a'][-1]:.0f} "
+              f"b {faults['b'][-1]:.0f}", flush=True)
     wall, cpu = statistics.median(wall_ratios), statistics.median(cpu_ratios)
     layer = {name: statistics.median(ratios) for name, ratios in layer_ratios.items()}
     base = {key: statistics.median(seconds) for key, seconds in walls.items()}
+    fault = {key: statistics.median(counts) for key, counts in faults.items()}
     print(f"median ratio a/b over {pairs} pairs: wall {wall:.4f}, cpu {cpu:.4f}; "
-          f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s")
+          f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s; "
+          f"median minor faults a {fault['a']:.0f}, b {fault['b']:.0f}")
     print("median layer ratio a/b: " + ", ".join(
         f"{name} {ratio:.4f}" for name, ratio in layer.items()))
     manifests = {key: last_manifest(path) for key, path in dirs.items()}
     verdicts = compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"])
     for line in verdict_lines(verdicts, manifests["a"], manifests["b"]):
         print(line)
-    return wall, cpu, layer, base
+    return wall, cpu, layer, base, fault
 
 
 def main(argv=None):
@@ -224,9 +240,10 @@ def main(argv=None):
             medians[name] = ab_workload(trees, overrides, args.pairs, Path(tmp) / name)
         if len(names) > 1:
             print(f"median ratio a/b per workload over {args.pairs} pairs:")
-            for name, (wall, cpu, layer, base) in medians.items():
+            for name, (wall, cpu, layer, base, fault) in medians.items():
                 print(f"{name}: wall {wall:.4f}, cpu {cpu:.4f}, precode {layer['precode']:.4f}; "
-                      f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s")
+                      f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s; "
+                      f"median minor faults a {fault['a']:.0f}, b {fault['b']:.0f}")
     return 0
 
 
