@@ -285,7 +285,7 @@ def _essp_block(block, kernel, masks, evm, cfg):
     def step(form, state):
         dev_x, dev_z, best_oob, mu, core = state
         dev_v = 2.0 * dev_x
-        dev_v -= dev_z
+        dev_v -= dev_z                                  # e_v = 2 e_x - e_z
         # re-centre the carried core: c = B^(-1) c0 = c0 - W (mu c0)
         c0 = form.ad + form.leak(dev_v)
         core = core.copy()
@@ -303,8 +303,9 @@ def _essp_block(block, kernel, masks, evm, cfg):
         oob_now = np.sum(powers, axis=(1, 2))
         stop = oob_now > best_oob if cfg.early_stop else None
         primal = form.norms(move)
-        # the step owns move and needs it no more; dev_prev is returned
-        entries = (powers.max(axis=1), primal, form.norms(np.subtract(dev_x, dev_prev, out=move)))
+        # move is needed no more; dev_prev is returned
+        dual = form.norms(np.subtract(dev_x, dev_prev, out=move))
+        entries = (powers.max(axis=1), primal, dual)
         return (dev_x, dev_z, oob_now, mu, core), entries, stop, dev_prev
 
     full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step, evm)

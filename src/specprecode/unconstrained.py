@@ -288,10 +288,9 @@ class _SpanDeviations(_BandDeviations):
     Every M x M product runs through _row_products, whose rows get the
     same bits in a block of any size, and every sum over a row or a
     symbol's rows in a fixed order, so a symbol's results do not depend
-    on its block.  Where every alpha of a stack is
-    zero, as for all solvers but ESSP's first iteration, the alpha terms
-    are skipped: they would add exact zeros.  Only to_band works in
-    N-space.
+    on its block.  Where every alpha of a stack is zero, as for all
+    solvers but ESSP's first iteration, the alpha terms are skipped: they
+    would add exact zeros.  Only to_band works in N-space.
     """
 
     def __init__(self, kernel, band, ad, ref_norms, *balls):

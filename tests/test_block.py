@@ -166,7 +166,8 @@ class TestRowProducts:
         a_rows = cplx(rng, m_pts, n)
         # c0 = U^H d against a_rows.T (n x M), and the primal and stationarity
         # products against the conjugate rows (M x n)
-        for x, mat in ((cplx(rng, n_rows, n), a_rows.T), (cplx(rng, n_rows, m_pts), a_rows.conj())):
+        for x, mat in ((cplx(rng, n_rows, n), a_rows.T),
+                       (cplx(rng, n_rows, m_pts), a_rows.conj())):
             self.check_rows(x, mat, (1, n_rows // 2 or 1))
 
     @pytest.mark.parametrize("n", [9, 300, 512])
@@ -191,7 +192,8 @@ class TestRowProducts:
         code = ("import numpy as np, sys\n"
                 "from specprecode.metrics import _row_products\n"
                 "arrs = list(np.load(sys.argv[1]).values())\n"
-                "np.savez(sys.argv[2], *[_row_products(x, m) for x, m in zip(arrs[::2], arrs[1::2])])\n")
+                "out = [_row_products(x, m) for x, m in zip(arrs[::2], arrs[1::2])]\n"
+                "np.savez(sys.argv[2], *out)\n")
         src = str(Path(specprecode.__file__).resolve().parent.parent)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
                    PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")]

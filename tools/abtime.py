@@ -14,8 +14,9 @@ set to its tree and one BLAS thread: the process makes one untimed
 prints their wall-clock times (``perf_counter``), CPU times
 (``process_time``), minor page faults (the growth of
 ``getrusage(RUSAGE_SELF).ru_minflt`` over the call) and the manifests'
-``timings_s`` as JSON; a side's figures are the medians over its calls.  So neither tree runs in a process
-that the other's imports and allocations have shaped.  The scenario is a
+``timings_s`` as JSON; a side's figures are the medians over its calls.
+So neither tree runs in a process that the other's imports and
+allocations have shaped.  The scenario is a
 workload of ``bench/workloads.json`` at scenario seed ``--seed``, its
 symbol count capped by ``--symbols``.  The first pair runs a then b, the
 next b then a, and so on.  The script prints each pair's time ratio a / b
