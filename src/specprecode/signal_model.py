@@ -501,19 +501,16 @@ def _write_frames(symbols, numerology, frame, frames, spec):
     prefix copied in front from the body's tail.  spec (S, n_tx, L N)
     holds the padded spectra: only its active positions are written, one
     slice per run of consecutive bins (active_runs), so its other entries
-    must be zero, and they stay zero.  A run of the frame's active bins is
-    a run of the base's, since both follow the offsets and wrap at DC
-    alone.  The inverse DFT writes straight into the frames' bodies;
+    must be zero, and they stay zero.  The frame's runs are the base's,
+    since both follow the offsets and wrap at DC alone.  The inverse DFT writes straight into the frames' bodies;
     frames may be any view whose last axis is contiguous, and the leading
     axes of all three arrays need only agree (synthesize_time_signal
     passes them antenna first).  Both arrays can be reused from one call
     to the next.
     """
     n_os, cp_os = frame.fft_size, frame.cp_len
-    base = numerology.active_bins
-    for lo, _, first, stop in frame.active_runs:
-        src = int(base[lo])
-        spec[..., first:stop] = symbols[..., src:src + stop - first]
+    for (*_, first, stop), (*_, src, src_stop) in zip(frame.active_runs, numerology.active_runs):
+        spec[..., first:stop] = symbols[..., src:src_stop]
     body = np.fft.ifft(spec, axis=-1, out=frames[..., cp_os:])
     body *= n_os / np.sqrt(numerology.fft_size)
     frames[..., :cp_os] = body[..., n_os - cp_os:]

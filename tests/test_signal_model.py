@@ -140,6 +140,13 @@ class TestFrameNumerology:
                               num.active_offsets[np.argsort(num.active_bins)])
         assert np.array_equal(frame.band_bins,
                               np.sort(np.mod(num.active_offsets, factor * num.fft_size)))
+        # the frame's runs of consecutive active bins are the base's, which
+        # _write_frames copies one slice at a time
+        assert [run[:2] for run in frame.active_runs] == [run[:2] for run in num.active_runs]
+        for n in (num, frame):
+            assert np.array_equal(np.concatenate([np.arange(first, stop)
+                                                  for *_, first, stop in n.active_runs]),
+                                  n.active_bins)
         assert num.oversampled(1) is num
         kern = build_kernel(frame, FrequencyGrid(points=[0.5, num.fft_size / 2 + 0.25]))
         assert kern is build_kernel(direct, FrequencyGrid(points=[0.5, num.fft_size / 2 + 0.25]))
