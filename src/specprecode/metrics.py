@@ -161,15 +161,15 @@ def _row_products(x, mat):
     its rows are blocked (Goto and van de Geijn, "Anatomy of
     high-performance matrix multiplication", ACM TOMS 2008): measured on
     OpenBLAS 0.3.31 (Haswell kernels), every r from 2 to 199 gives each row
-    the bits of the 200-row GEMM, at n = 9, 300 and 512 and M = 1 to 9.
-    A lone row is padded to two, since numpy sends a (1 x n)(n x M)
-    product to GEMV, which rounds differently.  A block whose r n M
-    reaches _SERIAL_GEMM goes as GEMMs of ``most`` rows, one stacked
-    matmul, and one GEMM of the last rows, at least two of them (a row
-    computed twice gets the same bits twice), so that no GEMM is split
-    over BLAS threads.  x is made contiguous first: numpy hands a row with
-    a non-unit stride to its own loop instead of BLAS, which rounds
-    differently."""
+    the bits of the 200-row GEMM, at n = 9, 300 and 512 and M = 1, 2, 3, 8
+    and 9.  A lone row is padded to two, since numpy sends a
+    (1 x n)(n x M) product to GEMV, which rounds differently.  A block
+    whose r n M reaches _SERIAL_GEMM goes as GEMMs of ``most`` rows, one
+    stacked matmul, and one GEMM of the last rows, at least two of them
+    (a row computed twice gets the same bits twice), so that no GEMM is
+    split over BLAS threads.  x is made contiguous first: numpy hands a
+    row with a non-unit stride to its own loop instead of BLAS, which
+    rounds differently."""
     rows = np.ascontiguousarray(x).reshape(-1, mat.shape[0])
     shape = x.shape[:-1] + mat.shape[1:]
     count, most = len(rows), max(2, (_SERIAL_GEMM - 1) // mat.size)
