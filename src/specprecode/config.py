@@ -34,8 +34,6 @@ from .signal_model import FrequencyGrid, OfdmNumerology, qam_constellation
 from .unconstrained import AdmmConfig, SspConfig
 
 PRECODERS = tuple(PRECODER_TABLE)
-# The precoders that take the error budget.
-BUDGET_PRECODERS = tuple(name for name, entry in PRECODER_TABLE.items() if entry.budgets)
 
 # Per-PRB error budget of the frequency-selective reference experiment: an
 # explicit ramp on each edge block (outermost subcarrier 20%, innermost
@@ -112,7 +110,7 @@ DEFAULT_SCENARIO = {
     "admm": {"rho": 10.0, "iters": 80, "residual_tol": None},
     "ssp": {"sweeps": 3},
     "eadmm": {"rho": 10.0, "iters": 40, "residual_tol": None},
-    "essp": {"outer_iters": 10, "inner_sweeps": 2, "relaxation": 1.0, "early_stop": True},
+    "essp": {"outer_iters": 10, "inner_sweeps": 2, "early_stop": True},
     "evm": {"mode": "wideband", "eps_avg_fraction": 0.08, "profile_per_prb": None},
     "psd": {"oversample": 4, "bin_hz": 100_000.0},
     "aclr": {"bw_hz": 4_500_000.0, "spacing_hz": 5_000_000.0},
@@ -260,7 +258,11 @@ class ScenarioConfig:
         if not budgets:
             budget = None
         elif evm_mode == "wideband":
-            budget = EvmConstraint(mode="wideband", eps_avg=evm_eps)
+            try:
+                budget = EvmConstraint(mode="wideband", eps_avg=evm_eps)
+            except ConfigError as exc:
+                # EvmConstraint's checks name its field, evm.eps_avg
+                raise ConfigError(exc.reason, field="evm.eps_avg_fraction") from None
         else:
             budget = EvmConstraint(mode="frequency_selective", eps=eps)
 

@@ -175,12 +175,11 @@ class EsspConfig:
     """Douglas-Rachford schedule for the budgeted sweep precoder.
 
     Both operators are projections (prox of an indicator), so the splitting
-    has no step size to set.
+    has no step size to set, and it is not relaxed: plain Douglas-Rachford.
     """
 
     outer_iters: int = 10
     inner_sweeps: int = 2
-    relaxation: float = 1.0
     early_stop: bool = True
 
     def __post_init__(self):
@@ -188,8 +187,6 @@ class EsspConfig:
             raise ConfigError("outer_iters must be at least 1", field="essp.outer_iters")
         if self.inner_sweeps < 1:
             raise ConfigError("inner_sweeps must be at least 1", field="essp.inner_sweeps")
-        if not 0.0 < self.relaxation < 2.0:
-            raise ConfigError("relaxation must lie in (0, 2)", field="essp.relaxation")
 
 
 @dataclass(frozen=True)
@@ -225,15 +222,10 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     (S, n_tx, N) block, each symbol under its own ball.  Returns
     (DataGrid, SolverReport), one report per symbol for a block.
     """
-    out, report = _unblock(x.symbols.shape, *_eadmm_block(
-        _as_grid_block(x, kernel), kernel, masks, evm, cfg or AdmmConfig(iters=40)))
+    out, report = _unblock(x.symbols.shape, *consensus_admm(
+        _as_grid_block(x, kernel), kernel, mask_bounds(masks, kernel.n_points),
+        cfg or AdmmConfig(iters=40), evm))
     return x.with_symbols(out), report
-
-
-def _eadmm_block(block, kernel, masks, evm, cfg):
-    """eadmm_precode on an (S, n_tx, N) block: (precoded block,
-    BlockTraces)."""
-    return consensus_admm(block, kernel, mask_bounds(masks, kernel.n_points), cfg, evm)
 
 
 def essp_precode(x, kernel, masks, evm, cfg=None):
@@ -249,8 +241,8 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     _band_iterations, whose state holds the deviations from the active band
     d of the input, starting at e_x = 0 and e_z = -d, and the core:
     e_v = 2 e_x - e_z, c0 = A d + A e_v, e_y = e_v - U (mu c) after the
-    sweeps, e_z += relaxation (e_y - e_x), and e_x the zero-centred ball
-    projection of e_z (form.project).  The leakage A x is A d plus A e_x.
+    sweeps, e_z += e_y - e_x, and e_x the zero-centred ball projection of
+    e_z (form.project).  The leakage A x is A d plus A e_x.
     Under a wideband budget every deviation is alpha d + U xi per antenna
     row, with one alpha per symbol (-1 for the first e_z), so
     the loop holds (xi, alpha) and c0, the leakage and the ball's distances
@@ -266,15 +258,16 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     report per symbol for a block.
     """
     out, report = _unblock(x.symbols.shape, *_essp_block(
-        _as_grid_block(x, kernel), kernel, masks, evm, cfg or EsspConfig()))
+        _as_grid_block(x, kernel), kernel, mask_bounds(masks, kernel.n_points),
+        cfg or EsspConfig(), evm))
     return x.with_symbols(out), report
 
 
-def _essp_block(block, kernel, masks, evm, cfg):
-    """essp_precode on an (S, n_tx, N) block: (precoded block,
-    BlockTraces), the report holding each symbol's returned iterate."""
+def _essp_block(block, kernel, gamma, cfg, budget):
+    """essp_precode on an (S, n_tx, N) block and checked (M,) bounds gamma
+    (mask_bounds): (precoded block, BlockTraces), the report holding each
+    symbol's returned iterate."""
     m_pts = kernel.n_points
-    gamma = mask_bounds(masks, m_pts)
 
     def start(form, band):
         # the one stacked solve of the block, at the first prox centre 2 d
@@ -295,7 +288,7 @@ def _essp_block(block, kernel, masks, evm, cfg):
         move = form.span(-mu * core[..., m_pts])
         move += dev_v
         move -= dev_x                                   # e_y - e_x
-        dev_z += cfg.relaxation * move
+        dev_z += move
         dev_prev = dev_x
         dev_x = form.project(dev_z)
 
@@ -308,7 +301,7 @@ def _essp_block(block, kernel, masks, evm, cfg):
         entries = (powers.max(axis=1), primal, dual)
         return (dev_x, dev_z, oob_now, mu, core), entries, stop, dev_prev
 
-    full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step, evm)
+    full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step, budget)
     traces.returned_iteration = traces.iterations - traces.stopped
     return full, traces
 

@@ -64,12 +64,12 @@ import numpy as np
 
 from . import __version__
 from .baselines import LogBarrierProblem, _ensp_block, _notch_component, logbarrier_solve
-from .constrained import _eadmm_block, _essp_block
+from .constrained import _essp_block
 from .errors import ConfigError
 from .metrics import PsdAccumulator, _add_in_order, _to_db, aclr, oobe_power
 from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate_qam_block,
                            synthesize_time_signal)
-from .unconstrained import BlockTraces, _admm_block, _ssp_block
+from .unconstrained import BlockTraces, _ssp_block, consensus_admm
 
 # Symbols per pipeline block.  Measured in run_scenario on 256 symbols of
 # the benchmark workloads (2 vCPUs, one BLAS thread): SSP's precode costs
@@ -129,10 +129,12 @@ def _log_barrier(cfg, block, kernel, budget):
 # (precoded symbols (S, n_tx, N), block report or None, extras), with
 # extras the largest value of each diagnostic over the block.  Every
 # precoder runs its block-level body on the block's symbols, which the
-# DataGrid has checked, so no body checks them again (the public *_precode
-# functions do, through unconstrained._as_block); the iterative bodies
-# return a block report (unconstrained.BlockTraces) that the run record
-# adds whole.
+# DataGrid has checked, and the iterative ones on the mask bounds
+# cfg.mask.gamma, which MaskSpec checked when the scenario resolved, so no
+# body checks either again (the public *_precode functions do, through
+# unconstrained._as_block and unconstrained.mask_bounds); the iterative
+# bodies return a block report (unconstrained.BlockTraces) that the run
+# record adds whole.
 _Precoder = namedtuple("_Precoder", "budgets run")
 _ANY_BUDGET = ("wideband", "frequency_selective")
 PRECODER_TABLE = {
@@ -141,13 +143,13 @@ PRECODER_TABLE = {
         block.symbols - _notch_component(kernel, block.symbols), None, {})),
     "ensp": _Precoder(("wideband",), _scaled_notch),
     "admm": _Precoder((), lambda cfg, block, kernel, budget: (
-        *_admm_block(block.symbols, kernel, cfg.mask, cfg.admm), {})),
+        *consensus_admm(block.symbols, kernel, cfg.mask.gamma, cfg.admm), {})),
     "ssp": _Precoder((), lambda cfg, block, kernel, budget: (
-        *_ssp_block(block.symbols, kernel, cfg.mask, cfg.ssp), {})),
+        *_ssp_block(block.symbols, kernel, cfg.mask.gamma, cfg.ssp), {})),
     "eadmm": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
-        *_eadmm_block(block.symbols, kernel, cfg.mask, budget, cfg.eadmm), {})),
+        *consensus_admm(block.symbols, kernel, cfg.mask.gamma, cfg.eadmm, budget), {})),
     "essp": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
-        *_essp_block(block.symbols, kernel, cfg.mask, budget, cfg.essp), {})),
+        *_essp_block(block.symbols, kernel, cfg.mask.gamma, cfg.essp, budget), {})),
     "oracle": _Precoder((), _log_barrier),
 }
 

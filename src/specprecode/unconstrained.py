@@ -428,8 +428,8 @@ def consensus_admm(block, kernel, gamma, cfg, budget=None):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
     block (S, n_tx, N) holds S symbols, each the input and EVM reference d
-    of its own problem; gamma (M,) holds the bounds that every antenna row
-    shares (mask_bounds).  The iteration is a start/step pair on
+    of its own problem; gamma (M,) holds the checked bounds that every
+    antenna row shares (mask_bounds).  The iteration is a start/step pair on
     _band_iterations, whose state is the deviation e = x_bar - d of the
     consensus variable from the input, in the loop's deviation form, and
     the coefficients beta and delta below.  The consensus update maps the
@@ -504,13 +504,8 @@ def admm_precode(d, kernel, mask, cfg=None):
     an (S, n_tx, N) block, which gets one report per symbol; rows are
     precoded independently (the constraint sets are per row).
     """
-    return _unblock(np.shape(d), *_admm_block(_as_block(d, kernel), kernel, mask,
-                                               cfg or AdmmConfig()))
-
-
-def _admm_block(block, kernel, mask, cfg):
-    """admm_precode on an (S, n_tx, N) block: (dbar block, BlockTraces)."""
-    return consensus_admm(block, kernel, mask_bounds(mask, kernel.n_points), cfg)
+    return _unblock(np.shape(d), *consensus_admm(
+        _as_block(d, kernel), kernel, mask_bounds(mask, kernel.n_points), cfg or AdmmConfig()))
 
 
 class FactoredInverse:
@@ -641,15 +636,15 @@ def ssp_precode(d, kernel, mask, cfg=None):
     A dbar, roundoff at realistic masks and large where the core's
     cancellation grows, at masks far below the input's leakage.
     """
-    return _unblock(np.shape(d), *_ssp_block(_as_block(d, kernel), kernel, mask,
-                                             cfg or SspConfig()))
+    return _unblock(np.shape(d), *_ssp_block(
+        _as_block(d, kernel), kernel, mask_bounds(mask, kernel.n_points), cfg or SspConfig()))
 
 
-def _ssp_block(block, kernel, mask, cfg):
-    """ssp_precode on an (S, n_tx, N) block: (dbar block, BlockTraces), the
-    report holding the final multipliers."""
+def _ssp_block(block, kernel, gamma, cfg):
+    """ssp_precode on an (S, n_tx, N) block and checked (M,) bounds gamma
+    (mask_bounds): (dbar block, BlockTraces), the report holding the final
+    multipliers."""
     m_pts = kernel.n_points
-    gamma = mask_bounds(mask, m_pts)
     mu = None
 
     def start(form, band):

@@ -402,8 +402,8 @@ def check_carried_core(start, end, gram):
 
 def cold_first_iterate(grid, kernel, gamma, evm, cfg):
     """ESSP's first iterate with a cold prox: ssp_core and inner_sweeps
-    sweeps at the prox centre 2 d, then the relaxed step from
-    e_z = -d and the ball projection of e_z."""
+    sweeps at the prox centre 2 d, then the step from e_z = -d and the
+    ball projection of e_z."""
     bins = kernel.numerology.band_bins
     symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:])
     band = symbols[..., bins]
@@ -413,7 +413,7 @@ def cold_first_iterate(grid, kernel, gamma, evm, cfg):
         mu, core = ssp_sweep(mu, core, gamma)
     dev_y = band - np.einsum("sjm,mk->sjk", mu * core[..., -1], kernel.band_rows.conj())
     out = symbols.copy()
-    out[..., bins] += evm.projector(grid, cols=bins)(-band + cfg.relaxation * dev_y)
+    out[..., bins] += evm.projector(grid, cols=bins)(-band + dev_y)
     return out.reshape(grid.symbols.shape)
 
 

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import specprecode
 from specprecode import (AdmmConfig, DataGrid, EsspConfig, EvmConstraint, SspConfig,
                          admm_precode, eadmm_precode, essp_precode, oobe_power, ssp_precode)
-from specprecode.constrained import _eadmm_block, _essp_block
-from specprecode.unconstrained import _BandDeviations, _SpanDeviations, _row_products
+from specprecode.constrained import _essp_block
+from specprecode.unconstrained import (_BandDeviations, _SpanDeviations, _row_products,
+                                       consensus_admm)
 
 from conftest import qpsk_grid, random_kernel
 
@@ -383,10 +384,10 @@ class TestStepsLeaveTheirInputs:
         forms = self.record_forms(monkeypatch)
         values = block.symbols.copy()
         if solver == "eadmm":
-            _, traces = _eadmm_block(values, kern, gamma, evm,
-                                     AdmmConfig(iters=60, residual_tol=3e-2))
+            _, traces = consensus_admm(values, kern, gamma,
+                                       AdmmConfig(iters=60, residual_tol=3e-2), evm)
         else:
-            _, traces = _essp_block(values, kern, gamma, evm, EsspConfig(outer_iters=8))
+            _, traces = _essp_block(values, kern, gamma, EsspConfig(outer_iters=8), evm)
         assert np.array_equal(values, block.symbols)
         # some symbols stopped inside the block, so their forms were taken
         assert traces.stopped.any() and len(set(traces.iterations)) > 1

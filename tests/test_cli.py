@@ -176,7 +176,8 @@ class TestMain:
         assert main(["--config", str(path)]) == EXIT_CONFIG
         assert "unknown configuration key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block,key", [("essp", "tau"), ("ssp", "clamp_nonneg")])
+    @pytest.mark.parametrize("block,key", [("essp", "tau"), ("essp", "relaxation"),
+                                           ("ssp", "clamp_nonneg")])
     def test_removed_solver_key_rejected(self, tmp_path, capsys, block, key):
         path = write_scenario(tmp_path, **{block: {key: 1.0}})
         assert main(["--config", str(path)]) == EXIT_CONFIG
@@ -203,8 +204,8 @@ class TestRejectedSettings:
         ({"psd": {"bin_hz": INF}}, "psd.bin_hz"),
         ({"psd": {"bin_hz": 0.0}}, "psd.bin_hz"),
         ({"frequencies_hz": [-210_750.0, NAN, 199_500.0, 210_750.0]}, "frequencies"),
-        ({"precoder": "essp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg"),
-        ({"precoder": "ensp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg"),
+        ({"precoder": "essp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg_fraction"),
+        ({"precoder": "ensp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg_fraction"),
         ({"precoder": "eadmm", "evm": {"mode": "frequency_selective",
                                        "profile_per_prb": [NAN] * 6}},
          "evm.profile_per_prb[0]"),
@@ -217,6 +218,7 @@ class TestRejectedSettings:
         ({"precoder": "eadmm", "eadmm": {"residual_tol": NAN}}, "eadmm.residual_tol"),
         ({"precoder": "eadmm", "eadmm": {"rho": INF}}, "eadmm.rho"),
         ({"precoder": "eadmm", "eadmm": {"iters": 0}}, "eadmm.iters"),
+        ({"precoder": "eadmm", "evm": {"eps_avg_fraction": -0.1}}, "evm.eps_avg_fraction"),
     ])
     def test_exit_code_and_no_output(self, tmp_path, capsys, overrides, field):
         path = write_scenario(tmp_path, **overrides)
@@ -355,17 +357,20 @@ class TestEveryPrecoder:
 
     @pytest.mark.parametrize("precoder", PRECODERS)
     def test_blocks_are_checked_once(self, tmp_path, monkeypatch, precoder):
-        # the runner's DataGrid checks every block for non-finite values;
-        # only the public *_precode functions check their input again
-        def second_check(d, kernel):
-            raise AssertionError("a precoder body checked its block again")
+        # the runner's DataGrid checks every block for non-finite values and
+        # MaskSpec the mask bounds; only the public *_precode functions
+        # check their input again
+        def second_check(*args):
+            raise AssertionError("a precoder body checked its input again")
 
         for module in (unconstrained, constrained, baselines):
             monkeypatch.setattr(module, "_as_block", second_check)
+        for module in (unconstrained, constrained):
+            monkeypatch.setattr(module, "mask_bounds", second_check)
         data = json.loads(json.dumps(SMALL_SCENARIO))
         data.update(SHORT_SCHEDULES, precoder=precoder, symbols=2)
         run_scenario(ScenarioConfig.from_dict(data), tmp_path)
-        with pytest.raises(AssertionError, match="checked its block again"):
+        with pytest.raises(AssertionError, match="checked its input again"):
             admm_precode(np.ones(64, dtype=complex), None, None)
 
 

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from specprecode import (ConfigError, EvmConstraint, ScenarioConfig,
-                         analytic_inband_reference, config, metrics)
+from specprecode import (AdmmConfig, ConfigError, EsspConfig, EvmConstraint, ScenarioConfig,
+                         SspConfig, analytic_inband_reference, config, metrics)
 from specprecode.config import (DEFAULT_SCENARIO, EDGE_RAMP, MASK2_DB,
                                 expand_evm_profile, read_scenario, selective_edge_profile)
 
@@ -26,6 +26,15 @@ class TestDefaults:
         # the default ssp takes no budget, so none is applied
         assert cfg.evm_constraint() is None and cfg.evm_eps_avg == 0.08
         assert cfg.psd_oversample == 4 and cfg.psd_bin_hz == 100e3
+
+    def test_solver_settings_are_the_public_defaults(self):
+        # DEFAULT_SCENARIO and the *_precode functions each write the
+        # solvers' defaults; a scenario run and a call without a cfg agree
+        cfg = ScenarioConfig.from_dict({})
+        assert cfg.admm == AdmmConfig()
+        assert cfg.ssp == SspConfig()
+        assert cfg.eadmm == AdmmConfig(iters=40)
+        assert cfg.essp == EsspConfig()
 
     def test_looser_mask_entries_get_larger_bounds(self):
         cfg = ScenarioConfig.from_dict({})
@@ -120,7 +129,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"ssp": {"sweeps": 0}})
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"essp": {"relaxation": 2.5}})
+            ScenarioConfig.from_dict({"essp": {"inner_sweeps": 0}})
 
     def test_budgeted_precoders_need_a_budget(self):
         with pytest.raises(ConfigError):

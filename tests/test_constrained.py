@@ -206,11 +206,9 @@ def test_per_antenna_bounds_rejected(pair_setup, precode):
 
 class TestEsspConfig:
     def test_validation(self):
-        for bad in (dict(outer_iters=0), dict(inner_sweeps=0),
-                    dict(relaxation=0.0), dict(relaxation=2.0)):
+        for bad in (dict(outer_iters=0), dict(inner_sweeps=0)):
             with pytest.raises(ConfigError):
                 EsspConfig(**bad)
-        assert EsspConfig(relaxation=1.999).relaxation == 1.999
 
 
 class TestEssp:
@@ -240,8 +238,7 @@ class TestEssp:
         # iterate rises strictly after the first outer step
         case = infeasible_case
         _, rep = essp_precode(case.grid, case.kernel, case.gamma, case.evm,
-                              EsspConfig(outer_iters=15, inner_sweeps=1,
-                                         relaxation=1.0, early_stop=False))
+                              EsspConfig(outer_iters=15, inner_sweeps=1, early_stop=False))
         totals = rep.oob_trace.sum(axis=1)
         assert int(np.argmin(totals)) == 0
         assert np.all(np.diff(totals) > 0.0)
@@ -249,22 +246,20 @@ class TestEssp:
     def test_early_stop_returns_last_improving_iterate(self, infeasible_case):
         case = infeasible_case
         out, rep = essp_precode(case.grid, case.kernel, case.gamma, case.evm,
-                                EsspConfig(outer_iters=10, inner_sweeps=2,
-                                           relaxation=1.0, early_stop=True))
+                                EsspConfig(outer_iters=10, inner_sweeps=2, early_stop=True))
         assert rep.stopped_early
         assert rep.iterations <= 3
         assert rep.returned_iteration == rep.iterations - 1
         ref, _ = essp_precode(case.grid, case.kernel, case.gamma, case.evm,
                               EsspConfig(outer_iters=rep.returned_iteration,
-                                         inner_sweeps=2, relaxation=1.0,
-                                         early_stop=False))
+                                         inner_sweeps=2, early_stop=False))
         assert np.array_equal(out.symbols, ref.symbols)
         assert case.evm.violation(case.grid, out) == 0.0
 
         # stopping on the last iteration still returns the iterate before
         last, last_rep = essp_precode(case.grid, case.kernel, case.gamma, case.evm,
                                       EsspConfig(outer_iters=rep.iterations, inner_sweeps=2,
-                                                 relaxation=1.0, early_stop=True))
+                                                 early_stop=True))
         assert last_rep.iterations == rep.iterations and not last_rep.stopped_early
         assert last_rep.returned_iteration == rep.iterations - 1
         assert np.array_equal(last.symbols, ref.symbols)

@@ -82,7 +82,8 @@ def test_digests_and_moved_cells(tmp_path):
     report = done.stdout.splitlines()
     assert any(line.strip().startswith("row 1 evm_rms:") and line.endswith("beyond tolerance")
                for line in report)
-    assert report[-1] == "1 beyond tolerance (atol 1e-12, rtol 1e-10)"
+    assert report[-2:] == ["1 files beyond tolerance (atol 1e-12, rtol 1e-10)",
+                           "  default-ssp/trace.csv"]
 
 
 def test_tolerance_rules():
@@ -100,27 +101,28 @@ def test_tolerance_rules():
     # within atol alone
     near = [header, ["1", repr(0.5 + 4e-11), "a"], ["2", "5e-13", "b"]]
     lines, moved, offending = digest_mod.compare(old, {"case": entry(near)}, 1e-10, 1e-12)
-    assert (moved, offending) == (1, 0)
+    assert (moved, offending) == (1, [])
     assert not any("beyond tolerance" in line for line in lines)
     # without a tolerance the same cells are listed and nothing is offending
-    assert digest_mod.compare(old, {"case": entry(near)})[1:] == (1, 0)
+    assert digest_mod.compare(old, {"case": entry(near)})[1:] == (1, [])
 
+    # two offending cells of one file: two marked lines, one offending file
     far = [header, ["1", repr(0.5 + 1e-9), "a"], ["2", "1e-14", "c"]]
     lines, _, offending = digest_mod.compare(old, {"case": entry(far)}, 1e-10, 1e-12)
-    assert offending == 2
+    assert offending == ["case/trace.csv"]
     assert sum(line.endswith("beyond tolerance") for line in lines) == 2
 
     # a changed non-CSV data file fails whatever the tolerance; the
     # manifest does not
     changed = entry(rows, {"waveform.bin": "x", "manifest.json": "y"})
     lines, moved, offending = digest_mod.compare(old, {"case": changed}, 1.0, 1.0)
-    assert (moved, offending) == (2, 1)
+    assert (moved, offending) == (2, ["case/waveform.bin"])
     assert "case waveform.bin: digest differs, 0 cells moved beyond tolerance" in lines
     assert "case manifest.json: digest differs, 0 cells moved" in lines
 
     # a case missing from the old digests cannot be checked
-    assert digest_mod.compare({}, {"case": entry(rows)}, 1.0, 1.0)[2] == 1
-    assert digest_mod.compare({}, {"case": entry(rows)})[2] == 0
+    assert digest_mod.compare({}, {"case": entry(rows)}, 1.0, 1.0)[2] == ["case"]
+    assert digest_mod.compare({}, {"case": entry(rows)})[2] == []
 
 
 LOC_SAMPLE = '''"""Module docstring

@@ -53,6 +53,15 @@ class TestMaskBounds:
         with pytest.raises(ConfigError):
             mask_bounds(np.array([1.0, 0.0]), 2)
 
+    @pytest.mark.parametrize("precode", [admm_precode, ssp_precode], ids=["admm", "ssp"])
+    def test_public_precoders_check_the_mask(self, violated_setup, precode):
+        # the public functions check the caller's mask; their block
+        # entries take the checked bounds
+        _, kern, grid, gamma = violated_setup
+        with pytest.raises(ConfigError, match="one bound per kernel row") as info:
+            precode(grid.symbols, kern, np.repeat(gamma[:, None], 2, axis=1))
+        assert info.value.field == "mask"
+
 
 class TestConfigs:
     def test_admm_validation(self):

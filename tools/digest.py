@@ -18,7 +18,9 @@ one; the other defaults to 0) make the comparison a check: a CSV cell that
 moves by more than A + R |old|, a non-numeric CSV cell that changes, a
 changed non-CSV data file (``config_resolved.json``, ``waveform.bin``) and
 a case missing from the old digests are offending; each is marked
-"beyond tolerance", and the script exits with status 1 if there is one.
+"beyond tolerance", the report closes with the number of offending files
+(a case missing from the old digests counts as one) and their names, one
+per line, and the script exits with status 1 if there is one.
 The manifest is not checked: its metrics repeat ``summary.csv`` at full
 precision and its outputs block holds the data files' digests.
 ``--case`` picks cases by name (repeat it), ``--symbols`` caps every
@@ -174,20 +176,22 @@ def beyond(a, b, rtol, atol):
 
 def compare(old, new, rtol=None, atol=None):
     """Report lines for the cases of new against old; returns (lines,
-    n_moved, n_offending).  Without a tolerance (rtol and atol None)
-    nothing is offending."""
+    n_moved, offending), offending the names ("case/file", or "case" for a
+    case missing from old) of the files with an offending line, in report
+    order.  Without a tolerance (rtol and atol None) nothing is
+    offending."""
     check = rtol is not None or atol is not None
     rtol, atol = rtol or 0.0, atol or 0.0
-    lines, moved, offending = [], 0, 0
+    lines, moved, offending = [], 0, {}
 
-    def line(text, bad):
-        nonlocal offending
-        offending += bad
+    def line(text, bad, where):
+        if bad:
+            offending[where] = None
         lines.append(text + (" beyond tolerance" if bad else ""))
 
     for name, entry in new.items():
         if name not in old:
-            line(f"{name}: not in the old digests", check)
+            line(f"{name}: not in the old digests", check, name)
             continue
         ref = old[name]
         for fname, digest in entry["files"].items():
@@ -196,13 +200,14 @@ def compare(old, new, rtol=None, atol=None):
             moved += 1
             cells = (moved_cells(ref["csv"][fname], entry["csv"][fname])
                      if fname in entry["csv"] and fname in ref["csv"] else [])
+            where = f"{name}/{fname}"
             line(f"{name} {fname}: digest differs, {len(cells)} cells moved",
-                 check and fname in DATA_FILES and not fname.endswith(".csv"))
+                 check and fname in DATA_FILES and not fname.endswith(".csv"), where)
             for row, col, a, b, rel in cells:
                 rel_s = "n/a" if rel is None else f"{rel:.2e}"
                 line(f"  row {row} {col}: {a} -> {b} (relative {rel_s})",
-                     check and (row is None or beyond(a, b, rtol, atol)))
-    return lines, moved, offending
+                     check and (row is None or beyond(a, b, rtol, atol)), where)
+    return lines, moved, list(offending)
 
 
 def main(argv=None):
@@ -257,8 +262,8 @@ def main(argv=None):
         print("\n".join(lines))
         print(f"{moved} of {sum(len(e['files']) for e in results.values())} files differ")
         if args.rtol is not None or args.atol is not None:
-            print(f"{offending} beyond tolerance (atol {args.atol or 0.0:g}, "
-                  f"rtol {args.rtol or 0.0:g})")
+            print(f"{len(offending)} files beyond tolerance (atol {args.atol or 0.0:g}, "
+                  f"rtol {args.rtol or 0.0:g})" + "".join(f"\n  {f}" for f in offending))
             return 1 if offending else 0
     return 0
 
