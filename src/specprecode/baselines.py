@@ -97,13 +97,13 @@ def _ensp_block(block, kernel, evm_target):
     return block - alpha[..., None] * removed, alpha
 
 
-def bisection_rank1_oracle(x, u, b, tol=1e-12, max_iter=200):
+def bisection_rank1_oracle(x, u, b):
     """Reference projection onto {z : |u^H z|^2 <= b} by bisection on mu.
 
     Searches mu >= 0 in z(mu) = x - (mu / (1 + mu ||u||^2)) u (u^H x) until
-    the constraint holds with equality: ||u^H z|^2 - b| <= tol.  Requires a
-    violated start and b > 0 (the b = 0 notch is a limit that bisection
-    cannot reach at finite mu).
+    the constraint holds with equality, ||u^H z|^2 - b| <= 1e-12, for at
+    most 200 halvings.  Requires a violated start and b > 0 (the b = 0
+    notch is a limit that bisection cannot reach at finite mu).
     """
     if b <= 0:
         raise DegenerateConstraintError("bisection oracle requires b > 0")
@@ -126,10 +126,10 @@ def bisection_rank1_oracle(x, u, b, tol=1e-12, max_iter=200):
     while h_of(hi) > 0:
         hi *= 2.0
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = h_of(mid)
-        if abs(val) <= tol:
+        if abs(val) <= 1e-12:
             break
         if val > 0:
             lo = mid
@@ -138,25 +138,22 @@ def bisection_rank1_oracle(x, u, b, tol=1e-12, max_iter=200):
     return z_of(mid)
 
 
+# The slow oracle's barrier schedule: one Newton minimization at each
+# t = 1, 10, ..., 1e7.
+_BARRIER_T = tuple(10.0 ** k for k in range(8))
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Barrier schedule and inner Newton tolerances for the slow oracle."""
+    """Inner Newton tolerance and step budget of the slow oracle, at every
+    t of its fixed barrier schedule (_BARRIER_T)."""
 
-    t_initial: float = 1.0
-    t_multiplier: float = 10.0
-    outer_steps: int = 8
     inner_tol: float = 1e-10
     max_inner: int = 60
 
     def __post_init__(self):
-        if self.t_multiplier <= 1:
-            raise ConfigError("barrier multiplier must exceed 1", field="oracle.t_multiplier")
-        if self.inner_tol <= 0 or self.t_initial <= 0:
+        if self.inner_tol <= 0:
             raise ConfigError("oracle tolerances must be positive", field="oracle")
-
-    @property
-    def t_final(self):
-        return self.t_initial * self.t_multiplier ** (self.outer_steps - 1)
 
 
 @dataclass
@@ -257,10 +254,11 @@ def _central_path(v, quad, lin, families, config):
 
     Each family is (G (C, R, D), g (C, R), h (C, D), beta (C,)).  The
     barrier t (quad ||v||^2 + lin.v) - sum log s_c is minimized by Newton
-    from the strictly interior v for each t of the schedule.  Returns (v,
-    kkt, Newton steps), with kkt the larger of the stationarity norm under
-    the central-path multipliers lambda_c = 1/(t s_c) (the barrier gradient
-    divided by t) and the complementarity gap 1/t, both at t_final.
+    from the strictly interior v for each t of the schedule _BARRIER_T.
+    Returns (v, kkt, Newton steps), with kkt the larger of the stationarity
+    norm under the central-path multipliers lambda_c = 1/(t s_c) (the
+    barrier gradient divided by t) and the complementarity gap 1/t, both
+    at the last t.
     """
     eye = np.eye(v.size)
 
@@ -294,13 +292,11 @@ def _central_path(v, quad, lin, families, config):
         return fgh
 
     total_steps = 0
-    t = config.t_initial
-    for _ in range(config.outer_steps):
+    for t in _BARRIER_T:
         v, steps = _newton_minimize(make_fgh(t, v), v, config.inner_tol, config.max_inner)
         total_steps += steps
-        t *= config.t_multiplier
-    _, grad_t, _ = make_fgh(config.t_final, v)(v)
-    kkt = max(float(np.linalg.norm(grad_t)) / config.t_final, 1.0 / config.t_final)
+    _, grad_t, _ = make_fgh(t, v)(v)            # at the schedule's last t
+    kkt = max(float(np.linalg.norm(grad_t)) / t, 1.0 / t)
     return v, kkt, total_steps
 
 
@@ -399,7 +395,7 @@ def logbarrier_solve(problem, config=None):
 
     Returns a LogBarrierResult whose kkt_residual is the larger of the
     stationarity norm (under the central-path multipliers) and the
-    complementarity gap 1/t_final.
+    complementarity gap 1/t at the schedule's last t, 1e7.
     """
     config = config or OracleConfig()
     if problem.objective == "least_squares":

@@ -112,7 +112,7 @@ DEFAULT_SCENARIO = {
     "eadmm": {"rho": 10.0, "iters": 40, "residual_tol": None},
     "essp": {"outer_iters": 10, "inner_sweeps": 2, "early_stop": True},
     "evm": {"mode": "wideband", "eps_avg_fraction": 0.08, "profile_per_prb": None},
-    "psd": {"oversample": 4, "bin_hz": 100_000.0},
+    "psd": {"oversample": 4},
     "aclr": {"bw_hz": 4_500_000.0, "spacing_hz": 5_000_000.0},
     "out_dir": "out",
     "emit_waveforms": False,
@@ -197,7 +197,6 @@ class ScenarioConfig:
     essp: EsspConfig
     evm_eps_avg: float
     psd_oversample: int
-    psd_bin_hz: float
     aclr_bw_hz: float
     aclr_spacing_hz: float
     out_dir: str
@@ -240,39 +239,34 @@ class ScenarioConfig:
                 key = exc.field.rpartition(".")[2]
                 raise ConfigError(exc.reason, field=f"{block}.{key}") from None
 
+        # the whole evm block is checked whatever the precoder, and a
+        # budgeted precoder gets the one budget of its mode
         evm = data["evm"]
         evm_mode, evm_eps, evm_profile = evm["mode"], evm["eps_avg_fraction"], evm["profile_per_prb"]
         if evm_mode not in ("wideband", "frequency_selective"):
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
+        if evm_eps is not None and not 0 <= evm_eps < np.inf:          # NaN fails too
+            raise ConfigError("wideband budget needs a finite eps_avg >= 0",
+                              field="evm.eps_avg_fraction")
+        eps = None if evm_profile is None else expand_evm_profile(evm_profile, numerology)
         budgets = PRECODER_TABLE[precoder].budgets
+        budget = None
         if budgets:
             if evm_mode not in budgets:
                 raise ConfigError(f"precoder {precoder!r} takes {' or '.join(budgets)} "
                                   "budgets only", field="evm.mode")
-            if evm_mode == "wideband" and evm_eps is None:
-                raise ConfigError("wideband budget needs eps_avg_fraction", field="evm.eps_avg_fraction")
-            if evm_mode == "frequency_selective" and evm_profile is None:
-                raise ConfigError("frequency-selective budget needs profile_per_prb",
-                                  field="evm.profile_per_prb")
-        eps = None if evm_profile is None else expand_evm_profile(evm_profile, numerology)
-        if not budgets:
-            budget = None
-        elif evm_mode == "wideband":
-            try:
-                budget = EvmConstraint(mode="wideband", eps_avg=evm_eps)
-            except ConfigError as exc:
-                # EvmConstraint's checks name its field, evm.eps_avg
-                raise ConfigError(exc.reason, field="evm.eps_avg_fraction") from None
-        else:
-            budget = EvmConstraint(mode="frequency_selective", eps=eps)
+            key, arg, value = (("eps_avg_fraction", "eps_avg", evm_eps) if evm_mode == "wideband"
+                               else ("profile_per_prb", "eps", eps))
+            if value is None:
+                raise ConfigError(f"{evm_mode.replace('_', '-')} budget needs {key}",
+                                  field=f"evm.{key}")
+            budget = EvmConstraint(mode=evm_mode, **{arg: value})
 
         psd_os = data["psd"]["oversample"]
         if psd_os < 4:
             raise ConfigError("PSD oversampling must be at least 4", field="psd.oversample")
-        psd_bin = data["psd"]["bin_hz"]
         aclr_bw, aclr_sp = data["aclr"]["bw_hz"], data["aclr"]["spacing_hz"]
-        for name, val in (("psd.bin_hz", psd_bin), ("aclr.bw_hz", aclr_bw),
-                          ("aclr.spacing_hz", aclr_sp)):
+        for name, val in (("aclr.bw_hz", aclr_bw), ("aclr.spacing_hz", aclr_sp)):
             if not 0 < val < np.inf:                        # NaN fails too
                 raise ConfigError("must be positive and finite", field=name)
         span = numerology.oversampled(psd_os).sample_rate_hz / 2
@@ -283,7 +277,7 @@ class ScenarioConfig:
         return cls(numerology=numerology, freq_grid=freq_grid, mask=mask, ref_db=ref_db,
                    inband_ref=inband_ref, n_tx=data["n_tx"], constellation=data["constellation"],
                    seed=data["seed"], symbols=data["symbols"], precoder=precoder, **solvers,
-                   evm_eps_avg=evm_eps, psd_oversample=psd_os, psd_bin_hz=psd_bin,
+                   evm_eps_avg=evm_eps, psd_oversample=psd_os,
                    aclr_bw_hz=aclr_bw, aclr_spacing_hz=aclr_sp,
                    out_dir=data["out_dir"], emit_waveforms=data["emit_waveforms"],
                    raw=data, _budget=budget)
@@ -297,16 +291,18 @@ class ScenarioConfig:
     def psd_config(self):
         """PSD settings with the display reference tied to the calibration.
 
-        The analytic per-antenna in-band kernel power, scaled to a density
-        and summed over antennas, is shown at the configured reference dB
+        The bins are PsdConfig's 100 kHz, the bandwidth that the mask and
+        the reference level are stated per (mask_db_per_100khz).  The
+        analytic per-antenna in-band kernel power, scaled to a density and
+        summed over antennas, is shown at the configured reference dB
         level, so the in-band estimate lands at that level up to estimation
         noise.  The in-band power is the one the mask was calibrated with.
         """
         seg = self.numerology.symbol_len
         fs = self.numerology.sample_rate_hz
         ref_density = self.n_tx * self.inband_ref / (seg * fs)
-        return PsdConfig(oversample=self.psd_oversample, bin_hz=self.psd_bin_hz,
-                         ref_density=ref_density, ref_db=self.ref_db)
+        return PsdConfig(oversample=self.psd_oversample, ref_density=ref_density,
+                         ref_db=self.ref_db)
 
     def normalized(self):
         """The resolved configuration as a plain loadable dict."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import LogBarrierProblem, OracleConfig, logbarrier_solve
+from .baselines import LogBarrierProblem, logbarrier_solve
 from .errors import ConfigError, NumericalError
 from .metrics import oobe_power
 from .projections import _column_norms, _inward_radius, _project_balls, _symbol_norms
@@ -306,14 +306,14 @@ def _essp_block(block, kernel, gamma, cfg, budget):
     return full, traces
 
 
-def feasibility_probe(x, kernel, masks, evm, oracle_config=None):
+def feasibility_probe(x, kernel, masks, evm):
     """Mask ratios of the grid, plus the oracle's joint-feasibility scale.
 
     On small instances (fft_size <= 64) the log-barrier epigraph problem is
-    solved for the smallest mask inflation delta_t compatible with the EVM
-    ball; delta_t <= 1 certifies that mask and budget can be met together.
-    Larger instances report ratios only (delta_t None).  x holds one
-    (n_tx, N) grid.
+    solved, at OracleConfig's defaults, for the smallest mask inflation
+    delta_t compatible with the EVM ball; delta_t <= 1 certifies that mask
+    and budget can be met together.  Larger instances report ratios only
+    (delta_t None).  x holds one (n_tx, N) grid.
     """
     num = x.numerology
     vals = x.symbols
@@ -334,7 +334,7 @@ def feasibility_probe(x, kernel, masks, evm, oracle_config=None):
     problem = LogBarrierProblem(objective="epigraph", reference=vals,
                                 rank1=[(u_rows[m], gamma[m]) for m in range(m_pts)], **balls)
     try:
-        result = logbarrier_solve(problem, oracle_config or OracleConfig())
+        result = logbarrier_solve(problem)
     except NumericalError as exc:
         raise NumericalError(f"feasibility oracle did not converge: {exc}; "
                              f"mask ratios of the candidate: {ratios}") from exc

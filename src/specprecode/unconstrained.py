@@ -87,13 +87,15 @@ def _as_block(d, kernel):
     return d.reshape((1,) * (3 - d.ndim) + d.shape)
 
 
-def _kernel_diag(gram):
-    """diag(K) = ||u_m||^2 on the active band, the one check that every
-    constraint set has a direction: a row that vanishes there raises."""
-    lam = gram.diagonal().real
-    if np.any(lam <= 0):
+def _check_band_rows(kernel):
+    """The one check that every constraint set has a direction: a kernel
+    row that vanishes on the active band raises.  A row vanishes there when
+    its band norm sqrt(K_mm) is at most N eps times its largest entry, the
+    roundoff of its N entries: an integer point without a cyclic prefix
+    is orthogonal to every subcarrier, and its row holds roundoff alone."""
+    floor = kernel.numerology.fft_size * np.finfo(float).eps * np.abs(kernel.matrix).max(axis=1)
+    if np.any(kernel.gram.diagonal().real <= floor ** 2):
         raise DegenerateConstraintError("a kernel row vanishes on the active band")
-    return lam
 
 
 @dataclass(frozen=True)
@@ -394,8 +396,10 @@ def _band_iterations(block, kernel, iters, start, step, budget=None):
     the form of the whole block (to_band).  Every trace entry is the
     step's own arithmetic on the iterate; the output is not measured
     again.  Returns (block, BlockTraces): the block report's stopped marks
-    the symbols whose stop fired, also on the last iteration.
+    the symbols whose stop fired, also on the last iteration.  A kernel
+    row that vanishes on the band raises first (_check_band_rows).
     """
+    _check_band_rows(kernel)
     bins = kernel.numerology.band_bins
     traces = BlockTraces(iters, len(block), kernel.n_points)
     band = block.take(bins, axis=-1)
@@ -464,7 +468,7 @@ def consensus_admm(block, kernel, gamma, cfg, budget=None):
     needs no more.  The report's leakage powers are |A x_bar|^2 from the
     same product.
     """
-    k_diag = _kernel_diag(kernel.gram)       # ||u_m||^2
+    k_diag = kernel.gram.diagonal().real     # ||u_m||^2
     m_pts = k_diag.size
     root = np.sqrt(gamma)
     weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
@@ -552,10 +556,11 @@ def ssp_core(c0, gram, gamma):
     B^(-1) [K | c0] with B = I + K D, (..., M, M + 1), whose first M
     columns are W = (I + K D)^(-1) K and whose last is
     c = (I + K D)^(-1) c0.  Returns (mu, core) at the starting
-    multipliers, the core from one stacked solve, kept whole.
+    multipliers, the core from one stacked solve, kept whole.  Every
+    diagonal entry of K must be positive (_check_band_rows).
     """
     m_pts = gram.shape[0]
-    lam1 = _kernel_diag(gram)
+    lam1 = gram.diagonal().real
     # Exact single-constraint multipliers as the starting point: for M = 1
     # this is already the optimum, and a feasible d starts (and stays) at 0.
     mu = np.maximum((np.abs(c0.reshape(-1, m_pts)) / np.sqrt(gamma) - 1.0) / lam1, 0.0)

@@ -183,6 +183,12 @@ class TestMain:
         assert main(["--config", str(path)]) == EXIT_CONFIG
         assert f"{block}.{key}: unknown configuration key" in capsys.readouterr().err
 
+    def test_removed_psd_bin_key_rejected(self, tmp_path, capsys):
+        # the PSD's bins are the 100 kHz that the mask is stated per
+        path = write_scenario(tmp_path, psd={"bin_hz": 100_000.0})
+        assert main(["--config", str(path)]) == EXIT_CONFIG
+        assert "psd.bin_hz: unknown configuration key" in capsys.readouterr().err
+
     def test_bad_override_rejected(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         assert main(["--config", str(path), "--symbols", "0"]) == EXIT_CONFIG
@@ -200,12 +206,13 @@ class TestRejectedSettings:
         ({"aclr": {"bw_hz": NAN, "spacing_hz": 500_000.0}}, "aclr.bw_hz"),
         ({"aclr": {"bw_hz": 300_000.0, "spacing_hz": -1.0}}, "aclr.spacing_hz"),
         ({"aclr": {"bw_hz": 300_000.0, "spacing_hz": NAN}}, "aclr.spacing_hz"),
-        ({"psd": {"bin_hz": NAN}}, "psd.bin_hz"),
-        ({"psd": {"bin_hz": INF}}, "psd.bin_hz"),
-        ({"psd": {"bin_hz": 0.0}}, "psd.bin_hz"),
         ({"frequencies_hz": [-210_750.0, NAN, 199_500.0, 210_750.0]}, "frequencies"),
         ({"precoder": "essp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg_fraction"),
         ({"precoder": "ensp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg_fraction"),
+        # a precoder without a budget checks the evm block as well
+        ({"precoder": "ssp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg_fraction"),
+        ({"precoder": "ssp", "evm": {"eps_avg_fraction": -3.0}}, "evm.eps_avg_fraction"),
+        ({"precoder": "ssp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg_fraction"),
         ({"precoder": "eadmm", "evm": {"mode": "frequency_selective",
                                        "profile_per_prb": [NAN] * 6}},
          "evm.profile_per_prb[0]"),

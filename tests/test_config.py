@@ -1,5 +1,6 @@
 """Scenario configuration: defaults, validation, and derived objects."""
 
+import copy
 import dataclasses
 import json
 
@@ -14,6 +15,21 @@ from specprecode.config import (DEFAULT_SCENARIO, EDGE_RAMP, MASK2_DB,
 from conftest import small_numerology
 
 
+def float_settings(tree=DEFAULT_SCENARIO, path=()):
+    """(name, path) of every float setting of DEFAULT_SCENARIO: each float
+    key, each nullable key of kind float and each entry of a float list;
+    the path holds the keys and the list index that lead to it."""
+    for key, val in tree.items():
+        at = path + (key,)
+        name = ".".join(at)
+        if isinstance(val, dict):
+            yield from float_settings(val, at)
+        elif isinstance(val, list) and val and type(val[0]) is float:
+            yield from ((f"{name}[{i}]", at + (i,)) for i in range(len(val)))
+        elif type(val) is float or config._NULLABLE.get(name) is float:
+            yield name, at
+
+
 class TestDefaults:
     def test_empty_dict_resolves(self):
         cfg = ScenarioConfig.from_dict({})
@@ -25,7 +41,7 @@ class TestDefaults:
         assert (cfg.seed, cfg.symbols, cfg.n_tx) == (1, 20, 2)
         # the default ssp takes no budget, so none is applied
         assert cfg.evm_constraint() is None and cfg.evm_eps_avg == 0.08
-        assert cfg.psd_oversample == 4 and cfg.psd_bin_hz == 100e3
+        assert cfg.psd_oversample == 4
 
     def test_solver_settings_are_the_public_defaults(self):
         # DEFAULT_SCENARIO and the *_precode functions each write the
@@ -143,6 +159,22 @@ class TestValidation:
                                       "evm": {"mode": "frequency_selective",
                                               "profile_per_prb": [0.1] * 25}})
 
+    @pytest.mark.parametrize("precoder", ["ssp", "essp"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", [path for _, path in float_settings()],
+                             ids=[name for name, _ in float_settings()])
+    def test_nonfinite_float_settings_rejected(self, path, value, precoder):
+        # every float setting, with or without a budget that reads it
+        data = copy.deepcopy(DEFAULT_SCENARIO)
+        data["precoder"] = precoder
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict(data)
+
     def test_unbudgeted_precoder_tolerates_missing_budget(self):
         cfg = ScenarioConfig.from_dict({"evm": {"eps_avg_fraction": None}})
         assert cfg.evm_constraint() is None
@@ -165,8 +197,6 @@ class TestValidation:
         ({"aclr": {"bw_hz": float("nan")}}, "aclr.bw_hz"),
         ({"aclr": {"spacing_hz": -1.0}}, "aclr.spacing_hz"),
         ({"aclr": {"spacing_hz": float("inf")}}, "aclr.spacing_hz"),
-        ({"psd": {"bin_hz": float("nan")}}, "psd.bin_hz"),
-        ({"psd": {"bin_hz": -100e3}}, "psd.bin_hz"),
         ({"frequencies_hz": [-5_010_000.0, -4_995_000.0, -2_565_000.0, float("nan"),
                              2_550_000.0, 2_565_000.0, 4_995_000.0, float("inf")]},
          "frequencies"),

@@ -58,6 +58,9 @@ def test_digests_and_moved_cells(tmp_path):
     lines = digest("--out", saved)
     files = [line.split()[1] for line in lines[1:]]
     assert "default-ssp/trace.csv" in files and "default-ssp/psd.csv" in files
+    # the resolved configuration is kept parsed, for key-by-key reports
+    assert json.loads(saved.read_text())["default-ssp"]["json"][
+        "config_resolved.json"]["symbols"] == 2
 
     # a rerun matches itself; a perturbed cell is listed with its
     # relative difference
@@ -123,6 +126,29 @@ def test_tolerance_rules():
     # a case missing from the old digests cannot be checked
     assert digest_mod.compare({}, {"case": entry(rows)}, 1.0, 1.0)[2] == ["case"]
     assert digest_mod.compare({}, {"case": entry(rows)})[2] == []
+
+
+def test_json_key_paths():
+    digest_mod = load_digest_module()
+
+    def entry(cfg):
+        return {"files": {"config_resolved.json": json.dumps(cfg)}, "csv": {},
+                "json": {"config_resolved.json": cfg}}
+
+    old = {"case": entry({"psd": {"oversample": 4, "bin_hz": 100e3}, "seed": 1,
+                          "evm": {"mode": "wideband", "profile_per_prb": None}})}
+    new = {"case": entry({"psd": {"oversample": 4}, "seed": 2,
+                          "evm": {"mode": "wideband", "profile_per_prb": [0.1, 0.2]},
+                          "extra": {"key": True}})}
+    # every dotted key path that changed is listed; the file offends under
+    # any tolerance, and no key line is marked on its own
+    lines, moved, offending = digest_mod.compare(old, new, 1.0, 1.0)
+    assert (moved, offending) == (1, ["case/config_resolved.json"])
+    assert lines == ["case config_resolved.json: digest differs, 4 keys changed beyond tolerance",
+                     "  psd.bin_hz: removed", "  seed: 1 -> 2",
+                     "  evm.profile_per_prb: null -> [0.1, 0.2]", "  extra: added"]
+    assert digest_mod.compare(old, new)[1:] == (1, [])
+    assert digest_mod.compare(old, old) == ([], 0, [])
 
 
 LOC_SAMPLE = '''"""Module docstring

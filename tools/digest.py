@@ -10,17 +10,20 @@ Usage (from the root of a checkout):
 Each case runs ``run_scenario`` from the package under ``--src`` (default:
 this checkout's ``src``) with one BLAS thread, and the script prints the
 sha256 of each data file and of the manifest without its timing block.
-``--out`` saves the digests and the CSV cells to a JSON file.  With
-``--against`` the script compares every case with the one in that file and
-lists each CSV cell that moved, with its relative difference, and each
-other file whose digest changed.  ``--rtol R`` and ``--atol A`` (either
-one; the other defaults to 0) make the comparison a check: a CSV cell that
-moves by more than A + R |old|, a non-numeric CSV cell that changes, a
-changed non-CSV data file (``config_resolved.json``, ``waveform.bin``) and
-a case missing from the old digests are offending; each is marked
-"beyond tolerance", the report closes with the number of offending files
-(a case missing from the old digests counts as one) and their names, one
-per line, and the script exits with status 1 if there is one.
+``--out`` saves the digests, the CSV cells and the parsed
+``config_resolved.json`` to a JSON file.  With ``--against`` the script
+compares every case with the one in that file and lists each CSV cell that
+moved, with its relative difference, each dotted key path of
+``config_resolved.json`` that was added, removed or changed (for example
+``psd.bin_hz: removed``), and each other file whose digest changed.
+``--rtol R`` and ``--atol A`` (either one; the other defaults to 0) make
+the comparison a check: a CSV cell that moves by more than A + R |old|, a
+non-numeric CSV cell that changes, a changed non-CSV data file
+(``config_resolved.json``, ``waveform.bin``) and a case missing from the
+old digests are offending; each is marked "beyond tolerance", the report
+closes with the number of offending files (a case missing from the old
+digests counts as one) and their names, one per line, and the script
+exits with status 1 if there is one.
 The manifest is not checked: its metrics repeat ``summary.csv`` at full
 precision and its outputs block holds the data files' digests.
 ``--case`` picks cases by name (repeat it), ``--symbols`` caps every
@@ -127,12 +130,13 @@ def sha256(data):
 
 
 def run_case(package, overrides, out_dir):
-    """Digests of one case's files and the rows of its CSV files."""
+    """Digests of one case's files, the rows of its CSV files and its
+    parsed JSON data file."""
     cfg = package.ScenarioConfig.from_dict(overrides)
     manifest = package.run_scenario(cfg, out_dir)
     manifest.pop("timings_s")
     entry = {"files": {"manifest.json": sha256(json.dumps(manifest, sort_keys=True).encode())},
-             "csv": {}}
+             "csv": {}, "json": {}}
     for name in DATA_FILES:
         path = Path(out_dir) / name
         if not path.exists():
@@ -141,7 +145,28 @@ def run_case(package, overrides, out_dir):
         if name.endswith(".csv"):
             with open(path, newline="", encoding="utf-8") as fh:
                 entry["csv"][name] = list(csv.reader(fh))
+        elif name.endswith(".json"):
+            entry["json"][name] = json.loads(path.read_text(encoding="utf-8"))
     return entry
+
+
+def changed_keys(old, new, path=""):
+    """(dotted key path, change) of every key whose value differs between
+    two parsed JSON values, objects walked key by key: "removed", "added",
+    or "old -> new" for any other value (a list is one value)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in {**old, **new}:
+            sub = f"{path}.{key}" if path else key
+            if key not in new:
+                out.append((sub, "removed"))
+            elif key not in old:
+                out.append((sub, "added"))
+            else:
+                out += changed_keys(old[key], new[key], sub)
+        return out
+    a, b = json.dumps(old), json.dumps(new)
+    return [] if a == b else [(path, f"{a} -> {b}")]
 
 
 def moved_cells(old_rows, new_rows):
@@ -201,8 +226,13 @@ def compare(old, new, rtol=None, atol=None):
             cells = (moved_cells(ref["csv"][fname], entry["csv"][fname])
                      if fname in entry["csv"] and fname in ref["csv"] else [])
             where = f"{name}/{fname}"
-            line(f"{name} {fname}: digest differs, {len(cells)} cells moved",
-                 check and fname in DATA_FILES and not fname.endswith(".csv"), where)
+            bad = check and fname in DATA_FILES and not fname.endswith(".csv")
+            if fname in entry.get("json", {}) and fname in ref.get("json", {}):
+                keys = changed_keys(ref["json"][fname], entry["json"][fname])
+                line(f"{name} {fname}: digest differs, {len(keys)} keys changed", bad, where)
+                lines.extend(f"  {path}: {change}" for path, change in keys)
+                continue
+            line(f"{name} {fname}: digest differs, {len(cells)} cells moved", bad, where)
             for row, col, a, b, rel in cells:
                 rel_s = "n/a" if rel is None else f"{rel:.2e}"
                 line(f"  row {row} {col}: {a} -> {b} (relative {rel_s})",
