@@ -246,8 +246,7 @@ class ScenarioConfig:
         if evm_mode not in ("wideband", "frequency_selective"):
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
         if evm_eps is not None and not 0 <= evm_eps < np.inf:          # NaN fails too
-            raise ConfigError("wideband budget needs a finite eps_avg >= 0",
-                              field="evm.eps_avg_fraction")
+            raise ConfigError("must be a finite fraction >= 0", field="evm.eps_avg_fraction")
         eps = None if evm_profile is None else expand_evm_profile(evm_profile, numerology)
         budgets = PRECODER_TABLE[precoder].budgets
         budget = None
@@ -269,6 +268,9 @@ class ScenarioConfig:
         for name, val in (("aclr.bw_hz", aclr_bw), ("aclr.spacing_hz", aclr_sp)):
             if not 0 < val < np.inf:                        # NaN fails too
                 raise ConfigError("must be positive and finite", field=name)
+        # below the spacing's last bit, bw / 2 empties both adjacent bands
+        if not aclr_sp - aclr_bw / 2 < aclr_sp + aclr_bw / 2:
+            raise ConfigError("rounds to an empty adjacent band", field="aclr.bw_hz")
         span = numerology.oversampled(psd_os).sample_rate_hz / 2
         if aclr_sp + aclr_bw / 2 > span:
             raise ConfigError("PSD span too narrow for the adjacent bands; raise "

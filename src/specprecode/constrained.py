@@ -32,7 +32,7 @@ import numpy as np
 from .baselines import LogBarrierProblem, logbarrier_solve
 from .errors import ConfigError, NumericalError
 from .metrics import oobe_power
-from .projections import _column_norms, _inward_radius, _project_balls, _symbol_norms
+from .projections import _column_norms, _inward_radius, _symbol_norms
 from .unconstrained import (AdmmConfig, _as_block, _band_iterations, _unblock, consensus_admm,
                             mask_bounds, ssp_core, ssp_sweep)
 
@@ -44,7 +44,9 @@ class EvmConstraint:
     mode "wideband": one fraction eps_avg bounding ||Xbar - X||_F relative
     to ||X||_F.  mode "frequency_selective": one fraction per active
     subcarrier (offset order) bounding each column's error relative to that
-    column's norm.
+    column's norm.  The balls are derived in one place, band_balls, on the
+    active band in bin order; the solvers project onto them through their
+    deviation forms and violation checks them.
     """
 
     mode: str
@@ -67,12 +69,13 @@ class EvmConstraint:
         else:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
 
-    def _balls(self, block, numerology, cols=None):
-        """The budget balls of every symbol of block (S, n_tx, N), taken on
-        the frequency columns ``cols`` (an index array of bins; default all
-        N): (dist, radii, inner).
+    def band_balls(self, block, numerology):
+        """The budget balls of every symbol of block (S, n_tx, N), the one
+        place they are derived, on the active band (numerology.band_bins,
+        in bin order, where the solvers keep their iterates):
+        (in_span, dist, radii, inner).
 
-        dist maps a stack of deviations (S', n_tx, n_cols) to their
+        dist maps a stack of band deviations (S', n_tx, n_active) to their
         distances from the centers (for the wideband budget, through
         ``norms``, which maps the stack to its per-symbol norms and
         defaults to _symbol_norms, so that the active-band loop's span
@@ -80,14 +83,19 @@ class EvmConstraint:
         radii are the balls' radii and inner the radii pulled in by
         _inward_radius for the centers' norms, all shaped to broadcast
         against the deviations: (S, 1, 1) for the wideband budget, one
-        ball per symbol whose radius is always relative to the whole
-        symbol, and (S, 1, n_cols) for the frequency-selective one, one
-        ball per column, of radius 0 on the guard bins, whose distances
-        are the column norms over the antennas, sqrt(sum re^2 + im^2),
-        from one real square-and-sum (_column_norms).  The projections
-        (projector and the solvers' deviation forms) and violation measure
-        with the same dist, so the inward radii that a projection scales to
-        are the ones that violation checks.
+        ball per symbol whose radius is eps_avg times the norm of the
+        whole symbol, and (S, 1, n_active) for the frequency-selective
+        one, one ball per active subcarrier of radius eps_k times its
+        column's norm, whose distances are the column norms over the
+        antennas, sqrt(sum re^2 + im^2), from one real square-and-sum
+        (_column_norms).  A guard bin has no ball.  The solvers' deviation
+        forms and violation measure with the same dist, so the inward
+        radii that a projection (_project_balls) scales to are the ones
+        that violation checks.  in_span tells whether the iterates stay in
+        span{d_r, U} on every antenna row r: under the wideband budget,
+        whose ball scales whole symbols, and not under the
+        frequency-selective one, whose balls scale each subcarrier on its
+        own.
         """
         if self.mode == "wideband":
             def dist(dev, norms=_symbol_norms):
@@ -101,68 +109,28 @@ class EvmConstraint:
 
             def dist(dev, norms=None):
                 return _column_norms(dev)
-            norms = dist(block)
-            radii = np.zeros_like(norms)
-            radii[..., numerology.active_bins] = self.eps * norms[..., numerology.active_bins]
-            if cols is not None:
-                norms, radii = norms.take(cols, axis=-1), radii.take(cols, axis=-1)
+            norms = dist(block.take(numerology.band_bins, axis=-1))
+            # eps is in offset order, the band in bin order
+            radii = self.eps[np.argsort(numerology.active_bins)] * norms
             size = block.shape[1]
-        return dist, radii, _inward_radius(radii, norms, size)
-
-    def band_balls(self, block, numerology):
-        """What the solvers' active-band loop needs of the budget for the
-        block (S, n_tx, N): (in_span, dist, radii, inner), the balls of
-        _balls on the band (numerology.band_bins, in bin order), and
-        in_span, whether the iterates stay in span{d_r, U} on every antenna
-        row r: under the wideband budget, whose ball scales whole symbols,
-        and not under the frequency-selective one, whose balls scale each
-        subcarrier on its own."""
-        return (self.mode == "wideband",) + self._balls(block, numerology, numerology.band_bins)
-
-    def projector(self, reference, cols=None):
-        """Projection onto the budget ball(s) around ``reference``, taken on
-        deviations from it.
-
-        The projector maps e = x - reference to the deviation of x's
-        projection (_project_balls): e itself (bitwise) where x is inside
-        its ball, e scaled toward zero where it is outside.  The scale keeps
-        the slack of _inward_radius for the reference's norm, so the error
-        recomputed as ||(reference + e') - reference|| stays within the
-        budget.  The reference may be one (n_tx, N) symbol or an
-        (S, n_tx, N) block, whose every symbol has its own ball(s).
-        ``cols`` (an index array of bins; default all N) picks the frequency
-        columns the projector works on; the deviations must be zero on the
-        others (guard bins).  The projector takes e shaped like the
-        reference's columns ``cols``.  The balls (_balls) are derived once
-        here; the solvers' active-band loop derives them the same way and
-        projects through its deviation form.
-        """
-        center = reference.symbols
-        block = center.reshape((-1,) + center.shape[-2:])
-        dist, radii, inner = self._balls(block, reference.numerology, cols)
-
-        def proj(dev):
-            dev = np.asarray(dev, dtype=complex)
-            stack = dev.reshape((-1,) + dev.shape[-2:])
-            return _project_balls(stack, dist(stack), radii, inner).reshape(dev.shape)
-        return proj
+        return self.mode == "wideband", dist, radii, _inward_radius(radii, norms, size)
 
     def violation(self, reference, candidate):
         """Largest relative budget overshoot (0 means inside everywhere).
 
         The overshoot of a ball is (error - radius) / radius over the balls
-        of _balls on the active columns; a ball of radius 0 is overshot
-        infinitely by any nonzero error, in either mode.  Only the active
-        columns are read: the guard bins of a DataGrid are zero, and every
-        precoder leaves them so.  A block reference (S, n_tx, N) gives each
-        symbol of the candidate its own ball(s), as projector does, and
-        returns the worst overshoot over the symbols.
+        of band_balls; a ball of radius 0 is overshot infinitely by any
+        nonzero error, in either mode.  Only the active band is read: the
+        guard bins of a DataGrid are zero, and every precoder leaves them
+        so.  A block reference (S, n_tx, N) gives each symbol of the
+        candidate its own ball(s) and returns the worst overshoot over the
+        symbols.
         """
         center = reference.symbols
         block = center.reshape((-1,) + center.shape[-2:])
         x = np.asarray(getattr(candidate, "symbols", candidate), dtype=complex)
-        bins = reference.numerology.active_bins
-        dist, radii, _ = self._balls(block, reference.numerology, bins)
+        bins = reference.numerology.band_bins
+        _, dist, radii, _ = self.band_balls(block, reference.numerology)
         err = dist((x.reshape(block.shape) - block)[..., bins])
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(radii > 0, (err - radii) / np.where(radii > 0, radii, 1.0),
@@ -312,7 +280,10 @@ def feasibility_probe(x, kernel, masks, evm):
     On small instances (fft_size <= 64) the log-barrier epigraph problem is
     solved, at OracleConfig's defaults, for the smallest mask inflation
     delta_t compatible with the EVM ball; delta_t <= 1 certifies that mask
-    and budget can be met together.  Larger instances report ratios only
+    and budget can be met together.  The problem is posed on the grid's
+    active band in bin order (numerology.band_bins), with the band rows
+    and the balls of EvmConstraint.band_balls: the guard bins carry no
+    data, leakage row or ball.  Larger instances report ratios only
     (delta_t None).  x holds one (n_tx, N) grid.
     """
     num = x.numerology
@@ -320,7 +291,7 @@ def feasibility_probe(x, kernel, masks, evm):
     if vals.ndim != 2:
         raise ConfigError("feasibility_probe takes one (n_tx, N) grid, "
                           f"not a block of shape {vals.shape}")
-    u_rows = kernel.active_rows.conj()
+    u_rows = kernel.band_rows.conj()
     m_pts = u_rows.shape[0]
     gamma = mask_bounds(masks, m_pts)
     ratios = oobe_power(vals, kernel).max(axis=1) / gamma
@@ -328,10 +299,11 @@ def feasibility_probe(x, kernel, masks, evm):
     if num.fft_size > 64:
         return FeasibilityReport(delta_t=None, feasible=None, mask_ratio=ratios)
 
-    radii = evm._balls(vals[None], num)[1][0, 0]
-    balls = ({"frob_ball": (vals, radii[0])} if evm.mode == "wideband" else
-             {"col_balls": (vals, radii)})
-    problem = LogBarrierProblem(objective="epigraph", reference=vals,
+    band = vals[:, num.band_bins]
+    radii = evm.band_balls(vals[None], num)[2][0, 0]
+    balls = ({"frob_ball": (band, radii[0])} if evm.mode == "wideband" else
+             {"col_balls": (band, radii)})
+    problem = LogBarrierProblem(objective="epigraph", reference=band,
                                 rank1=[(u_rows[m], gamma[m]) for m in range(m_pts)], **balls)
     try:
         result = logbarrier_solve(problem)

@@ -138,7 +138,9 @@ def calibrate_mask(mask_db, numerology, ref_db, reference_power=None):
     mask_db = np.atleast_1d(np.asarray(mask_db, dtype=float))
     if reference_power is None:
         reference_power = analytic_inband_reference(numerology)
-    gamma = 10.0 ** ((mask_db - ref_db) / 10.0) * reference_power
+    # a bound that overflows is infinite, which MaskSpec reports
+    with np.errstate(over="ignore"):
+        gamma = 10.0 ** ((mask_db - ref_db) / 10.0) * reference_power
     return MaskSpec(gamma=gamma)
 
 
@@ -362,21 +364,20 @@ def _rows_dft_power(x, power):
 
 @lru_cache(maxsize=None)
 def _psd_lattice(seg_len, fs, bin_hz):
-    """(order, bins, keep, counts, centers): the reporting lattice of a
-    segment's periodogram.  order sorts the FFT bins by frequency; lattice
-    bin i covers [i, i + 1) * bin_hz, and bins holds the lattice index of
-    each sorted FFT bin, counted from the lowest; keep lists the occupied
-    lattice bins, counts their FFT-bin counts and centers their centre
-    frequencies.  Built once per segment length, rate and bin width;
-    read-only."""
+    """(order, bins, counts, centers): the reporting lattice of a segment's
+    periodogram.  order sorts the FFT bins by frequency; lattice bin i
+    covers [i, i + 1) * bin_hz, and bins holds, for each sorted FFT bin,
+    the rank of its lattice bin among the occupied ones; counts holds
+    their FFT-bin counts and centers their centre frequencies.  Only the
+    occupied lattice bins are formed, however many empty ones lie between
+    them.  Built once per segment length, rate and bin width; read-only."""
     freqs = np.fft.fftfreq(seg_len, d=1.0 / fs)
     order = np.argsort(freqs)
-    idx = np.floor(freqs[order] / bin_hz + 1e-9).astype(int)
-    lowest = idx.min()
-    counts = np.bincount(idx - lowest).astype(float)
-    keep = np.flatnonzero(counts)
-    return (_read_only(order), _read_only(idx - lowest), _read_only(keep),
-            _read_only(counts[keep]), _read_only((keep + lowest + 0.5) * bin_hz))
+    lattice = np.floor(freqs[order] / bin_hz + 1e-9)            # ascending
+    first = np.flatnonzero(np.diff(lattice, prepend=-np.inf))    # each occupied bin's first
+    counts = np.diff(first, append=seg_len)
+    return (_read_only(order), _read_only(np.repeat(np.arange(first.size), counts)),
+            _read_only(counts.astype(float)), _read_only((lattice[first] + 0.5) * bin_hz))
 
 
 class PsdAccumulator:
@@ -454,10 +455,10 @@ class PsdAccumulator:
         if self._segments == 0:
             raise ConfigError("no segments accumulated", field="psd")
         cfg = self.config
-        order, bins, keep, counts, centers = _psd_lattice(self.seg_len, self.fs, cfg.bin_hz)
+        order, bins, counts, centers = _psd_lattice(self.seg_len, self.fs, cfg.bin_hz)
         # bincount adds in input order: a bin's densities in ascending frequency
         mean_psd = self._psd_sum[order] / self._segments
-        density = np.bincount(bins, weights=mean_psd)[keep] / counts
+        density = np.bincount(bins, weights=mean_psd) / counts
         density_db = cfg.ref_db + _to_db(density / cfg.ref_density)
         return PsdEstimate(freq_hz=centers, density_db=density_db,
                            density_per_hz=density, bin_hz=cfg.bin_hz,

@@ -106,21 +106,22 @@ def _scaled_notch(cfg, block, kernel, budget):
 
 def _log_barrier(cfg, block, kernel, budget):
     """Log-barrier projection of every (n_tx, N) symbol, with the worst KKT
-    residual and Newton step count over the block."""
-    u_rows = kernel.active_rows.conj()
+    residual and Newton step count over the block.  Each problem is posed
+    on the symbol's active band in bin order (numerology.band_bins) with
+    the band rows, and its solution is written back into the band columns
+    of a copy of the block, whose guard bins pass through."""
+    u_rows = kernel.band_rows.conj()
     rank1 = [(u_rows[m], float(cfg.mask.gamma[m])) for m in range(u_rows.shape[0])]
-    shape = block.symbols.shape
-    syms = block.symbols.reshape((-1,) + shape[-2:])
-    out = np.empty_like(syms)
+    bins = kernel.numerology.band_bins
+    out = block.symbols.copy()
     kkt, steps = [], []
-    for s, sym in enumerate(syms):
+    for sym in out:
         result = logbarrier_solve(LogBarrierProblem(objective="least_squares",
-                                                    reference=sym, rank1=rank1))
-        out[s] = result.solution.reshape(sym.shape)
+                                                    reference=sym[:, bins], rank1=rank1))
+        sym[:, bins] = result.solution
         kkt.append(float(result.kkt_residual))
         steps.append(int(result.newton_steps))
-    return (out.reshape(shape), None,
-            {"oracle_kkt": max(kkt), "oracle_newton_steps": max(steps)})
+    return out, None, {"oracle_kkt": max(kkt), "oracle_newton_steps": max(steps)}
 
 
 # One entry per precoder.  ``budgets`` names the modes of error budget the

@@ -271,9 +271,12 @@ def _kernel_matrix(fft_size, cp_len, points):
 class SpectralKernel:
     """Leakage rows a(nu_m)^T stacked into an M x N matrix.
 
-    ``matrix`` holds the full rows over every FFT bin.  ``active_rows`` are
-    the same rows with guard-bin columns forced to zero; solvers use those so
-    that any update they generate stays supported on the active band.
+    ``matrix`` holds the full rows over every FFT bin.  ``band_rows`` are
+    its columns on the active band, in bin order, on which the solvers, the
+    oracles and the Gram matrix work, so that any update they generate
+    stays supported on the active band; ``active_rows`` are the N-wide rows
+    with guard-bin columns forced to zero, which the notch uses
+    (baselines._notch_component).
     Every array a kernel derives is read-only and built once, on first
     use; build_kernel's kernels are shared by every later call with equal
     arguments, so their matrix is read-only as well.
@@ -306,8 +309,9 @@ class SpectralKernel:
     @cached_property
     def gram(self):
         """Read-only M x M Gram matrix K = U^H U of u_m = a(nu_m)* on the
-        active band, K[i, k] = sum_n a_i[n] conj(a_k[n]); built on first use."""
-        rows = self.active_rows
+        active band, K[i, k] = sum_n a_i[n] conj(a_k[n]) over band_rows;
+        built on first use."""
+        rows = self.band_rows
         return _read_only(np.einsum("ik,jk->ij", rows, rows.conj()))
 
     @cached_property

@@ -20,13 +20,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraintError,
-                         EsspConfig, EvmConstraint, FrequencyGrid, OfdmNumerology,
-                         ScenarioConfig, SpectralKernel, SspConfig, admm_precode, build_kernel,
-                         eadmm_precode, ensp_precode, essp_precode, generate_qam_block,
-                         nsp_precode, oobe_power, ssp_precode)
+                         EsspConfig, EvmConstraint, FrequencyGrid, LogBarrierProblem,
+                         OfdmNumerology, ScenarioConfig, SpectralKernel, SspConfig, admm_precode,
+                         build_kernel, eadmm_precode, ensp_precode, essp_precode,
+                         feasibility_probe, generate_qam_block, logbarrier_solve, nsp_precode,
+                         oobe_power, ssp_precode)
 from specprecode import constrained, unconstrained
-from specprecode.runner import BLOCK_SYMBOLS
+from specprecode.projections import _column_norms, _project_balls, _symbol_norms
+from specprecode.runner import BLOCK_SYMBOLS, PRECODER_TABLE
 from specprecode.unconstrained import ssp_core, ssp_sweep
+
+from conftest import qpsk_grid
 
 
 def band_case(n, cp_len, offsets, seed, m_pts, on_subcarriers, near, n_sym, n_tx):
@@ -439,8 +443,10 @@ def cold_first_iterate(grid, kernel, gamma, evm, cfg):
     for _ in range(cfg.inner_sweeps):
         mu, core = ssp_sweep(mu, core, gamma)
     dev_y = band - np.einsum("sjm,mk->sjk", mu * core[..., -1], kernel.band_rows.conj())
+    _, dist, radii, inner = evm.band_balls(symbols, kernel.numerology)
+    dev = dev_y - band
     out = symbols.copy()
-    out[..., bins] += evm.projector(grid, cols=bins)(-band + dev_y)
+    out[..., bins] += _project_balls(dev, dist(dev), radii, inner)
     return out.reshape(grid.symbols.shape)
 
 
@@ -581,3 +587,70 @@ class TestForeignInput:
         evm = EvmConstraint(mode="wideband", eps_avg=0.08)
         with pytest.raises(ConfigError, match="numerology"):
             precode(solver, grid, kernel, cfg.mask.gamma, evm, 3)
+
+
+class TestBandRestriction:
+    """The oracles and the Gram matrix work on the active band.  On a data
+    grid the N-wide problems, posed with the rows of active_rows and balls
+    of radius 0 on the guard bins, drop the guard columns again
+    (baselines._support_indices), and the N-wide Gram sum adds exact zeros
+    there, so the band gives the N-wide results bitwise."""
+
+    @staticmethod
+    def probe_case(cp_len, mode):
+        """(grid, kernel, gamma, evm): two QPSK rows at N = 32 under bounds
+        at 30 % of their leakage, with unequal per-subcarrier fractions for
+        the selective budget, so that their offset order matters."""
+        num = OfdmNumerology.centered(32, cp_len, 15e3, 12, prb_size=4)
+        kernel = build_kernel(num, FrequencyGrid(points=np.array([-9.5, -7.25, 7.0, 9.5])))
+        grid = qpsk_grid(num, 2, seed=cp_len)
+        evm = (EvmConstraint(mode="wideband", eps_avg=0.1) if mode == "wideband" else
+               EvmConstraint(mode="frequency_selective",
+                             eps=np.random.default_rng(cp_len).uniform(0.05, 0.3, 12)))
+        return grid, kernel, 0.3 * oobe_power(grid, kernel).max(axis=1), evm
+
+    @pytest.mark.parametrize("cp_len", [0, 3])
+    @pytest.mark.parametrize("mode", ["wideband", "frequency_selective"])
+    def test_feasibility_probe_matches_the_full_width_problem(self, cp_len, mode):
+        grid, kernel, gamma, evm = self.probe_case(cp_len, mode)
+        vals, bins = grid.symbols, grid.numerology.active_bins
+        if mode == "wideband":
+            balls = {"frob_ball": (vals, evm.eps_avg * _symbol_norms(vals[None])[0])}
+        else:
+            radii = np.zeros(32)
+            radii[bins] = evm.eps * _column_norms(vals[None])[0, 0, bins]
+            balls = {"col_balls": (vals, radii)}
+        u_rows = kernel.active_rows.conj()
+        full = logbarrier_solve(LogBarrierProblem(
+            objective="epigraph", reference=vals,
+            rank1=[(u_rows[m], gamma[m]) for m in range(len(gamma))], **balls))
+        delta_t = feasibility_probe(grid, kernel, gamma, evm).delta_t
+        assert 0 < delta_t < np.inf
+        assert delta_t == full.delta_t
+
+    def test_oracle_precoder_matches_the_full_width_solve(self):
+        cfg = ScenarioConfig.from_dict({
+            "precoder": "oracle", "symbols": 2, "n_tx": 2, "constellation": "QPSK",
+            "numerology": {"fft_size": 64, "cp_len": 4, "scs_hz": 15_000.0, "n_active": 24,
+                           "first_offset": -12, "prb_size": 4},
+            "frequencies_hz": [-210_750.0, -199_500.0, 199_500.0, 210_750.0],
+            "mask_db_per_100khz": [-75.0, -65.0, -65.0, -75.0],
+            "aclr": {"bw_hz": 300_000.0, "spacing_hz": 500_000.0}})
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        block = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation, 0, 2)
+        out, _, _ = PRECODER_TABLE["oracle"].run(cfg, block, kernel, None)
+        u_rows = kernel.active_rows.conj()
+        rank1 = [(u_rows[m], float(cfg.mask.gamma[m])) for m in range(len(u_rows))]
+        full = [logbarrier_solve(LogBarrierProblem(objective="least_squares", reference=sym,
+                                                   rank1=rank1)).solution
+                for sym in block.symbols]
+        assert not np.array_equal(out, block.symbols)
+        assert np.array_equal(out, np.stack(full))
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases())
+    @example(band_case(16, 0, np.arange(-4, 4), 5, 3, True, False, 1, 1))
+    def test_gram_matches_the_full_width_sum(self, case):
+        _, kernel, _ = case
+        rows = kernel.active_rows
+        assert np.array_equal(kernel.gram, np.einsum("ik,jk->ij", rows, rows.conj()))

@@ -7,11 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import specprecode
 from specprecode import (NumericalError, PsdAccumulator, ScenarioConfig, SpectralKernel,
@@ -19,7 +22,7 @@ from specprecode import (NumericalError, PsdAccumulator, ScenarioConfig, Spectra
                          oobe_power, read_waveform, run_scenario, runner, signal_model,
                          synthesize_time_signal, unconstrained, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
-from specprecode.config import PRECODERS
+from specprecode.config import DEFAULT_SCENARIO, PRECODERS
 from specprecode.metrics import _row_products
 
 SMALL_SCENARIO = {
@@ -201,39 +204,101 @@ NAN, INF = float("nan"), float("inf")
 class TestRejectedSettings:
     """Settings that no run can use exit 2 before any output is written."""
 
-    @pytest.mark.parametrize("overrides,field", [
-        ({"aclr": {"bw_hz": 0.0, "spacing_hz": 500_000.0}}, "aclr.bw_hz"),
-        ({"aclr": {"bw_hz": NAN, "spacing_hz": 500_000.0}}, "aclr.bw_hz"),
-        ({"aclr": {"bw_hz": 300_000.0, "spacing_hz": -1.0}}, "aclr.spacing_hz"),
-        ({"aclr": {"bw_hz": 300_000.0, "spacing_hz": NAN}}, "aclr.spacing_hz"),
-        ({"frequencies_hz": [-210_750.0, NAN, 199_500.0, 210_750.0]}, "frequencies"),
-        ({"precoder": "essp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg_fraction"),
-        ({"precoder": "ensp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg_fraction"),
+    # a bound that overflows to inf is the mask's range error alone, with no
+    # numpy warning before it; a precoder without a budget names the scenario
+    # key's range, not a budget
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides,field,reason", [
+        ({"aclr": {"bw_hz": 0.0, "spacing_hz": 500_000.0}}, "aclr.bw_hz", ""),
+        ({"aclr": {"bw_hz": NAN, "spacing_hz": 500_000.0}}, "aclr.bw_hz", ""),
+        ({"aclr": {"bw_hz": 300_000.0, "spacing_hz": -1.0}}, "aclr.spacing_hz", ""),
+        ({"aclr": {"bw_hz": 300_000.0, "spacing_hz": NAN}}, "aclr.spacing_hz", ""),
+        # narrower than the spacing's last bit: the adjacent bands are empty
+        ({"aclr": {"bw_hz": 1e-300, "spacing_hz": 500_000.0}}, "aclr.bw_hz",
+         "rounds to an empty adjacent band"),
+        ({"frequencies_hz": [-210_750.0, NAN, 199_500.0, 210_750.0]}, "frequencies", ""),
+        ({"mask_db_per_100khz": [-75.0, 4096.0, -65.0, -75.0]}, "mask.gamma", ""),
+        ({"precoder": "essp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg_fraction", ""),
+        ({"precoder": "ensp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg_fraction", ""),
         # a precoder without a budget checks the evm block as well
-        ({"precoder": "ssp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg_fraction"),
-        ({"precoder": "ssp", "evm": {"eps_avg_fraction": -3.0}}, "evm.eps_avg_fraction"),
-        ({"precoder": "ssp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg_fraction"),
+        ({"precoder": "ssp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg_fraction",
+         "must be a finite fraction >= 0"),
+        ({"precoder": "ssp", "evm": {"eps_avg_fraction": -3.0}}, "evm.eps_avg_fraction",
+         "must be a finite fraction >= 0"),
+        ({"precoder": "ssp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg_fraction",
+         "must be a finite fraction >= 0"),
         ({"precoder": "eadmm", "evm": {"mode": "frequency_selective",
                                        "profile_per_prb": [NAN] * 6}},
-         "evm.profile_per_prb[0]"),
+         "evm.profile_per_prb[0]", ""),
         ({"frequencies_hz": [-210_750.0, -199_500.0, "199500", 210_750.0]},
-         "frequencies_hz[2]"),
-        ({"mask_db_per_100khz": [-75.0, "-65", -65.0, -75.0]}, "mask_db_per_100khz[1]"),
-        ({"numerology": dict(SMALL_SCENARIO["numerology"], scs_hz=INF)}, "numerology.scs_hz"),
-        ({"seed": 2 ** 128}, "seed"),
-        ({"precoder": "admm", "admm": {"rho": INF}}, "admm.rho"),
-        ({"precoder": "eadmm", "eadmm": {"residual_tol": NAN}}, "eadmm.residual_tol"),
-        ({"precoder": "eadmm", "eadmm": {"rho": INF}}, "eadmm.rho"),
-        ({"precoder": "eadmm", "eadmm": {"iters": 0}}, "eadmm.iters"),
-        ({"precoder": "eadmm", "evm": {"eps_avg_fraction": -0.1}}, "evm.eps_avg_fraction"),
+         "frequencies_hz[2]", ""),
+        ({"mask_db_per_100khz": [-75.0, "-65", -65.0, -75.0]}, "mask_db_per_100khz[1]", ""),
+        ({"numerology": dict(SMALL_SCENARIO["numerology"], scs_hz=INF)}, "numerology.scs_hz",
+         ""),
+        ({"seed": 2 ** 128}, "seed", ""),
+        ({"precoder": "admm", "admm": {"rho": INF}}, "admm.rho", ""),
+        ({"precoder": "eadmm", "eadmm": {"residual_tol": NAN}}, "eadmm.residual_tol", ""),
+        ({"precoder": "eadmm", "eadmm": {"rho": INF}}, "eadmm.rho", ""),
+        ({"precoder": "eadmm", "eadmm": {"iters": 0}}, "eadmm.iters", ""),
+        ({"precoder": "eadmm", "evm": {"eps_avg_fraction": -0.1}}, "evm.eps_avg_fraction", ""),
     ])
-    def test_exit_code_and_no_output(self, tmp_path, capsys, overrides, field):
+    def test_exit_code_and_no_output(self, tmp_path, capsys, overrides, field, reason):
         path = write_scenario(tmp_path, **overrides)
         out_dir = tmp_path / "out"
         code = main(["--config", str(path), "--out-dir", str(out_dir), "--emit-waveforms"])
         assert code == EXIT_CONFIG
-        assert f"error: {field}: " in capsys.readouterr().err
+        assert f"error: {field}: {reason}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def _setting_paths(tree, path=()):
+    """The path of every key of tree and of every entry of its lists."""
+    for key, val in tree.items():
+        yield path + (key,)
+        if isinstance(val, dict):
+            yield from _setting_paths(val, path + (key,))
+        elif isinstance(val, list):
+            yield from (path + (key, i) for i in range(len(val)))
+
+
+# The values a mutated setting takes: non-finite, null, boolean, huge,
+# tiny and negative numbers, strings and lists.
+_ODD_VALUES = st.one_of(
+    st.sampled_from([NAN, INF, -INF, None, True, False, 4096.0, 1e9, 1e300, 2.0 ** 62,
+                     1e-300, 5e-324, -1, -1.0, -1e9, -1e300, -2 ** 62]),
+    st.text(max_size=4),
+    st.lists(st.floats(-10.0, 10.0), max_size=3))
+
+
+class TestExitCodeContract:
+    """Whatever a scenario holds, a run exits 0, 2 or 3, raises nothing,
+    warns nothing, and leaves no output directory unless it exits 0."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([name for name in PRECODERS if name != "oracle"]),
+           st.integers(1, 3),
+           st.lists(st.tuples(st.sampled_from(list(_setting_paths(DEFAULT_SCENARIO))),
+                              _ODD_VALUES),
+                    min_size=1, max_size=3, unique_by=lambda change: change[0][0]))
+    @example("ssp", 1, [(("mask_db_per_100khz", 1), 4096.0)])
+    @example("ssp", 1, [(("aclr", "bw_hz"), 1e-300)])
+    @example("eadmm", 2, [(("numerology", "scs_hz"), 1e300)])
+    def test_mutated_default_scenario(self, precoder, symbols, changes):
+        data = json.loads(json.dumps(DEFAULT_SCENARIO))
+        data.update(precoder=precoder, symbols=symbols)
+        for path, value in changes:          # no two share a top-level key
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "scenario.json"
+            scenario.write_text(json.dumps(data))
+            out_dir = Path(tmp) / "new" / "out"
+            code = main(["--config", str(scenario), "--out-dir", str(out_dir)])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+            assert code == EXIT_OK or not (Path(tmp) / "new").exists()
 
 
 class TestFailedRunDirectory:

@@ -7,6 +7,7 @@ import pytest
 from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraintError,
                          EsspConfig, EvmConstraint, FrequencyGrid, ScenarioConfig, build_kernel,
                          eadmm_precode, essp_precode, feasibility_probe)
+from specprecode.projections import _project_balls
 
 from conftest import qpsk_grid, small_numerology
 
@@ -53,34 +54,28 @@ class TestEvmConstraint:
             EvmConstraint(**kwargs)
         assert info.value.field == field
 
-    # The projector takes and returns deviations from the reference.
+    # The balls project deviations from the reference's active band.
 
     def test_wideband_projector_inside_unchanged(self, pair_setup):
-        _, _, grid, _ = pair_setup
-        proj = EvmConstraint(mode="wideband", eps_avg=0.5).projector(grid)
-        dev = grid.symbols * 0.01
-        assert np.array_equal(proj(dev), dev)
+        num, _, grid, _ = pair_setup
+        _, dist, radii, inner = EvmConstraint(mode="wideband", eps_avg=0.5).band_balls(
+            grid.symbols[None], num)
+        dev = grid.symbols[None][..., num.band_bins] * 0.01
+        assert np.array_equal(_project_balls(dev, dist(dev), radii, inner), dev)
 
     def test_zero_budget_pins_to_reference(self, pair_setup):
-        _, _, grid, _ = pair_setup
-        proj = EvmConstraint(mode="wideband", eps_avg=0.0).projector(grid)
-        out = grid.symbols + proj(np.full(grid.symbols.shape, 0.3 + 0.0j))
-        assert np.abs(out - grid.symbols).max() <= 1e-15
+        num, _, grid, _ = pair_setup
+        _, dist, radii, inner = EvmConstraint(mode="wideband", eps_avg=0.0).band_balls(
+            grid.symbols[None], num)
+        dev = np.full((1, grid.symbols.shape[0], num.n_active), 0.3 + 0.0j)
+        assert np.abs(_project_balls(dev, dist(dev), radii, inner)).max() <= 1e-15
 
     def test_selective_eps_must_cover_active_band(self, pair_setup):
         num, _, grid, _ = pair_setup
         con = EvmConstraint(mode="frequency_selective",
                             eps=np.full(num.n_active + 1, 0.1))
         with pytest.raises(ConfigError):
-            con.projector(grid)
-
-    def test_selective_projector_pins_guards(self, pair_setup):
-        num, _, grid, _ = pair_setup
-        con = EvmConstraint(mode="frequency_selective",
-                            eps=np.full(num.n_active, 0.1))
-        out = grid.symbols + con.projector(grid)(np.ones(grid.symbols.shape, dtype=complex))
-        guards = ~num.active_mask()
-        assert np.abs(out[:, guards]).max() <= 1e-15
+            con.band_balls(grid.symbols[None], num)
 
     def test_violation_wideband(self, pair_setup):
         _, _, grid, _ = pair_setup

@@ -195,23 +195,27 @@ def test_abtime_same_tree_twice():
     lines = done.stdout.splitlines()
     assert lines[0].startswith("pair 1 (a first): ")
     assert lines[1].startswith("pair 2 (b first): ")
-    # each pair reports the minor page faults of a call of each side
-    assert all(re.search(r", minor faults a \d+ b \d+$", line) for line in lines[:2])
-    assert lines[2].startswith("median ratio a/b over 2 pairs: wall ")
+    # each pair reports the ratios and the minor page faults of a call of
+    # each side as shipped, then with the allocator pinned
+    run = r"wall a \S+ s b \S+ s ratio \S+, cpu ratio \S+, minor faults a \d+ b \d+"
+    assert all(re.fullmatch(rf"pair \d \([ab] first\): {run}; pinned: {run}", line)
+               for line in lines[:2])
     # the ratios' base: the median wall seconds of a call of each tree, and
-    # beside them the median minor page faults of a call
-    base = re.fullmatch(r"median ratio a/b over 2 pairs: wall \S+, cpu \S+; "
-                        r"median wall a (\S+) s, b (\S+) s; "
-                        r"median minor faults a (\d+), b (\d+)", lines[2])
-    assert base and all(float(seconds) > 0 for seconds in base.groups()[:2])
-    assert lines[3].startswith("median layer ratio a/b: ")
-    layers = dict(item.split() for item in lines[3].split(": ", 1)[1].split(", "))
+    # beside them the median minor page faults of a call; the second line
+    # holds the same medians of the pinned runs
+    medians = r"wall \S+, cpu \S+; median wall a (\S+) s, b (\S+) s; " \
+              r"median minor faults a (\d+), b (\d+)"
+    for line, prefix in zip(lines[2:4], ["", "pinned allocator, "]):
+        base = re.fullmatch(rf"{prefix}median ratio a/b over 2 pairs: {medians}", line)
+        assert base and all(float(seconds) > 0 for seconds in base.groups()[:2])
+    assert lines[4].startswith("median layer ratio a/b: ")
+    layers = dict(item.split() for item in lines[4].split(": ", 1)[1].split(", "))
     assert set(layers) == {"generate", "precode", "metrics", "psd", "io", "total"}
     assert all(float(ratio) > 0 for ratio in layers.values())
     # identical trees move no summary cell, so every line after the
     # medians is a file's verdict
     assert not any(" -> " in line for line in lines)
-    files = dict(line.split(": ") for line in lines[4:])
+    files = dict(line.split(": ") for line in lines[5:])
     assert {"trace.csv", "summary.csv", "manifest.json"} <= set(files)
     assert set(files.values()) == {"identical"}
 
@@ -230,9 +234,10 @@ def test_abtime_several_workloads():
     # one median line per workload, in the order given
     tail = lines[lines.index("median ratio a/b per workload over 1 pairs:") + 1:]
     assert [line.split(": ")[0] for line in tail] == ["ssp-mask1", "essp-wideband"]
-    assert all(line.split(": ")[1].startswith("wall ") and ", precode " in line for line in tail)
-    assert all(re.search(r"; median wall a \d+\.\d{5} s, b \d+\.\d{5} s; "
-                         r"median minor faults a \d+, b \d+$", line)
+    medians = r"wall \S+, cpu \S+{}; median wall a \d+\.\d{{5}} s, b \d+\.\d{{5}} s; " \
+              r"median minor faults a \d+, b \d+"
+    assert all(re.fullmatch(rf"[\w-]+: {medians.format(', precode [^;]+')}; "
+                            rf"pinned: {medians.format('')}", line)
                for line in tail)
 
 

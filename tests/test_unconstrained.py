@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from specprecode import (ConfigError, DataGrid, DegenerateConstraintError,
+from specprecode import (ConfigError, DegenerateConstraintError,
                          EvmConstraint, FrequencyGrid, NumericalError,
                          ScenarioConfig, SpectralKernel, build_kernel,
                          eadmm_precode, essp_precode, generate_qam_grid, oobe_power,
                          project_rank1)
 from specprecode import constrained, unconstrained
+from specprecode.projections import _project_balls
 from specprecode.unconstrained import (AdmmConfig, BlockTraces, FactoredInverse, SolverReport,
                                        SspConfig, admm_precode, mask_bounds, ssp_precode)
 
@@ -378,10 +379,10 @@ def reference_consensus_admm(block, kernel, gamma, cfg, budget=None):
     block report: the symbols of the block one at a time, each through
     reference_consensus_one.  The consensus update maps a mean deviation
     from the input's active band to the next deviation: ADMM's weighted
-    mean without a budget, and under one the projector of the symbol's own
-    ball (budget.projector), which projects on the band in N-space; the
-    reference turns it into the map from the band sums of y_m + z_m to
-    the next iterate."""
+    mean without a budget, and under one the projection of the symbol's
+    own ball (EvmConstraint.band_balls and _project_balls), which measures
+    the band deviation in N-space; the reference turns it into the map from
+    the band sums of y_m + z_m to the next iterate."""
     outs = []
     m_pts = kernel.n_points
     num = kernel.numerology
@@ -389,8 +390,14 @@ def reference_consensus_admm(block, kernel, gamma, cfg, budget=None):
     traces = BlockTraces(cfg.iters, len(block), m_pts)
     for i, rows in enumerate(block):
         band = rows[:, num.band_bins]
-        x_update = (budget.projector(DataGrid(rows, num), cols=num.band_bins)
-                    if budget is not None else lambda dev: weight * dev)
+        if budget is None:
+            def x_update(dev):
+                return weight * dev
+        else:
+            _, dist, radii, inner = budget.band_balls(rows[None], num)
+
+            def x_update(dev, dist=dist, radii=radii, inner=inner):
+                return _project_balls(dev[None], dist(dev[None]), radii, inner)[0]
 
         def update(s, band=band, x_update=x_update):
             return band + x_update(s / m_pts - band)

@@ -19,12 +19,17 @@ So neither tree runs in a process that the other's imports and
 allocations have shaped.  The scenario is a
 workload of ``bench/workloads.json`` at scenario seed ``--seed``, its
 symbol count capped by ``--symbols``.  The first pair runs a then b, the
-next b then a, and so on.  The script prints each pair's time ratio a / b
-in wall-clock and in CPU time, then the median ratios (above 1: b is
-faster), on one line with their base, the median wall seconds of a call
-of a and of b, and each side's median minor page faults per call (so an
-effect of the allocator, which a change of array layout can move, shows
-beside the times), then the median ratio of each layer time of the
+next b then a, and so on.  Every pair is timed twice: as shipped, then
+with glibc's ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_`` at
+1 GiB in the children's environment (``ALLOCATORS``), which holds fixed
+where the allocator places the block arrays.  The script prints each
+pair's time ratio a / b in wall-clock and in CPU time and each side's
+minor page faults, as shipped and then pinned on the same line, then the
+median ratios (above 1: b is faster), on one line with their base, the
+median wall seconds of a call of a and of b, and each side's median
+minor page faults per call (so an effect of the allocator, which a
+change of array layout can move, shows beside the times), the same line
+for the pinned runs, then the median ratio of each layer time of the
 manifests' ``timings_s`` (``generate``, ``precode``, ``metrics``,
 ``psd``, ``io`` and ``total``), and whether each output file of the two
 trees' last runs is identical (the manifest compared without its
@@ -38,7 +43,8 @@ workload of ``bench/workloads.json``; the workloads then run one after the
 other, each under a ``workload NAME:`` line, and a last block prints one
 line per workload with its median wall, CPU and precode ratios, the
 median wall seconds of a and of b and their median minor page faults per
-call.
+call, followed by the pinned runs' median wall and CPU ratios, wall
+seconds and faults.  The layer ratios are the shipped runs'.
 
 Separate runs on a shared host can drift by tens of percent minutes apart;
 the two sides of a pair run back to back and see the same host state, so
@@ -66,6 +72,16 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "bench" / "workloads.json"
 CALLS = 15          # timed run_scenario calls per side of a pair, in one process
+# The allocator settings every pair is timed under, added to the children's
+# environment only: glibc as shipped, and glibc with its mmap and trim
+# thresholds pinned at 1 GiB, so that it neither maps the block arrays
+# afresh nor returns them to the system between blocks.  Its dynamic mmap
+# threshold places those arrays differently as the layout of the code
+# moves, which moves the minor page faults of a call; the pinned run holds
+# that placement fixed, as a control.
+ALLOCATORS = {"shipped": {},
+              "pinned": {"MALLOC_MMAP_THRESHOLD_": str(1 << 30),
+                         "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}}
 
 
 # The child process: one untimed call, then the timed ones; it prints the
@@ -90,13 +106,14 @@ print(json.dumps({"package": specprecode.__file__, "runs": runs}))
 """
 
 
-def timed_side(tree, overrides, out_dir):
+def timed_side(tree, overrides, out_dir, allocator):
     """(wall s, CPU s, timings, minor page faults) of CALLS run_scenario
     calls of the package under ``tree`` in a fresh interpreter, each the
-    median over the calls; the manifest of the last call is in
-    ``out_dir``."""
+    median over the calls, with the variables ``allocator`` (a dict, an
+    entry of ALLOCATORS) added to its environment; the manifest of the
+    last call is in ``out_dir``."""
     tree = Path(tree).resolve()
-    env = dict(os.environ, PYTHONPATH=str(tree))
+    env = dict(os.environ, **allocator, PYTHONPATH=str(tree))
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(overrides), str(out_dir),
                            str(CALLS)], env=env, cwd=out_dir.parent, capture_output=True,
                           text=True, check=False)
@@ -162,47 +179,64 @@ def verdict_lines(verdicts, manifest_a, manifest_b):
     return lines
 
 
+def medians_text(ratios, walls, faults, extra=""):
+    """The median wall and CPU ratios a / b (followed by ``extra``), the
+    median wall seconds of a call of a and of b and their median minor
+    page faults per call, as one line's text, from the per-pair (wall,
+    cpu) ratios and each tree's per-pair wall seconds and faults."""
+    wall, cpu = (statistics.median(r) for r in ratios)
+    base = {key: statistics.median(seconds) for key, seconds in walls.items()}
+    fault = {key: statistics.median(counts) for key, counts in faults.items()}
+    return (f"wall {wall:.4f}, cpu {cpu:.4f}{extra}; median wall a {base['a']:.5f} s, "
+            f"b {base['b']:.5f} s; median minor faults a {fault['a']:.0f}, b {fault['b']:.0f}")
+
+
 def ab_workload(trees, overrides, pairs, out_dir):
-    """Time ``pairs`` interleaved pairs of the two trees on one scenario and
-    print the block described above; returns the median (wall, cpu, layer)
-    ratios a / b, layer a dict by layer name, the median wall seconds of a
-    call and the median minor page faults of a call, each a dict by
-    tree."""
+    """Time ``pairs`` interleaved pairs of the two trees on one scenario,
+    each pair under every allocator setting of ALLOCATORS in turn, and
+    print the block described above; returns the median layer ratios a / b
+    of the shipped runs, a dict by layer name, and the figures of each
+    allocator setting that medians_text takes, a dict by its name."""
     dirs = {key: Path(out_dir) / f"out_{key}" for key in trees}
     for path in dirs.values():
         path.mkdir(parents=True, exist_ok=True)
-    wall_ratios, cpu_ratios, layer_ratios = [], [], {}
-    walls, faults = {"a": [], "b": []}, {"a": [], "b": []}
+    ratios = {name: ([], []) for name in ALLOCATORS}           # wall, cpu
+    walls = {name: {"a": [], "b": []} for name in ALLOCATORS}
+    faults = {name: {"a": [], "b": []} for name in ALLOCATORS}
+    layer_ratios = {}
     for pair in range(pairs):
         order = ("a", "b") if pair % 2 == 0 else ("b", "a")
-        times, layers = {}, {}
-        for key in order:
-            wall, cpu, layers[key], fault = timed_side(trees[key], overrides, dirs[key])
-            times[key] = (wall, cpu)
-            walls[key].append(wall)
-            faults[key].append(fault)
-        wall_ratios.append(times["a"][0] / times["b"][0])
-        cpu_ratios.append(times["a"][1] / times["b"][1])
-        for name, seconds in layers["a"].items():
-            layer_ratios.setdefault(name, []).append(seconds / layers["b"][name])
-        print(f"pair {pair + 1} ({order[0]} first): wall a {times['a'][0]:.4f} s "
-              f"b {times['b'][0]:.4f} s ratio {wall_ratios[-1]:.4f}, "
-              f"cpu ratio {cpu_ratios[-1]:.4f}, minor faults a {faults['a'][-1]:.0f} "
-              f"b {faults['b'][-1]:.0f}", flush=True)
-    wall, cpu = statistics.median(wall_ratios), statistics.median(cpu_ratios)
+        parts = []
+        for name, allocator in ALLOCATORS.items():
+            times, layers = {}, {}
+            for key in order:
+                wall, cpu, layers[key], fault = timed_side(trees[key], overrides, dirs[key],
+                                                           allocator)
+                times[key] = (wall, cpu)
+                walls[name][key].append(wall)
+                faults[name][key].append(fault)
+            ratios[name][0].append(times["a"][0] / times["b"][0])
+            ratios[name][1].append(times["a"][1] / times["b"][1])
+            if name == "shipped":
+                for layer, seconds in layers["a"].items():
+                    layer_ratios.setdefault(layer, []).append(seconds / layers["b"][layer])
+            parts.append(f"wall a {times['a'][0]:.4f} s b {times['b'][0]:.4f} s "
+                         f"ratio {ratios[name][0][-1]:.4f}, cpu ratio {ratios[name][1][-1]:.4f}, "
+                         f"minor faults a {faults[name]['a'][-1]:.0f} "
+                         f"b {faults[name]['b'][-1]:.0f}")
+        print(f"pair {pair + 1} ({order[0]} first): {parts[0]}; pinned: {parts[1]}", flush=True)
+    figures = {name: (ratios[name], walls[name], faults[name]) for name in ALLOCATORS}
+    print(f"median ratio a/b over {pairs} pairs: {medians_text(*figures['shipped'])}")
+    print(f"pinned allocator, median ratio a/b over {pairs} pairs: "
+          f"{medians_text(*figures['pinned'])}")
     layer = {name: statistics.median(ratios) for name, ratios in layer_ratios.items()}
-    base = {key: statistics.median(seconds) for key, seconds in walls.items()}
-    fault = {key: statistics.median(counts) for key, counts in faults.items()}
-    print(f"median ratio a/b over {pairs} pairs: wall {wall:.4f}, cpu {cpu:.4f}; "
-          f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s; "
-          f"median minor faults a {fault['a']:.0f}, b {fault['b']:.0f}")
     print("median layer ratio a/b: " + ", ".join(
         f"{name} {ratio:.4f}" for name, ratio in layer.items()))
     manifests = {key: last_manifest(path) for key, path in dirs.items()}
     verdicts = compare_outputs(dirs["a"], dirs["b"], manifests["a"], manifests["b"])
     for line in verdict_lines(verdicts, manifests["a"], manifests["b"]):
         print(line)
-    return wall, cpu, layer, base, fault
+    return layer, figures
 
 
 def main(argv=None):
@@ -241,10 +275,10 @@ def main(argv=None):
             medians[name] = ab_workload(trees, overrides, args.pairs, Path(tmp) / name)
         if len(names) > 1:
             print(f"median ratio a/b per workload over {args.pairs} pairs:")
-            for name, (wall, cpu, layer, base, fault) in medians.items():
-                print(f"{name}: wall {wall:.4f}, cpu {cpu:.4f}, precode {layer['precode']:.4f}; "
-                      f"median wall a {base['a']:.5f} s, b {base['b']:.5f} s; "
-                      f"median minor faults a {fault['a']:.0f}, b {fault['b']:.0f}")
+            for name, (layer, figures) in medians.items():
+                precode = f", precode {layer['precode']:.4f}"
+                print(f"{name}: {medians_text(*figures['shipped'], precode)}; "
+                      f"pinned: {medians_text(*figures['pinned'])}")
     return 0
 
 
