@@ -118,6 +118,17 @@ DEFAULT_SCENARIO = {
     "emit_waveforms": False,
 }
 
+# The largest FFT size, antenna count and PSD oversampling that a scenario
+# takes.  A block's grids and frames grow with all three, and the PSD's
+# transform tables with the square of the segment's largest odd prime
+# factor (metrics._dft_tables), which stays below 2 fft_size: at 4096, the
+# largest FFT of 5G NR, they take at most 0.27 GB.  A larger value would
+# fail later, in numpy, on an array beyond a host's memory, instead of
+# naming its key.
+_MAX_FFT_SIZE = 4096
+_MAX_N_TX = 4096
+_MAX_PSD_OVERSAMPLE = 64
+
 MASK2_DB = [-85.0, -85.0, -75.0, -75.0, -75.0, -75.0, -85.0, -85.0]
 
 
@@ -207,6 +218,9 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data):
         data = _resolve(DEFAULT_SCENARIO, data, "")
+        if data["numerology"]["fft_size"] > _MAX_FFT_SIZE:
+            raise ConfigError(f"fft_size must be at most {_MAX_FFT_SIZE}",
+                              field="numerology.fft_size")
         numerology = OfdmNumerology.centered(
             **{key: val for key, val in data["numerology"].items() if val is not None})
         freq_grid = FrequencyGrid.from_hz(data["frequencies_hz"], numerology.scs_hz)
@@ -223,8 +237,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown precoder {precoder!r}; choose from {PRECODERS}",
                               field="precoder")
         qam_constellation(data["constellation"])
-        if data["n_tx"] < 1:
-            raise ConfigError("n_tx must be at least 1", field="n_tx")
+        if not 1 <= data["n_tx"] <= _MAX_N_TX:
+            raise ConfigError(f"n_tx must lie in 1 .. {_MAX_N_TX}", field="n_tx")
         if not 0 <= data["seed"] < 2 ** 128:                  # a Philox key has 128 bits
             raise ConfigError("seed must be a non-negative integer below 2**128", field="seed")
         if data["symbols"] < 1:
@@ -262,8 +276,9 @@ class ScenarioConfig:
             budget = EvmConstraint(mode=evm_mode, **{arg: value})
 
         psd_os = data["psd"]["oversample"]
-        if psd_os < 4:
-            raise ConfigError("PSD oversampling must be at least 4", field="psd.oversample")
+        if not 4 <= psd_os <= _MAX_PSD_OVERSAMPLE:
+            raise ConfigError(f"PSD oversampling must lie in 4 .. {_MAX_PSD_OVERSAMPLE}",
+                              field="psd.oversample")
         aclr_bw, aclr_sp = data["aclr"]["bw_hz"], data["aclr"]["spacing_hz"]
         for name, val in (("aclr.bw_hz", aclr_bw), ("aclr.spacing_hz", aclr_sp)):
             if not 0 < val < np.inf:                        # NaN fails too

@@ -14,10 +14,10 @@ frame, the transmitted-symbol leakage of van de Beek and Berggren
 is a symbol of the numerology oversampled L times
 (OfdmNumerology.oversampled), so its leakage is oobe_power on that
 numerology's kernel, the frame kernel, of the active band in bin order.  A
-run takes its probe densities that way from each block's active band, and
-so does kernel_psd_prediction.  PsdAccumulator's optional exact-frequency
-DTFTs of the frames are the independent reference that both are checked
-against.
+run takes its probe densities that way from each block's active band, with
+the one formula (_probe_densities) that kernel_psd_prediction applies.
+PsdAccumulator's optional exact-frequency DTFTs of the frames are the
+independent reference that both are checked against.
 
 A periodogram segment is one oversampled symbol, 4 * (512 + 36) = 2192 =
 2^4 * 137 samples in the reference scenario, and a generic FFT spends most
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .signal_model import (FrequencyGrid, _kernel_entries, _oversample_factor, _read_only,
-                           build_kernel)
+                           _write_frames, build_kernel)
 
 _DB_FLOOR = 1e-30
 
@@ -283,6 +283,12 @@ def _largest_odd_prime(n):
 # reuses them and they stay in cache; at 16 rows, fresh pages were mapped
 # for them on every call, which doubled the time per row.
 _DFT_ROWS = 4
+# Symbols per oversampled synthesis and periodogram update of
+# PsdAccumulator.add_symbols.  At the default 4x oversampling a symbol's
+# frames take about 70 kB: a whole block's would be 2 MB, which the
+# allocator maps and returns to the system on every block, while 4
+# symbols' stay in cache, reused by every piece of the block.
+PSD_SYMBOLS = 4
 
 
 @lru_cache(maxsize=None)
@@ -383,11 +389,12 @@ def _psd_lattice(seg_len, fs, bin_hz):
 class PsdAccumulator:
     """Order-independent sums for incremental periodogram averaging.
 
-    Waveform blocks (add) or their frames, one segment per symbol
-    (add_frames, which the runner calls on a few symbols at a time), are
-    added in time order; the sums are bit-stable under any split of the
-    waveform at segment boundaries.  finalize() bins to the reporting lattice.
-    A segment is a symbol of the frame numerology
+    Waveform blocks (add), their frames, one segment per symbol
+    (add_frames), or the frequency grids of their symbols (add_symbols,
+    which synthesizes the frames, and which the runner calls on each
+    block) are added in time order; the sums are bit-stable under any
+    split of the waveform at segment boundaries.  finalize() bins to the
+    reporting lattice.  A segment is a symbol of the frame numerology
     numerology.oversampled(config.oversample), at its rate.  Also tracks
     exact-frequency periodogram values at optional probe frequencies, each
     a DTFT of the time-domain frames: the independent reference for the
@@ -398,7 +405,7 @@ class PsdAccumulator:
     def __init__(self, numerology, config, probe_freqs_hz=None):
         self.numerology = numerology
         self.config = config
-        frame = numerology.oversampled(config.oversample)
+        self._frame = frame = numerology.oversampled(config.oversample)
         self.seg_len = frame.symbol_len
         self.fs = frame.sample_rate_hz
         self._psd_sum = np.zeros(self.seg_len)
@@ -423,6 +430,26 @@ class PsdAccumulator:
             raise ConfigError("waveform shorter than one PSD segment", field="psd")
         self.add_frames(samples[:, :n_seg * self.seg_len].reshape(
             samples.shape[0], n_seg, self.seg_len).swapaxes(0, 1))
+
+    def add_symbols(self, symbols):
+        """Accumulate the frames of S consecutive symbols (S, n_tx, N) of the
+        numerology; antennas sum.
+
+        The frames are synthesized as synthesize_time_signal synthesizes
+        them (signal_model._write_frames) and added in pieces of
+        PSD_SYMBOLS, through one frame buffer and one spectrum buffer per
+        call, whose padding stays zero from piece to piece; the sums have
+        the bits of add() on the symbols' oversampled waveform.
+        """
+        if symbols.ndim != 3 or symbols.shape[-1] != self.numerology.fft_size:
+            raise ConfigError(f"symbols must be (S, n_tx, {self.numerology.fft_size})", field="psd")
+        size = (min(PSD_SYMBOLS, len(symbols)), symbols.shape[1])
+        frames = np.empty(size + (self.seg_len,), dtype=complex)
+        spec = np.zeros(size + (self._frame.fft_size,), dtype=complex)
+        for j in range(0, len(symbols), PSD_SYMBOLS):
+            piece = symbols[j:j + PSD_SYMBOLS]
+            self.add_frames(_write_frames(piece, self.numerology, self._frame,
+                                          frames[:len(piece)], spec[:len(piece)]))
 
     def add_frames(self, frames):
         """Accumulate the segments frames (S, n_tx, seg_len) of S consecutive
@@ -466,31 +493,46 @@ class PsdAccumulator:
                            ref_density=cfg.ref_density, ref_db=cfg.ref_db)
 
 
+def _probe_densities(band, frame_kernel, oversample):
+    """The emitted densities (per Hz) of symbols at the frame kernel's
+    points, from their active bands (..., n_tx, n_active) in bin order:
+    the antenna sum of oobe_power on the frame kernel (the kernel of
+    numerology.oversampled(oversample)), whose powers are L =
+    ``oversample`` times too small (SpectralKernel), times L over the rect
+    window's power f_s * segment (PsdAccumulator).  The one formula of a
+    run's probe densities (runner._RunRecord) and kernel_psd_prediction."""
+    frame = frame_kernel.numerology
+    scale = oversample / (frame.sample_rate_hz * frame.symbol_len)
+    return np.sum(oobe_power(band, frame_kernel), axis=-1) * scale
+
+
 def kernel_psd_prediction(grids, numerology, oversample, freqs_hz):
     """Ensemble leakage density predicted from the frequency grids.
 
     Evaluates the leakage of the synthesizer's frames at the probe
-    frequencies, oobe_power on the frame kernel (the kernel of
-    numerology.oversampled(oversample)) of each grid's active band in bin
-    order, as a run's probe densities do, and averages it over symbols
-    and antennas, returning a density per Hz comparable to PsdEstimate and
+    frequencies from each grid's active band in bin order, with the
+    formula of a run's probe densities (_probe_densities), and averages it
+    over symbols, returning a density per Hz comparable to PsdEstimate and
     probe_density values.  Each grid is one (n_tx, N) symbol or an
-    (S, n_tx, N) block; a block counts as its S symbols, added one at a
-    time in order, so it gives the bits of the list of its symbols.
+    (S, n_tx, N) block of the numerology's N bins (any other width raises
+    ConfigError); a block counts as its S symbols, added one at a time in
+    order, so it gives the bits of the list of its symbols.
     """
-    frame = numerology.oversampled(oversample)
-    kernel = build_kernel(frame, FrequencyGrid.from_hz(freqs_hz, numerology.scs_hz))
+    kernel = build_kernel(numerology.oversampled(oversample),
+                          FrequencyGrid.from_hz(freqs_hz, numerology.scs_hz))
     total = np.zeros(kernel.n_points)
     count = 0
     for grid in grids:
-        band = _grid_values(grid).take(numerology.band_bins, axis=-1)
-        # The frame kernel's powers are L times too small (SpectralKernel).
-        powers = np.atleast_2d(np.sum(oobe_power(band, kernel), axis=-1) * oversample)
-        total = _add_in_order(total, powers)
-        count += len(powers)
+        vals = _grid_values(grid)
+        if vals.shape[-1] != numerology.fft_size:
+            raise ConfigError(f"grids must hold {numerology.fft_size} bins", field="grids")
+        densities = np.atleast_2d(_probe_densities(vals.take(numerology.band_bins, axis=-1),
+                                                   kernel, oversample))
+        total = _add_in_order(total, densities)
+        count += len(densities)
     if count == 0:
         raise ConfigError("no grids provided", field="psd")
-    return total / count / (frame.sample_rate_hz * frame.symbol_len)
+    return total / count
 
 
 @dataclass(frozen=True)

@@ -18,21 +18,22 @@ byte for byte; the manifest differs only in its timing block.
 
 The run is a pipeline over blocks of BLOCK_SYMBOLS consecutive symbols:
 each block is generated, precoded and measured in one pass, so every
-numpy call serves the whole block, and its oversampled waveform is
-synthesised and added to the PSD in pieces of PSD_SYMBOLS.  The run
+numpy call serves the whole block, and its output is added to the PSD by
+PsdAccumulator.add_symbols, which owns the emitted spectrum (the
+oversampled synthesis and its pieces, metrics.PSD_SYMBOLS).  The run
 record (``_RunRecord``) is the one place that measures a precoded block:
 it takes the block's active band, gathered once in bin order
 (numerology.band_bins), and forms from it the leakage (oobe_power), the
-EVM sums and the probe densities (oobe_power of the band on the frame
-kernel, the kernel of the synthesizer's frames: build_kernel of
-numerology.oversampled(L) for the PSD oversampling L).  Every per-symbol
-result is computed as for a block of one.  An iterative precoder hands
-the run its block report (unconstrained.BlockTraces), and the record adds
-each block's statistics in one pass, every running sum taking the
-block's symbols one at a time in order (metrics._add_in_order), and
-writes trace.csv, evm.csv, psd.csv and summary.csv from them at the end,
-so the data files depend on neither constant; they only trade per-call
-overhead against the memory of the arrays a block or piece needs.
+EVM sums and the probe densities (metrics._probe_densities on the frame
+kernel, the kernel of the synthesizer's frames, the formula of
+kernel_psd_prediction).  Every per-symbol result is computed as for a
+block of one.  An iterative precoder hands the run its block report
+(unconstrained.BlockTraces), and the record adds each block's statistics
+in one pass, every running sum taking the block's symbols one at a time
+in order (metrics._add_in_order), and writes trace.csv, evm.csv, psd.csv
+and summary.csv from them at the end, so the data files depend on
+neither the block nor the piece size; they only trade per-call overhead
+against the memory of the arrays a block or piece needs.
 ``waveform.bin`` is written block by block as well: each block's
 base-rate samples go to their offsets in every stream of a file that is
 renamed into place when the run has written it whole, so a run holds one
@@ -45,10 +46,10 @@ keys two entries, its solver kernel and its frame kernel, and the
 read-only arrays derived from them are kept on them (the active-band
 rows, the Gram matrix and its factor), as are the PSD's transform tables
 and reporting lattice per segment (metrics._dft_tables,
-metrics._psd_lattice).  Each run resolves its frame numerology once and
-builds only its run record, PSD sums and buffers, and its files; the
-manifest and config_resolved.json share one normalized config.  A run
-that raises leaves no empty directory that it made.
+metrics._psd_lattice).  Each run builds only its run record, PSD sums
+and buffers, and its files; the manifest and config_resolved.json share
+one normalized config.  A run that raises leaves no empty directory that
+it made.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ from . import __version__
 from .baselines import LogBarrierProblem, _ensp_block, _notch_component, logbarrier_solve
 from .constrained import _essp_block
 from .errors import ConfigError
-from .metrics import PsdAccumulator, _add_in_order, _to_db, aclr, oobe_power
-from .signal_model import (WaveformWriter, _write_frames, build_kernel, generate_qam_block,
-                           synthesize_time_signal)
+from .metrics import PsdAccumulator, _add_in_order, _probe_densities, _to_db, aclr, oobe_power
+from .signal_model import WaveformWriter, build_kernel, generate_qam_block, synthesize_time_signal
 from .unconstrained import BlockTraces, _ssp_block, consensus_admm
 
 # Symbols per pipeline block.  Measured in run_scenario on 256 symbols of
@@ -77,12 +77,6 @@ from .unconstrained import BlockTraces, _ssp_block, consensus_admm
 # spread over more symbols, while ENSP's costs 21 us/symbol at 32 and
 # 29-36 from 48 up, as its block arrays leave the cache.
 BLOCK_SYMBOLS = 32
-# Symbols per oversampled synthesis and PSD update within a block.  At the
-# default 4x oversampling a symbol's frames take about 70 kB: a whole
-# block's would be 2 MB, which the allocator maps and returns to the
-# system on every block, while 4 symbols' stay in cache, reused by every
-# piece of the block.
-PSD_SYMBOLS = 4
 # Bytes read at a time when a written file is digested.
 _DIGEST_CHUNK = 1 << 20
 
@@ -160,41 +154,37 @@ class _RunRecord:
     run order, and the data files derived from them.
 
     It measures each block on its active band, gathered once in bin order
-    (numerology.band_bins): per active subcarrier it sums the error and
-    reference power, in bin order (evm.csv reorders them by offset), and
-    their totals over the band; per mask point the worst-row leakage of
-    the output (oobe_power on the kernel) and its emitted probe density
-    (from the synthesizer's rows on the band); it keeps the largest mask
-    ratio and the largest value of each extra.  The guard bins of a data
-    grid are zero, so the band holds all of a symbol's power.  Row i of
+    (numerology.band_bins), and keeps its per-symbol quantities in one
+    running sum, ``sums``, whose row per symbol holds, in this order, per
+    mask point the worst-row leakage of the output (oobe_power on the
+    kernel) and its emitted probe density (metrics._probe_densities on
+    the frame kernel, which the record builds from the memo), per active
+    subcarrier in bin order the error and the reference power (evm.csv
+    reorders them by offset), and those two powers' totals over the band;
+    write splits the sum back into these parts.  The guard bins of a data
+    grid are zero, so the band holds all of a symbol's power.  It keeps
+    the largest mask ratio and the largest value of each extra.  Row i of
     ``trace`` sums over the symbols that reached iteration i + 1: their
     count, evm^2, the M leakage powers, and the primal and dual residuals.
     A precoder without iterations gives each symbol one row, from its EVM
-    and leakage.  Every sum adds the block's symbols one at a time, in
-    order (_add_in_order), so the sums do not depend on the block size.
-    ``budget`` is the EvmConstraint the precoder applied, None for a
-    precoder without one; evm.csv reports a frequency-selective one.
+    and leakage.  Both sums add the block's symbols one at a time, in
+    order (_add_in_order), which adds each column row by row, so a column
+    has the bits it would have alone and the sums do not depend on the
+    block size.  ``budget`` is the EvmConstraint the precoder applied,
+    None for a precoder without one; evm.csv reports a frequency-selective
+    one.
     """
 
-    def __init__(self, cfg, budget, kernel, frame_kernel):
+    def __init__(self, cfg, budget, kernel):
         self.cfg = cfg
         self.budget = budget
         self.kernel = kernel
-        self.frame_kernel = frame_kernel
-        num = cfg.numerology
-        self.err_cols = np.zeros(num.n_active)
-        self.ref_cols = np.zeros(num.n_active)
-        self.err = self.ref = 0.0
-        self.leak = np.zeros(cfg.freq_grid.size)
+        self.frame_kernel = build_kernel(cfg.numerology.oversampled(cfg.psd_oversample),
+                                         cfg.freq_grid)
+        self.sums = np.zeros(2 * cfg.freq_grid.size + 2 * cfg.numerology.n_active + 2)
         self.ratio_max = 0.0
         self.extras = {}
         self.trace = np.zeros((0, cfg.freq_grid.size + 4))
-        self.probe = np.zeros(cfg.freq_grid.size)
-        # A probe density is the frame kernel's power times L
-        # (SpectralKernel) over the rect window's power f_s * segment, as in
-        # PsdAccumulator.
-        frame = frame_kernel.numerology
-        self.probe_scale = cfg.psd_oversample / (frame.sample_rate_hz * frame.symbol_len)
 
     def add(self, grid, out, traces, extras):
         """Add a block: the active bands (S, n_tx, n_active), in bin order
@@ -202,8 +192,8 @@ class _RunRecord:
         precoder's block report (or None) and extras.  The output's
         leakage is oobe_power of its band; every antenna row shares the
         bounds, so the mask ratio is the worst row's.  A probe density is
-        the emitted leakage at its point, oobe_power of the band on the
-        frame kernel, summed over antennas."""
+        the emitted leakage at its point (metrics._probe_densities), as
+        kernel_psd_prediction computes it."""
         per_point = np.max(oobe_power(out, self.kernel), axis=2)
         self.ratio_max = max(self.ratio_max, float(np.max(per_point / self.cfg.mask.gamma)))
         for key, val in extras.items():
@@ -228,13 +218,9 @@ class _RunRecord:
         if n > len(self.trace):
             self.trace = np.pad(self.trace, ((0, n - len(self.trace)), (0, 0)))
         self.trace[:n] = _add_in_order(self.trace[:n], rows)
-        self.leak = _add_in_order(self.leak, per_point)
-        self.err_cols = _add_in_order(self.err_cols, err.sum(axis=1))
-        self.ref_cols = _add_in_order(self.ref_cols, ref.sum(axis=1))
-        self.err = _add_in_order(self.err, err_sym)
-        self.ref = _add_in_order(self.ref, ref_sym)
-        powers = np.sum(oobe_power(out, self.frame_kernel), axis=2)
-        self.probe = _add_in_order(self.probe, powers * self.probe_scale)
+        self.sums = _add_in_order(self.sums, np.concatenate((
+            per_point, _probe_densities(out, self.frame_kernel, self.cfg.psd_oversample),
+            err.sum(axis=1), ref.sum(axis=1), err_sym[:, None], ref_sym[:, None]), axis=1))
 
     def write(self, out_path, psd_acc, files):
         """Write trace.csv, evm.csv, psd.csv and summary.csv, recording their
@@ -250,8 +236,10 @@ class _RunRecord:
             *_to_db(trace[:, 2:-2] / count).T, *(trace[:, -2:] / count).T])
 
         num = cfg.numerology
+        leak, probe, err_cols, ref_cols, (err, ref) = np.split(self.sums, np.cumsum(
+            [n_points, n_points, num.n_active, num.n_active]))
         order = np.searchsorted(num.band_bins, num.active_bins)     # bin order to offset order
-        err_cols, ref_cols = self.err_cols[order], self.ref_cols[order]
+        err_cols, ref_cols = err_cols[order], ref_cols[order]
         columns = [num.active_offsets, np.sqrt(np.where(
             ref_cols > 0, err_cols / np.maximum(ref_cols, 1e-300), np.nan))]
         header = ["subcarrier_offset", "evm_rms"]
@@ -269,15 +257,15 @@ class _RunRecord:
             "precoder": cfg.precoder,
             "symbols": cfg.symbols,
             "n_tx": cfg.n_tx,
-            "evm_wideband_rms": float(np.sqrt(self.err / self.ref)),
+            "evm_wideband_rms": float(np.sqrt(err / ref)),
             "aclr_lower_db": float(aclr_rep.lower_db),
             "aclr_upper_db": float(aclr_rep.upper_db),
             "aclr_worst_db": float(aclr_rep.worst_db),
             "mask_ratio_max": self.ratio_max,
         }
-        for m, val in enumerate(_to_db(self.leak / cfg.symbols)):
+        for m, val in enumerate(_to_db(leak / cfg.symbols)):
             summary[f"oobe_db_p{m + 1}"] = float(val)
-        probe_db = cfg.ref_db + _to_db(self.probe / cfg.symbols / psd.ref_density)
+        probe_db = cfg.ref_db + _to_db(probe / cfg.symbols / psd.ref_density)
         for m, val in enumerate(probe_db):
             summary[f"psd_probe_db_p{m + 1}"] = float(val)
         summary.update({k: float(v) for k, v in sorted(self.extras.items())})
@@ -307,11 +295,10 @@ def run_scenario(cfg, out_dir=None):
 def _run(cfg, out_path):
     """run_scenario's run into the existing directory out_path."""
     kernel = build_kernel(cfg.numerology, cfg.freq_grid)
-    frame = cfg.numerology.oversampled(cfg.psd_oversample)
     precoder = PRECODER_TABLE[cfg.precoder]
     budget = cfg.evm_constraint()
     psd_acc = PsdAccumulator(cfg.numerology, cfg.psd_config())
-    record = _RunRecord(cfg, budget, kernel, build_kernel(frame, cfg.freq_grid))
+    record = _RunRecord(cfg, budget, kernel)
     symbol_len = cfg.numerology.symbol_len
     waveform_path = out_path / "waveform.bin"
     waveform = (WaveformWriter(waveform_path, cfg.n_tx, cfg.symbols * symbol_len)
@@ -334,16 +321,7 @@ def _run(cfg, out_path):
                        traces, extras)
 
             t_psd = time.perf_counter()
-            # The oversampled frames of every piece of the block are
-            # synthesised into one buffer, through one spectrum buffer.
-            size = min(PSD_SYMBOLS, len(out.symbols))
-            frames = np.empty((size, cfg.n_tx, frame.symbol_len), dtype=complex)
-            spec = np.zeros((size, cfg.n_tx, frame.fft_size), dtype=complex)
-            for j in range(0, len(out.symbols), PSD_SYMBOLS):
-                piece = out.symbols[j:j + PSD_SYMBOLS]
-                psd_acc.add_frames(_write_frames(piece, cfg.numerology, frame,
-                                                 frames[:len(piece)], spec[:len(piece)]))
-            del frames, spec
+            psd_acc.add_symbols(out.symbols)
             t3 = time.perf_counter()
             if cfg.emit_waveforms:
                 waveform.write(first * symbol_len, synthesize_time_signal(out, oversample=1))

@@ -119,8 +119,11 @@ class OfdmNumerology:
 
         When ``first_offset`` is omitted the band is centred on DC with the
         extra bin (for even ``n_active``) on the negative side, giving
-        offsets ``-n/2 .. n/2 - 1``.
+        offsets ``-n/2 .. n/2 - 1``.  ``n_active`` must lie in 1 ..
+        ``fft_size``, which is checked before any offset is formed.
         """
+        if not 1 <= n_active <= fft_size:
+            raise ConfigError("n_active must lie in 1 .. fft_size", field="numerology.n_active")
         if first_offset is None:
             first_offset = -(n_active // 2)
         offsets = np.arange(first_offset, first_offset + n_active)

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 import specprecode
 from specprecode import (NumericalError, PsdAccumulator, ScenarioConfig, SpectralKernel,
                          admm_precode, baselines, build_kernel, constrained, generate_qam_block,
-                         oobe_power, read_waveform, run_scenario, runner, signal_model,
-                         synthesize_time_signal, unconstrained, write_waveform)
+                         kernel_psd_prediction, oobe_power, read_waveform, run_scenario, runner,
+                         signal_model, synthesize_time_signal, unconstrained, write_waveform)
 from specprecode.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, compare_main, main
 from specprecode.config import DEFAULT_SCENARIO, PRECODERS
-from specprecode.metrics import _row_products
+from specprecode.metrics import _row_products, _to_db
 
 SMALL_SCENARIO = {
     "numerology": {"fft_size": 64, "cp_len": 4, "scs_hz": 15_000.0,
@@ -284,6 +284,10 @@ class TestExitCodeContract:
     @example("ssp", 1, [(("mask_db_per_100khz", 1), 4096.0)])
     @example("ssp", 1, [(("aclr", "bw_hz"), 1e-300)])
     @example("eadmm", 2, [(("numerology", "scs_hz"), 1e300)])
+    @example("ssp", 1, [(("numerology", "n_active"), 2 ** 62)])
+    @example("ssp", 1, [(("numerology", "fft_size"), 2 ** 62)])
+    @example("ssp", 1, [(("n_tx",), 2 ** 62)])
+    @example("ssp", 1, [(("psd", "oversample"), 2 ** 62)])
     def test_mutated_default_scenario(self, precoder, symbols, changes):
         data = json.loads(json.dumps(DEFAULT_SCENARIO))
         data.update(precoder=precoder, symbols=symbols)
@@ -583,13 +587,18 @@ class TestTraceValues:
 class TestRunRecord:
     """_RunRecord.add on whole blocks against a symbol-by-symbol add."""
 
+    # The parts of the record's one per-symbol sum, in their order.
+    PARTS = ("leak", "probe", "err_cols", "ref_cols", "err", "ref")
+
     @staticmethod
     def add_by_symbol(sums, grid, out, reports, pow_pts, bins, record):
         """The run record's sums, added one symbol at a time in order; the
         error and reference power are those of the active band, its bins
         in ascending order (``bins``), per bin and over each symbol, and
-        the probe powers are each symbol's band against the record's
-        frame kernel."""
+        the probe densities are each symbol's band against the record's
+        frame kernel, times L over f_s * segment."""
+        frame = record.frame_kernel.numerology
+        scale = record.cfg.psd_oversample / (frame.sample_rate_hz * frame.symbol_len)
         per_point = np.max(pow_pts, axis=2)
         err = np.abs(out.symbols[..., bins] - grid.symbols[..., bins]) ** 2
         ref = np.abs(grid.symbols[..., bins]) ** 2
@@ -613,7 +622,7 @@ class TestRunRecord:
             sums["err"] += float(err_sym[s])
             sums["ref"] += float(ref_sym[s])
             proj = _row_products(out.symbols[s][..., bins], record.frame_kernel.band_rows.T)
-            sums["probe"] += np.sum(np.abs(proj) ** 2, axis=0) * record.probe_scale
+            sums["probe"] += np.sum(np.abs(proj) ** 2, axis=0) * scale
 
     @pytest.mark.parametrize("precoder", ["admm", "ensp"])
     def test_block_add_has_the_bits_of_symbol_by_symbol_adds(self, precoder):
@@ -622,8 +631,9 @@ class TestRunRecord:
         cfg = ScenarioConfig.from_dict(data)
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         budget = cfg.evm_constraint()
-        frame_kernel = build_kernel(cfg.numerology.oversampled(cfg.psd_oversample), cfg.freq_grid)
-        record = runner._RunRecord(cfg, budget, kernel, frame_kernel)
+        record = runner._RunRecord(cfg, budget, kernel)
+        assert record.frame_kernel is build_kernel(
+            cfg.numerology.oversampled(cfg.psd_oversample), cfg.freq_grid)
         sums = {"trace": np.zeros((0, cfg.freq_grid.size + 4)),
                 "leak": np.zeros(cfg.freq_grid.size), "probe": np.zeros(cfg.freq_grid.size),
                 "err": 0.0, "ref": 0.0,
@@ -646,8 +656,12 @@ class TestRunRecord:
             bins = cfg.numerology.band_bins
             record.add(grid.symbols[..., bins], out.symbols[..., bins], traces, extras)
             self.add_by_symbol(sums, grid, out, reports, pow_pts, bins, record)
-        for name, total in sums.items():
-            assert np.array_equal(getattr(record, name), total), name
+        assert np.array_equal(record.trace, sums["trace"])
+        # the one sum's slices, in the order of PARTS
+        size, n_active = cfg.freq_grid.size, cfg.numerology.n_active
+        parts = np.split(record.sums, np.cumsum([size, size, n_active, n_active, 1]))
+        for name, part in zip(self.PARTS, parts, strict=True):
+            assert np.array_equal(part, np.atleast_1d(sums[name])), name
 
 
 class TestProbeDensities:
@@ -673,6 +687,28 @@ class TestProbeDensities:
                         for m in range(cfg.freq_grid.size)])
         linear = 10.0 ** ((run - psd_cfg.ref_db) / 10.0) * psd_cfg.ref_density
         assert linear == pytest.approx(acc.probe_density(), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("precoder", ["none", "ssp", "essp", "ensp"])
+    def test_run_probes_are_the_kernel_prediction_of_its_outputs(self, tmp_path, precoder):
+        # 40 symbols, so the run's second block is a short one; the
+        # prediction over the same outputs has the run's bits
+        cfg = ScenarioConfig.from_dict({"precoder": precoder, "symbols": 40})
+        manifest = run_scenario(cfg, tmp_path)
+        kernel = build_kernel(cfg.numerology, cfg.freq_grid)
+        outputs = []
+        for first in range(0, cfg.symbols, runner.BLOCK_SYMBOLS):
+            grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                                      first, min(runner.BLOCK_SYMBOLS, cfg.symbols - first))
+            vals, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel,
+                                                             cfg.evm_constraint())
+            outputs.append(grid.with_symbols(vals))
+        assert [len(out.symbols) for out in outputs] == [32, 8]
+        psd_cfg = cfg.psd_config()
+        predicted = kernel_psd_prediction(outputs, cfg.numerology, cfg.psd_oversample,
+                                          cfg.freq_grid.to_hz(cfg.numerology.scs_hz))
+        expect = psd_cfg.ref_db + _to_db(predicted / psd_cfg.ref_density)
+        run = [manifest["metrics"][f"psd_probe_db_p{m + 1}"] for m in range(cfg.freq_grid.size)]
+        assert run == expect.tolist()
 
 
 class TestCsvTables:

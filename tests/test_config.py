@@ -188,6 +188,29 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"psd": {"oversample": 2}})
 
+    @pytest.mark.parametrize("data, field", [
+        ({"numerology": {"n_active": 2 ** 62}}, "numerology.n_active"),
+        ({"numerology": {"n_active": 513}}, "numerology.n_active"),
+        ({"numerology": {"n_active": 0}}, "numerology.n_active"),
+        ({"numerology": {"fft_size": 2 ** 62}}, "numerology.fft_size"),
+        ({"numerology": {"fft_size": 4097}}, "numerology.fft_size"),
+        ({"n_tx": 2 ** 62}, "n_tx"),
+        ({"n_tx": 4097}, "n_tx"),
+        ({"psd": {"oversample": 2 ** 62}}, "psd.oversample"),
+        ({"psd": {"oversample": 65}}, "psd.oversample"),
+    ])
+    def test_sizes_beyond_their_bounds_rejected(self, data, field):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict(data)
+        assert info.value.field == field
+
+    def test_sizes_at_their_bounds_accepted(self):
+        cfg = ScenarioConfig.from_dict({"numerology": {"fft_size": 4096, "n_active": 4096,
+                                                       "first_offset": None},
+                                        "n_tx": 4096, "psd": {"oversample": 64}})
+        assert (cfg.numerology.fft_size, cfg.numerology.n_active) == (4096, 4096)
+        assert (cfg.n_tx, cfg.psd_oversample) == (4096, 64)
+
     def test_aclr_bands_must_fit_psd_span(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"aclr": {"spacing_hz": 14e6}})

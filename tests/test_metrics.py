@@ -10,9 +10,8 @@ from specprecode import (ConfigError, DataGrid, FrequencyGrid, MaskSpec,
                          aclr, analytic_inband_reference, build_kernel,
                          calibrate_mask, generate_qam_block, kernel_psd_prediction,
                          oobe_power, OfdmNumerology, synthesize_time_signal)
-from specprecode import runner
 from specprecode.metrics import _add_in_order, _dft_power, _dft_tables, _row_products
-from specprecode.signal_model import _kernel_entries, _kernel_matrix, _write_frames
+from specprecode.signal_model import _kernel_entries, _kernel_matrix
 
 from conftest import qpsk_grid, small_numerology
 
@@ -290,6 +289,14 @@ class TestPsdAccumulation:
         with pytest.raises(ConfigError):
             acc.add_frames(np.zeros((2, 1, acc.seg_len + 1), dtype=complex))
 
+    def test_grids_of_another_width_rejected(self):
+        # a grid must hold the numerology's N bins: twice as many are not
+        # read as their first N, and fewer do not index past their end
+        num = ScenarioConfig.from_dict({}).numerology
+        for width in (2 * num.fft_size, 64):
+            with pytest.raises(ConfigError):
+                kernel_psd_prediction([np.ones((2, width), dtype=complex)], num, 4, [5e6])
+
     def test_no_grids_rejected(self, metric_setup):
         num, _, _ = metric_setup
         with pytest.raises(ConfigError):
@@ -401,31 +408,42 @@ class TestPeriodogramTransform:
         power = _dft_power(x)
         assert np.argmax(power) == 300 and power[300] == pytest.approx(n ** 2, rel=1e-12)
 
-    @pytest.mark.parametrize("symbols", [1, 2, 16])
-    def test_sums_do_not_depend_on_the_split(self, symbols):
-        # one segment at a time, pieces of PSD_SYMBOLS and add() of the
-        # whole block's stream give the same bits: the runner and the
-        # per-symbol bench replica add the same periodograms
-        cfg = ScenarioConfig.from_dict({})
-        num = cfg.numerology
-        block = generate_qam_block(cfg.seed, num, cfg.n_tx, cfg.constellation, 0, symbols)
-        psd_cfg = cfg.psd_config()
-        probes = cfg.freq_grid.to_hz(num.scs_hz)
+    # (symbols, n_tx, numerology, oversample): blocks shorter than
+    # PSD_SYMBOLS, one of several pieces with a short last one, one antenna,
+    # oversampling 5 (segment 2740 = 20 * 137, the large-prime path at
+    # another m) and the 64-point numerology without a cyclic prefix
+    # (segment 256 = 2^8, the plain-FFT path)
+    SPLITS = [pytest.param(1, 2, "default", 4, id="1"), pytest.param(2, 2, "default", 4, id="2"),
+              pytest.param(16, 2, "default", 4, id="16"),
+              pytest.param(3, 1, "default", 4, id="3-1tx"),
+              pytest.param(7, 1, "default", 4, id="7-1tx"),
+              pytest.param(6, 2, "default", 5, id="6-os5"),
+              pytest.param(9, 2, "n64-cp0", 4, id="9-n64-cp0"),
+              pytest.param(2, 1, "n64-cp0", 4, id="2-1tx-n64-cp0")]
+
+    @pytest.mark.parametrize("symbols, n_tx, name, oversample", SPLITS)
+    def test_sums_do_not_depend_on_the_split(self, symbols, n_tx, name, oversample):
+        # add_symbols one symbol at a time, add_symbols on the whole block
+        # (pieces of PSD_SYMBOLS) and add() of the whole block's stream give
+        # the same bits: the runner and the per-symbol bench replica add the
+        # same periodograms
+        num = dict(zip(["default", "n64-cp0"], frame_numerologies()))[name]
+        block = generate_qam_block(1, num, n_tx, "64QAM", 0, symbols)
+        psd_cfg = PsdConfig(oversample=oversample)
+        probes = np.array([-14.25, 13.25, 170.5]) * num.scs_hz
         accs = [PsdAccumulator(num, psd_cfg, probe_freqs_hz=probes) for _ in range(3)]
-
-        def add_pieces(acc, size):
-            frames = np.empty((size, cfg.n_tx, acc.seg_len), dtype=complex)
-            frame = num.oversampled(psd_cfg.oversample)
-            spec = np.zeros((size, cfg.n_tx, frame.fft_size), dtype=complex)
-            for j in range(0, symbols, size):
-                piece = block.symbols[j:j + size]
-                acc.add_frames(_write_frames(piece, num, frame,
-                                             frames[:len(piece)], spec[:len(piece)]))
-
-        add_pieces(accs[0], 1)
-        add_pieces(accs[1], runner.PSD_SYMBOLS)
-        accs[2].add(synthesize_time_signal(block, oversample=psd_cfg.oversample))
-        for acc in accs[1:]:
+        for sym in block.symbols:
+            accs[0].add_symbols(sym[None])
+        accs[1].add_symbols(block.symbols)
+        accs[2].add(synthesize_time_signal(block, oversample=oversample))
+        for acc in accs:
             assert acc._segments == symbols
-            assert np.array_equal(acc._psd_sum, accs[0]._psd_sum)
-            assert np.array_equal(acc._probe_sum, accs[0]._probe_sum)
+            assert np.array_equal(acc._psd_sum, accs[2]._psd_sum)
+            assert np.array_equal(acc._probe_sum, accs[2]._probe_sum)
+
+    def test_symbols_must_be_a_block_of_the_numerology(self, metric_setup):
+        num, _, grid = metric_setup
+        acc = PsdAccumulator(num, PsdConfig(oversample=4))
+        for bad in (grid.symbols, np.zeros((2, 1, num.fft_size + 1), dtype=complex)):
+            with pytest.raises(ConfigError):
+                acc.add_symbols(bad)
