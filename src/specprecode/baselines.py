@@ -29,33 +29,34 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import _row_products
-from .unconstrained import _as_block
+from .unconstrained import _as_block, _on_band
 
 
 _DEPENDENT_ROWS = ("leakage rows are linearly dependent; constraint frequencies must "
                    "be distinct")
 
 
-def _notch_component(kernel, d):
+def _notch_component(kernel, band):
     """P d with P = A^H (A A^H)^(-1) A, computed through one solve with the
-    M x M row Gram matrix K = A A^H, ``kernel.gram``.
+    M x M row Gram matrix K = A A^H, ``kernel.gram``, on the active band.
 
-    ``d`` is an (S, n_tx, N) block.  A d and U w run through
-    metrics._row_products against the full-width ``kernel.active_rows``,
-    one GEMM over the block's rows, which gives a row the same bits alone
-    or inside a block of any size.  Raises ConfigError when K is numerically
-    rank deficient (coincident points).
+    ``band`` (S, n_tx, n_active) holds the active bands of a block in bin
+    order (numerology.band_bins), where the rows of A are
+    ``kernel.band_rows``; P d vanishes on the guard bins.  A d and U w run
+    through metrics._row_products, one GEMM over the block's rows, which
+    gives a row the same bits alone or inside a block of any size.  Raises
+    ConfigError when K is numerically rank deficient (coincident points).
     """
     gram = kernel.gram
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * eigs[-1]:
         raise ConfigError(_DEPENDENT_ROWS)
-    c = _row_products(d, kernel.active_rows.T)
+    c = _row_products(band, kernel.band_rows.T)
     try:
         w = np.linalg.solve(gram, c.reshape(-1, gram.shape[0]).T).T.reshape(c.shape)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(_DEPENDENT_ROWS) from exc
-    return _row_products(w, kernel.active_rows.conj())
+    return _row_products(w, kernel.band_rows.conj())
 
 
 def nsp_precode(d, kernel):
@@ -65,8 +66,9 @@ def nsp_precode(d, kernel):
     non-finite values; the result satisfies |a(nu_m)^T result| <= 1e-10 *
     ||d|| for every point m.
     """
-    block = _as_block(d, kernel)
-    return (block - _notch_component(kernel, block)).reshape(np.shape(d))
+    full, = _on_band(lambda band, kernel: (band - _notch_component(kernel, band),),
+                     _as_block(d, kernel), kernel)
+    return full.reshape(np.shape(d))
 
 
 def ensp_precode(d, kernel, evm_target):
@@ -81,20 +83,23 @@ def ensp_precode(d, kernel, evm_target):
     """
     if not evm_target >= 0:
         raise ConfigError("evm_target must be non-negative", field="evm_target")
-    out, alpha = _ensp_block(_as_block(d, kernel), kernel, evm_target)
+    out, alpha = _on_band(_ensp_block, _as_block(d, kernel), kernel, evm_target)
     alpha = alpha.reshape(np.shape(d)[:-1])
     return out.reshape(np.shape(d)), (float(alpha) if alpha.ndim == 0 else alpha)
 
 
-def _ensp_block(block, kernel, evm_target):
-    """ensp_precode on an (S, n_tx, N) block and a checked target:
-    (precoded block, alpha (S, n_tx))."""
-    removed = _notch_component(kernel, block)
-    d_norm = np.linalg.norm(block, axis=-1)
+def _ensp_block(band, kernel, evm_target):
+    """ensp_precode on the active bands (S, n_tx, n_active) of a block, in
+    bin order, and a checked target: (precoded band, alpha (S, n_tx)).  A
+    cap that overflows is infinite, and alpha 1."""
+    removed = _notch_component(kernel, band)
+    d_norm = np.linalg.norm(band, axis=-1)
     r_norm = np.linalg.norm(removed, axis=-1)
     safe = np.where(r_norm > 0, r_norm, 1.0)
-    alpha = np.where(r_norm > 0, np.minimum(1.0, evm_target * d_norm / safe), 0.0)
-    return block - alpha[..., None] * removed, alpha
+    with np.errstate(over="ignore"):
+        cap = evm_target * d_norm / safe
+    alpha = np.where(r_norm > 0, np.minimum(1.0, cap), 0.0)
+    return band - alpha[..., None] * removed, alpha
 
 
 def bisection_rank1_oracle(x, u, b):

@@ -286,7 +286,13 @@ class ScenarioConfig:
         # below the spacing's last bit, bw / 2 empties both adjacent bands
         if not aclr_sp - aclr_bw / 2 < aclr_sp + aclr_bw / 2:
             raise ConfigError("rounds to an empty adjacent band", field="aclr.bw_hz")
+        # the emitted spectrum is L f_s periodic: a point beyond +-L f_s / 2
+        # would constrain and report the leakage of its alias in the span
         span = numerology.oversampled(psd_os).sample_rate_hz / 2
+        for i, freq in enumerate(data["frequencies_hz"]):
+            if abs(freq) > span:
+                raise ConfigError(f"lies beyond the PSD span of +-{span:g} Hz; raise "
+                                  "psd.oversample", field=f"frequencies_hz[{i}]")
         if aclr_sp + aclr_bw / 2 > span:
             raise ConfigError("PSD span too narrow for the adjacent bands; raise "
                               "psd.oversample", field="aclr.spacing_hz")

@@ -18,7 +18,7 @@ symbol on its own rule and scatters the result.  The budget's mode picks
 the form of the iterates there: a wideband ball scales whole symbols, so
 every iterate stays in span{d_r, U} per antenna row and both solvers run
 on M + 1 coefficients per row, with M x M products only, measuring each
-symbol's error in N-space once, at the scatter; a frequency-selective
+symbol's error on the band once, at the scatter; a frequency-selective
 budget scales each subcarrier on its own, so the same step bodies run on
 band arrays, with O(M n_active) products per iteration.
 """
@@ -33,8 +33,8 @@ from .baselines import LogBarrierProblem, logbarrier_solve
 from .errors import ConfigError, NumericalError
 from .metrics import oobe_power
 from .projections import _column_norms, _inward_radius, _symbol_norms
-from .unconstrained import (AdmmConfig, _as_block, _band_iterations, _unblock, consensus_admm,
-                            mask_bounds, ssp_core, ssp_sweep)
+from .unconstrained import (AdmmConfig, _as_block, _band_iterations, _on_band, _unblock,
+                            consensus_admm, mask_bounds, ssp_core, ssp_sweep)
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,24 @@ class EvmConstraint:
         else:
             raise ConfigError("mode must be wideband or frequency_selective", field="evm.mode")
 
+    @property
+    def in_span(self):
+        """Whether the iterates of a solver under this budget stay in
+        span{d_r, U} on every antenna row r: under the wideband budget,
+        whose ball scales whole symbols, and not under the
+        frequency-selective one, whose balls scale each subcarrier on its
+        own.  The one rule that picks the form of the active-band loop
+        (unconstrained.span_form)."""
+        return self.mode == "wideband"
+
     def band_balls(self, block, numerology):
-        """The budget balls of every symbol of block (S, n_tx, N), the one
-        place they are derived, on the active band (numerology.band_bins,
-        in bin order, where the solvers keep their iterates):
-        (in_span, dist, radii, inner).
+        """The budget balls of every symbol of block, the one place they
+        are derived, on the active band (numerology.band_bins, in bin
+        order, where the solvers keep their iterates): (dist, radii,
+        inner).  block holds full grids (S, n_tx, N) or their
+        active bands (S, n_tx, n_active); the guard bins of a data grid are
+        zero, so either gives the same balls up to the rounding of the
+        norms' sums.
 
         dist maps a stack of band deviations (S', n_tx, n_active) to their
         distances from the centers (for the wideband budget, through
@@ -88,20 +101,21 @@ class EvmConstraint:
         one, one ball per active subcarrier of radius eps_k times its
         column's norm, whose distances are the column norms over the
         antennas, sqrt(sum re^2 + im^2), from one real square-and-sum
-        (_column_norms).  A guard bin has no ball.  The solvers' deviation
-        forms and violation measure with the same dist, so the inward
-        radii that a projection (_project_balls) scales to are the ones
-        that violation checks.  in_span tells whether the iterates stay in
-        span{d_r, U} on every antenna row r: under the wideband budget,
-        whose ball scales whole symbols, and not under the
-        frequency-selective one, whose balls scale each subcarrier on its
-        own.
+        (_column_norms).  A guard bin has no ball, but a wideband ball
+        counts the guard bins among its n_tx N entries.  The solvers'
+        deviation forms and violation measure with the same dist, so the
+        inward radii that a projection (_project_balls) scales to are the
+        ones that violation checks.  A radius that overflows is infinite,
+        and so is its inward radius.  Whether the solvers' iterates stay in
+        span{d_r, U} under these balls is in_span's to say.
         """
         if self.mode == "wideband":
             def dist(dev, norms=_symbol_norms):
                 return norms(dev)[:, None, None]
             norms = dist(block)
-            radii, size = self.eps_avg * norms, block[0].size
+            with np.errstate(over="ignore"):
+                radii = self.eps_avg * norms
+            size = block.shape[1] * numerology.fft_size
         else:
             if self.eps.size != numerology.n_active:
                 raise ConfigError("per-subcarrier fractions must cover the active band",
@@ -109,11 +123,14 @@ class EvmConstraint:
 
             def dist(dev, norms=None):
                 return _column_norms(dev)
-            norms = dist(block.take(numerology.band_bins, axis=-1))
+            if block.shape[-1] != numerology.n_active:
+                block = block.take(numerology.band_bins, axis=-1)
+            norms = dist(block)
             # eps is in offset order, the band in bin order
-            radii = self.eps[np.argsort(numerology.active_bins)] * norms
+            with np.errstate(over="ignore"):
+                radii = self.eps[np.argsort(numerology.active_bins)] * norms
             size = block.shape[1]
-        return self.mode == "wideband", dist, radii, _inward_radius(radii, norms, size)
+        return dist, radii, _inward_radius(radii, norms, size)
 
     def violation(self, reference, candidate):
         """Largest relative budget overshoot (0 means inside everywhere).
@@ -130,7 +147,7 @@ class EvmConstraint:
         block = center.reshape((-1,) + center.shape[-2:])
         x = np.asarray(getattr(candidate, "symbols", candidate), dtype=complex)
         bins = reference.numerology.band_bins
-        _, dist, radii, _ = self.band_balls(block, reference.numerology)
+        dist, radii, _ = self.band_balls(block, reference.numerology)
         err = dist((x.reshape(block.shape) - block)[..., bins])
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(radii > 0, (err - radii) / np.where(radii > 0, radii, 1.0),
@@ -190,8 +207,8 @@ def eadmm_precode(x, kernel, masks, evm, cfg=None):
     (S, n_tx, N) block, each symbol under its own ball.  Returns
     (DataGrid, SolverReport), one report per symbol for a block.
     """
-    out, report = _unblock(x.symbols.shape, *consensus_admm(
-        _as_grid_block(x, kernel), kernel, mask_bounds(masks, kernel.n_points),
+    out, report = _unblock(x.symbols.shape, *_on_band(
+        consensus_admm, _as_grid_block(x, kernel), kernel, mask_bounds(masks, kernel.n_points),
         cfg or AdmmConfig(iters=40), evm))
     return x.with_symbols(out), report
 
@@ -214,7 +231,7 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     Under a wideband budget every deviation is alpha d + U xi per antenna
     row, with one alpha per symbol (-1 for the first e_z), so
     the loop holds (xi, alpha) and c0, the leakage and the ball's distances
-    come from M x M products; the one N-space step is the scatter, where
+    come from M x M products; the one band-wide step is the scatter, where
     each symbol's error is checked against its ball.  With early_stop, a
     symbol stops as soon as the total sampled out-of-band power of its new
     iterate exceeds the previous one's and returns the previous iterate,
@@ -225,16 +242,17 @@ def essp_precode(x, kernel, masks, evm, cfg=None):
     symbol under its own ball.  Returns (DataGrid, SolverReport), one
     report per symbol for a block.
     """
-    out, report = _unblock(x.symbols.shape, *_essp_block(
-        _as_grid_block(x, kernel), kernel, mask_bounds(masks, kernel.n_points),
+    out, report = _unblock(x.symbols.shape, *_on_band(
+        _essp_block, _as_grid_block(x, kernel), kernel, mask_bounds(masks, kernel.n_points),
         cfg or EsspConfig(), evm))
     return x.with_symbols(out), report
 
 
-def _essp_block(block, kernel, gamma, cfg, budget):
-    """essp_precode on an (S, n_tx, N) block and checked (M,) bounds gamma
-    (mask_bounds): (precoded block, BlockTraces), the report holding each
-    symbol's returned iterate."""
+def _essp_block(band, kernel, gamma, cfg, budget):
+    """essp_precode on the active bands (S, n_tx, n_active) of a block, in
+    bin order, and checked (M,) bounds gamma (mask_bounds): (precoded
+    band, BlockTraces), the report holding each symbol's returned
+    iterate."""
     m_pts = kernel.n_points
 
     def start(form, band):
@@ -269,9 +287,9 @@ def _essp_block(block, kernel, gamma, cfg, budget):
         entries = (powers.max(axis=1), primal, dual)
         return (dev_x, dev_z, oob_now, mu, core), entries, stop, dev_prev
 
-    full, traces = _band_iterations(block, kernel, cfg.outer_iters, start, step, budget)
+    out, traces = _band_iterations(band, kernel, cfg.outer_iters, start, step, budget)
     traces.returned_iteration = traces.iterations - traces.stopped
-    return full, traces
+    return out, traces
 
 
 def feasibility_probe(x, kernel, masks, evm):
@@ -300,7 +318,7 @@ def feasibility_probe(x, kernel, masks, evm):
         return FeasibilityReport(delta_t=None, feasible=None, mask_ratio=ratios)
 
     band = vals[:, num.band_bins]
-    radii = evm.band_balls(vals[None], num)[2][0, 0]
+    radii = evm.band_balls(vals[None], num)[1][0, 0]
     balls = ({"frob_ball": (band, radii[0])} if evm.mode == "wideband" else
              {"col_balls": (band, radii)})
     problem = LogBarrierProblem(objective="epigraph", reference=band,

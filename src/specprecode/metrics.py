@@ -14,7 +14,7 @@ frame, the transmitted-symbol leakage of van de Beek and Berggren
 is a symbol of the numerology oversampled L times
 (OfdmNumerology.oversampled), so its leakage is oobe_power on that
 numerology's kernel, the frame kernel, of the active band in bin order.  A
-run takes its probe densities that way from each block's active band, with
+run takes its probe densities that way from each piece's active bands, with
 the one formula (_probe_densities) that kernel_psd_prediction applies.
 PsdAccumulator's optional exact-frequency DTFTs of the frames are the
 independent reference that both are checked against.
@@ -285,9 +285,9 @@ def _largest_odd_prime(n):
 _DFT_ROWS = 4
 # Symbols per oversampled synthesis and periodogram update of
 # PsdAccumulator.add_symbols.  At the default 4x oversampling a symbol's
-# frames take about 70 kB: a whole block's would be 2 MB, which the
-# allocator maps and returns to the system on every block, while 4
-# symbols' stay in cache, reused by every piece of the block.
+# frames take about 70 kB: a whole run piece's (runner, 32 symbols) would
+# be 2 MB, which the allocator maps and returns to the system on every
+# piece, while 4 symbols' stay in cache, reused by every part of the piece.
 PSD_SYMBOLS = 4
 
 
@@ -390,9 +390,9 @@ class PsdAccumulator:
     """Order-independent sums for incremental periodogram averaging.
 
     Waveform blocks (add), their frames, one segment per symbol
-    (add_frames), or the frequency grids of their symbols (add_symbols,
+    (add_frames), or the active bands of their symbols (add_symbols,
     which synthesizes the frames, and which the runner calls on each
-    block) are added in time order; the sums are bit-stable under any
+    piece) are added in time order; the sums are bit-stable under any
     split of the waveform at segment boundaries.  finalize() bins to the
     reporting lattice.  A segment is a symbol of the frame numerology
     numerology.oversampled(config.oversample), at its rate.  Also tracks
@@ -431,9 +431,10 @@ class PsdAccumulator:
         self.add_frames(samples[:, :n_seg * self.seg_len].reshape(
             samples.shape[0], n_seg, self.seg_len).swapaxes(0, 1))
 
-    def add_symbols(self, symbols):
-        """Accumulate the frames of S consecutive symbols (S, n_tx, N) of the
-        numerology; antennas sum.
+    def add_symbols(self, band):
+        """Accumulate the frames of S consecutive symbols of the numerology,
+        given by their active bands (S, n_tx, n_active) in bin order
+        (numerology.band_bins); antennas sum.
 
         The frames are synthesized as synthesize_time_signal synthesizes
         them (signal_model._write_frames) and added in pieces of
@@ -441,13 +442,14 @@ class PsdAccumulator:
         call, whose padding stays zero from piece to piece; the sums have
         the bits of add() on the symbols' oversampled waveform.
         """
-        if symbols.ndim != 3 or symbols.shape[-1] != self.numerology.fft_size:
-            raise ConfigError(f"symbols must be (S, n_tx, {self.numerology.fft_size})", field="psd")
-        size = (min(PSD_SYMBOLS, len(symbols)), symbols.shape[1])
+        if band.ndim != 3 or band.shape[-1] != self.numerology.n_active:
+            raise ConfigError(f"symbols must be active bands (S, n_tx, "
+                              f"{self.numerology.n_active})", field="psd")
+        size = (min(PSD_SYMBOLS, len(band)), band.shape[1])
         frames = np.empty(size + (self.seg_len,), dtype=complex)
         spec = np.zeros(size + (self._frame.fft_size,), dtype=complex)
-        for j in range(0, len(symbols), PSD_SYMBOLS):
-            piece = symbols[j:j + PSD_SYMBOLS]
+        for j in range(0, len(band), PSD_SYMBOLS):
+            piece = band[j:j + PSD_SYMBOLS]
             self.add_frames(_write_frames(piece, self.numerology, self._frame,
                                           frames[:len(piece)], spec[:len(piece)]))
 

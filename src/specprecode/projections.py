@@ -59,10 +59,15 @@ def _inward_radius(radius, center_norm, n):
     eps ((n + 5.5) radius + 0.51 ||center||) to first order (no underflow).
     The radius is pulled in by twice that bound, a relative change of
     2 eps (n + 6 + ||center|| / radius): about 1e-14 for error budgets of a
-    few percent.  It clamps at 0, where the result is the center.
+    few percent.  It clamps at 0, where the result is the center.  Where
+    the bound overflows, as it does for an infinite radius, the radius is
+    pulled in by the same relative change without the center's term,
+    which is negligible there: an infinite radius stays infinite.
     """
-    slack = 2.0 * _EPS * ((n + 6) * radius + center_norm)
-    return np.maximum(radius - slack, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = 2.0 * _EPS * ((n + 6) * radius + center_norm)
+        inner = np.where(slack < np.inf, radius - slack, radius * (1.0 - 2.0 * _EPS * (n + 6)))
+    return np.maximum(inner, 0.0)
 
 
 def _symbol_norms(x):

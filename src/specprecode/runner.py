@@ -16,28 +16,38 @@ A run produces, inside the output directory:
 Re-running the same resolved configuration reproduces the data files
 byte for byte; the manifest differs only in its timing block.
 
-The run is a pipeline over blocks of BLOCK_SYMBOLS consecutive symbols:
-each block is generated, precoded and measured in one pass, so every
-numpy call serves the whole block, and its output is added to the PSD by
-PsdAccumulator.add_symbols, which owns the emitted spectrum (the
-oversampled synthesis and its pieces, metrics.PSD_SYMBOLS).  The run
-record (``_RunRecord``) is the one place that measures a precoded block:
-it takes the block's active band, gathered once in bin order
-(numerology.band_bins), and forms from it the leakage (oobe_power), the
-EVM sums and the probe densities (metrics._probe_densities on the frame
-kernel, the kernel of the synthesizer's frames, the formula of
-kernel_psd_prediction).  Every per-symbol result is computed as for a
-block of one.  An iterative precoder hands the run its block report
-(unconstrained.BlockTraces), and the record adds each block's statistics
-in one pass, every running sum taking the block's symbols one at a time
-in order (metrics._add_in_order), and writes trace.csv, evm.csv, psd.csv
+The run carries only the symbols' active bands, (S, n_tx, n_active) in
+bin order (numerology.band_bins): the guard bins of a data grid are zero,
+so the band is all of a symbol, and no N-wide grid is built on the way;
+the synthesizer's zero-padded spectrum buffers are the only N-wide arrays
+of a run.  It is a pipeline over pieces of BLOCK_SYMBOLS consecutive
+symbols, grouped into batches, one solver call each: a precoder that
+iterates in the span form (PRECODER_TABLE's ``loop``, where
+unconstrained.span_form allows it under the run's budget) takes
+BATCH_PIECES pieces per call, and every other precoder one.  The bands of
+a batch are drawn a piece at a time (signal_model._qam_band) into one
+buffer of the run, precoded in one call and checked for non-finite
+values, and each piece of the output is then measured, added to the PSD
+and written on its own, so that only the batch's bands outgrow a piece.
+PsdAccumulator.add_symbols owns the emitted spectrum (the oversampled
+synthesis and its pieces, metrics.PSD_SYMBOLS).  The run record
+(``_RunRecord``) is the one place that measures a precoded piece: it
+takes the piece's input and output bands and forms from them the leakage
+(oobe_power), the EVM sums and the probe densities
+(metrics._probe_densities on the frame kernel, the kernel of the
+synthesizer's frames, the formula of kernel_psd_prediction).  Every
+per-symbol result is computed as for a call of one symbol.  An iterative
+precoder hands the run its block report (unconstrained.BlockTraces),
+which the record takes a piece at a time (BlockTraces.take) and adds in
+one pass, every running sum taking the piece's symbols one at a time in
+order (metrics._add_in_order), and writes trace.csv, evm.csv, psd.csv
 and summary.csv from them at the end, so the data files depend on
-neither the block nor the piece size; they only trade per-call overhead
-against the memory of the arrays a block or piece needs.
-``waveform.bin`` is written block by block as well: each block's
+neither the batch nor the piece size; they only trade per-call overhead
+against the memory of the arrays a batch or piece needs.
+``waveform.bin`` is written piece by piece as well: each piece's
 base-rate samples go to their offsets in every stream of a file that is
 renamed into place when the run has written it whole, so a run holds one
-block of waveform at a time and a run that raises leaves no partial file.
+piece of waveform at a time and a run that raises leaves no partial file.
 Its digest is then taken in chunks of the file.
 
 What does not depend on the data is built once per process: build_kernel
@@ -68,15 +78,10 @@ from .baselines import LogBarrierProblem, _ensp_block, _notch_component, logbarr
 from .constrained import _essp_block
 from .errors import ConfigError
 from .metrics import PsdAccumulator, _add_in_order, _probe_densities, _to_db, aclr, oobe_power
-from .signal_model import WaveformWriter, build_kernel, generate_qam_block, synthesize_time_signal
-from .unconstrained import BlockTraces, _ssp_block, consensus_admm
+from .signal_model import WaveformWriter, _qam_band, _synthesize_band, build_kernel
+from .unconstrained import (BATCH_PIECES, BLOCK_SYMBOLS, BlockTraces, _ssp_block, consensus_admm,
+                            span_form)
 
-# Symbols per pipeline block.  Measured in run_scenario on 256 symbols of
-# the benchmark workloads (2 vCPUs, one BLAS thread): SSP's precode costs
-# 113 us/symbol at 16, 67 at 32 and 52 at 128, as its per-call overhead is
-# spread over more symbols, while ENSP's costs 21 us/symbol at 32 and
-# 29-36 from 48 up, as its block arrays leave the cache.
-BLOCK_SYMBOLS = 32
 # Bytes read at a time when a written file is digested.
 _DIGEST_CHUNK = 1 << 20
 
@@ -93,67 +98,67 @@ def _fmt(value):
     return text
 
 
-def _scaled_notch(cfg, block, kernel, budget):
-    vals, alpha = _ensp_block(block.symbols, kernel, budget.eps_avg)
+def _scaled_notch(cfg, band, kernel, budget):
+    vals, alpha = _ensp_block(band, kernel, budget.eps_avg)
     return vals, None, {"ensp_alpha_max": float(np.max(alpha))}
 
 
-def _log_barrier(cfg, block, kernel, budget):
-    """Log-barrier projection of every (n_tx, N) symbol, with the worst KKT
-    residual and Newton step count over the block.  Each problem is posed
-    on the symbol's active band in bin order (numerology.band_bins) with
-    the band rows, and its solution is written back into the band columns
-    of a copy of the block, whose guard bins pass through."""
+def _log_barrier(cfg, band, kernel, budget):
+    """Log-barrier projection of every symbol's active band (n_tx,
+    n_active), with the worst KKT residual and Newton step count over the
+    symbols.  Each problem is posed on the band in bin order
+    (numerology.band_bins) with the band rows, and its solution is
+    written into a copy of the band."""
     u_rows = kernel.band_rows.conj()
     rank1 = [(u_rows[m], float(cfg.mask.gamma[m])) for m in range(u_rows.shape[0])]
-    bins = kernel.numerology.band_bins
-    out = block.symbols.copy()
+    out = band.copy()
     kkt, steps = [], []
     for sym in out:
         result = logbarrier_solve(LogBarrierProblem(objective="least_squares",
-                                                    reference=sym[:, bins], rank1=rank1))
-        sym[:, bins] = result.solution
+                                                    reference=sym, rank1=rank1))
+        sym[...] = result.solution
         kkt.append(float(result.kkt_residual))
         steps.append(int(result.newton_steps))
     return out, None, {"oracle_kkt": max(kkt), "oracle_newton_steps": max(steps)}
 
 
 # One entry per precoder.  ``budgets`` names the modes of error budget the
-# precoder takes (none for a mask-only precoder).  ``run(cfg, block,
-# kernel, budget)`` precodes a DataGrid block of S symbols and returns
-# (precoded symbols (S, n_tx, N), block report or None, extras), with
-# extras the largest value of each diagnostic over the block.  Every
-# precoder runs its block-level body on the block's symbols, which the
-# DataGrid has checked, and the iterative ones on the mask bounds
-# cfg.mask.gamma, which MaskSpec checked when the scenario resolved, so no
-# body checks either again (the public *_precode functions do, through
+# precoder takes (none for a mask-only precoder), and ``loop`` whether it
+# iterates on the active-band loop (unconstrained._band_iterations), whose
+# span form takes batches of BATCH_PIECES pieces.  ``run(cfg, band,
+# kernel, budget)`` precodes the active bands (S, n_tx, n_active), in bin
+# order (numerology.band_bins), of S symbols and returns (precoded bands,
+# block report or None, extras), with extras the largest value of each
+# diagnostic over the symbols.  No body checks the bands, which the run
+# drew, or the mask bounds cfg.mask.gamma, which MaskSpec checked when the
+# scenario resolved (the public *_precode functions check both, through
 # unconstrained._as_block and unconstrained.mask_bounds); the iterative
 # bodies return a block report (unconstrained.BlockTraces) that the run
-# record adds whole.
-_Precoder = namedtuple("_Precoder", "budgets run")
+# record adds a piece at a time.
+_Precoder = namedtuple("_Precoder", "budgets loop run")
 _ANY_BUDGET = ("wideband", "frequency_selective")
 PRECODER_TABLE = {
-    "none": _Precoder((), lambda cfg, block, kernel, budget: (block.symbols, None, {})),
-    "nsp": _Precoder((), lambda cfg, block, kernel, budget: (
-        block.symbols - _notch_component(kernel, block.symbols), None, {})),
-    "ensp": _Precoder(("wideband",), _scaled_notch),
-    "admm": _Precoder((), lambda cfg, block, kernel, budget: (
-        *consensus_admm(block.symbols, kernel, cfg.mask.gamma, cfg.admm), {})),
-    "ssp": _Precoder((), lambda cfg, block, kernel, budget: (
-        *_ssp_block(block.symbols, kernel, cfg.mask.gamma, cfg.ssp), {})),
-    "eadmm": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
-        *consensus_admm(block.symbols, kernel, cfg.mask.gamma, cfg.eadmm, budget), {})),
-    "essp": _Precoder(_ANY_BUDGET, lambda cfg, block, kernel, budget: (
-        *_essp_block(block.symbols, kernel, cfg.mask.gamma, cfg.essp, budget), {})),
-    "oracle": _Precoder((), _log_barrier),
+    "none": _Precoder((), False, lambda cfg, band, kernel, budget: (band, None, {})),
+    "nsp": _Precoder((), False, lambda cfg, band, kernel, budget: (
+        band - _notch_component(kernel, band), None, {})),
+    "ensp": _Precoder(("wideband",), False, _scaled_notch),
+    "admm": _Precoder((), True, lambda cfg, band, kernel, budget: (
+        *consensus_admm(band, kernel, cfg.mask.gamma, cfg.admm), {})),
+    "ssp": _Precoder((), True, lambda cfg, band, kernel, budget: (
+        *_ssp_block(band, kernel, cfg.mask.gamma, cfg.ssp), {})),
+    "eadmm": _Precoder(_ANY_BUDGET, True, lambda cfg, band, kernel, budget: (
+        *consensus_admm(band, kernel, cfg.mask.gamma, cfg.eadmm, budget), {})),
+    "essp": _Precoder(_ANY_BUDGET, True, lambda cfg, band, kernel, budget: (
+        *_essp_block(band, kernel, cfg.mask.gamma, cfg.essp, budget), {})),
+    "oracle": _Precoder((), False, _log_barrier),
 }
 
 
 class _RunRecord:
-    """The run's statistics, added a block at a time with every symbol in
+    """The run's statistics, added a piece at a time with every symbol in
     run order, and the data files derived from them.
 
-    It measures each block on its active band, gathered once in bin order
+    It measures each piece on its active bands, in bin order
     (numerology.band_bins), and keeps its per-symbol quantities in one
     running sum, ``sums``, whose row per symbol holds, in this order, per
     mask point the worst-row leakage of the output (oobe_power on the
@@ -167,10 +172,10 @@ class _RunRecord:
     ``trace`` sums over the symbols that reached iteration i + 1: their
     count, evm^2, the M leakage powers, and the primal and dual residuals.
     A precoder without iterations gives each symbol one row, from its EVM
-    and leakage.  Both sums add the block's symbols one at a time, in
+    and leakage.  Both sums add the piece's symbols one at a time, in
     order (_add_in_order), which adds each column row by row, so a column
     has the bits it would have alone and the sums do not depend on the
-    block size.  ``budget`` is the EvmConstraint the precoder applied,
+    piece size.  ``budget`` is the EvmConstraint the precoder applied,
     None for a precoder without one; evm.csv reports a frequency-selective
     one.
     """
@@ -187,9 +192,9 @@ class _RunRecord:
         self.trace = np.zeros((0, cfg.freq_grid.size + 4))
 
     def add(self, grid, out, traces, extras):
-        """Add a block: the active bands (S, n_tx, n_active), in bin order
-        (numerology.band_bins), of its input and precoded grids, and the
-        precoder's block report (or None) and extras.  The output's
+        """Add a piece: the active bands (S, n_tx, n_active), in bin order
+        (numerology.band_bins), of its input and precoded symbols, and the
+        precoder's report of the piece (or None) and extras.  The output's
         leakage is oobe_power of its band; every antenna row shares the
         bounds, so the mask ratio is the worst row's.  A probe density is
         the emitted leakage at its point (metrics._probe_densities), as
@@ -299,37 +304,44 @@ def _run(cfg, out_path):
     budget = cfg.evm_constraint()
     psd_acc = PsdAccumulator(cfg.numerology, cfg.psd_config())
     record = _RunRecord(cfg, budget, kernel)
-    symbol_len = cfg.numerology.symbol_len
+    num = cfg.numerology
+    symbol_len = num.symbol_len
     waveform_path = out_path / "waveform.bin"
     waveform = (WaveformWriter(waveform_path, cfg.n_tx, cfg.symbols * symbol_len)
                 if cfg.emit_waveforms else contextlib.nullcontext())
+    batch = BLOCK_SYMBOLS * (BATCH_PIECES if precoder.loop and span_form(budget) else 1)
+    # the one buffer of the run's drawn bands, which every batch reuses
+    drawn = np.empty((min(batch, cfg.symbols), cfg.n_tx, num.n_active), dtype=complex)
 
     timings = {"generate": 0.0, "precode": 0.0, "metrics": 0.0, "psd": 0.0, "io": 0.0}
     t_run = time.perf_counter()
     with waveform:
-        for first in range(0, cfg.symbols, BLOCK_SYMBOLS):
+        for start in range(0, cfg.symbols, batch):
             t0 = time.perf_counter()
-            grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
-                                      first, min(BLOCK_SYMBOLS, cfg.symbols - first))
+            band = drawn[:min(batch, cfg.symbols - start)]
+            pieces = [slice(j, j + BLOCK_SYMBOLS) for j in range(0, len(band), BLOCK_SYMBOLS)]
+            for piece in pieces:
+                _qam_band(cfg.seed, num, cfg.constellation, start + piece.start, band[piece])
             t1 = time.perf_counter()
-            vals, traces, extras = precoder.run(cfg, grid, kernel, budget)
-            out = grid.with_symbols(vals)
-            t2 = time.perf_counter()
-
-            bins = cfg.numerology.band_bins
-            record.add(grid.symbols.take(bins, axis=-1), out.symbols.take(bins, axis=-1),
-                       traces, extras)
-
-            t_psd = time.perf_counter()
-            psd_acc.add_symbols(out.symbols)
-            t3 = time.perf_counter()
-            if cfg.emit_waveforms:
-                waveform.write(first * symbol_len, synthesize_time_signal(out, oversample=1))
+            out, traces, extras = precoder.run(cfg, band, kernel, budget)
+            if not np.isfinite(out).all():
+                raise ConfigError("precoded data contains non-finite values", field="grid")
             timings["generate"] += t1 - t0
-            timings["precode"] += t2 - t1
-            timings["metrics"] += t3 - t2
-            timings["psd"] += t3 - t_psd
-            timings["io"] += time.perf_counter() - t3
+            timings["precode"] += time.perf_counter() - t1
+
+            for piece in pieces:
+                t2 = time.perf_counter()
+                record.add(band[piece], out[piece],
+                           None if traces is None else traces.take(piece), extras)
+                t_psd = time.perf_counter()
+                psd_acc.add_symbols(out[piece])
+                t3 = time.perf_counter()
+                if cfg.emit_waveforms:
+                    waveform.write((start + piece.start) * symbol_len,
+                                   _synthesize_band(out[piece], num))
+                timings["metrics"] += t3 - t2
+                timings["psd"] += t3 - t_psd
+                timings["io"] += time.perf_counter() - t3
 
     t_io = time.perf_counter()
     files = {}

@@ -155,6 +155,12 @@ class OfdmNumerology:
         return _bin_runs(self.active_bins)
 
     @cached_property
+    def band_runs(self):
+        """The runs of consecutive band_bins (_bin_runs), built once: the
+        band's entries lo .. hi - 1 sit on the bins first .. stop - 1."""
+        return _bin_runs(self.band_bins)
+
+    @cached_property
     def band_bins(self):
         """Read-only FFT bin indices of the active subcarriers in ascending
         bin order, the order in which the solvers keep the active band."""
@@ -275,11 +281,10 @@ class SpectralKernel:
     """Leakage rows a(nu_m)^T stacked into an M x N matrix.
 
     ``matrix`` holds the full rows over every FFT bin.  ``band_rows`` are
-    its columns on the active band, in bin order, on which the solvers, the
-    oracles and the Gram matrix work, so that any update they generate
-    stays supported on the active band; ``active_rows`` are the N-wide rows
-    with guard-bin columns forced to zero, which the notch uses
-    (baselines._notch_component).
+    its columns on the active band, in bin order, on which every solver,
+    the notch (baselines._notch_component), the oracles, the Gram matrix
+    and the run's measurements work, so that any update they generate
+    stays supported on the active band.
     Every array a kernel derives is read-only and built once, on first
     use; build_kernel's kernels are shared by every later call with equal
     arguments, so their matrix is read-only as well.
@@ -300,14 +305,6 @@ class SpectralKernel:
     @property
     def n_points(self):
         return self.matrix.shape[0]
-
-    @cached_property
-    def active_rows(self):
-        """Read-only M x N rows with guard-bin columns zeroed, built once."""
-        rows = np.zeros_like(self.matrix)
-        bins = self.numerology.active_bins
-        rows[:, bins] = self.matrix[:, bins]
-        return _read_only(rows)
 
     @cached_property
     def gram(self):
@@ -343,8 +340,8 @@ class SpectralKernel:
     @cached_property
     def band_rows(self):
         """Read-only M x n_active rows on the active band, in bin order
-        (numerology.band_bins): the columns of active_rows that are not
-        forced to zero, built once."""
+        (numerology.band_bins): the columns of matrix on the active
+        subcarriers, built once."""
         return _read_only(self.matrix[:, self.numerology.band_bins])
 
 
@@ -439,8 +436,11 @@ def _bin_runs(bins):
             for lo, hi in zip([0, *cuts], [*cuts, bins.size])]
 
 
-def _qam_symbols(seed, numerology, n_tx, constellation, first, count):
-    """The (count, n_tx, N) symbol array of generate_qam_block.
+def _qam_band(seed, numerology, constellation, first, out):
+    """Draw symbols first .. first + S - 1 of generate_qam_block's stream
+    into out (S, n_tx, n_active): their active bands in bin order
+    (numerology.band_bins), which is all that a data grid holds.  Returns
+    out.
 
     A symbol's n_tx * n_active integers are read off its Philox stream as
     Generator.integers(0, order) reads them for a power-of-two order 2^b:
@@ -448,13 +448,14 @@ def _qam_symbols(seed, numerology, n_tx, constellation, first, count):
     one first, and each half maps to its top b bits.  That is Lemire's
     bounded mapping ("Fast random integer generation in an interval", ACM
     TOMACS 2019), whose rejection step never fires for a power of two, so
-    the integers are bitwise those of one integers call per symbol.  The
-    points fill the block one run of consecutive active bins at a time.
+    the integers are bitwise those of one integers call per symbol.  They
+    are drawn in offset order; the points fill the band one run of
+    consecutive active bins (active_runs) at a time, each run at its place
+    in bin order.
     """
-    if n_tx < 1:
-        raise ConfigError("n_tx must be at least 1", field="n_tx")
     points = qam_constellation(constellation)
     bits = points.size.bit_length() - 1
+    count, n_tx = out.shape[:2]
     n_draws = n_tx * numerology.n_active
     bit_gen = np.random.Philox(key=seed)
     state = bit_gen.state          # a fresh generator: empty buffers
@@ -467,9 +468,23 @@ def _qam_symbols(seed, numerology, n_tx, constellation, first, count):
     # the 32-bit halves in stream order, low half first on any host
     halves = raw.astype("<u8", copy=False).view("<u4")[:, :n_draws]
     draws = (halves >> (32 - bits)).astype(np.intp).reshape(count, n_tx, -1)
+    for lo, hi, first_bin, _ in numerology.active_runs:
+        at = int(np.searchsorted(numerology.band_bins, first_bin))
+        out[..., at:at + hi - lo] = points[draws[..., lo:hi]]
+    return out
+
+
+def _qam_symbols(seed, numerology, n_tx, constellation, first, count):
+    """The (count, n_tx, N) symbol array of generate_qam_block: the bands
+    of _qam_band, written one run of consecutive bins (band_runs) at a
+    time into zero grids."""
+    if n_tx < 1:
+        raise ConfigError("n_tx must be at least 1", field="n_tx")
+    band = _qam_band(seed, numerology, constellation, first,
+                     np.empty((count, n_tx, numerology.n_active), dtype=complex))
     symbols = np.zeros((count, n_tx, numerology.fft_size), dtype=complex)
-    for lo, hi, first_bin, stop in numerology.active_runs:
-        symbols[..., first_bin:stop] = points[draws[..., lo:hi]]
+    for lo, hi, first_bin, stop in numerology.band_runs:
+        symbols[..., first_bin:stop] = band[..., lo:hi]
     return symbols
 
 
@@ -497,31 +512,46 @@ def generate_qam_grid(seed, numerology, n_tx, constellation, symbol_index=0):
                     numerology=numerology)
 
 
-def _write_frames(symbols, numerology, frame, frames, spec):
-    """Write the CP-OFDM frames of a block of symbols (S, n_tx, N) of
-    ``numerology`` into frames (S, n_tx, frame.symbol_len), and return
-    frames; ``frame`` is the numerology oversampled L times
+def _write_frames(band, numerology, frame, frames, spec):
+    """Write the CP-OFDM frames of a block of symbols of ``numerology``,
+    given by their active bands (S, n_tx, n_active) in bin order
+    (numerology.band_bins), into frames (S, n_tx, frame.symbol_len), and
+    return frames; ``frame`` is the numerology oversampled L times
     (numerology.oversampled(L)).
 
     Each frame is the inverse DFT of its symbol's grid with 1/sqrt(N)
     scaling, oversampled by zero padding the spectrum, with the cyclic
     prefix copied in front from the body's tail.  spec (S, n_tx, L N)
     holds the padded spectra: only its active positions are written, one
-    slice per run of consecutive bins (active_runs), so its other entries
-    must be zero, and they stay zero.  The frame's runs are the base's,
-    since both follow the offsets and wrap at DC alone.  The inverse DFT writes straight into the frames' bodies;
-    frames may be any view whose last axis is contiguous, and the leading
-    axes of all three arrays need only agree (synthesize_time_signal
-    passes them antenna first).  Both arrays can be reused from one call
-    to the next.
+    slice per run of the frame's consecutive band bins (band_runs), since
+    the frame's band holds the subcarriers in the base band's order, so
+    its other entries must be zero, and they stay zero.  The inverse DFT
+    writes straight into the frames' bodies; frames may be any view whose
+    last axis is contiguous, and the leading axes of all three arrays need
+    only agree (_synthesize_band passes them antenna first).  Both arrays
+    can be reused from one call to the next.
     """
     n_os, cp_os = frame.fft_size, frame.cp_len
-    for (*_, first, stop), (*_, src, src_stop) in zip(frame.active_runs, numerology.active_runs):
-        spec[..., first:stop] = symbols[..., src:src_stop]
+    for lo, hi, first, stop in frame.band_runs:
+        spec[..., first:stop] = band[..., lo:hi]
     body = np.fft.ifft(spec, axis=-1, out=frames[..., cp_os:])
     body *= n_os / np.sqrt(numerology.fft_size)
     frames[..., :cp_os] = body[..., n_os - cp_os:]
     return frames
+
+
+def _synthesize_band(band, numerology, oversample=1):
+    """synthesize_time_signal of a block of symbols given by their active
+    bands (S, n_tx, n_active) in bin order: (n_tx, S * oversample *
+    (N + N_CP)) samples.  The frames are written antenna first, so that
+    the inverse DFT runs from a contiguous spectrum into the streams'
+    bodies in memory order; the padded spectrum is the one N-wide array."""
+    frame = numerology.oversampled(oversample)
+    band = band.swapaxes(0, 1)
+    stream = np.empty(band.shape[:-1] + (frame.symbol_len,), dtype=complex)
+    spec = np.zeros(band.shape[:-1] + (frame.fft_size,), dtype=complex)
+    _write_frames(band, numerology, frame, stream, spec)
+    return stream.reshape(len(band), -1)
 
 
 def synthesize_time_signal(grid, oversample=1):
@@ -532,17 +562,13 @@ def synthesize_time_signal(grid, oversample=1):
     a single symbol: for every symbol the inverse DFT of its grid with
     1/sqrt(N) scaling, oversampled by zero padding the spectrum, with the
     cyclic prefix prepended.  At ``oversample=1`` sample n of the body is
-    (1/sqrt(N)) * sum_k d_k exp(j*2*pi*k*n/N).
+    (1/sqrt(N)) * sum_k d_k exp(j*2*pi*k*n/N).  The guard bins of a data
+    grid are zero, so the synthesis reads its active band alone
+    (_synthesize_band).
     """
     num = grid.numerology
-    frame = num.oversampled(oversample)
-    # The frames are written antenna first, so that the inverse DFT runs
-    # from a contiguous spectrum into the streams' bodies in memory order.
-    symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:]).swapaxes(0, 1)
-    stream = np.empty(symbols.shape[:-1] + (frame.symbol_len,), dtype=complex)
-    spec = np.zeros(symbols.shape[:-1] + (frame.fft_size,), dtype=complex)
-    _write_frames(symbols, num, frame, stream, spec)
-    return stream.reshape(grid.n_tx, -1)
+    symbols = grid.symbols.reshape((-1,) + grid.symbols.shape[-2:])
+    return _synthesize_band(symbols.take(num.band_bins, axis=-1), num, oversample)
 
 
 class WaveformWriter:

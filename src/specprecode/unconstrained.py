@@ -12,19 +12,20 @@ of the grid.
 
 All four iterative precoders, ADMM, SSP, EADMM and ESSP (constrained.py),
 share one active-band loop, _band_iterations, and each is a start/step pair
-on it.  The loop gathers the block's active columns d once, in bin order,
-forms their leakage A d once, iterates on the deviation e = x - d, stops
-every symbol on its own rule and scatters d + e back once; it alone
-records the EVM trace.  Without a budget and under a wideband one, every
-iterate of every solver lies in span{d_r, U} for each antenna row r (U
-the M leakage directions u_m = a(nu_m)*), so the loop holds e as M + 1
-coefficients per row (_SpanDeviations) and the iterations touch N-space
-only to gather and to scatter; a frequency-selective budget, which scales
-each subcarrier on its own, runs the same step bodies on band arrays
-(_BandDeviations).  It returns one block report (BlockTraces) of
-(iterations, S, ...) trace arrays and per-symbol counts, which the runner
-adds whole; only the public *_precode functions split it into per-symbol
-SolverReports.
+on it.  The loop takes the symbols' active bands d, in bin order, forms
+their leakage A d once, iterates on the deviation e = x - d, stops every
+symbol on its own rule and forms d + e once, a piece of BLOCK_SYMBOLS
+symbols at a time; it alone records the EVM trace.  Without a budget and
+under a wideband one, every iterate of every solver lies in span{d_r, U}
+for each antenna row r (U the M leakage directions u_m = a(nu_m)*), so
+the loop holds e as M + 1 coefficients per row (_SpanDeviations) and the
+iterations touch the band only to gather and to scatter, which lets the
+run give one call BATCH_PIECES pieces (span_form); a frequency-selective
+budget, which scales each subcarrier on its own, runs the same step
+bodies on band arrays (_BandDeviations).  It returns one block report
+(BlockTraces) of (iterations, S, ...) trace arrays and per-symbol counts,
+which the runner adds a piece at a time; only the public *_precode
+functions split it into per-symbol SolverReports.
 
 SSP performs cyclic coordinate ascent on the dual multipliers mu_m.  Every
 SSP quantity lives in the span of the M leakage rows, so the sweeps run on
@@ -43,11 +44,14 @@ Every product of the solvers and of oobe_power runs through _row_products,
 one GEMM over a block's antenna rows, whose rows get the same bits in a
 block of any size.
 
-Every solver takes a block of S symbols (S, n_tx, N) as well as a single
-(n_tx, N) symbol or a single row, and solves one problem per symbol.  The
-block shares each numpy call, so the per-call overhead is paid once per
-block; every per-symbol quantity is computed by the same operations as for
-a block of one, so a symbol's result does not depend on the block it is in.
+Every public solver takes a block of S symbols (S, n_tx, N) as well as a
+single (n_tx, N) symbol or a single row, and solves one problem per
+symbol on its active band, gathered once and scattered back once
+(_on_band), so that its guard bins pass through; the solver bodies, which
+the runner calls, take and return the bands.  The block shares each numpy
+call, so the per-call overhead is paid once per block; every per-symbol
+quantity is computed by the same operations as for a block of one, so a
+symbol's result does not depend on the block it is in.
 """
 
 from __future__ import annotations
@@ -60,7 +64,35 @@ import numpy as np
 from .errors import ConfigError, DegenerateConstraintError, NumericalError
 from .metrics import _checked_bounds, _row_products
 from .projections import _project_balls, _symbol_norms
-from .signal_model import _bin_runs
+
+# Symbols per piece of the run's band-wide work: the draw, the scatter of
+# the active-band loop (_band_iterations), the run record, the PSD and the
+# waveform each take a piece at a time.  Measured in run_scenario on 256
+# symbols of the benchmark workloads (2 vCPUs, one BLAS thread): SSP's
+# precode costs 113 us/symbol at 16, 67 at 32 and 52 at 128, as its
+# per-call overhead is spread over more symbols, while ENSP's costs 21
+# us/symbol at 32 and 29-36 from 48 up, as its block arrays leave the cache.
+BLOCK_SYMBOLS = 32
+# Pieces per solver call of the span form (span_form), whose state is M + 1
+# coefficients per antenna row, so that a call spreads its fixed numpy
+# overhead over up to 128 symbols while every band-wide array but the
+# call's input and output stays at a piece.  Measured with tools/abtime.py
+# on ssp-mask1 (100 symbols, 2 vCPUs, one BLAS thread, 12 pairs): one call
+# instead of 32 + 32 + 32 + 4, on the band-native run path, made the run
+# 1.16 times as fast as shipped and 1.13 with glibc's thresholds pinned,
+# and SSP's precode 1.5 times; prototypes that held the pieces' N-wide
+# grids instead of their bands, or ran the whole pipeline in blocks of 128,
+# gave that gain back to the allocator's page faults (0.98 and 1.03).  The
+# band form and the notch take one piece per call: they cost no less per
+# symbol at 128.
+BATCH_PIECES = 4
+
+
+def span_form(budget):
+    """Whether the active-band loop holds its iterates as span coefficients
+    (_SpanDeviations) under ``budget``, an EvmConstraint or None: without a
+    budget, and where EvmConstraint.in_span says so."""
+    return budget is None or budget.in_span
 
 
 def mask_bounds(mask, n_points):
@@ -189,6 +221,16 @@ class BlockTraces:
         self.primal[it, active] = primal
         self.dual[it, active] = dual
 
+    def take(self, keep):
+        """The report of the symbols ``keep`` (a slice or an index array)."""
+        new = copy.copy(self)
+        for name in ("evm", "oob", "primal", "dual"):
+            setattr(new, name, getattr(self, name)[:, keep])
+        for name in ("iterations", "stopped", "returned_iteration", "multipliers"):
+            if getattr(self, name) is not None:
+                setattr(new, name, getattr(self, name)[keep])
+        return new
+
 
 def _unblock(d_shape, out, traces):
     """A block result in the caller's layout: the precoded values, and the
@@ -285,14 +327,14 @@ class _SpanDeviations(_BandDeviations):
     and adding U v adds v to xi.  The norms come from the factor R of
     U = Q R (kernel.band_factor), as
     ||e_r||^2 = ||R xi||^2 + 2 Re(conj(alpha) ad^H xi) + |alpha|^2 ||d_r||^2:
-    ||R xi|| is as accurate as ||U xi|| formed in N-space, where the Gram
+    ||R xi|| is as accurate as ||U xi|| formed on the band, where the Gram
     form xi^H K xi would lose half the digits on an ill-conditioned K.
     Every M x M product runs through _row_products, whose rows get the
     same bits in a block of any size, and every sum over a row or a
     symbol's rows in a fixed order, so a symbol's results do not depend
     on its block.  Where every alpha of a stack is zero, as for all
     solvers but ESSP's first iteration, the alpha terms are skipped: they
-    would add exact zeros.  Only to_band works in N-space.
+    would add exact zeros.  Only to_band works on the band.
     """
 
     def __init__(self, kernel, band, ad, ref_norms, *balls):
@@ -343,70 +385,77 @@ class _SpanDeviations(_BandDeviations):
         return np.sqrt(np.sum(self._row_squares(dev), axis=-1))
 
     def to_band(self, dev, band):
-        """alpha d + U xi in N-space, the one scatter of the block.  Called
-        on the form of the whole block: under a budget, each symbol's error
-        is measured there once (_symbol_norms), and a symbol that the
-        coefficient-form distances let out of its ball is projected back
-        onto it."""
+        """alpha d + U xi on the band d, the one scatter of the symbols.
+        Called a piece at a time on the piece's share of the form of the
+        whole call (take): under a budget, each symbol's error is measured
+        there once (_symbol_norms), and a symbol that the coefficient-form
+        distances let out of its ball is projected back onto it."""
         dev = dev[..., -1:] * band + _row_products(dev[..., :-1], self.u_rows)
         return dev if self.dist is None else _project_balls(dev, self.dist(dev, _symbol_norms),
                                                             self.radii, self.inner)
 
 
-def _with_band(block, x_band, bins):
-    """A copy of block whose columns bins (ascending) hold x_band, written
-    one run of consecutive bins at a time (_bin_runs), with the guard
-    columns between the runs copied from block: slice assignments cost a
-    fraction of a fancy-index scatter into a copy of the block."""
+def _on_band(body, block, kernel, *args):
+    """body(band, kernel, *args) on the active band of block (S, n_tx, N),
+    gathered once in bin order (numerology.band_bins): the one gather and
+    scatter of a public *_precode function, which returns what body
+    returns with the block in place of the band.  The band that body
+    returns first is written into a copy of block one run of consecutive
+    bins at a time (band_runs), with the guard columns between the runs
+    copied from block, so they pass through untouched: slice assignments
+    cost a fraction of a fancy-index scatter into a copy of the block."""
+    num = kernel.numerology
+    band, *rest = body(block.take(num.band_bins, axis=-1), kernel, *args)
     full = np.empty_like(block)
     col = 0
-    for lo, hi, first, stop in _bin_runs(bins):
+    for lo, hi, first, stop in num.band_runs:
         full[..., col:first] = block[..., col:first]
-        full[..., first:stop] = x_band[..., lo:hi]
+        full[..., first:stop] = band[..., lo:hi]
         col = stop
     full[..., col:] = block[..., col:]
-    return full
+    return (full, *rest)
 
 
-def _band_iterations(block, kernel, iters, start, step, budget=None):
+def _band_iterations(band, kernel, iters, start, step, budget=None):
     """The active-band loop of the iterative precoders (ADMM, SSP, EADMM,
     ESSP).
 
-    The loop gathers the active columns d of the block (S, n_tx, N) once, in
-    bin order (numerology.band_bins), forms their leakage A d once, and runs
-    at most ``iters`` iterations on per-symbol state arrays.  ``budget`` is
-    the solver's EvmConstraint, None without one; its balls on the band
-    and the form of the iterates (EvmConstraint.band_balls) are derived
-    once, here.  The iterates are held as deviations e = x - d in one of
-    two forms: as coefficients in span{d_r, U} (_SpanDeviations) without
-    a budget or under a wideband one, and as band arrays (_BandDeviations)
-    under a frequency-selective one.  The form holds every per-symbol
-    array of the symbols still iterating: A d, the norms ||d_s|| and the
-    balls.  start(form, band) returns the state tuple; its first entry is
-    the deviation of the iterate.  step(form, state) advances every
-    symbol of the form and returns (state, (oob, primal, dual), stop,
-    returns): the new state, the trace entries, a per-symbol stop mask (or
-    None) and the deviations that the stopping symbols return.  The loop
-    records the EVM trace ||e|| / ||d|| of every iteration, with the norms
-    of the whole symbols.  A stopping symbol leaves the state and the form
+    band (S, n_tx, n_active) holds the active bands d of S symbols in bin
+    order (numerology.band_bins); the loop forms their leakage A d once
+    and runs at most ``iters`` iterations on per-symbol state arrays.
+    ``budget`` is the solver's EvmConstraint, None without one; its balls
+    on the band (EvmConstraint.band_balls) are derived once, here.  The
+    iterates are held as deviations e = x - d in one of two forms (picked
+    by span_form): as coefficients in span{d_r, U} (_SpanDeviations)
+    without a budget or under a wideband one, and as band arrays
+    (_BandDeviations) under a frequency-selective one.  The form holds
+    every per-symbol array of the symbols still iterating: A d, the norms
+    ||d_s|| and the balls.  start(form, band) returns the state tuple; its
+    first entry is the deviation of the iterate.  step(form, state)
+    advances every symbol of the form and returns (state, (oob, primal,
+    dual), stop, returns): the new state, the trace entries, a per-symbol
+    stop mask (or None) and the deviations that the stopping symbols
+    return.  The loop records the EVM trace ||e|| / ||d|| of every
+    iteration.  A stopping symbol leaves the state and the form
     (form.take), and the loop ends when no symbol is left.  The returned
-    deviations are scattered once: d + e into the band columns of a copy
-    of the block, so the guard bins of the input pass through untouched;
-    in the span form e is formed there in N-space and budget-checked on
-    the form of the whole block (to_band).  Every trace entry is the
-    step's own arithmetic on the iterate; the output is not measured
-    again.  Returns (block, BlockTraces): the block report's stopped marks
-    the symbols whose stop fired, also on the last iteration.  A kernel
-    row that vanishes on the band raises first (_check_band_rows).
+    deviations are scattered once, BLOCK_SYMBOLS symbols at a time, so
+    that every band-wide array stays at a piece however many symbols the
+    call iterates on: d + e, where in the span form e is formed on the
+    band and budget-checked on the piece's share of the form of the whole
+    call (to_band).  Every per-symbol quantity is computed as for a call
+    of one symbol, so the result does not depend on the symbols a call
+    takes.  Every trace entry is the step's own arithmetic on the iterate;
+    the output is not measured again.  Returns (output band, BlockTraces):
+    the block report's stopped marks the symbols whose stop fired, also
+    on the last iteration.  A kernel row that vanishes on the band raises
+    first (_check_band_rows).
     """
     _check_band_rows(kernel)
-    bins = kernel.numerology.band_bins
-    traces = BlockTraces(iters, len(block), kernel.n_points)
-    band = block.take(bins, axis=-1)
-    active = np.arange(len(block))
-    in_span, *balls = (True,) if budget is None else budget.band_balls(block, kernel.numerology)
-    whole = form = (_SpanDeviations if in_span else _BandDeviations)(
-        kernel, band, _row_products(band, kernel.band_rows.T), _symbol_norms(block), *balls)
+    traces = BlockTraces(iters, len(band), kernel.n_points)
+    active = np.arange(len(band))
+    balls = () if budget is None else budget.band_balls(band, kernel.numerology)
+    whole = form = (_SpanDeviations if span_form(budget) else _BandDeviations)(
+        kernel, band, _row_products(band, kernel.band_rows.T), _symbol_norms(band), *balls)
     state = start(form, band)
     out = np.empty_like(state[0])
     for it in range(iters):
@@ -425,14 +474,20 @@ def _band_iterations(block, kernel, iters, start, step, budget=None):
         if not active.size:
             break
     out[active] = state[0]
-    return _with_band(block, band + whole.to_band(out, band), bins), traces
+    result = np.empty_like(band)
+    for first in range(0, len(band), BLOCK_SYMBOLS):
+        piece = slice(first, first + BLOCK_SYMBOLS)
+        np.add(band[piece], whole.take(piece).to_band(out[piece], band[piece]),
+               out=result[piece])
+    return result, traces
 
 
-def consensus_admm(block, kernel, gamma, cfg, budget=None):
+def consensus_admm(band, kernel, gamma, cfg, budget=None):
     """Consensus ADMM over the M rank-1 leakage sets of every antenna row.
 
-    block (S, n_tx, N) holds S symbols, each the input and EVM reference d
-    of its own problem; gamma (M,) holds the checked bounds that every
+    band (S, n_tx, n_active) holds the active bands of S symbols in bin
+    order (numerology.band_bins), each the input and EVM reference d of
+    its own problem; gamma (M,) holds the checked bounds that every
     antenna row shares (mask_bounds).  The iteration is a start/step pair on
     _band_iterations, whose state is the deviation e = x_bar - d of the
     consensus variable from the input, in the loop's deviation form, and
@@ -447,7 +502,7 @@ def consensus_admm(block, kernel, gamma, cfg, budget=None):
     projection moves a mask-feasible input: e stays exactly zero, the
     input comes back bitwise and the primal residual stays zero.  Every
     symbol stops on its own residual_tol test and returns its current
-    iterate.  Returns (x_bar block, BlockTraces).
+    iterate.  Returns (x_bar band, BlockTraces).
 
     The projection onto set m moves its argument only along u_m = a(nu_m)*,
     so every dual stays z_m = beta_m u_m and every local variable
@@ -498,7 +553,7 @@ def consensus_admm(block, kernel, gamma, cfg, budget=None):
         dual = np.sqrt(m_pts) * cfg.rho * form.norms(np.subtract(dev, dev_prev, out=dev_prev))
         stop = None if cfg.residual_tol is None else np.maximum(primal, dual) <= cfg.residual_tol
         return (dev, beta, delta), ((np.abs(ax) ** 2).max(axis=1), primal, dual), stop, dev
-    return _band_iterations(block, kernel, cfg.iters, start, step, budget)
+    return _band_iterations(band, kernel, cfg.iters, start, step, budget)
 
 
 def admm_precode(d, kernel, mask, cfg=None):
@@ -508,8 +563,8 @@ def admm_precode(d, kernel, mask, cfg=None):
     an (S, n_tx, N) block, which gets one report per symbol; rows are
     precoded independently (the constraint sets are per row).
     """
-    return _unblock(np.shape(d), *consensus_admm(
-        _as_block(d, kernel), kernel, mask_bounds(mask, kernel.n_points), cfg or AdmmConfig()))
+    return _unblock(np.shape(d), *_on_band(consensus_admm, _as_block(d, kernel), kernel,
+                                           mask_bounds(mask, kernel.n_points), cfg or AdmmConfig()))
 
 
 class FactoredInverse:
@@ -628,7 +683,7 @@ def ssp_precode(d, kernel, mask, cfg=None):
     array [W | c] on c0 = A d; one step is one sweep.  The deviation stays
     in the span of U, so the loop holds it as the coefficients -mu c and
     a sweep's report takes the leakage A dbar = A d + K (-mu c) from
-    M x M products; N-space work is the gather's A d and the scatter's
+    M x M products; band-wide work is the gather's A d and the scatter's
     U (-mu c), once per call.  d may be a vector, an (n_tx, N) symbol or an
     (S, n_tx, N) block, whose rows all share each stacked operation; guard
     bins of the input pass through untouched.  Returns (dbar, SolverReport)
@@ -641,14 +696,14 @@ def ssp_precode(d, kernel, mask, cfg=None):
     A dbar, roundoff at realistic masks and large where the core's
     cancellation grows, at masks far below the input's leakage.
     """
-    return _unblock(np.shape(d), *_ssp_block(
-        _as_block(d, kernel), kernel, mask_bounds(mask, kernel.n_points), cfg or SspConfig()))
+    return _unblock(np.shape(d), *_on_band(_ssp_block, _as_block(d, kernel), kernel,
+                                           mask_bounds(mask, kernel.n_points), cfg or SspConfig()))
 
 
-def _ssp_block(block, kernel, gamma, cfg):
-    """ssp_precode on an (S, n_tx, N) block and checked (M,) bounds gamma
-    (mask_bounds): (dbar block, BlockTraces), the report holding the final
-    multipliers."""
+def _ssp_block(band, kernel, gamma, cfg):
+    """ssp_precode on the active bands (S, n_tx, n_active) of a block, in
+    bin order, and checked (M,) bounds gamma (mask_bounds): (dbar band,
+    BlockTraces), the report holding the final multipliers."""
     m_pts = kernel.n_points
     mu = None
 
@@ -668,6 +723,6 @@ def _ssp_block(block, kernel, gamma, cfg):
                    defect.max(axis=(1, 2)))
         return (dev, mu, core), entries, None, dev
 
-    full, traces = _band_iterations(block, kernel, cfg.sweeps, start, step)
+    out, traces = _band_iterations(band, kernel, cfg.sweeps, start, step)
     traces.multipliers = mu
-    return full, traces
+    return out, traces

@@ -53,9 +53,19 @@ def random_kernel(rng, m_pts):
     return SpectralKernel(matrix=matrix, freq_grid=grid, numerology=num)
 
 
+def active_rows(kernel):
+    """The kernel's N-wide rows with their guard-bin columns zeroed: the
+    full-width rows of the active band, the reference that the band-native
+    package code (which keeps only kernel.band_rows) is checked against."""
+    rows = np.zeros_like(kernel.matrix)
+    bins = kernel.numerology.band_bins
+    rows[:, bins] = kernel.matrix[:, bins]
+    return rows
+
+
 def total_oob(kernel, values):
     """Total sampled out-of-band power over all points and antennas."""
-    proj = np.einsum("mk,jk->mj", kernel.active_rows, np.atleast_2d(values))
+    proj = np.einsum("mk,jk->mj", active_rows(kernel), np.atleast_2d(values))
     return float(np.sum(np.abs(proj) ** 2))
 
 
@@ -76,7 +86,7 @@ class InfeasibleCase:
         edge = (num.n_active / 2 + 1.3) * num.scs_hz
         freqs = np.array([edge, edge + 0.95 * num.scs_hz])
         self.kernel = build_kernel(num, FrequencyGrid.from_hz(freqs, num.scs_hz))
-        u = self.kernel.active_rows.conj()
+        u = active_rows(self.kernel).conj()
         base = np.abs(u.conj() @ sym[0]) ** 2
         self.gamma = base * 0.3 * np.array([1.0, 3.0])
 

@@ -30,7 +30,7 @@ from specprecode.projections import _column_norms, _project_balls, _symbol_norms
 from specprecode.runner import BLOCK_SYMBOLS, PRECODER_TABLE
 from specprecode.unconstrained import ssp_core, ssp_sweep
 
-from conftest import qpsk_grid
+from conftest import active_rows, qpsk_grid
 
 
 def band_case(n, cp_len, offsets, seed, m_pts, on_subcarriers, near, n_sym, n_tx):
@@ -374,7 +374,7 @@ class TestWoodburyCore:
     def test_matches_lu_oracle(self, case, sweeps):
         rng, kernel, grid = case
         rows = grid.symbols.reshape(-1, grid.symbols.shape[-1])
-        c0 = np.einsum("mk,jk->jm", kernel.active_rows, rows)
+        c0 = np.einsum("mk,jk->jm", kernel.band_rows, rows[:, kernel.numerology.band_bins])
         gamma = rng.uniform(0.05, 0.5, kernel.n_points) * leakage_levels(grid, kernel)
         check_against_lu_oracle(c0, kernel.gram, gamma, sweeps)
 
@@ -386,7 +386,8 @@ class TestWoodburyCore:
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
                                   0, BLOCK_SYMBOLS)
-        c0 = np.einsum("mk,sjk->sjm", kernel.active_rows, grid.symbols)
+        c0 = np.einsum("mk,sjk->sjm", kernel.band_rows,
+                       grid.symbols[..., kernel.numerology.band_bins])
         first, last = check_against_lu_oracle(c0, kernel.gram, cfg.mask.gamma, 3)
         assert np.count_nonzero((first > 0.0) & (last == 0.0)) > 0
 
@@ -394,7 +395,8 @@ class TestWoodburyCore:
     @given(band_cases())
     def test_sweep_leaves_its_arguments_unchanged(self, case):
         rng, kernel, grid = case
-        c0 = np.einsum("mk,sjk->sjm", kernel.active_rows, grid.symbols)
+        c0 = np.einsum("mk,sjk->sjm", kernel.band_rows,
+                       grid.symbols[..., kernel.numerology.band_bins])
         gamma = rng.uniform(0.05, 0.5, kernel.n_points) * leakage_levels(grid, kernel)
         mu, core = ssp_core(c0, kernel.gram, gamma)
         for _ in range(2):          # from the set-up, then from a sweep's output
@@ -443,7 +445,7 @@ def cold_first_iterate(grid, kernel, gamma, evm, cfg):
     for _ in range(cfg.inner_sweeps):
         mu, core = ssp_sweep(mu, core, gamma)
     dev_y = band - np.einsum("sjm,mk->sjk", mu * core[..., -1], kernel.band_rows.conj())
-    _, dist, radii, inner = evm.band_balls(symbols, kernel.numerology)
+    dist, radii, inner = evm.band_balls(symbols, kernel.numerology)
     dev = dev_y - band
     out = symbols.copy()
     out[..., bins] += _project_balls(dev, dist(dev), radii, inner)
@@ -591,7 +593,7 @@ class TestForeignInput:
 
 class TestBandRestriction:
     """The oracles and the Gram matrix work on the active band.  On a data
-    grid the N-wide problems, posed with the rows of active_rows and balls
+    grid the N-wide problems, posed with the full-width rows of the band (active_rows(conftest)) and balls
     of radius 0 on the guard bins, drop the guard columns again
     (baselines._support_indices), and the N-wide Gram sum adds exact zeros
     there, so the band gives the N-wide results bitwise."""
@@ -620,7 +622,7 @@ class TestBandRestriction:
             radii = np.zeros(32)
             radii[bins] = evm.eps * _column_norms(vals[None])[0, 0, bins]
             balls = {"col_balls": (vals, radii)}
-        u_rows = kernel.active_rows.conj()
+        u_rows = active_rows(kernel).conj()
         full = logbarrier_solve(LogBarrierProblem(
             objective="epigraph", reference=vals,
             rank1=[(u_rows[m], gamma[m]) for m in range(len(gamma))], **balls))
@@ -638,19 +640,22 @@ class TestBandRestriction:
             "aclr": {"bw_hz": 300_000.0, "spacing_hz": 500_000.0}})
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         block = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation, 0, 2)
-        out, _, _ = PRECODER_TABLE["oracle"].run(cfg, block, kernel, None)
-        u_rows = kernel.active_rows.conj()
+        bins = cfg.numerology.band_bins
+        band = block.symbols[..., bins]
+        out, _, _ = PRECODER_TABLE["oracle"].run(cfg, band, kernel, None)
+        u_rows = active_rows(kernel).conj()
         rank1 = [(u_rows[m], float(cfg.mask.gamma[m])) for m in range(len(u_rows))]
-        full = [logbarrier_solve(LogBarrierProblem(objective="least_squares", reference=sym,
-                                                   rank1=rank1)).solution
-                for sym in block.symbols]
-        assert not np.array_equal(out, block.symbols)
-        assert np.array_equal(out, np.stack(full))
+        full = np.stack([logbarrier_solve(LogBarrierProblem(objective="least_squares",
+                                                            reference=sym, rank1=rank1)).solution
+                         for sym in block.symbols])
+        assert not np.array_equal(out, band)
+        assert np.array_equal(out, full[..., bins])
+        assert not full[..., cfg.numerology.guard_bins].any()
 
     @settings(max_examples=60, deadline=None)
     @given(band_cases())
     @example(band_case(16, 0, np.arange(-4, 4), 5, 3, True, False, 1, 1))
     def test_gram_matches_the_full_width_sum(self, case):
         _, kernel, _ = case
-        rows = kernel.active_rows
+        rows = active_rows(kernel)
         assert np.array_equal(kernel.gram, np.einsum("ik,jk->ij", rows, rows.conj()))

@@ -19,8 +19,8 @@ import specprecode
 from specprecode import (AdmmConfig, DataGrid, EsspConfig, EvmConstraint, SspConfig,
                          admm_precode, eadmm_precode, essp_precode, oobe_power, ssp_precode)
 from specprecode.constrained import _essp_block
-from specprecode.unconstrained import (_BandDeviations, _SpanDeviations, _row_products,
-                                       consensus_admm)
+from specprecode.unconstrained import (BATCH_PIECES, BLOCK_SYMBOLS, _BandDeviations,
+                                       _SpanDeviations, _row_products, consensus_admm)
 
 from conftest import qpsk_grid, random_kernel
 
@@ -177,11 +177,14 @@ class TestRowProducts:
         # the widths of a run: the span coefficients (M + 1), the active
         # band and the full FFT; 128 rows are more than one GEMM takes at
         # n = 300 and 512 (metrics._SERIAL_GEMM), so the pieces and the
-        # recomputed last rows are checked as well
+        # recomputed last rows are checked as well; the span coefficients
+        # of a solver call of the two-antenna default, BATCH_PIECES pieces,
+        # take 256 rows in one GEMM
+        rows = 2 * BATCH_PIECES * BLOCK_SYMBOLS if n == 9 else 128
         rng = np.random.default_rng(10 * n + m_pts)
         a_rows = cplx(rng, m_pts, n)
-        for x, mat in ((cplx(rng, 128, n), a_rows.T), (cplx(rng, 128, m_pts), a_rows.conj())):
-            self.check_rows(x, mat, range(1, 129))
+        for x, mat in ((cplx(rng, rows, n), a_rows.T), (cplx(rng, rows, m_pts), a_rows.conj())):
+            self.check_rows(x, mat, range(1, rows + 1))
 
     def test_bits_do_not_depend_on_the_blas_threads(self, tmp_path):
         # a block of 128 rows at n = 300 under two BLAS threads, in a fresh
@@ -348,7 +351,7 @@ class TestReportLeakage:
 
 class TestStepsLeaveTheirInputs:
     """The EADMM and ESSP steps do their band arithmetic in place, on
-    arrays that they own: the input block and every array that a
+    arrays that they own: the input bands and every array that a
     deviation form holds (A d, the reference norms, the balls' radii)
     come back bitwise unchanged, also where symbols stop inside the
     block and leave the form."""
@@ -382,13 +385,14 @@ class TestStepsLeaveTheirInputs:
         rng, kern, block, gamma = make_block(seed, 6, 2, 4)
         evm = budget(rng, kind, kern.numerology)
         forms = self.record_forms(monkeypatch)
-        values = block.symbols.copy()
+        band = block.symbols.take(kern.numerology.band_bins, axis=-1)
+        values = band.copy()
         if solver == "eadmm":
             _, traces = consensus_admm(values, kern, gamma,
                                        AdmmConfig(iters=60, residual_tol=3e-2), evm)
         else:
             _, traces = _essp_block(values, kern, gamma, EsspConfig(outer_iters=8), evm)
-        assert np.array_equal(values, block.symbols)
+        assert np.array_equal(values, band)
         # some symbols stopped inside the block, so their forms were taken
         assert traces.stopped.any() and len(set(traces.iterations)) > 1
         assert len(forms) > 1 and {"ad", "ref_norms", "radii"} <= set(forms[0][1])

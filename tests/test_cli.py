@@ -50,6 +50,19 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def band_of(grid):
+    """The active bands of a DataGrid's symbols in bin order, the input of a
+    PRECODER_TABLE body."""
+    return grid.symbols.take(grid.numerology.band_bins, axis=-1)
+
+
+def with_band(grid, band):
+    """The DataGrid whose symbols' active bands, in bin order, are band."""
+    symbols = np.zeros_like(grid.symbols)
+    symbols[..., grid.numerology.band_bins] = band
+    return grid.with_symbols(symbols)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -217,6 +230,9 @@ class TestRejectedSettings:
         ({"aclr": {"bw_hz": 1e-300, "spacing_hz": 500_000.0}}, "aclr.bw_hz",
          "rounds to an empty adjacent band"),
         ({"frequencies_hz": [-210_750.0, NAN, 199_500.0, 210_750.0]}, "frequencies", ""),
+        # beyond the PSD's +-1.92 MHz, where the point would alias
+        ({"frequencies_hz": [-210_750.0, -199_500.0, 199_500.0, 1e300]}, "frequencies_hz[3]",
+         "lies beyond the PSD span"),
         ({"mask_db_per_100khz": [-75.0, 4096.0, -65.0, -75.0]}, "mask.gamma", ""),
         ({"precoder": "essp", "evm": {"eps_avg_fraction": NAN}}, "evm.eps_avg_fraction", ""),
         ({"precoder": "ensp", "evm": {"eps_avg_fraction": INF}}, "evm.eps_avg_fraction", ""),
@@ -337,17 +353,44 @@ class TestFailedRunDirectory:
         assert sorted(p.name for p in out_dir.iterdir()) == ["keep"]
 
 
+class TestOverflowingBudget:
+    """A budget whose radii overflow to infinity runs to the end without a
+    numpy warning: an infinite radius keeps an infinite inward radius
+    instead of inf - inf = NaN, and ENSP's cap saturates."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("precoder, evm", [
+        (p, {"mode": "wideband", "eps_avg_fraction": 1e308}) for p in ("essp", "eadmm", "ensp")
+    ] + [(p, {"mode": "frequency_selective", "profile_per_prb": [1e308] * 6})
+         for p in ("essp", "eadmm")])
+    def test_runs_under_warnings_as_errors(self, tmp_path, precoder, evm):
+        cfg = ScenarioConfig.from_dict(dict(SMALL_SCENARIO, precoder=precoder, symbols=2,
+                                            evm=evm))
+        _, radii, inner = cfg.evm_constraint().band_balls(
+            generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
+                               0, 2).symbols, cfg.numerology)
+        # the wideband radii overflow; the selective ones (1.4e308) do not,
+        # but their slack bounds do
+        assert np.all((inner == np.inf) == (radii == np.inf))
+        assert np.all((0 < inner) & (inner <= radii))
+        assert (evm["mode"] == "wideband") == np.all(radii == np.inf)
+        path = write_scenario(tmp_path, precoder=precoder, symbols=2, evm=evm)
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert all(np.isfinite(float(v)) for v in rows[0][1:])
+
+
 class TestNonFiniteGrid:
     def test_config_exit_code(self, tmp_path, monkeypatch, capsys):
-        real = runner.generate_qam_block
+        # the run checks every precoded band for non-finite values
+        entry = runner.PRECODER_TABLE["eadmm"]
 
-        def poisoned(*args, **kwargs):
-            grid = real(*args, **kwargs)
-            sym = grid.symbols.copy()
-            sym[0, 0, grid.numerology.active_bins[0]] = np.inf
-            return grid.with_symbols(sym)
+        def poisoned(cfg, band, kernel, budget):
+            out, traces, extras = entry.run(cfg, band, kernel, budget)
+            out[-1, 0, 0] = np.inf
+            return out, traces, extras
 
-        monkeypatch.setattr(runner, "generate_qam_block", poisoned)
+        monkeypatch.setitem(runner.PRECODER_TABLE, "eadmm", entry._replace(run=poisoned))
         cfg_path = write_scenario(tmp_path, precoder="eadmm")
         code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
@@ -419,7 +462,7 @@ class TestEveryPrecoder:
         for s in range(cfg.symbols):
             grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
                                       s, 1)
-            out, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, evm_c)
+            out, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, band_of(grid), kernel, evm_c)
             total = total + oobe_power(out[0], kernel).max(axis=1)
         header, rows = read_csv(runs[0] / "summary.csv")
         summary = dict(zip(header, rows[0]))
@@ -432,10 +475,23 @@ class TestEveryPrecoder:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
     @pytest.mark.parametrize("precoder", PRECODERS)
+    def test_run_carries_active_bands_only(self, tmp_path, monkeypatch, precoder):
+        # the run draws, precodes, measures and synthesizes active bands: it
+        # builds no DataGrid and draws no N-wide grid
+        def full_grid(*args, **kwargs):
+            raise AssertionError("the run built an N-wide grid")
+
+        monkeypatch.setattr(signal_model.DataGrid, "__post_init__", full_grid)
+        monkeypatch.setattr(signal_model, "_qam_symbols", full_grid)
+        data = json.loads(json.dumps(SMALL_SCENARIO))
+        data.update(SHORT_SCHEDULES, precoder=precoder, emit_waveforms=True)
+        run_scenario(ScenarioConfig.from_dict(data), tmp_path)
+
+    @pytest.mark.parametrize("precoder", PRECODERS)
     def test_blocks_are_checked_once(self, tmp_path, monkeypatch, precoder):
-        # the runner's DataGrid checks every block for non-finite values and
-        # MaskSpec the mask bounds; only the public *_precode functions
-        # check their input again
+        # the run draws its bands and checks the precoded ones for
+        # non-finite values, and MaskSpec checks the mask bounds; only the
+        # public *_precode functions check their input
         def second_check(*args):
             raise AssertionError("a precoder body checked its input again")
 
@@ -491,6 +547,36 @@ class TestBlockPipeline:
         for name in DATA_FILES:
             assert ((tmp_path / "block" / name).read_bytes()
                     == (tmp_path / "single" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("precoder", ["admm", "ssp", "eadmm", "essp"])
+    def test_data_files_do_not_depend_on_the_batch(self, tmp_path, monkeypatch, precoder):
+        # the span-form precoders take BATCH_PIECES pieces per solver call;
+        # at that many pieces and one symbol more, on one antenna, the last
+        # call holds a lone row, and with one piece per batch every piece
+        # is a call of its own
+        overrides = BLOCK_CASES.get(precoder, {})
+        data = {} if overrides is None else json.loads(json.dumps(SMALL_SCENARIO))
+        data.update(precoder=precoder, n_tx=1, emit_waveforms=True,
+                    symbols=runner.BATCH_PIECES * runner.BLOCK_SYMBOLS + 1)
+        data.update(overrides or {})
+        cfg = ScenarioConfig.from_dict(data)
+        assert runner.span_form(cfg.evm_constraint())
+        entry = runner.PRECODER_TABLE[precoder]
+        calls = []
+
+        def counted(cfg, band, kernel, budget):
+            calls.append(len(band))
+            return entry.run(cfg, band, kernel, budget)
+
+        monkeypatch.setitem(runner.PRECODER_TABLE, precoder, entry._replace(run=counted))
+        run_scenario(cfg, tmp_path / "batch")
+        assert calls == [runner.BATCH_PIECES * runner.BLOCK_SYMBOLS, 1]
+        monkeypatch.setattr(runner, "BATCH_PIECES", 1)
+        run_scenario(cfg, tmp_path / "piece")
+        assert calls[2:] == [runner.BLOCK_SYMBOLS] * 4 + [1]
+        for name in DATA_FILES:
+            assert ((tmp_path / "batch" / name).read_bytes()
+                    == (tmp_path / "piece" / name).read_bytes()), name
 
 
 class TestKernelMemo:
@@ -571,11 +657,12 @@ class TestTraceValues:
 
     def test_precoder_without_iterations_writes_one_row(self, tmp_path):
         cfg, rows, grid, kernel = self.run(tmp_path, "ensp")
-        out, reports, _ = runner.PRECODER_TABLE["ensp"].run(cfg, grid, kernel,
+        band = band_of(grid)
+        out, reports, _ = runner.PRECODER_TABLE["ensp"].run(cfg, band, kernel,
                                                             cfg.evm_constraint())
         assert reports is None
-        err = np.sum(np.abs(out - grid.symbols) ** 2, axis=(1, 2))
-        ref = np.sum(np.abs(grid.symbols) ** 2, axis=(1, 2))
+        err = np.sum(np.abs(out - band) ** 2, axis=(1, 2))
+        ref = np.sum(np.abs(band) ** 2, axis=(1, 2))
         leak = np.mean(oobe_power(out, kernel).max(axis=2), axis=0)
         assert len(rows) == 1
         assert rows[0][:3] == pytest.approx([1, cfg.symbols, np.sqrt(np.mean(err / ref))],
@@ -591,17 +678,17 @@ class TestRunRecord:
     PARTS = ("leak", "probe", "err_cols", "ref_cols", "err", "ref")
 
     @staticmethod
-    def add_by_symbol(sums, grid, out, reports, pow_pts, bins, record):
+    def add_by_symbol(sums, band, out, reports, pow_pts, record):
         """The run record's sums, added one symbol at a time in order; the
-        error and reference power are those of the active band, its bins
-        in ascending order (``bins``), per bin and over each symbol, and
-        the probe densities are each symbol's band against the record's
-        frame kernel, times L over f_s * segment."""
+        error and reference power are those of the active bands (band and
+        out, their bins in ascending order), per bin and over each symbol,
+        and the probe densities are each symbol's band against the
+        record's frame kernel, times L over f_s * segment."""
         frame = record.frame_kernel.numerology
         scale = record.cfg.psd_oversample / (frame.sample_rate_hz * frame.symbol_len)
         per_point = np.max(pow_pts, axis=2)
-        err = np.abs(out.symbols[..., bins] - grid.symbols[..., bins]) ** 2
-        ref = np.abs(grid.symbols[..., bins]) ** 2
+        err = np.abs(out - band) ** 2
+        ref = np.abs(band) ** 2
         err_sym, ref_sym = np.sum(err, axis=(1, 2)), np.sum(ref, axis=(1, 2))
         err_cols, ref_cols = np.sum(err, axis=1), np.sum(ref, axis=1)
         if reports is None:
@@ -621,7 +708,7 @@ class TestRunRecord:
             sums["ref_cols"] += ref_cols[s]
             sums["err"] += float(err_sym[s])
             sums["ref"] += float(ref_sym[s])
-            proj = _row_products(out.symbols[s][..., bins], record.frame_kernel.band_rows.T)
+            proj = _row_products(out[s], record.frame_kernel.band_rows.T)
             sums["probe"] += np.sum(np.abs(proj) ** 2, axis=0) * scale
 
     @pytest.mark.parametrize("precoder", ["admm", "ensp"])
@@ -643,19 +730,19 @@ class TestRunRecord:
         for first in (0, 12):
             grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
                                       first, 12)
+            band = band_of(grid)
             if precoder == "admm":
                 vals, reports = admm_precode(grid.symbols, kernel, cfg.mask, cfg.admm)
                 assert len({r.iterations for r in reports}) >= 2
+                out = band_of(grid.with_symbols(vals))
             else:
-                vals, reports, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, budget)
-            out = grid.with_symbols(vals)
+                out, reports, _ = runner.PRECODER_TABLE[precoder].run(cfg, band, kernel, budget)
             pow_pts = oobe_power(out, kernel)
             block_vals, traces, extras = runner.PRECODER_TABLE[precoder].run(
-                cfg, grid, kernel, budget)
-            assert np.array_equal(block_vals, vals)
-            bins = cfg.numerology.band_bins
-            record.add(grid.symbols[..., bins], out.symbols[..., bins], traces, extras)
-            self.add_by_symbol(sums, grid, out, reports, pow_pts, bins, record)
+                cfg, band, kernel, budget)
+            assert np.array_equal(block_vals, out)
+            record.add(band, out, traces, extras)
+            self.add_by_symbol(sums, band, out, reports, pow_pts, record)
         assert np.array_equal(record.trace, sums["trace"])
         # the one sum's slices, in the order of PARTS
         size, n_active = cfg.freq_grid.size, cfg.numerology.n_active
@@ -678,11 +765,12 @@ class TestProbeDensities:
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
         grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
                                   0, cfg.symbols)
-        vals, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel, cfg.evm_constraint())
+        vals, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, band_of(grid), kernel,
+                                                         cfg.evm_constraint())
         psd_cfg = cfg.psd_config()
         acc = PsdAccumulator(cfg.numerology, psd_cfg,
                              probe_freqs_hz=cfg.freq_grid.to_hz(cfg.numerology.scs_hz))
-        acc.add(synthesize_time_signal(grid.with_symbols(vals), oversample=cfg.psd_oversample))
+        acc.add(synthesize_time_signal(with_band(grid, vals), oversample=cfg.psd_oversample))
         run = np.array([manifest["metrics"][f"psd_probe_db_p{m + 1}"]
                         for m in range(cfg.freq_grid.size)])
         linear = 10.0 ** ((run - psd_cfg.ref_db) / 10.0) * psd_cfg.ref_density
@@ -699,9 +787,9 @@ class TestProbeDensities:
         for first in range(0, cfg.symbols, runner.BLOCK_SYMBOLS):
             grid = generate_qam_block(cfg.seed, cfg.numerology, cfg.n_tx, cfg.constellation,
                                       first, min(runner.BLOCK_SYMBOLS, cfg.symbols - first))
-            vals, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, grid, kernel,
+            vals, _, _ = runner.PRECODER_TABLE[precoder].run(cfg, band_of(grid), kernel,
                                                              cfg.evm_constraint())
-            outputs.append(grid.with_symbols(vals))
+            outputs.append(with_band(grid, vals))
         assert [len(out.symbols) for out in outputs] == [32, 8]
         psd_cfg = cfg.psd_config()
         predicted = kernel_psd_prediction(outputs, cfg.numerology, cfg.psd_oversample,
@@ -784,9 +872,10 @@ class TestStreamedWaveform:
         grid = generate_qam_block(cfg.seed, cfg.numerology, n_tx, cfg.constellation,
                                   0, cfg.symbols)
         kernel = build_kernel(cfg.numerology, cfg.freq_grid)
-        out, _, _ = runner.PRECODER_TABLE["ensp"].run(cfg, grid, kernel, cfg.evm_constraint())
+        out, _, _ = runner.PRECODER_TABLE["ensp"].run(cfg, band_of(grid), kernel,
+                                                      cfg.evm_constraint())
         write_waveform(tmp_path / "whole.bin",
-                       synthesize_time_signal(grid.with_symbols(out), oversample=1))
+                       synthesize_time_signal(with_band(grid, out), oversample=1))
         written = tmp_path / "run" / "waveform.bin"
         assert written.read_bytes() == (tmp_path / "whole.bin").read_bytes()
         assert manifest["outputs"]["waveform.bin"] == sha256(written)
@@ -795,11 +884,11 @@ class TestStreamedWaveform:
         notch = runner.PRECODER_TABLE["nsp"]
         calls = []
 
-        def fails_on_second_block(cfg, block, kernel, budget):
-            calls.append(len(block.symbols))
+        def fails_on_second_block(cfg, band, kernel, budget):
+            calls.append(len(band))
             if len(calls) == 2:
                 raise NumericalError("second block")
-            return notch.run(cfg, block, kernel, budget)
+            return notch.run(cfg, band, kernel, budget)
 
         monkeypatch.setitem(runner.PRECODER_TABLE, "nsp", notch._replace(run=fails_on_second_block))
         cfg = ScenarioConfig.from_dict(dict(SMALL_SCENARIO, precoder="nsp",

@@ -211,6 +211,24 @@ class TestValidation:
         assert (cfg.numerology.fft_size, cfg.numerology.n_active) == (4096, 4096)
         assert (cfg.n_tx, cfg.psd_oversample) == (4096, 64)
 
+    @pytest.mark.parametrize("index, freq", [(0, 20e6), (7, -1e300), (3, 15.36e6 + 1.0)])
+    def test_points_beyond_the_psd_span_rejected(self, index, freq):
+        # at L = 4 the emitted spectrum spans +-15.36 MHz; a point beyond
+        # would alias onto one inside (20 MHz onto -10.72 MHz)
+        freqs = list(DEFAULT_SCENARIO["frequencies_hz"])
+        freqs[index] = freq
+        with pytest.raises(ConfigError, match="PSD span") as info:
+            ScenarioConfig.from_dict({"frequencies_hz": freqs})
+        assert info.value.field == f"frequencies_hz[{index}]"
+
+    def test_points_within_the_psd_span_accepted(self):
+        freqs = list(DEFAULT_SCENARIO["frequencies_hz"])
+        freqs[0], freqs[-1] = -15.36e6, 15.36e6
+        assert ScenarioConfig.from_dict({"frequencies_hz": freqs}).freq_grid.size == 8
+        freqs[0] = 20e6                 # inside +-30.72 MHz at L = 8
+        cfg = ScenarioConfig.from_dict({"frequencies_hz": freqs, "psd": {"oversample": 8}})
+        assert cfg.freq_grid.to_hz(cfg.numerology.scs_hz)[0] == 20e6
+
     def test_aclr_bands_must_fit_psd_span(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"aclr": {"spacing_hz": 14e6}})

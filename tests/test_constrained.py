@@ -9,7 +9,7 @@ from specprecode import (AdmmConfig, ConfigError, DataGrid, DegenerateConstraint
                          eadmm_precode, essp_precode, feasibility_probe)
 from specprecode.projections import _project_balls
 
-from conftest import qpsk_grid, small_numerology
+from conftest import active_rows, qpsk_grid, small_numerology
 
 
 @pytest.fixture(scope="module")
@@ -18,13 +18,13 @@ def pair_setup():
     num = small_numerology()
     kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 6.25])))
     grid = qpsk_grid(num, 2, seed=21)
-    lev = np.max(np.abs(np.einsum("mk,jk->mj", kern.active_rows,
+    lev = np.max(np.abs(np.einsum("mk,jk->mj", active_rows(kern),
                                   grid.symbols)) ** 2, axis=1)
     return num, kern, grid, 0.3 * lev
 
 
 def point_powers(kernel, grid):
-    return np.abs(np.einsum("mk,jk->mj", kernel.active_rows,
+    return np.abs(np.einsum("mk,jk->mj", active_rows(kernel),
                             grid.symbols)) ** 2
 
 
@@ -58,14 +58,14 @@ class TestEvmConstraint:
 
     def test_wideband_projector_inside_unchanged(self, pair_setup):
         num, _, grid, _ = pair_setup
-        _, dist, radii, inner = EvmConstraint(mode="wideband", eps_avg=0.5).band_balls(
+        dist, radii, inner = EvmConstraint(mode="wideband", eps_avg=0.5).band_balls(
             grid.symbols[None], num)
         dev = grid.symbols[None][..., num.band_bins] * 0.01
         assert np.array_equal(_project_balls(dev, dist(dev), radii, inner), dev)
 
     def test_zero_budget_pins_to_reference(self, pair_setup):
         num, _, grid, _ = pair_setup
-        _, dist, radii, inner = EvmConstraint(mode="wideband", eps_avg=0.0).band_balls(
+        dist, radii, inner = EvmConstraint(mode="wideband", eps_avg=0.0).band_balls(
             grid.symbols[None], num)
         dev = np.full((1, grid.symbols.shape[0], num.n_active), 0.3 + 0.0j)
         assert np.abs(_project_balls(dev, dist(dev), radii, inner)).max() <= 1e-15

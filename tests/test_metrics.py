@@ -423,8 +423,9 @@ class TestPeriodogramTransform:
 
     @pytest.mark.parametrize("symbols, n_tx, name, oversample", SPLITS)
     def test_sums_do_not_depend_on_the_split(self, symbols, n_tx, name, oversample):
-        # add_symbols one symbol at a time, add_symbols on the whole block
-        # (pieces of PSD_SYMBOLS) and add() of the whole block's stream give
+        # add_symbols one symbol's band at a time, add_symbols on the whole
+        # block's bands (pieces of PSD_SYMBOLS) and add() of the whole
+        # block's stream give
         # the same bits: the runner and the per-symbol bench replica add the
         # same periodograms
         num = dict(zip(["default", "n64-cp0"], frame_numerologies()))[name]
@@ -432,9 +433,10 @@ class TestPeriodogramTransform:
         psd_cfg = PsdConfig(oversample=oversample)
         probes = np.array([-14.25, 13.25, 170.5]) * num.scs_hz
         accs = [PsdAccumulator(num, psd_cfg, probe_freqs_hz=probes) for _ in range(3)]
-        for sym in block.symbols:
+        band = block.symbols[..., num.band_bins]
+        for sym in band:
             accs[0].add_symbols(sym[None])
-        accs[1].add_symbols(block.symbols)
+        accs[1].add_symbols(band)
         accs[2].add(synthesize_time_signal(block, oversample=oversample))
         for acc in accs:
             assert acc._segments == symbols

@@ -268,6 +268,23 @@ def rank1_batches(draw):
     return x, u, fractions * np.abs(x @ u.conj()) ** 2
 
 
+class TestInwardRadiusOverflow:
+    """A budget radius that overflows keeps its meaning: an infinite radius
+    has an infinite inward radius, and a finite one whose slack bound
+    overflows is still pulled in by the same relative change, with no
+    numpy warning on the way."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_and_huge_radii(self):
+        radii = np.array([np.inf, 1e307, 0.1])
+        inner = _inward_radius(radii, np.array([1.0, 1.0, 1.0]), 1024)
+        assert inner[0] == np.inf
+        assert 0.0 < inner[1] < radii[1] and inner[1] == pytest.approx(radii[1], rel=1e-12)
+        # a radius whose bound does not overflow keeps its bits
+        eps = np.finfo(float).eps
+        assert inner[2] == max(0.1 - 2.0 * eps * ((1024 + 6) * 0.1 + 1.0), 0.0)
+
+
 class TestRank1PerRowBounds:
     """One bound per row gives each row its own set."""
 

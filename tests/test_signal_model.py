@@ -140,13 +140,17 @@ class TestFrameNumerology:
                               num.active_offsets[np.argsort(num.active_bins)])
         assert np.array_equal(frame.band_bins,
                               np.sort(np.mod(num.active_offsets, factor * num.fft_size)))
-        # the frame's runs of consecutive active bins are the base's, which
-        # _write_frames copies one slice at a time
-        assert [run[:2] for run in frame.active_runs] == [run[:2] for run in num.active_runs]
+        # the runs of consecutive active bins, in offset order (the draw's)
+        # and in bin order (the frame's, which _write_frames fills from the
+        # band one slice at a time), tile the active bins
         for n in (num, frame):
             assert np.array_equal(np.concatenate([np.arange(first, stop)
                                                   for *_, first, stop in n.active_runs]),
                                   n.active_bins)
+            runs = n.band_runs
+            assert [lo for lo, *_ in runs] == [0] + [hi for _, hi, *_ in runs[:-1]]
+            assert np.array_equal(np.concatenate([np.arange(first, stop)
+                                                  for *_, first, stop in runs]), n.band_bins)
         assert num.oversampled(1) is num
         kern = build_kernel(frame, FrequencyGrid(points=[0.5, num.fft_size / 2 + 0.25]))
         assert kern is build_kernel(direct, FrequencyGrid(points=[0.5, num.fft_size / 2 + 0.25]))
@@ -224,26 +228,18 @@ class TestKernel:
             a_neg = leakage_row(num, 2 * k - nu)[k]
             assert np.abs(a_pos) == pytest.approx(np.abs(a_neg), rel=1e-12)
 
-    def test_active_rows_zero_on_guards(self):
-        num = small_numerology()
-        kern = build_kernel(num, FrequencyGrid(points=np.array([5.3])))
-        guards = ~num.active_mask()
-        assert np.all(kern.active_rows[:, guards] == 0)
-        assert np.allclose(kern.active_rows[:, num.active_bins],
-                           kern.matrix[:, num.active_bins])
-
     def test_band_rows_are_the_active_columns_in_bin_order(self):
         num = small_numerology()
         kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 7.1])))
         assert num.band_bins.tolist() == [0, 1, 2, 3, 12, 13, 14, 15]
-        assert np.array_equal(kern.band_rows, kern.active_rows[:, num.band_bins])
+        assert np.array_equal(kern.band_rows, kern.matrix[:, num.band_bins])
         assert kern.band_rows is kern.band_rows and not kern.band_rows.flags.writeable
 
     def test_shared_kernel_cannot_be_written(self):
         num = small_numerology()
         kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 7.1])))
         frame_kern = build_kernel(num.oversampled(4), kern.freq_grid)
-        for arr in (kern.matrix, kern.active_rows, kern.band_rows, kern.gram,
+        for arr in (kern.matrix, kern.band_rows, kern.gram,
                     frame_kern.band_rows):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from specprecode.projections import _project_balls
 from specprecode.unconstrained import (AdmmConfig, BlockTraces, FactoredInverse, SolverReport,
                                        SspConfig, admm_precode, mask_bounds, ssp_precode)
 
-from conftest import qpsk_grid, random_kernel, small_numerology
+from conftest import active_rows, qpsk_grid, random_kernel, small_numerology
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def violated_setup():
     num = small_numerology()
     kern = build_kernel(num, FrequencyGrid(points=np.array([5.3, 6.25])))
     grid = qpsk_grid(num, 2, seed=21)
-    lev = np.max(np.abs(np.einsum("mk,jk->mj", kern.active_rows,
+    lev = np.max(np.abs(np.einsum("mk,jk->mj", active_rows(kern),
                                   grid.symbols)) ** 2, axis=1)
     return num, kern, grid, 0.3 * lev
 
@@ -32,7 +32,7 @@ def single_point(violated_setup):
     num, _, grid, _ = violated_setup
     kern = build_kernel(num, FrequencyGrid(points=np.array([5.3])))
     d = grid.symbols[0]
-    gamma = np.array([0.3 * np.abs(kern.active_rows[0] @ d) ** 2])
+    gamma = np.array([0.3 * np.abs(active_rows(kern)[0] @ d) ** 2])
     return kern, d, gamma
 
 
@@ -107,7 +107,7 @@ class TestAdmm:
 
     def test_single_point_matches_closed_form(self, single_point):
         kern, d, gamma = single_point
-        ref = project_rank1(d, kern.active_rows[0].conj(), gamma[0])
+        ref = project_rank1(d, active_rows(kern)[0].conj(), gamma[0])
         out, _ = admm_precode(d, kern, gamma, AdmmConfig(iters=80))
         assert np.linalg.norm(out - ref) <= 1e-9
 
@@ -194,7 +194,7 @@ class TestSsp:
 
     def test_single_point_single_sweep_is_projection(self, single_point):
         kern, d, gamma = single_point
-        ref = project_rank1(d, kern.active_rows[0].conj(), gamma[0])
+        ref = project_rank1(d, active_rows(kern)[0].conj(), gamma[0])
         out, _ = ssp_precode(d, kern, gamma, SspConfig(sweeps=1))
         assert np.linalg.norm(out - ref) <= 1e-12
 
@@ -217,7 +217,7 @@ class TestSsp:
         d = generate_qam_grid(1000, cfg.numerology, cfg.n_tx, cfg.constellation).symbols
         gamma = fraction * oobe_power(d, kern).max(axis=1)
         out, rep = ssp_precode(d, kern, gamma, SspConfig(sweeps=3))
-        rows = kern.active_rows
+        rows = active_rows(kern)
         pull = (rep.multipliers * (out @ rows.T)) @ rows.conj()        # U D A dbar per row
         residual = np.linalg.norm(out + pull - d, axis=1).max()
         scale = max(np.linalg.norm(out - d, axis=1).max(), np.linalg.norm(pull, axis=1).max())
@@ -284,7 +284,7 @@ def reference_ssp(rows, kernel, gamma, cfg):
     (sweeps, n_tx, N) and the four report traces as ssp_precode defines
     them.
     """
-    u_rows = kernel.active_rows.conj()
+    u_rows = active_rows(kernel).conj()
     m_pts, n = u_rows.shape
     lam1 = np.einsum("mk,mk->m", u_rows, u_rows.conj()).real
     mus = np.empty((cfg.sweeps, rows.shape[0], m_pts))
@@ -337,7 +337,7 @@ class TestDualCore:
         n_tx = 1 + seed % 3
         kern = random_kernel(rng, m_pts)
         rows = qpsk_grid(kern.numerology, n_tx, seed=seed).symbols
-        level = (np.abs(kern.active_rows @ rows.T) ** 2).min(axis=1)
+        level = (np.abs(active_rows(kern) @ rows.T) ** 2).min(axis=1)
         gamma = rng.uniform(0.05, 0.3, m_pts) * level
 
         out, rep = ssp_precode(rows, kern, gamma, cfg)
@@ -374,10 +374,11 @@ def evm_wideband(dbar, d):
     return float(np.linalg.norm(dbar - d) / ref) if ref > 0 else 0.0
 
 
-def reference_consensus_admm(block, kernel, gamma, cfg, budget=None):
+def reference_consensus_admm(bands, kernel, gamma, cfg, budget=None):
     """N-space reference for consensus_admm, with its signature and its
-    block report: the symbols of the block one at a time, each through
-    reference_consensus_one.  The consensus update maps a mean deviation
+    block report: the active bands of the symbols one at a time, each
+    placed in the band bins of a zero (n_tx, N) grid and run through
+    reference_consensus_one, whose output's band it returns.  The consensus update maps a mean deviation
     from the input's active band to the next deviation: ADMM's weighted
     mean without a budget, and under one the projection of the symbol's
     own ball (EvmConstraint.band_balls and _project_balls), which measures
@@ -387,14 +388,15 @@ def reference_consensus_admm(block, kernel, gamma, cfg, budget=None):
     m_pts = kernel.n_points
     num = kernel.numerology
     weight = cfg.rho * m_pts / (1.0 + cfg.rho * m_pts)
-    traces = BlockTraces(cfg.iters, len(block), m_pts)
-    for i, rows in enumerate(block):
-        band = rows[:, num.band_bins]
+    traces = BlockTraces(cfg.iters, len(bands), m_pts)
+    for i, band in enumerate(bands):
+        rows = np.zeros(band.shape[:-1] + (num.fft_size,), dtype=complex)
+        rows[:, num.band_bins] = band
         if budget is None:
             def x_update(dev):
                 return weight * dev
         else:
-            _, dist, radii, inner = budget.band_balls(rows[None], num)
+            dist, radii, inner = budget.band_balls(rows[None], num)
 
             def x_update(dev, dist=dist, radii=radii, inner=inner):
                 return _project_balls(dev[None], dist(dev[None]), radii, inner)[0]
@@ -402,7 +404,7 @@ def reference_consensus_admm(block, kernel, gamma, cfg, budget=None):
         def update(s, band=band, x_update=x_update):
             return band + x_update(s / m_pts - band)
         out, rep = reference_consensus_one(rows, kernel, gamma, cfg, update)
-        outs.append(out)
+        outs.append(out[:, num.band_bins])
         n = traces.iterations[i] = rep.iterations
         traces.record(slice(n), i, rep.evm_trace, rep.oob_trace, rep.primal_trace,
                       rep.dual_trace)
@@ -417,7 +419,7 @@ def reference_consensus_one(rows, kernel, gamma, cfg, x_update):
     maps the active columns in bin order; the guard bins of x_bar keep
     their input values.
     """
-    u_rows = kernel.active_rows.conj()
+    u_rows = active_rows(kernel).conj()
     bins = np.flatnonzero(kernel.numerology.active_mask())
     y = np.broadcast_to(rows, (u_rows.shape[0],) + rows.shape).copy()
     z = np.zeros_like(y)
@@ -470,7 +472,7 @@ def consensus_case(seed, solver, cfg, eps_avg=0.1):
     kern = random_kernel(rng, m_pts)
     grid = qpsk_grid(kern.numerology, n_tx, seed=seed)
     rows = grid.symbols
-    level = np.abs(kern.active_rows @ rows.T) ** 2
+    level = np.abs(active_rows(kern) @ rows.T) ** 2
     gamma = rng.uniform(0.05, 0.3, m_pts) * level.min(axis=1)
     if solver == "admm":
         def run():

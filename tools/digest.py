@@ -39,11 +39,13 @@ waveform written) and with a 3-sample one (segment 268 = 4 * 67), so that
 both the plain-FFT and the large-prime paths of the periodogram run; SSP
 on three antennas at 70 symbols with its waveform written; NSP, ENSP,
 ADMM, SSP, EADMM and ESSP on one antenna at 65 symbols, so that the
-runner's last block of 32 symbols holds a lone row (the four iterative
-solvers there on their span coefficients, under the wideband budget
-where they take one); EADMM and ESSP the same way under the
-frequency-selective edge profile, whose per-column balls then hold a single
-row; SSP at PSD oversampling 5 (segment 2740 = 20 * 137, the large-prime
+runner's last piece of 32 symbols holds a lone row; ADMM, SSP, EADMM and
+ESSP on one antenna at 129 symbols, so that the last solver call of the
+span form (on span coefficients, under the wideband budget where they
+take one), a batch of up to 4 pieces of 32 symbols, holds a lone row;
+EADMM and ESSP on one antenna at 65 symbols under the
+frequency-selective edge profile, whose per-column balls then hold a
+single row and whose band form takes one piece per call; SSP at PSD oversampling 5 (segment 2740 = 20 * 137, the large-prime
 path at another m), ENSP at 7 with its waveform written, and SSP on the
 64-point numerology at 8 (segment 544 = 32 * 17); and the four benchmark
 workloads of
@@ -107,6 +109,8 @@ def cases(config):
                                   "emit_waveforms": True}
     for p in ("nsp", "ensp", "admm", "ssp", "eadmm", "essp"):
         out[f"{p}-1tx-65"] = {"precoder": p, "n_tx": 1, "symbols": 65}
+    for p in ("admm", "ssp", "eadmm", "essp"):
+        out[f"{p}-1tx-129"] = {"precoder": p, "n_tx": 1, "symbols": 129}
     for p in ("eadmm", "essp"):
         out[f"{p}-selective-1tx-65"] = {
             "precoder": p, "n_tx": 1, "symbols": 65,
